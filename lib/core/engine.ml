@@ -103,6 +103,9 @@ let register_gauges t =
     ~help:"Arena high-water mark: bytes resident across chunks."
     (fun () ->
       Aeq_mem.Arena.resident_bytes (Aeq_storage.Catalog.arena t.catalog));
+  Obs.Metrics.gauge_fn "aeq_arena_spare_bytes"
+    ~help:"Released scratch chunks pooled for reuse (not counted as resident)."
+    (fun () -> Aeq_mem.Arena.spare_bytes (Aeq_storage.Catalog.arena t.catalog));
   Obs.Metrics.gauge_fn "aeq_pool_active_jobs"
     ~help:"Pipeline jobs currently in flight on the worker pool."
     (fun () -> Aeq_exec.Pool.active_jobs t.pool);

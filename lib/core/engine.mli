@@ -127,9 +127,9 @@ val submit :
 (** Enqueue a query on the engine's scheduler (created lazily on first
     use) and return without waiting; await the ticket with
     {!Aeq_exec.Scheduler.await}. Unlike {!query}, which any number of
-    callers may invoke but which serializes them on the execution
-    core's lock with no queue bound, fairness or deadline, [submit]
-    goes through admission control: a full queue rejects with
+    callers may invoke concurrently with no queue bound, fairness or
+    deadline, [submit] goes through admission control: a full queue
+    rejects with
     {!Aeq_exec.Query_error.Overloaded}, overload degrades execution to
     bytecode-only, compile failures engine-wide can trip the circuit
     breaker, and deadline overruns are cancelled by the watchdog. See

@@ -238,12 +238,13 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
     let codegen_seconds = if first_execution then p.pr_codegen_seconds else 0.0 in
     let bc_seconds = if first_execution then p.pr_bc_seconds else 0.0 in
     (* --- runtime objects (ids match planning order) ------------------ *)
+    let setup_alloc = Aeq_rt.Context.allocator ctx ~tid:0 in
     Array.iter
       (fun spec ->
         ignore
           (Aeq_rt.Context.register_ht ctx
-             (Aeq_rt.Hash_table.create arena ~expected_entries:spec.P.ht_expected
-                ~payload_bytes:spec.P.ht_payload_bytes)))
+             (Aeq_rt.Hash_table.create arena ~allocator:setup_alloc
+                ~expected_entries:spec.P.ht_expected ~payload_bytes:spec.P.ht_payload_bytes)))
       plan.P.pl_hts;
     (match plan.P.pl_agg with
     | Some cfg ->
@@ -258,7 +259,6 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
     ignore (Aeq_rt.Context.register_out ctx out);
     Array.iter (fun bm -> ignore (Aeq_rt.Context.register_pred ctx bm)) plan.P.pl_preds;
     (* --- state area --------------------------------------------------- *)
-    let setup_alloc = Aeq_rt.Context.allocator ctx ~tid:0 in
     let state = A.alloc setup_alloc (8 * Stdlib.max 1 (P.n_slots layout)) in
     Array.iteri
       (fun tref (tbl, _) ->

@@ -14,6 +14,7 @@ let () =
   Aeq_race.declare "arena.leases" (Aeq_race.Lock "arena.lock");
   Aeq_race.declare "arena.limits" Aeq_race.Atomic;
   Aeq_race.declare "arena.lease.slots" (Aeq_race.Lock "arena.lock");
+  Aeq_race.declare "arena.spare_pool" (Aeq_race.Lock "arena.lock");
   Aeq_race.declare "arena.counters" Aeq_race.Atomic;
   Aeq_race.declare "arena.generation" Aeq_race.Atomic;
   Aeq_race.declare "arena.lease.meters" Aeq_race.Atomic;
@@ -21,11 +22,20 @@ let () =
 
 (* The chunk table is two-level: slots below the permanent base hold
    loaded tables (the catalog's lease, never released), slots above are
-   scratch leased to one query at a time. A released slot drops its
-   bytes and its index goes to [free_slots] for the next lease, so the
-   table never grows past (base + peak-concurrent-scratch) — the
-   replacement for the old serialize-then-truncate reclamation that
-   forced single-writer execution. *)
+   scratch leased to one query at a time. A released slot's index goes
+   to [free_slots] for the next lease, so the table never grows past
+   (base + peak-concurrent-scratch) — the replacement for the old
+   serialize-then-truncate reclamation that forced single-writer
+   execution.
+
+   A released scratch chunk goes to [spares], a pool keyed by exact
+   size: the next grab of that size zero-fills and reuses it instead of
+   allocating, so a query's scratch never turns into garbage for the
+   major GC. Spares are not leased memory — [resident], [scratch] and
+   [n_live] count leased chunks only. The pool is bounded twice: it
+   never holds more than the highest scratch residency seen
+   ([peak_scratch]), and under a scratch cap live scratch plus spares
+   stay within the cap. *)
 type t = {
   chunk_size : int;
   chunks : Bytes.t array; (* fixed-capacity table; slots filled under lock *)
@@ -43,6 +53,10 @@ type t = {
   scratch : int Atomic.t;
       (* bytes resident in scratch chunks only (excludes the base
          lease's loaded tables) — what the scratch cap meters *)
+  mutable peak_scratch : int; (* highest [scratch] seen; guarded by lock *)
+  spares : (int, Bytes.t list) Hashtbl.t;
+      (* released scratch chunks by exact size; guarded by lock *)
+  spare : int Atomic.t; (* bytes in [spares]; read lock-free by the gauge *)
   scratch_limit : int option Atomic.t;
       (* cap on [scratch]; None = unbounded. Atomic, not lock-guarded:
          the scheduler's overload probe and the backpressure loop both
@@ -57,6 +71,7 @@ type t = {
   table_loc : Aeq_race.location;
   leases_loc : Aeq_race.location;
   limits_loc : Aeq_race.location;
+  spares_loc : Aeq_race.location;
 }
 
 and lease = {
@@ -116,6 +131,9 @@ let create ?(chunk_size = 1 lsl 20) () =
       base = None;
       live_leases = 0;
       scratch = Atomic.make 0;
+      peak_scratch = 0;
+      spares = Hashtbl.create 16;
+      spare = Atomic.make 0;
       scratch_limit = Atomic.make None;
       block_seconds = Atomic.make 0.05;
       waits = Atomic.make 0;
@@ -124,6 +142,7 @@ let create ?(chunk_size = 1 lsl 20) () =
       table_loc = Aeq_race.locate "arena.chunk_table";
       leases_loc = Aeq_race.locate "arena.leases";
       limits_loc = Aeq_race.locate "arena.limits";
+      spares_loc = Aeq_race.locate "arena.spare_pool";
     }
   in
   t.base <- Some (make_lease ~scratch:false t);
@@ -147,13 +166,51 @@ let lease_used l = Atomic.get l.ls_used
 
 let lease_stale l = Atomic.get l.ls_stale
 
+(* Spare-pool helpers; the caller holds [t.lock]. *)
+
+let take_spare t size =
+  match Hashtbl.find_opt t.spares size with
+  | Some (b :: rest) ->
+    (match rest with
+    | [] -> Hashtbl.remove t.spares size
+    | _ -> Hashtbl.replace t.spares size rest);
+    ignore (Atomic.fetch_and_add t.spare (-size));
+    Some b
+  | Some [] | None -> None
+
+(* drop pooled chunks to the GC until the pool holds at most [keep]
+   bytes *)
+let trim_spares t ~keep =
+  if Atomic.get t.spare > keep then
+    Hashtbl.filter_map_inplace
+      (fun size bs ->
+        let rec drop = function
+          | _ :: rest when Atomic.get t.spare > keep ->
+            ignore (Atomic.fetch_and_add t.spare (-size));
+            drop rest
+          | bs -> bs
+        in
+        match drop bs with [] -> None | bs -> Some bs)
+      t.spares
+
+(* the pool's two bounds, for a released chunk of [size] bytes (after
+   [scratch] has dropped by it) *)
+let pool_admits t size =
+  let spare = Atomic.get t.spare + size in
+  spare <= t.peak_scratch
+  &&
+  match Atomic.get t.scratch_limit with
+  | None -> true
+  | Some limit -> Atomic.get t.scratch + spare <= limit
+
 (* Take a slot for [lease] and install a chunk of at least [size]
-   bytes; returns the slot index. Slots are recycled indices — the
-   memory itself is always a fresh zeroed [Bytes.t], so a recycled
-   chunk carries no bytes from the query that released it. A pointer
-   into a chunk can only reach another thread through a synchronising
-   structure (the pool or a locked hash table), which orders the slot
-   write before any access. *)
+   bytes; returns the slot index. Slots are recycled indices, and the
+   memory is either a fresh zeroed [Bytes.t] or a spare of exactly
+   [size] bytes zero-filled here, under the lock, before the slot is
+   handed out — so a recycled chunk carries no bytes from the query
+   that released it. A pointer into a chunk can only reach another
+   thread through a synchronising structure (the pool or a locked hash
+   table), which orders the slot write before any access. *)
 let lease_chunk ls size =
   (* simulated allocation failure: growing the arena is where a real
      OOM would strike *)
@@ -190,6 +247,7 @@ let lease_chunk ls size =
             if fits then begin
               Aeq_race.write ~site:"arena.lease_chunk" t.table_loc;
               Aeq_race.write ~site:"arena.lease_chunk" ls.ls_loc;
+              Aeq_race.write ~site:"arena.lease_chunk" t.spares_loc;
               let slot =
                 match t.free_slots with
                 | s :: rest ->
@@ -202,10 +260,24 @@ let lease_chunk ls size =
                   t.n_chunks <- n + 1;
                   n
               in
-              t.chunks.(slot) <- Bytes.make size '\000';
+              t.chunks.(slot) <-
+                (match take_spare t size with
+                | Some b ->
+                  Bytes.fill b 0 size '\000';
+                  b
+                | None ->
+                  (* fresh memory: make room in the pool first, so live
+                     scratch plus spares stay within the cap *)
+                  (match Atomic.get t.scratch_limit with
+                  | Some limit when ls.ls_scratch ->
+                    trim_spares t ~keep:(limit - Atomic.get t.scratch - size)
+                  | _ -> ());
+                  Bytes.make size '\000');
               t.n_live <- t.n_live + 1;
-              if ls.ls_scratch then
-                ignore (Atomic.fetch_and_add t.scratch size);
+              if ls.ls_scratch then begin
+                let s = Atomic.fetch_and_add t.scratch size + size in
+                if s > t.peak_scratch then t.peak_scratch <- s
+              end;
               ls.ls_slots <- slot :: ls.ls_slots;
               `Got slot
             end
@@ -255,10 +327,11 @@ let lease_chunk ls size =
   in
   acquire ()
 
-(* Return every owned chunk to the free pool. Idempotent; a no-op if
-   the arena was [reset] since the lease was taken (the slots are
-   already recycled). Must not run while the lease's allocators are
-   still in use — the driver releases only after the pool barrier. *)
+(* Return every owned slot to the free list and every scratch chunk
+   the pool admits to [spares]. Idempotent; a no-op if the arena was
+   [reset] since the lease was taken (the slots are already recycled).
+   Must not run while the lease's allocators are still in use — the
+   driver releases only after the pool barrier. *)
 let do_release ls =
   let t = ls.ls_arena in
   Aeq_race.Lock.with_ t.lock (fun () ->
@@ -267,13 +340,22 @@ let do_release ls =
         Aeq_race.write ~site:"arena.release" t.table_loc;
         Aeq_race.write ~site:"arena.release" t.leases_loc;
         Aeq_race.write ~site:"arena.release" ls.ls_loc;
+        Aeq_race.write ~site:"arena.release" t.spares_loc;
         Atomic.set ls.ls_stale true;
         if ls.ls_scratch then t.live_leases <- t.live_leases - 1;
         List.iter
           (fun s ->
-            let sz = Bytes.length t.chunks.(s) in
+            let b = t.chunks.(s) in
+            let sz = Bytes.length b in
             ignore (Atomic.fetch_and_add t.resident (-sz));
-            if ls.ls_scratch then ignore (Atomic.fetch_and_add t.scratch (-sz));
+            if ls.ls_scratch then begin
+              ignore (Atomic.fetch_and_add t.scratch (-sz));
+              if pool_admits t sz then begin
+                let same = Option.value ~default:[] (Hashtbl.find_opt t.spares sz) in
+                Hashtbl.replace t.spares sz (b :: same);
+                ignore (Atomic.fetch_and_add t.spare sz)
+              end
+            end;
             t.chunks.(s) <- Bytes.empty;
             t.n_live <- t.n_live - 1;
             t.free_slots <- s :: t.free_slots)
@@ -347,6 +429,8 @@ let live_chunks t =
 
 let scratch_resident_bytes t = Atomic.get t.scratch
 
+let spare_bytes t = Atomic.get t.spare
+
 let scratch_limit t = Atomic.get t.scratch_limit
 
 let set_scratch_limit t ?block_seconds limit =
@@ -357,7 +441,14 @@ let set_scratch_limit t ?block_seconds limit =
   | Some s when s >= 0.0 -> Atomic.set t.block_seconds s
   | Some _ -> invalid_arg "Arena.set_scratch_limit: negative block_seconds"
   | None -> ());
-  Atomic.set t.scratch_limit limit;
+  Aeq_race.Lock.with_ t.lock (fun () ->
+      Atomic.set t.scratch_limit limit;
+      (* a lower cap evicts spares, so live scratch plus spares fit *)
+      match limit with
+      | Some l ->
+        Aeq_race.write ~site:"arena.set_scratch_limit" t.spares_loc;
+        trim_spares t ~keep:(l - Atomic.get t.scratch)
+      | None -> ());
   (* a raised cap unblocks parked grabs *)
   Aeq_util.Waiter.wake t.bp_waiter
 
@@ -387,6 +478,7 @@ let check t =
   Aeq_race.Lock.with_ t.lock @@ fun () ->
   Aeq_race.read ~site:"arena.check" t.table_loc;
   Aeq_race.read ~site:"arena.check" t.leases_loc;
+  Aeq_race.read ~site:"arena.check" t.spares_loc;
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
   let live = ref 0 and bytes = ref 0 in
@@ -417,9 +509,40 @@ let check t =
   if scratch < 0 then err "scratch resident negative: %d" scratch;
   if scratch > Atomic.get t.resident then
     err "scratch=%d exceeds resident=%d" scratch (Atomic.get t.resident);
+  let pooled =
+    Hashtbl.fold
+      (fun size bs acc ->
+        List.fold_left
+          (fun acc b ->
+            if Bytes.length b <> size then
+              err "a %d-byte spare is filed under size %d" (Bytes.length b) size;
+            b :: acc)
+          acc bs)
+      t.spares []
+  in
+  let spare = List.fold_left (fun n b -> n + Bytes.length b) 0 pooled in
+  if spare <> Atomic.get t.spare then
+    err "spare=%d but the pool holds %d bytes" (Atomic.get t.spare) spare;
+  if spare > t.peak_scratch then
+    err "pool holds %d bytes, over the scratch peak %d" spare t.peak_scratch;
+  (* a chunk both leased and pooled, or pooled twice, would be handed
+     to two leases at once *)
+  let rec shared = function
+    | [] -> ()
+    | b :: rest ->
+      for s = 0 to t.n_chunks - 1 do
+        if t.chunks.(s) == b then err "slot %d's chunk is also in the spare pool" s
+      done;
+      if List.exists (( == ) b) rest then
+        err "a %d-byte chunk is in the spare pool twice" (Bytes.length b);
+      shared rest
+  in
+  shared pooled;
   (match Atomic.get t.scratch_limit with
   | Some limit when scratch > limit ->
     err "scratch=%d exceeds limit=%d" scratch limit
+  | Some limit when scratch + spare > limit ->
+    err "scratch=%d + spare=%d exceed limit=%d" scratch spare limit
   | _ -> ());
   if t.live_leases < 0 then err "live_leases negative: %d" t.live_leases;
   List.rev !errs
@@ -438,6 +561,7 @@ let reset t =
       end;
       Aeq_race.write ~site:"arena.reset" t.table_loc;
       Aeq_race.read ~site:"arena.reset" t.leases_loc;
+      Aeq_race.write ~site:"arena.reset" t.spares_loc;
       (* invalidate every outstanding lease and allocator (base included) *)
       ignore (Atomic.fetch_and_add t.generation 1);
       (match t.base with Some b -> Atomic.set b.ls_stale true | None -> ());
@@ -451,6 +575,9 @@ let reset t =
       Atomic.set t.resident (Bytes.length t.chunks.(0));
       Atomic.set t.total_used 0;
       Atomic.set t.scratch 0;
+      t.peak_scratch <- 0;
+      Hashtbl.reset t.spares;
+      Atomic.set t.spare 0;
       t.base <- Some (make_lease ~scratch:false t));
   Aeq_util.Waiter.wake t.bp_waiter
 

@@ -19,9 +19,11 @@
     dictionary. Each query execution takes its own scratch {!lease}
     and bump-allocates hash tables, aggregation slots and output rows
     into chunks owned by that lease; {!release} returns the chunk
-    slots to a free pool when the query completes. Queries therefore
-    never contend on reclamation and can run concurrently over the
-    shared base chunks — the old [mark_chunks]/[truncate] scheme,
+    slots to a free pool when the query completes, and keeps the
+    chunks themselves as spares that the next lease reuses (zeroed) at
+    the same size instead of allocating. Queries therefore never
+    contend on reclamation and can run concurrently over the shared
+    base chunks — the old [mark_chunks]/[truncate] scheme,
     which assumed one writer at a time, is gone. *)
 
 type t
@@ -72,11 +74,12 @@ val lease_allocator : lease -> allocator
     create one per worker. *)
 
 val release : lease -> unit
-(** Return the lease's chunk slots to the arena's free pool and drop
-    their memory. Idempotent, thread-safe. Every allocator of the
-    lease becomes stale. The caller must ensure no worker still reads
-    or writes the lease's chunks (the driver releases only after all
-    pipeline workers have finished). *)
+(** Return the lease's chunk slots to the arena's free pool and its
+    scratch chunks to the spare pool (see {!spare_bytes}); chunks the
+    pool's bounds do not admit are dropped. Idempotent, thread-safe.
+    Every allocator of the lease becomes stale. The caller must ensure
+    no worker still reads or writes the lease's chunks (the driver
+    releases only after all pipeline workers have finished). *)
 
 val lease_used : lease -> int
 (** Bytes handed out through this lease's allocators — the per-query
@@ -97,7 +100,16 @@ val resident_bytes : t -> int
     back when [release] reclaims query scratch, so it is the gauge the
     scheduler's overload detector (arena high-water threshold) reads.
     Maintained as an atomic running total: one load, no lock, no chunk
-    scan. *)
+    scan. Spare chunks are not counted. *)
+
+val spare_bytes : t -> int
+(** Bytes held in the spare pool: released scratch chunks kept, by
+    exact size, for the next grab of that size, which zero-fills one
+    before any lease sees it. Not leased, so excluded from
+    {!resident_bytes}, {!scratch_resident_bytes} and {!live_chunks}.
+    The pool never holds more than the highest scratch residency seen
+    since creation or {!reset}, and with a scratch cap armed, scratch
+    residency plus spares never exceed the cap. One atomic load. *)
 
 val live_chunks : t -> int
 (** Number of slots currently holding memory. Equal before/after a
@@ -107,7 +119,8 @@ val live_leases : t -> int
 (** Outstanding scratch leases (taken, not yet released). *)
 
 val reset : t -> unit
-(** Drop all chunks except the first and invalidate every outstanding
+(** Drop all chunks except the first, empty the spare pool and
+    invalidate every outstanding
     lease and allocator (base included). Only call between queries.
     @raise Invalid_argument if scratch leases are still live — a
     reset under a running query would recycle its slots into a data
@@ -148,7 +161,9 @@ val scratch_under_pressure : t -> bool
 val check : t -> string list
 (** Recount the chunk table and cross-check every counter the
     lock-free paths maintain ([n_live], [resident], [scratch],
-    free-slot validity, cap adherence). Empty = coherent. The
+    free-slot validity, cap adherence, the spare-pool byte count and
+    both pool bounds), and report any chunk that is both leased and
+    pooled, or pooled twice. Empty = coherent. The
     deterministic simulator runs this at yield points; tests run it
     after fault injection. Takes the arena lock. *)
 

@@ -2,13 +2,30 @@ module A = Aeq_mem.Arena
 
 type acc_kind = Sum | Count | Min | Max
 
+(* One thread's groups: a chained hash table in the execution's lease.
+   Entry = [next][k1][k2][acc0][acc1]...; the directory is [mask + 1]
+   i64 bucket heads, taken from the thread's allocator on its first
+   group and doubled when the groups outnumber the buckets (the old
+   directory stays in the lease until release). *)
+type table = {
+  mutable dir : A.ptr; (* null until the first group *)
+  mutable mask : int;
+  mutable count : int;
+  mutable alloc : A.allocator option;
+      (* the allocator the directory came from; [merge] grows with it *)
+}
+
 type t = {
   arena : A.t;
   key_arity : int;
   accs : acc_kind array;
-  row_bytes : int;
-  tables : (Int64.t * Int64.t, A.ptr) Hashtbl.t array; (* per thread *)
+  entry_bytes : int;
+  tables : table array; (* per thread *)
 }
+
+let row_offset = 24
+
+let initial_buckets = 64
 
 let init_value = function
   | Sum | Count -> 0L
@@ -21,23 +38,75 @@ let create arena ~n_threads ~key_arity ~accs =
     arena;
     key_arity;
     accs;
-    row_bytes = 8 * Array.length accs;
-    tables = Array.init (Stdlib.max 1 n_threads) (fun _ -> Hashtbl.create 64);
+    entry_bytes = row_offset + (8 * Array.length accs);
+    tables =
+      Array.init (Stdlib.max 1 n_threads) (fun _ ->
+          { dir = A.null; mask = -1; count = 0; alloc = None });
   }
 
-let new_row t ~allocator =
-  let row = A.alloc allocator t.row_bytes in
-  Array.iteri (fun i k -> A.set_i64 t.arena (row + (8 * i)) (init_value k)) t.accs;
-  row
+let hash k1 k2 = Hash_table.hash (Int64.logxor k1 (Int64.mul k2 0x9E3779B97F4A7C15L))
+
+let next t e = Int64.to_int (A.get_i64 t.arena e)
+
+let entry_hash t e = hash (A.get_i64 t.arena (e + 8)) (A.get_i64 t.arena (e + 16))
+
+let link t tbl e h =
+  let head = tbl.dir + (8 * (h land tbl.mask)) in
+  A.set_i64 t.arena e (A.get_i64 t.arena head);
+  A.set_i64 t.arena head (Int64.of_int e)
+
+(* [f] may relink the entry it is given *)
+let iter_entries t ~dir ~mask f =
+  for b = 0 to mask do
+    let rec walk e =
+      if e <> A.null then begin
+        let nx = next t e in
+        f e;
+        walk nx
+      end
+    in
+    walk (next t (dir + (8 * b)))
+  done
+
+let find t tbl ~k1 ~k2 h =
+  let rec walk e =
+    if e = A.null then A.null
+    else if
+      Int64.equal (A.get_i64 t.arena (e + 8)) k1
+      && Int64.equal (A.get_i64 t.arena (e + 16)) k2
+    then e
+    else walk (next t e)
+  in
+  if tbl.dir = A.null then A.null
+  else walk (next t (tbl.dir + (8 * (h land tbl.mask))))
+
+let grow_if_full t tbl ~allocator =
+  if tbl.count > tbl.mask then begin
+    let dir = tbl.dir and mask = tbl.mask in
+    let n = Stdlib.max initial_buckets (2 * (mask + 1)) in
+    tbl.dir <- A.alloc allocator (8 * n);
+    tbl.mask <- n - 1;
+    tbl.alloc <- Some allocator;
+    iter_entries t ~dir ~mask (fun e -> link t tbl e (entry_hash t e))
+  end
 
 let get_group t ~tid ~allocator ~k1 ~k2 =
   let tbl = t.tables.(tid) in
-  match Hashtbl.find_opt tbl (k1, k2) with
-  | Some row -> row
-  | None ->
-    let row = new_row t ~allocator in
-    Hashtbl.replace tbl (k1, k2) row;
-    row
+  let h = hash k1 k2 in
+  let e = find t tbl ~k1 ~k2 h in
+  if e <> A.null then e + row_offset
+  else begin
+    grow_if_full t tbl ~allocator;
+    let e = A.alloc allocator t.entry_bytes in
+    A.set_i64 t.arena (e + 8) k1;
+    A.set_i64 t.arena (e + 16) k2;
+    for i = 0 to Array.length t.accs - 1 do
+      A.set_i64 t.arena (e + row_offset + (8 * i)) (init_value t.accs.(i))
+    done;
+    link t tbl e h;
+    tbl.count <- tbl.count + 1;
+    e + row_offset
+  end
 
 let combine t ~into ~from =
   Array.iteri
@@ -54,36 +123,50 @@ let combine t ~into ~from =
     t.accs
 
 let merge t =
-  let main = t.tables.(0) in
-  for tid = 1 to Array.length t.tables - 1 do
-    Hashtbl.iter
-      (fun key row ->
-        match Hashtbl.find_opt main key with
-        | Some existing -> combine t ~into:existing ~from:row
-        | None -> Hashtbl.replace main key row)
-      t.tables.(tid);
-    Hashtbl.reset t.tables.(tid)
+  let tables = t.tables in
+  (* thread 0 may have seen no tuple: fold into the first thread that
+     did, whose allocator can grow the directory *)
+  (match Array.find_index (fun tbl -> tbl.dir <> A.null) tables with
+  | Some i when i > 0 ->
+    let m = tables.(i) in
+    tables.(i) <- tables.(0);
+    tables.(0) <- m
+  | _ -> ());
+  let main = tables.(0) in
+  for tid = 1 to Array.length tables - 1 do
+    let src = tables.(tid) in
+    iter_entries t ~dir:src.dir ~mask:src.mask (fun e ->
+        let h = entry_hash t e in
+        let existing =
+          find t main ~k1:(A.get_i64 t.arena (e + 8)) ~k2:(A.get_i64 t.arena (e + 16)) h
+        in
+        if existing <> A.null then
+          combine t ~into:(existing + row_offset) ~from:(e + row_offset)
+        else begin
+          Option.iter (fun allocator -> grow_if_full t main ~allocator) main.alloc;
+          link t main e h;
+          main.count <- main.count + 1
+        end);
+    src.dir <- A.null;
+    src.mask <- -1;
+    src.count <- 0
   done
 
-let n_groups t = Hashtbl.length t.tables.(0)
+let n_groups t = t.tables.(0).count
 
 let materialize t ~allocator =
   let main = t.tables.(0) in
-  let n = Hashtbl.length main in
+  let n = main.count in
   let n_cols = t.key_arity + Array.length t.accs in
   let cols = Array.init n_cols (fun _ -> A.alloc allocator (8 * Stdlib.max 1 n)) in
-  let idx = ref 0 in
-  Hashtbl.iter
-    (fun (k1, k2) row ->
-      let i = !idx in
-      incr idx;
-      if t.key_arity >= 1 then A.set_i64 t.arena (cols.(0) + (8 * i)) k1;
-      if t.key_arity >= 2 then A.set_i64 t.arena (cols.(1) + (8 * i)) k2;
-      Array.iteri
-        (fun j _ ->
-          A.set_i64 t.arena
-            (cols.(t.key_arity + j) + (8 * i))
-            (A.get_i64 t.arena (row + (8 * j))))
-        t.accs)
-    main;
+  (* column c is entry word c + 1 for the keys, then the accumulators *)
+  let src_offset c =
+    if c < t.key_arity then 8 * (c + 1) else row_offset + (8 * (c - t.key_arity))
+  in
+  let i = ref 0 in
+  iter_entries t ~dir:main.dir ~mask:main.mask (fun e ->
+      for c = 0 to n_cols - 1 do
+        A.set_i64 t.arena (cols.(c) + (8 * !i)) (A.get_i64 t.arena (e + src_offset c))
+      done;
+      incr i);
   (n, cols)

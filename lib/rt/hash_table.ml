@@ -9,7 +9,7 @@ let () = Aeq_race.declare "rt.ht.buckets" (Aeq_race.Lock "rt.ht.stripe")
 
 type t = {
   arena : A.t;
-  buckets : int array;
+  buckets : A.ptr; (* [mask + 1] i64 bucket heads, in the lease *)
   mask : int;
   locks : Aeq_race.Lock.t array;
   locs : Aeq_race.location array; (* one per stripe *)
@@ -25,11 +25,12 @@ let next_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 16
 
-let create arena ~expected_entries ~payload_bytes =
+let create arena ~allocator ~expected_entries ~payload_bytes =
   let n = next_pow2 (Stdlib.max 16 (2 * expected_entries)) in
   {
     arena;
-    buckets = Array.make n A.null;
+    (* [alloc] hands out zeroed bytes: every head starts null *)
+    buckets = A.alloc allocator (8 * n);
     mask = n - 1;
     locks = Array.init n_stripes (fun _ -> Aeq_race.Lock.create "rt.ht.stripe");
     locs = Array.init n_stripes (fun _ -> Aeq_race.locate "rt.ht.buckets");
@@ -48,31 +49,25 @@ let insert t ~allocator ~key =
   A.set_i64 t.arena (entry + 8) key;
   let b = hash key land t.mask in
   let s = b land (n_stripes - 1) in
+  let head = t.buckets + (8 * b) in
   let stripe = t.locks.(s) in
   Aeq_race.Lock.lock stripe;
   Aeq_race.write ~site:"ht.insert" t.locs.(s);
-  A.set_i64 t.arena entry (Int64.of_int t.buckets.(b));
-  t.buckets.(b) <- entry;
+  A.set_i64 t.arena entry (A.get_i64 t.arena head);
+  A.set_i64 t.arena head (Int64.of_int entry);
   Aeq_race.Lock.unlock stripe;
   Atomic.incr t.count;
   entry + payload_offset
 
+let rec walk t key e =
+  if e = A.null then A.null
+  else if Int64.equal (A.get_i64 t.arena (e + 8)) key then e
+  else walk t key (Int64.to_int (A.get_i64 t.arena e))
+
 let lookup t ~key =
-  let b = hash key land t.mask in
-  let rec walk e =
-    if e = A.null then A.null
-    else if Int64.equal (A.get_i64 t.arena (e + 8)) key then e
-    else walk (Int64.to_int (A.get_i64 t.arena e))
-  in
-  walk t.buckets.(b)
+  walk t key (Int64.to_int (A.get_i64 t.arena (t.buckets + (8 * (hash key land t.mask)))))
 
 let next_match t ~entry =
-  let key = A.get_i64 t.arena (entry + 8) in
-  let rec walk e =
-    if e = A.null then A.null
-    else if Int64.equal (A.get_i64 t.arena (e + 8)) key then e
-    else walk (Int64.to_int (A.get_i64 t.arena e))
-  in
-  walk (Int64.to_int (A.get_i64 t.arena entry))
+  walk t (A.get_i64 t.arena (entry + 8)) (Int64.to_int (A.get_i64 t.arena entry))
 
 let size t = Atomic.get t.count

@@ -1,18 +1,28 @@
 (** Chaining hash-join table over arena memory.
 
-    Entries live in the arena ([next][key][payload...]), so generated
-    code in any execution mode reads them with plain loads; bucket
-    heads and stripe locks live on the OCaml side. Inserts during the
-    build pipeline are thread-safe (striped locks); probes happen
-    after the pipeline barrier and are lock-free. *)
+    Entries ([next][key][payload...]) and the bucket directory (one i64
+    head per bucket) live in the execution's arena lease, so generated
+    code in any execution mode reads them with plain loads and the
+    whole table is reclaimed with the lease; only the stripe locks live
+    on the OCaml side. Inserts during the build pipeline are
+    thread-safe (striped locks); probes happen after the pipeline
+    barrier and are lock-free. *)
 
 type t
 
 val create :
-  Aeq_mem.Arena.t -> expected_entries:int -> payload_bytes:int -> t
+  Aeq_mem.Arena.t ->
+  allocator:Aeq_mem.Arena.allocator ->
+  expected_entries:int ->
+  payload_bytes:int ->
+  t
+(** The bucket directory is allocated from [allocator]. *)
 
 val payload_offset : int
 (** Byte offset of the payload within an entry (16). *)
+
+val hash : int64 -> int
+(** The table's key hash (a splitmix64 finalizer), non-negative. *)
 
 val insert : t -> allocator:Aeq_mem.Arena.allocator -> key:int64 -> Aeq_mem.Arena.ptr
 (** Reserve an entry for [key] and return a pointer to its payload

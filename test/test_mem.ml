@@ -264,6 +264,112 @@ let test_scratch_cap_backpressure_unblocks () =
   A.release lease;
   Alcotest.(check (list string)) "coherent after backpressure" [] (A.check arena)
 
+(* --- spare pool: released chunks are reused, zeroed, within bounds --- *)
+
+let check_coherent arena = Alcotest.(check (list string)) "coherent" [] (A.check arena)
+
+(* a lease holding one chunk for an [n]-byte allocation, and that chunk *)
+let lease_one arena n =
+  let lease = A.lease arena in
+  let p = A.alloc (A.lease_allocator lease) n in
+  (lease, fst (A.chunk_of arena p))
+
+let test_recycled_chunk_reads_zero () =
+  let arena = A.create ~chunk_size:1024 () in
+  let lease, chunk = lease_one arena 900 in
+  Bytes.fill chunk 0 (Bytes.length chunk) '\xff';
+  A.release lease;
+  Alcotest.(check int) "chunk pooled" (Bytes.length chunk) (A.spare_bytes arena);
+  let lease, again = lease_one arena 900 in
+  Alcotest.(check bool) "the pooled chunk is reused" true (again == chunk);
+  Alcotest.(check bool) "every byte reads zero" true
+    (Bytes.for_all (fun c -> c = '\000') again);
+  Alcotest.(check int) "pool drained" 0 (A.spare_bytes arena);
+  A.release lease;
+  check_coherent arena
+
+let test_large_chunk_reused_at_exact_size () =
+  (* a bucket directory bigger than a chunk gets a dedicated chunk of
+     its own size; the next directory of that size reuses it *)
+  let arena = A.create ~chunk_size:1024 () in
+  let dir_bytes = 8 * 4096 in
+  let lease, big = lease_one arena dir_bytes in
+  Alcotest.(check bool) "dedicated chunk" true (Bytes.length big > 1024);
+  A.release lease;
+  let lease, other = lease_one arena (dir_bytes / 2) in
+  Alcotest.(check bool) "another size is not served from it" false (other == big);
+  A.release lease;
+  let lease, again = lease_one arena dir_bytes in
+  Alcotest.(check bool) "same size reuses it" true (again == big);
+  A.release lease;
+  check_coherent arena
+
+let test_pool_within_scratch_cap () =
+  let arena = A.create ~chunk_size:1024 () in
+  let cap = 4096 in
+  A.set_scratch_limit arena ~block_seconds:0.0 (Some cap);
+  let within what =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: live %d + spare %d <= cap %d" what
+         (A.scratch_resident_bytes arena) (A.spare_bytes arena) cap)
+      true
+      (A.scratch_resident_bytes arena + A.spare_bytes arena <= cap)
+  in
+  (* leases of mixed chunk sizes, each within the cap on its own, so
+     fresh grabs keep evicting spares of the other sizes *)
+  for i = 1 to 30 do
+    let lease = A.lease arena in
+    let alloc = A.lease_allocator lease in
+    (match i mod 3 with
+    | 0 -> for _ = 1 to 4 do ignore (A.alloc alloc 900) done
+    | 1 -> ignore (A.alloc alloc 2000)
+    | _ -> ignore (A.alloc alloc 3000));
+    within "leased";
+    A.release lease;
+    within "released";
+    check_coherent arena
+  done;
+  Alcotest.(check bool) "spares kept" true (A.spare_bytes arena > 0);
+  A.set_scratch_limit arena (Some 1024);
+  Alcotest.(check bool) "a lower cap evicts spares" true (A.spare_bytes arena <= 1024);
+  check_coherent arena
+
+let test_reset_empties_pool () =
+  let arena = A.create ~chunk_size:1024 () in
+  let lease, _ = lease_one arena 900 in
+  A.release lease;
+  Alcotest.(check bool) "pool holds the chunk" true (A.spare_bytes arena > 0);
+  A.reset arena;
+  Alcotest.(check int) "pool empty" 0 (A.spare_bytes arena);
+  check_coherent arena
+
+let test_pool_coherent_across_domains () =
+  let arena = A.create ~chunk_size:1024 () in
+  let domains =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            let ok = ref true in
+            for i = 1 to 200 do
+              let lease = A.lease arena in
+              let alloc = A.lease_allocator lease in
+              for j = 1 to 1 + ((d + i) mod 4) do
+                let p = A.alloc alloc (if j mod 2 = 0 then 3000 else 900) in
+                if A.get_i64 arena p <> 0L then ok := false;
+                A.set_i64 arena p (Int64.of_int ((d * 1000) + i))
+              done;
+              A.release lease
+            done;
+            !ok))
+  in
+  List.iteri
+    (fun d dom ->
+      Alcotest.(check bool) (Printf.sprintf "domain %d only saw zeroed memory" d) true
+        (Domain.join dom))
+    domains;
+  Alcotest.(check int) "no live lease" 0 (A.live_leases arena);
+  Alcotest.(check int) "no live scratch" 0 (A.scratch_resident_bytes arena);
+  check_coherent arena
+
 let prop_roundtrip_random =
   QCheck.Test.make ~name:"arena i64 roundtrip (random offsets)" ~count:200
     QCheck.(list int64)
@@ -301,6 +407,13 @@ let () =
           Alcotest.test_case "scratch cap rejects" `Quick test_scratch_cap_rejects;
           Alcotest.test_case "scratch cap backpressure unblocks" `Quick
             test_scratch_cap_backpressure_unblocks;
+          Alcotest.test_case "recycled chunk reads zero" `Quick test_recycled_chunk_reads_zero;
+          Alcotest.test_case "large chunk reused at exact size" `Quick
+            test_large_chunk_reused_at_exact_size;
+          Alcotest.test_case "pool within scratch cap" `Quick test_pool_within_scratch_cap;
+          Alcotest.test_case "reset empties pool" `Quick test_reset_empties_pool;
+          Alcotest.test_case "pool coherent across domains" `Quick
+            test_pool_coherent_across_domains;
           QCheck_alcotest.to_alcotest prop_roundtrip_random;
         ] );
     ]

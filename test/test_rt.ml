@@ -7,7 +7,7 @@ module HT = Aeq_rt.Hash_table
 let test_ht_basic () =
   let arena = A.create () in
   let alloc = A.allocator arena in
-  let ht = HT.create arena ~expected_entries:100 ~payload_bytes:8 in
+  let ht = HT.create arena ~allocator:alloc ~expected_entries:100 ~payload_bytes:8 in
   for i = 0 to 99 do
     let p = HT.insert ht ~allocator:alloc ~key:(Int64.of_int (i mod 10)) in
     A.set_i64 arena p (Int64.of_int i)
@@ -27,7 +27,9 @@ let test_ht_basic () =
 
 let test_ht_concurrent_build () =
   let arena = A.create () in
-  let ht = HT.create arena ~expected_entries:4000 ~payload_bytes:8 in
+  let ht =
+    HT.create arena ~allocator:(A.allocator arena) ~expected_entries:4000 ~payload_bytes:8
+  in
   let n_domains = 4 and per = 1000 in
   let domains =
     List.init n_domains (fun d ->
@@ -78,6 +80,80 @@ let test_agg_merge () =
   done;
   Alcotest.(check int64) "count sums to 300" 300L !total
 
+module Agg = Aeq_rt.Agg
+
+(* A join table and a grouped aggregate built in one lease, released,
+   then built again in a second lease: the second lease reuses the
+   first one's chunks and must see none of its entries or groups. *)
+let test_second_lease_sees_nothing () =
+  let arena = A.create ~chunk_size:4096 () in
+  let build lease keys =
+    let alloc = A.lease_allocator lease in
+    let ht = HT.create arena ~allocator:alloc ~expected_entries:256 ~payload_bytes:8 in
+    let agg = Agg.create arena ~n_threads:1 ~key_arity:1 ~accs:[ Agg.Sum; Agg.Count ] in
+    List.iter
+      (fun k ->
+        A.set_i64 arena (HT.insert ht ~allocator:alloc ~key:k) k;
+        let row = Agg.get_group agg ~tid:0 ~allocator:alloc ~k1:k ~k2:0L in
+        A.set_i64 arena row (Int64.add (A.get_i64 arena row) k);
+        A.set_i64 arena (row + 8) (Int64.succ (A.get_i64 arena (row + 8))))
+      keys;
+    (ht, agg, alloc)
+  in
+  let keys = List.init 500 (fun i -> Int64.of_int (i + 1)) in
+  let first = A.lease arena in
+  ignore (build first keys);
+  A.release first;
+  Alcotest.(check bool) "first lease's chunks pooled" true (A.spare_bytes arena > 0);
+  let second = A.lease arena in
+  let ht, agg, alloc = build second [] in
+  List.iter
+    (fun k -> Alcotest.(check int) "no stale join entry" A.null (HT.lookup ht ~key:k))
+    keys;
+  let row = Agg.get_group agg ~tid:0 ~allocator:alloc ~k1:7L ~k2:0L in
+  Alcotest.(check int64) "a new group starts at its initial sum" 0L (A.get_i64 arena row);
+  Alcotest.(check int64) "and count" 0L (A.get_i64 arena (row + 8));
+  Agg.merge agg;
+  Alcotest.(check int) "only the new group" 1 (Agg.n_groups agg);
+  A.release second;
+  Alcotest.(check (list string)) "arena coherent" [] (A.check arena)
+
+(* The bag of materialized rows for 5000 tuples over 407 (k1, k2)
+   groups, spread over [n_threads] tables by [tid_of]. *)
+let agg_bag ~n_threads ~tid_of =
+  let arena = A.create () in
+  let allocs = Array.init n_threads (fun _ -> A.allocator arena) in
+  let agg =
+    Agg.create arena ~n_threads ~key_arity:2 ~accs:[ Agg.Sum; Agg.Count; Agg.Min; Agg.Max ]
+  in
+  for i = 0 to 4999 do
+    let tid = tid_of i in
+    let k1 = Int64.of_int (i mod 37) and k2 = Int64.of_int (i mod 11) in
+    let v = Int64.of_int (((i * 7919) mod 1000) - 500) in
+    let row = Agg.get_group agg ~tid ~allocator:allocs.(tid) ~k1 ~k2 in
+    let upd o f = A.set_i64 arena (row + o) (f (A.get_i64 arena (row + o))) in
+    upd 0 (Int64.add v);
+    upd 8 Int64.succ;
+    upd 16 (fun m -> if Int64.compare v m < 0 then v else m);
+    upd 24 (fun m -> if Int64.compare v m > 0 then v else m)
+  done;
+  Agg.merge agg;
+  let n, cols = Agg.materialize agg ~allocator:allocs.(0) in
+  Alcotest.(check int) "n_groups agrees" n (Agg.n_groups agg);
+  List.init n (fun r -> Array.to_list (Array.map (fun c -> A.get_i64 arena (c + (8 * r))) cols))
+  |> List.sort compare
+
+let test_agg_threads_match_one () =
+  let one = agg_bag ~n_threads:1 ~tid_of:(fun _ -> 0) in
+  Alcotest.(check int) "every group" 407 (List.length one);
+  (* groups with k1 < 10 only ever reach thread 1, so merge must link
+     them into thread 0's table and grow it *)
+  let two = agg_bag ~n_threads:2 ~tid_of:(fun i -> if i mod 37 < 10 then 1 else i mod 2) in
+  Alcotest.(check (list (list int64))) "2 threads: same bag" one two;
+  (* thread 0 sees no tuple at all *)
+  let idle0 = agg_bag ~n_threads:3 ~tid_of:(fun i -> 1 + (i mod 2)) in
+  Alcotest.(check (list (list int64))) "idle thread 0: same bag" one idle0
+
 let test_dict () =
   let d = Aeq_rt.Dict.create () in
   let a = Aeq_rt.Dict.encode d "hello" in
@@ -119,7 +195,13 @@ let () =
           Alcotest.test_case "basic" `Quick test_ht_basic;
           Alcotest.test_case "concurrent build" `Quick test_ht_concurrent_build;
         ] );
-      ("agg", [ Alcotest.test_case "merge/materialize" `Quick test_agg_merge ]);
+      ( "agg",
+        [
+          Alcotest.test_case "merge/materialize" `Quick test_agg_merge;
+          Alcotest.test_case "threads match one" `Quick test_agg_threads_match_one;
+        ] );
+      ( "lease reuse",
+        [ Alcotest.test_case "second lease sees nothing" `Quick test_second_lease_sees_nothing ] );
       ("dict", [ Alcotest.test_case "encode/decode/match" `Quick test_dict ]);
       ("output", [ Alcotest.test_case "rows" `Quick test_output ]);
       ("dates", [ Alcotest.test_case "year_of" `Quick test_year_of ]);
