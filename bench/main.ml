@@ -803,47 +803,6 @@ let race () =
   Aeq.Engine.close e
 
 (* ------------------------------------------------------------------ *)
-(* Supervision: cost of the crash barriers + supervised spawning on    *)
-(* the warmed prepared-statement serving loop                         *)
-(* ------------------------------------------------------------------ *)
-let supervision () =
-  header "SUPERVISION: supervised vs bare domains on the warmed serving loop";
-  let sf = Stdlib.min base_sf 0.01 in
-  let iters = 25 in
-  (* the barrier sits on the dispatcher/worker loops, so measure the
-     scheduler path: submit + await of an already-prepared statement *)
-  let measure ~supervised =
-    let e = Aeq.Engine.create ~n_threads ~supervised () in
-    Aeq.Engine.load_tpch e ~scale_factor:sf;
-    let sql = Aeq_workload.Queries.tpch_q 6 in
-    (match Aeq.Engine.query_concurrent e sql with
-    | Ok _ -> ()
-    | Error err -> failwith (Aeq_exec.Query_error.to_string err));
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Clock.now () in
-      for _ = 1 to iters do
-        match Aeq.Engine.query_concurrent e sql with
-        | Ok _ -> ()
-        | Error err -> failwith (Aeq_exec.Query_error.to_string err)
-      done;
-      let dt = Clock.now () -. t0 in
-      if dt < !best then best := dt
-    done;
-    Aeq.Engine.close e;
-    !best
-  in
-  let t_bare = measure ~supervised:false in
-  let t_supervised = measure ~supervised:true in
-  let overhead = 100.0 *. ((t_supervised -. t_bare) /. t_bare) in
-  Printf.printf
-    "supervision: bare %.2f ms | supervised %.2f ms | %+.1f%% (%d iters)\n"
-    (ms t_bare) (ms t_supervised) overhead iters;
-  if overhead > 2.0 then
-    Printf.printf "WARNING: supervised-spawn overhead above the 2%% target\n";
-  if overhead > 50.0 then failwith "supervision: barrier overhead out of bounds"
-
-(* ------------------------------------------------------------------ *)
 (* Serving: open-loop load over the wire protocol                      *)
 (* ------------------------------------------------------------------ *)
 let serving () =
@@ -957,7 +916,7 @@ let serving () =
 let all =
   [ "fig1"; "fig2"; "fig6"; "fig13"; "fig14"; "fig15"; "table1"; "table2"; "regalloc";
     "ablation"; "prepared"; "micro"; "concurrency"; "serving"; "obs"; "sim";
-    "race"; "supervision" ]
+    "race" ]
 
 let run_one = function
   | "fig1" -> fig1 ()
@@ -977,7 +936,6 @@ let run_one = function
   | "obs" -> obs ()
   | "sim" -> sim ()
   | "race" -> race ()
-  | "supervision" -> supervision ()
   | other -> Printf.printf "unknown experiment %s (available: %s)\n" other (String.concat " " all)
 
 let () =

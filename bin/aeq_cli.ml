@@ -72,13 +72,11 @@ let serve_clients engine ~clients ~iters ~mode ~deadline sql =
     (pct 0.5) (pct 0.99);
   let s = Aeq.Engine.scheduler_stats engine in
   Printf.printf
-    "scheduler: admitted %d | rejected %d | shed %d | expired %d | retried %d | degraded \
-     %d | watchdog cancels %d | breaker trips %d (%s) | max depth %d | avg wait %.2f ms\n"
+    "scheduler: admitted %d | rejected %d | shed %d | expired %d | degraded %d | \
+     watchdog cancels %d | max depth %d | avg wait %.2f ms\n"
     s.Aeq_exec.Scheduler.admitted s.Aeq_exec.Scheduler.rejected
     s.Aeq_exec.Scheduler.shed s.Aeq_exec.Scheduler.expired
-    s.Aeq_exec.Scheduler.retried s.Aeq_exec.Scheduler.degraded
-    s.Aeq_exec.Scheduler.watchdog_cancels s.Aeq_exec.Scheduler.breaker_trips
-    (Aeq_exec.Scheduler.breaker_state_name s.Aeq_exec.Scheduler.breaker_state)
+    s.Aeq_exec.Scheduler.degraded s.Aeq_exec.Scheduler.watchdog_cancels
     s.Aeq_exec.Scheduler.max_queue_depth
     (s.Aeq_exec.Scheduler.avg_wait_seconds *. 1e3)
 
@@ -249,7 +247,7 @@ let cmd =
       & info [ "clients" ]
           ~doc:
             "Serve the query to N closed-loop clients through the scheduler \
-             (admission control, shedding, circuit breaker) and report \
+             (admission control, shedding, deadlines) and report \
              throughput, p50/p99 and serving stats. $(b,--timeout) becomes \
              the per-query deadline. Closed loop means each client waits \
              for its answer before sending the next query, so the offered \

@@ -142,7 +142,7 @@ let register_gauges t =
     (fun () ->
       match health t with Degraded rs -> List.length rs | _ -> 0)
 
-let create ?n_threads ?cost_model ?chunk_size ?(supervised = true) () =
+let create ?n_threads ?cost_model ?chunk_size () =
   let n_threads =
     match n_threads with
     | Some n -> Stdlib.max 1 n
@@ -163,7 +163,7 @@ let create ?n_threads ?cost_model ?chunk_size ?(supervised = true) () =
   let t =
     {
       catalog = Aeq_storage.Catalog.create ?chunk_size ();
-      pool = Aeq_exec.Pool.create ~supervised ~n_threads ();
+      pool = Aeq_exec.Pool.create ~n_threads ();
       cost_model;
       plan_cache = Hashtbl.create 64;
       cache_lock = Aeq_race.Lock.create "engine.cache.lock";
@@ -176,11 +176,7 @@ let create ?n_threads ?cost_model ?chunk_size ?(supervised = true) () =
       sched_config =
         (* several dispatcher domains so the admission path keeps
            multiple accepted queries in flight at once *)
-        {
-          Aeq_exec.Scheduler.default_config with
-          dispatchers = n_threads;
-          supervised;
-        };
+        { Aeq_exec.Scheduler.default_config with dispatchers = n_threads };
       cache_enabled = true;
       cache_capacity = default_cache_capacity;
       cache_tick = 0;

@@ -25,18 +25,15 @@ val create :
   ?n_threads:int ->
   ?cost_model:Aeq_backend.Cost_model.t ->
   ?chunk_size:int ->
-  ?supervised:bool ->
   unit ->
   t
 (** [n_threads] defaults to the machine's domain count (max 8);
     [cost_model] defaults to the paper-calibrated model with simulated
     LLVM-magnitude compile latencies (pass
-    [Aeq_backend.Cost_model.off] for real latencies only).
-    [supervised] (default [true]) runs every serving domain — pool
-    workers, scheduler dispatchers, the watchdog — under a
-    {!Aeq_exec.Supervisor} crash barrier with self-healing restarts;
-    [false] reverts to bare domains (the supervision-overhead
-    benchmark). *)
+    [Aeq_backend.Cost_model.off] for real latencies only). Every
+    serving domain — pool workers, scheduler dispatchers, the
+    watchdog — runs under a {!Aeq_exec.Supervisor} crash barrier with
+    self-healing restarts. *)
 
 val load_tpch : ?seed:int64 -> t -> scale_factor:float -> unit
 
@@ -131,9 +128,8 @@ val submit :
     deadline, [submit] goes through admission control: a full queue
     rejects with
     {!Aeq_exec.Query_error.Overloaded}, overload degrades execution to
-    bytecode-only, compile failures engine-wide can trip the circuit
-    breaker, and deadline overruns are cancelled by the watchdog. See
-    {!Aeq_exec.Scheduler} for the full contract. *)
+    bytecode-only, and deadline overruns are cancelled by the watchdog.
+    See {!Aeq_exec.Scheduler} for the full contract. *)
 
 val query_concurrent :
   ?mode:Aeq_exec.Driver.mode ->
@@ -147,8 +143,8 @@ val query_concurrent :
     the blocking per-client call of a concurrent server loop. *)
 
 val scheduler_stats : t -> Aeq_exec.Scheduler.stats
-(** Serving-health counters (admitted/rejected/shed/retried, breaker
-    state and trips, queue depth and waits).
+(** Serving-health counters (admitted/rejected/shed/expired,
+    completed/failed/degraded, queue depth and waits, crashes).
     {!Aeq_exec.Scheduler.zero_stats} if no query was ever submitted. *)
 
 val set_scheduler_config : t -> Aeq_exec.Scheduler.config -> unit
@@ -222,7 +218,7 @@ val reset_stats : t -> unit
     clear the span ring buffers and the decision log, zero this
     engine's plan-cache hit/miss/eviction counters, and zero the
     scheduler's serving counters if a scheduler is running. Cached
-    prepared statements, breaker state and queued work are untouched —
+    prepared statements and queued work are untouched —
     this resets measurement, not behavior. Intended for windowed
     scraping of long-running serves: scrape, reset, serve, scrape. *)
 

@@ -44,7 +44,6 @@ type job = {
 
 type t = {
   n_threads : int;
-  supervised : bool;
   lock : Aeq_race.Lock.t;
   work : Condition.t; (* new job posted / job list changed *)
   quiet : Condition.t; (* a participant left some job *)
@@ -53,8 +52,7 @@ type t = {
   current : job option array;
       (* per-worker claimed-job slot, written under [lock] — what the
          supervisor's reclaim repairs when worker [w] crashes *)
-  mutable domains : unit Domain.t array; (* unsupervised mode *)
-  mutable supervisors : Supervisor.t array; (* supervised mode *)
+  mutable supervisors : Supervisor.t array;
   closed : bool Atomic.t;
   active_jobs : int Atomic.t;
   jobs_loc : Aeq_race.location;
@@ -146,20 +144,17 @@ let worker_reclaim t w sv_name exn =
         Condition.broadcast t.quiet
       | None -> ())
 
-let create ?(supervised = true) ?(restart_policy = Supervisor.default_policy)
-    ~n_threads () =
+let create ?(restart_policy = Supervisor.default_policy) ~n_threads () =
   let n_threads = Stdlib.max 1 n_threads in
   let t =
     {
       n_threads;
-      supervised;
       lock = Aeq_race.Lock.create "pool.lock";
       work = Condition.create ();
       quiet = Condition.create ();
       jobs = [];
       stop = false;
       current = Array.make (Stdlib.max 1 (n_threads - 1)) None;
-      domains = [||];
       supervisors = [||];
       closed = Atomic.make false;
       active_jobs = Atomic.make 0;
@@ -167,16 +162,12 @@ let create ?(supervised = true) ?(restart_policy = Supervisor.default_policy)
       current_loc = Aeq_race.locate "pool.current";
     }
   in
-  if supervised then
-    t.supervisors <-
-      Array.init (n_threads - 1) (fun w ->
-          let sv_name = Printf.sprintf "pool.worker-%d" w in
-          Supervisor.spawn ~policy:restart_policy ~name:sv_name
-            ~on_crash:(worker_reclaim t w sv_name)
-            (worker_loop t w))
-  else
-    t.domains <-
-      Array.init (n_threads - 1) (fun w -> Aeq_race.spawn (worker_loop t w));
+  t.supervisors <-
+    Array.init (n_threads - 1) (fun w ->
+        let sv_name = Printf.sprintf "pool.worker-%d" w in
+        Supervisor.spawn ~policy:restart_policy ~name:sv_name
+          ~on_crash:(worker_reclaim t w sv_name)
+          (worker_loop t w));
   t
 
 let n_threads t = t.n_threads
@@ -269,6 +260,5 @@ let shutdown t =
         t.stop <- true;
         Condition.broadcast t.work);
     Array.iter Supervisor.stop t.supervisors;
-    Array.iter (fun d -> Aeq_race.join d) t.domains;
     Array.iter Supervisor.join t.supervisors
   end

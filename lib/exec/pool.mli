@@ -18,16 +18,8 @@
 
 type t
 
-val create :
-  ?supervised:bool ->
-  ?restart_policy:Supervisor.policy ->
-  n_threads:int ->
-  unit ->
-  t
-(** [supervised] defaults to [true]. [false] reverts to bare worker
-    domains — for the supervision-overhead benchmark only; a crashed
-    worker then stays dead and its job hangs. [restart_policy]
-    defaults to {!Supervisor.default_policy}. *)
+val create : ?restart_policy:Supervisor.policy -> n_threads:int -> unit -> t
+(** [restart_policy] defaults to {!Supervisor.default_policy}. *)
 
 val n_threads : t -> int
 
@@ -45,8 +37,7 @@ val run : ?max_tids:int -> t -> (tid:int -> unit) -> unit
 
     If a worker serving this job crashes, the supervisor's reclaim
     records [Query_error.Error (Worker_crashed _)] as the job error —
-    re-raised here (the error is transient, so scheduler-managed
-    queries retry it). A crash in the caller's own participation (tid
+    re-raised here, and the query fails with it. A crash in the caller's own participation (tid
     0) still runs the close-out — the job leaves the open list and the
     barrier drains — and then propagates to the caller's supervisor.
     @raise Invalid_argument if the pool has been {!shutdown}. *)
@@ -68,11 +59,10 @@ val check : t -> string list
 
 val health_reasons : t -> string list
 (** One reason per supervised worker currently crashed-and-backing-off
-    or failed. Empty = all workers healthy (or pool unsupervised). *)
+    or failed. Empty = all workers healthy. *)
 
 val supervisors : t -> Supervisor.t list
-(** Worker supervisors, for tests and introspection. Empty when
-    [supervised = false]. *)
+(** Worker supervisors, for tests and introspection. *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains (and their supervisors).

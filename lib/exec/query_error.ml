@@ -40,19 +40,3 @@ let () =
     | _ -> None)
 
 let raise_error e = raise (Error e)
-
-(* Injected faults stand in for the transient infrastructure failures
-   (an allocation hiccup, a flaky compile worker) that a serving layer
-   retries; real query bugs (division by zero, budget breaches) are
-   deterministic and must not be retried. *)
-let transient = function
-  | Trap m ->
-    let prefix = "injected fault" in
-    String.length m >= String.length prefix
-    && String.sub m 0 (String.length prefix) = prefix
-  (* a crashed worker says nothing about the query itself: the
-     supervisor restarts the domain and a retry is the right response *)
-  | Worker_crashed _ -> true
-  | Compile_failed _ | Timeout _ | Cancelled | Memory_budget_exceeded _ | Overloaded _
-  | Rejected _ ->
-    false

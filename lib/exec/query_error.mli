@@ -34,20 +34,11 @@ type t =
           query died on an unstructured exception; the supervisor
           reclaimed the query's state and restarted the domain.
           [domain] names the casualty, [detail] carries the printed
-          exception. Classified {!transient}: the crash says nothing
-          about the query, so retrying it is sound. *)
+          exception. The query is not re-run: the client gets this
+          error as its answer. *)
 
 exception Error of t
 
 val to_string : t -> string
 
 val raise_error : t -> 'a
-
-val transient : t -> bool
-(** Is the failure worth retrying? [Trap]s carrying an injected fault
-    (the chaos-testing stand-in for transient infrastructure failures)
-    and [Worker_crashed] (the domain died, not the query) are
-    transient; deterministic query errors — real traps, compile
-    failures, timeouts, cancellations, budget breaches, scheduler
-    rejections — are not. The scheduler retries transient failures
-    with backoff, bounded by the query's deadline. *)

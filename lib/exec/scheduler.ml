@@ -1,5 +1,4 @@
 module Clock = Aeq_util.Clock
-module Prng = Aeq_util.Prng
 module QE = Query_error
 module Obs = Aeq_obs
 
@@ -11,16 +10,15 @@ let obs_bump name ~help =
   if Obs.Control.enabled () then
     Obs.Metrics.inc (Obs.Metrics.counter ("aeq_scheduler_" ^ name ^ "_total") ~help)
 
-(* Guarded-by declarations for the race detector. [t.lock] covers four
+(* Guarded-by declarations for the race detector. [t.lock] covers three
    logical locations so reports say *what* raced, not just "scheduler
-   state": the admission queues, the counters, the in-flight set, and
-   the circuit breaker. Each ticket's mutable fields are their own
-   location under that ticket's lock. *)
+   state": the admission queues, the counters, and the in-flight set.
+   Each ticket's mutable fields are their own location under that
+   ticket's lock. *)
 let () =
   Aeq_race.declare "sched.queues" (Aeq_race.Lock "sched.lock");
   Aeq_race.declare "sched.counters" (Aeq_race.Lock "sched.lock");
   Aeq_race.declare "sched.running" (Aeq_race.Lock "sched.lock");
-  Aeq_race.declare "sched.breaker" (Aeq_race.Lock "sched.lock");
   Aeq_race.declare "sched.ticket" (Aeq_race.Lock "sched.ticket.lock")
 
 type priority = Low | Normal | High
@@ -36,15 +34,7 @@ type config = {
   shed_queue_depth : int;
   shed_resident_bytes : int option;
   deadline_grace : float;
-  breaker_threshold : int;
-  breaker_window : float;
-  breaker_cooldown : float;
-  breaker_cooldown_max : float;
-  max_retries : int;
-  retry_backoff : float;
   watchdog_period : float;
-  seed : int64;
-  supervised : bool;
   restart_policy : Supervisor.policy;
 }
 
@@ -55,15 +45,7 @@ let default_config =
     shed_queue_depth = 48;
     shed_resident_bytes = None;
     deadline_grace = 0.25;
-    breaker_threshold = 5;
-    breaker_window = 30.0;
-    breaker_cooldown = 0.5;
-    breaker_cooldown_max = 30.0;
-    max_retries = 2;
-    retry_backoff = 0.01;
     watchdog_period = 0.005;
-    seed = 0x5CEDC0FFEEL;
-    supervised = true;
     restart_policy = Supervisor.default_policy;
   }
 
@@ -87,29 +69,18 @@ type ticket = {
   mutable tk_started : float; (* -1. until dispatched *)
   mutable tk_watchdog_fired : bool;
   mutable tk_degraded : bool;
-  mutable tk_retries : int;
 }
-
-type breaker_state = Closed | Open | Half_open
-
-let breaker_state_name = function
-  | Closed -> "closed"
-  | Open -> "open"
-  | Half_open -> "half_open"
 
 type stats = {
   admitted : int;
   rejected : int;
   shed : int;
   expired : int;
-  retried : int;
   in_flight : int;
   completed : int;
   failed : int;
   degraded : int;
   watchdog_cancels : int;
-  breaker_trips : int;
-  breaker_state : breaker_state;
   queue_depth : int;
   max_queue_depth : int;
   avg_wait_seconds : float;
@@ -125,14 +96,11 @@ let zero_stats =
     rejected = 0;
     shed = 0;
     expired = 0;
-    retried = 0;
     in_flight = 0;
     completed = 0;
     failed = 0;
     degraded = 0;
     watchdog_cancels = 0;
-    breaker_trips = 0;
-    breaker_state = Closed;
     queue_depth = 0;
     max_queue_depth = 0;
     avg_wait_seconds = 0.0;
@@ -153,10 +121,8 @@ type t = {
   queues_loc : Aeq_race.location;
   counters_loc : Aeq_race.location;
   running_loc : Aeq_race.location;
-  breaker_loc : Aeq_race.location;
   queues : ticket Queue.t array; (* [High; Normal; Low] *)
   ids : int Atomic.t;
-  prng : Prng.t; (* jitter; drawn under [lock] *)
   mutable queued : int; (* live (state Queued) tickets across queues *)
   mutable stopped : bool;
   mutable draining : bool; (* admission closed; in-flight may finish *)
@@ -169,36 +135,24 @@ type t = {
          dispatcher's domain crashes mid-serve *)
   on_domain_crash : name:string -> exn -> unit;
   mutable failed_dispatchers : int; (* dispatchers whose supervisor gave up *)
-  (* circuit breaker *)
-  mutable brk : breaker_state;
-  mutable brk_until : float; (* Open: earliest half-open probe *)
-  mutable brk_consecutive : int; (* consecutive opens, drives backoff *)
-  mutable probe : int option; (* ticket id of the in-flight half-open probe *)
-  failures : float Queue.t; (* compile-failure timestamps, sliding window *)
   (* counters *)
   mutable n_admitted : int;
   mutable n_rejected : int;
   mutable n_shed : int;
   mutable n_expired : int;
-  mutable n_retried : int;
   mutable n_completed : int;
   mutable n_failed : int;
   mutable n_degraded : int;
   mutable n_watchdog_cancels : int;
-  mutable n_breaker_trips : int;
   mutable n_crashed_tickets : int;
   mutable max_depth : int;
   mutable total_wait : float;
   mutable n_waits : int;
   mutable max_wait : float;
   wd_waiter : Aeq_util.Waiter.t; (* watchdog inter-sweep sleep; woken on shutdown *)
-  retry_waiters : Aeq_util.Waiter.t array;
-      (* per-dispatcher retry backoff sleep; all woken on shutdown so a
-         retrying dispatcher never stalls close by a full backoff *)
   quiet_waiter : Aeq_util.Waiter.t;
       (* poked whenever in-flight work finishes; [drain] sleeps on it *)
-  mutable domains : unit Domain.t list; (* unsupervised mode *)
-  mutable supervisors : Supervisor.t list; (* supervised mode *)
+  mutable supervisors : Supervisor.t list;
 }
 
 let with_lock m f = Aeq_race.Lock.with_ m f
@@ -248,135 +202,30 @@ let was_degraded tk =
       Aeq_race.read ~site:"sched.was_degraded" tk.tk_loc;
       tk.tk_degraded)
 
-let retries tk =
-  with_lock tk.tk_lock (fun () ->
-      Aeq_race.read ~site:"sched.retries" tk.tk_loc;
-      tk.tk_retries)
+(* ---- execution ------------------------------------------------------ *)
 
-(* ---- circuit breaker (all under t.lock) ------------------------------ *)
-
-let breaker_trip t now =
-  Aeq_race.write ~site:"sched.breaker_trip" t.breaker_loc;
-  t.brk <- Open;
-  t.probe <- None;
-  t.n_breaker_trips <- t.n_breaker_trips + 1;
-  obs_bump "breaker_trips" ~help:"Circuit-breaker transitions to open.";
-  let cap =
-    Stdlib.min t.cfg.breaker_cooldown_max
-      (t.cfg.breaker_cooldown *. (2.0 ** float_of_int t.brk_consecutive))
-  in
-  t.brk_consecutive <- t.brk_consecutive + 1;
-  (* full jitter, floored at 10% of the cap so an open breaker is
-     observably open (a zero-length cooldown would probe instantly) *)
-  t.brk_until <- now +. (0.1 *. cap) +. Prng.float t.prng (0.9 *. cap)
-
-(* May a query dispatched now spend compile budget? Promotes Open →
-   Half_open (electing this ticket as the probe) once the cooldown has
-   passed. *)
-let breaker_allow t tk_id now =
-  Aeq_race.write ~site:"sched.breaker_allow" t.breaker_loc;
-  match t.brk with
-  | Closed -> true
-  | Half_open -> false (* a probe is already in flight *)
-  | Open ->
-    if now >= t.brk_until then begin
-      t.brk <- Half_open;
-      t.probe <- Some tk_id;
-      true
-    end
-    else false
-
-(* Digest one served query into the breaker. [n_cf] is the number of
-   compile failures its attempts reported (degradations from Ok
-   results and Compile_failed errors alike — the attempt loop already
-   counted both). *)
-let breaker_feed t tk outcome n_cf =
-  Aeq_race.write ~site:"sched.breaker_feed" t.breaker_loc;
-  let now = Clock.now () in
-  if t.probe = Some tk.tk_id then begin
-    t.probe <- None;
-    let probe_ok = match outcome with Ok _ -> n_cf = 0 | Error _ -> false in
-    if probe_ok then begin
-      t.brk <- Closed;
-      t.brk_consecutive <- 0;
-      Queue.clear t.failures
-    end
-    else breaker_trip t now (* re-open, cooldown doubled *)
-  end
-  else if t.brk = Closed && n_cf > 0 then begin
-    for _ = 1 to n_cf do
-      Queue.push now t.failures
-    done;
-    while
-      (not (Queue.is_empty t.failures))
-      && Queue.peek t.failures < now -. t.cfg.breaker_window
-    do
-      ignore (Queue.pop t.failures)
-    done;
-    if Queue.length t.failures >= t.cfg.breaker_threshold then breaker_trip t now
-  end
-
-(* ---- execution with retry -------------------------------------------- *)
-
-(* Runs outside t.lock (takes it briefly for jitter draws and retry
-   accounting). Returns the outcome plus the compile failures seen
-   across attempts, for the breaker. *)
-let attempt_loop t rw tk eff_mode =
-  let rec go attempt cf_acc =
-    match t.exec ~mode:eff_mode ~cancel:tk.tk_cancel tk.tk_sql with
-    | r -> (Ok r, cf_acc + r.Driver.stats.Driver.compile_failures)
-    | exception e when Aeq_util.Failpoints.is_crash e ->
-      (* an injected domain kill must stay lethal: let it unwind out of
-         the dispatcher so the supervisor path (reclaim + restart) is
-         what answers the client, not this conversion layer *)
-      raise e
-    | exception QE.Error e ->
-      let watchdogged =
-        with_lock tk.tk_lock (fun () ->
-            Aeq_race.read ~site:"sched.retry" tk.tk_loc;
-            tk.tk_watchdog_fired)
-      in
-      if e = QE.Cancelled && watchdogged then
-        (* the watchdog killed it for blowing its deadline: surface the
-           reason, not the mechanism *)
-        (Error (QE.Timeout (Option.value tk.tk_deadline_seconds ~default:0.0)), cf_acc)
-      else begin
-        let cf_acc = cf_acc + (match e with QE.Compile_failed _ -> 1 | _ -> 0) in
-        let backoff_cap = t.cfg.retry_backoff *. (2.0 ** float_of_int attempt) in
-        let deadline_allows =
-          match tk.tk_deadline with
-          | None -> true
-          | Some d -> Clock.now () +. backoff_cap < d
-        in
-        if
-          QE.transient e
-          && attempt < t.cfg.max_retries
-          && deadline_allows
-          && not (Cancel.cancelled tk.tk_cancel)
-        then begin
-          let jitter =
-            with_lock t.lock (fun () ->
-                Aeq_race.write ~site:"sched.retry" t.counters_loc;
-                t.n_retried <- t.n_retried + 1;
-                obs_bump "retried" ~help:"Transient-failure retry attempts.";
-                Prng.float t.prng backoff_cap)
-          in
-          with_lock tk.tk_lock (fun () ->
-              Aeq_race.write ~site:"sched.retry" tk.tk_loc;
-              tk.tk_retries <- tk.tk_retries + 1);
-          (* interruptible backoff: a plain sleep here would hold the
-             dispatcher hostage through shutdown for a full backoff *)
-          ignore (Aeq_util.Waiter.wait rw jitter);
-          go (attempt + 1) cf_acc
-        end
-        else (Error e, cf_acc)
-      end
-    | exception e ->
-      (* the engine's exec contract is Query_error-only; anything else
-         is a bug we still turn into a structured response *)
-      (Error (QE.Trap (Printexc.to_string e)), cf_acc)
-  in
-  go 0 0
+(* Runs the query once, outside t.lock. Every admitted query gets the
+   outcome of this single execution as its answer. *)
+let execute t tk eff_mode =
+  match t.exec ~mode:eff_mode ~cancel:tk.tk_cancel tk.tk_sql with
+  | r -> Ok r
+  | exception e when Aeq_util.Failpoints.is_crash e ->
+    (* an injected domain kill must stay lethal: let it unwind out of
+       the dispatcher so the supervisor path (reclaim + restart) is
+       what answers the client, not this conversion layer *)
+    raise e
+  | exception QE.Error QE.Cancelled
+    when with_lock tk.tk_lock (fun () ->
+             Aeq_race.read ~site:"sched.execute" tk.tk_loc;
+             tk.tk_watchdog_fired) ->
+    (* the watchdog killed it for blowing its deadline: surface the
+       reason, not the mechanism *)
+    Error (QE.Timeout (Option.value tk.tk_deadline_seconds ~default:0.0))
+  | exception QE.Error e -> Error e
+  | exception e ->
+    (* the engine's exec contract is Query_error-only; anything else
+       is a bug we still turn into a structured response *)
+    Error (QE.Trap (Printexc.to_string e))
 
 (* ---- dispatcher ------------------------------------------------------ *)
 
@@ -415,8 +264,7 @@ let serve t di tk =
           t.total_wait <- t.total_wait +. wait;
           t.n_waits <- t.n_waits + 1;
           if wait > t.max_wait then t.max_wait <- wait;
-          (* overload & breaker decide how much this query may spend *)
-          let wants_compile = tk.tk_mode <> Driver.Bytecode in
+          (* under overload, no compilation spend *)
           let overloaded =
             t.queued > t.cfg.shed_queue_depth
             || (match (t.cfg.shed_resident_bytes, t.arena) with
@@ -429,11 +277,7 @@ let serve t di tk =
                | Some a -> Aeq_mem.Arena.scratch_under_pressure a
                | None -> false)
           in
-          let compile_allowed =
-            (not wants_compile)
-            || ((not overloaded) && breaker_allow t tk.tk_id now)
-          in
-          let eff_mode = if compile_allowed then tk.tk_mode else Driver.Bytecode in
+          let eff_mode = if overloaded then Driver.Bytecode else tk.tk_mode in
           if eff_mode <> tk.tk_mode then begin
             t.n_degraded <- t.n_degraded + 1;
             obs_bump "degraded" ~help:"Executions forced to bytecode-only."
@@ -455,16 +299,15 @@ let serve t di tk =
         tk.tk_state <- Running;
         tk.tk_started <- Clock.now ();
         tk.tk_degraded <- eff_mode <> tk.tk_mode);
-    let outcome, n_cf =
-      if Cancel.cancelled tk.tk_cancel then (Error QE.Cancelled, 0)
-      else attempt_loop t t.retry_waiters.(di) tk eff_mode
+    let outcome =
+      if Cancel.cancelled tk.tk_cancel then Error QE.Cancelled
+      else execute t tk eff_mode
     in
     with_lock t.lock (fun () ->
         Aeq_race.write ~site:"sched.finish" t.counters_loc;
         Aeq_race.write ~site:"sched.finish" t.running_loc;
         t.current.(di) <- None;
         Hashtbl.remove t.running_tks tk.tk_id;
-        breaker_feed t tk outcome n_cf;
         match outcome with
         | Ok _ ->
           t.n_completed <- t.n_completed + 1;
@@ -633,7 +476,6 @@ let submit ?(mode = Driver.Adaptive) ?(priority = Normal) ?deadline_seconds ?can
       tk_started = -1.0;
       tk_watchdog_fired = false;
       tk_degraded = false;
-      tk_retries = 0;
     }
   in
   let verdict =
@@ -704,9 +546,6 @@ let validate cfg =
     invalid_arg "Scheduler: dispatchers must be >= 1";
   if cfg.queue_capacity < 1 then
     invalid_arg "Scheduler: queue_capacity must be >= 1";
-  if cfg.breaker_threshold < 1 then
-    invalid_arg "Scheduler: breaker_threshold must be >= 1";
-  if cfg.max_retries < 0 then invalid_arg "Scheduler: max_retries must be >= 0";
   if cfg.watchdog_period <= 0.0 then
     invalid_arg "Scheduler: watchdog_period must be > 0"
 
@@ -714,9 +553,8 @@ let validate cfg =
    after its stack unwound (arena leases and mutexes already released
    by the [Fun.protect]s along the way). What the unwind cannot do is
    answer the client — the ticket this dispatcher was serving would
-   otherwise hang its [await] forever — or release a half-open breaker
-   probe the crashed query was carrying. Both live in scheduler state,
-   so both are reclaimed here, under [t.lock]. *)
+   otherwise hang its [await] forever. It lives in scheduler state, so
+   it is reclaimed here, under [t.lock]. *)
 let dispatcher_reclaim t di sv_name exn =
   let victim =
     with_lock t.lock (fun () ->
@@ -731,13 +569,9 @@ let dispatcher_reclaim t di sv_name exn =
           t.n_failed <- t.n_failed + 1;
           obs_bump "crashed_tickets"
             ~help:"In-flight tickets completed as Worker_crashed by supervisor reclaim.";
-          let err =
-            QE.Worker_crashed { domain = sv_name; detail = Printexc.to_string exn }
-          in
-          (* a crashed probe must not wedge the breaker in Half_open:
-             feed the failure so it re-trips and re-probes later *)
-          breaker_feed t tk (Error err) 0;
-          Some (tk, err))
+          Some
+            ( tk,
+              QE.Worker_crashed { domain = sv_name; detail = Printexc.to_string exn } ))
   in
   (match victim with
   | Some (tk, err) ->
@@ -769,10 +603,8 @@ let create ?(config = default_config) ?arena
       queues_loc = Aeq_race.locate "sched.queues";
       counters_loc = Aeq_race.locate "sched.counters";
       running_loc = Aeq_race.locate "sched.running";
-      breaker_loc = Aeq_race.locate "sched.breaker";
       queues = Array.init 3 (fun _ -> Queue.create ());
       ids = Atomic.make 0;
-      prng = Prng.create config.seed;
       queued = 0;
       stopped = false;
       draining = false;
@@ -780,51 +612,34 @@ let create ?(config = default_config) ?arena
       current = Array.make config.dispatchers None;
       on_domain_crash;
       failed_dispatchers = 0;
-      brk = Closed;
-      brk_until = 0.0;
-      brk_consecutive = 0;
-      probe = None;
-      failures = Queue.create ();
       n_admitted = 0;
       n_rejected = 0;
       n_shed = 0;
       n_expired = 0;
-      n_retried = 0;
       n_completed = 0;
       n_failed = 0;
       n_degraded = 0;
       n_watchdog_cancels = 0;
-      n_breaker_trips = 0;
       n_crashed_tickets = 0;
       max_depth = 0;
       total_wait = 0.0;
       n_waits = 0;
       max_wait = 0.0;
       wd_waiter = Aeq_util.Waiter.create ();
-      retry_waiters = Array.init config.dispatchers (fun _ -> Aeq_util.Waiter.create ());
       quiet_waiter = Aeq_util.Waiter.create ();
-      domains = [];
       supervisors = [];
     }
   in
-  if config.supervised then
-    t.supervisors <-
-      Supervisor.spawn ~policy:config.restart_policy ~name:"scheduler.watchdog"
-        ~on_crash:(fun exn -> t.on_domain_crash ~name:"scheduler.watchdog" exn)
-        (watchdog_loop t)
-      :: List.init config.dispatchers (fun i ->
-             let sv_name = Printf.sprintf "scheduler.dispatcher-%d" i in
-             Supervisor.spawn ~policy:config.restart_policy ~name:sv_name
-               ~on_crash:(dispatcher_reclaim t i sv_name)
-               ~on_give_up:(fun _ -> dispatcher_gave_up t)
-               (dispatcher_loop t i))
-  else
-    (* unsupervised mode exists for the supervision-overhead benchmark
-       and as an escape hatch; a crash here kills the domain for good *)
-    t.domains <-
-      Aeq_race.spawn (watchdog_loop t)
-      :: List.init config.dispatchers (fun i ->
-             Aeq_race.spawn (dispatcher_loop t i));
+  t.supervisors <-
+    Supervisor.spawn ~policy:config.restart_policy ~name:"scheduler.watchdog"
+      ~on_crash:(fun exn -> t.on_domain_crash ~name:"scheduler.watchdog" exn)
+      (watchdog_loop t)
+    :: List.init config.dispatchers (fun i ->
+           let sv_name = Printf.sprintf "scheduler.dispatcher-%d" i in
+           Supervisor.spawn ~policy:config.restart_policy ~name:sv_name
+             ~on_crash:(dispatcher_reclaim t i sv_name)
+             ~on_give_up:(fun _ -> dispatcher_gave_up t)
+             (dispatcher_loop t i));
   (* gauges registered unconditionally; rendering is what the
      observability switch gates *)
   Obs.Metrics.gauge_fn "aeq_scheduler_queue_depth"
@@ -837,12 +652,6 @@ let create ?(config = default_config) ?arena
       with_lock t.lock (fun () ->
           Aeq_race.read ~site:"sched.gauge" t.running_loc;
           Hashtbl.length t.running_tks));
-  Obs.Metrics.gauge_fn "aeq_scheduler_breaker_state"
-    ~help:"Compile-path circuit breaker: 0 closed, 1 half-open, 2 open."
-    (fun () ->
-      with_lock t.lock (fun () ->
-          Aeq_race.read ~site:"sched.gauge" t.breaker_loc;
-          match t.brk with Closed -> 0 | Half_open -> 1 | Open -> 2));
   Obs.Metrics.gauge_fn "aeq_scheduler_unhealthy_domains"
     ~help:"Supervised scheduler domains currently backing off or failed."
     (fun () ->
@@ -903,20 +712,16 @@ let stats t =
       Aeq_race.read ~site:"sched.stats" t.counters_loc;
       Aeq_race.read ~site:"sched.stats" t.queues_loc;
       Aeq_race.read ~site:"sched.stats" t.running_loc;
-      Aeq_race.read ~site:"sched.stats" t.breaker_loc;
       {
       admitted = t.n_admitted;
       rejected = t.n_rejected;
       shed = t.n_shed;
       expired = t.n_expired;
-      retried = t.n_retried;
       in_flight = Hashtbl.length t.running_tks;
       completed = t.n_completed;
       failed = t.n_failed;
       degraded = t.n_degraded;
       watchdog_cancels = t.n_watchdog_cancels;
-      breaker_trips = t.n_breaker_trips;
-      breaker_state = t.brk;
       queue_depth = t.queued;
       max_queue_depth = t.max_depth;
       avg_wait_seconds = (if t.n_waits = 0 then 0.0 else t.total_wait /. float_of_int t.n_waits);
@@ -937,12 +742,10 @@ let reset_stats t =
   t.n_rejected <- 0;
   t.n_shed <- 0;
   t.n_expired <- 0;
-  t.n_retried <- 0;
   t.n_completed <- 0;
   t.n_failed <- 0;
   t.n_degraded <- 0;
   t.n_watchdog_cancels <- 0;
-  t.n_breaker_trips <- 0;
   t.n_crashed_tickets <- 0;
   t.max_depth <- t.queued;
       t.total_wait <- 0.0;
@@ -957,23 +760,16 @@ let shutdown t =
           Aeq_race.write ~site:"sched.shutdown" t.queues_loc;
           t.stopped <- true;
           Condition.broadcast t.work;
-          let ds = t.domains in
-          let svs = t.supervisors in
-          t.domains <- [];
-          Some (ds, svs)
+          Some t.supervisors
         end)
   in
   match to_join with
   | None -> ()
-  | Some (ds, svs) ->
+  | Some svs ->
     (* wake the watchdog out of its inter-sweep sleep so close never
-       stalls a full period, cut retry backoffs short, and cut any
-       supervisor backoff short *)
+       stalls a full period, and cut any supervisor backoff short *)
     Aeq_util.Waiter.wake t.wd_waiter;
-    Array.iter Aeq_util.Waiter.wake t.retry_waiters;
     List.iter Supervisor.stop svs;
-    List.iter Aeq_race.join ds;
     List.iter Supervisor.join svs;
     Aeq_util.Waiter.dispose t.wd_waiter;
-    Array.iter Aeq_util.Waiter.dispose t.retry_waiters;
     Aeq_util.Waiter.dispose t.quiet_waiter

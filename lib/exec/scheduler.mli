@@ -1,5 +1,5 @@
-(** Concurrent query serving: admission control, overload shedding,
-    and a compile-path circuit breaker in front of the driver.
+(** Concurrent query serving: admission control, overload shedding
+    and deadline enforcement in front of the driver.
 
     The execution core underneath (driver + multi-tenant worker pool +
     per-query arena leases) runs queries concurrently; a configurable
@@ -16,18 +16,11 @@
       the arena's resident high-water mark crosses its threshold,
       newly dispatched queries are forced to bytecode-only mode — no
       compilation spend under overload;
-    - a {b compile-path circuit breaker}: per-statement blacklisting
-      (PR 2) stops retry storms within one prepared statement, but
-      every new statement still re-pays a broken compile path. The
-      breaker aggregates compile failures engine-wide in a sliding
-      window; past the threshold it trips to bytecode-only for
-      everyone, then recovers through half-open probing — one query is
-      allowed to compile; success closes the breaker, failure re-opens
-      it with exponentially growing, fully-jittered cooldown;
-    - {b retry with backoff} for failures classified transient by
-      {!Query_error.transient} (injected faults — the chaos stand-in
-      for infrastructure hiccups), bounded by the query's deadline and
-      [max_retries];
+    - {b one answer per query}: an admitted query executes once and
+      its ticket completes with the outcome of that execution. A failed
+      compile is not the scheduler's concern — the prepared statement
+      blacklists the mode and keeps running in the tier it is in (see
+      [Handle.promote]) — and a failure is returned, never retried;
     - a {b watchdog} domain that cancels queries exceeding
       deadline + grace via their {!Cancel.t} token (surfaced as
       [Timeout]), expires queries whose deadline passed while still
@@ -57,30 +50,12 @@ type config = {
   deadline_grace : float;
       (** seconds past its deadline a running query is granted before
           the watchdog cancels it *)
-  breaker_threshold : int;
-      (** compile failures within [breaker_window] that trip the
-          breaker *)
-  breaker_window : float;  (** sliding-window length, seconds *)
-  breaker_cooldown : float;
-      (** base open-state cooldown before the first half-open probe;
-          doubles per consecutive re-open (full jitter, see module
-          doc) *)
-  breaker_cooldown_max : float;  (** cooldown growth cap, seconds *)
-  max_retries : int;  (** retry budget per query for transient failures *)
-  retry_backoff : float;
-      (** base retry backoff, seconds; doubles per attempt, full
-          jitter, bounded by the query's deadline *)
   watchdog_period : float;  (** watchdog scan interval, seconds *)
-  seed : int64;  (** PRNG seed for backoff jitter *)
-  supervised : bool;
-      (** spawn dispatchers and the watchdog under {!Supervisor}
-          barriers (default [true]): a crash completes the victim's
-          in-flight ticket with [Worker_crashed] and restarts the
-          domain under [restart_policy]. [false] reverts to bare
-          domains — for the supervision-overhead benchmark only; a
-          crash then kills the domain permanently *)
   restart_policy : Supervisor.policy;
-      (** restart budget and backoff for the supervised domains *)
+      (** restart budget and backoff for the dispatcher and watchdog
+          domains, which run under {!Supervisor} barriers: a crash
+          completes the victim's in-flight ticket with
+          [Worker_crashed] and restarts the domain *)
 }
 
 val default_config : config
@@ -100,7 +75,7 @@ val create :
   unit ->
   t
 (** Start a scheduler (spawns [config.dispatchers] dispatcher domains
-    and the watchdog domain, supervised by default). [exec] runs one
+    and the watchdog domain, each under a {!Supervisor}). [exec] runs one
     query to completion and is called from dispatcher domains — up to
     [dispatchers] calls concurrently, so it must be thread-safe (the
     engine's [query] is); it must raise {!Query_error.Error} on
@@ -120,8 +95,8 @@ val submit :
   ticket
 (** Enqueue a query. Returns immediately.
 
-    [deadline_seconds] is end-to-end (queue wait + execution +
-    retries): expiring in the queue yields [Rejected], exceeding it
+    [deadline_seconds] is end-to-end (queue wait + execution):
+    expiring in the queue yields [Rejected], exceeding it
     while running gets the query cancelled by the watchdog after
     [deadline_grace] and yields [Timeout]. [cancel] lets the caller
     abandon the query later ({!cancel} does the same).
@@ -163,29 +138,18 @@ val wait_seconds : ticket -> float
     never started). *)
 
 val was_degraded : ticket -> bool
-(** The scheduler forced this query to bytecode-only (overload or open
-    breaker). *)
-
-val retries : ticket -> int
-(** Transient-failure retries this query consumed. *)
-
-type breaker_state = Closed | Open | Half_open
-
-val breaker_state_name : breaker_state -> string
+(** The scheduler forced this query to bytecode-only (overload). *)
 
 type stats = {
   admitted : int;  (** accepted into the queue *)
   rejected : int;  (** refused at submission ([Overloaded]) or at shutdown *)
   shed : int;  (** evicted from the queue to admit higher priority *)
   expired : int;  (** deadline passed while still queued *)
-  retried : int;  (** transient-failure retry attempts *)
   in_flight : int;  (** gauge: queries being served right now *)
   completed : int;  (** finished with rows *)
   failed : int;  (** finished with a structured error *)
   degraded : int;  (** executions forced to bytecode-only *)
   watchdog_cancels : int;  (** running queries cancelled past deadline+grace *)
-  breaker_trips : int;  (** transitions to [Open] *)
-  breaker_state : breaker_state;
   queue_depth : int;  (** gauge: queries queued right now *)
   max_queue_depth : int;  (** high-water mark of [queue_depth] *)
   avg_wait_seconds : float;  (** mean queue wait of dispatched queries *)
@@ -203,16 +167,16 @@ type stats = {
 }
 
 val zero_stats : stats
-(** All counters zero, breaker [Closed] — what an engine reports
-    before its scheduler exists. *)
+(** All counters zero — what an engine reports before its scheduler
+    exists. *)
 
 val stats : t -> stats
 
 val reset_stats : t -> unit
-(** Zero the accumulated counters ([admitted] … [breaker_trips], wait
+(** Zero the accumulated counters ([admitted] … [crashed_tickets], wait
     statistics, [max_queue_depth] — which restarts from the current
-    depth). Live state — breaker state/cooldown, the queue itself — is
-    untouched. Used by [Engine.reset_stats] for windowed scraping. *)
+    depth). Live state — the queue itself — is untouched. Used by
+    [Engine.reset_stats] for windowed scraping. *)
 
 val drain : ?deadline_seconds:float -> t -> bool
 (** Graceful drain: stop admission (later {!submit}s raise
@@ -230,7 +194,7 @@ val executing_here : unit -> bool
 (** [true] when called from a dispatcher domain — i.e. from inside an
     [exec] callback serving an admitted query. The engine's drain
     admission gate uses this to keep rejecting fresh direct clients
-    while letting already-admitted (queued/retrying) work finish. *)
+    while letting already-admitted (queued) work finish. *)
 
 val health_reasons : t -> string list
 (** One reason per supervised domain currently crashed-and-backing-off
@@ -239,7 +203,7 @@ val health_reasons : t -> string list
 
 val supervisors : t -> Supervisor.t list
 (** The domain supervisors (watchdog first), for tests and
-    introspection. Empty when running with [supervised = false]. *)
+    introspection. *)
 
 val shutdown : t -> unit
 (** Stop serving: every still-queued query completes with [Rejected],

@@ -66,8 +66,8 @@ type action =
   | Prob_fail of float
       (** raise {!Injected} with this probability on each hit — the
           chaos-mode action: a soak run under [Prob_fail] exercises
-          retry and circuit-breaker paths non-deterministically but
-          reproducibly (see {!set_seed}) *)
+          compile degradation and structured-error paths
+          non-deterministically but reproducibly (see {!set_seed}) *)
   | Crash
       (** raise {!Injected_crash} — kill the hosting domain (spec
           syntax [site=crash]); exercises the supervision layer's

@@ -1,7 +1,7 @@
 (* Tests for concurrent query serving: the admission queue (priorities,
-   bounds, shedding, deadlines), the compile-path circuit breaker,
-   transient-failure retry, the watchdog, probabilistic failpoints,
-   the now-thread-safe engine plan cache, and a chaos soak. *)
+   bounds, shedding, deadlines), one answer per admitted query, the
+   watchdog, probabilistic failpoints, the now-thread-safe engine plan
+   cache, and a chaos soak. *)
 
 module Sched = Aeq_exec.Scheduler
 module Driver = Aeq_exec.Driver
@@ -28,10 +28,10 @@ let eager_model =
   }
 
 (* ---- a fake execution core ------------------------------------------ *)
-(* Scheduler semantics (queueing, breaker, retry, watchdog) are tested
+(* Scheduler semantics (queueing, outcomes, watchdog) are tested
    against a scripted [exec] — no engine, no SQL. The "sql" strings are
-   commands: ok | sleep:<s> | transient:<n>:<tag> | compile:<tag> |
-   fatal. *)
+   commands: ok | sleep:<s> | transient:<n>:<tag> (an injected-fault
+   trap on the first n executions) | crashed:<tag>. *)
 
 let ok_result () =
   {
@@ -65,15 +65,13 @@ let rec csleep cancel remaining =
 type harness = {
   h_lock : Mutex.t;
   mutable h_served : string list; (* reverse dispatch order *)
-  h_counts : (string, int) Hashtbl.t; (* executions per command, incl. retries *)
-  mutable h_compile_broken : bool;
+  h_counts : (string, int) Hashtbl.t; (* executions per command *)
 }
 
 let make_harness () =
-  { h_lock = Mutex.create (); h_served = []; h_counts = Hashtbl.create 8;
-    h_compile_broken = false }
+  { h_lock = Mutex.create (); h_served = []; h_counts = Hashtbl.create 8 }
 
-let harness_exec h ~mode ~cancel sql =
+let harness_exec h ~mode:_ ~cancel sql =
   let n =
     Mutex.lock h.h_lock;
     h.h_served <- sql :: h.h_served;
@@ -90,11 +88,8 @@ let harness_exec h ~mode ~cancel sql =
   | "transient" :: k :: _ ->
     if n <= int_of_string k then QE.raise_error (QE.Trap "injected fault (scripted)")
     else ok_result ()
-  | "compile" :: _ ->
-    if h.h_compile_broken && mode <> Driver.Bytecode then
-      QE.raise_error (QE.Compile_failed (CM.Unopt, "scripted compile failure"))
-    else ok_result ()
-  | "fatal" :: _ -> QE.raise_error (QE.Trap "real bug")
+  | "crashed" :: _ ->
+    QE.raise_error (QE.Worker_crashed { domain = "pool.worker-0"; detail = "scripted" })
   | _ -> ok_result ()
 
 let with_sched ?(config = Sched.default_config) ?arena h f =
@@ -190,9 +185,7 @@ let test_submit_await () =
       let st = Sched.stats s in
       Alcotest.(check int) "admitted" 2 st.Sched.admitted;
       Alcotest.(check int) "completed" 2 st.Sched.completed;
-      Alcotest.(check int) "failed" 0 st.Sched.failed;
-      Alcotest.(check string) "breaker closed" "closed"
-        (Sched.breaker_state_name st.Sched.breaker_state))
+      Alcotest.(check int) "failed" 0 st.Sched.failed)
 
 let test_priority_order () =
   let h = make_harness () in
@@ -271,97 +264,30 @@ let test_overload_degrades_to_bytecode () =
       check_ok "served under memory pressure" (Sched.await tk);
       Alcotest.(check bool) "degraded by resident bytes" true (Sched.was_degraded tk))
 
-(* ---- circuit breaker ------------------------------------------------- *)
+(* ---- one answer per query ------------------------------------------ *)
 
-let test_breaker_trip_and_recover () =
+let executions h sql =
+  Mutex.lock h.h_lock;
+  let n = Option.value (Hashtbl.find_opt h.h_counts sql) ~default:0 in
+  Mutex.unlock h.h_lock;
+  n
+
+(* a failure is the answer: the injected-fault trap and the crashed
+   pool worker each come back after exactly one execution *)
+let test_single_execution () =
   let h = make_harness () in
-  let config =
-    {
-      Sched.default_config with
-      Sched.breaker_threshold = 2;
-      breaker_cooldown = 0.5;
-      breaker_cooldown_max = 1.0;
-      max_retries = 0;
-    }
-  in
-  with_sched ~config h (fun s ->
-      h.h_compile_broken <- true;
-      (match Sched.run s "compile:t1" with
-      | Error (QE.Compile_failed _) -> ()
-      | _ -> Alcotest.fail "t1 must fail compile");
-      Alcotest.(check int) "not yet tripped" 0 (Sched.stats s).Sched.breaker_trips;
-      (match Sched.run s "compile:t2" with
-      | Error (QE.Compile_failed _) -> ()
-      | _ -> Alcotest.fail "t2 must fail compile");
-      let st = Sched.stats s in
-      Alcotest.(check int) "tripped once" 1 st.Sched.breaker_trips;
-      Alcotest.(check string) "open" "open"
-        (Sched.breaker_state_name st.Sched.breaker_state);
-      (* open breaker: immediate dispatches run bytecode-only, so the
-         broken compile path is not exercised *)
-      let deg = Sched.submit s "compile:deg" in
-      check_ok "served degraded while open" (Sched.await deg);
-      Alcotest.(check bool) "degraded while open" true (Sched.was_degraded deg);
-      (* past the cooldown, one probe goes through; still broken, so the
-         breaker re-opens with a doubled cooldown *)
-      Unix.sleepf 0.6;
-      (match Sched.run s "compile:probe1" with
-      | Error (QE.Compile_failed _) -> ()
-      | Ok _ -> Alcotest.fail "probe against a broken path must fail"
-      | Error e -> Alcotest.failf "expected Compile_failed, got %s" (QE.to_string e));
-      let st = Sched.stats s in
-      Alcotest.(check int) "re-opened" 2 st.Sched.breaker_trips;
-      Alcotest.(check string) "open again" "open"
-        (Sched.breaker_state_name st.Sched.breaker_state);
-      (* path repaired: the next probe closes the breaker *)
-      h.h_compile_broken <- false;
-      Unix.sleepf 1.1;
-      let probe = Sched.submit s "compile:probe2" in
-      check_ok "successful probe" (Sched.await probe);
-      Alcotest.(check bool) "probe ran at full service" false
-        (Sched.was_degraded probe);
-      Alcotest.(check string) "closed after recovery" "closed"
-        (Sched.breaker_state_name (Sched.stats s).Sched.breaker_state);
-      (* and stays closed for regular traffic *)
-      check_ok "regular traffic" (Sched.run s "compile:after"))
-
-(* ---- retry ----------------------------------------------------------- *)
-
-let test_retry_transient () =
-  let h = make_harness () in
-  let config =
-    { Sched.default_config with Sched.max_retries = 2; retry_backoff = 0.002 }
-  in
-  with_sched ~config h (fun s ->
-      let tk = Sched.submit s "transient:1:a" in
-      check_ok "retried to success" (Sched.await tk);
-      Alcotest.(check int) "one retry" 1 (Sched.retries tk);
-      (* budget exhausted: the transient error surfaces *)
-      let tk2 = Sched.submit s "transient:9:b" in
-      (match Sched.await tk2 with
+  with_sched h (fun s ->
+      (match Sched.run s "transient:1:a" with
       | Error (QE.Trap _) -> ()
-      | _ -> Alcotest.fail "budget exhaustion must surface the trap");
-      Alcotest.(check int) "both retries burned" 2 (Sched.retries tk2);
-      (* non-transient failures never retry *)
-      let tk3 = Sched.submit s "fatal:c" in
-      (match Sched.await tk3 with
-      | Error (QE.Trap _) -> ()
-      | _ -> Alcotest.fail "fatal must fail");
-      Alcotest.(check int) "no retry for real bugs" 0 (Sched.retries tk3);
-      Alcotest.(check int) "retried counter" 3 (Sched.stats s).Sched.retried)
-
-let test_retry_bounded_by_deadline () =
-  let h = make_harness () in
-  let config =
-    { Sched.default_config with Sched.max_retries = 2; retry_backoff = 0.5 }
-  in
-  with_sched ~config h (fun s ->
-      (* backoff would land past the deadline: fail now instead *)
-      let tk = Sched.submit ~deadline_seconds:0.1 s "transient:1:d" in
-      (match Sched.await tk with
-      | Error (QE.Trap _) -> ()
-      | _ -> Alcotest.fail "no retry budget within the deadline");
-      Alcotest.(check int) "no retries" 0 (Sched.retries tk))
+      | Ok _ -> Alcotest.fail "the trap must be the answer, not a rerun's rows"
+      | Error e -> Alcotest.failf "expected Trap, got %s" (QE.to_string e));
+      Alcotest.(check int) "trap: one execution" 1 (executions h "transient:1:a");
+      (match Sched.run s "crashed:b" with
+      | Error (QE.Worker_crashed _) -> ()
+      | Ok _ -> Alcotest.fail "the crash must be the answer"
+      | Error e -> Alcotest.failf "expected Worker_crashed, got %s" (QE.to_string e));
+      Alcotest.(check int) "crash: one execution" 1 (executions h "crashed:b");
+      Alcotest.(check int) "both failed" 2 (Sched.stats s).Sched.failed)
 
 (* ---- deadlines & watchdog -------------------------------------------- *)
 
@@ -491,8 +417,8 @@ let test_engine_scheduler_deadline () =
 
 (* the acceptance scenario: concurrent clients, probabilistic faults on
    the compile and morsel paths; no hangs, no leaks, every response is
-   correct rows or a structured error, and the breaker observably trips
-   and recovers *)
+   correct rows or a structured error; and with the compile path hard
+   down, fresh statements still answer correctly from bytecode *)
 let test_chaos_soak () =
   with_engine ~cost_model:eager_model (fun engine ->
       Aeq.Engine.set_scheduler_config engine
@@ -500,12 +426,6 @@ let test_chaos_soak () =
           Sched.default_config with
           Sched.queue_capacity = 32;
           shed_queue_depth = 24;
-          breaker_threshold = 3;
-          breaker_cooldown = 0.1;
-          breaker_cooldown_max = 0.4;
-          max_retries = 2;
-          retry_backoff = 0.005;
-          seed = 0xC4A05L;
         };
       let stmts = Array.of_list soak_statements in
       let reference = Array.map (fun sql -> (Aeq.Engine.query engine sql).Driver.rows) stmts in
@@ -539,45 +459,35 @@ let test_chaos_soak () =
             (8 * 12)
             (st.Sched.completed + st.Sched.failed + st.Sched.rejected
             + st.Sched.shed + st.Sched.expired));
-      (* breaker trips: force the compile path hard down and burn it
-         with fresh statements (fresh text = not yet blacklisted) *)
+      (* compile path hard down: each fresh statement (fresh text = a
+         new handle, nothing blacklisted yet) fails its compile,
+         blacklists the mode and keeps answering from bytecode *)
+      let sum_reference =
+        (Aeq.Engine.query engine "select sum(l_quantity) as s from lineitem").Driver.rows
+      in
       with_clean_failpoints (fun () ->
           FP.activate "compile.unopt" FP.Fail;
           FP.activate "compile.opt" FP.Fail;
-          let i = ref 0 in
-          while
-            (Aeq.Engine.scheduler_stats engine).Sched.breaker_trips = 0 && !i < 8
-          do
-            incr i;
+          let compile_failures = ref 0 in
+          for i = 1 to 8 do
             let sql =
               Printf.sprintf
-                "select sum(l_quantity) as s from lineitem where l_orderkey > %d" (- !i)
+                "select sum(l_quantity) as s from lineitem where l_orderkey > %d" (-i)
             in
             match Aeq.Engine.query_concurrent engine sql with
-            | Ok _ | Error _ -> ()
+            | Ok r ->
+              Alcotest.(check bool)
+                (Printf.sprintf "fresh statement %d: reference rows" i)
+                true
+                (r.Driver.rows = sum_reference);
+              compile_failures :=
+                !compile_failures + r.Driver.stats.Driver.compile_failures
+            | Error e ->
+              Alcotest.failf "fresh statement %d with compile down: %s" i
+                (QE.to_string e)
           done;
-          Alcotest.(check bool) "breaker tripped" true
-            ((Aeq.Engine.scheduler_stats engine).Sched.breaker_trips >= 1));
-      (* ... and recovers once the path heals: half-open probes succeed
-         and close it *)
-      let i = ref 0 in
-      while
-        Sched.breaker_state_name
-          (Aeq.Engine.scheduler_stats engine).Sched.breaker_state
-        <> "closed"
-        && !i < 12
-      do
-        incr i;
-        Unix.sleepf 0.15;
-        let sql =
-          Printf.sprintf
-            "select sum(l_quantity) as s from lineitem where l_partkey > %d" (- !i)
-        in
-        match Aeq.Engine.query_concurrent engine sql with Ok _ | Error _ -> ()
-      done;
-      Alcotest.(check string) "breaker recovered" "closed"
-        (Sched.breaker_state_name
-           (Aeq.Engine.scheduler_stats engine).Sched.breaker_state);
+          Alcotest.(check bool) "compile failures degraded per statement" true
+            (!compile_failures >= 1));
       match Aeq.Engine.query_concurrent engine "select count(*) as n from lineitem" with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "healthy after chaos: %s" (QE.to_string e))
@@ -597,13 +507,8 @@ let () =
           Alcotest.test_case "reject and shed" `Quick test_overload_reject_and_shed;
           Alcotest.test_case "overload degrades" `Quick test_overload_degrades_to_bytecode;
         ] );
-      ( "breaker",
-        [ Alcotest.test_case "trip and recover" `Quick test_breaker_trip_and_recover ] );
-      ( "retry",
-        [
-          Alcotest.test_case "transient" `Quick test_retry_transient;
-          Alcotest.test_case "deadline bound" `Quick test_retry_bounded_by_deadline;
-        ] );
+      ( "outcome",
+        [ Alcotest.test_case "single execution" `Quick test_single_execution ] );
       ( "deadlines",
         [
           Alcotest.test_case "watchdog cancel" `Quick test_watchdog_cancels_overdue;

@@ -258,9 +258,9 @@ let test_dispatcher_crash_completes_ticket () =
                (fun c -> c.Sup.cr_domain = "scheduler.dispatcher-0")
                (Sup.crash_log ()))))
 
-(* Worker_crashed is transient, so a scheduler with retry budget gives
-   the same client a second attempt on a crash mid-one-shot. Here the
-   one-shot crash hits attempt #1; attempt #2 succeeds. *)
+(* A one-shot crash on the second dispatch: that query's client gets
+   Worker_crashed as its answer (it is not re-run), and every query
+   before and after it is served by the restarted dispatcher. *)
 let test_dispatcher_crash_then_healthy_serving () =
   with_clean_failpoints (fun () ->
       with_sched (fun s ->
