@@ -23,6 +23,27 @@ let test_prng_split_independent () =
   let x = Aeq_util.Prng.next_int64 g and y = Aeq_util.Prng.next_int64 h in
   Alcotest.(check bool) "streams differ" true (not (Int64.equal x y))
 
+(* The splitmix64 stream itself, not just its self-consistency: data
+   generation, the simulator and the load generator all replay from it. *)
+let test_prng_golden () =
+  let first5 seed =
+    let g = Aeq_util.Prng.create seed in
+    List.init 5 (fun _ -> Aeq_util.Prng.next_int64 g)
+  in
+  Alcotest.(check (list int64))
+    "seed 0"
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL;
+      0xF88BB8A8724C81ECL; 0x1B39896A51A8749BL ]
+    (first5 0L);
+  Alcotest.(check (list int64))
+    "seed 42"
+    [ 0xBDD732262FEB6E95L; 0x28EFE333B266F103L; 0x47526757130F9F52L;
+      0x581CE1FF0E4AE394L; 0x09BC585A244823F2L ]
+    (first5 42L);
+  let g = Aeq_util.Prng.create 42L in
+  let h = Aeq_util.Prng.split g in
+  Alcotest.(check int64) "after split" 0x57E1FABA65107204L (Aeq_util.Prng.next_int64 h)
+
 let test_zipf_skew () =
   let g = Aeq_util.Prng.create 3L in
   let counts = Array.make 100 0 in
@@ -71,6 +92,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
           Alcotest.test_case "bounds" `Quick test_prng_bounds;
           Alcotest.test_case "split" `Quick test_prng_split_independent;
+          Alcotest.test_case "golden stream" `Quick test_prng_golden;
           Alcotest.test_case "zipf" `Quick test_zipf_skew;
           Alcotest.test_case "shuffle" `Quick test_shuffle_permutation;
         ] );

@@ -1,5 +1,6 @@
 (* Sanity tests for the TPC-H-style generator: cardinality scaling,
-   referential integrity, value domains, determinism. *)
+   referential integrity, value domains, determinism, a golden digest
+   of the generated database. *)
 
 module Table = Aeq_storage.Table
 
@@ -110,6 +111,35 @@ let test_seed_changes_data () =
   done;
   Alcotest.(check bool) "different seeds differ" true !diff
 
+(* Every cell of every table, in [table_names] order, then the
+   dictionary in code order: a rewrite of the generator that changes
+   any value, any draw order or any code assignment changes this. *)
+let catalog_digest c =
+  let a = Aeq_storage.Catalog.arena c and dict = Aeq_storage.Catalog.dict c in
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun name ->
+      let t = Aeq_storage.Catalog.table c name in
+      Buffer.add_string b name;
+      Array.iteri
+        (fun col (cd : Table.column) ->
+          Buffer.add_string b cd.Table.name;
+          for row = 0 to t.Table.n_rows - 1 do
+            Buffer.add_int64_le b (Table.get a t ~col ~row)
+          done)
+        t.Table.columns)
+    Aeq_workload.Tpch.table_names;
+  for code = 0 to Aeq_rt.Dict.size dict - 1 do
+    Buffer.add_string b (Aeq_rt.Dict.decode dict (Int64.of_int code));
+    Buffer.add_char b '\000'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_digest () =
+  Alcotest.(check string)
+    "sf 0.01 catalog digest" "b27637c134c935ecc53918767c5d95f7"
+    (catalog_digest (make 0.01))
+
 let () =
   Alcotest.run "workload"
     [
@@ -121,5 +151,6 @@ let () =
           Alcotest.test_case "returnflag skew" `Quick test_returnflag_skew;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "seeded" `Quick test_seed_changes_data;
+          Alcotest.test_case "golden digest" `Quick test_golden_digest;
         ] );
     ]
