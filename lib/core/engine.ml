@@ -557,7 +557,15 @@ let set_scheduler_config t config =
       match t.scheduler with
       | Some _ ->
         invalid_arg "Engine.set_scheduler_config: scheduler already running"
-      | None -> t.sched_config <- config)
+      | None ->
+        (* one restart policy for every serving domain the engine
+           owns: the pool's workers were spawned in [create], before
+           any config existed *)
+        let policy = config.Aeq_exec.Scheduler.restart_policy in
+        List.iter
+          (fun sv -> Aeq_exec.Supervisor.set_policy sv policy)
+          (Aeq_exec.Pool.supervisors t.pool);
+        t.sched_config <- config)
 
 (* Runs in a crashed dispatcher domain (supervisor reclaim, after the
    scheduler completed the victim ticket): release the single-flight

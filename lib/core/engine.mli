@@ -149,7 +149,9 @@ val scheduler_stats : t -> Aeq_exec.Scheduler.stats
 
 val set_scheduler_config : t -> Aeq_exec.Scheduler.config -> unit
 (** Configure admission control before the first {!submit} /
-    {!query_concurrent}.
+    {!query_concurrent}. The config's [restart_policy] governs every
+    serving domain the engine owns: the scheduler's dispatchers and
+    watchdog, and the pool's workers too.
     @raise Invalid_argument once the scheduler exists. *)
 
 val prepare : t -> string -> unit

@@ -55,7 +55,9 @@ type config = {
       (** restart budget and backoff for the dispatcher and watchdog
           domains, which run under {!Supervisor} barriers: a crash
           completes the victim's in-flight ticket with
-          [Worker_crashed] and restarts the domain *)
+          [Worker_crashed] and restarts the domain.
+          [Engine.set_scheduler_config] applies it to the engine's
+          pool workers as well *)
 }
 
 val default_config : config

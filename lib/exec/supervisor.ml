@@ -112,7 +112,7 @@ let obs_count name ~help ~domain =
 
 type t = {
   sv_name : string;
-  sv_policy : policy;
+  mutable sv_policy : policy;
   sv_body : unit -> unit;
   sv_on_crash : exn -> unit;
   sv_on_give_up : exn -> unit;
@@ -155,6 +155,12 @@ let create ?(policy = default_policy) ~name ?(on_crash = fun _ -> ())
   }
 
 let locked t f = Aeq_race.Lock.with_ t.sv_lock f
+
+let set_policy t policy =
+  validate_policy policy;
+  locked t (fun () ->
+      Aeq_race.write ~site:"supervisor.set_policy" t.sv_loc;
+      t.sv_policy <- policy)
 
 let state t =
   locked t (fun () ->
@@ -220,25 +226,26 @@ let handle_crash t exn =
      downgrades to "crash recorded, nothing reclaimed" *)
   (try t.sv_on_crash exn with _ -> ());
   let now = Clock.now () in
-  let restart, n_restarts =
+  let policy, restart, n_restarts =
     locked t (fun () ->
         Aeq_race.write ~site:"supervisor.handle_crash" t.sv_loc;
+        let policy = t.sv_policy in
         t.sv_crashes <- t.sv_crashes + 1;
-        let horizon = now -. t.sv_policy.window_seconds in
+        let horizon = now -. policy.window_seconds in
         t.sv_crash_times <-
           now :: List.filter (fun at -> at >= horizon) t.sv_crash_times;
         if t.sv_stop then begin
           t.sv_state <- Stopped;
-          (false, t.sv_restarts)
+          (policy, false, t.sv_restarts)
         end
-        else if List.length t.sv_crash_times > t.sv_policy.max_restarts then begin
+        else if List.length t.sv_crash_times > policy.max_restarts then begin
           t.sv_state <- Failed;
-          (false, t.sv_restarts)
+          (policy, false, t.sv_restarts)
         end
         else begin
           t.sv_state <- Backing_off;
           t.sv_restarts <- t.sv_restarts + 1;
-          (true, t.sv_restarts)
+          (policy, true, t.sv_restarts)
         end)
   in
   let action =
@@ -262,8 +269,7 @@ let handle_crash t exn =
     (* exponential backoff: 1 restart consumed → base, then doubling *)
     let n = Stdlib.max 0 (List.length t.sv_crash_times - 1) in
     let pause =
-      Stdlib.min t.sv_policy.backoff_max
-        (t.sv_policy.backoff_base *. (2.0 ** float_of_int n))
+      Stdlib.min policy.backoff_max (policy.backoff_base *. (2.0 ** float_of_int n))
     in
     backoff_wait t pause;
     let still_go =

@@ -31,6 +31,8 @@ let set arena t ~col ~row v = A.set_i64 arena (t.columns.(col).data + (8 * row))
 
 let get arena t ~col ~row = A.get_i64 arena (t.columns.(col).data + (8 * row))
 
+let column_run arena t col = A.chunk_of arena t.columns.(col).data
+
 let of_columns ~name ~n_rows cols =
   {
     name;

@@ -28,6 +28,15 @@ val set : Aeq_mem.Arena.t -> t -> col:int -> row:int -> int64 -> unit
 
 val get : Aeq_mem.Arena.t -> t -> col:int -> row:int -> int64
 
+val column_run : Aeq_mem.Arena.t -> t -> int -> Bytes.t * int
+(** [column_run arena t col] is the buffer holding column [col] and
+    the byte offset of its row 0 in it. {!Aeq_mem.Arena.alloc} never
+    splits an allocation across chunks, so the whole column is one
+    contiguous run: row [r] is the native-endian int64 at
+    [offset + 8 * r]. Bulk loaders write cells there directly; unlike
+    {!set} and {!get}, which cross module boundaries, a local
+    [Bytes.set_int64_ne] on the run keeps the value unboxed. *)
+
 val of_columns :
   name:string -> n_rows:int -> (string * Dtype.t * Aeq_mem.Arena.ptr) list -> t
 (** Wrap already-materialised arena columns (aggregate results) as a

@@ -56,37 +56,66 @@ let date_lo = 8035
 
 let date_hi = 10591
 
+(* Cells are written straight into each column's arena run
+   ([Table.column_run]) by these local writers. Being local and
+   [@inline], they keep the int64 unboxed: the dev profile compiles
+   every library module with -opaque, so a per-cell [Table.set] would
+   box its argument on each call. *)
+let[@inline] put (buf, base) row v = Bytes.set_int64_ne buf (base + (8 * row)) (Int64.of_int v)
+
+let[@inline] get (buf, base) row = Int64.to_int (Bytes.get_int64_ne buf (base + (8 * row)))
+
+let[@inline] imin (a : int) b = if a < b then a else b
+
 let load ?(seed = 20180416L) ~scale_factor catalog =
   let arena = Catalog.arena catalog in
   let alloc = Catalog.allocator catalog in
   let dict = Catalog.dict catalog in
   let rng = P.create seed in
-  let enc s = Aeq_rt.Dict.encode dict s in
+  let code s = Int64.to_int (Aeq_rt.Dict.encode dict s) in
+  (* Dictionary codes by draw index. A string is built and encoded
+     only the first time its index is drawn; the dictionary assigns
+     codes in first-sighting order, so every code is the one that
+     encoding the string on each row would give. *)
+  let code_table n make =
+    let codes = Array.make n (-1) in
+    fun k ->
+      let c = codes.(k) in
+      if c >= 0 then c
+      else begin
+        let c = code (make k) in
+        codes.(k) <- c;
+        c
+      end
+  in
+  let words k = name_words.(k) in
+  let n_words = Array.length name_words in
   let sf x = Stdlib.max 1 (int_of_float (float_of_int x *. scale_factor)) in
-  let mk name rows schema = Table.create arena alloc ~name ~rows ~schema in
-  let set tbl col row v = Table.set arena tbl ~col ~row v in
-  let seti tbl col row v = set tbl col row (Int64.of_int v) in
+  let mk name rows schema =
+    let t = Table.create arena alloc ~name ~rows ~schema in
+    (t, Array.init (List.length schema) (Table.column_run arena t))
+  in
   (* region --------------------------------------------------------- *)
-  let region = mk "region" 5 [ ("r_regionkey", Dtype.Int); ("r_name", Dtype.Str) ] in
+  let region, c = mk "region" 5 [ ("r_regionkey", Dtype.Int); ("r_name", Dtype.Str) ] in
   for i = 0 to 4 do
-    seti region 0 i i;
-    set region 1 i (enc region_names.(i))
+    put c.(0) i i;
+    put c.(1) i (code region_names.(i))
   done;
   Catalog.add_table catalog region;
   (* nation --------------------------------------------------------- *)
-  let nation =
+  let nation, c =
     mk "nation" 25
       [ ("n_nationkey", Dtype.Int); ("n_name", Dtype.Str); ("n_regionkey", Dtype.Int) ]
   in
   for i = 0 to 24 do
-    seti nation 0 i i;
-    set nation 1 i (enc nation_names.(i));
-    seti nation 2 i nation_region.(i)
+    put c.(0) i i;
+    put c.(1) i (code nation_names.(i));
+    put c.(2) i nation_region.(i)
   done;
   Catalog.add_table catalog nation;
   (* supplier -------------------------------------------------------- *)
   let n_supp = sf 10_000 in
-  let supplier =
+  let supplier, c =
     mk "supplier" n_supp
       [
         ("s_suppkey", Dtype.Int);
@@ -96,15 +125,15 @@ let load ?(seed = 20180416L) ~scale_factor catalog =
       ]
   in
   for i = 0 to n_supp - 1 do
-    seti supplier 0 i i;
-    set supplier 1 i (enc (Printf.sprintf "Supplier#%09d" i));
-    seti supplier 2 i (P.int rng 25);
-    seti supplier 3 i (P.int_in rng (-99999) 999999)
+    put c.(0) i i;
+    put c.(1) i (code (Printf.sprintf "Supplier#%09d" i));
+    put c.(2) i (P.int rng 25);
+    put c.(3) i (P.int_in rng (-99999) 999999)
   done;
   Catalog.add_table catalog supplier;
   (* customer -------------------------------------------------------- *)
   let n_cust = sf 150_000 in
-  let customer =
+  let customer, c =
     mk "customer" n_cust
       [
         ("c_custkey", Dtype.Int);
@@ -114,20 +143,24 @@ let load ?(seed = 20180416L) ~scale_factor catalog =
         ("c_acctbal", Dtype.Decimal);
       ]
   in
-  (* pre-encode customer names sparsely: names are unique per key but
-     the dictionary should not explode, so reuse a word pool *)
+  (* customer names are sparse: unique per key would explode the
+     dictionary, so they reuse a word pool (word × key mod 1000) *)
+  let cust_name =
+    code_table (n_words * 1000) (fun k ->
+        Printf.sprintf "Customer#%s-%d" (words (k / 1000)) (k mod 1000))
+  in
+  let segment = code_table (Array.length segments) (fun k -> segments.(k)) in
   for i = 0 to n_cust - 1 do
-    seti customer 0 i i;
-    set customer 1 i
-      (enc (Printf.sprintf "Customer#%s-%d" (P.pick rng name_words) (i mod 1000)));
-    seti customer 2 i (P.int rng 25);
-    set customer 3 i (enc (P.pick rng segments));
-    seti customer 4 i (P.int_in rng (-99999) 999999)
+    put c.(0) i i;
+    put c.(1) i (cust_name ((P.int rng n_words * 1000) + (i mod 1000)));
+    put c.(2) i (P.int rng 25);
+    put c.(3) i (segment (P.int rng (Array.length segments)));
+    put c.(4) i (P.int_in rng (-99999) 999999)
   done;
   Catalog.add_table catalog customer;
   (* part ------------------------------------------------------------ *)
   let n_part = sf 200_000 in
-  let part =
+  let part, c =
     mk "part" n_part
       [
         ("p_partkey", Dtype.Int);
@@ -139,22 +172,44 @@ let load ?(seed = 20180416L) ~scale_factor catalog =
         ("p_retailprice", Dtype.Decimal);
       ]
   in
+  let n1 = Array.length type_syllables_1
+  and n2 = Array.length type_syllables_2
+  and n3 = Array.length type_syllables_3 in
+  let part_name =
+    code_table (n_words * n_words) (fun k -> words (k / n_words) ^ " " ^ words (k mod n_words))
+  in
+  let brand = code_table 25 (fun k -> Printf.sprintf "Brand#%d%d" (1 + (k / 5)) (1 + (k mod 5))) in
+  let ptype =
+    code_table (n1 * n2 * n3) (fun k ->
+        String.concat " "
+          [ type_syllables_1.(k / (n2 * n3)); type_syllables_2.(k / n3 mod n2); type_syllables_3.(k mod n3) ])
+  in
+  let container = code_table (Array.length containers) (fun k -> containers.(k)) in
+  (* Multi-part strings draw their last part first: these rows were
+     once built as [pick a ^ " " ^ pick b] and
+     [sprintf "Brand#%d%d" (int 5) (int 5)], whose arguments OCaml
+     evaluates right to left. The stream keeps that order. *)
   for i = 0 to n_part - 1 do
-    seti part 0 i i;
-    set part 1 i (enc (P.pick rng name_words ^ " " ^ P.pick rng name_words));
-    set part 2 i (enc (Printf.sprintf "Brand#%d%d" (1 + P.int rng 5) (1 + P.int rng 5)));
-    set part 3 i
-      (enc
-         (P.pick rng type_syllables_1 ^ " " ^ P.pick rng type_syllables_2 ^ " "
-        ^ P.pick rng type_syllables_3));
-    seti part 4 i (1 + P.int rng 50);
-    set part 5 i (enc (P.pick rng containers));
-    seti part 6 i (90_000 + P.int rng 10_000 + (i mod 1000))
+    put c.(0) i i;
+    let w2 = P.int rng n_words in
+    let w1 = P.int rng n_words in
+    put c.(1) i (part_name ((w1 * n_words) + w2));
+    let b2 = P.int rng 5 in
+    let b1 = P.int rng 5 in
+    put c.(2) i (brand ((b1 * 5) + b2));
+    let t3 = P.int rng n3 in
+    let t2 = P.int rng n2 in
+    let t1 = P.int rng n1 in
+    put c.(3) i (ptype ((((t1 * n2) + t2) * n3) + t3));
+    put c.(4) i (1 + P.int rng 50);
+    put c.(5) i (container (P.int rng (Array.length containers)));
+    put c.(6) i (90_000 + P.int rng 10_000 + (i mod 1000))
   done;
   Catalog.add_table catalog part;
+  let retailprice = c.(6) in
   (* partsupp --------------------------------------------------------- *)
   let n_ps = n_part * 4 in
-  let partsupp =
+  let partsupp, c =
     mk "partsupp" n_ps
       [
         ("ps_partkey", Dtype.Int);
@@ -164,15 +219,15 @@ let load ?(seed = 20180416L) ~scale_factor catalog =
       ]
   in
   for i = 0 to n_ps - 1 do
-    seti partsupp 0 i (i / 4);
-    seti partsupp 1 i ((i + (i / 4)) mod n_supp);
-    seti partsupp 2 i (1 + P.int rng 9999);
-    seti partsupp 3 i (100 + P.int rng 99_900)
+    put c.(0) i (i / 4);
+    put c.(1) i ((i + (i / 4)) mod n_supp);
+    put c.(2) i (1 + P.int rng 9999);
+    put c.(3) i (100 + P.int rng 99_900)
   done;
   Catalog.add_table catalog partsupp;
   (* orders ----------------------------------------------------------- *)
   let n_orders = sf 1_500_000 in
-  let orders =
+  let orders, c =
     mk "orders" n_orders
       [
         ("o_orderkey", Dtype.Int);
@@ -184,24 +239,30 @@ let load ?(seed = 20180416L) ~scale_factor catalog =
         ("o_shippriority", Dtype.Int);
       ]
   in
-  let status_codes = [| enc "F"; enc "O"; enc "P" |] in
-  let priority_codes = Array.map enc priorities in
+  (* encoded P, O, F: the order an array literal of the three once
+     evaluated them in, which fixed their codes *)
+  let status_p = code "P" in
+  let status_o = code "O" in
+  let status_f = code "F" in
+  let status_codes = [| status_f; status_o; status_p |] in
+  let priority_codes = Array.map code priorities in
   for i = 0 to n_orders - 1 do
-    seti orders 0 i i;
-    seti orders 1 i (P.int rng n_cust);
-    set orders 2 i status_codes.(P.int rng 3);
-    seti orders 3 i (1_000_00 + P.int rng 45_000_000);
-    seti orders 4 i (P.int_in rng date_lo date_hi);
-    set orders 5 i priority_codes.(P.int rng 5);
-    seti orders 6 i 0
+    put c.(0) i i;
+    put c.(1) i (P.int rng n_cust);
+    put c.(2) i status_codes.(P.int rng 3);
+    put c.(3) i (1_000_00 + P.int rng 45_000_000);
+    put c.(4) i (P.int_in rng date_lo date_hi);
+    put c.(5) i priority_codes.(P.int rng 5);
+    put c.(6) i 0
   done;
   Catalog.add_table catalog orders;
+  let orderdate = c.(4) in
   (* lineitem ---------------------------------------------------------- *)
   (* pass 1: count lines per order (1..7) *)
   let lines_rng = P.split rng in
   let line_counts = Array.init n_orders (fun _ -> 1 + P.int lines_rng 7) in
   let n_lines = Array.fold_left ( + ) 0 line_counts in
-  let lineitem =
+  let lineitem, c =
     mk "lineitem" n_lines
       [
         ("l_orderkey", Dtype.Int);
@@ -221,38 +282,38 @@ let load ?(seed = 20180416L) ~scale_factor catalog =
         ("l_shipmode", Dtype.Str);
       ]
   in
-  let flag_r = enc "R" and flag_a = enc "A" and flag_n = enc "N" in
-  let status_o = enc "O" and status_f = enc "F" in
-  let mode_codes = Array.map enc ship_modes in
-  let instruct_codes = Array.map enc ship_instructs in
+  let flag_r = code "R" in
+  let flag_a = code "A" in
+  let flag_n = code "N" in
+  let mode_codes = Array.map code ship_modes in
+  let instruct_codes = Array.map code ship_instructs in
   let row = ref 0 in
   for o = 0 to n_orders - 1 do
-    let odate = Int64.to_int (Table.get arena orders ~col:4 ~row:o) in
+    let odate = get orderdate o in
     for ln = 0 to line_counts.(o) - 1 do
       let i = !row in
       incr row;
       let partkey = P.int rng n_part in
-      seti lineitem 0 i o;
-      seti lineitem 1 i partkey;
-      seti lineitem 2 i ((partkey + (ln * 13)) mod n_supp);
-      seti lineitem 3 i (ln + 1);
+      put c.(0) i o;
+      put c.(1) i partkey;
+      put c.(2) i ((partkey + (ln * 13)) mod n_supp);
+      put c.(3) i (ln + 1);
       let qty = 1 + P.int rng 50 in
-      seti lineitem 4 i (qty * 100);
-      let price = Int64.to_int (Table.get arena part ~col:6 ~row:partkey) in
-      seti lineitem 5 i (qty * price);
-      seti lineitem 6 i (P.int rng 11);
-      seti lineitem 7 i (P.int rng 9);
-      let shipdate = Stdlib.min date_hi (odate + 1 + P.int rng 120) in
+      put c.(4) i (qty * 100);
+      put c.(5) i (qty * get retailprice partkey);
+      put c.(6) i (P.int rng 11);
+      put c.(7) i (P.int rng 9);
+      let shipdate = imin date_hi (odate + 1 + P.int rng 120) in
       (* return flag: R/A for old shipments, N for recent — the skew
          Q1's groups rely on *)
-      set lineitem 8 i
+      put c.(8) i
         (if shipdate > date_hi - 700 then flag_n else if P.bool rng then flag_r else flag_a);
-      set lineitem 9 i (if shipdate > date_hi - 700 then status_o else status_f);
-      seti lineitem 10 i shipdate;
-      seti lineitem 11 i (Stdlib.min date_hi (shipdate + P.int_in rng (-30) 30));
-      seti lineitem 12 i (Stdlib.min date_hi (shipdate + 1 + P.int rng 30));
-      set lineitem 13 i instruct_codes.(P.int rng (Array.length instruct_codes));
-      set lineitem 14 i mode_codes.(P.int rng (Array.length mode_codes))
+      put c.(9) i (if shipdate > date_hi - 700 then status_o else status_f);
+      put c.(10) i shipdate;
+      put c.(11) i (imin date_hi (shipdate + P.int_in rng (-30) 30));
+      put c.(12) i (imin date_hi (shipdate + 1 + P.int rng 30));
+      put c.(13) i instruct_codes.(P.int rng (Array.length instruct_codes));
+      put c.(14) i mode_codes.(P.int rng (Array.length mode_codes))
     done
   done;
   Catalog.add_table catalog lineitem

@@ -299,39 +299,62 @@ let test_watchdog_crash_restart () =
 
 (* ---- pool worker crash reclaim --------------------------------------- *)
 
+(* Run a job whose helper participants crash; returns the domain the
+   [Worker_crashed] error names. *)
+let crash_a_worker p =
+  let worker_crashed () = List.exists (fun sv -> Sup.crashes sv > 0) (Pool.supervisors p) in
+  match
+    Pool.run p (fun ~tid ->
+        if tid > 0 then raise (FP.Injected_crash "pool worker bug")
+        else
+          (* keep the job open until the worker joined and
+             crashed, so the barrier must be woken by reclaim *)
+          let deadline = Unix.gettimeofday () +. 5.0 in
+          while (not (worker_crashed ())) && Unix.gettimeofday () < deadline do
+            Unix.sleepf 0.001
+          done)
+  with
+  | () -> Alcotest.fail "expected Worker_crashed from Pool.run"
+  | exception QE.Error (QE.Worker_crashed { domain; _ }) -> domain
+
 let test_pool_worker_crash () =
   with_clean_failpoints (fun () ->
       let p = Pool.create ~restart_policy:fast_policy ~n_threads:2 () in
       Fun.protect
         ~finally:(fun () -> Pool.shutdown p)
         (fun () ->
-          let worker_crashed () =
-            List.exists (fun sv -> Sup.crashes sv > 0) (Pool.supervisors p)
-          in
-          (match
-             Pool.run p (fun ~tid ->
-                 if tid > 0 then raise (FP.Injected_crash "pool worker bug")
-                 else
-                   (* keep the job open until the worker joined and
-                      crashed, so the barrier must be woken by reclaim *)
-                   let deadline = Unix.gettimeofday () +. 5.0 in
-                   while
-                     (not (worker_crashed ())) && Unix.gettimeofday () < deadline
-                   do
-                     Unix.sleepf 0.001
-                   done)
-           with
-          | () -> Alcotest.fail "expected Worker_crashed from Pool.run"
-          | exception QE.Error (QE.Worker_crashed { domain; _ }) ->
-            Alcotest.(check bool)
-              "crash names the worker" true
-              (String.length domain >= 4 && String.sub domain 0 4 = "pool"));
+          let domain = crash_a_worker p in
+          Alcotest.(check bool)
+            "crash names the worker" true
+            (String.length domain >= 4 && String.sub domain 0 4 = "pool");
           Alcotest.(check (list string)) "accounting coherent" [] (Pool.check p);
           (* the worker restarted and serves again *)
           eventually "worker healthy again" (fun () -> Pool.health_reasons p = []);
           let hits = Atomic.make 0 in
           Pool.run p (fun ~tid:_ -> Atomic.incr hits);
           Alcotest.(check bool) "pool serves after restart" true (Atomic.get hits >= 1)))
+
+(* The scheduler config's restart policy reaches the pool workers the
+   engine spawned before any config existed: with a zero budget, one
+   worker crash is final (the default policy would restart it). *)
+let test_engine_policy_reaches_pool () =
+  with_clean_failpoints (fun () ->
+      let engine = Aeq.Engine.create ~n_threads:2 ~cost_model:CM.off () in
+      Fun.protect
+        ~finally:(fun () -> Aeq.Engine.close engine)
+        (fun () ->
+          Aeq.Engine.set_scheduler_config engine
+            {
+              Sched.default_config with
+              restart_policy = { fast_policy with Sup.max_restarts = 0 };
+            };
+          let p = Aeq.Engine.pool engine in
+          ignore (crash_a_worker p);
+          eventually "worker out of budget" (fun () ->
+              List.exists (fun sv -> Sup.state sv = Sup.Failed) (Pool.supervisors p));
+          match Aeq.Engine.health engine with
+          | Aeq.Engine.Degraded _ -> ()
+          | h -> Alcotest.failf "expected degraded, got %s" (Aeq.Engine.health_name h)))
 
 (* ---- health state machine -------------------------------------------- *)
 
@@ -523,7 +546,12 @@ let () =
             test_health_degraded_and_back;
           Alcotest.test_case "graceful drain" `Quick test_scheduler_drain;
         ] );
-      ("pool", [ Alcotest.test_case "worker crash reclaim" `Quick test_pool_worker_crash ]);
+      ( "pool",
+        [
+          Alcotest.test_case "worker crash reclaim" `Quick test_pool_worker_crash;
+          Alcotest.test_case "engine policy reaches workers" `Quick
+            test_engine_policy_reaches_pool;
+        ] );
       ( "engine",
         [
           Alcotest.test_case "drain closes admission" `Quick test_engine_drain;

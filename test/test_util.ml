@@ -44,6 +44,21 @@ let test_prng_golden () =
   let h = Aeq_util.Prng.split g in
   Alcotest.(check int64) "after split" 0x57E1FABA65107204L (Aeq_util.Prng.next_int64 h)
 
+(* The int-valued draws keep the state unboxed: 10k of each may cost
+   only the handful of words the measurement itself boxes. *)
+let test_prng_no_alloc () =
+  let g = Aeq_util.Prng.create 5L in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Aeq_util.Prng.int g 100;
+    acc := !acc + Aeq_util.Prng.int_in g (-5) 5;
+    if Aeq_util.Prng.bool g then incr acc
+  done;
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !acc);
+  if words > 16.0 then Alcotest.failf "30k draws allocated %.0f minor words" words
+
 let test_zipf_skew () =
   let g = Aeq_util.Prng.create 3L in
   let counts = Array.make 100 0 in
@@ -93,6 +108,7 @@ let () =
           Alcotest.test_case "bounds" `Quick test_prng_bounds;
           Alcotest.test_case "split" `Quick test_prng_split_independent;
           Alcotest.test_case "golden stream" `Quick test_prng_golden;
+          Alcotest.test_case "draws allocate nothing" `Quick test_prng_no_alloc;
           Alcotest.test_case "zipf" `Quick test_zipf_skew;
           Alcotest.test_case "shuffle" `Quick test_shuffle_permutation;
         ] );

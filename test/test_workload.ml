@@ -140,6 +140,25 @@ let test_golden_digest () =
     "sf 0.01 catalog digest" "b27637c134c935ecc53918767c5d95f7"
     (catalog_digest (make 0.01))
 
+(* Loading writes cells in place: under one minor word per loaded cell
+   (boxing an int64 per cell costs about seven). *)
+let test_load_allocation () =
+  let c = Aeq_storage.Catalog.create () in
+  let w0 = Gc.minor_words () in
+  Aeq_workload.Tpch.load ~scale_factor:0.01 c;
+  let words = Gc.minor_words () -. w0 in
+  let cells =
+    List.fold_left
+      (fun acc name ->
+        let t = Aeq_storage.Catalog.table c name in
+        acc + (t.Table.n_rows * Array.length t.Table.columns))
+      0 Aeq_workload.Tpch.table_names
+  in
+  let per_cell = words /. float_of_int cells in
+  if per_cell >= 1.0 then
+    Alcotest.failf "load allocated %.2f minor words per cell (%.0f for %d cells)" per_cell
+      words cells
+
 let () =
   Alcotest.run "workload"
     [
@@ -152,5 +171,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "seeded" `Quick test_seed_changes_data;
           Alcotest.test_case "golden digest" `Quick test_golden_digest;
+          Alcotest.test_case "load allocation" `Quick test_load_allocation;
         ] );
     ]
