@@ -27,8 +27,6 @@ let column_index t cname =
   in
   go 0
 
-let set arena t ~col ~row v = A.set_i64 arena (t.columns.(col).data + (8 * row)) v
-
 let get arena t ~col ~row = A.get_i64 arena (t.columns.(col).data + (8 * row))
 
 let column_run arena t col = A.chunk_of arena t.columns.(col).data

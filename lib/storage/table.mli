@@ -24,8 +24,6 @@ val column : t -> string -> column
 
 val column_index : t -> string -> int
 
-val set : Aeq_mem.Arena.t -> t -> col:int -> row:int -> int64 -> unit
-
 val get : Aeq_mem.Arena.t -> t -> col:int -> row:int -> int64
 
 val column_run : Aeq_mem.Arena.t -> t -> int -> Bytes.t * int
@@ -33,9 +31,9 @@ val column_run : Aeq_mem.Arena.t -> t -> int -> Bytes.t * int
     the byte offset of its row 0 in it. {!Aeq_mem.Arena.alloc} never
     splits an allocation across chunks, so the whole column is one
     contiguous run: row [r] is the native-endian int64 at
-    [offset + 8 * r]. Bulk loaders write cells there directly; unlike
-    {!set} and {!get}, which cross module boundaries, a local
-    [Bytes.set_int64_ne] on the run keeps the value unboxed. *)
+    [offset + 8 * r]. Bulk loaders write cells there with a local
+    [Bytes.set_int64_ne], which keeps the value unboxed where a
+    per-cell call into another module would box it. *)
 
 val of_columns :
   name:string -> n_rows:int -> (string * Dtype.t * Aeq_mem.Arena.ptr) list -> t

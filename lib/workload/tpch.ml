@@ -59,9 +59,10 @@ let date_hi = 10591
 (* Cells are written straight into each column's arena run
    ([Table.column_run]) by these local writers. Being local and
    [@inline], they keep the int64 unboxed: the dev profile compiles
-   every library module with -opaque, so a per-cell [Table.set] would
-   box its argument on each call. *)
-let[@inline] put (buf, base) row v = Bytes.set_int64_ne buf (base + (8 * row)) (Int64.of_int v)
+   every library module with -opaque, so a per-cell call into [Table]
+   or [Arena] would box its int64 on each call. *)
+let[@inline] put (buf, base) row v =
+  Bytes.set_int64_ne buf (base + (8 * row)) (Int64.of_int v)
 
 let[@inline] get (buf, base) row = Int64.to_int (Bytes.get_int64_ne buf (base + (8 * row)))
 
@@ -88,7 +89,6 @@ let load ?(seed = 20180416L) ~scale_factor catalog =
         c
       end
   in
-  let words k = name_words.(k) in
   let n_words = Array.length name_words in
   let sf x = Stdlib.max 1 (int_of_float (float_of_int x *. scale_factor)) in
   let mk name rows schema =
@@ -147,7 +147,7 @@ let load ?(seed = 20180416L) ~scale_factor catalog =
      dictionary, so they reuse a word pool (word × key mod 1000) *)
   let cust_name =
     code_table (n_words * 1000) (fun k ->
-        Printf.sprintf "Customer#%s-%d" (words (k / 1000)) (k mod 1000))
+        Printf.sprintf "Customer#%s-%d" name_words.(k / 1000) (k mod 1000))
   in
   let segment = code_table (Array.length segments) (fun k -> segments.(k)) in
   for i = 0 to n_cust - 1 do
@@ -176,19 +176,25 @@ let load ?(seed = 20180416L) ~scale_factor catalog =
   and n2 = Array.length type_syllables_2
   and n3 = Array.length type_syllables_3 in
   let part_name =
-    code_table (n_words * n_words) (fun k -> words (k / n_words) ^ " " ^ words (k mod n_words))
+    code_table (n_words * n_words) (fun k ->
+        name_words.(k / n_words) ^ " " ^ name_words.(k mod n_words))
   in
-  let brand = code_table 25 (fun k -> Printf.sprintf "Brand#%d%d" (1 + (k / 5)) (1 + (k mod 5))) in
+  let brand =
+    code_table 25 (fun k -> Printf.sprintf "Brand#%d%d" (1 + (k / 5)) (1 + (k mod 5)))
+  in
   let ptype =
     code_table (n1 * n2 * n3) (fun k ->
         String.concat " "
-          [ type_syllables_1.(k / (n2 * n3)); type_syllables_2.(k / n3 mod n2); type_syllables_3.(k mod n3) ])
+          [
+            type_syllables_1.(k / (n2 * n3));
+            type_syllables_2.(k / n3 mod n2);
+            type_syllables_3.(k mod n3);
+          ])
   in
   let container = code_table (Array.length containers) (fun k -> containers.(k)) in
-  (* Multi-part strings draw their last part first: these rows were
-     once built as [pick a ^ " " ^ pick b] and
-     [sprintf "Brand#%d%d" (int 5) (int 5)], whose arguments OCaml
-     evaluates right to left. The stream keeps that order. *)
+  (* Multi-part strings draw their last part first (right-to-left,
+     the order OCaml evaluates [pick a ^ " " ^ pick b] in): the golden
+     catalog in test_workload.ml pins this draw order. *)
   for i = 0 to n_part - 1 do
     put c.(0) i i;
     let w2 = P.int rng n_words in
@@ -239,8 +245,8 @@ let load ?(seed = 20180416L) ~scale_factor catalog =
         ("o_shippriority", Dtype.Int);
       ]
   in
-  (* encoded P, O, F: the order an array literal of the three once
-     evaluated them in, which fixed their codes *)
+  (* encoded P, O, F, in that order: dictionary codes follow
+     first-encoding order, and the golden catalog pins these *)
   let status_p = code "P" in
   let status_o = code "O" in
   let status_f = code "F" in
