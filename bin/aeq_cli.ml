@@ -266,8 +266,8 @@ let cmd =
       value & flag
       & info [ "obs" ]
           ~doc:
-            "Enable the observability subsystem (metrics, lifecycle spans, \
-             adaptive decision log) as if \\$(b,AEQ_OBS=1). Implied by \
+            "Enable the observability subsystem (metrics, the event log of \
+             lifecycle spans and adaptive decisions) as if \\$(b,AEQ_OBS=1). Implied by \
              $(b,--trace-out) and $(b,--metrics-out).")
   in
   let trace_out =

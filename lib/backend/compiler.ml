@@ -22,7 +22,7 @@ let pad_to model mode n_instrs real_elapsed =
   else real_elapsed
 
 let translate_bytecode ?strategy ~cost_model ~symbols f =
-  Aeq_obs.Span.with_span "translate" (fun () ->
+  Aeq_obs.Event_log.with_span "translate" (fun () ->
       let n = Func.n_instrs f in
       let prog, elapsed =
         Aeq_util.Clock.time_it (fun () ->
@@ -33,7 +33,7 @@ let translate_bytecode ?strategy ~cost_model ~symbols f =
       (prog, seconds))
 
 let compile_unopt_of_bytecode ~cost_model ~mem ~n_instrs prog =
-  Aeq_obs.Span.with_span "compile" (fun () ->
+  Aeq_obs.Event_log.with_span "compile" (fun () ->
       let exec, elapsed =
         Aeq_util.Clock.time_it (fun () -> Closure_compile.compile prog mem)
       in
@@ -42,7 +42,7 @@ let compile_unopt_of_bytecode ~cost_model ~mem ~n_instrs prog =
       { exec; compile_seconds; n_instrs_after = n_instrs })
 
 let compile ~cost_model ~symbols ~mem ~mode f =
-  Aeq_obs.Span.with_span "compile" (fun () ->
+  Aeq_obs.Event_log.with_span "compile" (fun () ->
       let n = Func.n_instrs f in
       let (exec, n_after), elapsed =
         Aeq_util.Clock.time_it (fun () ->
@@ -54,7 +54,7 @@ let compile ~cost_model ~symbols ~mem ~mode f =
               (Closure_compile.compile prog mem, n)
             | Cost_model.Opt ->
               let clone = Func.copy f in
-              Aeq_obs.Span.with_span "optimize" (fun () ->
+              Aeq_obs.Event_log.with_span "optimize" (fun () ->
                   Aeq_passes.Pass_manager.optimize Aeq_passes.Pass_manager.O2 clone);
               let prog = Aeq_vm.Translate.translate ~symbols clone in
               (Closure_compile.compile prog mem, Func.n_instrs clone))

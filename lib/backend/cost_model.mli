@@ -47,7 +47,7 @@ type mode = Bytecode | Unopt | Opt
 
 val mode_name : mode -> string
 (** ["bytecode"] / ["unoptimized"] / ["optimized"] — the label used in
-    traces, metrics and the decision log. *)
+    traces, metrics and the event log. *)
 
 val compile_time : t -> mode -> int -> float
 (** [compile_time t mode n_instrs] — the modelled latency in seconds

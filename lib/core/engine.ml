@@ -205,8 +205,8 @@ let n_threads t = Aeq_exec.Pool.n_threads t.pool
 let cost_model t = t.cost_model
 
 let plan t sql =
-  let ast = Obs.Span.with_span "parse" (fun () -> Aeq_sql.Parser.parse sql) in
-  Obs.Span.with_span "plan" (fun () -> Aeq_plan.Planner.plan t.catalog ast)
+  let ast = Obs.Event_log.with_span "parse" (fun () -> Aeq_sql.Parser.parse sql) in
+  Obs.Event_log.with_span "plan" (fun () -> Aeq_plan.Planner.plan t.catalog ast)
 
 let explain t sql = Aeq_plan.Explain.to_string (plan t sql)
 
@@ -635,8 +635,7 @@ let dump_metrics path =
 
 let reset_stats t =
   Obs.Metrics.reset ();
-  Obs.Span.clear ();
-  Obs.Decision_log.clear ();
+  Obs.Event_log.clear ();
   with_lock t.cache_lock (fun () ->
       Aeq_race.write ~site:"engine.reset_stats" t.cache_loc;
       t.cache_hits <- 0;

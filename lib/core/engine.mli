@@ -197,7 +197,8 @@ val render_rows : t -> Aeq_exec.Driver.result -> string list
 (** {1 Observability}
 
     The engine reports into the process-wide {!Aeq_obs} registry
-    (metrics, lifecycle spans, adaptive decision log) when
+    (metrics, and the event log of lifecycle spans and adaptive
+    decisions) when
     observability is enabled — [AEQ_OBS=1] in the environment, or
     [Aeq_obs.Control.set_enabled true] before the engine is created.
     When disabled, the per-morsel hot path pays a single branch. *)
@@ -217,10 +218,10 @@ val dump_metrics : string -> unit
 val reset_stats : t -> unit
 (** Start a fresh observation window: zero all registry counters and
     histograms (gauges keep their value — they describe current state),
-    clear the span ring buffers and the decision log, zero this
-    engine's plan-cache hit/miss/eviction counters, and zero the
-    scheduler's serving counters if a scheduler is running. Cached
-    prepared statements and queued work are untouched —
+    empty the {!Aeq_obs.Event_log} of spans and decisions and zero its
+    dropped counter, zero this engine's plan-cache hit/miss/eviction
+    counters, and zero the scheduler's serving counters if a scheduler
+    is running. Cached prepared statements and queued work are untouched —
     this resets measurement, not behavior. Intended for windowed
     scraping of long-running serves: scrape, reset, serve, scrape. *)
 

@@ -85,17 +85,15 @@ let extrapolate ?allow_unopt ?allow_opt ~model ~current_mode ~n_instrs ~remainin
      ~n_threads ())
     .ev_decision
 
-let mode_name = CM.mode_name
-
 (* Fig. 7 in the flight recorder: what the controller saw, what it
    projected for each option, and what it chose. *)
 let log_eval t ~current_mode ~rate ev =
-  let open Aeq_obs in
+  let module Log = Aeq_obs.Event_log in
   let action, reason =
     match ev.ev_decision with
-    | Compile m -> (Decision_log.Promote (mode_name m), "extrapolated win")
+    | Compile m -> (Log.Promote (CM.mode_name m), "extrapolated win")
     | Do_nothing ->
-      ( Decision_log.Stay,
+      ( Log.Stay,
         if current_mode = CM.Opt then "already optimized"
         else if rate <= 0.0 then "no rate sample yet"
         else if List.for_all (fun c -> c.cand_blacklisted) ev.ev_candidates
@@ -103,11 +101,9 @@ let log_eval t ~current_mode ~rate ev =
         then "all candidates blacklisted"
         else "status quo optimal" )
   in
-  Decision_log.log
+  Log.decision ~pipeline:t.pipeline
     {
-      Decision_log.d_time = Aeq_util.Clock.now ();
-      d_pipeline = t.pipeline;
-      d_mode = mode_name current_mode;
+      Log.d_mode = CM.mode_name current_mode;
       d_processed = Progress.processed t.progress;
       d_remaining = Progress.remaining t.progress;
       d_rate = rate;
@@ -116,7 +112,7 @@ let log_eval t ~current_mode ~rate ev =
         List.map
           (fun c ->
             {
-              Decision_log.c_mode = mode_name c.cand_mode;
+              Log.c_mode = CM.mode_name c.cand_mode;
               c_total_seconds = c.cand_seconds;
               c_blacklisted = c.cand_blacklisted;
             })

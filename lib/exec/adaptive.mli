@@ -48,8 +48,8 @@ val create :
   n_threads:int ->
   unit ->
   t
-(** [pipeline] (default 0) tags this controller's entries in the
-    observability decision log ({!Aeq_obs.Decision_log}). *)
+(** [pipeline] (default 0) tags this controller's decisions in the
+    observability event log ({!Aeq_obs.Event_log}). *)
 
 val evaluate :
   ?allow_unopt:bool ->
@@ -64,7 +64,8 @@ val evaluate :
   eval
 (** The pure extrapolation with its full working shown: the
     stay-the-course projection and every candidate's projected total,
-    alongside the decision. This is what the decision log records. *)
+    alongside the decision. This is what the event log records as a
+    decision. *)
 
 val extrapolate :
   ?allow_unopt:bool ->

@@ -52,8 +52,6 @@ let prepared_executions p = Atomic.get p.pr_executions
 
 let prepared_modes p = Array.to_list (Array.map Handle.mode_of_compiled p.pr_handles)
 
-let cm_mode_name = CM.mode_name
-
 (* dynamically growing morsel size: small at first for dense rate
    samples, larger later to cut scheduling overhead *)
 let morsel_size ~processed ~n_threads =
@@ -79,7 +77,7 @@ let prepare ?(cost_model = CM.default) catalog plan ~n_threads =
   let layout = P.layout plan in
   let workers, codegen_seconds =
     Aeq_util.Clock.time_it (fun () ->
-        Aeq_obs.Span.with_span "codegen" (fun () ->
+        Aeq_obs.Event_log.with_span "codegen" (fun () ->
             Aeq_codegen.Codegen.all_workers plan layout))
   in
   let handles =
@@ -185,7 +183,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
     Aeq_obs.Metrics.inc
       (Aeq_obs.Metrics.counter "aeq_compile_failures_total"
          ~help:"Failed machine-code promotions (degraded or blacklisted)"
-         ~labels:[ ("mode", cm_mode_name m) ]);
+         ~labels:[ ("mode", CM.mode_name m) ]);
     match trace with
     | Some tr ->
       let t = Aeq_util.Clock.now () in
@@ -208,7 +206,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
         (fun m ->
           Aeq_obs.Metrics.counter "aeq_morsels_total"
             ~help:"Morsels executed, by the mode they ran in"
-            ~labels:[ ("mode", cm_mode_name m) ])
+            ~labels:[ ("mode", CM.mode_name m) ])
         [| CM.Bytecode; CM.Unopt; CM.Opt |]
   in
   let morsel_hist =
@@ -436,7 +434,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
         let (), dt =
           Aeq_util.Clock.time_it (fun () ->
               if total > 0 then
-                Aeq_obs.Span.with_span ~pipeline:pi "execute" (fun () ->
+                Aeq_obs.Event_log.with_span ~pipeline:pi "execute" (fun () ->
                     (* tiny pipelines run inline: one morsel's worth of
                        rows is not worth waking pool domains for, and
                        under high query concurrency the wakeup storm is
@@ -448,7 +446,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
         raise_if_failed ())
       plan.P.pl_pipelines;
     let handle_list = Array.to_list handles in
-    let final_modes = List.map (fun h -> cm_mode_name (Handle.mode h)) handle_list in
+    let final_modes = List.map (fun h -> CM.mode_name (Handle.mode h)) handle_list in
     (* --- collect, sort, limit ----------------------------------------- *)
     let n_cols = List.length plan.P.pl_out.P.out_names in
     let raw = Aeq_rt.Output.rows out in

@@ -12,15 +12,10 @@ type t =
 
 exception Error of t
 
-let mode_name = function
-  | CM.Bytecode -> "bytecode"
-  | CM.Unopt -> "unoptimized"
-  | CM.Opt -> "optimized"
-
 let to_string = function
   | Trap m -> "runtime trap: " ^ m
   | Compile_failed (mode, detail) ->
-    Printf.sprintf "compilation to %s failed: %s" (mode_name mode) detail
+    Printf.sprintf "compilation to %s failed: %s" (CM.mode_name mode) detail
   | Timeout s -> Printf.sprintf "query exceeded its %.3f s timeout" s
   | Cancelled -> "query cancelled"
   | Memory_budget_exceeded { budget_bytes; used_bytes } ->

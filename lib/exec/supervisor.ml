@@ -86,7 +86,7 @@ let crash_log () =
       Aeq_race.read ~site:"supervisor.crash_log" log_loc;
       let out = ref [] in
       for i = 0 to log_capacity - 1 do
-        (* oldest → newest, then reversed: newest-first like Decision_log *)
+        (* oldest → newest, then reversed: newest first *)
         match log_ring.((!log_next + i) mod log_capacity) with
         | Some c -> out := c :: !out
         | None -> ()

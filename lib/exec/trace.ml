@@ -5,75 +5,26 @@ type kind =
 
 type event = { pipeline : int; tid : int; t0 : float; t1 : float; kind : kind }
 
-(* every worker domain records into the shared event list *)
-let () = Aeq_race.declare "exec.trace.events" (Aeq_race.Lock "exec.trace.lock")
+type t = { epoch : float; ring : event Aeq_obs.Ring.t }
 
-type t = {
-  epoch : float;
-  capacity : int;
-  lock : Aeq_race.Lock.t;
-  loc : Aeq_race.location;
-  mutable events : event list;
-  mutable n_events : int;
-  mutable n_dropped : int;
-  mutable sorted : event list option; (* cache; invalidated by [record] *)
-}
-
-let default_capacity = 1 lsl 16
-
-let create ?(capacity = default_capacity) () =
-  {
-    epoch = Aeq_util.Clock.now ();
-    capacity = Stdlib.max 1 capacity;
-    lock = Aeq_race.Lock.create "exec.trace.lock";
-    loc = Aeq_race.locate "exec.trace.events";
-    events = [];
-    n_events = 0;
-    n_dropped = 0;
-    sorted = None;
-  }
+let create () =
+  { epoch = Aeq_util.Clock.now (); ring = Aeq_obs.Ring.create ~start:(fun e -> e.t0) () }
 
 let epoch t = t.epoch
 
 let record t ~pipeline ~tid ~t0 ~t1 kind =
-  let ev = { pipeline; tid; t0 = t0 -. t.epoch; t1 = t1 -. t.epoch; kind } in
-  Aeq_race.Lock.with_ t.lock (fun () ->
-      Aeq_race.write ~site:"trace.record" t.loc;
-      (* bounded: a long-running serve must not grow a trace without limit;
-         overflow is counted instead of silently lost *)
-      if t.n_events >= t.capacity then t.n_dropped <- t.n_dropped + 1
-      else begin
-        t.events <- ev :: t.events;
-        t.n_events <- t.n_events + 1;
-        t.sorted <- None
-      end)
+  Aeq_obs.Ring.push t.ring { pipeline; tid; t0 = t0 -. t.epoch; t1 = t1 -. t.epoch; kind }
 
-let events t =
-  Aeq_race.Lock.with_ t.lock (fun () ->
-      Aeq_race.write ~site:"trace.events" t.loc;
-      match t.sorted with
-      | Some evs -> evs (* sorted once on demand, reused until the next record *)
-      | None ->
-        let evs = List.sort (fun a b -> compare a.t0 b.t0) t.events in
-        t.sorted <- Some evs;
-        evs)
+let events t = Aeq_obs.Ring.snapshot t.ring
 
-let dropped t =
-  Aeq_race.Lock.with_ t.lock (fun () ->
-      Aeq_race.read ~site:"trace.dropped" t.loc;
-      t.n_dropped)
+let dropped t = Aeq_obs.Ring.dropped t.ring
 
-let n_events t =
-  Aeq_race.Lock.with_ t.lock (fun () ->
-      Aeq_race.read ~site:"trace.n_events" t.loc;
-      t.n_events)
+let n_events t = Aeq_obs.Ring.length t.ring
 
 let mode_char = function
   | Aeq_backend.Cost_model.Bytecode -> 'b'
   | Aeq_backend.Cost_model.Unopt -> 'u'
   | Aeq_backend.Cost_model.Opt -> 'o'
-
-let mode_name = Aeq_backend.Cost_model.mode_name
 
 let render t ~n_threads =
   let evs = events t in

@@ -20,10 +20,11 @@ type event = {
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** [capacity] bounds the retained event count (default 65536): a
-    trace left attached to a long-running serve stays bounded. Events
-    past the cap are dropped and counted, not silently lost. *)
+val create : unit -> t
+(** An empty trace on an {!Aeq_obs.Ring}: at most
+    {!Aeq_obs.Ring.capacity} events are retained, so a trace left
+    attached to a long-running serve stays bounded. Events past the
+    cap are dropped and counted, not silently lost. *)
 
 val epoch : t -> float
 
@@ -40,8 +41,6 @@ val n_events : t -> int
 
 val dropped : t -> int
 (** Events discarded because the trace was at capacity. *)
-
-val mode_name : Aeq_backend.Cost_model.mode -> string
 
 val render : t -> n_threads:int -> string
 (** ASCII lanes, one per thread. *)

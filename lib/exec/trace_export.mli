@@ -1,21 +1,21 @@
 (** Chrome trace-event export: the paper's Fig. 14 timeline as a
     [chrome://tracing] / Perfetto document instead of ASCII lanes.
 
-    Merges three sources onto one timeline:
+    Merges two sources onto one timeline:
     - the execution {!Trace} (morsel intervals and compile bursts, one
       lane per worker thread, pid 0);
-    - the {!Aeq_obs.Span} lifecycle spans (parse → plan → codegen →
-      optimize → translate → compile → execute, one lane per domain,
-      pid 1);
-    - the {!Aeq_obs.Decision_log} (one instant event per adaptive
-      controller evaluation, with the extrapolated totals in [args]).
+    - the {!Aeq_obs.Event_log} (pid 1, one lane per recording domain):
+      lifecycle spans (parse → plan → codegen → optimize → translate →
+      compile → execute) as slices, and adaptive controller decisions
+      as instant events with the extrapolated totals in [args], on the
+      lane of the domain that evaluated them.
 
     All timestamps are rebased to the earliest event so the document
     starts at t=0. *)
 
 val chrome_events : ?trace:Trace.t -> unit -> Aeq_obs.Chrome_trace.event list
 (** The merged event list (spans and decisions are read from the
-    global observability buffers). *)
+    global event log). *)
 
 val chrome_json : ?trace:Trace.t -> unit -> string
 (** {!chrome_events} rendered as a complete JSON document. *)

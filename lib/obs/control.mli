@@ -1,7 +1,7 @@
 (** The observability master switch.
 
-    Hot-path instrumentation (per-morsel metrics, lifecycle spans, the
-    adaptive decision log) is gated on one atomic flag so that with
+    Hot-path instrumentation (per-morsel metrics, the {!Event_log} of
+    lifecycle spans and adaptive decisions) is gated on one atomic flag so that with
     observability off the only cost at a morsel boundary is a single
     load-and-branch. Cheap per-query instrumentation (counters bumped
     once per query or per compilation) stays on unconditionally.

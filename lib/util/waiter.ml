@@ -19,14 +19,17 @@ type t = {
   loc : Aeq_race.location;
 }
 
+let close_fds t =
+  if not t.disposed then begin
+    t.disposed <- true;
+    (try Unix.close t.rd with Unix.Unix_error _ -> ());
+    try Unix.close t.wr with Unix.Unix_error _ -> ()
+  end
+
 let dispose t =
   Aeq_race.Lock.with_ t.lock (fun () ->
       Aeq_race.write ~site:"waiter.dispose" t.loc;
-      if not t.disposed then begin
-        t.disposed <- true;
-        (try Unix.close t.rd with Unix.Unix_error _ -> ());
-        try Unix.close t.wr with Unix.Unix_error _ -> ()
-      end)
+      close_fds t)
 
 let create () =
   let rd, wr = Unix.pipe ~cloexec:true () in
@@ -43,9 +46,12 @@ let create () =
   in
   (* waiters are cheap to forget (per-arena backpressure waiters have no
      dispose lifecycle of their own); reclaim the pipe fds with the
-     record. [dispose] is idempotent and lock-guarded, so an explicit
-     dispose racing the finaliser is fine. *)
-  Gc.finalise dispose t;
+     record. The finaliser takes neither [t.lock] nor a race hook: it
+     runs at whatever allocation triggers it, possibly inside the race
+     detector's own critical section, which must not be re-entered
+     (the detector's mutex would raise and stay held). Once [t] is
+     unreachable no [wake] or [dispose] can race it. *)
+  Gc.finalise close_fds t;
   t
 
 let wake t =

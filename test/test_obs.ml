@@ -1,12 +1,14 @@
 (* Tests for the observability subsystem: the JSON codec, the metrics
    registry (including its Prometheus exposition and multi-domain
-   safety), lifecycle spans, the adaptive decision log, the Chrome
+   safety), the event log of lifecycle spans and adaptive decisions,
+   the bounded ring it shares with the execution trace, the Chrome
    trace exporter, and the engine-level reset semantics. *)
 
 module M = Aeq_obs.Metrics
 module J = Aeq_obs.Json
-module Span = Aeq_obs.Span
-module DL = Aeq_obs.Decision_log
+module Ring = Aeq_obs.Ring
+module Log = Aeq_obs.Event_log
+module Trace = Aeq_exec.Trace
 module Control = Aeq_obs.Control
 module CM = Aeq_backend.Cost_model
 module Driver = Aeq_exec.Driver
@@ -165,72 +167,49 @@ let test_metrics_reset () =
 
 (* ---- spans -------------------------------------------------------- *)
 
-let test_spans_record_and_drop () =
-  Control.with_enabled true (fun () ->
-      Span.set_capacity 16;
-      Span.clear ();
-      for i = 1 to 40 do
-        Span.record "s" ~t0:(float_of_int i) ~t1:(float_of_int i +. 0.5)
-      done;
-      let spans = Span.snapshot () in
-      Alcotest.(check int) "ring keeps capacity" 16 (List.length spans);
-      Alcotest.(check int) "drops counted" 24 (Span.dropped ());
-      (* early spans are the retained ones, sorted by start *)
-      (match spans with
-      | first :: _ -> Alcotest.(check (float 0.0)) "earliest kept" 1.0 first.Span.sp_t0
-      | [] -> Alcotest.fail "no spans");
-      Span.set_capacity 8192;
-      Span.clear ())
+let span_names () =
+  List.filter_map
+    (fun (e : Log.event) -> match e.kind with Log.Span n -> Some n | Log.Decision _ -> None)
+    (Log.snapshot ())
 
-let test_spans_disabled_noop () =
-  Control.with_enabled false (fun () ->
-      Span.clear ();
-      let r = Span.with_span "x" (fun () -> 41 + 1) in
-      Alcotest.(check int) "value passes through" 42 r;
-      Span.record "x" ~t0:0.0 ~t1:1.0;
-      Alcotest.(check int) "nothing recorded" 0 (List.length (Span.snapshot ())))
+let decisions () =
+  List.filter_map
+    (fun (e : Log.event) -> match e.kind with Log.Decision d -> Some d | Log.Span _ -> None)
+    (Log.snapshot ())
 
-let test_spans_record_on_raise () =
-  Control.with_enabled true (fun () ->
-      Span.clear ();
-      (try Span.with_span "fails" (fun () -> failwith "boom") with Failure _ -> ());
-      match Span.snapshot () with
-      | [ sp ] ->
-        Alcotest.(check string) "span name" "fails" sp.Span.sp_name;
-        Alcotest.(check bool) "positive duration" true (sp.Span.sp_t1 >= sp.Span.sp_t0);
-        Span.clear ()
-      | l -> Alcotest.fail (Printf.sprintf "expected 1 span, got %d" (List.length l)))
-
-(* ---- decision log ------------------------------------------------- *)
-
-let entry_at t =
+let stay_decision =
   {
-    DL.d_time = t;
-    d_pipeline = 0;
-    d_mode = "bytecode";
+    Log.d_mode = "bytecode";
     d_processed = 100;
     d_remaining = 900;
     d_rate = 1e6;
     d_stay_seconds = 0.9;
     d_candidates = [];
-    d_action = DL.Stay;
+    d_action = Log.Stay;
     d_reason = "test";
   }
 
-let test_decision_log_bounded () =
-  Control.with_enabled true (fun () ->
-      DL.clear ();
-      DL.set_capacity 16;
-      for i = 1 to 40 do
-        DL.log (entry_at (float_of_int i))
-      done;
-      Alcotest.(check int) "bounded" 16 (List.length (DL.snapshot ()));
-      Alcotest.(check int) "drops counted" 24 (DL.dropped ());
-      DL.clear ();
-      DL.set_capacity 8192);
+let test_spans_disabled_noop () =
   Control.with_enabled false (fun () ->
-      DL.log (entry_at 0.0);
-      Alcotest.(check int) "disabled: no entry" 0 (List.length (DL.snapshot ())))
+      Log.clear ();
+      let r = Log.with_span "x" (fun () -> 41 + 1) in
+      Alcotest.(check int) "value passes through" 42 r;
+      Log.span "x" ~t0:0.0 ~t1:1.0;
+      Log.decision ~pipeline:0 stay_decision;
+      Alcotest.(check int) "nothing recorded" 0 (List.length (Log.snapshot ())))
+
+let test_spans_record_on_raise () =
+  Control.with_enabled true (fun () ->
+      Log.clear ();
+      (try Log.with_span "fails" (fun () -> failwith "boom") with Failure _ -> ());
+      match Log.snapshot () with
+      | [ { kind = Log.Span name; t0; t1; _ } ] ->
+        Alcotest.(check string) "span name" "fails" name;
+        Alcotest.(check bool) "positive duration" true (t1 >= t0);
+        Log.clear ()
+      | l -> Alcotest.fail (Printf.sprintf "expected 1 span, got %d" (List.length l)))
+
+(* ---- decision log ------------------------------------------------- *)
 
 (* The Fig. 7 evaluation with its working shown: stay-projection and
    candidate totals must follow the paper's formulas, and the decision
@@ -283,8 +262,7 @@ let test_decision_log_records_promotion () =
   (* satellite (d): a forced bytecode→compiled promotion must land in
      the decision log with the extrapolation that justified it *)
   Control.with_enabled true (fun () ->
-      DL.clear ();
-      Span.clear ();
+      Log.clear ();
       (* huge claimed speedups, real (unsimulated) compile latencies:
          the first evaluation with a rate sample promotes *)
       let cost_model = CM.with_speedups CM.off ~unopt:50.0 ~opt:100.0 in
@@ -293,45 +271,43 @@ let test_decision_log_records_promotion () =
       let _r =
         Aeq.Engine.query e ~mode:Driver.Adaptive "select count(*) from lineitem"
       in
-      let entries = DL.snapshot () in
+      let entries = decisions () in
       Alcotest.(check bool) "controller evaluations logged" true (entries <> []);
       let promotions =
         List.filter
-          (fun d -> match d.DL.d_action with DL.Promote _ -> true | DL.Stay -> false)
+          (fun d -> match d.Log.d_action with Log.Promote _ -> true | Log.Stay -> false)
           entries
       in
       Alcotest.(check bool) "a promotion was logged" true (promotions <> []);
       List.iter
         (fun d ->
-          Alcotest.(check string) "reason" "extrapolated win" d.DL.d_reason;
-          Alcotest.(check bool) "had a rate sample" true (d.DL.d_rate > 0.0);
+          Alcotest.(check string) "reason" "extrapolated win" d.Log.d_reason;
+          Alcotest.(check bool) "had a rate sample" true (d.Log.d_rate > 0.0);
           let target =
-            match d.DL.d_action with DL.Promote m -> m | DL.Stay -> assert false
+            match d.Log.d_action with Log.Promote m -> m | Log.Stay -> assert false
           in
           let cand =
-            List.find (fun c -> c.DL.c_mode = target) d.DL.d_candidates
+            List.find (fun c -> c.Log.c_mode = target) d.Log.d_candidates
           in
           (* the log must show the win it claims: the chosen candidate's
              projected total beats staying put and every rival *)
           Alcotest.(check bool)
             "candidate beats staying" true
-            (cand.DL.c_total_seconds < d.DL.d_stay_seconds);
+            (cand.Log.c_total_seconds < d.Log.d_stay_seconds);
           List.iter
             (fun c ->
               Alcotest.(check bool) "candidate is argmin" true
-                (cand.DL.c_total_seconds <= c.DL.c_total_seconds))
-            d.DL.d_candidates)
+                (cand.Log.c_total_seconds <= c.Log.c_total_seconds))
+            d.Log.d_candidates)
         promotions;
-      DL.clear ();
-      Span.clear ();
+      Log.clear ();
       Aeq.Engine.close e)
 
 (* ---- Chrome trace export ------------------------------------------ *)
 
 let test_chrome_trace_roundtrip () =
   Control.with_enabled true (fun () ->
-      DL.clear ();
-      Span.clear ();
+      Log.clear ();
       let cost_model = CM.with_speedups CM.off ~unopt:50.0 ~opt:100.0 in
       let e = Aeq.Engine.create ~n_threads:2 ~cost_model () in
       Aeq.Engine.load_tpch e ~scale_factor:0.01;
@@ -355,6 +331,24 @@ let test_chrome_trace_roundtrip () =
         Alcotest.(check bool) "lifecycle spans" true (has "span");
         Alcotest.(check bool) "adaptive decisions" true (has "adaptive");
         Alcotest.(check bool) "compile bursts" true (has "compile");
+        (* a decision sits on the lifecycle lane of the domain that
+           evaluated it, beside its pipeline's execute span *)
+        let num k ev = Option.bind (J.member k ev) J.to_float in
+        let lane ev = (num "pid" ev, num "tid" ev) in
+        let pipeline ev = Option.bind (J.member "args" ev) (num "pipeline") in
+        let named n ev = Option.bind (J.member "name" ev) J.to_str = Some n in
+        let executes =
+          List.filter (fun ev -> cat ev = Some "span" && named "execute" ev) events
+        in
+        Alcotest.(check bool)
+          "a decision shares its execute span's lane" true
+          (List.exists
+             (fun d ->
+               cat d = Some "adaptive"
+               && List.exists
+                    (fun x -> lane x = lane d && pipeline x = pipeline d)
+                    executes)
+             events);
         (* timestamps are rebased: all non-negative *)
         List.iter
           (fun ev ->
@@ -362,25 +356,67 @@ let test_chrome_trace_roundtrip () =
             | Some ts -> if ts < -1e-6 then Alcotest.fail "negative timestamp"
             | None -> Alcotest.fail "event without ts")
           events);
-      DL.clear ();
-      Span.clear ();
+      Log.clear ();
       Aeq.Engine.close e)
 
-(* ---- execution trace bounds (satellite b) ------------------------- *)
+(* ---- the shared ring: event log and execution trace -------------- *)
 
-let test_trace_capped_with_dropped_counter () =
-  let tr = Aeq_exec.Trace.create ~capacity:4 () in
-  for i = 0 to 9 do
-    let t = float_of_int i in
-    Aeq_exec.Trace.record tr ~pipeline:0 ~tid:0 ~t0:t ~t1:(t +. 0.5)
-      (Aeq_exec.Trace.Ev_morsel CM.Bytecode)
+(* Push [capacity + 100] events whose start times are a scrambled
+   permutation of 0..n-1: the first [capacity] pushed must be the ones
+   kept, the other 100 counted as dropped, and the snapshot sorted. *)
+let check_ring_bounds what ~push ~starts ~kept ~dropped =
+  let n = Ring.capacity + 100 in
+  let start i = float_of_int (i * 7919 mod n) in
+  for i = 0 to n - 1 do
+    push (start i)
   done;
-  Alcotest.(check int) "kept" 4 (Aeq_exec.Trace.n_events tr);
-  Alcotest.(check int) "dropped" 6 (Aeq_exec.Trace.dropped tr);
-  let evs = Aeq_exec.Trace.events tr in
-  Alcotest.(check int) "events list capped" 4 (List.length evs);
-  let sorted = List.sort (fun a b -> compare a.Aeq_exec.Trace.t0 b.Aeq_exec.Trace.t0) evs in
-  Alcotest.(check bool) "events come out sorted" true (evs = sorted)
+  Alcotest.(check int) (what ^ ": kept") Ring.capacity (kept ());
+  Alcotest.(check int) (what ^ ": dropped") 100 (dropped ());
+  Alcotest.(check (list (float 0.0)))
+    (what ^ ": oldest kept, sorted by start")
+    (List.sort compare (List.init Ring.capacity start))
+    (starts ())
+
+let test_ring_bounded_at_capacity () =
+  Control.with_enabled true (fun () ->
+      Log.clear ();
+      check_ring_bounds "event log"
+        ~push:(fun t -> Log.span "s" ~t0:t ~t1:(t +. 0.5))
+        ~starts:(fun () -> List.map (fun (e : Log.event) -> e.t0) (Log.snapshot ()))
+        ~kept:(fun () -> List.length (Log.snapshot ()))
+        ~dropped:Log.dropped;
+      Alcotest.(check bool) "snapshot cached" true (Log.snapshot () == Log.snapshot ());
+      Log.clear ());
+  let tr = Trace.create () in
+  let epoch = Trace.epoch tr in
+  check_ring_bounds "trace"
+    ~push:(fun t ->
+      Trace.record tr ~pipeline:0 ~tid:0 ~t0:(epoch +. t) ~t1:(epoch +. t +. 0.5)
+        (Trace.Ev_morsel CM.Bytecode))
+    (* stored relative to the epoch: round away the float error *)
+    ~starts:(fun () -> List.map (fun (e : Trace.event) -> Float.round e.t0) (Trace.events tr))
+    ~kept:(fun () -> Trace.n_events tr)
+    ~dropped:(fun () -> Trace.dropped tr);
+  Alcotest.(check bool) "trace events cached" true (Trace.events tr == Trace.events tr)
+
+let test_ring_concurrent_overflow () =
+  (* 4 domains push past the capacity at once: exactly [capacity] kept,
+     and every other push counted *)
+  Control.with_enabled true (fun () ->
+      Log.clear ();
+      let per_domain = (Ring.capacity / 4) + 5_000 in
+      let worker d () =
+        for i = 1 to per_domain do
+          let t = float_of_int i in
+          Log.span ~pipeline:d "hammer" ~t0:t ~t1:t
+        done
+      in
+      let domains = List.init 4 (fun d -> Aeq_race.spawn (worker d)) in
+      List.iter Aeq_race.join domains;
+      let kept = List.length (Log.snapshot ()) in
+      Alcotest.(check int) "kept = capacity" Ring.capacity kept;
+      Alcotest.(check int) "kept + dropped = pushed" (4 * per_domain) (kept + Log.dropped ());
+      Log.clear ())
 
 (* ---- engine-level reset (satellite c) ----------------------------- *)
 
@@ -403,7 +439,14 @@ let test_engine_reset_stats () =
       in
       Alcotest.(check int) "queries counted" 2 (count_queries ());
       Alcotest.(check int) "cache hit counted" 1 (Aeq.Engine.cache_stats e).Aeq.Engine.hits;
+      Alcotest.(check bool) "spans logged" true (span_names () <> []);
+      for _ = 0 to Ring.capacity do
+        Log.span "fill" ~t0:0.0 ~t1:0.0
+      done;
+      Alcotest.(check bool) "log overflowed" true (Log.dropped () > 0);
       Aeq.Engine.reset_stats e;
+      Alcotest.(check int) "log emptied" 0 (List.length (Log.snapshot ()));
+      Alcotest.(check int) "log drops zeroed" 0 (Log.dropped ());
       Alcotest.(check int) "query counter zeroed" 0 (count_queries ());
       let cs = Aeq.Engine.cache_stats e in
       Alcotest.(check int) "cache hits zeroed" 0 cs.Aeq.Engine.hits;
@@ -432,23 +475,21 @@ let () =
         ] );
       ( "spans",
         [
-          Alcotest.test_case "record and drop" `Quick test_spans_record_and_drop;
           Alcotest.test_case "disabled no-op" `Quick test_spans_disabled_noop;
           Alcotest.test_case "records on raise" `Quick test_spans_record_on_raise;
         ] );
       ( "decision-log",
         [
-          Alcotest.test_case "bounded" `Quick test_decision_log_bounded;
           Alcotest.test_case "evaluate shows its working" `Quick
             test_evaluate_shows_its_working;
           Alcotest.test_case "records promotion" `Quick test_decision_log_records_promotion;
         ] );
       ( "chrome-trace",
         [ Alcotest.test_case "roundtrip" `Quick test_chrome_trace_roundtrip ] );
-      ( "trace-bounds",
+      ( "event-ring",
         [
-          Alcotest.test_case "capped with dropped counter" `Quick
-            test_trace_capped_with_dropped_counter;
+          Alcotest.test_case "bounded at capacity" `Quick test_ring_bounded_at_capacity;
+          Alcotest.test_case "concurrent overflow" `Quick test_ring_concurrent_overflow;
         ] );
       ( "engine",
         [ Alcotest.test_case "reset_stats" `Quick test_engine_reset_stats ] );
