@@ -377,7 +377,7 @@ let check_ring_bounds what ~push ~starts ~kept ~dropped =
     (List.sort compare (List.init Ring.capacity start))
     (starts ())
 
-let test_ring_bounded_at_capacity () =
+let test_spans_record_and_drop () =
   Control.with_enabled true (fun () ->
       Log.clear ();
       check_ring_bounds "event log"
@@ -386,7 +386,34 @@ let test_ring_bounded_at_capacity () =
         ~kept:(fun () -> List.length (Log.snapshot ()))
         ~dropped:Log.dropped;
       Alcotest.(check bool) "snapshot cached" true (Log.snapshot () == Log.snapshot ());
+      Log.clear ())
+
+(* Decisions are stamped at record time, so the push order is carried
+   in [d_processed]: the first [capacity] pushed must be the ones kept. *)
+let test_decision_log_bounded () =
+  Control.with_enabled true (fun () ->
+      Log.clear ();
+      let n = Ring.capacity + 100 in
+      for i = 0 to n - 1 do
+        Log.decision ~pipeline:0 { stay_decision with d_processed = i }
+      done;
+      let evs = Log.snapshot () in
+      Alcotest.(check int) "bounded" Ring.capacity (List.length evs);
+      Alcotest.(check int) "drops counted" 100 (Log.dropped ());
+      Alcotest.(check (list int))
+        "oldest kept"
+        (List.init Ring.capacity Fun.id)
+        (List.sort compare (List.map (fun d -> d.Log.d_processed) (decisions ())));
+      let starts = List.map (fun (e : Log.event) -> e.t0) evs in
+      Alcotest.(check bool)
+        "sorted by start" true
+        (starts = List.sort compare starts);
       Log.clear ());
+  Control.with_enabled false (fun () ->
+      Log.decision ~pipeline:0 stay_decision;
+      Alcotest.(check int) "disabled: no entry" 0 (List.length (Log.snapshot ())))
+
+let test_trace_capped_with_dropped_counter () =
   let tr = Trace.create () in
   let epoch = Trace.epoch tr in
   check_ring_bounds "trace"
@@ -475,22 +502,26 @@ let () =
         ] );
       ( "spans",
         [
+          Alcotest.test_case "record and drop" `Quick test_spans_record_and_drop;
           Alcotest.test_case "disabled no-op" `Quick test_spans_disabled_noop;
           Alcotest.test_case "records on raise" `Quick test_spans_record_on_raise;
         ] );
       ( "decision-log",
         [
+          Alcotest.test_case "bounded" `Quick test_decision_log_bounded;
           Alcotest.test_case "evaluate shows its working" `Quick
             test_evaluate_shows_its_working;
           Alcotest.test_case "records promotion" `Quick test_decision_log_records_promotion;
         ] );
       ( "chrome-trace",
         [ Alcotest.test_case "roundtrip" `Quick test_chrome_trace_roundtrip ] );
-      ( "event-ring",
+      ( "trace-bounds",
         [
-          Alcotest.test_case "bounded at capacity" `Quick test_ring_bounded_at_capacity;
-          Alcotest.test_case "concurrent overflow" `Quick test_ring_concurrent_overflow;
+          Alcotest.test_case "capped with dropped counter" `Quick
+            test_trace_capped_with_dropped_counter;
         ] );
+      ( "event-ring",
+        [ Alcotest.test_case "concurrent overflow" `Quick test_ring_concurrent_overflow ] );
       ( "engine",
         [ Alcotest.test_case "reset_stats" `Quick test_engine_reset_stats ] );
     ]
