@@ -694,91 +694,57 @@ let obs () =
   Printf.printf "wrote trace.json and metrics.prom\n%!"
 
 (* ------------------------------------------------------------------ *)
-(* Simulation yield points: cost of the instrumentation when disabled  *)
-(* and when enabled with a no-op handler                               *)
+(* Probes: cost of the instrumentation on the warmed concurrent serving *)
+(* loop, measured disabled, with a no-op simulator handler at every    *)
+(* probe site, and with the race detector armed                        *)
 (* ------------------------------------------------------------------ *)
-let sim () =
-  header "SIM: yield-point overhead on the warmed prepared-statement loop";
+let probes () =
+  header "PROBES: probe-site and detector overhead on the warmed concurrent serving loop";
   let sf = Stdlib.min base_sf 0.01 in
   let e = Aeq.Engine.create ~n_threads () in
   Aeq.Engine.load_tpch e ~scale_factor:sf;
   let sql = Aeq_workload.Queries.tpch_q 6 in
-  ignore (Aeq.Engine.query e sql);
+  (* the serving path crosses every probe kind and every instrumented
+     lock: scheduler dispatch, pool pick, morsels, arena leases, engine
+     cache, trace ring, metrics *)
+  let query () =
+    match Aeq.Engine.query_concurrent e sql with
+    | Ok _ -> ()
+    | Error err -> failwith (Aeq_exec.Query_error.to_string err)
+  in
+  query ();
   let iters = 25 in
   let measure () =
     let t0 = Clock.now () in
     for _ = 1 to iters do
-      ignore (Aeq.Engine.query e sql)
+      query ()
     done;
     Clock.now () -. t0
   in
   ignore (measure ());
-  (* best-of to push scheduling noise out of both configurations *)
-  let best f =
+  (* best-of to push scheduling noise out of every configuration *)
+  let best () =
     let b = ref infinity in
     for _ = 1 to 3 do
-      let dt = f () in
+      let dt = measure () in
       if dt < !b then b := dt
     done;
     !b
   in
-  let t_off = best measure in
-  let t_on =
-    Aeq_util.Yieldpoint.with_handler (fun _site -> ()) (fun () -> best measure)
+  let t_off = best () in
+  let t_sim = Aeq_util.Probe.with_handler (fun _site -> ()) best in
+  let t_race = Aeq_race.Control.with_enabled true best in
+  let gate ~what ~label t =
+    let overhead = 100.0 *. ((t -. t_off) /. t_off) in
+    Printf.printf "%s: disabled %.2f ms | %s %.2f ms | %+.1f%% (%d iters)\n" what
+      (ms t_off) label (ms t) overhead iters;
+    if overhead > 2.0 then
+      Printf.printf "WARNING: %s (%s) overhead above the 2%% target\n" what label;
+    if overhead > 50.0 then
+      failwith (Printf.sprintf "probes: %s overhead out of bounds" what)
   in
-  let overhead = 100.0 *. ((t_on -. t_off) /. t_off) in
-  Printf.printf
-    "yield points: disabled %.2f ms | no-op handler %.2f ms | %+.1f%% (%d iters)\n"
-    (ms t_off) (ms t_on) overhead iters;
-  if overhead > 2.0 then
-    Printf.printf "WARNING: disabled-yield-point overhead above the 2%% target\n";
-  if overhead > 50.0 then failwith "sim: yield-point overhead out of bounds";
-  Aeq.Engine.close e
-
-(* ------------------------------------------------------------------ *)
-(* Race detector: cost of the guarded-by instrumentation when the      *)
-(* detector is disabled (one atomic load + branch per hook) and when   *)
-(* it is armed                                                         *)
-(* ------------------------------------------------------------------ *)
-let race () =
-  header "RACE: detector overhead on the warmed concurrent serving loop";
-  let sf = Stdlib.min base_sf 0.01 in
-  let e = Aeq.Engine.create ~n_threads () in
-  Aeq.Engine.load_tpch e ~scale_factor:sf;
-  let sql = Aeq_workload.Queries.tpch_q 6 in
-  (* the serving path crosses every instrumented lock: scheduler
-     submit/await, engine cache, trace ring, arena, metrics *)
-  (match Aeq.Engine.query_concurrent e sql with
-  | Ok _ -> ()
-  | Error err -> failwith (Aeq_exec.Query_error.to_string err));
-  let iters = 25 in
-  let measure () =
-    let t0 = Clock.now () in
-    for _ = 1 to iters do
-      match Aeq.Engine.query_concurrent e sql with
-      | Ok _ -> ()
-      | Error err -> failwith (Aeq_exec.Query_error.to_string err)
-    done;
-    Clock.now () -. t0
-  in
-  ignore (measure ());
-  let best f =
-    let b = ref infinity in
-    for _ = 1 to 3 do
-      let dt = f () in
-      if dt < !b then b := dt
-    done;
-    !b
-  in
-  let t_off = best measure in
-  let t_on = Aeq_race.Control.with_enabled true (fun () -> best measure) in
-  let overhead = 100.0 *. ((t_on -. t_off) /. t_off) in
-  Printf.printf
-    "race detector: disabled %.2f ms | armed %.2f ms | %+.1f%% (%d iters)\n"
-    (ms t_off) (ms t_on) overhead iters;
-  if overhead > 2.0 then
-    Printf.printf "WARNING: race-detector overhead above the 2%% target\n";
-  if overhead > 50.0 then failwith "race: detector overhead out of bounds";
+  gate ~what:"probe sites" ~label:"no-op sim handler" t_sim;
+  gate ~what:"race detector" ~label:"armed" t_race;
   (* the disabled fast path itself, against a raw mutex: the hook must
      cost one atomic load and a branch, nothing more *)
   let n = 2_000_000 in
@@ -915,8 +881,7 @@ let serving () =
 
 let all =
   [ "fig1"; "fig2"; "fig6"; "fig13"; "fig14"; "fig15"; "table1"; "table2"; "regalloc";
-    "ablation"; "prepared"; "micro"; "concurrency"; "serving"; "obs"; "sim";
-    "race" ]
+    "ablation"; "prepared"; "micro"; "concurrency"; "serving"; "obs"; "probes" ]
 
 let run_one = function
   | "fig1" -> fig1 ()
@@ -934,8 +899,7 @@ let run_one = function
   | "concurrency" -> concurrency ()
   | "serving" -> serving ()
   | "obs" -> obs ()
-  | "sim" -> sim ()
-  | "race" -> race ()
+  | "probes" -> probes ()
   | other -> Printf.printf "unknown experiment %s (available: %s)\n" other (String.concat " " all)
 
 let () =

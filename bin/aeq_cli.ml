@@ -84,7 +84,7 @@ let run sf threads mode explain trace verify tpch_n timeout mem_budget failpoint
     strict_compile clients iters obs trace_out metrics_out show_health sql =
   install_drain_handlers ();
   (match failpoints with
-  | Some spec -> Aeq_util.Failpoints.set_from_string spec
+  | Some spec -> Aeq_util.Probe.set_from_string spec
   | None -> ());
   if verify then Aeq_util.Verify_mode.set (Stdlib.max 1 (Aeq_util.Verify_mode.get ()));
   (* exporters need the spans/decisions/metrics recorded, so the flags

@@ -3,10 +3,12 @@
    Walks lib/**/*.ml under --root, applies the per-file rules
    (Aeq_lint.Lint), then runs the whole-tree cross-checks:
 
-   - failpoint catalog: every literal [Failpoints.hit] site in the
-     tree must be in [Failpoints.builtin_sites], and every catalog
-     entry must have at least one hit site — a dead catalog entry
-     means the chaos suite arms a site that can never fire;
+   - probe catalogs: every literal [Probe.hit] site in the tree must
+     be in [Probe.fault_sites] and every literal [Probe.yield] site in
+     [Probe.yield_sites], and every catalog entry must have at least
+     one call of its kind — a dead fault entry means the chaos suite
+     arms a site that can never fire, a dead yield entry means the
+     site table documents a scheduling point that does not exist;
    - registry coverage: every location in DESIGN.md's "Locking
      discipline" table must be declared to [Aeq_race], and every
      declaration must be documented in the table.
@@ -73,6 +75,7 @@ let () =
   let files = ml_files lib in
   let findings = ref [] in
   let hits = ref [] in
+  let yields = ref [] in
   let declares = ref [] in
   List.iter
     (fun path ->
@@ -82,6 +85,8 @@ let () =
       in
       findings := !findings @ scan.sc_findings;
       hits := !hits @ List.map (fun (s, l) -> (s, path, l)) scan.sc_hit_sites;
+      yields :=
+        !yields @ List.map (fun (s, l) -> (s, path, l)) scan.sc_yield_sites;
       declares :=
         !declares @ List.map (fun (s, l) -> (s, path, l)) scan.sc_declares)
     files;
@@ -91,22 +96,26 @@ let () =
   let tree fmt =
     Printf.ksprintf (fun m -> tree_problems := !tree_problems @ [ m ]) fmt
   in
-  (* failpoint catalog, both directions *)
-  let catalog = Aeq_util.Failpoints.builtin_sites in
-  List.iter
-    (fun (site, path, line) ->
-      if not (List.mem site catalog) then
-        tree "%s:%d: [failpoint-catalog] hit site %S is not in \
-              Failpoints.builtin_sites"
-          path line site)
-    !hits;
-  List.iter
-    (fun site ->
-      if not (List.exists (fun (s, _, _) -> s = site) !hits) then
-        tree "lib/util/failpoints.ml: [failpoint-catalog] catalog site %S has \
-              no Failpoints.hit call in lib/ — dead catalog entry"
-          site)
-    catalog;
+  (* probe catalogs, one per kind, both directions *)
+  let cross_check ~call ~catalog_name catalog calls =
+    List.iter
+      (fun (site, path, line) ->
+        if not (List.mem site catalog) then
+          tree "%s:%d: [failpoint-catalog] %s site %S is not in %s" path line
+            call site catalog_name)
+      calls;
+    List.iter
+      (fun site ->
+        if not (List.exists (fun (s, _, _) -> s = site) calls) then
+          tree "lib/util/probe.ml: [failpoint-catalog] catalog site %S has no \
+                %s call in lib/ — dead catalog entry"
+            site call)
+      catalog
+  in
+  cross_check ~call:"Probe.hit" ~catalog_name:"Probe.fault_sites"
+    Aeq_util.Probe.fault_sites !hits;
+  cross_check ~call:"Probe.yield" ~catalog_name:"Probe.yield_sites"
+    Aeq_util.Probe.yield_sites !yields;
   (* registry coverage vs DESIGN.md *)
   let design_path = Filename.concat !root "DESIGN.md" in
   (if Sys.file_exists design_path then begin
@@ -137,8 +146,11 @@ let () =
   List.iter print_endline !tree_problems;
   if n_findings = 0 then begin
     if not !quiet then
-      Printf.printf "aeq_lint: %d files, %d hit sites, %d declared locations — clean\n"
-        (List.length files) (List.length !hits) (List.length !declares);
+      Printf.printf
+        "aeq_lint: %d files, %d hit sites, %d yield sites, %d declared \
+         locations — clean\n"
+        (List.length files) (List.length !hits) (List.length !yields)
+        (List.length !declares);
     exit 0
   end
   else begin

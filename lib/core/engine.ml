@@ -302,7 +302,7 @@ let prepare_entry t sql =
   let rec lookup () =
     (* yield OUTSIDE the lock: the simulator must never suspend a task
        that holds cache_lock, or every peer deadlocks behind it *)
-    Aeq_util.Yieldpoint.yield "engine.cache";
+    Aeq_util.Probe.yield "engine.cache";
     Aeq_race.Lock.lock t.cache_lock;
     Aeq_race.write ~site:"engine.lookup" t.cache_loc;
     match Hashtbl.find_opt t.plan_cache sql with
@@ -315,12 +315,12 @@ let prepare_entry t sql =
         (* another caller is preparing this text; joining the wait
            (rather than preparing twice) keeps the cache single-entry
            and the duplicated codegen cost off the serving path *)
-        if Aeq_util.Yieldpoint.enabled () then begin
+        if Aeq_util.Probe.simulating () then begin
           (* under simulation a real [Condition.wait] would block a
              task the scheduler thinks is runnable; spin through the
              scheduler instead and re-check on resume *)
           Aeq_race.Lock.unlock t.cache_lock;
-          Aeq_util.Yieldpoint.yield "engine.singleflight.wait";
+          Aeq_util.Probe.yield "engine.singleflight.wait";
           lookup ()
         end
         else begin
@@ -349,8 +349,7 @@ let prepare_entry t sql =
           (* inside the match scrutinee so an injected fault takes the
              exception branch below: [finish] wakes the waiters and the
              preparing claim never leaks *)
-          Aeq_util.Failpoints.hit "compile.singleflight";
-          Aeq_util.Yieldpoint.yield "engine.singleflight";
+          Aeq_util.Probe.hit "compile.singleflight";
           Aeq_exec.Driver.prepare ~cost_model:t.cost_model t.catalog (plan t sql)
             ~n_threads:(n_threads t)
         with
@@ -472,7 +471,7 @@ let query ?(mode = Aeq_exec.Driver.Adaptive) ?(collect_trace = false) ?timeout_s
       (* a fault injected at [compile.singleflight] surfaces with the
          same structured error contract as every other injected site *)
       try prepare_entry t sql
-      with Aeq_util.Failpoints.Injected site ->
+      with Aeq_util.Probe.Injected site ->
         Aeq_exec.Query_error.raise_error
           (Aeq_exec.Query_error.Trap ("injected fault at " ^ site))
     in

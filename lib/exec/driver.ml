@@ -113,7 +113,7 @@ let error_of_exn = function
        contract whichever limit tripped *)
     Query_error.Memory_budget_exceeded
       { budget_bytes = limit_bytes; used_bytes = resident_bytes }
-  | Aeq_util.Failpoints.Injected site -> Query_error.Trap ("injected fault at " ^ site)
+  | Aeq_util.Probe.Injected site -> Query_error.Trap ("injected fault at " ^ site)
   | e -> Query_error.Trap (Printexc.to_string e)
 
 (* rows small enough that pool wakeups cost more than they buy *)
@@ -136,7 +136,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
        injected fault here has nothing to leak — but it must still
        surface as a structured error, not a raw exception *)
     try A.lease arena
-    with Aeq_util.Failpoints.Injected site ->
+    with Aeq_util.Probe.Injected site ->
       Query_error.raise_error (Query_error.Trap ("injected fault at " ^ site))
   in
   (* Zero-width leak window: every line from here on runs inside the
@@ -286,7 +286,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
         | dt ->
           record_compile ~pipeline ~t0:c0 ~t1:(Aeq_util.Clock.now ()) m;
           atomic_add_float compile_seconds dt
-        | exception e when Aeq_util.Failpoints.is_crash e -> raise e
+        | exception e when Aeq_util.Probe.is_crash e -> raise e
         | exception e -> degrade (Printexc.to_string e)
       end
     in
@@ -310,7 +310,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
             if i < Array.length handles && not (Handle.blacklisted handles.(i) m) then (
               match Handle.promote handles.(i) ~mode:m with
               | dt -> atomic_add_float compile_seconds dt
-              | exception e when Aeq_util.Failpoints.is_crash e -> raise e
+              | exception e when Aeq_util.Probe.is_crash e -> raise e
               | exception _ -> record_compile_failure ~pipeline:i m))
         modes
     | _ -> ());
@@ -349,7 +349,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
           (* compiled code resolves runtime objects through the
              domain-current context; install ours for the duration *)
           Aeq_rt.Context.set_current ctx;
-          Aeq_util.Yieldpoint.yield "driver.ctx_install";
+          Aeq_util.Probe.yield "driver.ctx_install";
           Fun.protect ~finally:Aeq_rt.Context.clear_current @@ fun () ->
           let regs = ref (Bytes.make 256 '\000') in
           let continue_ = ref true in
@@ -363,8 +363,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
                 let e = Stdlib.min (b + size) total in
                 let t0 = Aeq_util.Clock.now () in
                 match
-                  Aeq_util.Failpoints.hit "driver.morsel";
-                  Aeq_util.Yieldpoint.yield "driver.morsel";
+                  Aeq_util.Probe.hit "driver.morsel";
                   Handle.run_morsel handle ~regs
                     ~args:
                       [|
@@ -372,7 +371,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
                         Int64.of_int tid;
                       |]
                 with
-                | exception exn when Aeq_util.Failpoints.is_crash exn ->
+                | exception exn when Aeq_util.Probe.is_crash exn ->
                   (* a domain crash is not a query error: let it tear
                      through to the participant's supervision barrier
                      (Pool.run_participant re-raises it too) *)
@@ -419,7 +418,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
                             (Trace.Ev_compile m)
                         | None -> ());
                         atomic_add_float compile_seconds dt
-                      | exception e when Aeq_util.Failpoints.is_crash e ->
+                      | exception e when Aeq_util.Probe.is_crash e ->
                         raise e
                       | exception _ ->
                         (* graceful degradation: [promote] blacklisted
@@ -514,7 +513,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
      [release]) and the fault must not mask the query's own outcome. *)
   Fun.protect
     ~finally:(fun () ->
-      try A.release lease with Aeq_util.Failpoints.Injected _ -> ())
+      try A.release lease with Aeq_util.Probe.Injected _ -> ())
     (fun () ->
       try guarded () with
       | Query_error.Error _ as e -> raise e
@@ -523,7 +522,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
         Query_error.raise_error
           (Query_error.Memory_budget_exceeded
              { budget_bytes = limit_bytes; used_bytes = resident_bytes })
-      | Aeq_util.Failpoints.Injected site ->
+      | Aeq_util.Probe.Injected site ->
         Query_error.raise_error (Query_error.Trap ("injected fault at " ^ site)))
 
 let execute ?cost_model ?collect_trace ?initial_modes ?timeout_seconds ?cancel

@@ -131,13 +131,13 @@ let promote t ~mode:m =
       | None ->
         let compiled =
           try
-            (* literal site strings, one per branch: the failpoint
+            (* literal site strings, one per branch: the probe
                catalog lint cross-checks every [hit] against
-               [Failpoints.builtin_sites] and can't see through a
+               [Probe.fault_sites] and can't see through a
                mode-to-string helper *)
             (match m with
-            | CM.Unopt -> Aeq_util.Failpoints.hit "compile.unopt"
-            | _ -> Aeq_util.Failpoints.hit "compile.opt");
+            | CM.Unopt -> Aeq_util.Probe.hit "compile.unopt"
+            | _ -> Aeq_util.Probe.hit "compile.opt");
             match m with
             | CM.Unopt ->
               (* the bytecode program is already translated; closure-

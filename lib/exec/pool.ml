@@ -75,11 +75,10 @@ let run_participant j ~tid =
   try
     (* the pick is where a worker commits to a job — faults and
        interleavings here exercise the claimed-but-not-started window *)
-    Aeq_util.Failpoints.hit "pool.pick";
-    Aeq_util.Yieldpoint.yield "pool.pick";
+    Aeq_util.Probe.hit "pool.pick";
     j.fn ~tid
   with
-  | e when Aeq_util.Failpoints.is_crash e ->
+  | e when Aeq_util.Probe.is_crash e ->
     (* not folded into the job error: a crash must stay lethal to the
        participant's domain so the supervision layer is what handles
        it (worker: reclaim + restart; caller: its own supervisor) *)

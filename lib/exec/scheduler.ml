@@ -209,7 +209,7 @@ let was_degraded tk =
 let execute t tk eff_mode =
   match t.exec ~mode:eff_mode ~cancel:tk.tk_cancel tk.tk_sql with
   | r -> Ok r
-  | exception e when Aeq_util.Failpoints.is_crash e ->
+  | exception e when Aeq_util.Probe.is_crash e ->
     (* an injected domain kill must stay lethal: let it unwind out of
        the dispatcher so the supervisor path (reclaim + restart) is
        what answers the client, not this conversion layer *)
@@ -292,8 +292,7 @@ let serve t di tk =
     (* the ticket is now reclaimable: a crash from here on is the
        supervisor's to answer. The dispatch site sits exactly in that
        window so the [Crash] action exercises the reclaim path. *)
-    Aeq_util.Failpoints.hit "sched.dispatch";
-    Aeq_util.Yieldpoint.yield "sched.dispatch";
+    Aeq_util.Probe.hit "sched.dispatch";
     with_lock tk.tk_lock (fun () ->
         Aeq_race.write ~site:"sched.dispatch" tk.tk_loc;
         tk.tk_state <- Running;
@@ -390,8 +389,7 @@ let watchdog_loop t () =
     (* interruptible inter-sweep sleep: shutdown wakes the waiter, so
        closing the scheduler never stalls a full watchdog period *)
     ignore (Aeq_util.Waiter.wait t.wd_waiter t.cfg.watchdog_period);
-    Aeq_util.Failpoints.hit "sched.watchdog";
-    Aeq_util.Yieldpoint.yield "sched.watchdog";
+    Aeq_util.Probe.hit "sched.watchdog";
     with_lock t.lock (fun () ->
         Aeq_race.read ~site:"sched.watchdog" t.queues_loc;
         Aeq_race.read ~site:"sched.watchdog" t.running_loc;

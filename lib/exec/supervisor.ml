@@ -1,5 +1,5 @@
 module Clock = Aeq_util.Clock
-module Yieldpoint = Aeq_util.Yieldpoint
+module Probe = Aeq_util.Probe
 module Waiter = Aeq_util.Waiter
 module Obs = Aeq_obs
 
@@ -201,8 +201,8 @@ let backoff_wait t seconds =
     else
       let remaining = deadline -. Clock.now () in
       if remaining <= 0.0 then ()
-      else if Yieldpoint.enabled () then begin
-        Yieldpoint.yield "supervisor.backoff";
+      else if Probe.simulating () then begin
+        Probe.yield "supervisor.backoff";
         go ()
       end
       else begin
@@ -218,7 +218,7 @@ let backoff_wait t seconds =
    may take the owner's locks (the crash released them on the way up;
    critical sections are [Fun.protect]ed throughout the engine). *)
 let handle_crash t exn =
-  Yieldpoint.yield "supervisor.crash";
+  Probe.yield "supervisor.crash";
   obs_count "aeq_supervisor_crashes_total"
     ~help:"Unstructured exceptions caught by a domain supervisor barrier."
     ~domain:t.sv_name;
@@ -284,7 +284,7 @@ let handle_crash t exn =
             true
           end)
     in
-    if still_go then Yieldpoint.yield "supervisor.restart";
+    if still_go then Probe.yield "supervisor.restart";
     still_go
   end
   else begin

@@ -9,6 +9,7 @@ type finding = {
 type scan = {
   sc_findings : finding list;
   sc_hit_sites : (string * int) list;
+  sc_yield_sites : (string * int) list;
   sc_declares : (string * int) list;
 }
 
@@ -62,6 +63,12 @@ let string_literal (e : Parsetree.expression) =
   | Pexp_constant (Pconst_string (s, _, _)) -> Some s
   | _ -> None
 
+(* [Probe.hit] / [Probe.yield], by their printable name *)
+let probe_name path =
+  if ends_with ~suffix:[ "Probe"; "hit" ] path then Some "Probe.hit"
+  else if ends_with ~suffix:[ "Probe"; "yield" ] path then Some "Probe.yield"
+  else None
+
 (* the function position of an application opens a critical section if
    it is one of the lock wrappers used across the tree *)
 let is_lock_wrapper path =
@@ -76,6 +83,7 @@ let is_lock_wrapper path =
 let lint_source ?(rules = all_rules) ~filename source =
   let findings = ref [] in
   let hit_sites = ref [] in
+  let yield_sites = ref [] in
   let declares = ref [] in
   let waived = ref [] in
   let active r = List.mem r rules && not (List.mem r !waived) in
@@ -94,6 +102,14 @@ let lint_source ?(rules = all_rules) ~filename source =
   (* lexical critical-section depth: > 0 inside a lock wrapper's
      argument subtree *)
   let crit = ref 0 in
+  let check_probe_in_lock loc name =
+    if active "yield-in-lock" && !crit > 0 then
+      add loc "yield-in-lock"
+        (name
+       ^ " inside a critical section: a simulated task suspended while \
+          holding a lock deadlocks every peer behind it, and an armed \
+          Delay stalls them")
+  in
   let check_ident (loc : Location.t) path =
     (match path with
     | _ when ends_with ~suffix:[ "Mutex"; "lock" ] path
@@ -115,22 +131,20 @@ let lint_source ?(rules = all_rules) ~filename source =
         add loc "sleep-in-exec"
           "uninterruptible sleep on a supervised path: block on \
            Aeq_util.Waiter so shutdown can cut the wait short"
-    | _ when ends_with ~suffix:[ "Yieldpoint"; "yield" ] path ->
-      if active "yield-in-lock" && !crit > 0 then
-        add loc "yield-in-lock"
-          "Yieldpoint.yield inside a critical section: a simulated task \
-           suspended while holding a lock deadlocks every peer behind it"
     | _ -> ());
-    (* non-literal arguments to hit/declare are caught at the
-       application nodes below; a bare reference to either function
+    (* non-literal arguments to probes/declare are caught at the
+       application nodes below; a bare reference to any of them
        (partial application, higher-order use) defeats the catalog
        cross-check just the same *)
-    if ends_with ~suffix:[ "Failpoints"; "hit" ] path then
+    (match probe_name path with
+    | Some name ->
+      check_probe_in_lock loc name;
       if active "failpoint-literal" then
         add loc "failpoint-literal"
-          "Failpoints.hit referenced without a literal site string: the \
-           catalog lint cannot see this site"
-      else ();
+          (name
+         ^ " referenced without a literal site string: the catalog lint \
+            cannot see this site")
+    | None -> ());
     if ends_with ~suffix:[ "Aeq_race"; "declare" ] path then
       if active "declare-literal" then
         add loc "declare-literal"
@@ -144,18 +158,21 @@ let lint_source ?(rules = all_rules) ~filename source =
     waived := newly @ !waived;
     (match e.pexp_desc with
     | Pexp_apply
-        ({ pexp_desc = Pexp_ident { txt = fn; _ }; _ }, (_, arg) :: _)
-      when ends_with ~suffix:[ "Failpoints"; "hit" ] (flatten fn) -> (
-      match string_literal arg with
+        ({ pexp_desc = Pexp_ident { txt = fn; loc }; _ }, (_, arg) :: _)
+      when probe_name (flatten fn) <> None ->
+      let name = Option.get (probe_name (flatten fn)) in
+      check_probe_in_lock loc name;
+      (match string_literal arg with
       | Some site ->
-        hit_sites := (site, e.pexp_loc.loc_start.pos_lnum) :: !hit_sites;
-        it.expr it arg
+        let sites = if name = "Probe.hit" then hit_sites else yield_sites in
+        sites := (site, e.pexp_loc.loc_start.pos_lnum) :: !sites
       | None ->
         if active "failpoint-literal" then
           add e.pexp_loc "failpoint-literal"
-            "Failpoints.hit with a computed site string: pass one literal \
-             per call site so the catalog cross-check can see it";
-        it.expr it arg)
+            (name
+           ^ " with a computed site string: pass one literal per call \
+              site so the catalog cross-check can see it"));
+      it.expr it arg
     | Pexp_apply
         ({ pexp_desc = Pexp_ident { txt = fn; _ }; _ }, (_, arg) :: rest)
       when ends_with ~suffix:[ "Aeq_race"; "declare" ] (flatten fn) ->
@@ -197,6 +214,7 @@ let lint_source ?(rules = all_rules) ~filename source =
   {
     sc_findings = List.rev !findings;
     sc_hit_sites = List.rev !hit_sites;
+    sc_yield_sites = List.rev !yield_sites;
     sc_declares = List.rev !declares;
   }
 

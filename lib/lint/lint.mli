@@ -2,7 +2,7 @@
 
     A Parsetree walk (compiler-libs) enforcing the locking discipline
     that the dynamic race detector ([Aeq_race]) checks at runtime —
-    the two analyses share one declaration registry and one failpoint
+    the two analyses share one declaration registry and one probe-site
     catalog, and CI runs both.
 
     Per-file rules (selectable via [?rules]):
@@ -12,21 +12,22 @@
       through [Aeq_race.Lock] so every acquire/release feeds the
       lockset and vector-clock state; a raw mutex is invisible to the
       detector and a hole in the analysis.
-    - ["yield-in-lock"]: no [Yieldpoint.yield] lexically inside an
-      [Aeq_race.Lock.with_] / [with_lock] / [locked] critical section.
-      Under simulation a yielded task suspends; suspending while
-      holding a lock deadlocks every peer behind it.
+    - ["yield-in-lock"]: no [Probe.yield] or [Probe.hit] lexically
+      inside an [Aeq_race.Lock.with_] / [with_lock] / [locked]
+      critical section. Under simulation a probe suspends the task,
+      and an armed [Delay] sleeps; either, while holding a lock,
+      stalls every peer behind it.
     - ["sleep-in-exec"]: no [Unix.sleepf]/[Unix.sleep] — supervised
       paths must block on [Aeq_util.Waiter] so shutdown and crash
       reclaim can interrupt the wait.
-    - ["failpoint-literal"]: every [Failpoints.hit] call site must
-      pass a string literal, so the site catalog cross-check (CLI
-      level) can see it.
+    - ["failpoint-literal"]: every [Probe.hit] and [Probe.yield] call
+      site must pass a string literal, so the site catalog cross-check
+      (CLI level) can see it.
     - ["declare-literal"]: every [Aeq_race.declare] must name its
       location with a string literal, for the same reason.
 
     A finding can be waived for one subtree with
-    [(expr [@lint.allow "rule"])]. Whole-tree cross-checks (failpoint
+    [(expr [@lint.allow "rule"])]. Whole-tree cross-checks (probe
     catalog coverage, registry/DESIGN.md coverage) live in the
     [aeq_lint] executable, which aggregates the per-file scans. *)
 
@@ -41,7 +42,9 @@ type finding = {
 type scan = {
   sc_findings : finding list; (* source order *)
   sc_hit_sites : (string * int) list;
-      (* literal [Failpoints.hit] sites with their lines *)
+      (* literal [Probe.hit] sites with their lines *)
+  sc_yield_sites : (string * int) list;
+      (* literal [Probe.yield] sites with their lines *)
   sc_declares : (string * int) list;
       (* literal [Aeq_race.declare] location names with their lines *)
 }

@@ -154,8 +154,7 @@ let base_lease t =
 let lease t =
   (* fault fires before the lease exists, so an injected failure here
      cannot leak a claim *)
-  Aeq_util.Failpoints.hit "arena.lease";
-  Aeq_util.Yieldpoint.yield "arena.lease";
+  Aeq_util.Probe.hit "arena.lease";
   let l = make_lease ~scratch:true t in
   Aeq_race.Lock.with_ t.lock (fun () ->
       Aeq_race.write ~site:"arena.lease" t.leases_loc;
@@ -214,8 +213,7 @@ let pool_admits t size =
 let lease_chunk ls size =
   (* simulated allocation failure: growing the arena is where a real
      OOM would strike *)
-  Aeq_util.Failpoints.hit "arena.alloc";
-  Aeq_util.Yieldpoint.yield "arena.alloc";
+  Aeq_util.Probe.hit "arena.alloc";
   let t = ls.ls_arena in
   (* Backpressure contract: a scratch grab that would push scratch
      residency past the cap waits (polling, off-lock) for concurrent
@@ -317,8 +315,8 @@ let lease_chunk ls size =
          real sleep the simulator cannot preempt. Outside it, sleep on
          the arena's waiter: a concurrent release wakes us at once, and
          the cap bounds the wait if the wake is lost to a disposed pipe *)
-      if Aeq_util.Yieldpoint.enabled () then
-        Aeq_util.Yieldpoint.yield "arena.backpressure"
+      if Aeq_util.Probe.simulating () then
+        Aeq_util.Probe.yield "arena.backpressure"
       else
         ignore
           (Aeq_util.Waiter.wait t.bp_waiter
@@ -368,13 +366,12 @@ let do_release ls =
   Aeq_util.Waiter.wake t.bp_waiter
 
 let release ls =
-  Aeq_util.Yieldpoint.yield "arena.release";
-  (* the failpoint fires, but reclamation is unconditional: an injected
+  (* the fault fires, but reclamation is unconditional: an injected
      fault at release must exercise caller error paths, never leak the
      lease's chunks *)
   Fun.protect
     ~finally:(fun () -> do_release ls)
-    (fun () -> Aeq_util.Failpoints.hit "arena.release")
+    (fun () -> Aeq_util.Probe.hit "arena.release")
 
 let lease_allocator ls =
   (* Fresh allocators start with no chunk; the first alloc grabs one.

@@ -417,8 +417,8 @@ let really_read fd n =
   go 0
 
 let read_frame ?(max_bytes = default_max_frame_bytes) fd =
-  match Aeq_util.Failpoints.hit "net.read" with
-  | exception Aeq_util.Failpoints.Injected site -> Error (`Fault site)
+  match Aeq_util.Probe.hit "net.read" with
+  | exception Aeq_util.Probe.Injected site -> Error (`Fault site)
   | () -> (
     match really_read fd 4 with
     | Error `Eof -> Error `Eof
@@ -433,8 +433,8 @@ let read_frame ?(max_bytes = default_max_frame_bytes) fd =
       else (really_read fd len :> (string, read_error) result))
 
 let write_frame fd frame =
-  match Aeq_util.Failpoints.hit "net.write" with
-  | exception Aeq_util.Failpoints.Injected site -> Error (`Fault site)
+  match Aeq_util.Probe.hit "net.write" with
+  | exception Aeq_util.Probe.Injected site -> Error (`Fault site)
   | () ->
     let buf = Bytes.unsafe_of_string frame in
     let n = Bytes.length buf in

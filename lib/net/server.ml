@@ -146,7 +146,7 @@ let check_plans engine sql =
   | exception Aeq_sql.Parser.Parse_error m -> Some (P.Parse_failed m)
   | exception Aeq_plan.Planner.Plan_error m -> Some (P.Plan_failed m)
   | exception Aeq_exec.Query_error.Error e -> Some (P.err_of_query_error e)
-  | exception e when not (Aeq_util.Failpoints.is_crash e) ->
+  | exception e when not (Aeq_util.Probe.is_crash e) ->
     Some (P.Server_error (Printexc.to_string e))
 
 let prepare_stmt engine sql =
@@ -160,7 +160,7 @@ let prepare_stmt engine sql =
     with
     | cached -> Ok cached
     | exception Aeq_exec.Query_error.Error e -> Error (P.err_of_query_error e)
-    | exception e when not (Aeq_util.Failpoints.is_crash e) ->
+    | exception e when not (Aeq_util.Probe.is_crash e) ->
       Error (P.Server_error (Printexc.to_string e)))
 
 type inflight_note = Quiet | Gone | Violation of string | Close_after
@@ -399,8 +399,8 @@ let handle_wire_accept t =
   match Unix.accept ~cloexec:true t.sv_wire with
   | exception Unix.Unix_error _ -> ()
   | fd, _ -> (
-    match Aeq_util.Failpoints.hit "net.accept" with
-    | exception Aeq_util.Failpoints.Injected _ ->
+    match Aeq_util.Probe.hit "net.accept" with
+    | exception Aeq_util.Probe.Injected _ ->
       bump ~help:"Injected net.accept faults" "aeq_net_accept_faults_total";
       close_quietly fd
     | () -> (

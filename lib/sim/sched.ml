@@ -3,8 +3,8 @@
 
    The real engine code runs unmodified on real domains; determinism
    comes from token passing. Exactly one task holds the token at any
-   instant. At every instrumented yield point (Aeq_util.Yieldpoint
-   sites on the lock-free hot path: lease acquire/release, morsel
+   instant. At every probe site (Aeq_util.Probe [hit] and [yield]
+   calls on the lock-free hot path: lease acquire/release, morsel
    boundaries, context install, job pick, plan-cache lookup,
    single-flight compile) the running task hands the token back to the
    scheduler, which picks the next task — by seeded PRNG, or by a
@@ -13,7 +13,7 @@
    replayable bit for bit from two integers and a list.
 
    Three rules keep this sound:
-   - yield points sit OUTSIDE critical sections (suspending a
+   - probes sit OUTSIDE critical sections (suspending a
      lock-holder would deadlock the other tasks behind the lock);
    - code that would block on a condition variable spins through a
      yield instead when the simulator is on (the scheduler cannot see
@@ -145,7 +145,7 @@ let run ?(max_steps = default_max_steps) ?schedule ?(checkers = []) ~seed
   in
   (* install the handler first: it raises if another harness is live,
      and at that point nothing needs unwinding yet *)
-  Aeq_util.Yieldpoint.install yield_handler;
+  Aeq_util.Probe.install yield_handler;
   Aeq_util.Clock.set_source read_clock;
   Atomic.set current_sched (Some s);
   let decisions = ref [] and trace = ref [] in
@@ -180,7 +180,7 @@ let run ?(max_steps = default_max_steps) ?schedule ?(checkers = []) ~seed
           Condition.signal tk.tk_cond)
         s.tasks;
       Mutex.unlock s.lock;
-      Aeq_util.Yieldpoint.uninstall ();
+      Aeq_util.Probe.uninstall ();
       Aeq_util.Clock.reset_source ();
       Atomic.set current_sched None)
     (fun () ->

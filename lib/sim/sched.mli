@@ -2,10 +2,11 @@
 
     Runs user-supplied tasks (closures over real engine calls) on real
     domains under token passing: exactly one task runs at a time, and
-    the token changes hands only at the engine's instrumented yield
-    points ([Aeq_util.Yieldpoint] sites — lease acquire/release,
-    morsel boundaries, context install, pool job pick, plan-cache
-    lookup, single-flight compile, backpressure waits). The scheduler
+    the token changes hands only at the engine's probe sites
+    ([Aeq_util.Probe.hit] and [Aeq_util.Probe.yield] — lease
+    acquire/release, morsel boundaries, context install, pool job
+    pick, plan-cache lookup, compiles, backpressure waits; see the
+    site table in [probe.mli]). The scheduler
     picks the next task with a seeded PRNG, so an interleaving is a
     pure function of the seed — and of the forced decision list when
     replaying a failure.
@@ -14,9 +15,10 @@
     - engines must run with [n_threads = 1] (no untracked pool
       domains; the submitting task executes pipeline jobs inline);
     - blocking waits on the simulated path spin through yields when
-      {!Aeq_util.Yieldpoint.enabled} (already true of the engine's
-      single-flight wait and arena backpressure);
-    - yield points never sit inside critical sections;
+      {!Aeq_util.Probe.simulating} (already true of the engine's
+      single-flight wait, arena backpressure and supervisor restart
+      backoff);
+    - probes never sit inside critical sections;
     - use a non-simulating cost model ([Cost_model.off] or
       [simulate = false]): a model that emulates compile latency by
       waiting on the clock crawls under virtual time, which advances

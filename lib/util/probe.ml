@@ -28,25 +28,26 @@ type entry = {
   fired : int Atomic.t;
 }
 
-(* Registry mutations take the lock; [hit] reads it only after the
-   lock-free [armed] check says at least one site is active, so the
-   per-morsel / per-alloc cost of a disarmed registry is one atomic
-   load. *)
+(* Registry mutations take the lock; probes read it only after the
+   lock-free gate says at least one site is armed, so the per-morsel /
+   per-alloc cost of a disarmed registry is one atomic load. *)
 let () =
-  Aeq_race.declare "util.failpoints.registry"
-    (Aeq_race.Lock "util.failpoints.lock")
+  Aeq_race.declare "util.probe.registry" (Aeq_race.Lock "util.probe.lock");
+  Aeq_race.declare "util.probe.handler" Aeq_race.Atomic
 
-let lock = Aeq_race.Lock.create "util.failpoints.lock"
+let lock = Aeq_race.Lock.create "util.probe.lock"
 
-let registry_loc = Aeq_race.locate "util.failpoints.registry"
+let registry_loc = Aeq_race.locate "util.probe.registry"
+
+let locked f = Aeq_race.Lock.with_ lock f
 
 let table : (string, entry) Hashtbl.t = Hashtbl.create 8
 
-(* Every site compiled into the engine. Arming a name outside this
-   catalog is rejected loudly: a typo'd site used to arm nothing and
-   the chaos run silently tested the happy path. Tests exercising the
-   registry itself extend the catalog with [register_site]. *)
-let builtin_sites =
+(* Every fault site compiled into the engine. Arming a name outside
+   this catalog is rejected loudly: a typo'd site used to arm nothing
+   and the chaos run silently tested the happy path. Tests exercising
+   the registry itself extend the catalog with [register_site]. *)
+let fault_sites =
   [
     "compile.unopt";
     "compile.opt";
@@ -63,19 +64,30 @@ let builtin_sites =
     "net.write";
   ]
 
+let yield_sites =
+  [
+    "arena.backpressure";
+    "driver.ctx_install";
+    "engine.cache";
+    "engine.singleflight.wait";
+    "supervisor.backoff";
+    "supervisor.crash";
+    "supervisor.restart";
+  ]
+
 let extra_sites : (string, unit) Hashtbl.t = Hashtbl.create 4
 
-let known_site site =
-  List.mem site builtin_sites || Hashtbl.mem extra_sites site
-
 let valid_sites () =
-  builtin_sites @ List.of_seq (Hashtbl.to_seq_keys extra_sites)
+  locked (fun () ->
+      Aeq_race.read ~site:"probe.valid_sites" registry_loc;
+      fault_sites @ List.of_seq (Hashtbl.to_seq_keys extra_sites))
 
 let check_site site =
-  if not (known_site site) then
+  let valid = valid_sites () in
+  if not (List.mem site valid) then
     invalid_arg
-      (Printf.sprintf "Failpoints: unknown site %S (valid sites: %s)" site
-         (String.concat ", " (List.sort compare (valid_sites ()))))
+      (Printf.sprintf "Probe: unknown site %S (valid sites: %s)" site
+         (String.concat ", " (List.sort compare valid)))
 
 (* One PRNG for every probabilistic site, drawn under the registry
    lock: chaos runs are reproducible given the seed and a fixed
@@ -83,32 +95,41 @@ let check_site site =
    interleavings. *)
 let prng = ref (Prng.create 0x5EEDFA117L)
 
-let armed_count = Atomic.make 0
+(* The one gate: twice the number of armed sites, plus one while a
+   simulator handler is installed. Zero means every probe is off, so a
+   disabled [hit] or [yield] is one atomic load and an untaken branch.
+   Written only under [lock]. *)
+let gate = Atomic.make 0
 
-let armed () = Atomic.get armed_count > 0
+let armed () = Atomic.get gate > 1
 
-let locked f = Aeq_race.Lock.with_ lock f
+let simulating () = Atomic.get gate land 1 = 1
+
+(* An atomic in its own right, not a ref published by [gate]: an
+   uninstall/install cycle racing a concurrent probe would otherwise
+   read the handler unordered. *)
+let handler : (string -> unit) Atomic.t = Atomic.make ignore
 
 let set_seed seed =
   locked (fun () ->
-      Aeq_race.write ~site:"failpoints.set_seed" registry_loc;
+      Aeq_race.write ~site:"probe.set_seed" registry_loc;
       prng := Prng.create seed)
 
 let register_site site =
   locked (fun () ->
-      Aeq_race.write ~site:"failpoints.register_site" registry_loc;
+      Aeq_race.write ~site:"probe.register_site" registry_loc;
       Hashtbl.replace extra_sites site ())
 
 let activate ?(on_hit = 1) ?(persistent = true) site action =
   check_site site;
-  if on_hit < 1 then invalid_arg "Failpoints.activate: on_hit must be >= 1";
+  if on_hit < 1 then invalid_arg "Probe.activate: on_hit must be >= 1";
   (match action with
   | Prob_fail p when not (p >= 0.0 && p <= 1.0) ->
-    invalid_arg "Failpoints.activate: probability must be in [0,1]"
+    invalid_arg "Probe.activate: probability must be in [0,1]"
   | _ -> ());
   locked (fun () ->
-      Aeq_race.write ~site:"failpoints.activate" registry_loc;
-      if not (Hashtbl.mem table site) then Atomic.incr armed_count;
+      Aeq_race.write ~site:"probe.activate" registry_loc;
+      if not (Hashtbl.mem table site) then ignore (Atomic.fetch_and_add gate 2);
       Hashtbl.replace table site
         {
           action;
@@ -120,58 +141,86 @@ let activate ?(on_hit = 1) ?(persistent = true) site action =
 
 let deactivate site =
   locked (fun () ->
-      Aeq_race.write ~site:"failpoints.deactivate" registry_loc;
+      Aeq_race.write ~site:"probe.deactivate" registry_loc;
       if Hashtbl.mem table site then begin
         Hashtbl.remove table site;
-        Atomic.decr armed_count
+        ignore (Atomic.fetch_and_add gate (-2))
       end)
 
 let clear () =
   locked (fun () ->
-      Aeq_race.write ~site:"failpoints.clear" registry_loc;
+      Aeq_race.write ~site:"probe.clear" registry_loc;
       Hashtbl.reset table;
-      Atomic.set armed_count 0)
+      Atomic.set gate (Atomic.get gate land 1))
 
 let find site =
   locked (fun () ->
-      Aeq_race.read ~site:"failpoints.find" registry_loc;
+      Aeq_race.read ~site:"probe.find" registry_loc;
       Hashtbl.find_opt table site)
 
 let hits site = match find site with Some e -> Atomic.get e.hits | None -> 0
 
 let fired site = match find site with Some e -> Atomic.get e.fired | None -> 0
 
-let hit site =
-  if armed () then
-    match find site with
-    | None -> ()
-    | Some e ->
-      let n = 1 + Atomic.fetch_and_add e.hits 1 in
-      let fire = if e.persistent then n >= e.on_hit else n = e.on_hit in
-      if fire then begin
-        match e.action with
-        | Fail ->
+let fire site =
+  match find site with
+  | None -> ()
+  | Some e ->
+    let n = 1 + Atomic.fetch_and_add e.hits 1 in
+    let triggers = if e.persistent then n >= e.on_hit else n = e.on_hit in
+    if triggers then begin
+      match e.action with
+      | Fail ->
+        Atomic.incr e.fired;
+        raise (Injected site)
+      | Delay s ->
+        Atomic.incr e.fired;
+        Unix.sleepf s
+      | Prob_fail p ->
+        (* draw under the lock; the coin decides whether this hit
+           counts as fired at all *)
+        let draw =
+          locked (fun () ->
+              Aeq_race.write ~site:"probe.draw" registry_loc;
+              Prng.float !prng 1.0)
+        in
+        if draw < p then begin
           Atomic.incr e.fired;
           raise (Injected site)
-        | Delay s ->
-          Atomic.incr e.fired;
-          Unix.sleepf s
-        | Prob_fail p ->
-          (* draw under the lock; the coin decides whether this hit
-             counts as fired at all *)
-          let draw =
-            locked (fun () ->
-                Aeq_race.write ~site:"failpoints.draw" registry_loc;
-                Prng.float !prng 1.0)
-          in
-          if draw < p then begin
-            Atomic.incr e.fired;
-            raise (Injected site)
-          end
-        | Crash ->
-          Atomic.incr e.fired;
-          raise (Injected_crash site)
-      end
+        end
+      | Crash ->
+        Atomic.incr e.fired;
+        raise (Injected_crash site)
+    end
+
+(* the scheduling point comes first, so the simulator sees every hit —
+   including the one that then raises *)
+let[@inline] hit site =
+  if Atomic.get gate <> 0 then begin
+    (Atomic.get handler) site;
+    if armed () then fire site
+  end
+
+let[@inline] yield site =
+  if Atomic.get gate land 1 <> 0 then (Atomic.get handler) site
+
+let install f =
+  locked (fun () ->
+      if simulating () then
+        invalid_arg "Probe.install: a simulation handler is already installed";
+      Atomic.set handler f;
+      Atomic.incr gate)
+
+let uninstall () =
+  locked (fun () ->
+      if simulating () then begin
+        Atomic.decr gate;
+        Atomic.set handler ignore
+      end)
+
+let with_handler f body =
+  install f;
+  Fun.protect ~finally:uninstall body
 
 (* "site=fail", "site=fail@3", "site=crash", "site=delay:0.01",
    "site=delay:0.01@2", "site=p:0.25", joined by ',' or ';'. "@N"
@@ -180,7 +229,7 @@ let hit site =
    "crash" raises the non-Query_error [Injected_crash], killing the
    hosting domain unless a supervisor contains it. *)
 let set_from_string spec =
-  let bad part = invalid_arg ("Failpoints: cannot parse \"" ^ part ^ "\"") in
+  let bad part = invalid_arg ("Probe: cannot parse \"" ^ part ^ "\"") in
   String.split_on_char ',' (String.map (fun c -> if c = ';' then ',' else c) spec)
   |> List.iter (fun part ->
          let part = String.trim part in

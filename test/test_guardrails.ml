@@ -6,7 +6,7 @@
 module CM = Aeq_backend.Cost_model
 module Driver = Aeq_exec.Driver
 module QE = Aeq_exec.Query_error
-module FP = Aeq_util.Failpoints
+module FP = Aeq_util.Probe
 
 (* every test must leave the global registry clean *)
 let with_clean_failpoints f =
@@ -116,6 +116,49 @@ let test_failpoints_parse () =
         Alcotest.(check bool)
           "message lists valid sites" true
           (has_needle "driver.morsel" && has_needle "arena.lease")))
+
+(* one probe, two consumers: the simulator handler sees every hit of an
+   armed site in order — including the one that then raises *)
+let test_probe_handler_sees_every_hit () =
+  with_clean_failpoints (fun () ->
+      FP.set_from_string "compile.opt=fail@2";
+      let seen = ref [] in
+      let raised () =
+        match FP.hit "compile.opt" with
+        | () -> false
+        | exception FP.Injected _ -> true
+      in
+      let outcomes =
+        FP.with_handler
+          (fun site -> seen := site :: !seen)
+          (fun () ->
+            let r1 = raised () in
+            FP.yield "engine.cache";
+            let r2 = raised () in
+            let r3 = raised () in
+            [ r1; r2; r3 ])
+      in
+      Alcotest.(check (list string))
+        "handler saw every probe, in order"
+        [ "compile.opt"; "engine.cache"; "compile.opt"; "compile.opt" ]
+        (List.rev !seen);
+      Alcotest.(check (list bool)) "Injected on hit 2 only" [ false; true; false ]
+        outcomes;
+      Alcotest.(check int) "fired once" 1 (FP.fired "compile.opt");
+      Alcotest.(check bool) "handler gone" false (FP.simulating ());
+      Alcotest.(check bool) "site still armed" true (FP.armed ()))
+
+let test_probe_disabled_allocates_nothing () =
+  with_clean_failpoints (fun () ->
+      Alcotest.(check bool) "gate closed" false (FP.armed () || FP.simulating ());
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 1_000_000 do
+        FP.hit "driver.morsel"
+      done;
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "1M disabled hits allocated %.0f minor words (<= 16)" words)
+        true (words <= 16.0))
 
 (* ---- pool lifecycle -------------------------------------------------- *)
 
@@ -438,6 +481,10 @@ let () =
           Alcotest.test_case "basic" `Quick test_failpoints_basic;
           Alcotest.test_case "nth hit" `Quick test_failpoints_nth_hit;
           Alcotest.test_case "parse" `Quick test_failpoints_parse;
+          Alcotest.test_case "handler sees every hit" `Quick
+            test_probe_handler_sees_every_hit;
+          Alcotest.test_case "disabled hit allocates nothing" `Quick
+            test_probe_disabled_allocates_nothing;
         ] );
       ( "lifecycle",
         [

@@ -31,15 +31,22 @@ let test_raw_mutex () =
 let test_yield_in_lock () =
   check_rules "yield inside with_ flagged" [ "yield-in-lock" ]
     (scan
-       "let f l = Aeq_race.Lock.with_ l (fun () -> Aeq_util.Yieldpoint.yield \
-        ())");
+       "let f l = Aeq_race.Lock.with_ l (fun () -> Aeq_util.Probe.yield \
+        \"engine.cache\")");
   check_rules "yield inside with_lock helper flagged" [ "yield-in-lock" ]
-    (scan "let f t = with_lock t (fun () -> Yieldpoint.yield ())");
+    (scan "let f t = with_lock t (fun () -> Probe.yield \"engine.cache\")");
+  (* a fault site is a scheduling point too, and an armed Delay inside
+     the section would stall every peer *)
+  check_rules "hit inside with_ flagged" [ "yield-in-lock" ]
+    (scan
+       "let f l = Aeq_race.Lock.with_ l (fun () -> Aeq_util.Probe.hit \
+        \"compile.opt\")");
   check_rules "yield outside a critical section is fine" []
-    (scan "let f () = Aeq_util.Yieldpoint.yield ()");
+    (scan "let f () = Aeq_util.Probe.yield \"engine.cache\"");
   check_rules "yield after the critical section is fine" []
     (scan
-       "let f l = Aeq_race.Lock.with_ l (fun () -> ()); Yieldpoint.yield ()")
+       "let f l = Aeq_race.Lock.with_ l (fun () -> ()); Probe.yield \
+        \"engine.cache\"")
 
 let test_sleep_in_exec () =
   check_rules "Unix.sleepf flagged" [ "sleep-in-exec" ]
@@ -50,15 +57,22 @@ let test_sleep_in_exec () =
     (scan "let f w = ignore (Aeq_util.Waiter.wait w 0.01)")
 
 let test_failpoint_literal () =
-  let sc = scan "let f () = Aeq_util.Failpoints.hit \"compile.opt\"" in
+  let sc = scan "let f () = Aeq_util.Probe.hit \"compile.opt\"" in
   check_rules "literal site is clean" [] sc;
   Alcotest.(check (list string))
     "literal site collected" [ "compile.opt" ]
     (List.map fst sc.L.sc_hit_sites);
   check_rules "computed site flagged" [ "failpoint-literal" ]
-    (scan "let f m = Aeq_util.Failpoints.hit (site_of m)");
+    (scan "let f m = Aeq_util.Probe.hit (site_of m)");
   check_rules "bare reference flagged" [ "failpoint-literal" ]
-    (scan "let f = List.iter Aeq_util.Failpoints.hit")
+    (scan "let f = List.iter Aeq_util.Probe.hit");
+  let sc = scan "let f () = Aeq_util.Probe.yield \"engine.cache\"" in
+  check_rules "literal yield site is clean" [] sc;
+  Alcotest.(check (list string))
+    "yield site collected apart from hit sites" [ "engine.cache" ]
+    (List.map fst sc.L.sc_yield_sites);
+  check_rules "computed yield site flagged" [ "failpoint-literal" ]
+    (scan "let f m = Aeq_util.Probe.yield (site_of m)")
 
 let test_declare_literal () =
   let sc =

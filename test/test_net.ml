@@ -12,7 +12,7 @@
 module P = Aeq_net.Protocol
 module Server = Aeq_net.Server
 module Client = Aeq_net.Client
-module FP = Aeq_util.Failpoints
+module FP = Aeq_util.Probe
 module Sup = Aeq_exec.Supervisor
 module QE = Aeq_exec.Query_error
 

@@ -7,7 +7,7 @@
 module CM = Aeq_backend.Cost_model
 module Driver = Aeq_exec.Driver
 module QE = Aeq_exec.Query_error
-module FP = Aeq_util.Failpoints
+module FP = Aeq_util.Probe
 module A = Aeq_mem.Arena
 
 let with_engine ?(n_threads = 4) ?(sf = 0.005) f =

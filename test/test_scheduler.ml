@@ -6,7 +6,7 @@
 module Sched = Aeq_exec.Scheduler
 module Driver = Aeq_exec.Driver
 module QE = Aeq_exec.Query_error
-module FP = Aeq_util.Failpoints
+module FP = Aeq_util.Probe
 module CM = Aeq_backend.Cost_model
 module Clock = Aeq_util.Clock
 

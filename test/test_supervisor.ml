@@ -9,7 +9,7 @@ module Sched = Aeq_exec.Scheduler
 module Pool = Aeq_exec.Pool
 module Driver = Aeq_exec.Driver
 module QE = Aeq_exec.Query_error
-module FP = Aeq_util.Failpoints
+module FP = Aeq_util.Probe
 module Waiter = Aeq_util.Waiter
 module CM = Aeq_backend.Cost_model
 module A = Aeq_mem.Arena
@@ -145,7 +145,7 @@ let test_supervisor_sim_deterministic () =
           Sup.create ~policy ~name:"sim.supervised"
             ~on_crash:(fun _ -> trace := "crash" :: !trace)
             (fun () ->
-              Aeq_util.Yieldpoint.yield "test.body";
+              Aeq_util.Probe.yield "test.body";
               if not !crashed then begin
                 crashed := true;
                 raise Boom
@@ -162,7 +162,7 @@ let test_supervisor_sim_deterministic () =
                   fun () ->
                     for _ = 1 to 5 do
                       incr peer_steps;
-                      Aeq_util.Yieldpoint.yield "test.peer"
+                      Aeq_util.Probe.yield "test.peer"
                     done );
               ]
             ()
