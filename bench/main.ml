@@ -554,14 +554,12 @@ let concurrency () =
       for i = 0 to iters - 1 do
         let sql = List.nth stmts ((c + i) mod List.length stmts) in
         let t = Clock.now () in
-        (if admission then (
-           match Aeq.Engine.query_concurrent e sql with
-           | Ok _ -> ()
-           | Error _ -> Atomic.incr failures)
-         else
-           match Aeq.Engine.query e sql with
-           | _ -> ()
-           | exception Aeq_exec.Query_error.Error _ -> Atomic.incr failures);
+        (match
+           if admission then Aeq_exec.Scheduler.await (Aeq.Engine.submit e sql)
+           else Ok (Aeq.Engine.query e sql)
+         with
+        | Ok _ -> ()
+        | Error _ | exception Aeq_exec.Query_error.Error _ -> Atomic.incr failures);
         latencies.((c * iters) + i) <- Clock.now () -. t
       done
     in
@@ -708,7 +706,7 @@ let probes () =
      lock: scheduler dispatch, pool pick, morsels, arena leases, engine
      cache, trace ring, metrics *)
   let query () =
-    match Aeq.Engine.query_concurrent e sql with
+    match Aeq_exec.Scheduler.await (Aeq.Engine.submit e sql) with
     | Ok _ -> ()
     | Error err -> failwith (Aeq_exec.Query_error.to_string err)
   in

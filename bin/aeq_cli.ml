@@ -49,7 +49,8 @@ let serve_clients engine ~clients ~iters ~mode ~deadline sql =
     while !i < iters && not (Atomic.get drain_requested) do
       let t = Aeq_util.Clock.now () in
       (match
-         Aeq.Engine.query_concurrent engine ~mode ?deadline_seconds:deadline sql
+         Aeq_exec.Scheduler.await
+           (Aeq.Engine.submit engine ~mode ?deadline_seconds:deadline sql)
        with
       | Ok _ -> Atomic.incr ok
       | Error e ->
@@ -80,6 +81,30 @@ let serve_clients engine ~clients ~iters ~mode ~deadline sql =
     s.Aeq_exec.Scheduler.max_queue_depth
     (s.Aeq_exec.Scheduler.avg_wait_seconds *. 1e3)
 
+let print_result engine ~threads ~trace_out result =
+  print_endline (String.concat "\t" result.Aeq_exec.Driver.names);
+  List.iter print_endline (Aeq.Engine.render_rows engine result);
+  let st = result.Aeq_exec.Driver.stats in
+  Printf.printf
+    "-- %d rows | total %.2f ms (codegen %.2f, bytecode %.2f, compile %.2f, exec %.2f)\n"
+    st.Aeq_exec.Driver.rows_out
+    (st.Aeq_exec.Driver.total_seconds *. 1e3)
+    (st.Aeq_exec.Driver.codegen_seconds *. 1e3)
+    (st.Aeq_exec.Driver.bc_seconds *. 1e3)
+    (st.Aeq_exec.Driver.compile_seconds *. 1e3)
+    (st.Aeq_exec.Driver.exec_seconds *. 1e3);
+  Printf.printf "-- pipeline modes: %s\n"
+    (String.concat ", " st.Aeq_exec.Driver.final_modes);
+  (match result.Aeq_exec.Driver.trace with
+  | Some tr ->
+    if trace_out = None then print_string (Aeq_exec.Trace.render tr ~n_threads:threads)
+  | None -> ());
+  match trace_out with
+  | Some path ->
+    Aeq_exec.Trace_export.write_file ?trace:result.Aeq_exec.Driver.trace path;
+    Printf.printf "-- wrote Chrome trace to %s (chrome://tracing, Perfetto)\n" path
+  | None -> ()
+
 let run sf threads mode explain trace verify tpch_n timeout mem_budget failpoints
     strict_compile clients iters obs trace_out metrics_out show_health sql =
   install_drain_handlers ();
@@ -104,58 +129,34 @@ let run sf threads mode explain trace verify tpch_n timeout mem_budget failpoint
     | None, Some s -> s
     | None, None -> "select count(*) as lineitems from lineitem"
   in
-  if explain then print_endline (Aeq.Engine.explain engine sql)
-  else if verify then begin
-    (* translation validation: the verify level armed above makes every
-       pass and every bytecode translation self-check on the way, and
-       the engine then diffs the four execution modes' results *)
-    Printf.printf "verifying across execution modes (verify level %d) ...\n%!"
-      (Aeq_util.Verify_mode.get ());
-    match Aeq.Engine.verify_query engine sql with
-    | Ok () ->
-      print_endline "verification passed: bytecode, unopt, opt and adaptive agree"
-    | Error report ->
-      Printf.printf "verification FAILED:\n%s\n" report;
-      failed := true
-  end
-  else if clients > 0 then
-    serve_clients engine ~clients ~iters ~mode ~deadline:timeout sql
-  else begin
-    let on_compile_failure = if strict_compile then `Fail else `Degrade in
-    match
-      Aeq.Engine.query engine ~mode ~collect_trace:trace ?timeout_seconds:timeout
-        ?memory_budget_bytes:mem_budget ~on_compile_failure sql
-    with
-    | result ->
-      print_endline (String.concat "\t" result.Aeq_exec.Driver.names);
-      List.iter print_endline (Aeq.Engine.render_rows engine result);
-      let st = result.Aeq_exec.Driver.stats in
-      Printf.printf
-        "-- %d rows | total %.2f ms (codegen %.2f, bytecode %.2f, compile %.2f, exec %.2f)\n"
-        st.Aeq_exec.Driver.rows_out
-        (st.Aeq_exec.Driver.total_seconds *. 1e3)
-        (st.Aeq_exec.Driver.codegen_seconds *. 1e3)
-        (st.Aeq_exec.Driver.bc_seconds *. 1e3)
-        (st.Aeq_exec.Driver.compile_seconds *. 1e3)
-        (st.Aeq_exec.Driver.exec_seconds *. 1e3);
-      Printf.printf "-- pipeline modes: %s\n"
-        (String.concat ", " st.Aeq_exec.Driver.final_modes);
-      (match result.Aeq_exec.Driver.trace with
-      | Some tr ->
-        if trace_out = None then
-          print_string (Aeq_exec.Trace.render tr ~n_threads:threads)
-      | None -> ());
-      (match trace_out with
-      | Some path ->
-        Aeq_exec.Trace_export.write_file ?trace:result.Aeq_exec.Driver.trace path;
-        Printf.printf "-- wrote Chrome trace to %s (chrome://tracing, Perfetto)\n" path
-      | None -> ())
-    | exception Aeq_exec.Query_error.Error e ->
-      Printf.printf "query error: %s\n" (Aeq_exec.Query_error.to_string e)
-    | exception Aeq_ir.Trap.Error m -> Printf.printf "runtime error: %s\n" m
-    | exception Aeq_plan.Planner.Plan_error m -> Printf.printf "planning error: %s\n" m
-    | exception Aeq_sql.Parser.Parse_error m -> Printf.printf "parse error: %s\n" m
-  end;
+  (* one handler for every query failure: malformed SQL, planning
+     errors and execution errors all arrive as a [Query_error] *)
+  (try
+     if explain then
+       print_endline
+         (Aeq_exec.Query_error.protect (fun () -> Aeq.Engine.explain engine sql))
+     else if verify then begin
+       (* translation validation: the verify level armed above makes every
+          pass and every bytecode translation self-check on the way, and
+          the engine then diffs the four execution modes' results *)
+       Printf.printf "verifying across execution modes (verify level %d) ...\n%!"
+         (Aeq_util.Verify_mode.get ());
+       match Aeq.Engine.verify_query engine sql with
+       | Ok () ->
+         print_endline "verification passed: bytecode, unopt, opt and adaptive agree"
+       | Error report ->
+         Printf.printf "verification FAILED:\n%s\n" report;
+         failed := true
+     end
+     else if clients > 0 then
+       serve_clients engine ~clients ~iters ~mode ~deadline:timeout sql
+     else
+       let on_compile_failure = if strict_compile then `Fail else `Degrade in
+       print_result engine ~threads ~trace_out
+         (Aeq.Engine.query engine ~mode ~collect_trace:trace ?timeout_seconds:timeout
+            ?memory_budget_bytes:mem_budget ~on_compile_failure sql)
+   with Aeq_exec.Query_error.Error e ->
+     Printf.printf "query error: %s\n" (Aeq_exec.Query_error.to_string e));
   if show_health then begin
     let h = Aeq.Engine.health engine in
     Printf.printf "health: %s\n" (Aeq.Engine.health_name h);

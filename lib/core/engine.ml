@@ -376,7 +376,7 @@ let prepare_entry t sql =
   in
   lookup ()
 
-let prepare t sql = ignore (prepare_entry t sql)
+let prepare t sql = Aeq_exec.Query_error.protect (fun () -> ignore (prepare_entry t sql))
 
 let prepared t sql =
   with_lock t.cache_lock (fun () ->
@@ -402,6 +402,8 @@ let error_label = function
   | Aeq_exec.Query_error.Overloaded _ -> "overloaded"
   | Aeq_exec.Query_error.Rejected _ -> "rejected"
   | Aeq_exec.Query_error.Worker_crashed _ -> "worker_crashed"
+  | Aeq_exec.Query_error.Parse_failed _ -> "parse_failed"
+  | Aeq_exec.Query_error.Plan_failed _ -> "plan_failed"
 
 (* Per-query accounting: a completed-query counter per requested mode,
    an end-to-end latency histogram, and an error counter per failure
@@ -444,7 +446,10 @@ let query ?(mode = Aeq_exec.Driver.Adaptive) ?(collect_trace = false) ?timeout_s
      in-flight before the drain began) run to completion *)
   if Atomic.get t.draining && not (Aeq_exec.Scheduler.executing_here ()) then
     Aeq_exec.Query_error.raise_error (Aeq_exec.Query_error.Rejected "draining");
+  (* using a closed engine is a programming error, not a query failure *)
+  if Aeq_exec.Pool.closed t.pool then invalid_arg "Engine.query: engine is closed";
   with_query_obs mode @@ fun () ->
+  Aeq_exec.Query_error.protect @@ fun () ->
   let cache_enabled =
     with_lock t.cache_lock (fun () ->
         Aeq_race.read ~site:"engine.query" t.cache_loc;
@@ -467,14 +472,7 @@ let query ?(mode = Aeq_exec.Driver.Adaptive) ?(collect_trace = false) ?timeout_s
        execution leaves the entry cached and reusable (the driver
        guarantees cleanup); only a successful adaptive run updates
        the mode memory. *)
-    let entry =
-      (* a fault injected at [compile.singleflight] surfaces with the
-         same structured error contract as every other injected site *)
-      try prepare_entry t sql
-      with Aeq_util.Probe.Injected site ->
-        Aeq_exec.Query_error.raise_error
-          (Aeq_exec.Query_error.Trap ("injected fault at " ^ site))
-    in
+    let entry = prepare_entry t sql in
     let initial_modes =
       with_lock t.cache_lock (fun () ->
           Aeq_race.read ~site:"engine.initial_modes" t.cache_loc;
@@ -600,10 +598,6 @@ let scheduler t =
 let submit ?mode ?priority ?deadline_seconds ?cancel t sql =
   Aeq_exec.Scheduler.submit ?mode ?priority ?deadline_seconds ?cancel
     (scheduler t) sql
-
-let query_concurrent ?mode ?priority ?deadline_seconds ?cancel t sql =
-  Aeq_exec.Scheduler.run ?mode ?priority ?deadline_seconds ?cancel (scheduler t)
-    sql
 
 let scheduler_stats t =
   let s =

@@ -56,8 +56,13 @@ val n_threads : t -> int
 val cost_model : t -> Aeq_backend.Cost_model.t
 
 val plan : t -> string -> Aeq_plan.Physical.t
+(** Parse and plan [sql]. Raises the front end's own exceptions
+    ([Aeq_sql.Lexer.Lex_error], [Aeq_sql.Parser.Parse_error],
+    [Aeq_plan.Planner.Plan_error]); wrap the call in
+    {!Aeq_exec.Query_error.protect} for a structured error. *)
 
 val explain : t -> string -> string
+(** The plan of [sql] as text; raises like {!plan}. *)
 
 val query :
   ?mode:Aeq_exec.Driver.mode ->
@@ -69,7 +74,8 @@ val query :
   t ->
   string ->
   Aeq_exec.Driver.result
-(** Plan + execute. [mode] defaults to [Adaptive].
+(** Plan + execute, on the calling domain. [mode] defaults to
+    [Adaptive].
 
     Thread-safe and concurrent: each execution runs over its own
     runtime context and a private arena lease, so any number of
@@ -79,18 +85,23 @@ val query :
     (concurrent callers of the same new text wait for the one
     compilation, then all proceed on the cached plan). For serving
     many clients with admission control, fairness, deadlines and
-    backpressure, use {!submit} / {!query_concurrent}.
+    backpressure, use {!submit}.
 
     Guardrails (see {!Aeq_exec.Driver.execute_prepared} for the full
     contract): [timeout_seconds] and [cancel] stop the query at the
     next morsel boundary, [memory_budget_bytes] bounds its arena
     scratch, and [on_compile_failure] (default [`Degrade]) decides
     whether a failed up-front compilation degrades to bytecode or
-    fails the query. Failures raise {!Aeq_exec.Query_error.Error}
+    fails the query. Every failure — malformed SQL ([Parse_failed]),
+    an unplannable statement ([Plan_failed]), and everything that can
+    go wrong while it runs — raises {!Aeq_exec.Query_error.Error}
     after guaranteed cleanup: the cached prepared statement, the
     arena and the worker pool all stay healthy, so the next query —
     including a cache-hit re-execution of the failing text — runs
-    normally.
+    normally. The only exceptions that escape unclassified are a
+    domain crash ({!Aeq_util.Probe.is_crash}), which is the
+    supervisor's to answer, and [Invalid_argument] on a closed
+    engine.
 
     Queries are cached by text as prepared statements: the physical
     plan, the generated worker IR, the translated bytecode, and every
@@ -122,25 +133,17 @@ val submit :
   string ->
   Aeq_exec.Scheduler.ticket
 (** Enqueue a query on the engine's scheduler (created lazily on first
-    use) and return without waiting; await the ticket with
-    {!Aeq_exec.Scheduler.await}. Unlike {!query}, which any number of
-    callers may invoke concurrently with no queue bound, fairness or
-    deadline, [submit] goes through admission control: a full queue
-    rejects with
+    use) and return without waiting; [Scheduler.await (submit t sql)]
+    is the blocking per-client call of a concurrent server loop.
+    Unlike {!query}, which any number of callers may invoke
+    concurrently with no queue bound, fairness or deadline, [submit]
+    goes through admission control: a full queue answers
     {!Aeq_exec.Query_error.Overloaded}, overload degrades execution to
     bytecode-only, and deadline overruns are cancelled by the watchdog.
-    See {!Aeq_exec.Scheduler} for the full contract. *)
-
-val query_concurrent :
-  ?mode:Aeq_exec.Driver.mode ->
-  ?priority:Aeq_exec.Scheduler.priority ->
-  ?deadline_seconds:float ->
-  ?cancel:Aeq_exec.Cancel.t ->
-  t ->
-  string ->
-  Aeq_exec.Scheduler.outcome
-(** [submit] + await, with admission errors folded into the outcome —
-    the blocking per-client call of a concurrent server loop. *)
+    [submit] never raises: every outcome, an admission refusal
+    included, is the ticket's answer, and every failure is a
+    {!Aeq_exec.Query_error.t}. See {!Aeq_exec.Scheduler} for the full
+    contract. *)
 
 val scheduler_stats : t -> Aeq_exec.Scheduler.stats
 (** Serving-health counters (admitted/rejected/shed/expired,
@@ -148,8 +151,8 @@ val scheduler_stats : t -> Aeq_exec.Scheduler.stats
     {!Aeq_exec.Scheduler.zero_stats} if no query was ever submitted. *)
 
 val set_scheduler_config : t -> Aeq_exec.Scheduler.config -> unit
-(** Configure admission control before the first {!submit} /
-    {!query_concurrent}. The config's [restart_policy] governs every
+(** Configure admission control before the first {!submit}. The
+    config's [restart_policy] governs every
     serving domain the engine owns: the scheduler's dispatchers and
     watchdog, and the pool's workers too.
     @raise Invalid_argument once the scheduler exists. *)
@@ -157,7 +160,8 @@ val set_scheduler_config : t -> Aeq_exec.Scheduler.config -> unit
 val prepare : t -> string -> unit
 (** Plan + compile the statement into the cache without executing it
     (a no-op if already cached). A later {!query} of the same text is
-    a cache hit and starts executing immediately. *)
+    a cache hit and starts executing immediately. Failures raise
+    {!Aeq_exec.Query_error.Error}, as for {!query}. *)
 
 val prepared : t -> string -> bool
 (** Is this statement text currently resident in the plan cache? The
@@ -250,9 +254,8 @@ val health_name : health -> string
     [aeq_engine_health] gauge exports the same states as 0–3. *)
 
 val drain : ?deadline_seconds:float -> ?flush:(unit -> unit) -> t -> bool
-(** Graceful shutdown: stop admission (new {!query} / {!submit} /
-    {!query_concurrent} calls raise or resolve
-    [Query_error.Rejected "draining"]), wait up to [deadline_seconds]
+(** Graceful shutdown: stop admission (a new {!query} raises and a new
+    {!submit}'s ticket answers [Query_error.Rejected "draining"]), wait up to [deadline_seconds]
     (default 30) for queued and in-flight queries to finish — past the
     deadline they are rejected/cancelled so no client hangs — then run
     [flush] (e.g. a final {!dump_metrics}) and {!close}. Returns

@@ -104,18 +104,6 @@ let prepare ?(cost_model = CM.default) catalog plan ~n_threads =
     pr_executions = Atomic.make 0;
   }
 
-let error_of_exn = function
-  | Query_error.Error e -> e
-  | Trap.Error m -> Query_error.Trap m
-  | A.Scratch_limit_exceeded { limit_bytes; resident_bytes; _ } ->
-    (* the global scratch cap, surfaced with the same structured error
-       as the per-query budget: callers see one memory-exhaustion
-       contract whichever limit tripped *)
-    Query_error.Memory_budget_exceeded
-      { budget_bytes = limit_bytes; used_bytes = resident_bytes }
-  | Aeq_util.Probe.Injected site -> Query_error.Trap ("injected fault at " ^ site)
-  | e -> Query_error.Trap (Printexc.to_string e)
-
 (* rows small enough that pool wakeups cost more than they buy *)
 let inline_threshold = 512
 
@@ -135,9 +123,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
     (* the [arena.lease] failpoint fires before the lease exists, so an
        injected fault here has nothing to leak — but it must still
        surface as a structured error, not a raw exception *)
-    try A.lease arena
-    with Aeq_util.Probe.Injected site ->
-      Query_error.raise_error (Query_error.Trap ("injected fault at " ^ site))
+    Query_error.protect (fun () -> A.lease arena)
   in
   (* Zero-width leak window: every line from here on runs inside the
      [Fun.protect] at the bottom whose finaliser releases the lease, so
@@ -269,6 +255,15 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
       plan.P.pl_trefs;
     (* --- install the requested per-pipeline variants ------------------ *)
     let compile_seconds = Atomic.make 0.0 in
+    (* Every promotion below goes through here: a crash stays lethal,
+       any other failure comes back as its printed detail ([promote]
+       has already blacklisted the mode). *)
+    let try_promote h m =
+      match Handle.promote h ~mode:m with
+      | dt -> Ok dt
+      | exception e when Aeq_util.Probe.is_crash e -> raise e
+      | exception e -> Error (Printexc.to_string e)
+    in
     (* A failed static promotion degrades to the handle's current mode
        (bytecode is always available) unless the caller asked to
        [`Fail]; either way the mode is blacklisted and attempted at
@@ -282,12 +277,11 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
       if Handle.blacklisted h m then degrade "blacklisted after an earlier failure"
       else begin
         let c0 = Aeq_util.Clock.now () in
-        match Handle.promote h ~mode:m with
-        | dt ->
+        match try_promote h m with
+        | Ok dt ->
           record_compile ~pipeline ~t0:c0 ~t1:(Aeq_util.Clock.now ()) m;
           atomic_add_float compile_seconds dt
-        | exception e when Aeq_util.Probe.is_crash e -> raise e
-        | exception e -> degrade (Printexc.to_string e)
+        | Error detail -> degrade detail
       end
     in
     (match mode with
@@ -308,10 +302,9 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
           | CM.Bytecode -> ()
           | CM.Unopt | CM.Opt ->
             if i < Array.length handles && not (Handle.blacklisted handles.(i) m) then (
-              match Handle.promote handles.(i) ~mode:m with
-              | dt -> atomic_add_float compile_seconds dt
-              | exception e when Aeq_util.Probe.is_crash e -> raise e
-              | exception _ -> record_compile_failure ~pipeline:i m))
+              match try_promote handles.(i) m with
+              | Ok dt -> atomic_add_float compile_seconds dt
+              | Error _ -> record_compile_failure ~pipeline:i m))
         modes
     | _ -> ());
     (* --- pipelines ----------------------------------------------------- *)
@@ -379,7 +372,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
                 | exception exn ->
                   (* first error wins; peers stop at their next
                      boundary via [check_guards] *)
-                  fail (error_of_exn exn);
+                  fail (Query_error.of_exn exn);
                   continue_ := false
                 | () -> (
                   let t1 = Aeq_util.Clock.now () in
@@ -408,9 +401,9 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
                       match
                         Fun.protect
                           ~finally:(fun () -> Adaptive.finish_compile ctl)
-                          (fun () -> Handle.promote handle ~mode:m)
+                          (fun () -> try_promote handle m)
                       with
-                      | dt ->
+                      | Ok dt ->
                         let c1 = Aeq_util.Clock.now () in
                         (match trace with
                         | Some tr ->
@@ -418,9 +411,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
                             (Trace.Ev_compile m)
                         | None -> ());
                         atomic_add_float compile_seconds dt
-                      | exception e when Aeq_util.Probe.is_crash e ->
-                        raise e
-                      | exception _ ->
+                      | Error _ ->
                         (* graceful degradation: [promote] blacklisted
                            the mode, so the controller will not ask
                            again; keep interpreting *)
@@ -514,16 +505,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
   Fun.protect
     ~finally:(fun () ->
       try A.release lease with Aeq_util.Probe.Injected _ -> ())
-    (fun () ->
-      try guarded () with
-      | Query_error.Error _ as e -> raise e
-      | Trap.Error m -> Query_error.raise_error (Query_error.Trap m)
-      | A.Scratch_limit_exceeded { limit_bytes; resident_bytes; _ } ->
-        Query_error.raise_error
-          (Query_error.Memory_budget_exceeded
-             { budget_bytes = limit_bytes; used_bytes = resident_bytes })
-      | Aeq_util.Probe.Injected site ->
-        Query_error.raise_error (Query_error.Trap ("injected fault at " ^ site)))
+    (fun () -> Query_error.protect guarded)
 
 let execute ?cost_model ?collect_trace ?initial_modes ?timeout_seconds ?cancel
     ?memory_budget_bytes ?on_compile_failure catalog plan ~mode ~pool =

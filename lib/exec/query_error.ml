@@ -9,6 +9,8 @@ type t =
   | Overloaded of { queue_depth : int; capacity : int }
   | Rejected of string
   | Worker_crashed of { domain : string; detail : string }
+  | Parse_failed of string
+  | Plan_failed of string
 
 exception Error of t
 
@@ -28,6 +30,8 @@ let to_string = function
   | Worker_crashed { domain; detail } ->
     Printf.sprintf "serving domain %s crashed while holding this query: %s" domain
       detail
+  | Parse_failed m -> "parse error: " ^ m
+  | Plan_failed m -> "planning error: " ^ m
 
 let () =
   Printexc.register_printer (function
@@ -35,3 +39,19 @@ let () =
     | _ -> None)
 
 let raise_error e = raise (Error e)
+
+let of_exn = function
+  | Error e -> e
+  | Trap.Error m -> Trap m
+  | Aeq_mem.Arena.Scratch_limit_exceeded { limit_bytes; resident_bytes; _ } ->
+    (* the global scratch cap, surfaced with the same structured error
+       as the per-query budget: callers see one memory-exhaustion
+       contract whichever limit tripped *)
+    Memory_budget_exceeded { budget_bytes = limit_bytes; used_bytes = resident_bytes }
+  | Aeq_util.Probe.Injected site -> Trap ("injected fault at " ^ site)
+  | Aeq_sql.Lexer.Lex_error m | Aeq_sql.Parser.Parse_error m -> Parse_failed m
+  | Aeq_plan.Planner.Plan_error m -> Plan_failed m
+  | e -> Trap (Printexc.to_string e)
+
+let protect f =
+  try f () with e when not (Aeq_util.Probe.is_crash e) -> raise (Error (of_exn e))

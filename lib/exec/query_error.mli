@@ -1,15 +1,23 @@
 (** The structured error taxonomy of query execution.
 
-    Everything that can go wrong while a query runs surfaces as one
-    [Error] carrying a {!t}; the engine guarantees cleanup (arena
-    scratch released, prepared statement reusable, worker pool
-    healthy) before the exception reaches the caller, so the next
-    query runs unaffected. *)
+    Everything that can go wrong between a query's text and its rows
+    surfaces as one [Error] carrying a {!t}; the engine guarantees
+    cleanup (arena scratch released, prepared statement reusable,
+    worker pool healthy) before the exception reaches the caller, so
+    the next query runs unaffected.
+
+    This module is the one place that classifies a failure: {!of_exn}
+    maps any exception to a {!t}, and {!protect} is the boundary every
+    layer wraps around work that may fail. The one exception class
+    that is never classified is a domain crash
+    ({!Aeq_util.Probe.is_crash}): it passes every boundary so that a
+    supervisor, not a conversion layer, answers it. *)
 
 type t =
   | Trap of string
-      (** a runtime trap from query code: division by zero, overflow,
-          abort, or an injected fault *)
+      (** a runtime trap from query code (division by zero, overflow,
+          abort), an injected fault, or any exception {!of_exn} has no
+          other class for *)
   | Compile_failed of Aeq_backend.Cost_model.mode * string
       (** a statically-requested compilation failed and degradation
           was disabled ([`Fail]); the detail string carries the
@@ -36,9 +44,26 @@ type t =
           [domain] names the casualty, [detail] carries the printed
           exception. The query is not re-run: the client gets this
           error as its answer. *)
+  | Parse_failed of string
+      (** the SQL text does not lex or parse *)
+  | Plan_failed of string
+      (** the statement parses but cannot be planned: an unknown table
+          or column, or an unsupported shape *)
 
 exception Error of t
 
 val to_string : t -> string
 
 val raise_error : t -> 'a
+
+val of_exn : exn -> t
+(** Classify an exception: [Error e] is [e]; a runtime trap is [Trap];
+    the arena's global scratch cap is [Memory_budget_exceeded]; an
+    injected fault is [Trap "injected fault at <site>"]; a lexer or
+    parser error is [Parse_failed]; a planner error is [Plan_failed];
+    anything else is [Trap] with the printed exception. *)
+
+val protect : (unit -> 'a) -> 'a
+(** [protect f] runs [f], raising [Error (of_exn e)] for any exception
+    [e] it raises — except a domain crash ({!Aeq_util.Probe.is_crash}),
+    which is re-raised as is. *)

@@ -214,18 +214,16 @@ let execute t tk eff_mode =
        the dispatcher so the supervisor path (reclaim + restart) is
        what answers the client, not this conversion layer *)
     raise e
-  | exception QE.Error QE.Cancelled
-    when with_lock tk.tk_lock (fun () ->
-             Aeq_race.read ~site:"sched.execute" tk.tk_loc;
-             tk.tk_watchdog_fired) ->
-    (* the watchdog killed it for blowing its deadline: surface the
-       reason, not the mechanism *)
-    Error (QE.Timeout (Option.value tk.tk_deadline_seconds ~default:0.0))
-  | exception QE.Error e -> Error e
-  | exception e ->
-    (* the engine's exec contract is Query_error-only; anything else
-       is a bug we still turn into a structured response *)
-    Error (QE.Trap (Printexc.to_string e))
+  | exception e -> (
+    match QE.of_exn e with
+    | QE.Cancelled
+      when with_lock tk.tk_lock (fun () ->
+               Aeq_race.read ~site:"sched.execute" tk.tk_loc;
+               tk.tk_watchdog_fired) ->
+      (* the watchdog killed it for blowing its deadline: surface the
+         reason, not the mechanism *)
+      Error (QE.Timeout (Option.value tk.tk_deadline_seconds ~default:0.0))
+    | err -> Error err)
 
 (* ---- dispatcher ------------------------------------------------------ *)
 
@@ -519,23 +517,16 @@ let submit ?(mode = Driver.Adaptive) ?(priority = Normal) ?deadline_seconds ?can
             `Admitted victim
         end)
   in
-  match verdict with
-  | `Rejected e -> QE.raise_error e
-  | `Admitted victim ->
-    (match victim with
-    | Some v ->
-      complete v
-        (Error
-           (QE.Rejected
-              (Printf.sprintf "shed under overload (%s priority, queue full)"
-                 (priority_name v.tk_priority))))
-    | None -> ());
-    tk
-
-let run ?mode ?priority ?deadline_seconds ?cancel t sql =
-  match submit ?mode ?priority ?deadline_seconds ?cancel t sql with
-  | tk -> await tk
-  | exception QE.Error e -> Error e
+  (match verdict with
+  | `Rejected e -> complete tk (Error e)
+  | `Admitted (Some v) ->
+    complete v
+      (Error
+         (QE.Rejected
+            (Printf.sprintf "shed under overload (%s priority, queue full)"
+               (priority_name v.tk_priority))))
+  | `Admitted None -> ());
+  tk
 
 (* ---- lifecycle ------------------------------------------------------- *)
 

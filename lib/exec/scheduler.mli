@@ -8,7 +8,7 @@
     provides — is a defined behavior when clients outnumber capacity:
 
     - a {b bounded admission queue} with three priority classes and
-      per-query deadlines. A full queue rejects immediately with
+      per-query deadlines. A full queue answers immediately with
       {!Query_error.Overloaded} (fail fast, never queue unboundedly),
       shedding an already-queued lower-priority query first if that
       makes room for a higher-priority newcomer;
@@ -26,8 +26,10 @@
       [Timeout]), expires queries whose deadline passed while still
       queued, and keeps the health counters in {!stats} current.
 
-    Clients call {!submit} (asynchronous; returns a {!ticket}) or
-    {!run} (submit + await) from any number of domains. Dispatcher
+    Clients call {!submit} (asynchronous; returns a {!ticket}) and
+    {!await} or {!poll} the ticket, from any number of domains. The
+    ticket is the only way a query answers: {!submit} never raises.
+    Dispatcher
     domains serve the queue highest-priority-first, FIFO within a
     class; with [dispatchers = 1] serving is fully serialized (the
     deterministic mode the scheduler tests rely on). *)
@@ -80,9 +82,11 @@ val create :
     and the watchdog domain, each under a {!Supervisor}). [exec] runs one
     query to completion and is called from dispatcher domains — up to
     [dispatchers] calls concurrently, so it must be thread-safe (the
-    engine's [query] is); it must raise {!Query_error.Error} on
-    failure, and let non-structured exceptions escape (they are
-    treated as domain crashes by the supervisor). [arena], when given,
+    engine's [query] is). Whatever it raises becomes the ticket's
+    [Error (Query_error.of_exn e)] — except a domain crash
+    ({!Aeq_util.Probe.is_crash}), the one exception that escapes: it
+    unwinds out of the dispatcher, whose supervisor answers the ticket
+    with [Worker_crashed] and restarts the domain. [arena], when given,
     feeds the [shed_resident_bytes] overload gauge. [on_domain_crash]
     runs in the crashed domain after the scheduler's own reclaim —
     the engine hooks its plan-cache single-flight cleanup here. *)
@@ -95,7 +99,7 @@ val submit :
   t ->
   string ->
   ticket
-(** Enqueue a query. Returns immediately.
+(** Enqueue a query. Returns immediately and never raises.
 
     [deadline_seconds] is end-to-end (queue wait + execution):
     expiring in the queue yields [Rejected], exceeding it
@@ -103,11 +107,14 @@ val submit :
     [deadline_grace] and yields [Timeout]. [cancel] lets the caller
     abandon the query later ({!cancel} does the same).
 
-    @raise Query_error.Error [(Overloaded _)] when the queue is full
-    and no strictly-lower-priority query can be shed — the fail-fast
-    admission contract.
-    @raise Query_error.Error [(Rejected _)] when the scheduler is shut
-    down. *)
+    An admission refusal returns a ticket that is already complete
+    ({!poll} answers at once) and is never counted as [admitted]:
+    - [Error (Overloaded _)] when the queue is full and no
+      strictly-lower-priority query can be shed — the fail-fast
+      admission contract; counted as [rejected];
+    - [Error (Rejected "draining")] while the scheduler drains;
+      counted as [rejected];
+    - [Error (Rejected _)] once it is shut down. *)
 
 val await : ticket -> outcome
 (** Block until the query completes (any domain may await). *)
@@ -118,18 +125,6 @@ val poll : ticket -> outcome option
     loop uses this to multiplex ticket completion with socket reads
     (an out-of-band [Cancel] frame must be seen while the query it
     cancels is in flight). *)
-
-val run :
-  ?mode:Driver.mode ->
-  ?priority:priority ->
-  ?deadline_seconds:float ->
-  ?cancel:Cancel.t ->
-  t ->
-  string ->
-  outcome
-(** [submit] + [await], with admission errors ([Overloaded] /
-    [Rejected] raised by {!submit}) folded into the returned outcome —
-    the one-call closed-loop client API. *)
 
 val cancel : ticket -> unit
 (** Cancel the query (queued: completes [Cancelled] without running;
@@ -181,7 +176,7 @@ val reset_stats : t -> unit
     [Engine.reset_stats] for windowed scraping. *)
 
 val drain : ?deadline_seconds:float -> t -> bool
-(** Graceful drain: stop admission (later {!submit}s raise
+(** Graceful drain: stop admission (later {!submit}s answer
     [Rejected "draining"]) and wait up to [deadline_seconds] (default
     30) for the queue and the in-flight set to empty. Past the
     deadline, still-queued clients complete [Rejected] and in-flight
@@ -212,4 +207,4 @@ val shutdown : t -> unit
     in-flight queries finish, then the dispatcher and watchdog domains
     are joined (the watchdog is woken out of its inter-sweep sleep, so
     shutdown does not stall a [watchdog_period]). Idempotent. Later
-    {!submit}s raise [Rejected]. *)
+    {!submit}s answer [Rejected]. *)

@@ -58,6 +58,8 @@ let err_of_query_error = function
   | Aeq_exec.Query_error.Rejected reason -> Rejected reason
   | Aeq_exec.Query_error.Worker_crashed { domain; detail } ->
     Worker_crashed { domain; detail }
+  | Aeq_exec.Query_error.Parse_failed m -> Parse_failed m
+  | Aeq_exec.Query_error.Plan_failed m -> Plan_failed m
 
 let err_to_string = function
   | Trap m -> "trap: " ^ m

@@ -135,33 +135,13 @@ let rec take_rows n = function
     let page, rest = take_rows (n - 1) tl in
     (r :: page, rest)
 
-(* Plan in the session thread before submitting: the scheduler's exec
-   callback treats unstructured exceptions as domain crashes (that is
-   the supervision contract), so a typo'd SQL text must be refused
-   here, not allowed to take down a dispatcher. *)
-let check_plans engine sql =
-  match ignore (Engine.plan engine sql) with
-  | () -> None
-  | exception Aeq_sql.Lexer.Lex_error m -> Some (P.Parse_failed m)
-  | exception Aeq_sql.Parser.Parse_error m -> Some (P.Parse_failed m)
-  | exception Aeq_plan.Planner.Plan_error m -> Some (P.Plan_failed m)
-  | exception Aeq_exec.Query_error.Error e -> Some (P.err_of_query_error e)
-  | exception e when not (Aeq_util.Probe.is_crash e) ->
-    Some (P.Server_error (Printexc.to_string e))
-
+(* [Engine.prepare] raises [Query_error.Error] for every query failure,
+   malformed SQL included; only a domain crash passes through. *)
 let prepare_stmt engine sql =
-  match check_plans engine sql with
-  | Some err -> Error err
-  | None -> (
-    match
-      let cached = Engine.prepared engine sql in
-      Engine.prepare engine sql;
-      cached
-    with
-    | cached -> Ok cached
-    | exception Aeq_exec.Query_error.Error e -> Error (P.err_of_query_error e)
-    | exception e when not (Aeq_util.Probe.is_crash e) ->
-      Error (P.Server_error (Printexc.to_string e)))
+  let cached = Engine.prepared engine sql in
+  match Engine.prepare engine sql with
+  | () -> Ok cached
+  | exception Aeq_exec.Query_error.Error e -> Error (P.err_of_query_error e)
 
 type inflight_note = Quiet | Gone | Violation of string | Close_after
 
@@ -239,46 +219,37 @@ let serve_session t ss ~priority ~deadline_seconds =
     send_ignore fd (P.Err (P.Protocol_violation msg))
   in
   let run_query sql =
-    match check_plans t.sv_engine sql with
-    | Some err ->
-      send_ignore fd (P.Err err);
-      `Continue
-    | None -> (
-      let cancel = Aeq_exec.Cancel.create () in
-      match
-        Engine.submit ~mode:t.sv_config.mode ~priority ?deadline_seconds
-          ~cancel t.sv_engine sql
-      with
-      | exception Aeq_exec.Query_error.Error e ->
-        send_ignore fd (P.Err (P.err_of_query_error e));
-        `Continue
-      | tk ->
-        set_busy ss true;
-        let outcome, note =
-          Fun.protect
-            ~finally:(fun () -> set_busy ss false)
-            (fun () -> await_multiplexed tk ~fd ~max_bytes ~cancel)
-        in
-        if note = Gone then `Stop
-        else begin
-          let resp =
-            match outcome with
-            | Ok r -> build_result t pending r
-            | Error e -> P.Err (P.err_of_query_error e)
-          in
-          match send fd resp with
-          | Error _ -> `Stop
-          | Ok () -> (
-            match note with
-            | Quiet -> `Continue
-            | Gone -> `Stop
-            | Violation m ->
-              violation m;
-              `Stop
-            | Close_after ->
-              send_ignore fd P.Ack;
-              `Stop)
-        end)
+    let cancel = Aeq_exec.Cancel.create () in
+    let tk =
+      Engine.submit ~mode:t.sv_config.mode ~priority ?deadline_seconds ~cancel
+        t.sv_engine sql
+    in
+    set_busy ss true;
+    let outcome, note =
+      Fun.protect
+        ~finally:(fun () -> set_busy ss false)
+        (fun () -> await_multiplexed tk ~fd ~max_bytes ~cancel)
+    in
+    if note = Gone then `Stop
+    else begin
+      let resp =
+        match outcome with
+        | Ok r -> build_result t pending r
+        | Error e -> P.Err (P.err_of_query_error e)
+      in
+      match send fd resp with
+      | Error _ -> `Stop
+      | Ok () -> (
+        match note with
+        | Quiet -> `Continue
+        | Gone -> `Stop
+        | Violation m ->
+          violation m;
+          `Stop
+        | Close_after ->
+          send_ignore fd P.Ack;
+          `Stop)
+    end
   in
   let rec loop () =
     if Atomic.get t.sv_lifecycle <> lc_serving then ()

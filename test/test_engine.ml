@@ -186,6 +186,41 @@ let test_plan_errors () =
   (* cross product *)
   fails "select a, b, c from lineitem group by l_orderkey, l_partkey, l_suppkey"
 
+(* malformed SQL is a structured error on every entry point: the
+   direct call, the prepare, and a scheduler ticket *)
+let test_front_end_errors_structured () =
+  let e = Lazy.force engine in
+  let module QE = Aeq_exec.Query_error in
+  let cases =
+    [
+      ("select @ from lineitem", "parse_failed");
+      ("select broken syntax from", "parse_failed");
+      ("select count(*) from no_such_table", "plan_failed");
+    ]
+  in
+  let class_of = function
+    | QE.Parse_failed _ -> "parse_failed"
+    | QE.Plan_failed _ -> "plan_failed"
+    | err -> "other: " ^ QE.to_string err
+  in
+  let raised what sql f =
+    match f () with
+    | _ -> Alcotest.failf "%s %S: expected an error" what sql
+    | exception QE.Error err -> class_of err
+    | exception exn ->
+      Alcotest.failf "%s %S: unstructured %s" what sql (Printexc.to_string exn)
+  in
+  List.iter
+    (fun (sql, expected) ->
+      Alcotest.(check string) ("query " ^ sql) expected
+        (raised "query" sql (fun () -> ignore (Aeq.Engine.query e sql)));
+      Alcotest.(check string) ("prepare " ^ sql) expected
+        (raised "prepare" sql (fun () -> Aeq.Engine.prepare e sql));
+      match Aeq_exec.Scheduler.await (Aeq.Engine.submit e sql) with
+      | Ok _ -> Alcotest.failf "submit %S: expected an error" sql
+      | Error err -> Alcotest.(check string) ("submit " ^ sql) expected (class_of err))
+    cases
+
 let test_large_query_runs () =
   let e = Lazy.force engine in
   let sql = Aeq_workload.Queries.large_query 30 in
@@ -224,5 +259,7 @@ let () =
         [
           Alcotest.test_case "explain" `Quick test_explain;
           Alcotest.test_case "plan errors" `Quick test_plan_errors;
+          Alcotest.test_case "front-end errors are structured" `Quick
+            test_front_end_errors_structured;
         ] );
     ]

@@ -263,6 +263,40 @@ let test_prepared_and_paging () =
     Alcotest.failf "expected Protocol_violation, got %s" (Client.error_to_string err)
   | Ok _ -> Alcotest.fail "unknown statement executed"
 
+(* A wire Execute of a cached statement runs no front end: the server
+   submits the text and the engine's plan cache answers, so the second
+   request records neither a [parse] nor a [plan] span. An injected
+   fault while preparing answers as a structured trap. *)
+let test_cached_execute_skips_front_end () =
+  Aeq_obs.Control.with_enabled true @@ fun () ->
+  let e = small_engine () in
+  Fun.protect ~finally:(fun () -> Aeq.Engine.close e) @@ fun () ->
+  with_server e @@ fun server ->
+  let c = ok_or_fail "connect" (Client.connect ~port:(Server.port server) ()) in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let sql = "select count(*) from region" in
+  ignore (ok_or_fail "first execute" (Client.execute c sql));
+  Aeq_obs.Event_log.clear ();
+  ignore (ok_or_fail "second execute" (Client.execute c sql));
+  let spans =
+    List.filter_map
+      (fun ev ->
+        match ev.Aeq_obs.Event_log.kind with
+        | Aeq_obs.Event_log.Span n -> Some n
+        | Aeq_obs.Event_log.Decision _ -> None)
+      (Aeq_obs.Event_log.snapshot ())
+  in
+  Alcotest.(check bool) "the cached query executed" true (List.mem "execute" spans);
+  Alcotest.(check (list string)) "no parse or plan span" []
+    (List.filter (fun n -> n = "parse" || n = "plan") spans);
+  FP.clear ();
+  Fun.protect ~finally:FP.clear @@ fun () ->
+  FP.activate "compile.singleflight" FP.Fail;
+  match Client.prepare c "select count(*) from nation" with
+  | Error (Client.Wire (P.Trap _)) -> ()
+  | Error err -> Alcotest.failf "expected Trap, got %s" (Client.error_to_string err)
+  | Ok _ -> Alcotest.fail "prepare succeeded under an injected fault"
+
 (* ---- connection limit --------------------------------------------------- *)
 
 let test_connection_limit () =
@@ -450,6 +484,8 @@ let () =
         [
           Alcotest.test_case "end to end" `Quick test_end_to_end;
           Alcotest.test_case "prepared + paging" `Quick test_prepared_and_paging;
+          Alcotest.test_case "cached execute skips the front end" `Quick
+            test_cached_execute_skips_front_end;
           Alcotest.test_case "connection limit" `Quick test_connection_limit;
           Alcotest.test_case "malformed over socket" `Quick test_malformed_over_socket;
           Alcotest.test_case "cancel in flight" `Quick test_cancel_in_flight;

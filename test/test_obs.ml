@@ -483,6 +483,34 @@ let test_engine_reset_stats () =
       Alcotest.(check int) "entry survived reset" 1 (Aeq.Engine.cache_stats e).Aeq.Engine.hits;
       Aeq.Engine.close e)
 
+(* a malformed query is counted under its own error class *)
+let test_engine_counts_front_end_errors () =
+  Control.with_enabled true (fun () ->
+      M.reset ();
+      let e = Aeq.Engine.create ~n_threads:1 ~cost_model:CM.off () in
+      Aeq.Engine.load_tpch e ~scale_factor:0.001;
+      let errors cls =
+        List.fold_left
+          (fun acc s ->
+            match (s.M.s_name, s.M.s_value) with
+            | "aeq_query_errors_total", M.Counter v
+              when List.assoc_opt "error" s.M.s_labels = Some cls ->
+              acc + v
+            | _ -> acc)
+          0
+          (Aeq.Engine.metrics ())
+      in
+      let fails sql =
+        match Aeq.Engine.query e sql with
+        | _ -> Alcotest.failf "%S must fail" sql
+        | exception Aeq_exec.Query_error.Error _ -> ()
+      in
+      fails "select broken syntax from";
+      fails "select count(*) from no_such_table";
+      Alcotest.(check int) "parse_failed counted" 1 (errors "parse_failed");
+      Alcotest.(check int) "plan_failed counted" 1 (errors "plan_failed");
+      Aeq.Engine.close e)
+
 let () =
   Alcotest.run "obs"
     [
@@ -523,5 +551,9 @@ let () =
       ( "event-ring",
         [ Alcotest.test_case "concurrent overflow" `Quick test_ring_concurrent_overflow ] );
       ( "engine",
-        [ Alcotest.test_case "reset_stats" `Quick test_engine_reset_stats ] );
+        [
+          Alcotest.test_case "reset_stats" `Quick test_engine_reset_stats;
+          Alcotest.test_case "front-end error classes" `Quick
+            test_engine_counts_front_end_errors;
+        ] );
     ]

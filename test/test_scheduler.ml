@@ -181,7 +181,7 @@ let test_submit_await () =
       check_ok "basic outcome" (Sched.await tk);
       Alcotest.(check bool) "waited >= 0" true (Sched.wait_seconds tk >= 0.0);
       Alcotest.(check bool) "not degraded" false (Sched.was_degraded tk);
-      check_ok "run" (Sched.run s "ok:run");
+      check_ok "submit + await" (Sched.await (Sched.submit s "ok:run"));
       let st = Sched.stats s in
       Alcotest.(check int) "admitted" 2 st.Sched.admitted;
       Alcotest.(check int) "completed" 2 st.Sched.completed;
@@ -211,11 +211,13 @@ let test_overload_reject_and_shed () =
       let n2 = Sched.submit s "ok:n2" in
       (* full queue + equal priority: fail fast, in bounded time *)
       let t0 = Clock.now () in
-      (match Sched.submit s "ok:n3" with
-      | _ -> Alcotest.fail "expected Overloaded"
-      | exception QE.Error (QE.Overloaded { queue_depth; capacity }) ->
+      (match Sched.poll (Sched.submit s "ok:n3") with
+      | Some (Error (QE.Overloaded { queue_depth; capacity })) ->
         Alcotest.(check int) "capacity echoed" 2 capacity;
-        Alcotest.(check int) "depth echoed" 2 queue_depth);
+        Alcotest.(check int) "depth echoed" 2 queue_depth
+      | Some (Error e) -> Alcotest.failf "expected Overloaded, got %s" (QE.to_string e)
+      | Some (Ok _) -> Alcotest.fail "expected Overloaded, got rows"
+      | None -> Alcotest.fail "the refusal must answer as soon as submit returns");
       Alcotest.(check bool) "rejection is immediate" true (Clock.now () -. t0 < 0.1);
       (* a higher-priority submission sheds the oldest Normal instead *)
       let hi = Sched.submit ~priority:Sched.High s "ok:hi" in
@@ -228,9 +230,9 @@ let test_overload_reject_and_shed () =
       Unix.sleepf 0.05;
       let q1 = Sched.submit s "ok:q1" in
       let q2 = Sched.submit s "ok:q2" in
-      (match Sched.submit ~priority:Sched.Low s "ok:lo" with
-      | _ -> Alcotest.fail "low must not shed normal"
-      | exception QE.Error (QE.Overloaded _) -> ());
+      (match Sched.poll (Sched.submit ~priority:Sched.Low s "ok:lo") with
+      | Some (Error (QE.Overloaded _)) -> ()
+      | _ -> Alcotest.fail "low must not shed normal: expected an immediate Overloaded");
       check_ok "q1" (Sched.await q1);
       check_ok "q2" (Sched.await q2);
       check_ok "b2" (Sched.await b2);
@@ -277,12 +279,12 @@ let executions h sql =
 let test_single_execution () =
   let h = make_harness () in
   with_sched h (fun s ->
-      (match Sched.run s "transient:1:a" with
+      (match Sched.await (Sched.submit s "transient:1:a") with
       | Error (QE.Trap _) -> ()
       | Ok _ -> Alcotest.fail "the trap must be the answer, not a rerun's rows"
       | Error e -> Alcotest.failf "expected Trap, got %s" (QE.to_string e));
       Alcotest.(check int) "trap: one execution" 1 (executions h "transient:1:a");
-      (match Sched.run s "crashed:b" with
+      (match Sched.await (Sched.submit s "crashed:b") with
       | Error (QE.Worker_crashed _) -> ()
       | Ok _ -> Alcotest.fail "the crash must be the answer"
       | Error e -> Alcotest.failf "expected Worker_crashed, got %s" (QE.to_string e));
@@ -348,9 +350,9 @@ let test_shutdown_drains () =
   check_ok "in-flight query finished" (Sched.await blocker);
   check_rejected "queued q1 drained" (Sched.await q1);
   check_rejected "queued q2 drained" (Sched.await q2);
-  match Sched.submit s "ok:late" with
-  | _ -> Alcotest.fail "submit after shutdown must raise"
-  | exception QE.Error (QE.Rejected _) -> ()
+  match Sched.poll (Sched.submit s "ok:late") with
+  | Some (Error (QE.Rejected _)) -> ()
+  | _ -> Alcotest.fail "submit after shutdown must answer Rejected at once"
 
 (* ---- engine integration ---------------------------------------------- *)
 
@@ -402,8 +404,9 @@ let test_engine_scheduler_deadline () =
       with_clean_failpoints (fun () ->
           FP.activate "driver.morsel" (FP.Delay 0.005);
           match
-            Aeq.Engine.query_concurrent engine ~mode:Driver.Bytecode
-              ~deadline_seconds:0.05 "select sum(l_quantity) as s from lineitem"
+            Sched.await
+              (Aeq.Engine.submit engine ~mode:Driver.Bytecode ~deadline_seconds:0.05
+                 "select sum(l_quantity) as s from lineitem")
           with
           | Error (QE.Timeout _) -> ()
           | Ok _ -> Alcotest.fail "must time out"
@@ -411,7 +414,7 @@ let test_engine_scheduler_deadline () =
       Alcotest.(check bool) "watchdog fired" true
         ((Aeq.Engine.scheduler_stats engine).Sched.watchdog_cancels >= 1);
       (* the engine serves correct answers afterwards *)
-      match Aeq.Engine.query_concurrent engine "select count(*) as n from lineitem" with
+      match Sched.await (Aeq.Engine.submit engine "select count(*) as n from lineitem") with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "clean query after timeout: %s" (QE.to_string e))
 
@@ -440,7 +443,7 @@ let test_chaos_soak () =
           let client c () =
             for i = 0 to 11 do
               let k = (c + i) mod Array.length stmts in
-              match Aeq.Engine.query_concurrent engine stmts.(k) with
+              match Sched.await (Aeq.Engine.submit engine stmts.(k)) with
               | Ok r -> if r.Driver.rows <> reference.(k) then Atomic.incr wrong
               | Error (QE.Trap _ | QE.Compile_failed _ | QE.Overloaded _ | QE.Rejected _) ->
                 Atomic.incr errs
@@ -474,7 +477,7 @@ let test_chaos_soak () =
               Printf.sprintf
                 "select sum(l_quantity) as s from lineitem where l_orderkey > %d" (-i)
             in
-            match Aeq.Engine.query_concurrent engine sql with
+            match Sched.await (Aeq.Engine.submit engine sql) with
             | Ok r ->
               Alcotest.(check bool)
                 (Printf.sprintf "fresh statement %d: reference rows" i)
@@ -488,7 +491,7 @@ let test_chaos_soak () =
           done;
           Alcotest.(check bool) "compile failures degraded per statement" true
             (!compile_failures >= 1));
-      match Aeq.Engine.query_concurrent engine "select count(*) as n from lineitem" with
+      match Sched.await (Aeq.Engine.submit engine "select count(*) as n from lineitem") with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "healthy after chaos: %s" (QE.to_string e))
 

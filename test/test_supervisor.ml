@@ -235,7 +235,7 @@ let test_dispatcher_crash_completes_ticket () =
   with_clean_failpoints (fun () ->
       with_sched (fun s ->
           FP.activate ~persistent:false "sched.dispatch" FP.Crash;
-          (match Sched.run s "ok" with
+          (match Sched.await (Sched.submit s "ok") with
           | Error (QE.Worker_crashed { domain; _ }) ->
             Alcotest.(check bool)
               "crash names the dispatcher" true
@@ -245,7 +245,7 @@ let test_dispatcher_crash_completes_ticket () =
             Alcotest.failf "expected Worker_crashed, got %s" (QE.to_string e)
           | Ok _ -> Alcotest.fail "expected Worker_crashed, got rows");
           (* the dispatcher restarted: the next query is served *)
-          (match Sched.run s "ok" with
+          (match Sched.await (Sched.submit s "ok") with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "post-restart query failed: %s" (QE.to_string e));
           let st = Sched.stats s in
@@ -265,11 +265,11 @@ let test_dispatcher_crash_then_healthy_serving () =
   with_clean_failpoints (fun () ->
       with_sched (fun s ->
           FP.activate ~persistent:false ~on_hit:2 "sched.dispatch" FP.Crash;
-          (match Sched.run s "ok" with
+          (match Sched.await (Sched.submit s "ok") with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "first query failed: %s" (QE.to_string e));
           (* second dispatch crashes; every later one is clean *)
-          let outcomes = List.init 5 (fun _ -> Sched.run s "ok") in
+          let outcomes = List.init 5 (fun _ -> Sched.await (Sched.submit s "ok")) in
           let crashed, ok =
             List.partition (function Error (QE.Worker_crashed _) -> true | _ -> false)
               outcomes
@@ -292,7 +292,7 @@ let test_watchdog_crash_restart () =
                 (fun c -> c.Sup.cr_domain = "scheduler.watchdog")
                 (Sup.crash_log ()));
           (* the restarted watchdog still enforces deadlines *)
-          match Sched.run s ~deadline_seconds:0.05 "sleep:5" with
+          match Sched.await (Sched.submit s ~deadline_seconds:0.05 "sleep:5") with
           | Error (QE.Timeout _) | Error QE.Cancelled -> ()
           | Error e -> Alcotest.failf "expected Timeout, got %s" (QE.to_string e)
           | Ok _ -> Alcotest.fail "expected the watchdog to cancel the query"))
@@ -371,13 +371,13 @@ let test_health_degraded_and_back () =
       with_sched ~config (fun s ->
           Alcotest.(check (list string)) "healthy at start" [] (Sched.health_reasons s);
           FP.activate ~persistent:false "sched.dispatch" FP.Crash;
-          (match Sched.run s "ok" with
+          (match Sched.await (Sched.submit s "ok") with
           | Error (QE.Worker_crashed _) -> ()
           | _ -> Alcotest.fail "expected the dispatcher to crash");
           eventually "degraded during backoff" (fun () -> Sched.health_reasons s <> []);
           eventually "serving again after restart" (fun () ->
               Sched.health_reasons s = []);
-          match Sched.run s "ok" with
+          match Sched.await (Sched.submit s "ok") with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "post-recovery query failed: %s" (QE.to_string e)))
 
@@ -391,7 +391,7 @@ let test_scheduler_drain () =
           let d = Domain.spawn (fun () -> drain_clean := Sched.drain ~deadline_seconds:10.0 s) in
           eventually "drain closes admission" (fun () -> Sched.draining s);
           (* new work is rejected while draining *)
-          (match Sched.run s "ok" with
+          (match Sched.await (Sched.submit s "ok") with
           | Error (QE.Rejected reason) ->
             Alcotest.(check string) "rejected as draining" "draining" reason
           | Error e -> Alcotest.failf "expected Rejected, got %s" (QE.to_string e)
@@ -411,7 +411,7 @@ let test_engine_drain () =
         "serving" "serving"
         (Aeq.Engine.health_name (Aeq.Engine.health engine));
       let sql = "select count(*) as n from lineitem" in
-      (match Aeq.Engine.query_concurrent engine sql with
+      (match Sched.await (Aeq.Engine.submit engine sql) with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "warmup failed: %s" (QE.to_string e));
       let flushed = ref false in
@@ -459,7 +459,7 @@ let test_crash_sweep () =
       let arena = Aeq_storage.Catalog.arena (Aeq.Engine.catalog engine) in
       let sites = FP.valid_sites () in
       (* warm up, then snapshot the lease baseline *)
-      (match Aeq.Engine.query_concurrent engine "select count(*) as n from lineitem" with
+      (match Sched.await (Aeq.Engine.submit engine "select count(*) as n from lineitem") with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "sweep warmup failed: %s" (QE.to_string e));
       let quiesce () =
@@ -487,7 +487,7 @@ let test_crash_sweep () =
               Domain.spawn (fun () ->
                   for _ = 1 to 5 do
                     let r =
-                      Aeq.Engine.query_concurrent engine ~deadline_seconds:30.0 sql
+                      Sched.await (Aeq.Engine.submit engine ~deadline_seconds:30.0 sql)
                     in
                     results.(c) <- Some r
                   done))
@@ -519,7 +519,7 @@ let test_crash_sweep () =
         "restart budget observable in stats" true
         (st.Sched.domain_crashes >= 1 && st.Sched.domain_restarts >= 1);
       (* and the engine still serves *)
-      (match Aeq.Engine.query_concurrent engine "select count(*) as n from lineitem" with
+      (match Sched.await (Aeq.Engine.submit engine "select count(*) as n from lineitem") with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "engine broken after sweep: %s" (QE.to_string e));
       Aeq.Engine.close engine)
