@@ -74,11 +74,10 @@ let serve_clients engine ~clients ~iters ~mode ~deadline sql =
   let s = Aeq.Engine.scheduler_stats engine in
   Printf.printf
     "scheduler: admitted %d | rejected %d | shed %d | expired %d | degraded %d | \
-     watchdog cancels %d | max depth %d | avg wait %.2f ms\n"
+     max depth %d | avg wait %.2f ms\n"
     s.Aeq_exec.Scheduler.admitted s.Aeq_exec.Scheduler.rejected
     s.Aeq_exec.Scheduler.shed s.Aeq_exec.Scheduler.expired
-    s.Aeq_exec.Scheduler.degraded s.Aeq_exec.Scheduler.watchdog_cancels
-    s.Aeq_exec.Scheduler.max_queue_depth
+    s.Aeq_exec.Scheduler.degraded s.Aeq_exec.Scheduler.max_queue_depth
     (s.Aeq_exec.Scheduler.avg_wait_seconds *. 1e3)
 
 let print_result engine ~threads ~trace_out result =

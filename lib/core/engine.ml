@@ -43,14 +43,6 @@ type t = {
   draining : bool Atomic.t;
 }
 
-(* Which plan-cache text THIS domain is single-flight preparing right
-   now. A dispatcher crashing mid-prepare would otherwise leave its
-   claim in [t.preparing] forever and wedge every peer waiting on
-   [prep_done]; the scheduler's [on_domain_crash] hook runs in the
-   crashed domain and uses this to find and release the claim. *)
-let preparing_here : (t * string) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
 let default_cache_capacity = 128
 
 let with_lock m f = Aeq_race.Lock.with_ m f
@@ -337,9 +329,7 @@ let prepare_entry t sql =
                ~help:"Plan-cache lookups that had to prepare from scratch.");
         Hashtbl.replace t.preparing sql ();
         Aeq_race.Lock.unlock t.cache_lock;
-        Domain.DLS.get preparing_here := Some (t, sql);
         let finish () =
-          Domain.DLS.get preparing_here := None;
           with_lock t.cache_lock (fun () ->
               Aeq_race.write ~site:"engine.prep_finish" t.cache_loc;
               Hashtbl.remove t.preparing sql;
@@ -368,8 +358,9 @@ let prepare_entry t sql =
           finish ();
           e
         | exception exn ->
-          (* unparseable/unplannable text: wake waiters so they retry,
-             fail, and don't hang on a prepare that will never land *)
+          (* unparseable/unplannable text, an injected fault or crash:
+             release the claim and wake waiters so they retry, fail,
+             and don't hang on a prepare that will never land *)
           finish ();
           raise exn
       end
@@ -439,15 +430,23 @@ let with_query_obs mode f =
       raise e
   end
 
-let query ?(mode = Aeq_exec.Driver.Adaptive) ?(collect_trace = false) ?timeout_seconds
-    ?cancel ?memory_budget_bytes ?on_compile_failure t sql =
-  (* admission gate: a draining engine takes no new work, but queries
-     already executing (including scheduler-dispatched ones marked
-     in-flight before the drain began) run to completion *)
-  if Atomic.get t.draining && not (Aeq_exec.Scheduler.executing_here ()) then
-    Aeq_exec.Query_error.raise_error (Aeq_exec.Query_error.Rejected "draining");
+(* [query] minus the drain gate: the scheduler's dispatchers call this
+   for already-admitted work, which runs to completion while the
+   engine drains. *)
+let run_query ?(mode = Aeq_exec.Driver.Adaptive) ?(collect_trace = false)
+    ?timeout_seconds ?cancel ?memory_budget_bytes ?on_compile_failure t sql =
   (* using a closed engine is a programming error, not a query failure *)
   if Aeq_exec.Pool.closed t.pool then invalid_arg "Engine.query: engine is closed";
+  (* the deadline rides in the token, so planning and preparation count
+     against it and the driver's morsel guard enforces it *)
+  let cancel =
+    match timeout_seconds with
+    | None -> cancel
+    | Some allowance ->
+      let c = match cancel with Some c -> c | None -> Aeq_exec.Cancel.create () in
+      Aeq_exec.Cancel.set_deadline c ~at:(Aeq_util.Clock.now () +. allowance) ~allowance;
+      Some c
+  in
   with_query_obs mode @@ fun () ->
   Aeq_exec.Query_error.protect @@ fun () ->
   let cache_enabled =
@@ -457,8 +456,8 @@ let query ?(mode = Aeq_exec.Driver.Adaptive) ?(collect_trace = false) ?timeout_s
   in
   if not cache_enabled then begin
     let p = plan t sql in
-    Aeq_exec.Driver.execute ~cost_model:t.cost_model ~collect_trace ?timeout_seconds
-      ?cancel ?memory_budget_bytes ?on_compile_failure t.catalog p ~mode ~pool:t.pool
+    Aeq_exec.Driver.execute ~cost_model:t.cost_model ~collect_trace ?cancel
+      ?memory_budget_bytes ?on_compile_failure t.catalog p ~mode ~pool:t.pool
   end
   else begin
     (* prepared-statement cache with per-pipeline mode memory (the
@@ -486,9 +485,8 @@ let query ?(mode = Aeq_exec.Driver.Adaptive) ?(collect_trace = false) ?timeout_s
           else None)
     in
     let r =
-      Aeq_exec.Driver.execute_prepared ~collect_trace ?initial_modes ?timeout_seconds
-        ?cancel ?memory_budget_bytes ?on_compile_failure entry.ce_prepared ~mode
-        ~pool:t.pool
+      Aeq_exec.Driver.execute_prepared ~collect_trace ?initial_modes ?cancel
+        ?memory_budget_bytes ?on_compile_failure entry.ce_prepared ~mode ~pool:t.pool
     in
     if mode = Aeq_exec.Driver.Adaptive then
       with_lock t.cache_lock (fun () ->
@@ -496,6 +494,14 @@ let query ?(mode = Aeq_exec.Driver.Adaptive) ?(collect_trace = false) ?timeout_s
           entry.ce_modes <- r.Aeq_exec.Driver.final_cm_modes);
     r
   end
+
+let query ?mode ?collect_trace ?timeout_seconds ?cancel ?memory_budget_bytes
+    ?on_compile_failure t sql =
+  (* admission gate: a draining engine takes no new direct work *)
+  if Atomic.get t.draining then
+    Aeq_exec.Query_error.raise_error (Aeq_exec.Query_error.Rejected "draining");
+  run_query ?mode ?collect_trace ?timeout_seconds ?cancel ?memory_budget_bytes
+    ?on_compile_failure t sql
 
 (* Translation validation at the whole-query level: the same statement
    through every execution mode (interpreter-only, both up-front
@@ -564,21 +570,6 @@ let set_scheduler_config t config =
           (Aeq_exec.Pool.supervisors t.pool);
         t.sched_config <- config)
 
-(* Runs in a crashed dispatcher domain (supervisor reclaim, after the
-   scheduler completed the victim ticket): release the single-flight
-   prepare claim this domain held, if any, so peers blocked on
-   [prep_done] wake up and re-prepare instead of waiting forever. *)
-let release_preparing_claim ~name:_ _exn =
-  let slot = Domain.DLS.get preparing_here in
-  match !slot with
-  | None -> ()
-  | Some (t, sql) ->
-    slot := None;
-    with_lock t.cache_lock (fun () ->
-        Aeq_race.write ~site:"engine.release_claim" t.cache_loc;
-        Hashtbl.remove t.preparing sql;
-        Condition.broadcast t.prep_done)
-
 let scheduler t =
   with_lock t.sched_lock (fun () ->
       Aeq_race.write ~site:"engine.scheduler" t.sched_loc;
@@ -588,8 +579,7 @@ let scheduler t =
         let s =
           Aeq_exec.Scheduler.create ~config:t.sched_config
             ~arena:(Aeq_storage.Catalog.arena t.catalog)
-            ~on_domain_crash:release_preparing_claim
-            ~exec:(fun ~mode ~cancel sql -> query ~mode ~cancel t sql)
+            ~exec:(fun ~mode ~cancel sql -> run_query ~mode ~cancel t sql)
             ()
         in
         t.scheduler <- Some s;

@@ -31,9 +31,9 @@ val create :
     [cost_model] defaults to the paper-calibrated model with simulated
     LLVM-magnitude compile latencies (pass
     [Aeq_backend.Cost_model.off] for real latencies only). Every
-    serving domain — pool workers, scheduler dispatchers, the
-    watchdog — runs under a {!Aeq_exec.Supervisor} crash barrier with
-    self-healing restarts. *)
+    serving domain — pool workers and scheduler dispatchers — runs
+    under a {!Aeq_exec.Supervisor} crash barrier with self-healing
+    restarts. *)
 
 val load_tpch : ?seed:int64 -> t -> scale_factor:float -> unit
 
@@ -88,8 +88,12 @@ val query :
     backpressure, use {!submit}.
 
     Guardrails (see {!Aeq_exec.Driver.execute_prepared} for the full
-    contract): [timeout_seconds] and [cancel] stop the query at the
-    next morsel boundary, [memory_budget_bytes] bounds its arena
+    contract): [cancel] stops the query at the next morsel boundary.
+    [timeout_seconds] is set as a deadline on that token (a fresh one
+    if [cancel] is absent) when [query] is called, so parsing,
+    planning and preparation count against it; the query raises
+    [Timeout] at the first morsel boundary past it.
+    [memory_budget_bytes] bounds its arena
     scratch, and [on_compile_failure] (default [`Degrade]) decides
     whether a failed up-front compilation degrades to bytecode or
     fails the query. Every failure — malformed SQL ([Parse_failed]),
@@ -139,7 +143,9 @@ val submit :
     concurrently with no queue bound, fairness or deadline, [submit]
     goes through admission control: a full queue answers
     {!Aeq_exec.Query_error.Overloaded}, overload degrades execution to
-    bytecode-only, and deadline overruns are cancelled by the watchdog.
+    bytecode-only, and a [deadline_seconds] overrun answers [Rejected]
+    while still queued or [Timeout] at the first morsel boundary once
+    running.
     [submit] never raises: every outcome, an admission refusal
     included, is the ticket's answer, and every failure is a
     {!Aeq_exec.Query_error.t}. See {!Aeq_exec.Scheduler} for the full
@@ -154,7 +160,7 @@ val set_scheduler_config : t -> Aeq_exec.Scheduler.config -> unit
 (** Configure admission control before the first {!submit}. The
     config's [restart_policy] governs every
     serving domain the engine owns: the scheduler's dispatchers and
-    watchdog, and the pool's workers too.
+    the pool's workers too.
     @raise Invalid_argument once the scheduler exists. *)
 
 val prepare : t -> string -> unit
@@ -232,8 +238,8 @@ val reset_stats : t -> unit
 (** {1 Health, drain & self-healing}
 
     Serving domains run under {!Aeq_exec.Supervisor} barriers: a
-    domain crash (an unstructured exception escaping a dispatcher,
-    the watchdog, or a pool worker) is contained, its orphaned state
+    domain crash (an unstructured exception escaping a dispatcher or
+    a pool worker) is contained, its orphaned state
     reclaimed — the affected client gets a structured
     [Query_error.Worker_crashed] instead of a hung [await] — and the
     domain restarts under a backoff budget. The engine aggregates the

@@ -107,8 +107,8 @@ let prepare ?(cost_model = CM.default) catalog plan ~n_threads =
 (* rows small enough that pool wakeups cost more than they buy *)
 let inline_threshold = 512
 
-let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?cancel
-    ?memory_budget_bytes ?(on_compile_failure = `Degrade) p ~mode ~pool =
+let execute_prepared ?(collect_trace = false) ?initial_modes ?cancel ?memory_budget_bytes
+    ?(on_compile_failure = `Degrade) p ~mode ~pool =
   let t_start = Aeq_util.Clock.now () in
   let catalog = p.pr_catalog and plan = p.pr_plan and layout = p.pr_layout in
   let cost_model = p.pr_cost_model in
@@ -129,25 +129,19 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
      [Fun.protect] at the bottom whose finaliser releases the lease, so
      no exception — injected or real — can strand the lease's chunks. *)
   let guarded () =
-  let deadline = Option.map (fun s -> t_start +. s) timeout_seconds in
   (* --- query guardrails --------------------------------------------- *)
   (* The first error (worker trap, cancellation, deadline, budget
      breach) is recorded here; every worker polls it at each morsel
      boundary, so one failing domain stops the others promptly instead
-     of letting them drain the remaining morsels. *)
+     of letting them drain the remaining morsels. This is the only
+     place a deadline is enforced: it travels in the [cancel] token. *)
   let failed : Query_error.t option Atomic.t = Atomic.make None in
   let fail e = ignore (Atomic.compare_and_set failed None (Some e)) in
   let check_guards () =
     (match Atomic.get failed with
     | Some _ -> ()
     | None -> (
-      (match cancel with
-      | Some c when Cancel.cancelled c -> fail Query_error.Cancelled
-      | _ -> ());
-      (match deadline with
-      | Some d when Aeq_util.Clock.now () > d ->
-        fail (Query_error.Timeout (Option.get timeout_seconds))
-      | _ -> ());
+      (match Option.bind cancel Cancel.check with Some e -> fail e | None -> ());
       match memory_budget_bytes with
       | Some b when A.lease_used lease > b ->
         fail
@@ -507,11 +501,11 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
       try A.release lease with Aeq_util.Probe.Injected _ -> ())
     (fun () -> Query_error.protect guarded)
 
-let execute ?cost_model ?collect_trace ?initial_modes ?timeout_seconds ?cancel
-    ?memory_budget_bytes ?on_compile_failure catalog plan ~mode ~pool =
+let execute ?cost_model ?collect_trace ?initial_modes ?cancel ?memory_budget_bytes
+    ?on_compile_failure catalog plan ~mode ~pool =
   let p = prepare ?cost_model catalog plan ~n_threads:(Pool.n_threads pool) in
-  execute_prepared ?collect_trace ?initial_modes ?timeout_seconds ?cancel
-    ?memory_budget_bytes ?on_compile_failure p ~mode ~pool
+  execute_prepared ?collect_trace ?initial_modes ?cancel ?memory_budget_bytes
+    ?on_compile_failure p ~mode ~pool
 
 let row_to_strings catalog dtypes row =
   List.mapi

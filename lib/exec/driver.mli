@@ -78,7 +78,6 @@ val prepare :
 val execute_prepared :
   ?collect_trace:bool ->
   ?initial_modes:Aeq_backend.Cost_model.mode list ->
-  ?timeout_seconds:float ->
   ?cancel:Cancel.t ->
   ?memory_budget_bytes:int ->
   ?on_compile_failure:[ `Degrade | `Fail ] ->
@@ -94,8 +93,9 @@ val execute_prepared :
     executions can warm-start from [initial_modes].
 
     Guardrails (all cooperative, checked at morsel boundaries):
-    - [timeout_seconds] bounds the execution's wall time;
-    - [cancel] is a token any thread may {!Cancel.cancel};
+    - [cancel] is a token any thread may {!Cancel.cancel}; its
+      deadline ({!Cancel.set_deadline}), if any, is enforced here too
+      and fails the query with [Timeout];
     - [memory_budget_bytes] bounds the arena scratch this execution
       may allocate;
     - [on_compile_failure] (default [`Degrade]) chooses what a failed
@@ -129,7 +129,6 @@ val execute :
   ?cost_model:Aeq_backend.Cost_model.t ->
   ?collect_trace:bool ->
   ?initial_modes:Aeq_backend.Cost_model.mode list ->
-  ?timeout_seconds:float ->
   ?cancel:Cancel.t ->
   ?memory_budget_bytes:int ->
   ?on_compile_failure:[ `Degrade | `Fail ] ->

@@ -23,8 +23,9 @@ type t =
           was disabled ([`Fail]); the detail string carries the
           underlying failure *)
   | Timeout of float
-      (** the [~timeout_seconds] deadline passed (payload: the
-          allowance) *)
+      (** the deadline on the query's {!Cancel.t} token passed
+          ([Engine.query ~timeout_seconds] or [Scheduler.submit
+          ~deadline_seconds]; payload: the allowance) *)
   | Cancelled  (** the query's {!Cancel.t} token was cancelled *)
   | Memory_budget_exceeded of { budget_bytes : int; used_bytes : int }
       (** per-query arena scratch exceeded [~memory_budget_bytes] *)

@@ -32,9 +32,6 @@ type config = {
   dispatchers : int; (* dispatcher domains = queries concurrently in flight *)
   queue_capacity : int;
   shed_queue_depth : int;
-  shed_resident_bytes : int option;
-  deadline_grace : float;
-  watchdog_period : float;
   restart_policy : Supervisor.policy;
 }
 
@@ -43,9 +40,6 @@ let default_config =
     dispatchers = 1;
     queue_capacity = 64;
     shed_queue_depth = 48;
-    shed_resident_bytes = None;
-    deadline_grace = 0.25;
-    watchdog_period = 0.005;
     restart_policy = Supervisor.default_policy;
   }
 
@@ -53,12 +47,13 @@ type outcome = (Driver.result, QE.t) result
 
 type state = Queued | Running | Done of outcome
 
+(* Lock order, everywhere: [t.lock] before [tk_lock], never the
+   reverse. *)
 type ticket = {
-  tk_id : int;
+  tk_sched : t; (* queued expiry at [poll]/[await] takes its lock *)
   tk_sql : string;
   tk_mode : Driver.mode;
   tk_priority : priority;
-  tk_deadline_seconds : float option;
   tk_deadline : float option; (* absolute, against Clock.now *)
   tk_submitted : float;
   tk_cancel : Cancel.t;
@@ -66,9 +61,47 @@ type ticket = {
   tk_cond : Condition.t;
   tk_loc : Aeq_race.location;
   mutable tk_state : state;
+      (* [Queued] exactly while the ticket is live in a queue:
+         a dispatcher marks it [Running] when it claims it *)
   mutable tk_started : float; (* -1. until dispatched *)
-  mutable tk_watchdog_fired : bool;
   mutable tk_degraded : bool;
+}
+
+and t = {
+  cfg : config;
+  exec : mode:Driver.mode -> cancel:Cancel.t -> string -> Driver.result;
+  arena : Aeq_mem.Arena.t option;
+  lock : Aeq_race.Lock.t;
+  work : Condition.t; (* signalled on admit and on shutdown *)
+  queues_loc : Aeq_race.location;
+  counters_loc : Aeq_race.location;
+  running_loc : Aeq_race.location;
+  queues : ticket Queue.t array; (* [High; Normal; Low] *)
+  mutable queued : int; (* live (state Queued) tickets across queues *)
+  mutable stopped : bool;
+  mutable draining : bool; (* admission closed; in-flight may finish *)
+  current : ticket option array;
+      (* per-dispatcher serving slot, written under [lock]: the
+         in-flight set, and what the supervisor reclaims (completes as
+         [Worker_crashed]) if that dispatcher's domain crashes
+         mid-serve *)
+  mutable failed_dispatchers : int; (* dispatchers whose supervisor gave up *)
+  (* counters *)
+  mutable n_admitted : int;
+  mutable n_rejected : int;
+  mutable n_shed : int;
+  mutable n_expired : int;
+  mutable n_completed : int;
+  mutable n_failed : int;
+  mutable n_degraded : int;
+  mutable n_crashed_tickets : int;
+  mutable max_depth : int;
+  mutable total_wait : float;
+  mutable n_waits : int;
+  mutable max_wait : float;
+  quiet_waiter : Aeq_util.Waiter.t;
+      (* poked whenever in-flight work finishes; [drain] sleeps on it *)
+  mutable supervisors : Supervisor.t list;
 }
 
 type stats = {
@@ -80,7 +113,6 @@ type stats = {
   completed : int;
   failed : int;
   degraded : int;
-  watchdog_cancels : int;
   queue_depth : int;
   max_queue_depth : int;
   avg_wait_seconds : float;
@@ -100,7 +132,6 @@ let zero_stats =
     completed = 0;
     failed = 0;
     degraded = 0;
-    watchdog_cancels = 0;
     queue_depth = 0;
     max_queue_depth = 0;
     avg_wait_seconds = 0.0;
@@ -109,51 +140,6 @@ let zero_stats =
     domain_crashes = 0;
     domain_restarts = 0;
   }
-
-(* Lock order, everywhere: [t.lock] before [tk_lock], never the
-   reverse. [await] and the ticket accessors take only [tk_lock]. *)
-type t = {
-  cfg : config;
-  exec : mode:Driver.mode -> cancel:Cancel.t -> string -> Driver.result;
-  arena : Aeq_mem.Arena.t option;
-  lock : Aeq_race.Lock.t;
-  work : Condition.t; (* signalled on admit and on shutdown *)
-  queues_loc : Aeq_race.location;
-  counters_loc : Aeq_race.location;
-  running_loc : Aeq_race.location;
-  queues : ticket Queue.t array; (* [High; Normal; Low] *)
-  ids : int Atomic.t;
-  mutable queued : int; (* live (state Queued) tickets across queues *)
-  mutable stopped : bool;
-  mutable draining : bool; (* admission closed; in-flight may finish *)
-  running_tks : (int, ticket) Hashtbl.t;
-      (* in-flight tickets by id — what the watchdog supervises; with
-         several dispatchers there are up to [cfg.dispatchers] at once *)
-  current : ticket option array;
-      (* per-dispatcher serving slot, written under [lock]: what the
-         supervisor reclaims (completes as [Worker_crashed]) if that
-         dispatcher's domain crashes mid-serve *)
-  on_domain_crash : name:string -> exn -> unit;
-  mutable failed_dispatchers : int; (* dispatchers whose supervisor gave up *)
-  (* counters *)
-  mutable n_admitted : int;
-  mutable n_rejected : int;
-  mutable n_shed : int;
-  mutable n_expired : int;
-  mutable n_completed : int;
-  mutable n_failed : int;
-  mutable n_degraded : int;
-  mutable n_watchdog_cancels : int;
-  mutable n_crashed_tickets : int;
-  mutable max_depth : int;
-  mutable total_wait : float;
-  mutable n_waits : int;
-  mutable max_wait : float;
-  wd_waiter : Aeq_util.Waiter.t; (* watchdog inter-sweep sleep; woken on shutdown *)
-  quiet_waiter : Aeq_util.Waiter.t;
-      (* poked whenever in-flight work finishes; [drain] sleeps on it *)
-  mutable supervisors : Supervisor.t list;
-}
 
 let with_lock m f = Aeq_race.Lock.with_ m f
 
@@ -173,7 +159,50 @@ let complete tk outcome =
         tk.tk_state <- Done outcome;
         Condition.broadcast tk.tk_cond)
 
+(* ---- queued expiry --------------------------------------------------- *)
+
+(* Under t.lock: answer a still-queued ticket whose deadline has passed.
+   Its queue entry stays put — [pop_live] and [shed_victim] skip
+   completed tickets. There is no timer: this runs wherever the
+   scheduler already touches the queue (every [submit] and dispatch)
+   and at [poll]/[await] of the ticket itself. *)
+let expire t now tk =
+  match tk.tk_deadline with
+  | Some d when now > d ->
+    let expired =
+      with_lock tk.tk_lock (fun () ->
+          Aeq_race.write ~site:"sched.expire" tk.tk_loc;
+          match tk.tk_state with
+          | Queued ->
+            tk.tk_state <- Done (Error (QE.Rejected "deadline expired in admission queue"));
+            Condition.broadcast tk.tk_cond;
+            true
+          | Running | Done _ -> false)
+    in
+    if expired then begin
+      Aeq_race.write ~site:"sched.expire" t.queues_loc;
+      Aeq_race.write ~site:"sched.expire" t.counters_loc;
+      t.queued <- t.queued - 1;
+      t.n_expired <- t.n_expired + 1;
+      obs_bump "expired" ~help:"Queries whose deadline passed while queued."
+    end
+  | _ -> ()
+
+(* under t.lock *)
+let expire_queued t =
+  Aeq_race.read ~site:"sched.expire_queued" t.queues_loc;
+  let now = Clock.now () in
+  Array.iter (Queue.iter (expire t now)) t.queues
+
+let expire_if_overdue tk =
+  match tk.tk_deadline with
+  | Some d when Clock.now () > d && not (is_done tk) ->
+    let t = tk.tk_sched in
+    with_lock t.lock (fun () -> expire t (Clock.now ()) tk)
+  | _ -> ()
+
 let await tk =
+  expire_if_overdue tk;
   with_lock tk.tk_lock (fun () ->
       let rec wait () =
         Aeq_race.read ~site:"sched.await" tk.tk_loc;
@@ -186,6 +215,7 @@ let await tk =
       wait ())
 
 let poll tk =
+  expire_if_overdue tk;
   with_lock tk.tk_lock (fun () ->
       Aeq_race.read ~site:"sched.poll" tk.tk_loc;
       match tk.tk_state with Done o -> Some o | Queued | Running -> None)
@@ -205,7 +235,8 @@ let was_degraded tk =
 (* ---- execution ------------------------------------------------------ *)
 
 (* Runs the query once, outside t.lock. Every admitted query gets the
-   outcome of this single execution as its answer. *)
+   outcome of this single execution as its answer; its deadline, if
+   any, travels in [tk_cancel] and the driver enforces it. *)
 let execute t tk eff_mode =
   match t.exec ~mode:eff_mode ~cancel:tk.tk_cancel tk.tk_sql with
   | r -> Ok r
@@ -214,16 +245,7 @@ let execute t tk eff_mode =
        the dispatcher so the supervisor path (reclaim + restart) is
        what answers the client, not this conversion layer *)
     raise e
-  | exception e -> (
-    match QE.of_exn e with
-    | QE.Cancelled
-      when with_lock tk.tk_lock (fun () ->
-               Aeq_race.read ~site:"sched.execute" tk.tk_loc;
-               tk.tk_watchdog_fired) ->
-      (* the watchdog killed it for blowing its deadline: surface the
-         reason, not the mechanism *)
-      Error (QE.Timeout (Option.value tk.tk_deadline_seconds ~default:0.0))
-    | err -> Error err)
+  | exception e -> Error (QE.of_exn e)
 
 (* ---- dispatcher ------------------------------------------------------ *)
 
@@ -239,81 +261,68 @@ let pop_live t =
   in
   scan 0
 
-(* Serve one ticket on dispatcher [di]. Called and returns with t.lock
-   NOT held; every critical section inside is [Fun.protect]ed
+(* Under t.lock: dispatcher [di] takes [tk] (already popped). Marks it
+   running, records its queue wait, puts it in the in-flight set and
+   picks its effective mode: under overload, no compilation spend. *)
+let claim t di tk =
+  Aeq_race.write ~site:"sched.claim" t.counters_loc;
+  Aeq_race.write ~site:"sched.claim" t.running_loc;
+  let now = Clock.now () in
+  let wait = now -. tk.tk_submitted in
+  t.total_wait <- t.total_wait +. wait;
+  t.n_waits <- t.n_waits + 1;
+  if wait > t.max_wait then t.max_wait <- wait;
+  let overloaded =
+    t.queued > t.cfg.shed_queue_depth
+    (* near the scratch cap, compiling (and its scratch spike) is the
+       wrong thing to spend memory on: degrade to bytecode until
+       backpressure drains *)
+    || (match t.arena with
+       | Some a -> Aeq_mem.Arena.scratch_under_pressure a
+       | None -> false)
+  in
+  let eff_mode = if overloaded then Driver.Bytecode else tk.tk_mode in
+  if eff_mode <> tk.tk_mode then begin
+    t.n_degraded <- t.n_degraded + 1;
+    obs_bump "degraded" ~help:"Executions forced to bytecode-only."
+  end;
+  with_lock tk.tk_lock (fun () ->
+      Aeq_race.write ~site:"sched.claim" tk.tk_loc;
+      tk.tk_state <- Running;
+      tk.tk_started <- now;
+      tk.tk_degraded <- eff_mode <> tk.tk_mode);
+  t.current.(di) <- Some tk;
+  eff_mode
+
+(* Serve one claimed ticket on dispatcher [di]. Called and returns with
+   t.lock NOT held; every critical section inside is [Fun.protect]ed
    ([with_lock]) so no exception — injected crash included — can
    abandon the scheduler mutex. While the query executes, the ticket
    sits in [t.current.(di)]: the dispatcher's supervisor completes it
    with [Worker_crashed] if this domain dies before [finish]. *)
-let serve t di tk =
-  let decision =
-    with_lock t.lock (fun () ->
-        Aeq_race.write ~site:"sched.serve" t.counters_loc;
-        Aeq_race.write ~site:"sched.serve" t.running_loc;
-        let now = Clock.now () in
-        match tk.tk_deadline with
-        | Some d when now > d ->
-          (* expired while queued (between watchdog sweeps) *)
-          t.n_expired <- t.n_expired + 1;
-          obs_bump "expired" ~help:"Queries whose deadline passed while queued.";
-          None
-        | _ ->
-          let wait = now -. tk.tk_submitted in
-          t.total_wait <- t.total_wait +. wait;
-          t.n_waits <- t.n_waits + 1;
-          if wait > t.max_wait then t.max_wait <- wait;
-          (* under overload, no compilation spend *)
-          let overloaded =
-            t.queued > t.cfg.shed_queue_depth
-            || (match (t.cfg.shed_resident_bytes, t.arena) with
-               | Some b, Some a -> Aeq_mem.Arena.resident_bytes a > b
-               | _ -> false)
-            (* near the scratch cap, compiling (and its scratch spike)
-               is the wrong thing to spend memory on: degrade to
-               bytecode until backpressure drains *)
-            || (match t.arena with
-               | Some a -> Aeq_mem.Arena.scratch_under_pressure a
-               | None -> false)
-          in
-          let eff_mode = if overloaded then Driver.Bytecode else tk.tk_mode in
-          if eff_mode <> tk.tk_mode then begin
-            t.n_degraded <- t.n_degraded + 1;
-            obs_bump "degraded" ~help:"Executions forced to bytecode-only."
-          end;
-          Hashtbl.replace t.running_tks tk.tk_id tk;
-          t.current.(di) <- Some tk;
-          Some eff_mode)
+let serve t di tk eff_mode =
+  (* the ticket is already reclaimable: a crash from here on is the
+     supervisor's to answer. The dispatch site sits exactly in that
+     window so the [Crash] action exercises the reclaim path. *)
+  Aeq_util.Probe.hit "sched.dispatch";
+  let outcome =
+    match Cancel.check tk.tk_cancel with
+    | Some e -> Error e (* cancelled while queued *)
+    | None -> execute t tk eff_mode
   in
-  match decision with
-  | None -> complete tk (Error (QE.Rejected "deadline expired in admission queue"))
-  | Some eff_mode ->
-    (* the ticket is now reclaimable: a crash from here on is the
-       supervisor's to answer. The dispatch site sits exactly in that
-       window so the [Crash] action exercises the reclaim path. *)
-    Aeq_util.Probe.hit "sched.dispatch";
-    with_lock tk.tk_lock (fun () ->
-        Aeq_race.write ~site:"sched.dispatch" tk.tk_loc;
-        tk.tk_state <- Running;
-        tk.tk_started <- Clock.now ();
-        tk.tk_degraded <- eff_mode <> tk.tk_mode);
-    let outcome =
-      if Cancel.cancelled tk.tk_cancel then Error QE.Cancelled
-      else execute t tk eff_mode
-    in
-    with_lock t.lock (fun () ->
-        Aeq_race.write ~site:"sched.finish" t.counters_loc;
-        Aeq_race.write ~site:"sched.finish" t.running_loc;
-        t.current.(di) <- None;
-        Hashtbl.remove t.running_tks tk.tk_id;
-        match outcome with
-        | Ok _ ->
-          t.n_completed <- t.n_completed + 1;
-          obs_bump "completed" ~help:"Queries finished with rows."
-        | Error _ ->
-          t.n_failed <- t.n_failed + 1;
-          obs_bump "failed" ~help:"Queries finished with a structured error.");
-    complete tk outcome;
-    Aeq_util.Waiter.wake t.quiet_waiter
+  with_lock t.lock (fun () ->
+      Aeq_race.write ~site:"sched.finish" t.counters_loc;
+      Aeq_race.write ~site:"sched.finish" t.running_loc;
+      t.current.(di) <- None;
+      match outcome with
+      | Ok _ ->
+        t.n_completed <- t.n_completed + 1;
+        obs_bump "completed" ~help:"Queries finished with rows."
+      | Error _ ->
+        t.n_failed <- t.n_failed + 1;
+        obs_bump "failed" ~help:"Queries finished with a structured error.");
+  complete tk outcome;
+  Aeq_util.Waiter.wake t.quiet_waiter
 
 (* under t.lock: answer every still-queued client now, not a hang *)
 let reject_queued t reason =
@@ -333,18 +342,7 @@ let reject_queued t reason =
     t.queues;
   t.queued <- 0
 
-(* Marks dispatcher domains so the engine's drain admission gate can
-   tell a dispatcher-driven [exec] call (already-admitted work that
-   must run to completion) from a fresh direct client. Sticky per
-   domain — dispatchers are dedicated, and in-domain supervised
-   restarts keep the identity. *)
-let dispatcher_here : bool ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref false)
-
-let executing_here () = !(Domain.DLS.get dispatcher_here)
-
 let dispatcher_loop t di () =
-  Domain.DLS.get dispatcher_here := true;
   let running = ref true in
   while !running do
     let next =
@@ -357,79 +355,29 @@ let dispatcher_loop t di () =
               reject_queued t "scheduler is shut down";
               None
             end
-            else if t.queued > 0 then begin
-              match pop_live t with
-              | Some tk ->
-                t.queued <- t.queued - 1;
-                Some tk
-              | None ->
-                t.queued <- 0;
-                (* counter drift guard; unreachable *)
-                get ()
-            end
             else begin
-              Aeq_race.Lock.wait t.work t.lock;
-              get ()
+              expire_queued t;
+              if t.queued > 0 then begin
+                match pop_live t with
+                | Some tk ->
+                  t.queued <- t.queued - 1;
+                  Some (tk, claim t di tk)
+                | None ->
+                  t.queued <- 0;
+                  (* counter drift guard; unreachable *)
+                  get ()
+              end
+              else begin
+                Aeq_race.Lock.wait t.work t.lock;
+                get ()
+              end
             end
           in
           get ())
     in
     match next with
-    | Some tk -> serve t di tk
+    | Some (tk, eff_mode) -> serve t di tk eff_mode
     | None -> running := false
-  done
-
-(* ---- watchdog -------------------------------------------------------- *)
-
-let watchdog_loop t () =
-  let running = ref true in
-  while !running do
-    (* interruptible inter-sweep sleep: shutdown wakes the waiter, so
-       closing the scheduler never stalls a full watchdog period *)
-    ignore (Aeq_util.Waiter.wait t.wd_waiter t.cfg.watchdog_period);
-    Aeq_util.Probe.hit "sched.watchdog";
-    with_lock t.lock (fun () ->
-        Aeq_race.read ~site:"sched.watchdog" t.queues_loc;
-        Aeq_race.read ~site:"sched.watchdog" t.running_loc;
-        if t.stopped then running := false
-        else begin
-          let now = Clock.now () in
-          (* in-flight queries: cancel past deadline + grace *)
-          Hashtbl.iter
-            (fun _ tk ->
-              match tk.tk_deadline with
-              | Some d when now > d +. t.cfg.deadline_grace ->
-                let fresh =
-                  with_lock tk.tk_lock (fun () ->
-                      Aeq_race.write ~site:"sched.watchdog" tk.tk_loc;
-                      let fresh = not tk.tk_watchdog_fired in
-                      if fresh then tk.tk_watchdog_fired <- true;
-                      fresh)
-                in
-                if fresh then begin
-                  Cancel.cancel tk.tk_cancel;
-                  Aeq_race.write ~site:"sched.watchdog" t.counters_loc;
-                  t.n_watchdog_cancels <- t.n_watchdog_cancels + 1;
-                  obs_bump "watchdog_cancels" ~help:"Running queries cancelled past deadline+grace."
-                end
-              | _ -> ())
-            t.running_tks;
-          (* queued queries whose deadline already passed: answer now
-             instead of wasting a dispatch slot later *)
-          Array.iter
-            (fun q ->
-              Queue.iter
-                (fun tk ->
-                  match tk.tk_deadline with
-                  | Some d when now > d && not (is_done tk) ->
-                    t.n_expired <- t.n_expired + 1;
-                    obs_bump "expired" ~help:"Queries whose deadline passed while queued.";
-                    t.queued <- t.queued - 1;
-                    complete tk (Error (QE.Rejected "deadline expired in admission queue"))
-                  | _ -> ())
-                q)
-            t.queues
-        end)
   done
 
 (* ---- admission ------------------------------------------------------- *)
@@ -455,77 +403,73 @@ let shed_victim t pri =
 let submit ?(mode = Driver.Adaptive) ?(priority = Normal) ?deadline_seconds ?cancel t
     sql =
   let now = Clock.now () in
+  let tk_deadline = Option.map (fun s -> now +. s) deadline_seconds in
+  let tk_cancel = match cancel with Some c -> c | None -> Cancel.create () in
+  (match (tk_deadline, deadline_seconds) with
+  | Some at, Some allowance -> Cancel.set_deadline tk_cancel ~at ~allowance
+  | _ -> ());
   let tk =
     {
-      tk_id = Atomic.fetch_and_add t.ids 1;
+      tk_sched = t;
       tk_sql = sql;
       tk_mode = mode;
       tk_priority = priority;
-      tk_deadline_seconds = deadline_seconds;
-      tk_deadline = Option.map (fun s -> now +. s) deadline_seconds;
+      tk_deadline;
       tk_submitted = now;
-      tk_cancel = (match cancel with Some c -> c | None -> Cancel.create ());
+      tk_cancel;
       tk_lock = Aeq_race.Lock.create "sched.ticket.lock";
       tk_cond = Condition.create ();
       tk_loc = Aeq_race.locate "sched.ticket";
       tk_state = Queued;
       tk_started = -1.0;
-      tk_watchdog_fired = false;
       tk_degraded = false;
     }
   in
-  let verdict =
-    with_lock t.lock (fun () ->
-        Aeq_race.write ~site:"sched.submit" t.queues_loc;
-        Aeq_race.write ~site:"sched.submit" t.counters_loc;
-        if t.stopped then `Rejected (QE.Rejected "scheduler is shut down")
-        else if t.draining then begin
-          (* drain closes admission first: new work is refused while
-             in-flight queries run to completion *)
-          t.n_rejected <- t.n_rejected + 1;
-          obs_bump "rejected" ~help:"Queries refused at submission or shutdown.";
-          `Rejected (QE.Rejected "draining")
-        end
-        else begin
-          let room =
-            if t.queued < t.cfg.queue_capacity then `Room None
-            else
-              match shed_victim t priority with
-              | Some v ->
-                t.n_shed <- t.n_shed + 1;
-                obs_bump "shed" ~help:"Queued queries evicted to admit higher priority.";
-                t.queued <- t.queued - 1;
-                `Room (Some v)
-              | None ->
-                (* full, nothing sheddable: fail fast *)
-                let depth = t.queued in
-                t.n_rejected <- t.n_rejected + 1;
-                obs_bump "rejected" ~help:"Queries refused at submission or shutdown.";
-                `Rejected
-                  (QE.Overloaded
-                     { queue_depth = depth; capacity = t.cfg.queue_capacity })
-          in
-          match room with
-          | `Rejected _ as r -> r
-          | `Room victim ->
-            Queue.push tk t.queues.(queue_index priority);
-            t.queued <- t.queued + 1;
-            t.n_admitted <- t.n_admitted + 1;
-            obs_bump "admitted" ~help:"Queries accepted into the admission queue.";
-            if t.queued > t.max_depth then t.max_depth <- t.queued;
-            Condition.signal t.work;
-            `Admitted victim
-        end)
-  in
-  (match verdict with
-  | `Rejected e -> complete tk (Error e)
-  | `Admitted (Some v) ->
-    complete v
-      (Error
-         (QE.Rejected
-            (Printf.sprintf "shed under overload (%s priority, queue full)"
-               (priority_name v.tk_priority))))
-  | `Admitted None -> ());
+  with_lock t.lock (fun () ->
+      Aeq_race.write ~site:"sched.submit" t.queues_loc;
+      Aeq_race.write ~site:"sched.submit" t.counters_loc;
+      if t.stopped then complete tk (Error (QE.Rejected "scheduler is shut down"))
+      else if t.draining then begin
+        (* drain closes admission first: new work is refused while
+           in-flight queries run to completion *)
+        t.n_rejected <- t.n_rejected + 1;
+        obs_bump "rejected" ~help:"Queries refused at submission or shutdown.";
+        complete tk (Error (QE.Rejected "draining"))
+      end
+      else begin
+        (* overdue tickets leave first, so they never cost a newcomer
+           its room *)
+        expire_queued t;
+        let admit () =
+          Queue.push tk t.queues.(queue_index priority);
+          t.queued <- t.queued + 1;
+          t.n_admitted <- t.n_admitted + 1;
+          obs_bump "admitted" ~help:"Queries accepted into the admission queue.";
+          if t.queued > t.max_depth then t.max_depth <- t.queued;
+          Condition.signal t.work
+        in
+        if t.queued < t.cfg.queue_capacity then admit ()
+        else
+          match shed_victim t priority with
+          | Some v ->
+            t.n_shed <- t.n_shed + 1;
+            obs_bump "shed" ~help:"Queued queries evicted to admit higher priority.";
+            t.queued <- t.queued - 1;
+            complete v
+              (Error
+                 (QE.Rejected
+                    (Printf.sprintf "shed under overload (%s priority, queue full)"
+                       (priority_name v.tk_priority))));
+            admit ()
+          | None ->
+            (* full, nothing sheddable: fail fast *)
+            t.n_rejected <- t.n_rejected + 1;
+            obs_bump "rejected" ~help:"Queries refused at submission or shutdown.";
+            complete tk
+              (Error
+                 (QE.Overloaded
+                    { queue_depth = t.queued; capacity = t.cfg.queue_capacity }))
+      end);
   tk
 
 (* ---- lifecycle ------------------------------------------------------- *)
@@ -534,9 +478,7 @@ let validate cfg =
   if cfg.dispatchers < 1 then
     invalid_arg "Scheduler: dispatchers must be >= 1";
   if cfg.queue_capacity < 1 then
-    invalid_arg "Scheduler: queue_capacity must be >= 1";
-  if cfg.watchdog_period <= 0.0 then
-    invalid_arg "Scheduler: watchdog_period must be > 0"
+    invalid_arg "Scheduler: queue_capacity must be >= 1"
 
 (* Supervisor reclaim for dispatcher [di]: runs in the crashed domain
    after its stack unwound (arena leases and mutexes already released
@@ -553,7 +495,6 @@ let dispatcher_reclaim t di sv_name exn =
         | None -> None
         | Some tk ->
           t.current.(di) <- None;
-          Hashtbl.remove t.running_tks tk.tk_id;
           t.n_crashed_tickets <- t.n_crashed_tickets + 1;
           t.n_failed <- t.n_failed + 1;
           obs_bump "crashed_tickets"
@@ -562,12 +503,11 @@ let dispatcher_reclaim t di sv_name exn =
             ( tk,
               QE.Worker_crashed { domain = sv_name; detail = Printexc.to_string exn } ))
   in
-  (match victim with
+  match victim with
   | Some (tk, err) ->
     complete tk (Error err);
     Aeq_util.Waiter.wake t.quiet_waiter
-  | None -> ());
-  t.on_domain_crash ~name:sv_name exn
+  | None -> ()
 
 (* A dispatcher whose restart budget is exhausted stops serving. When
    the LAST one gives up nothing will ever pop the queue again — fail
@@ -579,8 +519,12 @@ let dispatcher_gave_up t =
       if t.failed_dispatchers >= t.cfg.dispatchers then
         reject_queued t "no serving domains left (restart budget exhausted)")
 
-let create ?(config = default_config) ?arena
-    ?(on_domain_crash = fun ~name:_ _ -> ()) ~exec () =
+(* under t.lock *)
+let in_flight t =
+  Array.fold_left (fun acc slot -> match slot with Some tk -> tk :: acc | None -> acc) []
+    t.current
+
+let create ?(config = default_config) ?arena ~exec () =
   validate config;
   let t =
     {
@@ -593,13 +537,10 @@ let create ?(config = default_config) ?arena
       counters_loc = Aeq_race.locate "sched.counters";
       running_loc = Aeq_race.locate "sched.running";
       queues = Array.init 3 (fun _ -> Queue.create ());
-      ids = Atomic.make 0;
       queued = 0;
       stopped = false;
       draining = false;
-      running_tks = Hashtbl.create 8;
       current = Array.make config.dispatchers None;
-      on_domain_crash;
       failed_dispatchers = 0;
       n_admitted = 0;
       n_rejected = 0;
@@ -608,27 +549,22 @@ let create ?(config = default_config) ?arena
       n_completed = 0;
       n_failed = 0;
       n_degraded = 0;
-      n_watchdog_cancels = 0;
       n_crashed_tickets = 0;
       max_depth = 0;
       total_wait = 0.0;
       n_waits = 0;
       max_wait = 0.0;
-      wd_waiter = Aeq_util.Waiter.create ();
       quiet_waiter = Aeq_util.Waiter.create ();
       supervisors = [];
     }
   in
   t.supervisors <-
-    Supervisor.spawn ~policy:config.restart_policy ~name:"scheduler.watchdog"
-      ~on_crash:(fun exn -> t.on_domain_crash ~name:"scheduler.watchdog" exn)
-      (watchdog_loop t)
-    :: List.init config.dispatchers (fun i ->
-           let sv_name = Printf.sprintf "scheduler.dispatcher-%d" i in
-           Supervisor.spawn ~policy:config.restart_policy ~name:sv_name
-             ~on_crash:(dispatcher_reclaim t i sv_name)
-             ~on_give_up:(fun _ -> dispatcher_gave_up t)
-             (dispatcher_loop t i));
+    List.init config.dispatchers (fun i ->
+        let sv_name = Printf.sprintf "scheduler.dispatcher-%d" i in
+        Supervisor.spawn ~policy:config.restart_policy ~name:sv_name
+          ~on_crash:(dispatcher_reclaim t i sv_name)
+          ~on_give_up:(fun _ -> dispatcher_gave_up t)
+          (dispatcher_loop t i));
   (* gauges registered unconditionally; rendering is what the
      observability switch gates *)
   Obs.Metrics.gauge_fn "aeq_scheduler_queue_depth"
@@ -640,7 +576,7 @@ let create ?(config = default_config) ?arena
     ~help:"Queries currently being served by dispatcher domains." (fun () ->
       with_lock t.lock (fun () ->
           Aeq_race.read ~site:"sched.gauge" t.running_loc;
-          Hashtbl.length t.running_tks));
+          List.length (in_flight t)));
   Obs.Metrics.gauge_fn "aeq_scheduler_unhealthy_domains"
     ~help:"Supervised scheduler domains currently backing off or failed."
     (fun () ->
@@ -669,7 +605,7 @@ let drain ?(deadline_seconds = 30.0) t =
     with_lock t.lock (fun () ->
         Aeq_race.read ~site:"sched.drain" t.queues_loc;
         Aeq_race.read ~site:"sched.drain" t.running_loc;
-        t.queued = 0 && Hashtbl.length t.running_tks = 0)
+        t.queued = 0 && in_flight t = [])
   in
   let rec poll () =
     if quiesced () then true
@@ -687,12 +623,13 @@ let drain ?(deadline_seconds = 30.0) t =
   in
   let clean = poll () in
   if not clean then begin
-    let in_flight =
+    let running =
       with_lock t.lock (fun () ->
+          Aeq_race.read ~site:"sched.drain" t.running_loc;
           reject_queued t "rejected at drain deadline";
-          Hashtbl.fold (fun _ tk acc -> tk :: acc) t.running_tks [])
+          in_flight t)
     in
-    List.iter (fun tk -> Cancel.cancel tk.tk_cancel) in_flight
+    List.iter (fun tk -> Cancel.cancel tk.tk_cancel) running
   end;
   clean
 
@@ -706,11 +643,10 @@ let stats t =
       rejected = t.n_rejected;
       shed = t.n_shed;
       expired = t.n_expired;
-      in_flight = Hashtbl.length t.running_tks;
+      in_flight = List.length (in_flight t);
       completed = t.n_completed;
       failed = t.n_failed;
       degraded = t.n_degraded;
-      watchdog_cancels = t.n_watchdog_cancels;
       queue_depth = t.queued;
       max_queue_depth = t.max_depth;
       avg_wait_seconds = (if t.n_waits = 0 then 0.0 else t.total_wait /. float_of_int t.n_waits);
@@ -728,15 +664,14 @@ let reset_stats t =
   with_lock t.lock (fun () ->
       Aeq_race.write ~site:"sched.reset_stats" t.counters_loc;
       t.n_admitted <- 0;
-  t.n_rejected <- 0;
-  t.n_shed <- 0;
-  t.n_expired <- 0;
-  t.n_completed <- 0;
-  t.n_failed <- 0;
-  t.n_degraded <- 0;
-  t.n_watchdog_cancels <- 0;
-  t.n_crashed_tickets <- 0;
-  t.max_depth <- t.queued;
+      t.n_rejected <- 0;
+      t.n_shed <- 0;
+      t.n_expired <- 0;
+      t.n_completed <- 0;
+      t.n_failed <- 0;
+      t.n_degraded <- 0;
+      t.n_crashed_tickets <- 0;
+      t.max_depth <- t.queued;
       t.total_wait <- 0.0;
       t.n_waits <- 0;
       t.max_wait <- 0.0)
@@ -755,10 +690,7 @@ let shutdown t =
   match to_join with
   | None -> ()
   | Some svs ->
-    (* wake the watchdog out of its inter-sweep sleep so close never
-       stalls a full period, and cut any supervisor backoff short *)
-    Aeq_util.Waiter.wake t.wd_waiter;
+    (* cut any supervisor backoff short, then join *)
     List.iter Supervisor.stop svs;
     List.iter Supervisor.join svs;
-    Aeq_util.Waiter.dispose t.wd_waiter;
     Aeq_util.Waiter.dispose t.quiet_waiter

@@ -1,5 +1,5 @@
 (** Concurrent query serving: admission control, overload shedding
-    and deadline enforcement in front of the driver.
+    and deadlines in front of the driver.
 
     The execution core underneath (driver + multi-tenant worker pool +
     per-query arena leases) runs queries concurrently; a configurable
@@ -12,19 +12,23 @@
       {!Query_error.Overloaded} (fail fast, never queue unboundedly),
       shedding an already-queued lower-priority query first if that
       makes room for a higher-priority newcomer;
-    - {b load shedding / graceful degradation}: when queue depth or
-      the arena's resident high-water mark crosses its threshold,
-      newly dispatched queries are forced to bytecode-only mode — no
-      compilation spend under overload;
+    - {b load shedding / graceful degradation}: when queue depth
+      crosses its threshold, or the arena's query scratch nears its cap
+      ([Aeq_mem.Arena.scratch_under_pressure]), newly dispatched
+      queries are forced to bytecode-only mode — no compilation spend
+      under overload;
     - {b one answer per query}: an admitted query executes once and
       its ticket completes with the outcome of that execution. A failed
       compile is not the scheduler's concern — the prepared statement
       blacklists the mode and keeps running in the tier it is in (see
       [Handle.promote]) — and a failure is returned, never retried;
-    - a {b watchdog} domain that cancels queries exceeding
-      deadline + grace via their {!Cancel.t} token (surfaced as
-      [Timeout]), expires queries whose deadline passed while still
-      queued, and keeps the health counters in {!stats} current.
+    - {b deadlines without a timer}: a query's deadline is set on its
+      {!Cancel.t} token, so the driver's per-morsel guard stops a
+      running query at the first morsel boundary past it ([Timeout]).
+      A ticket whose deadline passes while it is still queued is
+      answered [Rejected] wherever the scheduler touches it: at every
+      {!submit}, at every dispatch, and at {!poll} and {!await} of that
+      ticket.
 
     Clients call {!submit} (asynchronous; returns a {!ticket}) and
     {!await} or {!poll} the ticket, from any number of domains. The
@@ -46,16 +50,9 @@ type config = {
   shed_queue_depth : int;
       (** queue depth beyond which dispatched queries are forced to
           bytecode-only *)
-  shed_resident_bytes : int option;
-      (** arena high-water mark (resident bytes) beyond which
-          dispatched queries are forced to bytecode-only *)
-  deadline_grace : float;
-      (** seconds past its deadline a running query is granted before
-          the watchdog cancels it *)
-  watchdog_period : float;  (** watchdog scan interval, seconds *)
   restart_policy : Supervisor.policy;
-      (** restart budget and backoff for the dispatcher and watchdog
-          domains, which run under {!Supervisor} barriers: a crash
+      (** restart budget and backoff for the dispatcher domains, which
+          run under {!Supervisor} barriers: a crash
           completes the victim's in-flight ticket with
           [Worker_crashed] and restarts the domain.
           [Engine.set_scheduler_config] applies it to the engine's
@@ -74,12 +71,11 @@ type t
 val create :
   ?config:config ->
   ?arena:Aeq_mem.Arena.t ->
-  ?on_domain_crash:(name:string -> exn -> unit) ->
   exec:(mode:Driver.mode -> cancel:Cancel.t -> string -> Driver.result) ->
   unit ->
   t
-(** Start a scheduler (spawns [config.dispatchers] dispatcher domains
-    and the watchdog domain, each under a {!Supervisor}). [exec] runs one
+(** Start a scheduler (spawns [config.dispatchers] dispatcher domains,
+    each under a {!Supervisor}, and nothing else). [exec] runs one
     query to completion and is called from dispatcher domains — up to
     [dispatchers] calls concurrently, so it must be thread-safe (the
     engine's [query] is). Whatever it raises becomes the ticket's
@@ -87,9 +83,8 @@ val create :
     ({!Aeq_util.Probe.is_crash}), the one exception that escapes: it
     unwinds out of the dispatcher, whose supervisor answers the ticket
     with [Worker_crashed] and restarts the domain. [arena], when given,
-    feeds the [shed_resident_bytes] overload gauge. [on_domain_crash]
-    runs in the crashed domain after the scheduler's own reclaim —
-    the engine hooks its plan-cache single-flight cleanup here. *)
+    degrades dispatched queries to bytecode while its query scratch is
+    under pressure. *)
 
 val submit :
   ?mode:Driver.mode ->
@@ -101,10 +96,20 @@ val submit :
   ticket
 (** Enqueue a query. Returns immediately and never raises.
 
-    [deadline_seconds] is end-to-end (queue wait + execution):
-    expiring in the queue yields [Rejected], exceeding it
-    while running gets the query cancelled by the watchdog after
-    [deadline_grace] and yields [Timeout]. [cancel] lets the caller
+    [deadline_seconds] is end-to-end (queue wait + execution) and is
+    set on the query's {!Cancel.t} token (the caller's [cancel], or a
+    fresh one). Exceeding it while running stops the query at the next
+    morsel boundary with [Timeout deadline_seconds]; there is no grace
+    period. Expiring while still queued yields
+    [Rejected "deadline expired in admission queue"], counted as
+    [expired], and the query never runs. Queued expiry has no timer: it
+    happens at the next {!submit} or dispatch, or when the ticket is
+    {!poll}ed or {!await}ed. A wire session polls every 2 ms, so it is
+    answered at the deadline; an {!await} that is already blocked when
+    its queued ticket goes overdue is answered at the next submit,
+    dispatch or poll instead. An overdue ticket never costs a
+    newcomer its room: {!submit} expires overdue tickets before
+    judging whether the queue is full. [cancel] lets the caller
     abandon the query later ({!cancel} does the same).
 
     An admission refusal returns a ticket that is already complete
@@ -146,7 +151,6 @@ type stats = {
   completed : int;  (** finished with rows *)
   failed : int;  (** finished with a structured error *)
   degraded : int;  (** executions forced to bytecode-only *)
-  watchdog_cancels : int;  (** running queries cancelled past deadline+grace *)
   queue_depth : int;  (** gauge: queries queued right now *)
   max_queue_depth : int;  (** high-water mark of [queue_depth] *)
   avg_wait_seconds : float;  (** mean queue wait of dispatched queries *)
@@ -187,24 +191,16 @@ val drain : ?deadline_seconds:float -> t -> bool
 
 val draining : t -> bool
 
-val executing_here : unit -> bool
-(** [true] when called from a dispatcher domain — i.e. from inside an
-    [exec] callback serving an admitted query. The engine's drain
-    admission gate uses this to keep rejecting fresh direct clients
-    while letting already-admitted (queued) work finish. *)
-
 val health_reasons : t -> string list
 (** One reason per supervised domain currently crashed-and-backing-off
     or failed (restart budget exhausted). Empty = all serving domains
     healthy. *)
 
 val supervisors : t -> Supervisor.t list
-(** The domain supervisors (watchdog first), for tests and
+(** The dispatcher supervisors, one per dispatcher, for tests and
     introspection. *)
 
 val shutdown : t -> unit
 (** Stop serving: every still-queued query completes with [Rejected],
-    in-flight queries finish, then the dispatcher and watchdog domains
-    are joined (the watchdog is woken out of its inter-sweep sleep, so
-    shutdown does not stall a [watchdog_period]). Idempotent. Later
-    {!submit}s answer [Rejected]. *)
+    in-flight queries finish, then the dispatcher domains are joined.
+    Idempotent. Later {!submit}s answer [Rejected]. *)

@@ -52,58 +52,19 @@ type crash = {
   cr_action : crash_action;
 }
 
-(* Process-wide crash log, decision-log style: a bounded ring so a
-   crash loop cannot grow memory, newest-first on read. Every crash in
-   the process lands here whatever supervisor caught it — post-mortems
-   want one timeline, not one per domain. *)
-let log_capacity = 256
+(* Process-wide crash log on the shared bounded ring: a crash loop
+   cannot grow memory, and every crash in the process lands here
+   whatever supervisor caught it — post-mortems want one timeline, not
+   one per domain. *)
+let () = Aeq_race.declare "supervisor.state" (Aeq_race.Lock "supervisor.lock")
 
-let () =
-  Aeq_race.declare "supervisor.crash_ring" (Aeq_race.Lock "supervisor.log.lock");
-  Aeq_race.declare "supervisor.state" (Aeq_race.Lock "supervisor.lock")
+let log : crash Obs.Ring.t = Obs.Ring.create ~start:(fun c -> c.cr_at) ()
 
-let log_lock = Aeq_race.Lock.create "supervisor.log.lock"
+let crash_log () = List.rev (Obs.Ring.snapshot log)
 
-let log_loc = Aeq_race.locate "supervisor.crash_ring"
+let crash_log_dropped () = Obs.Ring.dropped log
 
-let log_ring : crash option array = Array.make log_capacity None
-
-let log_next = ref 0
-
-let log_dropped = ref 0
-
-let log_crash c =
-  Aeq_race.Lock.with_ log_lock (fun () ->
-      Aeq_race.write ~site:"supervisor.log_crash" log_loc;
-      if Array.length log_ring > 0 then begin
-        if log_ring.(!log_next mod log_capacity) <> None then incr log_dropped;
-        log_ring.(!log_next mod log_capacity) <- Some c;
-        incr log_next
-      end)
-
-let crash_log () =
-  Aeq_race.Lock.with_ log_lock (fun () ->
-      Aeq_race.read ~site:"supervisor.crash_log" log_loc;
-      let out = ref [] in
-      for i = 0 to log_capacity - 1 do
-        (* oldest → newest, then reversed: newest first *)
-        match log_ring.((!log_next + i) mod log_capacity) with
-        | Some c -> out := c :: !out
-        | None -> ()
-      done;
-      !out)
-
-let crash_log_dropped () =
-  Aeq_race.Lock.with_ log_lock (fun () ->
-      Aeq_race.read ~site:"supervisor.crash_log_dropped" log_loc;
-      !log_dropped)
-
-let clear_crash_log () =
-  Aeq_race.Lock.with_ log_lock (fun () ->
-      Aeq_race.write ~site:"supervisor.clear_crash_log" log_loc;
-      Array.fill log_ring 0 log_capacity None;
-      log_next := 0;
-      log_dropped := 0)
+let clear_crash_log () = Obs.Ring.clear log
 
 let obs_count name ~help ~domain =
   if Obs.Control.enabled () then
@@ -255,7 +216,7 @@ let handle_crash t exn =
       | Failed -> Gave_up
       | _ -> Restarted (* stop raced the crash: log it as handled *)
   in
-  log_crash
+  Obs.Ring.push log
     {
       cr_at = now;
       cr_domain = t.sv_name;

@@ -1,8 +1,8 @@
 (** Domain supervision: exception barriers, crash reclaim, and
     self-healing restarts for the engine's long-lived domains.
 
-    Every critical domain — scheduler dispatchers, the watchdog, pool
-    workers — runs its loop under a supervisor. An unstructured
+    Every critical domain — scheduler dispatchers and pool workers —
+    runs its loop under a supervisor. An unstructured
     exception escaping the loop (a bug; injected in tests by the
     [Crash] failpoint action) used to kill the domain silently and
     hang every client depending on it. Under supervision the crash is:
@@ -13,11 +13,12 @@
       exception, what the supervisor did);
     - {b reclaimed}: the owner's [on_crash] hook completes the crashed
       dispatcher's in-flight ticket with
-      [Query_error.Worker_crashed], removes it from the running set,
-      fixes pool participant accounting so job barriers still drain,
-      and clears single-flight prepare claims — crash-specific state
-      the unwind alone cannot restore (arena leases and held mutexes
-      are already released by [Fun.protect] on the way up);
+      [Query_error.Worker_crashed], removes it from the in-flight set,
+      and fixes pool participant accounting so job barriers still
+      drain — crash-specific state the unwind alone cannot restore
+      (arena leases, held mutexes and single-flight prepare claims are
+      already released by [Fun.protect] and exception handlers on the
+      way up);
     - {b restarted}: the same domain re-enters the body after an
       exponential backoff, under a sliding-window restart budget.
 
@@ -135,12 +136,17 @@ val health_reason : t -> string option
 
 (** {1 Crash log}
 
-    A process-wide bounded ring (capacity 256) of every supervised
-    crash, newest first — the post-mortem timeline. *)
+    Every supervised crash in the process, on one {!Aeq_obs.Ring} —
+    the post-mortem timeline. Retention is the ring's: the {e oldest}
+    {!Aeq_obs.Ring.capacity} (65,536) crashes since the last
+    {!clear_crash_log} are kept, and later ones are dropped and
+    counted. *)
 
 val crash_log : unit -> crash list
+(** Retained crashes, newest first (by [cr_at]). *)
 
 val crash_log_dropped : unit -> int
-(** Entries overwritten since the last {!clear_crash_log}. *)
+(** Crashes dropped because the log was full since the last
+    {!clear_crash_log}. *)
 
 val clear_crash_log : unit -> unit

@@ -58,7 +58,6 @@ let fault_sites =
     "arena.release";
     "pool.pick";
     "sched.dispatch";
-    "sched.watchdog";
     "net.accept";
     "net.read";
     "net.write";

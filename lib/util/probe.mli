@@ -34,7 +34,6 @@
     pool.pick                 hit    when a pool participant starts a job
     sched.dispatch            hit    after a dispatcher claims a ticket
                                      (a Crash exercises ticket reclaim)
-    sched.watchdog            hit    each watchdog sweep, before its lock
     net.accept                hit    after accept, before the session starts
     net.read / net.write      hit    before every frame read / written
     arena.backpressure        yield  each poll of the scratch-cap wait
@@ -65,7 +64,7 @@ exception Injected_crash of string
     {e not} part of the structured-error contract: every layer that
     folds exceptions into [Query_error] lets it pass, so it unwinds
     all the way out of the hosting domain — simulating a bug that
-    kills a dispatcher, watchdog or pool worker. Only a supervisor
+    kills a dispatcher or a pool worker. Only a supervisor
     barrier ([Aeq_exec.Supervisor]) contains it. *)
 
 val is_crash : exn -> bool

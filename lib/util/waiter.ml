@@ -1,9 +1,9 @@
 (* An interruptible timed wait over a self-pipe.
 
    OCaml's stdlib [Condition] has no timed wait, so a domain that
-   wants "sleep up to N seconds unless woken" — the scheduler
-   watchdog between sweeps, a supervisor backing off before a restart
-   — used to [Unix.sleepf] and made every shutdown pay a full period.
+   wants "sleep up to N seconds unless woken" — a supervisor backing
+   off before a restart, a drain waiting for in-flight work — would
+   [Unix.sleepf] and make every shutdown pay the full sleep.
    Here the sleeper selects on the read end of a pipe; [wake] writes a
    byte, turning the remaining sleep into an immediate return. Wakes
    are sticky until consumed: a [wake] racing slightly ahead of the

@@ -1,11 +1,11 @@
 (** An interruptible timed wait (self-pipe + [select]).
 
-    The stdlib [Condition] cannot wait with a timeout, so periodic
-    domains (watchdog sweeps, supervisor restart backoff) either
-    oversleep shutdown by a full period or busy-poll. A [Waiter.t]
-    gives the third option: sleep up to the period, but return
-    immediately when another domain calls {!wake}. One waiter per
-    sleeping domain; [wake] may be called from anywhere, any number of
+    The stdlib [Condition] cannot wait with a timeout, so a timed
+    sleep (a supervisor's restart backoff, a scheduler drain waiting
+    for in-flight work, an arena waiting at its scratch cap) would
+    either oversleep a shutdown or busy-poll. A [Waiter.t] gives the
+    third option: sleep up to the timeout, but return immediately
+    when another domain calls {!wake}. One waiter per sleeper; [wake] may be called from anywhere, any number of
     times (wakes coalesce). *)
 
 type t

@@ -1,7 +1,8 @@
 (* Tests for concurrent query serving: the admission queue (priorities,
-   bounds, shedding, deadlines), one answer per admitted query, the
-   watchdog, probabilistic failpoints, the now-thread-safe engine plan
-   cache, and a chaos soak. *)
+   bounds, shedding, deadlines), one answer per admitted query,
+   deadlines enforced through the cancel token, probabilistic
+   failpoints, the now-thread-safe engine plan cache, and a chaos
+   soak. *)
 
 module Sched = Aeq_exec.Scheduler
 module Driver = Aeq_exec.Driver
@@ -28,7 +29,7 @@ let eager_model =
   }
 
 (* ---- a fake execution core ------------------------------------------ *)
-(* Scheduler semantics (queueing, outcomes, watchdog) are tested
+(* Scheduler semantics (queueing, outcomes, deadlines) are tested
    against a scripted [exec] — no engine, no SQL. The "sql" strings are
    commands: ok | sleep:<s> | transient:<n>:<tag> (an injected-fault
    trap on the first n executions) | crashed:<tag>. *)
@@ -54,13 +55,16 @@ let ok_result () =
     final_cm_modes = [];
   }
 
-(* sleep in small cancellable steps, like morsel boundaries *)
+(* sleep in small steps, checking the token like the driver's morsel
+   guard: [Cancelled] once cancelled, [Timeout] past its deadline *)
 let rec csleep cancel remaining =
-  if Aeq_exec.Cancel.cancelled cancel then QE.raise_error QE.Cancelled
-  else if remaining > 0.0 then begin
-    Unix.sleepf (Stdlib.min 0.002 remaining);
-    csleep cancel (remaining -. 0.002)
-  end
+  match Aeq_exec.Cancel.check cancel with
+  | Some e -> QE.raise_error e
+  | None ->
+    if remaining > 0.0 then begin
+      Unix.sleepf (Stdlib.min 0.002 remaining);
+      csleep cancel (remaining -. 0.002)
+    end
 
 type harness = {
   h_lock : Mutex.t;
@@ -185,7 +189,10 @@ let test_submit_await () =
       let st = Sched.stats s in
       Alcotest.(check int) "admitted" 2 st.Sched.admitted;
       Alcotest.(check int) "completed" 2 st.Sched.completed;
-      Alcotest.(check int) "failed" 0 st.Sched.failed)
+      Alcotest.(check int) "failed" 0 st.Sched.failed;
+      Alcotest.(check int) "one supervised domain per dispatcher"
+        Sched.default_config.Sched.dispatchers
+        (List.length (Sched.supervisors s)))
 
 let test_priority_order () =
   let h = make_harness () in
@@ -257,14 +264,14 @@ let test_overload_degrades_to_bytecode () =
       Alcotest.(check bool) "a1 degraded" true (Sched.was_degraded a1);
       Alcotest.(check bool) "a2 not degraded" false (Sched.was_degraded a2);
       Alcotest.(check int) "degraded counted" 1 (Sched.stats s).Sched.degraded);
-  (* arena pressure: resident bytes over the threshold degrade too *)
+  (* arena pressure: query scratch at its cap degrades too *)
   let arena = Aeq_mem.Arena.create () in
+  Aeq_mem.Arena.set_scratch_limit arena (Some 0);
   let h2 = make_harness () in
-  let config = { Sched.default_config with Sched.shed_resident_bytes = Some 0 } in
-  with_sched ~config ~arena h2 (fun s ->
+  with_sched ~arena h2 (fun s ->
       let tk = Sched.submit s "ok:mem" in
       check_ok "served under memory pressure" (Sched.await tk);
-      Alcotest.(check bool) "degraded by resident bytes" true (Sched.was_degraded tk))
+      Alcotest.(check bool) "degraded by scratch pressure" true (Sched.was_degraded tk))
 
 (* ---- one answer per query ------------------------------------------ *)
 
@@ -291,14 +298,13 @@ let test_single_execution () =
       Alcotest.(check int) "crash: one execution" 1 (executions h "crashed:b");
       Alcotest.(check int) "both failed" 2 (Sched.stats s).Sched.failed)
 
-(* ---- deadlines & watchdog -------------------------------------------- *)
+(* ---- deadlines -------------------------------------------------------- *)
 
-let test_watchdog_cancels_overdue () =
+(* the deadline rides in the ticket's token: the running query stops at
+   its first guard check past it, with no grace period *)
+let test_deadline_cancel () =
   let h = make_harness () in
-  let config =
-    { Sched.default_config with Sched.deadline_grace = 0.02; watchdog_period = 0.005 }
-  in
-  with_sched ~config h (fun s ->
+  with_sched h (fun s ->
       let t0 = Clock.now () in
       let tk = Sched.submit ~deadline_seconds:0.05 s "sleep:5" in
       (match Sched.await tk with
@@ -307,8 +313,8 @@ let test_watchdog_cancels_overdue () =
       | Ok _ -> Alcotest.fail "must time out"
       | Error e -> Alcotest.failf "expected Timeout, got %s" (QE.to_string e));
       Alcotest.(check bool) "cancelled promptly, not after 5 s" true
-        (Clock.now () -. t0 < 1.0);
-      Alcotest.(check int) "watchdog counted" 1 (Sched.stats s).Sched.watchdog_cancels)
+        (Clock.now () -. t0 < 0.2);
+      Alcotest.(check int) "failed" 1 (Sched.stats s).Sched.failed)
 
 let test_deadline_expires_in_queue () =
   let h = make_harness () in
@@ -322,6 +328,40 @@ let test_deadline_expires_in_queue () =
       (* the expired ticket never reached the fake core *)
       Alcotest.(check bool) "never executed" true
         (not (List.mem "ok:late" (served h))))
+
+(* no timer expires queued tickets: a polling client is answered at its
+   deadline, and submit clears overdue tickets before judging room *)
+let test_expiry_without_timer () =
+  let h = make_harness () in
+  let config = { Sched.default_config with Sched.queue_capacity = 1 } in
+  with_sched ~config h (fun s ->
+      let blocker = Sched.submit s "sleep:0.5" in
+      Unix.sleepf 0.05 (* the blocker is now running, the queue is free *);
+      let t0 = Clock.now () in
+      let polled = Sched.submit ~deadline_seconds:0.05 s "ok:polled" in
+      let rec poll_loop () =
+        match Sched.poll polled with
+        | Some outcome -> outcome
+        | None ->
+          if Clock.now () -. t0 > 5.0 then Alcotest.fail "poll never answered";
+          Unix.sleepf 0.002;
+          poll_loop ()
+      in
+      check_rejected "expired while polled" (poll_loop ());
+      Alcotest.(check bool) "answered within 0.2 s" true (Clock.now () -. t0 < 0.2);
+      let overdue = Sched.submit ~deadline_seconds:0.02 s "ok:overdue" in
+      Unix.sleepf 0.05;
+      let next = Sched.submit s "ok:next" in
+      (match Sched.poll next with
+      | Some (Error (QE.Overloaded _)) ->
+        Alcotest.fail "an overdue queued ticket made submit answer Overloaded"
+      | _ -> ());
+      check_rejected "overdue expired" (Sched.await overdue);
+      check_ok "next served" (Sched.await next);
+      check_ok "blocker" (Sched.await blocker);
+      Alcotest.(check bool) "expired tickets never reached the core" true
+        (not (List.mem "ok:polled" (served h) || List.mem "ok:overdue" (served h)));
+      Alcotest.(check int) "both counted expired" 2 (Sched.stats s).Sched.expired)
 
 let test_client_cancel_queued () =
   let h = make_harness () in
@@ -395,12 +435,7 @@ let test_engine_concurrent_cache () =
 
 let test_engine_scheduler_deadline () =
   with_engine (fun engine ->
-      Aeq.Engine.set_scheduler_config engine
-        {
-          Sched.default_config with
-          Sched.deadline_grace = 0.02;
-          watchdog_period = 0.005;
-        };
+      Aeq.Engine.set_scheduler_config engine Sched.default_config;
       with_clean_failpoints (fun () ->
           FP.activate "driver.morsel" (FP.Delay 0.005);
           match
@@ -408,11 +443,12 @@ let test_engine_scheduler_deadline () =
               (Aeq.Engine.submit engine ~mode:Driver.Bytecode ~deadline_seconds:0.05
                  "select sum(l_quantity) as s from lineitem")
           with
-          | Error (QE.Timeout _) -> ()
+          | Error (QE.Timeout allowance) ->
+            Alcotest.(check (float 1e-9)) "allowance echoed" 0.05 allowance
           | Ok _ -> Alcotest.fail "must time out"
           | Error e -> Alcotest.failf "expected Timeout, got %s" (QE.to_string e));
-      Alcotest.(check bool) "watchdog fired" true
-        ((Aeq.Engine.scheduler_stats engine).Sched.watchdog_cancels >= 1);
+      Alcotest.(check int) "the timeout counted as failed" 1
+        (Aeq.Engine.scheduler_stats engine).Sched.failed;
       (* the engine serves correct answers afterwards *)
       match Sched.await (Aeq.Engine.submit engine "select count(*) as n from lineitem") with
       | Ok _ -> ()
@@ -514,8 +550,9 @@ let () =
         [ Alcotest.test_case "single execution" `Quick test_single_execution ] );
       ( "deadlines",
         [
-          Alcotest.test_case "watchdog cancel" `Quick test_watchdog_cancels_overdue;
+          Alcotest.test_case "deadline cancel" `Quick test_deadline_cancel;
           Alcotest.test_case "queue expiry" `Quick test_deadline_expires_in_queue;
+          Alcotest.test_case "expiry without a timer" `Quick test_expiry_without_timer;
           Alcotest.test_case "client cancel" `Quick test_client_cancel_queued;
         ] );
       ( "lifecycle",

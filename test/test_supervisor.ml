@@ -1,6 +1,6 @@
 (* Tests for the supervision layer: crash barriers and in-domain
    restarts (Supervisor), restart budgets and give-up escalation,
-   dispatcher/watchdog/pool-worker crash reclaim (no hung awaits, no
+   dispatcher and pool-worker crash reclaim (no hung awaits, no
    leaked state), engine health states, graceful drain, and a seeded
    crash-injection sweep (AEQ_CRASH_SWEEP overrides the seed count). *)
 
@@ -203,12 +203,16 @@ let ok_result () =
     final_cm_modes = [];
   }
 
+(* sleep in small steps, checking the token like the driver's morsel
+   guard: [Cancelled] once cancelled, [Timeout] past its deadline *)
 let rec csleep cancel remaining =
-  if Aeq_exec.Cancel.cancelled cancel then QE.raise_error QE.Cancelled
-  else if remaining > 0.0 then begin
-    Unix.sleepf (Stdlib.min 0.002 remaining);
-    csleep cancel (remaining -. 0.002)
-  end
+  match Aeq_exec.Cancel.check cancel with
+  | Some e -> QE.raise_error e
+  | None ->
+    if remaining > 0.0 then begin
+      Unix.sleepf (Stdlib.min 0.002 remaining);
+      csleep cancel (remaining -. 0.002)
+    end
 
 let harness_exec ~mode:_ ~cancel sql =
   match String.split_on_char ':' sql with
@@ -221,7 +225,6 @@ let sup_config =
   {
     Sched.default_config with
     dispatchers = 1;
-    watchdog_period = 0.01;
     restart_policy = fast_policy;
   }
 
@@ -280,22 +283,6 @@ let test_dispatcher_crash_then_healthy_serving () =
               | Ok _ -> ()
               | Error e -> Alcotest.failf "unexpected error %s" (QE.to_string e))
             ok))
-
-(* ---- watchdog crash restart ------------------------------------------ *)
-
-let test_watchdog_crash_restart () =
-  with_clean_failpoints (fun () ->
-      with_sched (fun s ->
-          FP.activate ~persistent:false "sched.watchdog" FP.Crash;
-          eventually "watchdog crash caught" (fun () ->
-              List.exists
-                (fun c -> c.Sup.cr_domain = "scheduler.watchdog")
-                (Sup.crash_log ()));
-          (* the restarted watchdog still enforces deadlines *)
-          match Sched.await (Sched.submit s ~deadline_seconds:0.05 "sleep:5") with
-          | Error (QE.Timeout _) | Error QE.Cancelled -> ()
-          | Error e -> Alcotest.failf "expected Timeout, got %s" (QE.to_string e)
-          | Ok _ -> Alcotest.fail "expected the watchdog to cancel the query"))
 
 (* ---- pool worker crash reclaim --------------------------------------- *)
 
@@ -431,7 +418,7 @@ let test_engine_drain () =
 
 (* ---- seeded crash-injection sweep ------------------------------------ *)
 
-(* Every builtin site, dispatcher/watchdog/worker domains, random hit
+(* Every builtin site, dispatcher and worker domains, random hit
    counts, concurrent clients: no await may hang, every client gets
    rows or a structured error, and at quiescence the arena has no
    leaked leases and every supervised domain is healthy again. *)
@@ -449,7 +436,6 @@ let test_crash_sweep () =
           Sched.default_config with
           dispatchers = 2;
           queue_capacity = 64;
-          watchdog_period = 0.01;
           restart_policy =
             (* generous budget: the sweep injects one crash per seed
                and must never exhaust a supervisor *)
@@ -541,7 +527,6 @@ let () =
             test_dispatcher_crash_completes_ticket;
           Alcotest.test_case "crash mid-stream" `Quick
             test_dispatcher_crash_then_healthy_serving;
-          Alcotest.test_case "watchdog crash restart" `Quick test_watchdog_crash_restart;
           Alcotest.test_case "health degraded and back" `Quick
             test_health_degraded_and_back;
           Alcotest.test_case "graceful drain" `Quick test_scheduler_drain;
