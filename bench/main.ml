@@ -837,23 +837,24 @@ let serving () =
     run ~regime:"overload" ~rate:(8.0 *. Float.max 25.0 cap1) ~connections:24
       ~duration:2.0
   in
-  let out = open_out "BENCH_serving.json" in
+  let module J = Aeq_obs.Json in
   let run_json regime s =
-    Aeq_net.Loadgen.summary_to_json
-      ~extra:[ ("regime", Printf.sprintf "%S" regime) ]
-      s
+    Aeq_net.Loadgen.summary_to_json ~extra:[ ("regime", J.Str regime) ] s
   in
-  Printf.fprintf out
-    "{\n\
-    \  \"scenario\": \"serving\",\n\
-    \  \"sf\": %.4f,\n\
-    \  \"threads\": %d,\n\
-    \  \"calibrated_capacity_qps\": %.1f,\n\
-    \  \"connections_shed_at_edge\": %d,\n\
-    \  \"runs\": [\n%s,\n%s  ]\n}\n"
-    sf n_threads cap1
-    (Aeq_net.Server.connections_shed server)
-    (run_json "below" below) (run_json "overload" above);
+  let out = open_out "BENCH_serving.json" in
+  output_string out
+    (J.to_string
+       (J.Obj
+          [
+            ("scenario", J.Str "serving");
+            ("sf", J.Num sf);
+            ("threads", J.Num (Float.of_int n_threads));
+            ("calibrated_capacity_qps", J.Num cap1);
+            ( "connections_shed_at_edge",
+              J.Num (Float.of_int (Aeq_net.Server.connections_shed server)) );
+            ("runs", J.Arr [ run_json "below" below; run_json "overload" above ]);
+          ])
+    ^ "\n");
   close_out out;
   Printf.printf "wrote BENCH_serving.json\n%!";
   Aeq_net.Server.stop server;

@@ -18,12 +18,6 @@ let run host port rate duration connections seed sql tpch prepared priority
     | [], [] -> [ "select count(*) from lineitem" ]
     | tpch, sql -> List.map Aeq_workload.Queries.tpch_q tpch @ sql
   in
-  let priority =
-    match priority with
-    | "low" -> Aeq_net.Protocol.Low
-    | "high" -> Aeq_net.Protocol.High
-    | _ -> Aeq_net.Protocol.Normal
-  in
   let cfg =
     {
       Aeq_net.Loadgen.host;
@@ -43,9 +37,9 @@ let run host port rate duration connections seed sql tpch prepared priority
     Aeq_net.Loadgen.summary_to_json
       ~extra:
         [
-          ("rate_requested_qps", Printf.sprintf "%.9g" rate);
-          ("connections", string_of_int connections);
-          ("seed", string_of_int seed);
+          ("rate_requested_qps", Aeq_obs.Json.Num rate);
+          ("connections", Aeq_obs.Json.Num (Float.of_int connections));
+          ("seed", Aeq_obs.Json.Num (Float.of_int seed));
         ]
       s
   in
@@ -53,7 +47,7 @@ let run host port rate duration connections seed sql tpch prepared priority
   | None -> ()
   | Some path ->
     let oc = open_out path in
-    output_string oc json;
+    output_string oc (Aeq_obs.Json.to_string json ^ "\n");
     close_out oc;
     Printf.printf "wrote %s\n" path);
   Printf.printf
@@ -109,8 +103,14 @@ let prepared =
     & info [ "prepared" ] ~doc:"Prepare once per connection, then Execute_prepared.")
 
 let priority =
+  let classes =
+    List.map
+      (fun p -> (Aeq_exec.Scheduler.priority_name p, p))
+      Aeq_exec.Scheduler.[ Low; Normal; High ]
+  in
   Arg.(
-    value & opt string "normal"
+    value
+    & opt (enum classes) Aeq_exec.Scheduler.Normal
     & info [ "priority" ] ~docv:"CLASS" ~doc:"Admission class: low, normal or high.")
 
 let deadline =

@@ -384,18 +384,6 @@ let cached_executions t sql =
   | Some e -> Aeq_exec.Driver.prepared_executions e.ce_prepared
   | None -> 0
 
-let error_label = function
-  | Aeq_exec.Query_error.Trap _ -> "trap"
-  | Aeq_exec.Query_error.Compile_failed _ -> "compile_failed"
-  | Aeq_exec.Query_error.Timeout _ -> "timeout"
-  | Aeq_exec.Query_error.Cancelled -> "cancelled"
-  | Aeq_exec.Query_error.Memory_budget_exceeded _ -> "memory_budget"
-  | Aeq_exec.Query_error.Overloaded _ -> "overloaded"
-  | Aeq_exec.Query_error.Rejected _ -> "rejected"
-  | Aeq_exec.Query_error.Worker_crashed _ -> "worker_crashed"
-  | Aeq_exec.Query_error.Parse_failed _ -> "parse_failed"
-  | Aeq_exec.Query_error.Plan_failed _ -> "plan_failed"
-
 (* Per-query accounting: a completed-query counter per requested mode,
    an end-to-end latency histogram, and an error counter per failure
    class. *)
@@ -425,7 +413,7 @@ let with_query_obs mode f =
         Obs.Metrics.inc
           (Obs.Metrics.counter "aeq_query_errors_total"
              ~help:"Query failures by structured error class."
-             ~labels:[ ("error", error_label qe) ])
+             ~labels:[ ("error", Aeq_exec.Query_error.label qe) ])
       | _ -> ());
       raise e
   end

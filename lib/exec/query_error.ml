@@ -33,6 +33,18 @@ let to_string = function
   | Parse_failed m -> "parse error: " ^ m
   | Plan_failed m -> "planning error: " ^ m
 
+let label = function
+  | Trap _ -> "trap"
+  | Compile_failed _ -> "compile_failed"
+  | Timeout _ -> "timeout"
+  | Cancelled -> "cancelled"
+  | Memory_budget_exceeded _ -> "memory_budget"
+  | Overloaded _ -> "overloaded"
+  | Rejected _ -> "rejected"
+  | Worker_crashed _ -> "worker_crashed"
+  | Parse_failed _ -> "parse_failed"
+  | Plan_failed _ -> "plan_failed"
+
 let () =
   Printexc.register_printer (function
     | Error e -> Some ("Aeq_exec.Query_error.Error: " ^ to_string e)

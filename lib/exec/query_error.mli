@@ -54,6 +54,15 @@ type t =
 exception Error of t
 
 val to_string : t -> string
+(** The one-line message an in-process caller and a wire client both
+    print. *)
+
+val label : t -> string
+(** The class name: the [error] label of [aeq_query_errors_total] and
+    the key [aeq_load] tallies a failure under ([trap],
+    [compile_failed], [timeout], [cancelled], [memory_budget],
+    [overloaded], [rejected], [worker_crashed], [parse_failed],
+    [plan_failed]). *)
 
 val raise_error : t -> 'a
 

@@ -18,16 +18,11 @@ let fetch_size t = t.cl_fetch_size
 let transport_of_read = function
   | `Eof -> Transport "connection closed by server"
   | `Too_large n -> Transport (Printf.sprintf "oversized frame (%d bytes)" n)
-  | `Fault m -> Transport ("injected fault at " ^ m)
-
-let transport_of_write = function
-  | `Closed -> Transport "connection closed by server"
-  | `Fault m -> Transport ("injected fault at " ^ m)
 
 let send t req =
   match P.write_frame t.fd (P.encode_request req) with
   | Ok () -> Ok ()
-  | Error e -> Error (transport_of_write e)
+  | Error `Closed -> Error (Transport "connection closed by server")
 
 (* Read the next response frame. Stray [Ack]s (the reply to a [Cancel]
    that raced the query's completion) are skipped unless asked for. *)
@@ -43,7 +38,7 @@ let rec recv ?(accept_ack = false) t =
 let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e
 
 let connect ?(host = "127.0.0.1") ?(client = "aeq-client")
-    ?(priority = P.Normal) ?deadline_seconds ~port () =
+    ?(priority = Aeq_exec.Scheduler.Normal) ?deadline_seconds ~port () =
   match Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 with
   | exception Unix.Unix_error (e, _, _) ->
     Error (Transport (Unix.error_message e))

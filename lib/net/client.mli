@@ -6,19 +6,22 @@
     the protocol test suite. Not thread-safe: one thread per client
     (the load generator gives each worker its own connection). *)
 
-(** Either the server's structured error frame, or a transport-level
-    failure (connect refused, connection reset, a malformed frame from
-    the server). *)
+(** Either the server's structured error frame — a
+    {!Aeq_exec.Query_error.t} or a protocol violation — or a
+    transport-level failure (connect refused, connection reset, a
+    malformed frame from the server). *)
 type error = Wire of Protocol.err | Transport of string
 
 val error_to_string : error -> string
+(** A query error prints exactly as {!Aeq_exec.Query_error.to_string}
+    prints it in process. *)
 
 type t
 
 val connect :
   ?host:string ->
   ?client:string ->
-  ?priority:Protocol.priority ->
+  ?priority:Aeq_exec.Scheduler.priority ->
   ?deadline_seconds:float ->
   port:int ->
   unit ->
@@ -27,7 +30,7 @@ val connect :
     [priority] (default [Normal]) and [deadline_seconds] ride on every
     query this session submits. A server over its connection limit
     answers the connect with one [Overloaded] error frame —
-    surfaced as [Error (Wire (Overloaded _))]. *)
+    surfaced as [Error (Wire (Query (Overloaded _)))]. *)
 
 val fetch_size : t -> int
 (** The server's page size, from [Hello_ok]. *)
@@ -53,7 +56,7 @@ val cancel : t -> (unit, error) result
 (** Send an out-of-band [Cancel]. Meaningful from a second thread
     while [execute] blocks — the server cancels the in-flight query at
     the next morsel boundary and [execute] returns
-    [Error (Wire Cancelled)]. From the session's own thread (idle
+    [Error (Wire (Query Cancelled))]. From the session's own thread (idle
     session) the server just [Ack]s. *)
 
 val close : t -> unit

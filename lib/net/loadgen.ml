@@ -1,5 +1,3 @@
-module P = Protocol
-
 type config = {
   host : string;
   port : int;
@@ -9,7 +7,7 @@ type config = {
   seed : int64;
   statements : string list;
   use_prepared : bool;
-  priority : P.priority;
+  priority : Aeq_exec.Scheduler.priority;
   deadline_seconds : float option;
 }
 
@@ -23,7 +21,7 @@ let default_config =
     seed = 42L;
     statements = [ "select count(*) from lineitem" ];
     use_prepared = false;
-    priority = P.Normal;
+    priority = Aeq_exec.Scheduler.Normal;
     deadline_seconds = None;
   }
 
@@ -91,20 +89,8 @@ let record_error w label =
 
 let error_label = function
   | Client.Transport _ -> "transport"
-  | Client.Wire e -> (
-    match e with
-    | P.Trap _ -> "trap"
-    | P.Compile_failed _ -> "compile_failed"
-    | P.Timeout _ -> "timeout"
-    | P.Cancelled -> "cancelled"
-    | P.Memory_budget_exceeded _ -> "memory_budget_exceeded"
-    | P.Overloaded _ -> "overloaded"
-    | P.Rejected _ -> "rejected"
-    | P.Worker_crashed _ -> "worker_crashed"
-    | P.Parse_failed _ -> "parse_failed"
-    | P.Plan_failed _ -> "plan_failed"
-    | P.Protocol_violation _ -> "protocol_violation"
-    | P.Server_error _ -> "server_error")
+  | Client.Wire (Protocol.Protocol_violation _) -> "protocol_violation"
+  | Client.Wire (Protocol.Query e) -> Aeq_exec.Query_error.label e
 
 (* percentile with geometric interpolation inside the winning bucket *)
 let percentile hist count q =
@@ -275,34 +261,24 @@ let run cfg =
     p99_seconds = Float.min !maxl (percentile hist !count 0.99);
   }
 
-let json_float x = Printf.sprintf "%.9g" x
-
 let summary_to_json ?(extra = []) s =
-  let fields =
-    [
-      ("loop", "\"open\"");
-      ("offered", string_of_int s.offered);
-      ("attempted", string_of_int s.attempted);
-      ("completed", string_of_int s.completed);
-      ("connect_errors", string_of_int s.connect_errors);
-      ("offered_rate_qps", json_float s.offered_rate);
-      ("achieved_rate_qps", json_float s.achieved_rate);
-      ("wall_seconds", json_float s.wall_seconds);
-      ("mean_seconds", json_float s.mean_seconds);
-      ("max_seconds", json_float s.max_seconds);
-      ("p50_seconds", json_float s.p50_seconds);
-      ("p95_seconds", json_float s.p95_seconds);
-      ("p99_seconds", json_float s.p99_seconds);
-      ( "errors",
-        "{"
-        ^ String.concat ","
-            (List.map
-               (fun (l, c) -> Printf.sprintf "%S:%d" l c)
-               s.failed)
-        ^ "}" );
-    ]
-    @ extra
-  in
-  "{"
-  ^ String.concat ",\n " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) fields)
-  ^ "}\n"
+  let module J = Aeq_obs.Json in
+  let int n = J.Num (Float.of_int n) in
+  J.Obj
+    ([
+       ("loop", J.Str "open");
+       ("offered", int s.offered);
+       ("attempted", int s.attempted);
+       ("completed", int s.completed);
+       ("connect_errors", int s.connect_errors);
+       ("offered_rate_qps", J.Num s.offered_rate);
+       ("achieved_rate_qps", J.Num s.achieved_rate);
+       ("wall_seconds", J.Num s.wall_seconds);
+       ("mean_seconds", J.Num s.mean_seconds);
+       ("max_seconds", J.Num s.max_seconds);
+       ("p50_seconds", J.Num s.p50_seconds);
+       ("p95_seconds", J.Num s.p95_seconds);
+       ("p99_seconds", J.Num s.p99_seconds);
+       ("errors", J.Obj (List.map (fun (l, c) -> (l, int c)) s.failed));
+     ]
+    @ extra)

@@ -32,7 +32,7 @@ type config = {
   statements : string list;  (** round-robin by arrival index *)
   use_prepared : bool;
       (** [Prepare] once per connection, then [Execute_prepared] *)
-  priority : Protocol.priority;
+  priority : Aeq_exec.Scheduler.priority;
   deadline_seconds : float option;
 }
 
@@ -46,8 +46,10 @@ type summary = {
                         run hit the overload time bound) *)
   completed : int;  (** queries answered with rows *)
   failed : (string * int) list;
-      (** error label → count (structured wire errors and transport
-          failures), sorted by count *)
+      (** error label → count, sorted by count: a query error under its
+          {!Aeq_exec.Query_error.label} (the label
+          [aeq_query_errors_total] carries), [protocol_violation], or
+          [transport] *)
   connect_errors : int;  (** workers that could not establish a session *)
   offered_rate : float;  (** offered / duration *)
   achieved_rate : float;  (** completed / wall_seconds *)
@@ -63,6 +65,6 @@ val run : config -> summary
 (** Blocks for the whole run. @raise Invalid_argument on a non-positive
     rate, duration or connection count, or an empty statement list. *)
 
-val summary_to_json : ?extra:(string * string) list -> summary -> string
-(** One JSON object; [extra] appends literal key/value pairs (values
-    must already be valid JSON). *)
+val summary_to_json : ?extra:(string * Aeq_obs.Json.t) list -> summary -> Aeq_obs.Json.t
+(** One JSON object ([loop], the counts, rates and latencies, and
+    [errors] keyed by label); [extra] appends fields after them. *)

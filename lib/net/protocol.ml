@@ -1,27 +1,19 @@
 (* Length-prefixed binary frames. The codec is a pure function of the
    payload string both ways; socket I/O lives at the bottom with the
-   net.read / net.write failpoints. *)
+   net.read / net.write failpoints, which fail the call as a lost
+   peer would. *)
 
 let version = 1
 
 let default_max_frame_bytes = 4 * 1024 * 1024
 
-type priority = Low | Normal | High
-
-let priority_of_scheduler = function
-  | Aeq_exec.Scheduler.Low -> Low
-  | Aeq_exec.Scheduler.Normal -> Normal
-  | Aeq_exec.Scheduler.High -> High
-
-let priority_to_scheduler = function
-  | Low -> Aeq_exec.Scheduler.Low
-  | Normal -> Aeq_exec.Scheduler.Normal
-  | High -> Aeq_exec.Scheduler.High
+module QE = Aeq_exec.Query_error
+module Sched = Aeq_exec.Scheduler
 
 type request =
   | Hello of {
       client : string;
-      priority : priority;
+      priority : Sched.priority;
       deadline_seconds : float option;
     }
   | Prepare of string
@@ -31,54 +23,11 @@ type request =
   | Cancel
   | Close
 
-type err =
-  | Trap of string
-  | Compile_failed of string * string
-  | Timeout of float
-  | Cancelled
-  | Memory_budget_exceeded of { budget_bytes : int; used_bytes : int }
-  | Overloaded of { queue_depth : int; capacity : int }
-  | Rejected of string
-  | Worker_crashed of { domain : string; detail : string }
-  | Parse_failed of string
-  | Plan_failed of string
-  | Protocol_violation of string
-  | Server_error of string
-
-let err_of_query_error = function
-  | Aeq_exec.Query_error.Trap m -> Trap m
-  | Aeq_exec.Query_error.Compile_failed (mode, detail) ->
-    Compile_failed (Aeq_backend.Cost_model.mode_name mode, detail)
-  | Aeq_exec.Query_error.Timeout s -> Timeout s
-  | Aeq_exec.Query_error.Cancelled -> Cancelled
-  | Aeq_exec.Query_error.Memory_budget_exceeded { budget_bytes; used_bytes } ->
-    Memory_budget_exceeded { budget_bytes; used_bytes }
-  | Aeq_exec.Query_error.Overloaded { queue_depth; capacity } ->
-    Overloaded { queue_depth; capacity }
-  | Aeq_exec.Query_error.Rejected reason -> Rejected reason
-  | Aeq_exec.Query_error.Worker_crashed { domain; detail } ->
-    Worker_crashed { domain; detail }
-  | Aeq_exec.Query_error.Parse_failed m -> Parse_failed m
-  | Aeq_exec.Query_error.Plan_failed m -> Plan_failed m
+type err = Query of QE.t | Protocol_violation of string
 
 let err_to_string = function
-  | Trap m -> "trap: " ^ m
-  | Compile_failed (mode, detail) ->
-    Printf.sprintf "compilation to %s failed: %s" mode detail
-  | Timeout s -> Printf.sprintf "timeout after %.3f s" s
-  | Cancelled -> "cancelled"
-  | Memory_budget_exceeded { budget_bytes; used_bytes } ->
-    Printf.sprintf "memory budget exceeded: %d of %d bytes" used_bytes
-      budget_bytes
-  | Overloaded { queue_depth; capacity } ->
-    Printf.sprintf "overloaded: %d/%d" queue_depth capacity
-  | Rejected reason -> "rejected: " ^ reason
-  | Worker_crashed { domain; detail } ->
-    Printf.sprintf "worker crashed (%s): %s" domain detail
-  | Parse_failed m -> "parse error: " ^ m
-  | Plan_failed m -> "planning error: " ^ m
+  | Query e -> QE.to_string e
   | Protocol_violation m -> "protocol violation: " ^ m
-  | Server_error m -> "server error: " ^ m
 
 type response =
   | Hello_ok of { server : string; version : int; fetch_size : int }
@@ -127,7 +76,7 @@ let put_list b put xs =
 
 let put_rows b rows = put_list b (fun b row -> put_list b put_str row) rows
 
-let priority_code = function Low -> 0 | Normal -> 1 | High -> 2
+let priority_code = function Sched.Low -> 0 | Sched.Normal -> 1 | Sched.High -> 2
 
 (* frame type tags; requests are < 0x80, responses ≥ 0x80 *)
 let tag_hello = 0x01
@@ -143,21 +92,6 @@ let tag_result = 0x83
 let tag_rows = 0x84
 let tag_ack = 0x85
 let tag_err = 0x86
-
-(* structured error codes *)
-let err_code = function
-  | Trap _ -> 1
-  | Compile_failed _ -> 2
-  | Timeout _ -> 3
-  | Cancelled -> 4
-  | Memory_budget_exceeded _ -> 5
-  | Overloaded _ -> 6
-  | Rejected _ -> 7
-  | Worker_crashed _ -> 8
-  | Parse_failed _ -> 9
-  | Plan_failed _ -> 10
-  | Protocol_violation _ -> 11
-  | Server_error _ -> 12
 
 let frame_of_payload payload =
   let b = Buffer.create (String.length payload + 4) in
@@ -187,26 +121,44 @@ let encode_request = function
   | Cancel -> with_payload tag_cancel (fun _ -> ())
   | Close -> with_payload tag_close (fun _ -> ())
 
-let put_err b e =
-  put_u8 b (err_code e);
-  match e with
-  | Trap m | Rejected m | Parse_failed m | Plan_failed m
-  | Protocol_violation m | Server_error m ->
+(* structured error codes: 1-10 are the [Query_error] classes, 11 a
+   protocol violation *)
+let put_err b = function
+  | Query (QE.Trap m) ->
+    put_u8 b 1;
     put_str b m
-  | Compile_failed (mode, detail) ->
-    put_str b mode;
+  | Query (QE.Compile_failed (mode, detail)) ->
+    put_u8 b 2;
+    put_str b (Aeq_backend.Cost_model.mode_name mode);
     put_str b detail
-  | Timeout s -> put_f64 b s
-  | Cancelled -> ()
-  | Memory_budget_exceeded { budget_bytes; used_bytes } ->
+  | Query (QE.Timeout s) ->
+    put_u8 b 3;
+    put_f64 b s
+  | Query QE.Cancelled -> put_u8 b 4
+  | Query (QE.Memory_budget_exceeded { budget_bytes; used_bytes }) ->
+    put_u8 b 5;
     put_i64 b (Int64.of_int budget_bytes);
     put_i64 b (Int64.of_int used_bytes)
-  | Overloaded { queue_depth; capacity } ->
+  | Query (QE.Overloaded { queue_depth; capacity }) ->
+    put_u8 b 6;
     put_u32 b queue_depth;
     put_u32 b capacity
-  | Worker_crashed { domain; detail } ->
+  | Query (QE.Rejected m) ->
+    put_u8 b 7;
+    put_str b m
+  | Query (QE.Worker_crashed { domain; detail }) ->
+    put_u8 b 8;
     put_str b domain;
     put_str b detail
+  | Query (QE.Parse_failed m) ->
+    put_u8 b 9;
+    put_str b m
+  | Query (QE.Plan_failed m) ->
+    put_u8 b 10;
+    put_str b m
+  | Protocol_violation m ->
+    put_u8 b 11;
+    put_str b m
 
 let encode_response = function
   | Hello_ok { server; version = v; fetch_size } ->
@@ -295,9 +247,9 @@ let get_rows c = get_list c (fun c -> get_list c get_str)
 
 let get_priority c =
   match get_u8 c with
-  | 0 -> Low
-  | 1 -> Normal
-  | 2 -> High
+  | 0 -> Sched.Low
+  | 1 -> Sched.Normal
+  | 2 -> Sched.High
   | n -> raise (Bad (Printf.sprintf "unknown priority %d" n))
 
 let finished c name v =
@@ -341,28 +293,39 @@ let decode_request payload =
       else if tag = tag_close then finished c "close" Close
       else raise (Bad (Printf.sprintf "unknown request frame 0x%02x" tag)))
 
+let get_mode c =
+  let name = get_str c in
+  match
+    List.find_opt
+      (fun m -> Aeq_backend.Cost_model.mode_name m = name)
+      Aeq_backend.Cost_model.[ Bytecode; Unopt; Opt ]
+  with
+  | Some m -> m
+  | None -> raise (Bad (Printf.sprintf "unknown mode %S" name))
+
 let get_err c =
   match get_u8 c with
-  | 1 -> Trap (get_str c)
+  | 1 -> Query (QE.Trap (get_str c))
   | 2 ->
-    let mode = get_str c in
-    Compile_failed (mode, get_str c)
-  | 3 -> Timeout (get_f64 c)
-  | 4 -> Cancelled
+    let mode = get_mode c in
+    Query (QE.Compile_failed (mode, get_str c))
+  | 3 -> Query (QE.Timeout (get_f64 c))
+  | 4 -> Query QE.Cancelled
   | 5 ->
     let budget_bytes = Int64.to_int (get_i64 c) in
-    Memory_budget_exceeded { budget_bytes; used_bytes = Int64.to_int (get_i64 c) }
+    Query
+      (QE.Memory_budget_exceeded
+         { budget_bytes; used_bytes = Int64.to_int (get_i64 c) })
   | 6 ->
     let queue_depth = get_u32 c in
-    Overloaded { queue_depth; capacity = get_u32 c }
-  | 7 -> Rejected (get_str c)
+    Query (QE.Overloaded { queue_depth; capacity = get_u32 c })
+  | 7 -> Query (QE.Rejected (get_str c))
   | 8 ->
     let domain = get_str c in
-    Worker_crashed { domain; detail = get_str c }
-  | 9 -> Parse_failed (get_str c)
-  | 10 -> Plan_failed (get_str c)
+    Query (QE.Worker_crashed { domain; detail = get_str c })
+  | 9 -> Query (QE.Parse_failed (get_str c))
+  | 10 -> Query (QE.Plan_failed (get_str c))
   | 11 -> Protocol_violation (get_str c)
-  | 12 -> Server_error (get_str c)
   | n -> raise (Bad (Printf.sprintf "unknown error code %d" n))
 
 let decode_response payload =
@@ -395,9 +358,9 @@ let decode_response payload =
 
 (* ---- framed socket I/O ------------------------------------------------ *)
 
-type read_error = [ `Eof | `Too_large of int | `Fault of string ]
+type read_error = [ `Eof | `Too_large of int ]
 
-type write_error = [ `Closed | `Fault of string ]
+type write_error = [ `Closed ]
 
 (* exactly [n] bytes, riding out partial reads and EINTR; [`Eof] on an
    orderly close mid-frame or a peer reset (both are "the connection
@@ -420,7 +383,7 @@ let really_read fd n =
 
 let read_frame ?(max_bytes = default_max_frame_bytes) fd =
   match Aeq_util.Probe.hit "net.read" with
-  | exception Aeq_util.Probe.Injected site -> Error (`Fault site)
+  | exception Aeq_util.Probe.Injected _ -> Error `Eof
   | () -> (
     match really_read fd 4 with
     | Error `Eof -> Error `Eof
@@ -436,7 +399,7 @@ let read_frame ?(max_bytes = default_max_frame_bytes) fd =
 
 let write_frame fd frame =
   match Aeq_util.Probe.hit "net.write" with
-  | exception Aeq_util.Probe.Injected site -> Error (`Fault site)
+  | exception Aeq_util.Probe.Injected _ -> Error `Closed
   | () ->
     let buf = Bytes.unsafe_of_string frame in
     let n = Bytes.length buf in

@@ -19,19 +19,13 @@ val version : int
 val default_max_frame_bytes : int
 (** Frame-size bound both sides enforce by default (4 MiB). *)
 
-(** Mirrors {!Aeq_exec.Scheduler.priority}; carried in [Hello] so the
-    session's queries enter the admission queue in the right class. *)
-type priority = Low | Normal | High
-
-val priority_of_scheduler : Aeq_exec.Scheduler.priority -> priority
-
-val priority_to_scheduler : priority -> Aeq_exec.Scheduler.priority
-
 (** Client-to-server frames. *)
 type request =
   | Hello of {
       client : string;  (** client name, for logs/metrics *)
-      priority : priority;  (** admission class for the session *)
+      priority : Aeq_exec.Scheduler.priority;
+          (** admission class for the session's queries ([u8] 0/1/2
+              for low/normal/high) *)
       deadline_seconds : float option;
           (** per-query deadline applied to every execute *)
     }  (** must be the first frame on a fresh connection *)
@@ -45,30 +39,21 @@ type request =
           pending); idle sessions get an [Ack] *)
   | Close  (** finish the session ([Ack], then the server closes) *)
 
-(** The structured error taxonomy over the wire: every
-    {!Aeq_exec.Query_error.t} constructor, plus the front-end's own
-    failure classes. *)
+(** The structured error taxonomy over the wire: the engine's own
+    {!Aeq_exec.Query_error.t} (codes 1–10), plus the front end's
+    protocol violation (code 11). *)
 type err =
-  | Trap of string
-  | Compile_failed of string * string  (** mode name, detail *)
-  | Timeout of float
-  | Cancelled
-  | Memory_budget_exceeded of { budget_bytes : int; used_bytes : int }
-  | Overloaded of { queue_depth : int; capacity : int }
-      (** also what a connection over the server's connection limit is
-          shed with — [queue_depth]/[capacity] then count sessions *)
-  | Rejected of string
-  | Worker_crashed of { domain : string; detail : string }
-  | Parse_failed of string  (** the SQL text does not parse *)
-  | Plan_failed of string  (** the statement cannot be planned *)
+  | Query of Aeq_exec.Query_error.t
+      (** the query's failure; a connection over the server's
+          connection limit is shed with [Query (Overloaded _)], whose
+          [queue_depth]/[capacity] then count sessions *)
   | Protocol_violation of string
       (** malformed/oversized/out-of-order frame; the server answers
           with this and closes the session *)
-  | Server_error of string  (** anything else, printed *)
-
-val err_of_query_error : Aeq_exec.Query_error.t -> err
 
 val err_to_string : err -> string
+(** {!Aeq_exec.Query_error.to_string} for a query error, so a wire
+    client prints what an in-process caller prints. *)
 
 (** Server-to-client frames. *)
 type response =
@@ -100,24 +85,26 @@ val decode_request : string -> (request, string) result
     input yields [Error], never an exception. *)
 
 val decode_response : string -> (response, string) result
+(** Total like {!decode_request}; an unknown error code or an unknown
+    mode name in [Compile_failed] is an [Error]. *)
 
 (* ---- framed socket I/O ----------------------------------------------- *)
 
 type read_error =
   [ `Eof  (** orderly close (or reset) from the peer *)
-  | `Too_large of int  (** declared payload length over the bound *)
-  | `Fault of string  (** injected [net.read] fault *) ]
+  | `Too_large of int  (** declared payload length over the bound *) ]
 
 val read_frame :
   ?max_bytes:int -> Unix.file_descr -> (string, read_error) result
 (** Read one frame; returns the payload. Blocks until a full frame,
-    EOF or error. Evaluates the ["net.read"] failpoint first. A
+    EOF or error. Evaluates the ["net.read"] failpoint first; an
+    injected fault reads as [`Eof]. A
     [`Too_large] frame leaves the stream unsynchronized — the caller
     must answer with [Protocol_violation] and close. *)
 
-type write_error = [ `Closed  (** peer gone (EPIPE/reset) *)
-                   | `Fault of string  (** injected [net.write] fault *) ]
+type write_error = [ `Closed  (** peer gone (EPIPE/reset) *) ]
 
 val write_frame : Unix.file_descr -> string -> (unit, write_error) result
 (** Write one complete frame (as built by the encoders). Evaluates the
-    ["net.write"] failpoint first. *)
+    ["net.write"] failpoint first; an injected fault writes as
+    [`Closed]. *)

@@ -141,7 +141,7 @@ let prepare_stmt engine sql =
   let cached = Engine.prepared engine sql in
   match Engine.prepare engine sql with
   | () -> Ok cached
-  | exception Aeq_exec.Query_error.Error e -> Error (P.err_of_query_error e)
+  | exception Aeq_exec.Query_error.Error e -> Error (P.Query e)
 
 type inflight_note = Quiet | Gone | Violation of string | Close_after
 
@@ -178,7 +178,7 @@ let await_multiplexed tk ~fd ~max_bytes ~cancel =
           | Error m ->
             flag (Violation m);
             Aeq_exec.Cancel.cancel cancel)
-        | Error (`Eof | `Fault _) ->
+        | Error `Eof ->
           flag Gone;
           Aeq_exec.Cancel.cancel cancel
         | Error (`Too_large n) ->
@@ -235,7 +235,7 @@ let serve_session t ss ~priority ~deadline_seconds =
       let resp =
         match outcome with
         | Ok r -> build_result t pending r
-        | Error e -> P.Err (P.err_of_query_error e)
+        | Error e -> P.Err (P.Query e)
       in
       match send fd resp with
       | Error _ -> `Stop
@@ -256,9 +256,6 @@ let serve_session t ss ~priority ~deadline_seconds =
     else
       match P.read_frame ~max_bytes fd with
       | Error `Eof -> ()
-      | Error (`Fault _) ->
-        (* injected read fault: the stream state is unknown, close *)
-        bump ~help:"Injected net.read faults" "aeq_net_read_faults_total"
       | Error (`Too_large n) ->
         violation (Printf.sprintf "frame of %d bytes exceeds limit" n)
       | Ok payload -> (
@@ -299,7 +296,7 @@ let serve_session t ss ~priority ~deadline_seconds =
 
 let handshake t ss =
   match P.read_frame ~max_bytes:t.sv_config.max_frame_bytes ss.ss_fd with
-  | Error `Eof | Error (`Fault _) -> None
+  | Error `Eof -> None
   | Error (`Too_large n) ->
     send_ignore ss.ss_fd
       (P.Err
@@ -318,8 +315,7 @@ let handshake t ss =
                 fetch_size = t.sv_config.fetch_size;
               })
        with
-      | Ok () ->
-        Some (P.priority_to_scheduler priority, deadline_seconds)
+      | Ok () -> Some (priority, deadline_seconds)
       | Error _ -> None)
     | Ok _ ->
       send_ignore ss.ss_fd
@@ -371,9 +367,7 @@ let handle_wire_accept t =
   | exception Unix.Unix_error _ -> ()
   | fd, _ -> (
     match Aeq_util.Probe.hit "net.accept" with
-    | exception Aeq_util.Probe.Injected _ ->
-      bump ~help:"Injected net.accept faults" "aeq_net_accept_faults_total";
-      close_quietly fd
+    | exception Aeq_util.Probe.Injected _ -> close_quietly fd
     | () -> (
       match register_session t fd with
       | Error active ->
@@ -381,8 +375,9 @@ let handle_wire_accept t =
           "aeq_net_connections_shed_total";
         send_ignore fd
           (P.Err
-             (P.Overloaded
-                { queue_depth = active; capacity = t.sv_config.max_connections }));
+             (P.Query
+                (Aeq_exec.Query_error.Overloaded
+                   { queue_depth = active; capacity = t.sv_config.max_connections })));
         close_quietly fd
       | Ok ss ->
         bump ~help:"Connections accepted" "aeq_net_connections_total";

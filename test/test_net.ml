@@ -15,6 +15,7 @@ module Client = Aeq_net.Client
 module FP = Aeq_util.Probe
 module Sup = Aeq_exec.Supervisor
 module QE = Aeq_exec.Query_error
+module Sched = Aeq_exec.Scheduler
 
 let eventually ?(seconds = 10.0) name cond =
   let deadline = Unix.gettimeofday () +. seconds in
@@ -60,26 +61,25 @@ let roundtrip_response r =
 
 let all_errs =
   [
-    P.Trap "division by zero";
-    P.Compile_failed ("opt", "backend exploded");
-    P.Timeout 1.5;
-    P.Cancelled;
-    P.Memory_budget_exceeded { budget_bytes = 1024; used_bytes = 2048 };
-    P.Overloaded { queue_depth = 9; capacity = 8 };
-    P.Rejected "draining";
-    P.Worker_crashed { domain = "dispatcher-0"; detail = "Injected_crash" };
-    P.Parse_failed "unexpected token";
-    P.Plan_failed "no such table";
+    P.Query (QE.Trap "division by zero");
+    P.Query (QE.Compile_failed (Aeq_backend.Cost_model.Opt, "backend exploded"));
+    P.Query (QE.Timeout 1.5);
+    P.Query QE.Cancelled;
+    P.Query (QE.Memory_budget_exceeded { budget_bytes = 1024; used_bytes = 2048 });
+    P.Query (QE.Overloaded { queue_depth = 9; capacity = 8 });
+    P.Query (QE.Rejected "draining");
+    P.Query (QE.Worker_crashed { domain = "dispatcher-0"; detail = "Injected_crash" });
+    P.Query (QE.Parse_failed "unexpected token");
+    P.Query (QE.Plan_failed "no such table");
     P.Protocol_violation "frame too large";
-    P.Server_error "catch-all";
   ]
 
 let test_roundtrip_requests () =
   List.iter roundtrip_request
     [
-      P.Hello { client = "t"; priority = P.Low; deadline_seconds = None };
-      P.Hello { client = ""; priority = P.Normal; deadline_seconds = Some 2.5 };
-      P.Hello { client = "x"; priority = P.High; deadline_seconds = Some 0.001 };
+      P.Hello { client = "t"; priority = Sched.Low; deadline_seconds = None };
+      P.Hello { client = ""; priority = Sched.Normal; deadline_seconds = Some 2.5 };
+      P.Hello { client = "x"; priority = Sched.High; deadline_seconds = Some 0.001 };
       P.Prepare "select 1";
       P.Execute "select count(*) from lineitem";
       P.Execute_prepared 7;
@@ -117,6 +117,75 @@ let test_roundtrip_responses () =
      ]
     @ List.map (fun e -> P.Err e) all_errs)
 
+(* ---- golden frames ------------------------------------------------------ *)
+
+(* The exact bytes of the frames whose OCaml types are shared with the
+   engine (the Hello priority, every error class): a change to either
+   type must not move a byte on the wire. *)
+let hex s =
+  String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let golden_requests =
+  [
+    ( P.Hello { client = "golden"; priority = Sched.Low; deadline_seconds = None },
+      "00000015010100000006676f6c64656e007ff8000000000001" );
+    ( P.Hello { client = "golden"; priority = Sched.Normal; deadline_seconds = Some 2.5 },
+      "00000015010100000006676f6c64656e014004000000000000" );
+    ( P.Hello { client = "golden"; priority = Sched.High; deadline_seconds = Some 0.25 },
+      "00000015010100000006676f6c64656e023fd0000000000000" );
+  ]
+
+let golden_errs =
+  [
+    (P.Query (QE.Trap "division by zero"), "000000168601000000106469766973696f6e206279207a65726f");
+    ( P.Query (QE.Compile_failed (Aeq_backend.Cost_model.Unopt, "backend exploded")),
+      "0000002586020000000b756e6f7074696d697a6564000000106261636b656e64206578706c6f646564" );
+    (P.Query (QE.Timeout 1.5), "0000000a86033ff8000000000000");
+    (P.Query QE.Cancelled, "000000028604");
+    ( P.Query (QE.Memory_budget_exceeded { budget_bytes = 1024; used_bytes = 2048 }),
+      "00000012860500000000000004000000000000000800" );
+    (P.Query (QE.Overloaded { queue_depth = 9; capacity = 8 }), "0000000a86060000000900000008");
+    (P.Query (QE.Rejected "draining"), "0000000e860700000008647261696e696e67");
+    ( P.Query (QE.Worker_crashed { domain = "dispatcher-0"; detail = "boom" }),
+      "0000001a86080000000c646973706174636865722d3000000004626f6f6d" );
+    (P.Query (QE.Parse_failed "unexpected token"), "00000016860900000010756e657870656374656420746f6b656e");
+    (P.Query (QE.Plan_failed "no such table"), "00000013860a0000000d6e6f2073756368207461626c65");
+    (P.Protocol_violation "frame too large", "00000015860b0000000f6672616d6520746f6f206c61726765");
+  ]
+
+let test_golden_frames () =
+  List.iter
+    (fun (r, want) -> Alcotest.(check string) "hello bytes" want (hex (P.encode_request r)))
+    golden_requests;
+  List.iter
+    (fun (e, want) ->
+      Alcotest.(check string) (P.err_to_string e) want (hex (P.encode_response (P.Err e))))
+    golden_errs
+
+(* Code 12 and a Compile_failed naming no execution mode are not
+   frames any server sends: the decoder refuses them. *)
+let test_unknown_err_rejected () =
+  let err_payload fill =
+    let b = Buffer.create 16 in
+    Buffer.add_char b '\x86';
+    fill b;
+    Buffer.contents b
+  in
+  let str b s =
+    Buffer.add_int32_be b (Int32.of_int (String.length s));
+    Buffer.add_string b s
+  in
+  List.iter
+    (fun (what, payload) ->
+      match P.decode_response payload with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s decoded" what)
+    [
+      ("error code 12", err_payload (fun b -> Buffer.add_char b '\x0c'; str b "catch-all"));
+      ( "unknown mode",
+        err_payload (fun b -> Buffer.add_char b '\x02'; str b "turbo"; str b "detail") );
+    ]
+
 (* ---- hostile input: decode is total ----------------------------------- *)
 
 let test_fuzz_decode () =
@@ -132,7 +201,7 @@ let test_fuzz_decode () =
   let victims =
     List.map P.encode_request
       [
-        P.Hello { client = "trunc"; priority = P.High; deadline_seconds = Some 1. };
+        P.Hello { client = "trunc"; priority = Sched.High; deadline_seconds = Some 1. };
         P.Execute "select 1";
         P.Fetch 10;
       ]
@@ -147,7 +216,7 @@ let test_fuzz_decode () =
               more = false;
               exec_seconds = 0.5;
             };
-          P.Err (P.Overloaded { queue_depth = 1; capacity = 1 });
+          P.Err (P.Query (QE.Overloaded { queue_depth = 1; capacity = 1 }));
         ]
   in
   List.iter
@@ -224,12 +293,12 @@ let test_end_to_end () =
     (sorted expect = sorted r.Client.rows);
   (* errors come back structured, and the session survives them *)
   (match Client.execute c "select broken syntax from" with
-  | Error (Client.Wire (P.Parse_failed _)) -> ()
+  | Error (Client.Wire (P.Query (QE.Parse_failed _))) -> ()
   | Error err ->
     Alcotest.failf "expected Parse_failed, got %s" (Client.error_to_string err)
   | Ok _ -> Alcotest.fail "garbage SQL executed");
   (match Client.execute c "select count(*) from no_such_table" with
-  | Error (Client.Wire (P.Plan_failed _)) -> ()
+  | Error (Client.Wire (P.Query (QE.Plan_failed _))) -> ()
   | Error err ->
     Alcotest.failf "expected Plan_failed, got %s" (Client.error_to_string err)
   | Ok _ -> Alcotest.fail "unknown table executed");
@@ -293,9 +362,61 @@ let test_cached_execute_skips_front_end () =
   Fun.protect ~finally:FP.clear @@ fun () ->
   FP.activate "compile.singleflight" FP.Fail;
   match Client.prepare c "select count(*) from nation" with
-  | Error (Client.Wire (P.Trap _)) -> ()
+  | Error (Client.Wire (P.Query (QE.Trap _))) -> ()
   | Error err -> Alcotest.failf "expected Trap, got %s" (Client.error_to_string err)
   | Ok _ -> Alcotest.fail "prepare succeeded under an injected fault"
+
+(* A wire client prints a query's failure exactly as an in-process
+   caller does. *)
+let test_wire_error_text () =
+  let e = small_engine () in
+  Fun.protect ~finally:(fun () -> Aeq.Engine.close e) @@ fun () ->
+  with_server e @@ fun server ->
+  let sql = "select l_quantity / (l_linenumber - l_linenumber) from lineitem" in
+  let direct =
+    match Aeq.Engine.query e sql with
+    | _ -> Alcotest.fail "division by zero ran in process"
+    | exception QE.Error qe -> QE.to_string qe
+  in
+  let c = ok_or_fail "connect" (Client.connect ~port:(Server.port server) ()) in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  match Client.execute c sql with
+  | Ok _ -> Alcotest.fail "division by zero ran over the wire"
+  | Error err -> Alcotest.(check string) "same text" direct (Client.error_to_string err)
+
+(* The load generator tallies a failure under the label the engine's
+   [aeq_query_errors_total] carries for it. *)
+let test_loadgen_label () =
+  Aeq_obs.Control.with_enabled true @@ fun () ->
+  let e = small_engine () in
+  Fun.protect ~finally:(fun () -> Aeq.Engine.close e) @@ fun () ->
+  Aeq.Engine.set_scratch_limit ~block_seconds:0.001 e (Some 0);
+  with_server e @@ fun server ->
+  let s =
+    Aeq_net.Loadgen.run
+      {
+        Aeq_net.Loadgen.default_config with
+        port = Server.port server;
+        rate = 20.0;
+        duration_seconds = 0.2;
+        connections = 1;
+        statements = [ "select l_returnflag, count(*) from lineitem group by l_returnflag" ];
+      }
+  in
+  Alcotest.(check bool) "some arrival was sent" true (s.Aeq_net.Loadgen.attempted > 0);
+  Alcotest.(check (list (pair string int)))
+    "every failure is memory_budget"
+    [ ("memory_budget", s.attempted) ]
+    s.failed;
+  let counted =
+    List.exists
+      (fun s ->
+        s.Aeq_obs.Metrics.s_name = "aeq_query_errors_total"
+        && List.assoc_opt "error" s.Aeq_obs.Metrics.s_labels = Some "memory_budget"
+        && s.Aeq_obs.Metrics.s_value <> Aeq_obs.Metrics.Counter 0)
+      (Aeq.Engine.metrics ())
+  in
+  Alcotest.(check bool) "aeq_query_errors_total carries the same label" true counted
 
 (* ---- connection limit --------------------------------------------------- *)
 
@@ -308,7 +429,7 @@ let test_connection_limit () =
   let c1 = ok_or_fail "first connection" (Client.connect ~port ()) in
   Fun.protect ~finally:(fun () -> Client.close c1) @@ fun () ->
   (match Client.connect ~port () with
-  | Error (Client.Wire (P.Overloaded { queue_depth; capacity })) ->
+  | Error (Client.Wire (P.Query (QE.Overloaded { queue_depth; capacity }))) ->
     Alcotest.(check int) "capacity reported" 1 capacity;
     Alcotest.(check bool) "depth reported" true (queue_depth >= 1)
   | Error err ->
@@ -415,8 +536,8 @@ let test_cancel_in_flight () =
   | Error err -> Alcotest.failf "cancel failed: %s" (Client.error_to_string err));
   Thread.join runner;
   match !result with
-  | Some (Error (Client.Wire P.Cancelled)) -> ()
-  | Some (Error (Client.Wire (P.Timeout _))) ->
+  | Some (Error (Client.Wire (P.Query QE.Cancelled))) -> ()
+  | Some (Error (Client.Wire (P.Query (QE.Timeout _)))) ->
     Alcotest.fail "query timed out before the cancel took effect"
   | Some (Ok _) -> Alcotest.fail "query completed despite the cancel"
   | Some (Error err) ->
@@ -477,6 +598,9 @@ let () =
         [
           Alcotest.test_case "request round-trips" `Quick test_roundtrip_requests;
           Alcotest.test_case "response round-trips" `Quick test_roundtrip_responses;
+          Alcotest.test_case "golden frames" `Quick test_golden_frames;
+          Alcotest.test_case "unknown error code and mode rejected" `Quick
+            test_unknown_err_rejected;
           Alcotest.test_case "hostile decode is total" `Quick test_fuzz_decode;
           Alcotest.test_case "framed socket io" `Quick test_frame_io;
         ] );
@@ -486,6 +610,8 @@ let () =
           Alcotest.test_case "prepared + paging" `Quick test_prepared_and_paging;
           Alcotest.test_case "cached execute skips the front end" `Quick
             test_cached_execute_skips_front_end;
+          Alcotest.test_case "wire error text" `Quick test_wire_error_text;
+          Alcotest.test_case "loadgen label" `Quick test_loadgen_label;
           Alcotest.test_case "connection limit" `Quick test_connection_limit;
           Alcotest.test_case "malformed over socket" `Quick test_malformed_over_socket;
           Alcotest.test_case "cancel in flight" `Quick test_cancel_in_flight;
