@@ -112,20 +112,8 @@ let register_gauges t =
           Hashtbl.length t.plan_cache));
   let arena () = Aeq_storage.Catalog.arena t.catalog in
   Obs.Metrics.gauge_fn "aeq_arena_scratch_resident_bytes"
-    ~help:"Bytes resident in query-scratch chunks (what the scratch cap meters)."
+    ~help:"Bytes resident in query-scratch chunks (query leases, not loaded tables)."
     (fun () -> Aeq_mem.Arena.scratch_resident_bytes (arena ()));
-  Obs.Metrics.gauge_fn "aeq_arena_scratch_limit_bytes"
-    ~help:"Configured scratch cap in bytes; -1 when unbounded."
-    (fun () ->
-      match Aeq_mem.Arena.scratch_limit (arena ()) with
-      | Some l -> l
-      | None -> -1);
-  Obs.Metrics.gauge_fn "aeq_arena_backpressure_waits"
-    ~help:"Chunk grabs that had to wait at the scratch cap (monotone)."
-    (fun () -> Aeq_mem.Arena.backpressure_waits (arena ()));
-  Obs.Metrics.gauge_fn "aeq_arena_limit_rejections"
-    ~help:"Chunk grabs that gave up with Memory_budget_exceeded (monotone)."
-    (fun () -> Aeq_mem.Arena.limit_rejections (arena ()));
   Obs.Metrics.gauge_fn "aeq_engine_health"
     ~help:"Engine health state: 0 serving, 1 degraded, 2 draining, 3 stopped."
     (fun () -> health_code (health t));
@@ -182,11 +170,6 @@ let create ?n_threads ?cost_model ?chunk_size () =
   t
 
 let load_tpch ?seed t ~scale_factor = Aeq_workload.Tpch.load ?seed ~scale_factor t.catalog
-
-let set_scratch_limit ?block_seconds t limit =
-  Aeq_mem.Arena.set_scratch_limit
-    (Aeq_storage.Catalog.arena t.catalog)
-    ?block_seconds limit
 
 let catalog t = t.catalog
 
@@ -566,7 +549,6 @@ let scheduler t =
       | None ->
         let s =
           Aeq_exec.Scheduler.create ~config:t.sched_config
-            ~arena:(Aeq_storage.Catalog.arena t.catalog)
             ~exec:(fun ~mode ~cancel sql -> run_query ~mode ~cancel t sql)
             ()
         in

@@ -37,16 +37,6 @@ val create :
 
 val load_tpch : ?seed:int64 -> t -> scale_factor:float -> unit
 
-val set_scratch_limit : ?block_seconds:float -> t -> int option -> unit
-(** Cap the arena's query-scratch residency (hash tables, aggregation
-    state, output rows — not loaded tables). A chunk grab over the cap
-    blocks up to [block_seconds] (default 0.05) for concurrent queries
-    to release, then the query fails with a structured
-    [Query_error.Memory_budget_exceeded]; it never crashes the engine
-    or leaks the query's chunks. [None] (the default) removes the cap.
-    The scheduler also sheds compilation while scratch residency sits
-    above 90% of the cap (see [Scheduler]). *)
-
 val catalog : t -> Aeq_storage.Catalog.t
 
 val pool : t -> Aeq_exec.Pool.t
@@ -85,7 +75,7 @@ val query :
     (concurrent callers of the same new text wait for the one
     compilation, then all proceed on the cached plan). For serving
     many clients with admission control, fairness, deadlines and
-    backpressure, use {!submit}.
+    load shedding, use {!submit}.
 
     Guardrails (see {!Aeq_exec.Driver.execute_prepared} for the full
     contract): [cancel] stops the query at the next morsel boundary.

@@ -55,11 +55,6 @@ let raise_error e = raise (Error e)
 let of_exn = function
   | Error e -> e
   | Trap.Error m -> Trap m
-  | Aeq_mem.Arena.Scratch_limit_exceeded { limit_bytes; resident_bytes; _ } ->
-    (* the global scratch cap, surfaced with the same structured error
-       as the per-query budget: callers see one memory-exhaustion
-       contract whichever limit tripped *)
-    Memory_budget_exceeded { budget_bytes = limit_bytes; used_bytes = resident_bytes }
   | Aeq_util.Probe.Injected site -> Trap ("injected fault at " ^ site)
   | Aeq_sql.Lexer.Lex_error m | Aeq_sql.Parser.Parse_error m -> Parse_failed m
   | Aeq_plan.Planner.Plan_error m -> Plan_failed m

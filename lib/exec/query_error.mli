@@ -67,8 +67,7 @@ val label : t -> string
 val raise_error : t -> 'a
 
 val of_exn : exn -> t
-(** Classify an exception: [Error e] is [e]; a runtime trap is [Trap];
-    the arena's global scratch cap is [Memory_budget_exceeded]; an
+(** Classify an exception: [Error e] is [e]; a runtime trap is [Trap]; an
     injected fault is [Trap "injected fault at <site>"]; a lexer or
     parser error is [Parse_failed]; a planner error is [Plan_failed];
     anything else is [Trap] with the printed exception. *)

@@ -70,7 +70,6 @@ type ticket = {
 and t = {
   cfg : config;
   exec : mode:Driver.mode -> cancel:Cancel.t -> string -> Driver.result;
-  arena : Aeq_mem.Arena.t option;
   lock : Aeq_race.Lock.t;
   work : Condition.t; (* signalled on admit and on shutdown *)
   queues_loc : Aeq_race.location;
@@ -272,15 +271,7 @@ let claim t di tk =
   t.total_wait <- t.total_wait +. wait;
   t.n_waits <- t.n_waits + 1;
   if wait > t.max_wait then t.max_wait <- wait;
-  let overloaded =
-    t.queued > t.cfg.shed_queue_depth
-    (* near the scratch cap, compiling (and its scratch spike) is the
-       wrong thing to spend memory on: degrade to bytecode until
-       backpressure drains *)
-    || (match t.arena with
-       | Some a -> Aeq_mem.Arena.scratch_under_pressure a
-       | None -> false)
-  in
+  let overloaded = t.queued > t.cfg.shed_queue_depth in
   let eff_mode = if overloaded then Driver.Bytecode else tk.tk_mode in
   if eff_mode <> tk.tk_mode then begin
     t.n_degraded <- t.n_degraded + 1;
@@ -524,13 +515,12 @@ let in_flight t =
   Array.fold_left (fun acc slot -> match slot with Some tk -> tk :: acc | None -> acc) []
     t.current
 
-let create ?(config = default_config) ?arena ~exec () =
+let create ?(config = default_config) ~exec () =
   validate config;
   let t =
     {
       cfg = config;
       exec;
-      arena;
       lock = Aeq_race.Lock.create "sched.lock";
       work = Condition.create ();
       queues_loc = Aeq_race.locate "sched.queues";

@@ -13,10 +13,8 @@
       shedding an already-queued lower-priority query first if that
       makes room for a higher-priority newcomer;
     - {b load shedding / graceful degradation}: when queue depth
-      crosses its threshold, or the arena's query scratch nears its cap
-      ([Aeq_mem.Arena.scratch_under_pressure]), newly dispatched
-      queries are forced to bytecode-only mode — no compilation spend
-      under overload;
+      crosses its threshold, newly dispatched queries are forced to
+      bytecode-only mode — no compilation spend under overload;
     - {b one answer per query}: an admitted query executes once and
       its ticket completes with the outcome of that execution. A failed
       compile is not the scheduler's concern — the prepared statement
@@ -70,7 +68,6 @@ type t
 
 val create :
   ?config:config ->
-  ?arena:Aeq_mem.Arena.t ->
   exec:(mode:Driver.mode -> cancel:Cancel.t -> string -> Driver.result) ->
   unit ->
   t
@@ -82,9 +79,7 @@ val create :
     [Error (Query_error.of_exn e)] — except a domain crash
     ({!Aeq_util.Probe.is_crash}), the one exception that escapes: it
     unwinds out of the dispatcher, whose supervisor answers the ticket
-    with [Worker_crashed] and restarts the domain. [arena], when given,
-    degrades dispatched queries to bytecode while its query scratch is
-    under pressure. *)
+    with [Worker_crashed] and restarts the domain. *)
 
 val submit :
   ?mode:Driver.mode ->

@@ -1,18 +1,10 @@
 exception Stale_allocator
 
-exception
-  Scratch_limit_exceeded of {
-    limit_bytes : int;
-    requested_bytes : int;
-    resident_bytes : int;
-  }
-
 (* guarded-by declarations: the race detector cross-checks every
    instrumented access below against these (see lib/race) *)
 let () =
   Aeq_race.declare "arena.chunk_table" (Aeq_race.Lock "arena.lock");
   Aeq_race.declare "arena.leases" (Aeq_race.Lock "arena.lock");
-  Aeq_race.declare "arena.limits" Aeq_race.Atomic;
   Aeq_race.declare "arena.lease.slots" (Aeq_race.Lock "arena.lock");
   Aeq_race.declare "arena.spare_pool" (Aeq_race.Lock "arena.lock");
   Aeq_race.declare "arena.counters" Aeq_race.Atomic;
@@ -32,10 +24,8 @@ let () =
    size: the next grab of that size zero-fills and reuses it instead of
    allocating, so a query's scratch never turns into garbage for the
    major GC. Spares are not leased memory — [resident], [scratch] and
-   [n_live] count leased chunks only. The pool is bounded twice: it
-   never holds more than the highest scratch residency seen
-   ([peak_scratch]), and under a scratch cap live scratch plus spares
-   stay within the cap. *)
+   [n_live] count leased chunks only. The pool never holds more than
+   the highest scratch residency seen ([peak_scratch]). *)
 type t = {
   chunk_size : int;
   chunks : Bytes.t array; (* fixed-capacity table; slots filled under lock *)
@@ -43,8 +33,8 @@ type t = {
   mutable free_slots : int list; (* released scratch slots, recyclable *)
   mutable n_live : int; (* slots currently holding memory *)
   resident : int Atomic.t;
-      (* running total of live chunk bytes; read lock-free on the
-         scheduler's per-submission overload check *)
+      (* running total of live chunk bytes; read lock-free by the
+         resident-bytes gauge *)
   total_used : int Atomic.t;
   generation : int Atomic.t; (* bumped by [reset]; staleness fences *)
   lock : Aeq_race.Lock.t;
@@ -52,25 +42,13 @@ type t = {
   mutable live_leases : int; (* outstanding scratch leases; guarded by lock *)
   scratch : int Atomic.t;
       (* bytes resident in scratch chunks only (excludes the base
-         lease's loaded tables) — what the scratch cap meters *)
+         lease's loaded tables) *)
   mutable peak_scratch : int; (* highest [scratch] seen; guarded by lock *)
   spares : (int, Bytes.t list) Hashtbl.t;
       (* released scratch chunks by exact size; guarded by lock *)
   spare : int Atomic.t; (* bytes in [spares]; read lock-free by the gauge *)
-  scratch_limit : int option Atomic.t;
-      (* cap on [scratch]; None = unbounded. Atomic, not lock-guarded:
-         the scheduler's overload probe and the backpressure loop both
-         read it off-lock (a plain mutable field here was a real race) *)
-  block_seconds : float Atomic.t; (* backpressure deadline before giving up *)
-  waits : int Atomic.t; (* chunk grabs that had to wait at the cap *)
-  rejects : int Atomic.t; (* Scratch_limit_exceeded raised *)
-  bp_waiter : Aeq_util.Waiter.t;
-      (* backpressure sleeper; [do_release]/[reset] wake it so a grab
-         waiting at the scratch cap reacts to a release immediately
-         instead of polling with [Unix.sleepf] *)
   table_loc : Aeq_race.location;
   leases_loc : Aeq_race.location;
-  limits_loc : Aeq_race.location;
   spares_loc : Aeq_race.location;
 }
 
@@ -134,14 +112,8 @@ let create ?(chunk_size = 1 lsl 20) () =
       peak_scratch = 0;
       spares = Hashtbl.create 16;
       spare = Atomic.make 0;
-      scratch_limit = Atomic.make None;
-      block_seconds = Atomic.make 0.05;
-      waits = Atomic.make 0;
-      rejects = Atomic.make 0;
-      bp_waiter = Aeq_util.Waiter.create ();
       table_loc = Aeq_race.locate "arena.chunk_table";
       leases_loc = Aeq_race.locate "arena.leases";
-      limits_loc = Aeq_race.locate "arena.limits";
       spares_loc = Aeq_race.locate "arena.spare_pool";
     }
   in
@@ -177,30 +149,8 @@ let take_spare t size =
     Some b
   | Some [] | None -> None
 
-(* drop pooled chunks to the GC until the pool holds at most [keep]
-   bytes *)
-let trim_spares t ~keep =
-  if Atomic.get t.spare > keep then
-    Hashtbl.filter_map_inplace
-      (fun size bs ->
-        let rec drop = function
-          | _ :: rest when Atomic.get t.spare > keep ->
-            ignore (Atomic.fetch_and_add t.spare (-size));
-            drop rest
-          | bs -> bs
-        in
-        match drop bs with [] -> None | bs -> Some bs)
-      t.spares
-
-(* the pool's two bounds, for a released chunk of [size] bytes (after
-   [scratch] has dropped by it) *)
-let pool_admits t size =
-  let spare = Atomic.get t.spare + size in
-  spare <= t.peak_scratch
-  &&
-  match Atomic.get t.scratch_limit with
-  | None -> true
-  | Some limit -> Atomic.get t.scratch + spare <= limit
+(* the pool's bound, for a released chunk of [size] bytes *)
+let pool_admits t size = Atomic.get t.spare + size <= t.peak_scratch
 
 (* Take a slot for [lease] and install a chunk of at least [size]
    bytes; returns the slot index. Slots are recycled indices, and the
@@ -215,115 +165,46 @@ let lease_chunk ls size =
      OOM would strike *)
   Aeq_util.Probe.hit "arena.alloc";
   let t = ls.ls_arena in
-  (* Backpressure contract: a scratch grab that would push scratch
-     residency past the cap waits (polling, off-lock) for concurrent
-     queries to release, up to [block_seconds]; past the deadline it
-     raises [Scratch_limit_exceeded], which the driver surfaces as a
-     structured [Memory_budget_exceeded] after releasing the lease.
-     The admission check and the slot take happen under one lock
-     acquisition, so the cap is never overshot by racing grabs. *)
-  let deadline = ref None in
-  let rec acquire () =
-    let outcome =
-      Aeq_race.Lock.with_ t.lock (fun () ->
-          (* staleness re-checked under the SAME lock that [release]
-             stales under: a grab that raced a concurrent release used
-             to slip a fresh slot onto the already-reclaimed lease — a
-             permanent leak, reachable whenever a peer worker's failure
-             released the lease while this worker sat between [alloc]'s
-             entry check and here *)
-          if Atomic.get ls.ls_stale || ls.ls_gen <> Atomic.get t.generation
-          then `Stale
-          else begin
-            let fits =
-              (not ls.ls_scratch)
-              ||
-              match Atomic.get t.scratch_limit with
-              | None -> true
-              | Some limit -> Atomic.get t.scratch + size <= limit
-            in
-            if fits then begin
-              Aeq_race.write ~site:"arena.lease_chunk" t.table_loc;
-              Aeq_race.write ~site:"arena.lease_chunk" ls.ls_loc;
-              Aeq_race.write ~site:"arena.lease_chunk" t.spares_loc;
-              let slot =
-                match t.free_slots with
-                | s :: rest ->
-                  t.free_slots <- rest;
-                  s
-                | [] ->
-                  let n = t.n_chunks in
-                  if n >= max_chunks then
-                    invalid_arg "Arena: chunk table exhausted";
-                  t.n_chunks <- n + 1;
-                  n
-              in
-              t.chunks.(slot) <-
-                (match take_spare t size with
-                | Some b ->
-                  Bytes.fill b 0 size '\000';
-                  b
-                | None ->
-                  (* fresh memory: make room in the pool first, so live
-                     scratch plus spares stay within the cap *)
-                  (match Atomic.get t.scratch_limit with
-                  | Some limit when ls.ls_scratch ->
-                    trim_spares t ~keep:(limit - Atomic.get t.scratch - size)
-                  | _ -> ());
-                  Bytes.make size '\000');
-              t.n_live <- t.n_live + 1;
-              if ls.ls_scratch then begin
-                let s = Atomic.fetch_and_add t.scratch size + size in
-                if s > t.peak_scratch then t.peak_scratch <- s
-              end;
-              ls.ls_slots <- slot :: ls.ls_slots;
-              `Got slot
-            end
-            else `Full (Option.value (Atomic.get t.scratch_limit) ~default:0)
-          end)
-    in
-    match outcome with
-    | `Stale -> raise Stale_allocator
-    | `Got slot ->
-      ignore (Atomic.fetch_and_add t.resident size);
-      slot
-    | `Full limit ->
-      (* released mid-wait (peer worker failed, driver reclaimed):
-         allocating further would bump-write into recycled memory *)
-      if Atomic.get ls.ls_stale then raise Stale_allocator;
-      let now = Aeq_util.Clock.now () in
-      let dl =
-        match !deadline with
-        | Some d -> d
-        | None ->
-          ignore (Atomic.fetch_and_add t.waits 1);
-          let d = now +. Atomic.get t.block_seconds in
-          deadline := Some d;
-          d
-      in
-      if now >= dl then begin
-        ignore (Atomic.fetch_and_add t.rejects 1);
-        raise
-          (Scratch_limit_exceeded
-             {
-               limit_bytes = limit;
-               requested_bytes = size;
-               resident_bytes = Atomic.get t.scratch;
-             })
-      end;
-      (* under simulation the wait must go through the scheduler, not a
-         real sleep the simulator cannot preempt. Outside it, sleep on
-         the arena's waiter: a concurrent release wakes us at once, and
-         the cap bounds the wait if the wake is lost to a disposed pipe *)
-      if Aeq_util.Probe.simulating () then
-        Aeq_util.Probe.yield "arena.backpressure"
-      else
-        ignore
-          (Aeq_util.Waiter.wait t.bp_waiter
-             (Float.min 0.002 (Float.max 1e-4 (dl -. now))));
-      acquire ()
+  let slot =
+    Aeq_race.Lock.with_ t.lock (fun () ->
+        (* staleness re-checked under the SAME lock that [release]
+           stales under: a grab that raced a concurrent release used
+           to slip a fresh slot onto the already-reclaimed lease — a
+           permanent leak, reachable whenever a peer worker's failure
+           released the lease while this worker sat between [alloc]'s
+           entry check and here *)
+        if Atomic.get ls.ls_stale || ls.ls_gen <> Atomic.get t.generation then
+          raise Stale_allocator;
+        Aeq_race.write ~site:"arena.lease_chunk" t.table_loc;
+        Aeq_race.write ~site:"arena.lease_chunk" ls.ls_loc;
+        Aeq_race.write ~site:"arena.lease_chunk" t.spares_loc;
+        let slot =
+          match t.free_slots with
+          | s :: rest ->
+            t.free_slots <- rest;
+            s
+          | [] ->
+            let n = t.n_chunks in
+            if n >= max_chunks then invalid_arg "Arena: chunk table exhausted";
+            t.n_chunks <- n + 1;
+            n
+        in
+        t.chunks.(slot) <-
+          (match take_spare t size with
+          | Some b ->
+            Bytes.fill b 0 size '\000';
+            b
+          | None -> Bytes.make size '\000');
+        t.n_live <- t.n_live + 1;
+        if ls.ls_scratch then begin
+          let s = Atomic.fetch_and_add t.scratch size + size in
+          if s > t.peak_scratch then t.peak_scratch <- s
+        end;
+        ls.ls_slots <- slot :: ls.ls_slots;
+        slot)
   in
-  acquire ()
+  ignore (Atomic.fetch_and_add t.resident size);
+  slot
 
 (* Return every owned slot to the free list and every scratch chunk
    the pool admits to [spares]. Idempotent; a no-op if the arena was
@@ -360,10 +241,7 @@ let do_release ls =
           ls.ls_slots;
         ls.ls_slots <- []
       end
-      else Atomic.set ls.ls_stale true);
-  (* after dropping the lock: anyone parked at the scratch cap can
-     re-examine it now *)
-  Aeq_util.Waiter.wake t.bp_waiter
+      else Atomic.set ls.ls_stale true)
 
 let release ls =
   (* the fault fires, but reclamation is unconditional: an injected
@@ -415,8 +293,8 @@ let alloc a ?(align = 8) n =
 let used t = Atomic.get t.total_used
 
 (* memory actually held right now — maintained as a running total so
-   the scheduler's overload check is one atomic load, not an O(chunks)
-   scan under the arena mutex *)
+   a metrics scrape is one atomic load, not an O(chunks) scan under the
+   arena mutex *)
 let resident_bytes t = Atomic.get t.resident
 
 let live_chunks t =
@@ -428,43 +306,10 @@ let scratch_resident_bytes t = Atomic.get t.scratch
 
 let spare_bytes t = Atomic.get t.spare
 
-let scratch_limit t = Atomic.get t.scratch_limit
-
-let set_scratch_limit t ?block_seconds limit =
-  (match limit with
-  | Some l when l < 0 -> invalid_arg "Arena.set_scratch_limit: negative limit"
-  | _ -> ());
-  (match block_seconds with
-  | Some s when s >= 0.0 -> Atomic.set t.block_seconds s
-  | Some _ -> invalid_arg "Arena.set_scratch_limit: negative block_seconds"
-  | None -> ());
-  Aeq_race.Lock.with_ t.lock (fun () ->
-      Atomic.set t.scratch_limit limit;
-      (* a lower cap evicts spares, so live scratch plus spares fit *)
-      match limit with
-      | Some l ->
-        Aeq_race.write ~site:"arena.set_scratch_limit" t.spares_loc;
-        trim_spares t ~keep:(l - Atomic.get t.scratch)
-      | None -> ());
-  (* a raised cap unblocks parked grabs *)
-  Aeq_util.Waiter.wake t.bp_waiter
-
 let live_leases t =
   Aeq_race.Lock.with_ t.lock (fun () ->
       Aeq_race.read ~site:"arena.live_leases" t.leases_loc;
       t.live_leases)
-
-let backpressure_waits t = Atomic.get t.waits
-
-let limit_rejections t = Atomic.get t.rejects
-
-(* lock-free: one atomic load + a field read, cheap enough for the
-   scheduler's per-submission overload probe *)
-let scratch_under_pressure t =
-  match Atomic.get t.scratch_limit with
-  | None -> false
-  | Some limit ->
-    limit = 0 || float_of_int (Atomic.get t.scratch) > 0.9 *. float_of_int limit
 
 (* Cross-check every counter the lock-free paths maintain against a
    ground-truth scan of the chunk table. Empty list = coherent. The
@@ -535,12 +380,6 @@ let check t =
       shared rest
   in
   shared pooled;
-  (match Atomic.get t.scratch_limit with
-  | Some limit when scratch > limit ->
-    err "scratch=%d exceeds limit=%d" scratch limit
-  | Some limit when scratch + spare > limit ->
-    err "scratch=%d + spare=%d exceed limit=%d" scratch spare limit
-  | _ -> ());
   if t.live_leases < 0 then err "live_leases negative: %d" t.live_leases;
   List.rev !errs
 
@@ -575,8 +414,7 @@ let reset t =
       t.peak_scratch <- 0;
       Hashtbl.reset t.spares;
       Atomic.set t.spare 0;
-      t.base <- Some (make_lease ~scratch:false t));
-  Aeq_util.Waiter.wake t.bp_waiter
+      t.base <- Some (make_lease ~scratch:false t))
 
 let[@inline] buf t p = Array.unsafe_get t.chunks (p lsr offset_bits)
 

@@ -43,17 +43,6 @@ exception Stale_allocator
     the arena [reset] — bump-allocating into a reclaimed chunk would
     corrupt whichever query owns that slot now. *)
 
-exception
-  Scratch_limit_exceeded of {
-    limit_bytes : int;  (** the configured scratch cap *)
-    requested_bytes : int;  (** size of the chunk grab that gave up *)
-    resident_bytes : int;  (** scratch bytes resident when it gave up *)
-  }
-(** Raised by {!alloc} through a scratch lease when the grab would
-    push scratch residency past {!set_scratch_limit}'s cap and the
-    backpressure deadline expired without enough concurrent releases.
-    The driver maps this to [Query_error.Memory_budget_exceeded]. *)
-
 val null : ptr
 
 val create : ?chunk_size:int -> unit -> t
@@ -97,8 +86,8 @@ val used : t -> int
 
 val resident_bytes : t -> int
 (** Bytes currently held in live chunks. Unlike {!used} this falls
-    back when [release] reclaims query scratch, so it is the gauge the
-    scheduler's overload detector (arena high-water threshold) reads.
+    back when [release] reclaims query scratch (gauge
+    [aeq_arena_resident_bytes]).
     Maintained as an atomic running total: one load, no lock, no chunk
     scan. Spare chunks are not counted. *)
 
@@ -108,8 +97,7 @@ val spare_bytes : t -> int
     before any lease sees it. Not leased, so excluded from
     {!resident_bytes}, {!scratch_resident_bytes} and {!live_chunks}.
     The pool never holds more than the highest scratch residency seen
-    since creation or {!reset}, and with a scratch cap armed, scratch
-    residency plus spares never exceed the cap. One atomic load. *)
+    since creation or {!reset}. One atomic load. *)
 
 val live_chunks : t -> int
 (** Number of slots currently holding memory. Equal before/after a
@@ -126,43 +114,15 @@ val reset : t -> unit
     reset under a running query would recycle its slots into a data
     race. Release (or fail) every query first. *)
 
-(** {1 Scratch cap and backpressure}
-
-    A global bound on scratch residency — the sum of chunk bytes held
-    by query leases, excluding loaded tables. A chunk grab that would
-    exceed the cap blocks (polling) up to [block_seconds] waiting for
-    concurrent queries to release; past the deadline it raises
-    {!Scratch_limit_exceeded}. The cap is enforced inside the grab's
-    critical section, so it is never overshot, whatever the
-    interleaving. *)
-
-val set_scratch_limit : t -> ?block_seconds:float -> int option -> unit
-(** [set_scratch_limit t (Some bytes)] arms the cap; [None] (the
-    default) disarms it. [block_seconds] (default 0.05) is how long a
-    grab waits at the cap before giving up. Thread-safe; affects
-    subsequent grabs only. *)
-
-val scratch_limit : t -> int option
-
 val scratch_resident_bytes : t -> int
-(** Scratch bytes currently resident (the quantity the cap meters).
-    One atomic load. *)
-
-val backpressure_waits : t -> int
-(** Chunk grabs that had to wait at the cap (counted once per grab). *)
-
-val limit_rejections : t -> int
-(** Grabs that gave up with {!Scratch_limit_exceeded}. *)
-
-val scratch_under_pressure : t -> bool
-(** True when a cap is armed and scratch residency is above 90% of
-    it — the scheduler's shedding probe. Lock-free. *)
+(** Bytes currently resident in scratch chunks: the sum held by query
+    leases, excluding loaded tables. One atomic load. *)
 
 val check : t -> string list
 (** Recount the chunk table and cross-check every counter the
     lock-free paths maintain ([n_live], [resident], [scratch],
-    free-slot validity, cap adherence, the spare-pool byte count and
-    both pool bounds), and report any chunk that is both leased and
+    free-slot validity, the spare-pool byte count and the pool's
+    bound), and report any chunk that is both leased and
     pooled, or pooled twice. Empty = coherent. The
     deterministic simulator runs this at yield points; tests run it
     after fault injection. Takes the arena lock. *)

@@ -24,7 +24,7 @@
 
    Time is virtual: [run] installs a clock source that only the
    scheduler advances (a fixed tick per decision), so timeouts and
-   backpressure deadlines are part of the schedule, not of wall time. *)
+   restart backoffs are part of the schedule, not of wall time. *)
 
 type state = Fresh | Waiting | Granted | Done
 
@@ -107,7 +107,7 @@ let default_max_steps = 200_000
 
 (* virtual-time tick per scheduling decision: 10 microseconds. Small
    enough that morsel-rate arithmetic stays sane, large enough that a
-   5 ms backpressure deadline resolves within ~500 decisions. *)
+   5 ms deadline resolves within ~500 decisions. *)
 let vtick = 1e-5
 
 let run ?(max_steps = default_max_steps) ?schedule ?(checkers = []) ~seed

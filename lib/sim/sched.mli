@@ -5,7 +5,7 @@
     the token changes hands only at the engine's probe sites
     ([Aeq_util.Probe.hit] and [Aeq_util.Probe.yield] — lease
     acquire/release, morsel boundaries, context install, pool job
-    pick, plan-cache lookup, compiles, backpressure waits; see the
+    pick, plan-cache lookup, compiles, restart backoffs; see the
     site table in [probe.mli]). The scheduler
     picks the next task with a seeded PRNG, so an interleaving is a
     pure function of the seed — and of the forced decision list when
@@ -16,8 +16,7 @@
       domains; the submitting task executes pipeline jobs inline);
     - blocking waits on the simulated path spin through yields when
       {!Aeq_util.Probe.simulating} (already true of the engine's
-      single-flight wait, arena backpressure and supervisor restart
-      backoff);
+      single-flight wait and supervisor restart backoff);
     - probes never sit inside critical sections;
     - use a non-simulating cost model ([Cost_model.off] or
       [simulate = false]): a model that emulates compile latency by
@@ -26,7 +25,7 @@
 
     Time is virtual while a simulation runs: [Clock.now] reads a
     scheduler-advanced counter (10 µs per decision), so deadlines and
-    backpressure timeouts are replayable schedule events. *)
+    restart backoffs are replayable schedule events. *)
 
 type outcome = {
   seed : int64;

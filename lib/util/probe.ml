@@ -65,7 +65,6 @@ let fault_sites =
 
 let yield_sites =
   [
-    "arena.backpressure";
     "driver.ctx_install";
     "engine.cache";
     "engine.singleflight.wait";

@@ -36,7 +36,6 @@
                                      (a Crash exercises ticket reclaim)
     net.accept                hit    after accept, before the session starts
     net.read / net.write      hit    before every frame read / written
-    arena.backpressure        yield  each poll of the scratch-cap wait
     driver.ctx_install        yield  after a worker installs its context
     engine.cache              yield  before the plan-cache lookup lock
     engine.singleflight.wait  yield  each poll of the single-flight wait

@@ -44,8 +44,8 @@ let create () =
       loc = Aeq_race.locate "util.waiter.state";
     }
   in
-  (* waiters are cheap to forget (per-arena backpressure waiters have no
-     dispose lifecycle of their own); reclaim the pipe fds with the
+  (* waiters are cheap to forget (an owner dropped without its
+     shutdown never calls [dispose]); reclaim the pipe fds with the
      record. The finaliser takes neither [t.lock] nor a race hook: it
      runs at whatever allocation triggers it, possibly inside the race
      detector's own critical section, which must not be re-entered

@@ -390,7 +390,6 @@ let test_loadgen_label () =
   Aeq_obs.Control.with_enabled true @@ fun () ->
   let e = small_engine () in
   Fun.protect ~finally:(fun () -> Aeq.Engine.close e) @@ fun () ->
-  Aeq.Engine.set_scratch_limit ~block_seconds:0.001 e (Some 0);
   with_server e @@ fun server ->
   let s =
     Aeq_net.Loadgen.run
@@ -400,19 +399,20 @@ let test_loadgen_label () =
         rate = 20.0;
         duration_seconds = 0.2;
         connections = 1;
-        statements = [ "select l_returnflag, count(*) from lineitem group by l_returnflag" ];
+        (* traps in every mode, so every arrival fails the same way *)
+        statements = [ "select l_quantity / (l_linenumber - l_linenumber) from lineitem" ];
       }
   in
   Alcotest.(check bool) "some arrival was sent" true (s.Aeq_net.Loadgen.attempted > 0);
   Alcotest.(check (list (pair string int)))
-    "every failure is memory_budget"
-    [ ("memory_budget", s.attempted) ]
+    "every failure is trap"
+    [ ("trap", s.attempted) ]
     s.failed;
   let counted =
     List.exists
       (fun s ->
         s.Aeq_obs.Metrics.s_name = "aeq_query_errors_total"
-        && List.assoc_opt "error" s.Aeq_obs.Metrics.s_labels = Some "memory_budget"
+        && List.assoc_opt "error" s.Aeq_obs.Metrics.s_labels = Some "trap"
         && s.Aeq_obs.Metrics.s_value <> Aeq_obs.Metrics.Counter 0)
       (Aeq.Engine.metrics ())
   in

@@ -7,10 +7,9 @@
        reintroduced behind [Context.unsafe_global_current], a seed
        sweep finds the race within the CI budget, and the shrunk
        schedule still reproduces it;
-   (c) resource exhaustion — a scratch cap below what a query needs
-       yields a structured [Memory_budget_exceeded], never a crash, a
-       hang or a leak; with the cap above one query but below two,
-       backpressure lets the loser proceed when the winner releases;
+   (c) resource exhaustion — a per-query memory budget below what a
+       query needs yields a structured [Memory_budget_exceeded], never
+       a crash, a hang or a leak;
    (d) targeted interleavings — a forced schedule drives the
        release-vs-grab race deterministically into [Stale_allocator].
 
@@ -285,21 +284,22 @@ let test_no_false_positives () =
       log
   done
 
-(* ---- (c) scratch-cap exhaustion under simulation --------------------- *)
+(* ---- (c) memory-budget exhaustion under simulation ------------------ *)
 
-let test_scratch_cap_structured_failure () =
+let test_memory_budget_structured_failure () =
   with_engine ~chunk_size:(64 * 1024) (fun engine ->
       (* warm the plan so the simulated run measures execution only *)
       ignore (Aeq.Engine.query engine ~mode:Driver.Bytecode sql_group);
       let arena = arena_of engine in
       let chunks0 = A.live_chunks arena and resident0 = A.resident_bytes arena in
-      (* cap below one scratch chunk: every execution must fail — with
-         the structured error, not a crash or a hang. Short deadline in
-         virtual time (~200 scheduler steps). *)
-      Aeq.Engine.set_scratch_limit ~block_seconds:0.002 engine (Some 4096);
+      (* budget below one query's scratch: every execution must fail —
+         with the structured error, not a crash or a hang *)
       let got = ref [] in
       let task () =
-        match Aeq.Engine.query engine ~mode:Driver.Bytecode sql_group with
+        match
+          Aeq.Engine.query engine ~mode:Driver.Bytecode ~memory_budget_bytes:64
+            sql_group
+        with
         | _ -> got := "rows" :: !got
         | exception QE.Error (QE.Memory_budget_exceeded _) ->
           got := "budget" :: !got
@@ -310,7 +310,6 @@ let test_scratch_cap_structured_failure () =
           ~tasks:[ ("starved-a", task); ("starved-b", task) ]
           ()
       in
-      Aeq.Engine.set_scratch_limit engine None;
       Alcotest.(check bool) "simulation completed" false (Sim.failed outcome);
       Alcotest.(check (list string))
         "both executions failed with the structured error"
@@ -319,42 +318,6 @@ let test_scratch_cap_structured_failure () =
       Alcotest.(check int) "resident back to baseline" resident0
         (A.resident_bytes arena);
       Alcotest.(check int) "scratch drained" 0 (A.scratch_resident_bytes arena);
-      Alcotest.(check bool) "rejections counted" true
-        (A.limit_rejections arena >= 2);
-      Alcotest.(check (list string)) "arena coherent" [] (A.check arena))
-
-let test_scratch_cap_backpressure_in_sim () =
-  with_engine ~chunk_size:(64 * 1024) (fun engine ->
-      ignore (Aeq.Engine.query engine ~mode:Driver.Bytecode sql_count);
-      ignore (Aeq.Engine.query engine ~mode:Driver.Bytecode sql_sum);
-      let arena = arena_of engine in
-      let chunks0 = A.live_chunks arena and resident0 = A.resident_bytes arena in
-      (* room for one query's scratch but not two: the loser waits at
-         the cap and proceeds when the winner releases — a generous
-         deadline (10k virtual-time steps) makes rejection the
-         exception, not the rule *)
-      Aeq.Engine.set_scratch_limit ~block_seconds:0.1 engine (Some (96 * 1024));
-      let log = ref [] in
-      let outcome =
-        Sim.run ~checkers:(checkers engine) ~seed:0xB10CL
-          ~tasks:
-            [
-              ("first", query_task engine sql_count log "first");
-              ("second", query_task engine sql_sum log "second");
-            ]
-          ()
-      in
-      Aeq.Engine.set_scratch_limit engine None;
-      Alcotest.(check bool) "simulation completed" false (Sim.failed outcome);
-      List.iter
-        (fun (name, s) ->
-          (* correct rows, or a structured budget error — nothing else *)
-          if s <> "ok" && not (String.length s >= 5 && String.sub s 0 5 = "error")
-          then Alcotest.failf "task %s: %s" name s)
-        !log;
-      Alcotest.(check int) "no chunk leaked" chunks0 (A.live_chunks arena);
-      Alcotest.(check int) "resident back to baseline" resident0
-        (A.resident_bytes arena);
       Alcotest.(check (list string)) "arena coherent" [] (A.check arena))
 
 (* ---- (d) forced-schedule Stale_allocator ----------------------------- *)
@@ -464,10 +427,8 @@ let () =
         ] );
       ( "exhaustion",
         [
-          Alcotest.test_case "scratch cap: structured failure" `Quick
-            test_scratch_cap_structured_failure;
-          Alcotest.test_case "scratch cap: backpressure" `Quick
-            test_scratch_cap_backpressure_in_sim;
+          Alcotest.test_case "memory budget: structured failure" `Quick
+            test_memory_budget_structured_failure;
         ] );
       ( "sweep", [ Alcotest.test_case "randomized sweep" `Quick test_sweep ] );
     ]
