@@ -549,6 +549,7 @@ let concurrency () =
     let latencies = Array.make (clients * iters) 0.0 in
     let failures = Atomic.make 0 in
     let before = Aeq.Engine.scheduler_stats e in
+    let gc0 = Gc.quick_stat () in
     let t0 = Clock.now () in
     let client c () =
       for i = 0 to iters - 1 do
@@ -566,36 +567,44 @@ let concurrency () =
     let domains = List.init clients (fun c -> Domain.spawn (client c)) in
     List.iter Domain.join domains;
     let wall = Clock.now () -. t0 in
+    (* joined domains' counts are folded into the totals, so the
+       deltas cover every client *)
+    let gc1 = Gc.quick_stat () in
     let after = Aeq.Engine.scheduler_stats e in
     let lat = Array.to_list latencies in
     let module S = Aeq_exec.Scheduler in
+    let per_query x = x /. float_of_int (clients * iters) in
     ( float_of_int (clients * iters) /. wall,
       Stats.percentile 0.5 lat,
       Stats.percentile 0.99 lat,
       Atomic.get failures,
       after.S.shed - before.S.shed,
       after.S.rejected - before.S.rejected,
-      after.S.degraded - before.S.degraded )
+      after.S.degraded - before.S.degraded,
+      per_query (gc1.Gc.minor_words -. gc0.Gc.minor_words),
+      per_query (float_of_int (gc1.Gc.minor_collections - gc0.Gc.minor_collections)),
+      per_query (float_of_int (gc1.Gc.major_collections - gc0.Gc.major_collections)) )
   in
   let rows = ref [] in
-  Printf.printf "%-10s %8s %10s %9s %9s %7s %5s %7s %9s\n" "admission" "clients"
-    "thru[q/s]" "p50[ms]" "p99[ms]" "failed" "shed" "reject" "degraded";
+  Printf.printf "%-10s %8s %10s %9s %9s %7s %5s %7s %9s %11s %9s %9s\n" "admission"
+    "clients" "thru[q/s]" "p50[ms]" "p99[ms]" "failed" "shed" "reject" "degraded"
+    "minorw/q" "minor/q" "major/q";
   List.iter
     (fun admission ->
       List.iter
         (fun clients ->
-          let thru, p50, p99, failed, shed, rejected, degraded =
+          let thru, p50, p99, failed, shed, rejected, degraded, minor_words, minors, majors =
             run_clients ~admission ~clients
           in
           rows :=
             Printf.sprintf
-              {|    {"admission": %b, "clients": %d, "loop": "closed", "throughput_qps": %.2f, "offered_rate_qps": %.2f, "achieved_rate_qps": %.2f, "p50_ms": %.3f, "p99_ms": %.3f, "failed": %d, "shed": %d, "rejected": %d, "degraded": %d}|}
+              {|    {"admission": %b, "clients": %d, "loop": "closed", "throughput_qps": %.2f, "offered_rate_qps": %.2f, "achieved_rate_qps": %.2f, "p50_ms": %.3f, "p99_ms": %.3f, "failed": %d, "shed": %d, "rejected": %d, "degraded": %d, "minor_words_per_query": %.0f, "minor_collections_per_query": %.3f, "major_collections_per_query": %.4f}|}
               admission clients thru thru thru (ms p50) (ms p99) failed shed
-              rejected degraded
+              rejected degraded minor_words minors majors
             :: !rows;
-          Printf.printf "%-10s %8d %10.1f %9.2f %9.2f %7d %5d %7d %9d\n%!"
+          Printf.printf "%-10s %8d %10.1f %9.2f %9.2f %7d %5d %7d %9d %11.0f %9.3f %9.4f\n%!"
             (if admission then "scheduler" else "direct") clients thru (ms p50)
-            (ms p99) failed shed rejected degraded)
+            (ms p99) failed shed rejected degraded minor_words minors majors)
         [ 1; 4; 8; 16 ])
     [ false; true ];
   let out = open_out "BENCH_concurrency.json" in

@@ -51,11 +51,11 @@ let measure_uncached () =
   let alloc = Aeq_mem.Arena.allocator mem in
   let n = 50_000 in
   let col = Aeq_mem.Arena.alloc alloc (8 * n) in
-  (* filled in place: one allocation is one contiguous run, and a
-     local write keeps each int64 unboxed *)
+  (* filled in place: one allocation is one contiguous run, and the
+     inlined chunk primitive keeps each int64 unboxed *)
   let buf, base = Aeq_mem.Arena.chunk_of mem col in
   for i = 0 to n - 1 do
-    Bytes.set_int64_ne buf (base + (8 * i)) (Int64.of_int (i land 1023))
+    Aeq_mem.Arena.chunk_set_i64 buf (base + (8 * i)) (Int64.of_int (i land 1023))
   done;
   let f = build_kernel () in
   let args = [| Int64.of_int col; Int64.of_int n |] in

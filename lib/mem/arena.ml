@@ -26,16 +26,17 @@ let () =
    major GC. Spares are not leased memory — [resident], [scratch] and
    [n_live] count leased chunks only. The pool never holds more than
    the highest scratch residency seen ([peak_scratch]). *)
+type chunk = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t = {
   chunk_size : int;
-  chunks : Bytes.t array; (* fixed-capacity table; slots filled under lock *)
+  chunks : chunk array; (* fixed-capacity table; slots filled under lock *)
   mutable n_chunks : int; (* slot high-water mark *)
   mutable free_slots : int list; (* released scratch slots, recyclable *)
   mutable n_live : int; (* slots currently holding memory *)
   resident : int Atomic.t;
       (* running total of live chunk bytes; read lock-free by the
          resident-bytes gauge *)
-  total_used : int Atomic.t;
   generation : int Atomic.t; (* bumped by [reset]; staleness fences *)
   lock : Aeq_race.Lock.t;
   mutable base : lease option; (* permanent lease for loaded tables *)
@@ -44,7 +45,7 @@ type t = {
       (* bytes resident in scratch chunks only (excludes the base
          lease's loaded tables) *)
   mutable peak_scratch : int; (* highest [scratch] seen; guarded by lock *)
-  spares : (int, Bytes.t list) Hashtbl.t;
+  spares : (int, chunk list) Hashtbl.t;
       (* released scratch chunks by exact size; guarded by lock *)
   spare : int Atomic.t; (* bytes in [spares]; read lock-free by the gauge *)
   table_loc : Aeq_race.location;
@@ -81,6 +82,18 @@ let encode chunk off = (chunk lsl offset_bits) lor off
 
 let max_chunks = 1 lsl 16
 
+(* the memory of an empty slot: every access to it is out of bounds *)
+let no_chunk : chunk = Bigarray.Array1.create Bigarray.char Bigarray.c_layout 0
+
+let chunk_length = Bigarray.Array1.dim
+
+let zero_fill (c : chunk) = Bigarray.Array1.fill c '\000'
+
+let new_chunk size =
+  let c = Bigarray.Array1.create Bigarray.char Bigarray.c_layout size in
+  zero_fill c;
+  c
+
 let make_lease ~scratch t =
   {
     ls_arena = t;
@@ -93,8 +106,8 @@ let make_lease ~scratch t =
   }
 
 let create ?(chunk_size = 1 lsl 20) () =
-  let chunks = Array.make max_chunks Bytes.empty in
-  chunks.(0) <- Bytes.make chunk_size '\000';
+  let chunks = Array.make max_chunks no_chunk in
+  chunks.(0) <- new_chunk chunk_size;
   let t =
     {
       chunk_size;
@@ -103,7 +116,6 @@ let create ?(chunk_size = 1 lsl 20) () =
       free_slots = [];
       n_live = 1;
       resident = Atomic.make chunk_size;
-      total_used = Atomic.make 0;
       generation = Atomic.make 0;
       lock = Aeq_race.Lock.create "arena.lock";
       base = None;
@@ -154,7 +166,7 @@ let pool_admits t size = Atomic.get t.spare + size <= t.peak_scratch
 
 (* Take a slot for [lease] and install a chunk of at least [size]
    bytes; returns the slot index. Slots are recycled indices, and the
-   memory is either a fresh zeroed [Bytes.t] or a spare of exactly
+   memory is either a fresh zeroed chunk or a spare of exactly
    [size] bytes zero-filled here, under the lock, before the slot is
    handed out — so a recycled chunk carries no bytes from the query
    that released it. A pointer into a chunk can only reach another
@@ -190,11 +202,7 @@ let lease_chunk ls size =
             n
         in
         t.chunks.(slot) <-
-          (match take_spare t size with
-          | Some b ->
-            Bytes.fill b 0 size '\000';
-            b
-          | None -> Bytes.make size '\000');
+          (match take_spare t size with Some c -> zero_fill c; c | None -> new_chunk size);
         t.n_live <- t.n_live + 1;
         if ls.ls_scratch then begin
           let s = Atomic.fetch_and_add t.scratch size + size in
@@ -225,7 +233,7 @@ let do_release ls =
         List.iter
           (fun s ->
             let b = t.chunks.(s) in
-            let sz = Bytes.length b in
+            let sz = chunk_length b in
             ignore (Atomic.fetch_and_add t.resident (-sz));
             if ls.ls_scratch then begin
               ignore (Atomic.fetch_and_add t.scratch (-sz));
@@ -235,7 +243,7 @@ let do_release ls =
                 ignore (Atomic.fetch_and_add t.spare sz)
               end
             end;
-            t.chunks.(s) <- Bytes.empty;
+            t.chunks.(s) <- no_chunk;
             t.n_live <- t.n_live - 1;
             t.free_slots <- s :: t.free_slots)
           ls.ls_slots;
@@ -265,14 +273,13 @@ let alloc a ?(align = 8) n =
   let ls = a.lease in
   let t = ls.ls_arena in
   (* fail fast on an allocator whose backing chunks were reclaimed —
-     bump-allocating into a freed (Bytes.empty) slot would corrupt
+     bump-allocating into a freed (empty) slot would corrupt
      whichever query holds it now *)
   if Atomic.get ls.ls_stale || ls.ls_gen <> Atomic.get t.generation then
     raise Stale_allocator;
   let start = align_up a.cursor align in
   if a.chunk >= 0 && start + n <= a.limit then begin
     a.cursor <- start + n;
-    ignore (Atomic.fetch_and_add t.total_used n);
     ignore (Atomic.fetch_and_add ls.ls_used n);
     encode a.chunk start
   end
@@ -285,12 +292,9 @@ let alloc a ?(align = 8) n =
     a.chunk <- idx;
     a.cursor <- start + n;
     a.limit <- size;
-    ignore (Atomic.fetch_and_add t.total_used n);
     ignore (Atomic.fetch_and_add ls.ls_used n);
     encode idx start
   end
-
-let used t = Atomic.get t.total_used
 
 (* memory actually held right now — maintained as a running total so
    a metrics scrape is one atomic load, not an O(chunks) scan under the
@@ -325,9 +329,9 @@ let check t =
   let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
   let live = ref 0 and bytes = ref 0 in
   for i = 0 to t.n_chunks - 1 do
-    if Bytes.length t.chunks.(i) > 0 then begin
+    if chunk_length t.chunks.(i) > 0 then begin
       incr live;
-      bytes := !bytes + Bytes.length t.chunks.(i)
+      bytes := !bytes + chunk_length t.chunks.(i)
     end
   done;
   if !live <> t.n_live then
@@ -341,8 +345,8 @@ let check t =
   List.iter
     (fun s ->
       if s < 0 || s >= t.n_chunks then err "free slot %d out of range" s
-      else if Bytes.length t.chunks.(s) > 0 then
-        err "free slot %d still holds %d bytes" s (Bytes.length t.chunks.(s)))
+      else if chunk_length t.chunks.(s) > 0 then
+        err "free slot %d still holds %d bytes" s (chunk_length t.chunks.(s)))
     t.free_slots;
   if t.n_live + List.length t.free_slots <> t.n_chunks then
     err "n_live=%d + free=%d <> n_chunks=%d" t.n_live
@@ -356,13 +360,13 @@ let check t =
       (fun size bs acc ->
         List.fold_left
           (fun acc b ->
-            if Bytes.length b <> size then
-              err "a %d-byte spare is filed under size %d" (Bytes.length b) size;
+            if chunk_length b <> size then
+              err "a %d-byte spare is filed under size %d" (chunk_length b) size;
             b :: acc)
           acc bs)
       t.spares []
   in
-  let spare = List.fold_left (fun n b -> n + Bytes.length b) 0 pooled in
+  let spare = List.fold_left (fun n b -> n + chunk_length b) 0 pooled in
   if spare <> Atomic.get t.spare then
     err "spare=%d but the pool holds %d bytes" (Atomic.get t.spare) spare;
   if spare > t.peak_scratch then
@@ -376,7 +380,7 @@ let check t =
         if t.chunks.(s) == b then err "slot %d's chunk is also in the spare pool" s
       done;
       if List.exists (( == ) b) rest then
-        err "a %d-byte chunk is in the spare pool twice" (Bytes.length b);
+        err "a %d-byte chunk is in the spare pool twice" (chunk_length b);
       shared rest
   in
   shared pooled;
@@ -402,14 +406,13 @@ let reset t =
       ignore (Atomic.fetch_and_add t.generation 1);
       (match t.base with Some b -> Atomic.set b.ls_stale true | None -> ());
       for i = 1 to t.n_chunks - 1 do
-        t.chunks.(i) <- Bytes.empty
+        t.chunks.(i) <- no_chunk
       done;
-      Bytes.fill t.chunks.(0) 0 (Bytes.length t.chunks.(0)) '\000';
+      zero_fill t.chunks.(0);
       t.n_chunks <- 1;
       t.free_slots <- [];
       t.n_live <- 1;
-      Atomic.set t.resident (Bytes.length t.chunks.(0));
-      Atomic.set t.total_used 0;
+      Atomic.set t.resident (chunk_length t.chunks.(0));
       Atomic.set t.scratch 0;
       t.peak_scratch <- 0;
       Hashtbl.reset t.spares;
@@ -420,29 +423,28 @@ let[@inline] buf t p = Array.unsafe_get t.chunks (p lsr offset_bits)
 
 let[@inline] off p = p land offset_mask
 
-let get_i8 t p = Char.code (Bytes.unsafe_get (buf t p) (off p))
+(* bounds-checked native-endian access, inlined with int32/int64 unboxed *)
+external get16 : chunk -> int -> int = "%caml_bigstring_get16"
+external set16 : chunk -> int -> int -> unit = "%caml_bigstring_set16"
+external get32 : chunk -> int -> int32 = "%caml_bigstring_get32"
+external set32 : chunk -> int -> int32 -> unit = "%caml_bigstring_set32"
+external chunk_get_i64 : chunk -> int -> int64 = "%caml_bigstring_get64"
+external chunk_set_i64 : chunk -> int -> int64 -> unit = "%caml_bigstring_set64"
 
-let set_i8 t p v = Bytes.unsafe_set (buf t p) (off p) (Char.unsafe_chr (v land 0xff))
+let get_i8 t p = Char.code (Bigarray.Array1.get (buf t p) (off p))
 
-let get_i16 t p = Bytes.get_uint16_ne (buf t p) (off p)
+let set_i8 t p v = Bigarray.Array1.set (buf t p) (off p) (Char.unsafe_chr (v land 0xff))
 
-let set_i16 t p v = Bytes.set_uint16_ne (buf t p) (off p) (v land 0xffff)
+let get_i16 t p = get16 (buf t p) (off p)
 
-let get_i32 t p = Bytes.get_int32_ne (buf t p) (off p)
+let set_i16 t p v = set16 (buf t p) (off p) (v land 0xffff)
 
-let set_i32 t p v = Bytes.set_int32_ne (buf t p) (off p) v
+let get_i32 t p = get32 (buf t p) (off p)
 
-let get_i64 t p = Bytes.get_int64_ne (buf t p) (off p)
+let set_i32 t p v = set32 (buf t p) (off p) v
 
-let set_i64 t p v = Bytes.set_int64_ne (buf t p) (off p) v
+let get_i64 t p = chunk_get_i64 (buf t p) (off p)
 
-let get_f64 t p = Int64.float_of_bits (Bytes.get_int64_ne (buf t p) (off p))
-
-let set_f64 t p v = Bytes.set_int64_ne (buf t p) (off p) (Int64.bits_of_float v)
-
-let blit t ~src ~dst ~len =
-  Bytes.blit (buf t src) (off src) (buf t dst) (off dst) len
-
-let fill_zero t p len = Bytes.fill (buf t p) (off p) len '\000'
+let set_i64 t p v = chunk_set_i64 (buf t p) (off p) v
 
 let chunk_of t p = (buf t p, off p)

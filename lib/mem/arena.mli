@@ -80,13 +80,9 @@ val alloc : allocator -> ?align:int -> int -> ptr
 (** [alloc a n] reserves [n] zeroed bytes aligned to [align]
     (default 8). @raise Stale_allocator on a released lease. *)
 
-val used : t -> int
-(** Total bytes handed to allocators since creation / [reset]
-    (monotone; [release] does not wind it back). Thread-safe. *)
-
 val resident_bytes : t -> int
-(** Bytes currently held in live chunks. Unlike {!used} this falls
-    back when [release] reclaims query scratch (gauge
+(** Bytes currently held in live chunks. This falls back when
+    [release] reclaims query scratch (gauge
     [aeq_arena_resident_bytes]).
     Maintained as an atomic running total: one load, no lock, no chunk
     scan. Spare chunks are not counted. *)
@@ -129,8 +125,8 @@ val check : t -> string list
 
 (** {1 Typed access}
 
-    Native endianness. No bounds checks beyond [Bytes]'s; generated
-    code is trusted the same way machine code is. *)
+    Native endianness. An access past its chunk's end raises
+    [Invalid_argument]; otherwise generated code is trusted like machine code. *)
 
 val get_i8 : t -> ptr -> int
 
@@ -148,16 +144,16 @@ val get_i64 : t -> ptr -> int64
 
 val set_i64 : t -> ptr -> int64 -> unit
 
-val get_f64 : t -> ptr -> float
+type chunk = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** A chunk's memory: a bigstring, outside the OCaml heap, so loaded
+    tables and pooled scratch do not count towards the heap size that
+    paces the major GC. *)
 
-val set_f64 : t -> ptr -> float -> unit
+val chunk_of : t -> ptr -> chunk * int
+(** [chunk_of t p] is the chunk holding [p] and the byte offset of
+    [p] within it. Lets bulk loaders cache the chunk of a column. *)
 
-val blit : t -> src:ptr -> dst:ptr -> len:int -> unit
-(** Copy [len] bytes between (possibly different) chunks. *)
-
-val fill_zero : t -> ptr -> int -> unit
-
-val chunk_of : t -> ptr -> Bytes.t * int
-(** [chunk_of t p] is the backing buffer and the byte offset of [p]
-    within it. Lets hot loops cache the buffer for a column they
-    stream over. *)
+(** Bounds-checked native-endian int64 at a byte offset of a chunk.
+    Primitives: a call from another module is inlined, int64 unboxed. *)
+external chunk_get_i64 : chunk -> int -> int64 = "%caml_bigstring_get64"
+external chunk_set_i64 : chunk -> int -> int64 -> unit = "%caml_bigstring_set64"

@@ -5,11 +5,10 @@ type column = { name : string; dtype : Dtype.t; data : A.ptr }
 type t = { name : string; n_rows : int; columns : column array }
 
 let create _arena allocator ~name ~rows ~schema =
+  let stride = 8 * Stdlib.max 1 rows in
+  let base = A.alloc allocator (stride * List.length schema) in
   let columns =
-    List.map
-      (fun (cname, dtype) ->
-        { name = cname; dtype; data = A.alloc allocator (8 * Stdlib.max 1 rows) })
-      schema
+    List.mapi (fun i (cname, dtype) -> { name = cname; dtype; data = base + (i * stride) }) schema
     |> Array.of_list
   in
   { name; n_rows = rows; columns }

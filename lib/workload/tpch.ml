@@ -56,15 +56,14 @@ let date_lo = 8035
 
 let date_hi = 10591
 
-(* Cells are written straight into each column's arena run
-   ([Table.column_run]) by these local writers. Being local and
-   [@inline], they keep the int64 unboxed: the dev profile compiles
-   every library module with -opaque, so a per-cell call into [Table]
-   or [Arena] would box its int64 on each call. *)
+(* Cells are written straight into each column's arena chunk
+   ([Table.column_run]) through the [Arena.chunk_*_i64] primitives,
+   which are inlined even under the dev profile's -opaque, so no
+   per-cell int64 is boxed. *)
 let[@inline] put (buf, base) row v =
-  Bytes.set_int64_ne buf (base + (8 * row)) (Int64.of_int v)
+  Aeq_mem.Arena.chunk_set_i64 buf (base + (8 * row)) (Int64.of_int v)
 
-let[@inline] get (buf, base) row = Int64.to_int (Bytes.get_int64_ne buf (base + (8 * row)))
+let[@inline] get (buf, base) row = Int64.to_int (Aeq_mem.Arena.chunk_get_i64 buf (base + (8 * row)))
 
 let[@inline] imin (a : int) b = if a < b then a else b
 
