@@ -8,19 +8,14 @@
 open Cmdliner
 
 let serve port metrics_port sf threads max_connections queue_capacity
-    dispatchers fetch_size drain_deadline =
+    fetch_size drain_deadline =
   let engine = Aeq.Engine.create ?n_threads:threads () in
   Aeq.Engine.load_tpch engine ~scale_factor:sf;
-  (match (queue_capacity, dispatchers) with
-  | None, None -> ()
-  | qc, d ->
-    let base = Aeq_exec.Scheduler.default_config in
-    Aeq.Engine.set_scheduler_config engine
-      {
-        base with
-        queue_capacity = Option.value ~default:base.queue_capacity qc;
-        dispatchers = Option.value ~default:base.dispatchers d;
-      });
+  Option.iter
+    (fun queue_capacity ->
+      Aeq.Engine.set_scheduler_config engine
+        { Aeq_exec.Scheduler.default_config with queue_capacity })
+    queue_capacity;
   let config =
     {
       Aeq_net.Server.default_config with
@@ -75,12 +70,6 @@ let queue_capacity =
     & opt (some int) None
     & info [ "queue-capacity" ] ~docv:"N" ~doc:"Admission queue bound.")
 
-let dispatchers =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "dispatchers" ] ~docv:"N" ~doc:"Dispatcher domains.")
-
 let fetch_size =
   Arg.(value & opt int 256 & info [ "fetch-size" ] ~docv:"ROWS" ~doc:"Rows per result page.")
 
@@ -96,6 +85,6 @@ let cmd =
     (Cmd.info "aeq_server" ~doc)
     Term.(
       const serve $ port $ metrics_port $ sf $ threads $ max_connections
-      $ queue_capacity $ dispatchers $ fetch_size $ drain_deadline)
+      $ queue_capacity $ fetch_size $ drain_deadline)
 
 let () = Stdlib.exit (Cmd.eval cmd)

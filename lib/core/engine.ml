@@ -57,27 +57,18 @@ let health_name = function
   | Draining -> "draining"
   | Stopped -> "stopped"
 
-(* Aggregated from the domain supervisors: any serving domain currently
-   crashed-and-backing-off or failed (restart budget exhausted) makes
-   the engine [Degraded] with one reason per such domain. Reads only —
-   safe from any domain, including exporters scraping mid-crash. *)
+(* Aggregated from the pool's worker supervisors — the engine's only
+   domains: any worker currently crashed-and-backing-off or failed
+   (restart budget exhausted) makes the engine [Degraded] with one
+   reason per such worker. Reads only — safe from any domain,
+   including exporters scraping mid-crash. *)
 let health t =
   if Aeq_exec.Pool.closed t.pool then Stopped
   else if Atomic.get t.draining then Draining
-  else begin
-    let sched_reasons =
-      match
-        with_lock t.sched_lock (fun () ->
-            Aeq_race.read ~site:"engine.health" t.sched_loc;
-            t.scheduler)
-      with
-      | Some s -> Aeq_exec.Scheduler.health_reasons s
-      | None -> []
-    in
-    match sched_reasons @ Aeq_exec.Pool.health_reasons t.pool with
+  else
+    match Aeq_exec.Pool.health_reasons t.pool with
     | [] -> Serving
     | reasons -> Degraded reasons
-  end
 
 let health_code = function
   | Serving -> 0
@@ -153,10 +144,7 @@ let create ?n_threads ?cost_model ?chunk_size () =
       sched_lock = Aeq_race.Lock.create "engine.sched.lock";
       sched_loc = Aeq_race.locate "engine.scheduler_slot";
       scheduler = None;
-      sched_config =
-        (* several dispatcher domains so the admission path keeps
-           multiple accepted queries in flight at once *)
-        { Aeq_exec.Scheduler.default_config with dispatchers = n_threads };
+      sched_config = Aeq_exec.Scheduler.default_config;
       cache_enabled = true;
       cache_capacity = default_cache_capacity;
       cache_tick = 0;
@@ -401,9 +389,9 @@ let with_query_obs mode f =
       raise e
   end
 
-(* [query] minus the drain gate: the scheduler's dispatchers call this
-   for already-admitted work, which runs to completion while the
-   engine drains. *)
+(* [query] minus the drain gate: the pool workers serving the
+   scheduler call this for already-admitted work, which runs to
+   completion while the engine drains. *)
 let run_query ?(mode = Aeq_exec.Driver.Adaptive) ?(collect_trace = false)
     ?timeout_seconds ?cancel ?memory_budget_bytes ?on_compile_failure t sql =
   (* using a closed engine is a programming error, not a query failure *)
@@ -532,13 +520,10 @@ let set_scheduler_config t config =
       | Some _ ->
         invalid_arg "Engine.set_scheduler_config: scheduler already running"
       | None ->
-        (* one restart policy for every serving domain the engine
-           owns: the pool's workers were spawned in [create], before
-           any config existed *)
-        let policy = config.Aeq_exec.Scheduler.restart_policy in
-        List.iter
-          (fun sv -> Aeq_exec.Supervisor.set_policy sv policy)
-          (Aeq_exec.Pool.supervisors t.pool);
+        (* the pool's workers were spawned in [create], before any
+           config existed *)
+        Aeq_exec.Pool.set_restart_policy t.pool
+          config.Aeq_exec.Scheduler.restart_policy;
         t.sched_config <- config)
 
 let scheduler t =
@@ -548,7 +533,7 @@ let scheduler t =
       | Some s -> s
       | None ->
         let s =
-          Aeq_exec.Scheduler.create ~config:t.sched_config
+          Aeq_exec.Scheduler.create ~config:t.sched_config ~pool:t.pool
             ~exec:(fun ~mode ~cancel sql -> run_query ~mode ~cancel t sql)
             ()
         in
@@ -602,8 +587,9 @@ let reset_stats t =
   | Some s -> Aeq_exec.Scheduler.reset_stats s
   | None -> ()
 
-(* Scheduler first (drains queued clients, finishes in-flight
-   queries), then the pool. Both are idempotent, so close is. *)
+(* Scheduler first (rejects queued clients, waits for in-flight
+   queries, which the pool's workers serve), then the pool. Both are
+   idempotent, so close is. *)
 let close t =
   let s =
     with_lock t.sched_lock (fun () ->

@@ -30,10 +30,13 @@ val create :
 (** [n_threads] defaults to the machine's domain count (max 8);
     [cost_model] defaults to the paper-calibrated model with simulated
     LLVM-magnitude compile latencies (pass
-    [Aeq_backend.Cost_model.off] for real latencies only). Every
-    serving domain — pool workers and scheduler dispatchers — runs
-    under a {!Aeq_exec.Supervisor} crash barrier with self-healing
-    restarts. *)
+    [Aeq_backend.Cost_model.off] for real latencies only). The pool's
+    workers are the engine's only domains: [n_threads - 1] of them
+    while only direct {!query} callers use the engine (each caller is
+    the n-th participant of its own query), and [n_threads] once the
+    first {!submit} attaches the scheduler, whose admitted queries
+    the workers serve. Each runs under a {!Aeq_exec.Supervisor} crash
+    barrier with self-healing restarts. *)
 
 val load_tpch : ?seed:int64 -> t -> scale_factor:float -> unit
 
@@ -148,9 +151,8 @@ val scheduler_stats : t -> Aeq_exec.Scheduler.stats
 
 val set_scheduler_config : t -> Aeq_exec.Scheduler.config -> unit
 (** Configure admission control before the first {!submit}. The
-    config's [restart_policy] governs every
-    serving domain the engine owns: the scheduler's dispatchers and
-    the pool's workers too.
+    config's [restart_policy] governs the pool's workers, the
+    engine's only domains, from this call on.
     @raise Invalid_argument once the scheduler exists. *)
 
 val prepare : t -> string -> unit
@@ -227,13 +229,12 @@ val reset_stats : t -> unit
 
 (** {1 Health, drain & self-healing}
 
-    Serving domains run under {!Aeq_exec.Supervisor} barriers: a
-    domain crash (an unstructured exception escaping a dispatcher or
-    a pool worker) is contained, its orphaned state
-    reclaimed — the affected client gets a structured
-    [Query_error.Worker_crashed] instead of a hung [await] — and the
-    domain restarts under a backoff budget. The engine aggregates the
-    supervisors into one health state. *)
+    Pool workers run under {!Aeq_exec.Supervisor} barriers: a
+    worker crash (an unstructured exception escaping the worker loop)
+    is contained, its orphaned state reclaimed — the affected client
+    gets a structured [Query_error.Worker_crashed] instead of a hung
+    [await] — and the worker restarts under a backoff budget. The
+    engine aggregates the pool's supervisors into one health state. *)
 
 type health =
   | Serving  (** all serving domains healthy *)
@@ -262,7 +263,8 @@ val draining : t -> bool
 
 val close : t -> unit
 (** Shut down: the scheduler first (queued queries complete with
-    [Rejected], the in-flight one finishes), then the worker pool.
+    [Rejected], in-flight ones finish on their workers), then the
+    worker pool.
     Idempotent; queries on a closed engine raise [Invalid_argument]. *)
 
 val closed : t -> bool

@@ -1,29 +1,23 @@
-(* Multi-tenant worker pool over OCaml domains.
-
-   The old pool was single-tenant: one job slot per worker and a
-   done-count barrier meant a second query's pipeline had to wait for
-   the first to finish entirely — the serialization the global exec
-   lock then cemented. Here jobs from several in-flight queries
-   coexist on one open-job list; each worker picks the job with the
-   fewest participants (spreading domains across queries instead of
-   ganging up on one), claims the next tid, and runs morsels until the
-   job's morsel supply is exhausted.
+(* Multi-tenant worker pool over OCaml domains — the engine's only
+   domains. Jobs from several in-flight queries coexist on one
+   open-job list; each worker picks the job with the fewest
+   participants, claims the next tid, and runs morsels until the
+   job's morsel supply is exhausted. A worker with no job to join
+   serves an admitted query instead, as tid 0 of that query's jobs.
 
    A job is a [fn : tid:int -> unit] that returns when it cannot get
    more morsels; tids are claimed 0..max_tids-1 and never reused
    within a job, so per-tid state (allocators, output buffers) stays
-   single-writer. The submitting caller always participates as tid 0 —
-   a query makes progress even when every worker domain is busy
-   elsewhere.
+   single-writer. The submitting caller always participates as tid 0.
+   A serving worker waits only in its own query's barrier, and a
+   helper's morsel loop waits in none, so no worker ever waits on
+   another query's barrier.
 
-   Workers run under supervision (see [Supervisor]): a crash —
-   anything [fn] throws that is not part of the structured-error
-   contract, i.e. an [Injected_crash] or a real bug — would otherwise
-   leave the job's [active] count permanently high and hang the
-   submitting caller in its drain barrier forever. The supervisor's
-   reclaim fixes the accounting (decrement [active], record a
-   [Worker_crashed] as the job error, wake the barrier) and restarts
-   the worker domain. *)
+   Workers run under supervision (see [Supervisor]): a crash — an
+   [Injected_crash] or a real bug — would otherwise leave a job's
+   [active] count high (hanging its caller's barrier) or an admitted
+   query unanswered. The worker's one reclaim hook repairs whichever
+   it held, and the supervisor restarts the worker. *)
 
 module QE = Query_error
 
@@ -42,17 +36,25 @@ type job = {
   j_loc : Aeq_race.location;
 }
 
+type task = { run : unit -> unit; on_crash : domain:string -> exn -> unit }
+
+type server = { take : unit -> task option; on_stranded : unit -> unit }
+
+(* what a worker holds, and its reclaim repairs: a job (with its tid)
+   or an admitted query *)
+type slot = Idle | Helping of job * int | Serving of task
+
 type t = {
   n_threads : int;
   lock : Aeq_race.Lock.t;
-  work : Condition.t; (* new job posted / job list changed *)
+  work : Condition.t; (* job posted / ticket admitted / stop *)
   quiet : Condition.t; (* a participant left some job *)
   mutable jobs : job list;
+  mutable server : server option; (* the attached scheduler *)
   mutable stop : bool;
-  current : job option array;
-      (* per-worker claimed-job slot, written under [lock] — what the
-         supervisor's reclaim repairs when worker [w] crashes *)
-  mutable supervisors : Supervisor.t array;
+  current : slot array; (* per-worker, written under [lock] *)
+  supervisors : Supervisor.t array Atomic.t;
+  policy : Supervisor.policy Atomic.t;
   closed : bool Atomic.t;
   active_jobs : int Atomic.t;
   jobs_loc : Aeq_race.location;
@@ -81,67 +83,96 @@ let run_participant j ~tid =
   | e when Aeq_util.Probe.is_crash e ->
     (* not folded into the job error: a crash must stay lethal to the
        participant's domain so the supervision layer is what handles
-       it (worker: reclaim + restart; caller: its own supervisor) *)
+       it (helper: reclaim + restart; tid 0: the caller's own) *)
     raise e
   | e -> ignore (Atomic.compare_and_set j.error None (Some e))
+
+(* Under t.lock: put the next thing to hold in worker [w]'s slot — a
+   job to help, else an admitted query; [Idle] once the pool stops.
+   [take] locks the scheduler: the lock order is [pool.lock] before
+   [sched.lock]. The lock is held from the check to the [wait], and
+   [wake] takes it, so a ticket admitted in between still wakes us. *)
+let rec claim t w =
+  Aeq_race.read ~site:"pool.claim" t.jobs_loc;
+  Aeq_race.write ~site:"pool.claim" t.current_loc;
+  let held =
+    if t.stop then Idle
+    else
+      match pick_job t with
+      | Some j ->
+        Aeq_race.write ~site:"pool.claim" j.j_loc;
+        j.next_tid <- j.next_tid + 1;
+        j.active <- j.active + 1;
+        Helping (j, j.next_tid - 1)
+      | None -> (
+        match Option.bind t.server (fun s -> s.take ()) with
+        | Some task -> Serving task
+        | None -> Idle)
+  in
+  match held with
+  | Idle when not t.stop ->
+    Aeq_race.Lock.wait t.work t.lock;
+    claim t w
+  | _ ->
+    t.current.(w) <- held;
+    held
+
+(* under t.lock: worker [w] lets go of [held] *)
+let leave t w held =
+  Aeq_race.write ~site:"pool.leave" t.current_loc;
+  t.current.(w) <- Idle;
+  match held with
+  | Helping (j, _) ->
+    Aeq_race.write ~site:"pool.leave" j.j_loc;
+    j.active <- j.active - 1;
+    Condition.broadcast t.quiet
+  | Serving _ | Idle -> ()
 
 let worker_loop t w () =
   let running = ref true in
   while !running do
-    Aeq_race.Lock.lock t.lock;
-    let rec await () =
-      Aeq_race.read ~site:"pool.await" t.jobs_loc;
-      if t.stop then None
-      else
-        match pick_job t with
-        | Some j -> Some j
-        | None ->
-          Aeq_race.Lock.wait t.work t.lock;
-          await ()
-    in
-    match await () with
-    | None ->
-      Aeq_race.Lock.unlock t.lock;
-      running := false
-    | Some j ->
-      Aeq_race.write ~site:"pool.claim" j.j_loc;
-      Aeq_race.write ~site:"pool.claim" t.current_loc;
-      let tid = j.next_tid in
-      j.next_tid <- tid + 1;
-      j.active <- j.active + 1;
-      t.current.(w) <- Some j;
-      Aeq_race.Lock.unlock t.lock;
-      run_participant j ~tid;
-      Aeq_race.Lock.lock t.lock;
-      Aeq_race.write ~site:"pool.leave" j.j_loc;
-      Aeq_race.write ~site:"pool.leave" t.current_loc;
-      t.current.(w) <- None;
-      j.active <- j.active - 1;
-      Condition.broadcast t.quiet;
-      Aeq_race.Lock.unlock t.lock
+    let held = Aeq_race.Lock.with_ t.lock (fun () -> claim t w) in
+    (match held with
+    | Idle -> running := false
+    | Helping (j, tid) -> run_participant j ~tid
+    | Serving task -> task.run ());
+    Aeq_race.Lock.with_ t.lock (fun () -> leave t w held)
   done
 
-(* Supervisor reclaim for worker [w], running in the crashed domain
-   after the unwind: the participant never reached its leave-the-job
-   accounting, so do it here — and surface the crash as the job's
-   error so the submitting caller raises [Worker_crashed] instead of
-   silently losing the crashed participant's claimed morsels. *)
-let worker_reclaim t w sv_name exn =
-  Aeq_race.Lock.with_ t.lock (fun () ->
-      Aeq_race.write ~site:"pool.reclaim" t.current_loc;
-      match t.current.(w) with
-      | Some j ->
-        Aeq_race.write ~site:"pool.reclaim" j.j_loc;
-        t.current.(w) <- None;
-        j.active <- j.active - 1;
-        ignore
-          (Atomic.compare_and_set j.error None
-             (Some
-                (QE.Error
-                   (QE.Worker_crashed
-                      { domain = sv_name; detail = Printexc.to_string exn }))));
-        Condition.broadcast t.quiet
-      | None -> ())
+(* Supervisor reclaim for worker [w], in the crashed domain after the
+   unwind: leave what the worker held. A helper's crash becomes its
+   job's error, so the caller raises [Worker_crashed] instead of
+   silently losing the claimed morsels; a served query is answered by
+   the scheduler, outside [pool.lock]. *)
+let worker_reclaim t w domain exn =
+  let crash = QE.Error (QE.Worker_crashed { domain; detail = Printexc.to_string exn }) in
+  let held =
+    Aeq_race.Lock.with_ t.lock (fun () ->
+        Aeq_race.read ~site:"pool.reclaim" t.current_loc;
+        let held = t.current.(w) in
+        (match held with
+        | Helping (j, _) -> ignore (Atomic.compare_and_set j.error None (Some crash))
+        | Serving _ | Idle -> ());
+        leave t w held;
+        held)
+  in
+  match held with Serving task -> task.on_crash ~domain exn | Helping _ | Idle -> ()
+
+let supervisors t = Array.to_list (Atomic.get t.supervisors)
+
+(* When the last worker's restart budget is spent, nothing will take
+   a ticket again. *)
+let worker_gave_up t =
+  let server = Aeq_race.Lock.with_ t.lock (fun () -> t.server) in
+  if List.for_all (fun sv -> Supervisor.state sv = Supervisor.Failed) (supervisors t)
+  then Option.iter (fun s -> s.on_stranded ()) server
+
+let spawn_worker t w =
+  let domain = Printf.sprintf "pool.worker-%d" w in
+  Supervisor.spawn ~policy:(Atomic.get t.policy) ~name:domain
+    ~on_crash:(worker_reclaim t w domain)
+    ~on_give_up:(fun _ -> worker_gave_up t)
+    (worker_loop t w)
 
 let create ?(restart_policy = Supervisor.default_policy) ~n_threads () =
   let n_threads = Stdlib.max 1 n_threads in
@@ -152,21 +183,18 @@ let create ?(restart_policy = Supervisor.default_policy) ~n_threads () =
       work = Condition.create ();
       quiet = Condition.create ();
       jobs = [];
+      server = None;
       stop = false;
-      current = Array.make (Stdlib.max 1 (n_threads - 1)) None;
-      supervisors = [||];
+      current = Array.make n_threads Idle;
+      supervisors = Atomic.make [||];
+      policy = Atomic.make restart_policy;
       closed = Atomic.make false;
       active_jobs = Atomic.make 0;
       jobs_loc = Aeq_race.locate "pool.jobs";
       current_loc = Aeq_race.locate "pool.current";
     }
   in
-  t.supervisors <-
-    Array.init (n_threads - 1) (fun w ->
-        let sv_name = Printf.sprintf "pool.worker-%d" w in
-        Supervisor.spawn ~policy:restart_policy ~name:sv_name
-          ~on_crash:(worker_reclaim t w sv_name)
-          (worker_loop t w));
+  Atomic.set t.supervisors (Array.init (n_threads - 1) (spawn_worker t));
   t
 
 let n_threads t = t.n_threads
@@ -177,10 +205,34 @@ let active_jobs t = Atomic.get t.active_jobs
 
 let busy t = active_jobs t > 0
 
-let health_reasons t =
-  Array.to_list t.supervisors |> List.filter_map Supervisor.health_reason
+let health_reasons t = List.filter_map Supervisor.health_reason (supervisors t)
 
-let supervisors t = Array.to_list t.supervisors
+let set_restart_policy t policy =
+  Atomic.set t.policy policy;
+  List.iter (fun sv -> Supervisor.set_policy sv policy) (supervisors t)
+
+let wake t =
+  Aeq_race.Lock.with_ t.lock (fun () ->
+      Aeq_race.read ~site:"pool.wake" t.jobs_loc;
+      Condition.broadcast t.work)
+
+(* Spawned under the lock: [shutdown] joins the new worker, or the
+   scheduler is stranded at once. *)
+let serve t ~take ~on_stranded =
+  let stranded =
+    Aeq_race.Lock.with_ t.lock (fun () ->
+        Aeq_race.write ~site:"pool.serve" t.jobs_loc;
+        if Option.is_some t.server then
+          invalid_arg "Pool.serve: a scheduler is already attached";
+        t.server <- Some { take; on_stranded };
+        if not t.stop then begin
+          let svs = Atomic.get t.supervisors in
+          Atomic.set t.supervisors
+            (Array.append svs [| spawn_worker t (Array.length svs) |])
+        end;
+        t.stop)
+  in
+  if stranded then on_stranded ()
 
 let run ?max_tids t fn =
   (* a submission to dead workers would never gain helpers *)
@@ -209,8 +261,9 @@ let run ?max_tids t fn =
   (* The close-out runs on every exit path — including the caller
      itself crashing as tid 0: the job must leave the open list and
      its barrier must drain, or the pool leaks the job and the
-     in-flight gauge sticks. The crash then propagates to the caller's
-     own supervisor (the dispatcher's, usually). *)
+     in-flight gauge sticks. The crash then propagates to the caller —
+     usually a worker serving an admitted query, whose reclaim answers
+     it. *)
   let close_out () =
     Aeq_race.Lock.lock t.lock;
     Aeq_race.write ~site:"pool.close_out" t.jobs_loc;
@@ -254,10 +307,15 @@ let check t =
 
 let shutdown t =
   if Atomic.compare_and_set t.closed false true then begin
-    Aeq_race.Lock.with_ t.lock (fun () ->
-        Aeq_race.write ~site:"pool.shutdown" t.jobs_loc;
-        t.stop <- true;
-        Condition.broadcast t.work);
-    Array.iter Supervisor.stop t.supervisors;
-    Array.iter Supervisor.join t.supervisors
+    let server =
+      Aeq_race.Lock.with_ t.lock (fun () ->
+          Aeq_race.write ~site:"pool.shutdown" t.jobs_loc;
+          t.stop <- true;
+          Condition.broadcast t.work;
+          t.server)
+    in
+    List.iter Supervisor.stop (supervisors t);
+    List.iter Supervisor.join (supervisors t);
+    (* no worker will take a ticket again *)
+    Option.iter (fun s -> s.on_stranded ()) server
   end

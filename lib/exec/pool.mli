@@ -1,4 +1,5 @@
-(** Multi-tenant worker pool over OCaml domains.
+(** Multi-tenant worker pool over OCaml domains — the engine's only
+    domains.
 
     One pool lives for the engine's lifetime. Each pipeline execution
     submits a job; worker domains join open jobs — least-staffed
@@ -6,20 +7,43 @@
     thread id, and run the job function until its morsel supply is
     exhausted. The submitting caller always participates as tid 0, so
     a query progresses even when all workers are busy elsewhere, and a
-    1-thread pool runs entirely inline. Unlike the old single-tenant
-    barrier pool, several queries' pipelines execute concurrently.
+    1-thread pool runs entirely inline. A worker with no job to join
+    serves an admitted query of the scheduler attached by {!serve},
+    as the caller (tid 0) of that query's jobs.
 
-    Workers are supervised (see {!Supervisor}): an unstructured
-    exception escaping a job function — a crash — is contained by the
-    worker's barrier, the crashed participant's job accounting is
-    repaired (so the submitting caller's drain barrier still wakes,
-    with the crash surfaced as {!Query_error.Worker_crashed}), and the
-    worker domain restarts under a backoff budget. *)
+    Workers are supervised (see {!Supervisor}): a worker's crash
+    hook repairs what it held — the accounting of a job it helped, so
+    the caller's barrier still drains and raises
+    {!Query_error.Worker_crashed}, or the query it served, which
+    {!task.on_crash} answers — and the worker restarts under a
+    backoff budget. *)
 
 type t
 
 val create : ?restart_policy:Supervisor.policy -> n_threads:int -> unit -> t
-(** [restart_policy] defaults to {!Supervisor.default_policy}. *)
+(** Spawns [n_threads - 1] workers: a direct caller is the n-th
+    participant of its own jobs. [restart_policy] defaults to
+    {!Supervisor.default_policy}. *)
+
+val set_restart_policy : t -> Supervisor.policy -> unit
+(** For every worker, including one {!serve} starts later. *)
+
+(** An admitted query claimed by a worker: [run] serves and answers it
+    (raising only a domain crash); [on_crash] answers it if the
+    worker named [domain] crashed in [run]. *)
+type task = { run : unit -> unit; on_crash : domain:string -> exn -> unit }
+
+val serve : t -> take:(unit -> task option) -> on_stranded:(unit -> unit) -> unit
+(** Attach a scheduler and start the n-th worker (an admitted query
+    has no caller domain). A worker with no job to join calls [take]
+    under the pool's lock — [take] may lock the scheduler, which must
+    never take the pool's lock under its own. [on_stranded] runs when
+    no worker will take a ticket again: every worker's supervisor
+    gave up, or the pool is shut down.
+    @raise Invalid_argument if a scheduler is already attached. *)
+
+val wake : t -> unit
+(** Wake idle workers to [take] again, after a ticket is admitted. *)
 
 val n_threads : t -> int
 
@@ -39,7 +63,7 @@ val run : ?max_tids:int -> t -> (tid:int -> unit) -> unit
     records [Query_error.Error (Worker_crashed _)] as the job error —
     re-raised here, and the query fails with it. A crash in the caller's own participation (tid
     0) still runs the close-out — the job leaves the open list and the
-    barrier drains — and then propagates to the caller's supervisor.
+    barrier drains — and then propagates to the caller.
     @raise Invalid_argument if the pool has been {!shutdown}. *)
 
 val closed : t -> bool

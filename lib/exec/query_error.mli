@@ -39,9 +39,10 @@ type t =
           while still queued, the scheduler was draining, or it was
           shut down *)
   | Worker_crashed of { domain : string; detail : string }
-      (** the serving domain (dispatcher or pool worker) holding this
-          query died on an unstructured exception; the supervisor
-          reclaimed the query's state and restarted the domain.
+      (** the pool worker serving this query, or helping with one of
+          its pipelines, died on an unstructured exception; the
+          supervisor reclaimed the query's state and restarted the
+          worker.
           [domain] names the casualty, [detail] carries the printed
           exception. The query is not re-run: the client gets this
           error as its answer. *)

@@ -29,7 +29,6 @@ let priority_name = function Low -> "low" | Normal -> "normal" | High -> "high"
 let queue_index = function High -> 0 | Normal -> 1 | Low -> 2
 
 type config = {
-  dispatchers : int; (* dispatcher domains = queries concurrently in flight *)
   queue_capacity : int;
   shed_queue_depth : int;
   restart_policy : Supervisor.policy;
@@ -37,7 +36,6 @@ type config = {
 
 let default_config =
   {
-    dispatchers = 1;
     queue_capacity = 64;
     shed_queue_depth = 48;
     restart_policy = Supervisor.default_policy;
@@ -62,29 +60,26 @@ type ticket = {
   tk_loc : Aeq_race.location;
   mutable tk_state : state;
       (* [Queued] exactly while the ticket is live in a queue:
-         a dispatcher marks it [Running] when it claims it *)
+         a pool worker marks it [Running] when it claims it *)
   mutable tk_started : float; (* -1. until dispatched *)
   mutable tk_degraded : bool;
 }
 
 and t = {
   cfg : config;
+  pool : Pool.t; (* its workers serve the tickets *)
   exec : mode:Driver.mode -> cancel:Cancel.t -> string -> Driver.result;
   lock : Aeq_race.Lock.t;
-  work : Condition.t; (* signalled on admit and on shutdown *)
   queues_loc : Aeq_race.location;
   counters_loc : Aeq_race.location;
   running_loc : Aeq_race.location;
   queues : ticket Queue.t array; (* [High; Normal; Low] *)
   mutable queued : int; (* live (state Queued) tickets across queues *)
-  mutable stopped : bool;
+  mutable refusing : string option;
+      (* why submissions are refused: shut down, or no worker left *)
   mutable draining : bool; (* admission closed; in-flight may finish *)
-  current : ticket option array;
-      (* per-dispatcher serving slot, written under [lock]: the
-         in-flight set, and what the supervisor reclaims (completes as
-         [Worker_crashed]) if that dispatcher's domain crashes
-         mid-serve *)
-  mutable failed_dispatchers : int; (* dispatchers whose supervisor gave up *)
+  mutable running : ticket list;
+      (* the in-flight set: tickets pool workers are serving *)
   (* counters *)
   mutable n_admitted : int;
   mutable n_rejected : int;
@@ -99,8 +94,8 @@ and t = {
   mutable n_waits : int;
   mutable max_wait : float;
   quiet_waiter : Aeq_util.Waiter.t;
-      (* poked whenever in-flight work finishes; [drain] sleeps on it *)
-  mutable supervisors : Supervisor.t list;
+      (* poked whenever in-flight work finishes; [drain] and
+         [shutdown] sleep on it *)
 }
 
 type stats = {
@@ -231,39 +226,23 @@ let was_degraded tk =
       Aeq_race.read ~site:"sched.was_degraded" tk.tk_loc;
       tk.tk_degraded)
 
-(* ---- execution ------------------------------------------------------ *)
+(* ---- serving on pool workers ------------------------------------------ *)
 
-(* Runs the query once, outside t.lock. Every admitted query gets the
-   outcome of this single execution as its answer; its deadline, if
-   any, travels in [tk_cancel] and the driver enforces it. *)
-let execute t tk eff_mode =
-  match t.exec ~mode:eff_mode ~cancel:tk.tk_cancel tk.tk_sql with
-  | r -> Ok r
-  | exception e when Aeq_util.Probe.is_crash e ->
-    (* an injected domain kill must stay lethal: let it unwind out of
-       the dispatcher so the supervisor path (reclaim + restart) is
-       what answers the client, not this conversion layer *)
-    raise e
-  | exception e -> Error (QE.of_exn e)
-
-(* ---- dispatcher ------------------------------------------------------ *)
-
-(* under t.lock: oldest live ticket of the highest non-empty class *)
-let pop_live t =
+(* under t.lock: the oldest live ticket of the first non-empty queue
+   among [qis], popped; completed tickets are dropped on the way *)
+let pop_live t qis =
   let rec from_queue q =
     match Queue.take_opt q with
     | None -> None
     | Some tk -> if is_done tk then from_queue q else Some tk
   in
-  let rec scan i = if i >= 3 then None else
-      match from_queue t.queues.(i) with Some tk -> Some tk | None -> scan (i + 1)
-  in
-  scan 0
+  List.find_map (fun qi -> from_queue t.queues.(qi)) qis
 
-(* Under t.lock: dispatcher [di] takes [tk] (already popped). Marks it
+(* Under t.lock: a worker takes [tk] (already popped). Marks it
    running, records its queue wait, puts it in the in-flight set and
    picks its effective mode: under overload, no compilation spend. *)
-let claim t di tk =
+let claim t tk =
+  t.queued <- t.queued - 1;
   Aeq_race.write ~site:"sched.claim" t.counters_loc;
   Aeq_race.write ~site:"sched.claim" t.running_loc;
   let now = Clock.now () in
@@ -282,38 +261,78 @@ let claim t di tk =
       tk.tk_state <- Running;
       tk.tk_started <- now;
       tk.tk_degraded <- eff_mode <> tk.tk_mode);
-  t.current.(di) <- Some tk;
+  t.running <- tk :: t.running;
   eff_mode
 
-(* Serve one claimed ticket on dispatcher [di]. Called and returns with
-   t.lock NOT held; every critical section inside is [Fun.protect]ed
-   ([with_lock]) so no exception — injected crash included — can
-   abandon the scheduler mutex. While the query executes, the ticket
-   sits in [t.current.(di)]: the dispatcher's supervisor completes it
-   with [Worker_crashed] if this domain dies before [finish]. *)
-let serve t di tk eff_mode =
+(* Answer the in-flight [tk] with [outcome] and count it, unless it
+   was answered already (its worker's finish and reclaim cannot both
+   count it). *)
+let finish ?(crashed = false) t tk outcome =
+  let owned =
+    with_lock t.lock (fun () ->
+        Aeq_race.write ~site:"sched.finish" t.counters_loc;
+        Aeq_race.write ~site:"sched.finish" t.running_loc;
+        let owned = List.memq tk t.running in
+        if owned then begin
+          t.running <- List.filter (fun tk' -> tk' != tk) t.running;
+          if crashed then begin
+            t.n_crashed_tickets <- t.n_crashed_tickets + 1;
+            obs_bump "crashed_tickets"
+              ~help:"In-flight tickets completed as Worker_crashed by supervisor reclaim."
+          end;
+          match outcome with
+          | Ok _ ->
+            t.n_completed <- t.n_completed + 1;
+            obs_bump "completed" ~help:"Queries finished with rows."
+          | Error _ ->
+            t.n_failed <- t.n_failed + 1;
+            obs_bump "failed" ~help:"Queries finished with a structured error."
+        end;
+        owned)
+  in
+  if owned then begin
+    complete tk outcome;
+    Aeq_util.Waiter.wake t.quiet_waiter
+  end
+
+(* Run the claimed ticket's query once, outside t.lock; the outcome of
+   that single execution is its answer, and its deadline travels in
+   [tk_cancel]. The ticket is in [t.running] and in its worker's pool
+   slot: if the worker dies first, its reclaim hook ([on_crash] below)
+   answers it with [Worker_crashed]. *)
+let serve t tk eff_mode () =
   (* the ticket is already reclaimable: a crash from here on is the
      supervisor's to answer. The dispatch site sits exactly in that
      window so the [Crash] action exercises the reclaim path. *)
   Aeq_util.Probe.hit "sched.dispatch";
-  let outcome =
-    match Cancel.check tk.tk_cancel with
+  finish t tk
+    (match Cancel.check tk.tk_cancel with
     | Some e -> Error e (* cancelled while queued *)
-    | None -> execute t tk eff_mode
-  in
+    | None -> (
+      match t.exec ~mode:eff_mode ~cancel:tk.tk_cancel tk.tk_sql with
+      | r -> Ok r
+      | exception e when Aeq_util.Probe.is_crash e ->
+        (* a domain kill stays lethal: the worker's reclaim answers *)
+        raise e
+      | exception e -> Error (QE.of_exn e)))
+
+(* A pool worker's [take], under the pool's lock (so it must not
+   touch the pool): the next live ticket in priority order, claimed. *)
+let take t () =
   with_lock t.lock (fun () ->
-      Aeq_race.write ~site:"sched.finish" t.counters_loc;
-      Aeq_race.write ~site:"sched.finish" t.running_loc;
-      t.current.(di) <- None;
-      match outcome with
-      | Ok _ ->
-        t.n_completed <- t.n_completed + 1;
-        obs_bump "completed" ~help:"Queries finished with rows."
-      | Error _ ->
-        t.n_failed <- t.n_failed + 1;
-        obs_bump "failed" ~help:"Queries finished with a structured error.");
-  complete tk outcome;
-  Aeq_util.Waiter.wake t.quiet_waiter
+      Aeq_race.write ~site:"sched.pop" t.queues_loc;
+      if t.refusing <> None || t.queued = 0 then None
+      else begin
+        expire_queued t;
+        pop_live t [ 0; 1; 2 ]
+        |> Option.map (fun tk ->
+               let eff_mode = claim t tk in
+               let on_crash ~domain exn =
+                 finish ~crashed:true t tk
+                   (Error (QE.Worker_crashed { domain; detail = Printexc.to_string exn }))
+               in
+               { Pool.run = serve t tk eff_mode; on_crash })
+      end)
 
 (* under t.lock: answer every still-queued client now, not a hang *)
 let reject_queued t reason =
@@ -333,63 +352,19 @@ let reject_queued t reason =
     t.queues;
   t.queued <- 0
 
-let dispatcher_loop t di () =
-  let running = ref true in
-  while !running do
-    let next =
-      with_lock t.lock (fun () ->
-          let rec get () =
-            Aeq_race.write ~site:"sched.pop" t.queues_loc;
-            if t.stopped then begin
-              (* fail-fast drain: pending clients get a structured
-                 answer now *)
-              reject_queued t "scheduler is shut down";
-              None
-            end
-            else begin
-              expire_queued t;
-              if t.queued > 0 then begin
-                match pop_live t with
-                | Some tk ->
-                  t.queued <- t.queued - 1;
-                  Some (tk, claim t di tk)
-                | None ->
-                  t.queued <- 0;
-                  (* counter drift guard; unreachable *)
-                  get ()
-              end
-              else begin
-                Aeq_race.Lock.wait t.work t.lock;
-                get ()
-              end
-            end
-          in
-          get ())
-    in
-    match next with
-    | Some (tk, eff_mode) -> serve t di tk eff_mode
-    | None -> running := false
-  done
+(* Under t.lock: refuse submissions from now on, and answer the
+   queued ones. *)
+let refuse t reason =
+  Aeq_race.write ~site:"sched.refuse" t.queues_loc;
+  if t.refusing = None then t.refusing <- Some reason;
+  reject_queued t reason
 
 (* ---- admission ------------------------------------------------------- *)
 
 (* under t.lock: oldest live ticket of the lowest class strictly below
    [pri], popped out of its queue *)
 let shed_victim t pri =
-  let candidate_queues =
-    match pri with High -> [ 2; 1 ] | Normal -> [ 2 ] | Low -> []
-  in
-  let rec from_queue q =
-    match Queue.take_opt q with
-    | None -> None
-    | Some tk -> if is_done tk then from_queue q else Some tk
-  in
-  let rec scan = function
-    | [] -> None
-    | qi :: rest -> (
-      match from_queue t.queues.(qi) with Some tk -> Some tk | None -> scan rest)
-  in
-  scan candidate_queues
+  pop_live t (match pri with High -> [ 2; 1 ] | Normal -> [ 2 ] | Low -> [])
 
 let submit ?(mode = Driver.Adaptive) ?(priority = Normal) ?deadline_seconds ?cancel t
     sql =
@@ -416,18 +391,22 @@ let submit ?(mode = Driver.Adaptive) ?(priority = Normal) ?deadline_seconds ?can
       tk_degraded = false;
     }
   in
-  with_lock t.lock (fun () ->
+  let admitted =
+    with_lock t.lock (fun () ->
       Aeq_race.write ~site:"sched.submit" t.queues_loc;
       Aeq_race.write ~site:"sched.submit" t.counters_loc;
-      if t.stopped then complete tk (Error (QE.Rejected "scheduler is shut down"))
-      else if t.draining then begin
+      match t.refusing with
+      | Some reason ->
+        complete tk (Error (QE.Rejected reason));
+        false
+      | None when t.draining ->
         (* drain closes admission first: new work is refused while
            in-flight queries run to completion *)
         t.n_rejected <- t.n_rejected + 1;
         obs_bump "rejected" ~help:"Queries refused at submission or shutdown.";
-        complete tk (Error (QE.Rejected "draining"))
-      end
-      else begin
+        complete tk (Error (QE.Rejected "draining"));
+        false
+      | None ->
         (* overdue tickets leave first, so they never cost a newcomer
            its room *)
         expire_queued t;
@@ -437,7 +416,7 @@ let submit ?(mode = Driver.Adaptive) ?(priority = Normal) ?deadline_seconds ?can
           t.n_admitted <- t.n_admitted + 1;
           obs_bump "admitted" ~help:"Queries accepted into the admission queue.";
           if t.queued > t.max_depth then t.max_depth <- t.queued;
-          Condition.signal t.work
+          true
         in
         if t.queued < t.cfg.queue_capacity then admit ()
         else
@@ -459,79 +438,35 @@ let submit ?(mode = Driver.Adaptive) ?(priority = Normal) ?deadline_seconds ?can
             complete tk
               (Error
                  (QE.Overloaded
-                    { queue_depth = t.queued; capacity = t.cfg.queue_capacity }))
-      end);
+                    { queue_depth = t.queued; capacity = t.cfg.queue_capacity }));
+            false)
+  in
+  (* outside t.lock: the pool's lock comes first in the lock order *)
+  if admitted then Pool.wake t.pool;
   tk
 
 (* ---- lifecycle ------------------------------------------------------- *)
 
 let validate cfg =
-  if cfg.dispatchers < 1 then
-    invalid_arg "Scheduler: dispatchers must be >= 1";
   if cfg.queue_capacity < 1 then
     invalid_arg "Scheduler: queue_capacity must be >= 1"
 
-(* Supervisor reclaim for dispatcher [di]: runs in the crashed domain
-   after its stack unwound (arena leases and mutexes already released
-   by the [Fun.protect]s along the way). What the unwind cannot do is
-   answer the client — the ticket this dispatcher was serving would
-   otherwise hang its [await] forever. It lives in scheduler state, so
-   it is reclaimed here, under [t.lock]. *)
-let dispatcher_reclaim t di sv_name exn =
-  let victim =
-    with_lock t.lock (fun () ->
-        Aeq_race.write ~site:"sched.reclaim" t.running_loc;
-        Aeq_race.write ~site:"sched.reclaim" t.counters_loc;
-        match t.current.(di) with
-        | None -> None
-        | Some tk ->
-          t.current.(di) <- None;
-          t.n_crashed_tickets <- t.n_crashed_tickets + 1;
-          t.n_failed <- t.n_failed + 1;
-          obs_bump "crashed_tickets"
-            ~help:"In-flight tickets completed as Worker_crashed by supervisor reclaim.";
-          Some
-            ( tk,
-              QE.Worker_crashed { domain = sv_name; detail = Printexc.to_string exn } ))
-  in
-  match victim with
-  | Some (tk, err) ->
-    complete tk (Error err);
-    Aeq_util.Waiter.wake t.quiet_waiter
-  | None -> ()
-
-(* A dispatcher whose restart budget is exhausted stops serving. When
-   the LAST one gives up nothing will ever pop the queue again — fail
-   its clients now and refuse new ones, instead of hanging them. *)
-let dispatcher_gave_up t =
-  with_lock t.lock (fun () ->
-      Aeq_race.write ~site:"sched.gave_up" t.running_loc;
-      t.failed_dispatchers <- t.failed_dispatchers + 1;
-      if t.failed_dispatchers >= t.cfg.dispatchers then
-        reject_queued t "no serving domains left (restart budget exhausted)")
-
-(* under t.lock *)
-let in_flight t =
-  Array.fold_left (fun acc slot -> match slot with Some tk -> tk :: acc | None -> acc) []
-    t.current
-
-let create ?(config = default_config) ~exec () =
+let create ?(config = default_config) ~pool ~exec () =
   validate config;
   let t =
     {
       cfg = config;
+      pool;
       exec;
       lock = Aeq_race.Lock.create "sched.lock";
-      work = Condition.create ();
       queues_loc = Aeq_race.locate "sched.queues";
       counters_loc = Aeq_race.locate "sched.counters";
       running_loc = Aeq_race.locate "sched.running";
       queues = Array.init 3 (fun _ -> Queue.create ());
       queued = 0;
-      stopped = false;
+      refusing = None;
       draining = false;
-      current = Array.make config.dispatchers None;
-      failed_dispatchers = 0;
+      running = [];
       n_admitted = 0;
       n_rejected = 0;
       n_shed = 0;
@@ -545,16 +480,12 @@ let create ?(config = default_config) ~exec () =
       n_waits = 0;
       max_wait = 0.0;
       quiet_waiter = Aeq_util.Waiter.create ();
-      supervisors = [];
     }
   in
-  t.supervisors <-
-    List.init config.dispatchers (fun i ->
-        let sv_name = Printf.sprintf "scheduler.dispatcher-%d" i in
-        Supervisor.spawn ~policy:config.restart_policy ~name:sv_name
-          ~on_crash:(dispatcher_reclaim t i sv_name)
-          ~on_give_up:(fun _ -> dispatcher_gave_up t)
-          (dispatcher_loop t i));
+  Pool.set_restart_policy pool config.restart_policy;
+  Pool.serve pool ~take:(take t) ~on_stranded:(fun () ->
+      with_lock t.lock (fun () ->
+          refuse t "no pool worker left to serve"));
   (* gauges registered unconditionally; rendering is what the
      observability switch gates *)
   Obs.Metrics.gauge_fn "aeq_scheduler_queue_depth"
@@ -563,24 +494,33 @@ let create ?(config = default_config) ~exec () =
           Aeq_race.read ~site:"sched.gauge" t.queues_loc;
           t.queued));
   Obs.Metrics.gauge_fn "aeq_scheduler_in_flight"
-    ~help:"Queries currently being served by dispatcher domains." (fun () ->
+    ~help:"Queries currently being served by pool workers." (fun () ->
       with_lock t.lock (fun () ->
           Aeq_race.read ~site:"sched.gauge" t.running_loc;
-          List.length (in_flight t)));
-  Obs.Metrics.gauge_fn "aeq_scheduler_unhealthy_domains"
-    ~help:"Supervised scheduler domains currently backing off or failed."
-    (fun () ->
-      List.length (List.filter_map Supervisor.health_reason t.supervisors));
+          List.length t.running));
   t
-
-let supervisors t = t.supervisors
-
-let health_reasons t = List.filter_map Supervisor.health_reason t.supervisors
 
 let draining t =
   with_lock t.lock (fun () ->
       Aeq_race.read ~site:"sched.draining" t.queues_loc;
       t.draining)
+
+(* Sleep until [cond] holds under t.lock ([true]) or [deadline]
+   passes ([false]). Workers poke [quiet_waiter] as queries finish, so
+   this wakes on progress instead of burning a fixed-period poll. *)
+let wait_until ?(deadline = infinity) t cond =
+  let rec poll () =
+    if with_lock t.lock cond then true
+    else begin
+      let remaining = deadline -. Clock.now () in
+      if remaining <= 0.0 then false
+      else begin
+        ignore (Aeq_util.Waiter.wait t.quiet_waiter (Float.min 0.01 remaining));
+        poll ()
+      end
+    end
+  in
+  poll ()
 
 (* Graceful drain: close admission, then wait (bounded) for the queue
    and the in-flight set to empty. Past the deadline, still-queued
@@ -590,40 +530,27 @@ let drain ?(deadline_seconds = 30.0) t =
   with_lock t.lock (fun () ->
       Aeq_race.write ~site:"sched.drain" t.queues_loc;
       t.draining <- true);
-  let deadline = Clock.now () +. deadline_seconds in
-  let quiesced () =
-    with_lock t.lock (fun () ->
+  let clean =
+    wait_until ~deadline:(Clock.now () +. deadline_seconds) t (fun () ->
         Aeq_race.read ~site:"sched.drain" t.queues_loc;
         Aeq_race.read ~site:"sched.drain" t.running_loc;
-        t.queued = 0 && in_flight t = [])
+        t.queued = 0 && List.is_empty t.running)
   in
-  let rec poll () =
-    if quiesced () then true
-    else begin
-      let remaining = deadline -. Clock.now () in
-      if remaining <= 0.0 then false
-      else begin
-        (* dispatchers poke [quiet_waiter] as queries finish, so this
-           wakes on progress instead of burning a fixed-period poll *)
-        ignore
-          (Aeq_util.Waiter.wait t.quiet_waiter (Float.min 0.01 remaining));
-        poll ()
-      end
-    end
-  in
-  let clean = poll () in
   if not clean then begin
     let running =
       with_lock t.lock (fun () ->
           Aeq_race.read ~site:"sched.drain" t.running_loc;
           reject_queued t "rejected at drain deadline";
-          in_flight t)
+          t.running)
     in
     List.iter (fun tk -> Cancel.cancel tk.tk_cancel) running
   end;
   clean
 
 let stats t =
+  let sum_workers count =
+    List.fold_left (fun acc sv -> acc + count sv) 0 (Pool.supervisors t.pool)
+  in
   with_lock t.lock (fun () ->
       Aeq_race.read ~site:"sched.stats" t.counters_loc;
       Aeq_race.read ~site:"sched.stats" t.queues_loc;
@@ -633,7 +560,7 @@ let stats t =
       rejected = t.n_rejected;
       shed = t.n_shed;
       expired = t.n_expired;
-      in_flight = List.length (in_flight t);
+      in_flight = List.length t.running;
       completed = t.n_completed;
       failed = t.n_failed;
       degraded = t.n_degraded;
@@ -642,12 +569,10 @@ let stats t =
       avg_wait_seconds = (if t.n_waits = 0 then 0.0 else t.total_wait /. float_of_int t.n_waits);
       max_wait_seconds = t.max_wait;
       crashed_tickets = t.n_crashed_tickets;
-      (* supervisor counters are monotone over the scheduler's
-         lifetime — the restart budget made observable *)
-      domain_crashes =
-        List.fold_left (fun acc sv -> acc + Supervisor.crashes sv) 0 t.supervisors;
-      domain_restarts =
-        List.fold_left (fun acc sv -> acc + Supervisor.restarts sv) 0 t.supervisors;
+      (* the pool's supervisor counters are monotone — the restart
+         budget made observable *)
+      domain_crashes = sum_workers Supervisor.crashes;
+      domain_restarts = sum_workers Supervisor.restarts;
       })
 
 let reset_stats t =
@@ -666,21 +591,13 @@ let reset_stats t =
       t.n_waits <- 0;
       t.max_wait <- 0.0)
 
+(* Refuse new work and answer the queued, then wait for the in-flight
+   queries: the pool's workers serve them, so the pool must outlive
+   this call. Idempotent. *)
 let shutdown t =
-  let to_join =
-    with_lock t.lock (fun () ->
-        if t.stopped then None
-        else begin
-          Aeq_race.write ~site:"sched.shutdown" t.queues_loc;
-          t.stopped <- true;
-          Condition.broadcast t.work;
-          Some t.supervisors
-        end)
-  in
-  match to_join with
-  | None -> ()
-  | Some svs ->
-    (* cut any supervisor backoff short, then join *)
-    List.iter Supervisor.stop svs;
-    List.iter Supervisor.join svs;
-    Aeq_util.Waiter.dispose t.quiet_waiter
+  with_lock t.lock (fun () -> refuse t "scheduler is shut down");
+  ignore
+    (wait_until t (fun () ->
+         Aeq_race.read ~site:"sched.shutdown" t.running_loc;
+         List.is_empty t.running));
+  Aeq_util.Waiter.dispose t.quiet_waiter

@@ -2,9 +2,11 @@
     and deadlines in front of the driver.
 
     The execution core underneath (driver + multi-tenant worker pool +
-    per-query arena leases) runs queries concurrently; a configurable
-    number of dispatcher domains keep several admitted queries in
-    flight at once. What a server needs on top — and what this module
+    per-query arena leases) runs queries concurrently, and the pool's
+    workers serve the admitted ones: a worker with no morsel job to
+    join takes the next ticket and runs its query, so up to one
+    admitted query per worker is in flight and the scheduler spawns no
+    domain. What a server needs on top — and what this module
     provides — is a defined behavior when clients outnumber capacity:
 
     - a {b bounded admission queue} with three priority classes and
@@ -25,15 +27,14 @@
       running query at the first morsel boundary past it ([Timeout]).
       A ticket whose deadline passes while it is still queued is
       answered [Rejected] wherever the scheduler touches it: at every
-      {!submit}, at every dispatch, and at {!poll} and {!await} of that
-      ticket.
+      {!submit}, whenever a worker takes a ticket, and at {!poll} and
+      {!await} of that ticket.
 
     Clients call {!submit} (asynchronous; returns a {!ticket}) and
     {!await} or {!poll} the ticket, from any number of domains. The
     ticket is the only way a query answers: {!submit} never raises.
-    Dispatcher
-    domains serve the queue highest-priority-first, FIFO within a
-    class; with [dispatchers = 1] serving is fully serialized (the
+    Workers take tickets highest-priority-first, FIFO within a class;
+    over a 1-thread pool serving is fully serialized (the
     deterministic mode the scheduler tests rely on). *)
 
 type priority = Low | Normal | High
@@ -41,20 +42,15 @@ type priority = Low | Normal | High
 val priority_name : priority -> string
 
 type config = {
-  dispatchers : int;
-      (** dispatcher domains — the number of admitted queries served
-          concurrently (≥ 1; default 1) *)
   queue_capacity : int;  (** admission queue bound (≥ 1) *)
   shed_queue_depth : int;
       (** queue depth beyond which dispatched queries are forced to
           bytecode-only *)
   restart_policy : Supervisor.policy;
-      (** restart budget and backoff for the dispatcher domains, which
-          run under {!Supervisor} barriers: a crash
-          completes the victim's in-flight ticket with
-          [Worker_crashed] and restarts the domain.
-          [Engine.set_scheduler_config] applies it to the engine's
-          pool workers as well *)
+      (** restart budget and backoff for the pool workers, which run
+          under {!Supervisor} barriers: a crash completes the
+          victim's in-flight ticket with [Worker_crashed] and
+          restarts the worker. {!create} applies it to the pool *)
 }
 
 val default_config : config
@@ -68,18 +64,24 @@ type t
 
 val create :
   ?config:config ->
+  pool:Pool.t ->
   exec:(mode:Driver.mode -> cancel:Cancel.t -> string -> Driver.result) ->
   unit ->
   t
-(** Start a scheduler (spawns [config.dispatchers] dispatcher domains,
-    each under a {!Supervisor}, and nothing else). [exec] runs one
-    query to completion and is called from dispatcher domains — up to
-    [dispatchers] calls concurrently, so it must be thread-safe (the
-    engine's [query] is). Whatever it raises becomes the ticket's
+(** Start a scheduler served by [pool]'s workers ({!Pool.serve}, which
+    starts the pool's n-th worker; the scheduler spawns no domain).
+    [exec] runs one query to completion and is called from pool
+    workers — up to one call per worker concurrently, so it must be
+    thread-safe (the engine's [query] is); its pipeline jobs go to
+    [pool]. Whatever it raises becomes the ticket's
     [Error (Query_error.of_exn e)] — except a domain crash
     ({!Aeq_util.Probe.is_crash}), the one exception that escapes: it
-    unwinds out of the dispatcher, whose supervisor answers the ticket
-    with [Worker_crashed] and restarts the domain. *)
+    unwinds out of the worker, whose supervisor answers the ticket
+    with [Worker_crashed] and restarts the worker. Once no worker is
+    left to take a ticket (every worker's supervisor has given up, or
+    the pool is shut down), queued tickets are rejected and new ones
+    refused.
+    @raise Invalid_argument if [pool] already serves a scheduler. *)
 
 val submit :
   ?mode:Driver.mode ->
@@ -98,14 +100,15 @@ val submit :
     period. Expiring while still queued yields
     [Rejected "deadline expired in admission queue"], counted as
     [expired], and the query never runs. Queued expiry has no timer: it
-    happens at the next {!submit} or dispatch, or when the ticket is
-    {!poll}ed or {!await}ed. A wire session polls every 2 ms, so it is
-    answered at the deadline; an {!await} that is already blocked when
-    its queued ticket goes overdue is answered at the next submit,
-    dispatch or poll instead. An overdue ticket never costs a
-    newcomer its room: {!submit} expires overdue tickets before
-    judging whether the queue is full. [cancel] lets the caller
-    abandon the query later ({!cancel} does the same).
+    happens at the next {!submit} or when a worker next takes a
+    ticket, or when the ticket is {!poll}ed or {!await}ed. A wire
+    session polls every 2 ms, so it is answered at the deadline; an
+    {!await} that is already blocked when its queued ticket goes
+    overdue is answered at the next submit, take or poll instead. An
+    overdue ticket never costs a newcomer its room: {!submit} expires
+    overdue tickets before judging whether the queue is full.
+    [cancel] lets the caller abandon the query later ({!cancel} does
+    the same).
 
     An admission refusal returns a ticket that is already complete
     ({!poll} answers at once) and is never counted as [admitted]:
@@ -114,7 +117,8 @@ val submit :
       admission contract; counted as [rejected];
     - [Error (Rejected "draining")] while the scheduler drains;
       counted as [rejected];
-    - [Error (Rejected _)] once it is shut down. *)
+    - [Error (Rejected _)] once it is shut down, or once no worker is
+      left to serve. *)
 
 val await : ticket -> outcome
 (** Block until the query completes (any domain may await). *)
@@ -152,11 +156,10 @@ type stats = {
   max_wait_seconds : float;
   crashed_tickets : int;
       (** in-flight tickets completed as [Worker_crashed] by
-          supervisor reclaim after their dispatcher died *)
+          supervisor reclaim after the worker serving them died *)
   domain_crashes : int;
-      (** crashes caught by this scheduler's domain supervisors
-          (monotone over the scheduler's lifetime; not zeroed by
-          {!reset_stats}) *)
+      (** crashes caught by the pool's worker supervisors (monotone
+          over the pool's lifetime; not zeroed by {!reset_stats}) *)
   domain_restarts : int;
       (** supervised restarts performed (monotone, like
           [domain_crashes]) — the restart budget made observable *)
@@ -186,16 +189,8 @@ val drain : ?deadline_seconds:float -> t -> bool
 
 val draining : t -> bool
 
-val health_reasons : t -> string list
-(** One reason per supervised domain currently crashed-and-backing-off
-    or failed (restart budget exhausted). Empty = all serving domains
-    healthy. *)
-
-val supervisors : t -> Supervisor.t list
-(** The dispatcher supervisors, one per dispatcher, for tests and
-    introspection. *)
-
 val shutdown : t -> unit
 (** Stop serving: every still-queued query completes with [Rejected],
-    in-flight queries finish, then the dispatcher domains are joined.
-    Idempotent. Later {!submit}s answer [Rejected]. *)
+    and the call returns once the in-flight queries have finished (so
+    shut the pool down after it, not before). Idempotent. Later
+    {!submit}s answer [Rejected]. *)

@@ -1,8 +1,8 @@
 (** Domain supervision: exception barriers, crash reclaim, and
     self-healing restarts for the engine's long-lived domains.
 
-    Every critical domain — scheduler dispatchers and pool workers —
-    runs its loop under a supervisor. An unstructured
+    The engine's only domains are the pool's workers, and each runs
+    its loop under a supervisor. An unstructured
     exception escaping the loop (a bug; injected in tests by the
     [Crash] failpoint action) used to kill the domain silently and
     hang every client depending on it. Under supervision the crash is:
@@ -11,11 +11,12 @@
     - {b recorded}: an obs counter per domain plus an entry in the
       process-wide bounded {!crash_log} (what died, on which
       exception, what the supervisor did);
-    - {b reclaimed}: the owner's [on_crash] hook completes the crashed
-      dispatcher's in-flight ticket with
-      [Query_error.Worker_crashed], removes it from the in-flight set,
-      and fixes pool participant accounting so job barriers still
-      drain — crash-specific state the unwind alone cannot restore
+    - {b reclaimed}: the owner's [on_crash] hook repairs what the
+      crashed worker held — it completes the ticket the worker served
+      with [Query_error.Worker_crashed] and removes it from the
+      in-flight set, or fixes the participant accounting of the job
+      it helped so that job's barrier still drains — crash-specific
+      state the unwind alone cannot restore
       (arena leases, held mutexes and single-flight prepare claims are
       already released by [Fun.protect] and exception handlers on the
       way up);

@@ -6,7 +6,7 @@
     {!Protocol} frame protocol. Sessions are systhreads, not domains —
     they spend their life blocked on socket I/O or on a scheduler
     ticket, so they must not consume the (small, fixed) domain budget
-    the worker pool and dispatchers are sized against.
+    the worker pool is sized against.
 
     A session is a [Hello] handshake followed by
     [Prepare]/[Execute]/[Execute_prepared]/[Fetch]/[Cancel]/[Close]

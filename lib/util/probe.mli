@@ -32,7 +32,7 @@
     arena.release             hit    on lease release; the chunks are
                                      reclaimed regardless of a fault
     pool.pick                 hit    when a pool participant starts a job
-    sched.dispatch            hit    after a dispatcher claims a ticket
+    sched.dispatch            hit    after a pool worker claims a ticket
                                      (a Crash exercises ticket reclaim)
     net.accept                hit    after accept, before the session starts
     net.read / net.write      hit    before every frame read / written
@@ -63,7 +63,7 @@ exception Injected_crash of string
     {e not} part of the structured-error contract: every layer that
     folds exceptions into [Query_error] lets it pass, so it unwinds
     all the way out of the hosting domain — simulating a bug that
-    kills a dispatcher or a pool worker. Only a supervisor
+    kills a pool worker. Only a supervisor
     barrier ([Aeq_exec.Supervisor]) contains it. *)
 
 val is_crash : exn -> bool

@@ -1,11 +1,14 @@
 (* N-domain parallel query serving over the per-query execution-context
    architecture: correct results under concurrent distinct queries,
    concurrent executions of one cached plan, cross-query isolation
-   under traps and injected faults, and arena-lease hygiene (scratch
-   returned on success and error paths alike). *)
+   under traps and injected faults, arena-lease hygiene (scratch
+   returned on success and error paths alike), and admitted queries
+   served by the pool's workers within the domain budget. *)
 
 module CM = Aeq_backend.Cost_model
 module Driver = Aeq_exec.Driver
+module Pool = Aeq_exec.Pool
+module Sched = Aeq_exec.Scheduler
 module QE = Aeq_exec.Query_error
 module FP = Aeq_util.Probe
 module A = Aeq_mem.Arena
@@ -163,6 +166,60 @@ let test_lease_hygiene_after_chaos () =
       Alcotest.(check int) "resident bytes back to baseline" baseline_resident
         (A.resident_bytes arena))
 
+(* (iv) admitted queries run on pool workers: each ticket's worker is
+   tid 0 of that query's jobs and waits only in that query's barrier.
+   A worker that waited on another query's barrier, or ran other work
+   from inside its own, could leave two workers waiting on each other
+   and tickets unanswered. Multi-pipeline queries on a 2-thread
+   engine, 16 tickets in flight at once. *)
+let test_admitted_no_nested_barriers () =
+  with_engine ~n_threads:2 ~sf:0.01 (fun engine ->
+      let queries = Array.map Aeq_workload.Queries.tpch_q [| 1; 3; 18 |] in
+      let reference =
+        Array.map (fun sql -> sorted_rows (Aeq.Engine.query engine sql)) queries
+      in
+      let tickets =
+        List.init 16 (fun i ->
+            let k = i mod Array.length queries in
+            (k, Aeq.Engine.submit engine queries.(k)))
+      in
+      let deadline = Unix.gettimeofday () +. 60.0 in
+      let rec answer tk =
+        match Sched.poll tk with
+        | Some outcome -> outcome
+        | None ->
+          if Unix.gettimeofday () > deadline then
+            Alcotest.fail "a ticket was not answered within 60 s";
+          Unix.sleepf 0.002;
+          answer tk
+      in
+      List.iter
+        (fun (k, tk) ->
+          match answer tk with
+          | Ok r ->
+            Alcotest.(check bool) "bag-equal to the direct query" true
+              (sorted_rows r = reference.(k))
+          | Error e -> Alcotest.failf "ticket failed: %s" (QE.to_string e))
+        tickets;
+      Alcotest.(check (list string)) "pool accounting coherent" []
+        (Pool.check (Aeq.Engine.pool engine)))
+
+(* (v) one domain kind: an engine serving direct calls has n-1 workers
+   (each caller is the n-th participant of its own query); the first
+   admitted query starts the n-th, since it has no caller domain *)
+let test_domain_budget () =
+  with_engine ~n_threads:2 (fun engine ->
+      let workers () = List.length (Pool.supervisors (Aeq.Engine.pool engine)) in
+      Alcotest.(check int) "n-1 workers at create" 1 (workers ());
+      ignore (Aeq.Engine.query engine statements.(2));
+      Alcotest.(check int) "a direct query starts none" 1 (workers ());
+      for _ = 1 to 2 do
+        match Sched.await (Aeq.Engine.submit engine statements.(2)) with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "admitted query failed: %s" (QE.to_string e)
+      done;
+      Alcotest.(check int) "the first submit starts the n-th" 2 (workers ()))
+
 let () =
   Alcotest.run "parallel"
     [
@@ -175,5 +232,8 @@ let () =
           Alcotest.test_case "trap isolation" `Quick test_trap_isolation;
           Alcotest.test_case "lease hygiene after chaos" `Quick
             test_lease_hygiene_after_chaos;
+          Alcotest.test_case "admitted queries never nest barriers" `Quick
+            test_admitted_no_nested_barriers;
+          Alcotest.test_case "domain budget" `Quick test_domain_budget;
         ] );
     ]

@@ -96,9 +96,16 @@ let harness_exec h ~mode:_ ~cancel sql =
     QE.raise_error (QE.Worker_crashed { domain = "pool.worker-0"; detail = "scripted" })
   | _ -> ok_result ()
 
+(* a 1-thread pool: its one worker serves every ticket, so serving is
+   serialized *)
 let with_sched ?(config = Sched.default_config) h f =
-  let s = Sched.create ~config ~exec:(harness_exec h) () in
-  Fun.protect ~finally:(fun () -> Sched.shutdown s) (fun () -> f s)
+  let pool = Aeq_exec.Pool.create ~n_threads:1 () in
+  let s = Sched.create ~config ~pool ~exec:(harness_exec h) () in
+  Fun.protect
+    ~finally:(fun () ->
+      Sched.shutdown s;
+      Aeq_exec.Pool.shutdown pool)
+    (fun () -> f s pool)
 
 let served h =
   Mutex.lock h.h_lock;
@@ -180,7 +187,7 @@ let test_prob_failpoints_parse () =
 
 let test_submit_await () =
   let h = make_harness () in
-  with_sched h (fun s ->
+  with_sched h (fun s pool ->
       let tk = Sched.submit s "ok:basic" in
       check_ok "basic outcome" (Sched.await tk);
       Alcotest.(check bool) "waited >= 0" true (Sched.wait_seconds tk >= 0.0);
@@ -190,13 +197,12 @@ let test_submit_await () =
       Alcotest.(check int) "admitted" 2 st.Sched.admitted;
       Alcotest.(check int) "completed" 2 st.Sched.completed;
       Alcotest.(check int) "failed" 0 st.Sched.failed;
-      Alcotest.(check int) "one supervised domain per dispatcher"
-        Sched.default_config.Sched.dispatchers
-        (List.length (Sched.supervisors s)))
+      Alcotest.(check int) "the scheduler started the pool's one worker" 1
+        (List.length (Aeq_exec.Pool.supervisors pool)))
 
 let test_priority_order () =
   let h = make_harness () in
-  with_sched h (fun s ->
+  with_sched h (fun s _ ->
       let blocker = Sched.submit s "sleep:0.2" in
       Unix.sleepf 0.05 (* the blocker is now running, the queue is free *);
       let low = Sched.submit ~priority:Sched.Low s "ok:low" in
@@ -211,7 +217,7 @@ let test_priority_order () =
 let test_overload_reject_and_shed () =
   let h = make_harness () in
   let config = { Sched.default_config with Sched.queue_capacity = 2 } in
-  with_sched ~config h (fun s ->
+  with_sched ~config h (fun s _ ->
       let blocker = Sched.submit s "sleep:0.3" in
       Unix.sleepf 0.05;
       let n1 = Sched.submit s "ok:n1" in
@@ -251,7 +257,7 @@ let test_overload_reject_and_shed () =
 let test_overload_degrades_to_bytecode () =
   let h = make_harness () in
   let config = { Sched.default_config with Sched.shed_queue_depth = 0 } in
-  with_sched ~config h (fun s ->
+  with_sched ~config h (fun s _ ->
       let blocker = Sched.submit s "sleep:0.2" in
       Unix.sleepf 0.05;
       let a1 = Sched.submit s "ok:a1" in
@@ -277,7 +283,7 @@ let executions h sql =
    pool worker each come back after exactly one execution *)
 let test_single_execution () =
   let h = make_harness () in
-  with_sched h (fun s ->
+  with_sched h (fun s _ ->
       (match Sched.await (Sched.submit s "transient:1:a") with
       | Error (QE.Trap _) -> ()
       | Ok _ -> Alcotest.fail "the trap must be the answer, not a rerun's rows"
@@ -296,7 +302,7 @@ let test_single_execution () =
    its first guard check past it, with no grace period *)
 let test_deadline_cancel () =
   let h = make_harness () in
-  with_sched h (fun s ->
+  with_sched h (fun s _ ->
       let t0 = Clock.now () in
       let tk = Sched.submit ~deadline_seconds:0.05 s "sleep:5" in
       (match Sched.await tk with
@@ -310,7 +316,7 @@ let test_deadline_cancel () =
 
 let test_deadline_expires_in_queue () =
   let h = make_harness () in
-  with_sched h (fun s ->
+  with_sched h (fun s _ ->
       let blocker = Sched.submit s "sleep:0.3" in
       Unix.sleepf 0.05;
       let tk = Sched.submit ~deadline_seconds:0.05 s "ok:late" in
@@ -326,7 +332,7 @@ let test_deadline_expires_in_queue () =
 let test_expiry_without_timer () =
   let h = make_harness () in
   let config = { Sched.default_config with Sched.queue_capacity = 1 } in
-  with_sched ~config h (fun s ->
+  with_sched ~config h (fun s _ ->
       let blocker = Sched.submit s "sleep:0.5" in
       Unix.sleepf 0.05 (* the blocker is now running, the queue is free *);
       let t0 = Clock.now () in
@@ -357,7 +363,7 @@ let test_expiry_without_timer () =
 
 let test_client_cancel_queued () =
   let h = make_harness () in
-  with_sched h (fun s ->
+  with_sched h (fun s _ ->
       let blocker = Sched.submit s "sleep:0.2" in
       Unix.sleepf 0.05;
       let tk = Sched.submit s "sleep:0.2" in
@@ -372,7 +378,8 @@ let test_client_cancel_queued () =
 
 let test_shutdown_drains () =
   let h = make_harness () in
-  let s = Sched.create ~exec:(harness_exec h) () in
+  let pool = Aeq_exec.Pool.create ~n_threads:1 () in
+  let s = Sched.create ~pool ~exec:(harness_exec h) () in
   let blocker = Sched.submit s "sleep:0.15" in
   Unix.sleepf 0.05;
   let q1 = Sched.submit s "ok:s1" in
@@ -382,9 +389,10 @@ let test_shutdown_drains () =
   check_ok "in-flight query finished" (Sched.await blocker);
   check_rejected "queued q1 drained" (Sched.await q1);
   check_rejected "queued q2 drained" (Sched.await q2);
-  match Sched.poll (Sched.submit s "ok:late") with
+  (match Sched.poll (Sched.submit s "ok:late") with
   | Some (Error (QE.Rejected _)) -> ()
-  | _ -> Alcotest.fail "submit after shutdown must answer Rejected at once"
+  | _ -> Alcotest.fail "submit after shutdown must answer Rejected at once");
+  Aeq_exec.Pool.shutdown pool
 
 (* ---- engine integration ---------------------------------------------- *)
 

@@ -1,6 +1,6 @@
 (* Tests for the supervision layer: crash barriers and in-domain
    restarts (Supervisor), restart budgets and give-up escalation,
-   dispatcher and pool-worker crash reclaim (no hung awaits, no
+   pool-worker crash reclaim, serving and helping (no hung awaits, no
    leaked state), engine health states, graceful drain, and a seeded
    crash-injection sweep (AEQ_CRASH_SWEEP overrides the seed count). *)
 
@@ -221,33 +221,32 @@ let harness_exec ~mode:_ ~cancel sql =
     ok_result ()
   | _ -> ok_result ()
 
-let sup_config =
-  {
-    Sched.default_config with
-    dispatchers = 1;
-    restart_policy = fast_policy;
-  }
+let sup_config = { Sched.default_config with restart_policy = fast_policy }
 
+(* a 1-thread pool: the scheduler starts its one worker, which serves
+   every ticket *)
 let with_sched ?(config = sup_config) f =
-  let s = Sched.create ~config ~exec:harness_exec () in
-  Fun.protect ~finally:(fun () -> Sched.shutdown s) (fun () -> f s)
+  let pool = Pool.create ~n_threads:1 () in
+  let s = Sched.create ~config ~pool ~exec:harness_exec () in
+  Fun.protect
+    ~finally:(fun () ->
+      Sched.shutdown s;
+      Pool.shutdown pool)
+    (fun () -> f s pool)
 
-(* ---- dispatcher crash reclaim ---------------------------------------- *)
+(* ---- crash of a worker serving a ticket ------------------------------ *)
 
-let test_dispatcher_crash_completes_ticket () =
+let test_worker_crash_completes_ticket () =
   with_clean_failpoints (fun () ->
-      with_sched (fun s ->
+      with_sched (fun s _ ->
           FP.activate ~persistent:false "sched.dispatch" FP.Crash;
           (match Sched.await (Sched.submit s "ok") with
           | Error (QE.Worker_crashed { domain; _ }) ->
-            Alcotest.(check bool)
-              "crash names the dispatcher" true
-              (String.length domain > 0
-              && String.sub domain 0 9 = "scheduler")
+            Alcotest.(check string) "crash names the worker" "pool.worker-0" domain
           | Error e ->
             Alcotest.failf "expected Worker_crashed, got %s" (QE.to_string e)
           | Ok _ -> Alcotest.fail "expected Worker_crashed, got rows");
-          (* the dispatcher restarted: the next query is served *)
+          (* the worker restarted: the next query is served *)
           (match Sched.await (Sched.submit s "ok") with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "post-restart query failed: %s" (QE.to_string e));
@@ -258,15 +257,15 @@ let test_dispatcher_crash_completes_ticket () =
           Alcotest.(check bool)
             "crash log names the site" true
             (List.exists
-               (fun c -> c.Sup.cr_domain = "scheduler.dispatcher-0")
+               (fun c -> c.Sup.cr_domain = "pool.worker-0")
                (Sup.crash_log ()))))
 
 (* A one-shot crash on the second dispatch: that query's client gets
    Worker_crashed as its answer (it is not re-run), and every query
-   before and after it is served by the restarted dispatcher. *)
-let test_dispatcher_crash_then_healthy_serving () =
+   before and after it is served by the restarted worker. *)
+let test_worker_crash_then_healthy_serving () =
   with_clean_failpoints (fun () ->
-      with_sched (fun s ->
+      with_sched (fun s _ ->
           FP.activate ~persistent:false ~on_hit:2 "sched.dispatch" FP.Crash;
           (match Sched.await (Sched.submit s "ok") with
           | Ok _ -> ()
@@ -355,15 +354,15 @@ let test_health_degraded_and_back () =
             { fast_policy with Sup.backoff_base = 0.2; backoff_max = 0.2 };
         }
       in
-      with_sched ~config (fun s ->
-          Alcotest.(check (list string)) "healthy at start" [] (Sched.health_reasons s);
+      with_sched ~config (fun s pool ->
+          Alcotest.(check (list string)) "healthy at start" [] (Pool.health_reasons pool);
           FP.activate ~persistent:false "sched.dispatch" FP.Crash;
           (match Sched.await (Sched.submit s "ok") with
           | Error (QE.Worker_crashed _) -> ()
-          | _ -> Alcotest.fail "expected the dispatcher to crash");
-          eventually "degraded during backoff" (fun () -> Sched.health_reasons s <> []);
+          | _ -> Alcotest.fail "expected the serving worker to crash");
+          eventually "degraded during backoff" (fun () -> Pool.health_reasons pool <> []);
           eventually "serving again after restart" (fun () ->
-              Sched.health_reasons s = []);
+              Pool.health_reasons pool = []);
           match Sched.await (Sched.submit s "ok") with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "post-recovery query failed: %s" (QE.to_string e)))
@@ -372,7 +371,7 @@ let test_health_degraded_and_back () =
 
 let test_scheduler_drain () =
   with_clean_failpoints (fun () ->
-      with_sched (fun s ->
+      with_sched (fun s _ ->
           let tk = Sched.submit s "sleep:0.1" in
           let drain_clean = ref false in
           let d = Domain.spawn (fun () -> drain_clean := Sched.drain ~deadline_seconds:10.0 s) in
@@ -418,7 +417,7 @@ let test_engine_drain () =
 
 (* ---- seeded crash-injection sweep ------------------------------------ *)
 
-(* Every builtin site, dispatcher and worker domains, random hit
+(* Every builtin site, workers serving and helping, random hit
    counts, concurrent clients: no await may hang, every client gets
    rows or a structured error, and at quiescence the arena has no
    leaked leases and every supervised domain is healthy again. *)
@@ -434,7 +433,6 @@ let test_crash_sweep () =
       Aeq.Engine.set_scheduler_config engine
         {
           Sched.default_config with
-          dispatchers = 2;
           queue_capacity = 64;
           restart_policy =
             (* generous budget: the sweep injects one crash per seed
@@ -523,10 +521,10 @@ let () =
         ] );
       ( "scheduler",
         [
-          Alcotest.test_case "dispatcher crash completes ticket" `Quick
-            test_dispatcher_crash_completes_ticket;
+          Alcotest.test_case "worker crash completes ticket" `Quick
+            test_worker_crash_completes_ticket;
           Alcotest.test_case "crash mid-stream" `Quick
-            test_dispatcher_crash_then_healthy_serving;
+            test_worker_crash_then_healthy_serving;
           Alcotest.test_case "health degraded and back" `Quick
             test_health_degraded_and_back;
           Alcotest.test_case "graceful drain" `Quick test_scheduler_drain;
