@@ -419,7 +419,9 @@ let reset t =
       Atomic.set t.spare 0;
       t.base <- Some (make_lease ~scratch:false t))
 
-let[@inline] buf t p = Array.unsafe_get t.chunks (p lsr offset_bits)
+(* checked: a wild pointer (negative, or past the chunk table) raises
+   the same [Invalid_argument] as one into an empty slot *)
+let[@inline] buf t p = t.chunks.(p lsr offset_bits)
 
 let[@inline] off p = p land offset_mask
 

@@ -125,8 +125,10 @@ val check : t -> string list
 
 (** {1 Typed access}
 
-    Native endianness. An access past its chunk's end raises
-    [Invalid_argument]; otherwise generated code is trusted like machine code. *)
+    Native endianness. An access past its chunk's end, into an empty
+    slot, or through a pointer whose chunk index is outside the table
+    (a negative pointer included) raises [Invalid_argument]; otherwise
+    generated code is trusted like machine code. *)
 
 val get_i8 : t -> ptr -> int
 

@@ -69,6 +69,65 @@ let test_bounds_checked () =
   Alcotest.check_raises "set_i64" (Invalid_argument "index out of bounds") (fun () ->
       A.set_i64 arena near_end 1L)
 
+(* pointers whose chunk index is outside the table: a negative one
+   (its index reads as huge after the shift) and one just past it *)
+let wild_pointers = [ -8; (1 lsl 16) lsl 32 ]
+
+let test_wild_pointer_raises () =
+  let arena = A.create () in
+  let oob name f = Alcotest.check_raises name (Invalid_argument "index out of bounds") f in
+  List.iter
+    (fun p ->
+      let name op = Printf.sprintf "%s %#x" op p in
+      oob (name "get_i8") (fun () -> ignore (A.get_i8 arena p));
+      oob (name "set_i8") (fun () -> A.set_i8 arena p 1);
+      oob (name "get_i16") (fun () -> ignore (A.get_i16 arena p));
+      oob (name "set_i16") (fun () -> A.set_i16 arena p 1);
+      oob (name "get_i32") (fun () -> ignore (A.get_i32 arena p));
+      oob (name "set_i32") (fun () -> A.set_i32 arena p 1l);
+      oob (name "get_i64") (fun () -> ignore (A.get_i64 arena p));
+      oob (name "set_i64") (fun () -> A.set_i64 arena p 1L);
+      oob (name "chunk_of") (fun () -> ignore (A.chunk_of arena p)))
+    wild_pointers
+
+(* a function that returns the int64 at its pointer argument *)
+let load_ptr () =
+  let b = Builder.create ~name:"load_ptr" ~params:[ Types.Ptr ] in
+  Builder.ret b (Builder.load b Types.I64 (Builder.param b 0));
+  let f = Builder.finish b in
+  Layout.normalize f;
+  f
+
+let test_wild_ir_load_raises () =
+  let module CM = Aeq_backend.Cost_model in
+  let module C = Aeq_backend.Compiler in
+  let no_symbols : Aeq_vm.Rt_fn.resolver = fun _ -> None in
+  let f = load_ptr () in
+  let mem = A.create () in
+  let bytecode = Aeq_vm.Translate.translate ~symbols:no_symbols f in
+  let closure mode = (C.compile ~cost_model:CM.off ~symbols:no_symbols ~mem ~mode f).C.exec in
+  let unopt = closure CM.Unopt and opt = closure CM.Opt in
+  let tiers =
+    [
+      ("bytecode", fun args -> Aeq_vm.Interp.run bytecode mem ~args ());
+      ("unopt", fun args -> Aeq_backend.Closure_compile.run unopt ~args ());
+      ("opt", fun args -> Aeq_backend.Closure_compile.run opt ~args ());
+    ]
+  in
+  let p = A.alloc (A.allocator mem) 8 in
+  A.set_i64 mem p 42L;
+  List.iter
+    (fun (tier, run) ->
+      Alcotest.(check int64) (tier ^ " in bounds") 42L (run [| Int64.of_int p |]);
+      List.iter
+        (fun wild ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s load %#x" tier wild)
+            (Invalid_argument "index out of bounds")
+            (fun () -> ignore (run [| Int64.of_int wild |])))
+        wild_pointers)
+    tiers
+
 let test_concurrent_allocators () =
   (* Several domains allocating concurrently; all pointers must stay
      distinct and usable — the invariant pipeline workers rely on. *)
@@ -341,6 +400,8 @@ let () =
           Alcotest.test_case "large alloc" `Quick test_large_allocation_dedicated_chunk;
           Alcotest.test_case "stable pointers" `Quick test_pointers_stable_across_growth;
           Alcotest.test_case "bounds checked" `Quick test_bounds_checked;
+          Alcotest.test_case "wild pointer raises" `Quick test_wild_pointer_raises;
+          Alcotest.test_case "wild IR load raises in every tier" `Quick test_wild_ir_load_raises;
           Alcotest.test_case "concurrent allocators" `Quick test_concurrent_allocators;
           Alcotest.test_case "lease release returns chunks" `Quick
             test_lease_release_returns_chunks;
