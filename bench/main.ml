@@ -374,7 +374,8 @@ let micro () =
   let prog = Aeq_vm.Translate.translate ~symbols:no_symbols f in
   let regs = Aeq_vm.Interp.scratch prog in
   let unopt =
-    Aeq_backend.Compiler.compile ~cost_model:CM.off ~symbols:no_symbols ~mem ~mode:CM.Unopt f
+    Aeq_backend.Compiler.compile_unopt_of_bytecode ~cost_model:CM.off ~mem
+      ~n_instrs:(Func.n_instrs f) prog
   in
   let uregs = Aeq_backend.Closure_compile.scratch unopt.Aeq_backend.Compiler.exec in
   let opt =

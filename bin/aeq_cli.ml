@@ -110,7 +110,7 @@ let run sf threads mode explain trace verify tpch_n timeout mem_budget failpoint
   (match failpoints with
   | Some spec -> Aeq_util.Probe.set_from_string spec
   | None -> ());
-  if verify then Aeq_util.Verify_mode.set (Stdlib.max 1 (Aeq_util.Verify_mode.get ()));
+  if verify then Aeq_util.Verify_mode.set true;
   (* exporters need the spans/decisions/metrics recorded, so the flags
      imply observability; turn it on before the engine registers its
      instruments *)
@@ -135,11 +135,11 @@ let run sf threads mode explain trace verify tpch_n timeout mem_budget failpoint
        print_endline
          (Aeq_exec.Query_error.protect (fun () -> Aeq.Engine.explain engine sql))
      else if verify then begin
-       (* translation validation: the verify level armed above makes every
-          pass and every bytecode translation self-check on the way, and
-          the engine then diffs the four execution modes' results *)
-       Printf.printf "verifying across execution modes (verify level %d) ...\n%!"
-         (Aeq_util.Verify_mode.get ());
+       (* translation validation: the verify switch armed above makes
+          every pass and every bytecode translation self-check on the
+          way, and the engine then diffs the four execution modes'
+          results *)
+       print_endline "verifying across execution modes ...";
        match Aeq.Engine.verify_query engine sql with
        | Ok () ->
          print_endline "verification passed: bytecode, unopt, opt and adaptive agree"

@@ -42,22 +42,19 @@ let compile_unopt_of_bytecode ~cost_model ~mem ~n_instrs prog =
       { exec; compile_seconds; n_instrs_after = n_instrs })
 
 let compile ~cost_model ~symbols ~mem ~mode f =
+  (match mode with
+  | Cost_model.Bytecode -> invalid_arg "Compiler.compile: use translate_bytecode"
+  | Cost_model.Unopt -> invalid_arg "Compiler.compile: use compile_unopt_of_bytecode"
+  | Cost_model.Opt -> ());
   Aeq_obs.Event_log.with_span "compile" (fun () ->
       let n = Func.n_instrs f in
       let (exec, n_after), elapsed =
         Aeq_util.Clock.time_it (fun () ->
-            match mode with
-            | Cost_model.Bytecode ->
-              invalid_arg "Compiler.compile: use translate_bytecode"
-            | Cost_model.Unopt ->
-              let prog = Aeq_vm.Translate.translate ~symbols f in
-              (Closure_compile.compile prog mem, n)
-            | Cost_model.Opt ->
-              let clone = Func.copy f in
-              Aeq_obs.Event_log.with_span "optimize" (fun () ->
-                  Aeq_passes.Pass_manager.optimize Aeq_passes.Pass_manager.O2 clone);
-              let prog = Aeq_vm.Translate.translate ~symbols clone in
-              (Closure_compile.compile prog mem, Func.n_instrs clone))
+            let clone = Func.copy f in
+            Aeq_obs.Event_log.with_span "optimize" (fun () ->
+                Aeq_passes.Pass_manager.optimize clone);
+            let prog = Aeq_vm.Translate.translate ~symbols clone in
+            (Closure_compile.compile prog mem, Func.n_instrs clone))
       in
       let compile_seconds = pad_to cost_model mode n elapsed in
       observe_compile mode compile_seconds;

@@ -2,10 +2,10 @@
 
     Produces executable variants of an IR worker function:
     - [translate_bytecode]: fast linear translation (Section IV);
-    - [compile] with {!Cost_model.Unopt}: no IR passes, closure
-      compilation ("fast instruction selection");
+    - [compile_unopt_of_bytecode]: no IR passes, closure compilation
+      of the translated bytecode ("fast instruction selection");
     - [compile] with {!Cost_model.Opt}: the full pass pipeline, then
-      closure compilation.
+      translation and closure compilation.
 
     Each call reports the wall-clock compile latency, which includes
     the cost-model delay when simulation is on. The input function is
@@ -31,8 +31,10 @@ val compile :
   mode:Cost_model.mode ->
   Func.t ->
   compiled
-(** [mode] must be [Unopt] or [Opt].
-    @raise Invalid_argument on [Bytecode]. *)
+(** Optimized compilation. [mode] must be [Opt]: the other tiers have
+    one path each, {!translate_bytecode} and
+    {!compile_unopt_of_bytecode}.
+    @raise Invalid_argument on [Bytecode] or [Unopt]. *)
 
 val compile_unopt_of_bytecode :
   cost_model:Cost_model.t ->
@@ -41,6 +43,6 @@ val compile_unopt_of_bytecode :
   Aeq_vm.Bytecode.t ->
   compiled
 (** Unoptimized closure compilation of an already-translated bytecode
-    program, skipping the redundant IR re-translation that [compile]
-    with [Unopt] performs. [n_instrs] is the source function's IR size
-    (drives the modelled latency). *)
+    program: the one unoptimized path, so the IR is translated once
+    and shared with the bytecode tier. [n_instrs] is the source
+    function's IR size (drives the modelled latency). *)

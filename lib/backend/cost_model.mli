@@ -13,7 +13,9 @@
     - optimized machine code: linear + quadratic per function — the
       quadratic term reproduces Fig. 15's explosive growth for
       machine-generated mega-functions while remaining negligible for
-      ordinary pipelines.
+      ordinary pipelines. It is the only source of that super-linear
+      growth: the real pass pipeline ([Aeq_passes.Pass_manager]) has
+      no quadratic step of its own.
 
     The same model feeds the adaptive controller's extrapolation
     (paper Fig. 7), so decisions and simulated costs are consistent.

@@ -117,7 +117,7 @@ val verify_query : t -> string -> (unit, string) result
     that all agree with the bytecode interpreter — same column names
     and the same sorted bag of rows, or the same refusal to execute.
     [Error report] describes each diverging mode. Combine with
-    [Pass_manager.set_verify_level] (or [AEQ_VERIFY=1]) to also run
+    [Aeq_util.Verify_mode.set true] (or [AEQ_VERIFY=1]) to also run
     the SSA and bytecode verifiers on every artifact built along the
     way. *)
 

@@ -64,7 +64,7 @@ let rec atomic_add_float a d =
   let cur = Atomic.get a in
   if not (Atomic.compare_and_set a cur (cur +. d)) then atomic_add_float a d
 
-let prepare ?(cost_model = CM.default) catalog plan ~n_threads =
+let prepare ~cost_model catalog plan ~n_threads =
   let arena = Aeq_storage.Catalog.arena catalog in
   let n_threads = Stdlib.max 1 n_threads in
   (* The fallback context for the resolver: per-execution contexts are
@@ -501,9 +501,9 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?cancel ?memory_bud
       try A.release lease with Aeq_util.Probe.Injected _ -> ())
     (fun () -> Query_error.protect guarded)
 
-let execute ?cost_model ?collect_trace ?initial_modes ?cancel ?memory_budget_bytes
+let execute ~cost_model ?collect_trace ?initial_modes ?cancel ?memory_budget_bytes
     ?on_compile_failure catalog plan ~mode ~pool =
-  let p = prepare ?cost_model catalog plan ~n_threads:(Pool.n_threads pool) in
+  let p = prepare ~cost_model catalog plan ~n_threads:(Pool.n_threads pool) in
   execute_prepared ?collect_trace ?initial_modes ?cancel ?memory_budget_bytes
     ?on_compile_failure p ~mode ~pool
 

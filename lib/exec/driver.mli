@@ -66,14 +66,16 @@ type prepared
     context rather than a baked-in one. *)
 
 val prepare :
-  ?cost_model:Aeq_backend.Cost_model.t ->
+  cost_model:Aeq_backend.Cost_model.t ->
   Aeq_storage.Catalog.t ->
   Aeq_plan.Physical.t ->
   n_threads:int ->
   prepared
 (** Generate and bytecode-translate every pipeline worker.
     [n_threads] is the widest pool the statement may later execute
-    on. *)
+    on. [cost_model] prices every compilation and drives the adaptive
+    controller; pass the engine's calibrated model
+    ([Engine.cost_model]) or [Cost_model.off]. *)
 
 val execute_prepared :
   ?collect_trace:bool ->
@@ -126,7 +128,7 @@ val prepared_modes : prepared -> Aeq_backend.Cost_model.mode list
     start in for free). *)
 
 val execute :
-  ?cost_model:Aeq_backend.Cost_model.t ->
+  cost_model:Aeq_backend.Cost_model.t ->
   ?collect_trace:bool ->
   ?initial_modes:Aeq_backend.Cost_model.mode list ->
   ?cancel:Cancel.t ->

@@ -140,8 +140,8 @@ let promote t ~mode:m =
             | _ -> Aeq_util.Probe.hit "compile.opt");
             match m with
             | CM.Unopt ->
-              (* the bytecode program is already translated; closure-
-                 compile it directly instead of re-walking the IR *)
+              (* the one unoptimized path: closure-compile the
+                 bytecode program translated at prepare time *)
               Aeq_backend.Compiler.compile_unopt_of_bytecode ~cost_model:t.cost_model
                 ~mem:t.mem ~n_instrs:t.c.n_instrs t.c.bytecode
             | _ ->

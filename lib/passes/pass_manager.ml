@@ -1,9 +1,4 @@
-type level = O0 | O2
-
 let max_rounds = 4
-
-let set_verify_level = Aeq_util.Verify_mode.set
-let verify_level = Aeq_util.Verify_mode.get
 
 let verify_after ~check name (f : Func.t) =
   if check || Aeq_util.Verify_mode.enabled () then
@@ -27,28 +22,22 @@ let run_pass ~name pass (f : Func.t) =
   verify_after ~check:false name f;
   changed
 
-let optimize ?(check = false) level (f : Func.t) =
-  match level with
-  | O0 -> ()
-  | O2 ->
-    let verify_after name = verify_after ~check name f in
-    let rec rounds n =
-      if n > 0 then begin
-        let c1 = timed "const_fold" Const_fold.run f in
-        verify_after "const_fold";
-        let c2 = timed "cse" Cse.run f in
-        verify_after "cse";
-        let c3 = timed "simplify_cfg" Simplify_cfg.run f in
-        (* simplify_cfg can orphan blocks; re-establish the layout
-           invariants before anything recomputes dominators *)
-        Layout.normalize f;
-        verify_after "simplify_cfg";
-        let c4 = timed "dce" Dce.run f in
-        verify_after "dce";
-        if c1 || c2 || c3 || c4 then rounds (n - 1)
-      end
-    in
-    rounds max_rounds;
-    ignore (timed "sched" Sched.run f);
-    Layout.normalize f;
-    verify_after "sched"
+let optimize ?(check = false) (f : Func.t) =
+  let verify_after name = verify_after ~check name f in
+  let rec rounds n =
+    if n > 0 then begin
+      let c1 = timed "const_fold" Const_fold.run f in
+      verify_after "const_fold";
+      let c2 = timed "cse" Cse.run f in
+      verify_after "cse";
+      let c3 = timed "simplify_cfg" Simplify_cfg.run f in
+      (* simplify_cfg can orphan blocks; re-establish the layout
+         invariants before anything recomputes dominators *)
+      Layout.normalize f;
+      verify_after "simplify_cfg";
+      let c4 = timed "dce" Dce.run f in
+      verify_after "dce";
+      if c1 || c2 || c3 || c4 then rounds (n - 1)
+    end
+  in
+  rounds max_rounds

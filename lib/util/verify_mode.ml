@@ -1,21 +1,19 @@
-(* Process-wide verification level, shared by every layer that can
+(* Process-wide verification switch, shared by every layer that can
    self-check (SSA verifier between passes, bytecode verifier after
    translation). Lives here rather than in the pass manager because
    aeq_vm cannot see aeq_passes: both read the switch through
    aeq_util.
 
-   Level 0 disables everything (production default); level 1 and above
-   run the deep verifiers. Initialised from AEQ_VERIFY. *)
+   Off by default (production); on runs the deep verifiers.
+   Initialised from AEQ_VERIFY. *)
 
 let parse = function
-  | None -> 0
-  | Some ("" | "0" | "false" | "off" | "no") -> 0
-  | Some s -> ( match int_of_string_opt s with Some n -> Stdlib.max 0 n | None -> 1)
+  | None -> false
+  | Some ("" | "0" | "false" | "off" | "no") -> false
+  | Some s -> ( match int_of_string_opt s with Some n -> n > 0 | None -> true)
 
-let level = Atomic.make (parse (Sys.getenv_opt "AEQ_VERIFY"))
+let on = Atomic.make (parse (Sys.getenv_opt "AEQ_VERIFY"))
 
-let set l = Atomic.set level (Stdlib.max 0 l)
+let set = Atomic.set on
 
-let get () = Atomic.get level
-
-let enabled () = Atomic.get level > 0
+let enabled () = Atomic.get on

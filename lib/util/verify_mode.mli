@@ -1,15 +1,12 @@
-(** Process-wide verification level.
+(** Process-wide verification switch.
 
-    [0] (the default) disables the deep verifiers; any positive level
-    makes the pass manager run the SSA verifier between passes and the
-    translator run the bytecode verifier on its output. Initialised
-    from the [AEQ_VERIFY] environment variable ([AEQ_VERIFY=1], or any
-    non-numeric non-empty value, means level 1). *)
+    Off by default. When on, the pass manager runs the SSA verifier
+    between passes and the translator runs the bytecode verifier on
+    its output. Initialised from the [AEQ_VERIFY] environment
+    variable: unset, empty, [0], [false], [off], [no] or a negative
+    number mean off; a positive number or any other non-empty value
+    means on. *)
 
-val set : int -> unit
-(** Clamped at 0 from below. *)
-
-val get : unit -> int
+val set : bool -> unit
 
 val enabled : unit -> bool
-(** [get () > 0]. *)

@@ -33,9 +33,10 @@ let run_all_modes seed =
   in
   let unopt =
     with_mem (fun mem full ->
+        let prog = Aeq_vm.Translate.translate ~symbols:no_symbols f in
         let c =
-          Aeq_backend.Compiler.compile ~cost_model:CM.off ~symbols:no_symbols ~mem
-            ~mode:CM.Unopt f
+          Aeq_backend.Compiler.compile_unopt_of_bytecode ~cost_model:CM.off ~mem
+            ~n_instrs:(Func.n_instrs f) prog
         in
         outcome (fun () -> Aeq_backend.Closure_compile.run c.Aeq_backend.Compiler.exec ~args:full ()))
   in
@@ -65,11 +66,18 @@ let test_unopt_runs_simple () =
   let f = Builder.finish b in
   Layout.normalize f;
   let mem = A.create () in
+  let prog = Aeq_vm.Translate.translate ~symbols:no_symbols f in
   let c =
-    Aeq_backend.Compiler.compile ~cost_model:CM.off ~symbols:no_symbols ~mem ~mode:CM.Unopt f
+    Aeq_backend.Compiler.compile_unopt_of_bytecode ~cost_model:CM.off ~mem
+      ~n_instrs:(Func.n_instrs f) prog
   in
   Alcotest.(check int64) "6*7" 42L
-    (Aeq_backend.Closure_compile.run c.Aeq_backend.Compiler.exec ~args:[| 6L |] ())
+    (Aeq_backend.Closure_compile.run c.Aeq_backend.Compiler.exec ~args:[| 6L |] ());
+  Alcotest.check_raises "compile has no unopt path"
+    (Invalid_argument "Compiler.compile: use compile_unopt_of_bytecode") (fun () ->
+      ignore
+        (Aeq_backend.Compiler.compile ~cost_model:CM.off ~symbols:no_symbols ~mem
+           ~mode:CM.Unopt f))
 
 let test_opt_shrinks_ir () =
   (* a function with foldable constants and CSE opportunities *)

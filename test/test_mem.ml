@@ -105,8 +105,11 @@ let test_wild_ir_load_raises () =
   let f = load_ptr () in
   let mem = A.create () in
   let bytecode = Aeq_vm.Translate.translate ~symbols:no_symbols f in
-  let closure mode = (C.compile ~cost_model:CM.off ~symbols:no_symbols ~mem ~mode f).C.exec in
-  let unopt = closure CM.Unopt and opt = closure CM.Opt in
+  let unopt =
+    (C.compile_unopt_of_bytecode ~cost_model:CM.off ~mem ~n_instrs:(Func.n_instrs f) bytecode)
+      .C.exec
+  in
+  let opt = (C.compile ~cost_model:CM.off ~symbols:no_symbols ~mem ~mode:CM.Opt f).C.exec in
   let tiers =
     [
       ("bytecode", fun args -> Aeq_vm.Interp.run bytecode mem ~args ());

@@ -427,18 +427,16 @@ let test_reject_bad_register_offsets () =
 
 (* --- pass-manager pinpointing ---------------------------------------- *)
 
-let with_verify_level n f =
-  let old = Aeq_util.Verify_mode.get () in
+let with_verify f =
+  let old = Aeq_util.Verify_mode.enabled () in
   Fun.protect
     ~finally:(fun () -> Aeq_util.Verify_mode.set old)
     (fun () ->
-      Aeq_util.Verify_mode.set n;
+      Aeq_util.Verify_mode.set true;
       f ())
 
 let test_broken_pass_pinpointed () =
-  with_verify_level 1 @@ fun () ->
-  Alcotest.(check int) "level visible via pass manager" 1
-    (Aeq_passes.Pass_manager.verify_level ());
+  with_verify @@ fun () ->
   let f = Gen_ir.generate ~complexity:10 3 in
   let evil (f : Func.t) =
     f.Func.blocks.(0).Block.term <- Instr.Br 99;
@@ -450,12 +448,12 @@ let test_broken_pass_pinpointed () =
     check_contains "names the pass" "pass evil_cfg broke" msg;
     check_contains "carries the diagnostic" "missing block" msg
 
-let test_optimize_verifies_under_level () =
+let test_optimize_verifies_when_armed () =
   (* the stock pipeline on the corpus stays clean under verification *)
-  with_verify_level 1 @@ fun () ->
+  with_verify @@ fun () ->
   for seed = 0 to 30 do
     let f = Gen_ir.generate ~complexity:15 seed in
-    Aeq_passes.Pass_manager.optimize Aeq_passes.Pass_manager.O2 f
+    Aeq_passes.Pass_manager.optimize f
   done
 
 (* --- disassembler / opcode sweep ------------------------------------- *)
@@ -582,7 +580,7 @@ let prop_three_way =
     QCheck.small_nat differential3
 
 let test_engine_verify_query () =
-  with_verify_level 1 @@ fun () ->
+  with_verify @@ fun () ->
   let engine =
     Aeq.Engine.create ~n_threads:2 ~cost_model:Aeq_backend.Cost_model.default ()
   in
@@ -635,7 +633,7 @@ let () =
         [
           Alcotest.test_case "broken pass pinpointed" `Quick test_broken_pass_pinpointed;
           Alcotest.test_case "pipeline clean under verification" `Quick
-            test_optimize_verifies_under_level;
+            test_optimize_verifies_when_armed;
         ] );
       ( "disasm",
         [ Alcotest.test_case "opcode table complete" `Quick test_opcode_all ] );
