@@ -44,7 +44,15 @@ let base ctx slot =
   | Some v -> v
   | None -> invalid_arg (Printf.sprintf "Codegen: slot %d not preloaded" slot)
 
-let load_source_cell ctx slot =
+(* A base-table cell is a 4-byte int32 (see [Aeq_storage.Table]). *)
+let load_table_cell ctx slot =
+  let base = base ctx slot in
+  let addr = Builder.gep ctx.b ~base ~index:ctx.row ~scale:4 ~offset:0 in
+  let cell = Builder.load ctx.b Types.I32 addr in
+  Builder.cast ctx.b Instr.Sext ~from_ty:Types.I32 ~to_ty:i64 cell
+
+(* An aggregate-result cell is a full i64. *)
+let load_agg_cell ctx slot =
   let base = base ctx slot in
   let addr = Builder.gep ctx.b ~base ~index:ctx.row ~scale:8 ~offset:0 in
   Builder.load ctx.b i64 addr
@@ -56,7 +64,7 @@ let gen_col ctx ~tref ~col =
   | None ->
     let v =
       if tref = ctx.source_tref then
-        load_source_cell ctx (P.slot_of_col ctx.layout ~tref ~col)
+        load_table_cell ctx (P.slot_of_col ctx.layout ~tref ~col)
       else begin
         match List.assoc_opt tref ctx.payloads with
         | Some (ht_idx, entry) ->
@@ -85,7 +93,7 @@ let gen_acol ctx idx =
   match cache_find ctx key with
   | Some v -> v
   | None ->
-    let v = load_source_cell ctx (P.slot_of_agg_col ctx.layout idx) in
+    let v = load_agg_cell ctx (P.slot_of_agg_col ctx.layout idx) in
     cache_store ctx key v;
     v
 

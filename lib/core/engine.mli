@@ -31,12 +31,14 @@ val create :
     [cost_model] defaults to the paper-calibrated model with simulated
     LLVM-magnitude compile latencies (pass
     [Aeq_backend.Cost_model.off] for real latencies only). The pool's
-    workers are the engine's only domains: [n_threads - 1] of them
-    while only direct {!query} callers use the engine (each caller is
-    the n-th participant of its own query), and [n_threads] once the
-    first {!submit} attaches the scheduler, whose admitted queries
-    the workers serve. Each runs under a {!Aeq_exec.Supervisor} crash
-    barrier with self-healing restarts. *)
+    workers are the engine's only domains: none until a query can use
+    them, so loading tables never waits on an idle domain;
+    [n_threads - 1] from the first direct {!query} that runs a
+    parallel pipeline (each caller is the n-th participant of its own
+    query); and one more once the first {!submit} attaches the
+    scheduler, whose admitted queries the workers serve. Each runs
+    under a {!Aeq_exec.Supervisor} crash barrier with self-healing
+    restarts. *)
 
 val load_tpch : ?seed:int64 -> t -> scale_factor:float -> unit
 

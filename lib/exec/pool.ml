@@ -51,6 +51,7 @@ type t = {
   quiet : Condition.t; (* a participant left some job *)
   mutable jobs : job list;
   mutable server : server option; (* the attached scheduler *)
+  mutable helpers : bool; (* the n-1 helpers started *)
   mutable stop : bool;
   current : slot array; (* per-worker, written under [lock] *)
   supervisors : Supervisor.t array Atomic.t;
@@ -184,6 +185,7 @@ let create ?(restart_policy = Supervisor.default_policy) ~n_threads () =
       quiet = Condition.create ();
       jobs = [];
       server = None;
+      helpers = false;
       stop = false;
       current = Array.make n_threads Idle;
       supervisors = Atomic.make [||];
@@ -194,7 +196,6 @@ let create ?(restart_policy = Supervisor.default_policy) ~n_threads () =
       current_loc = Aeq_race.locate "pool.current";
     }
   in
-  Atomic.set t.supervisors (Array.init (n_threads - 1) (spawn_worker t));
   t
 
 let n_threads t = t.n_threads
@@ -216,8 +217,15 @@ let wake t =
       Aeq_race.read ~site:"pool.wake" t.jobs_loc;
       Condition.broadcast t.work)
 
-(* Spawned under the lock: [shutdown] joins the new worker, or the
-   scheduler is stranded at once. *)
+(* Under t.lock, so [shutdown] joins every worker started: [k] more
+   workers, numbered after those already running. *)
+let start_workers t k =
+  if not t.stop then begin
+    let svs = Atomic.get t.supervisors in
+    let n = Array.length svs in
+    Atomic.set t.supervisors (Array.append svs (Array.init k (fun i -> spawn_worker t (n + i))))
+  end
+
 let serve t ~take ~on_stranded =
   let stranded =
     Aeq_race.Lock.with_ t.lock (fun () ->
@@ -225,11 +233,7 @@ let serve t ~take ~on_stranded =
         if Option.is_some t.server then
           invalid_arg "Pool.serve: a scheduler is already attached";
         t.server <- Some { take; on_stranded };
-        if not t.stop then begin
-          let svs = Atomic.get t.supervisors in
-          Atomic.set t.supervisors
-            (Array.append svs [| spawn_worker t (Array.length svs) |])
-        end;
+        start_workers t 1;
         t.stop)
   in
   if stranded then on_stranded ()
@@ -256,6 +260,13 @@ let run ?max_tids t fn =
   ignore (Atomic.fetch_and_add t.active_jobs 1);
   Aeq_race.Lock.with_ t.lock (fun () ->
       Aeq_race.write ~site:"pool.post" t.jobs_loc;
+      (* An idle domain makes every stop-the-world collection wait
+         for it, table loading's included: the helpers start with the
+         first job that can use them. *)
+      if max_tids > 1 && not t.helpers then begin
+        t.helpers <- true;
+        start_workers t (t.n_threads - 1)
+      end;
       t.jobs <- j :: t.jobs;
       Condition.broadcast t.work);
   (* The close-out runs on every exit path — including the caller

@@ -21,8 +21,11 @@
 type t
 
 val create : ?restart_policy:Supervisor.policy -> n_threads:int -> unit -> t
-(** Spawns [n_threads - 1] workers: a direct caller is the n-th
-    participant of its own jobs. [restart_policy] defaults to
+(** Spawns no worker: the first {!run} that can use helpers starts
+    [n_threads - 1] (a direct caller is the n-th participant of its
+    own jobs), and {!serve} starts one more. An idle worker domain
+    makes every stop-the-world collection wait for it, so a pool that
+    has only loaded tables pays none. [restart_policy] defaults to
     {!Supervisor.default_policy}. *)
 
 val set_restart_policy : t -> Supervisor.policy -> unit
@@ -50,8 +53,9 @@ val n_threads : t -> int
 val run : ?max_tids:int -> t -> (tid:int -> unit) -> unit
 (** Execute a job: the caller runs [fn ~tid:0]; idle workers join with
     distinct tids [1..max_tids-1] (default [n_threads], clamped to
-    it). [fn] must return when it cannot obtain more work — a morsel
-    loop over a shared atomic cursor. Returns when the caller's run
+    it). The first call with [max_tids > 1] starts the
+    [n_threads - 1] helper workers. [fn] must return when it cannot
+    obtain more work — a morsel loop over a shared atomic cursor. Returns when the caller's run
     and every joined worker's run have finished. Exceptions raised by
     participants are re-raised in the caller (first one wins).
 

@@ -105,17 +105,17 @@ let make_lease ~scratch t =
     ls_loc = Aeq_race.locate "arena.lease.slots";
   }
 
+(* Slot 0 stays empty: pointer 0 is null, so a null dereference
+   raises like any wild pointer. *)
 let create ?(chunk_size = 1 lsl 20) () =
-  let chunks = Array.make max_chunks no_chunk in
-  chunks.(0) <- new_chunk chunk_size;
   let t =
     {
       chunk_size;
-      chunks;
+      chunks = Array.make max_chunks no_chunk;
       n_chunks = 1;
       free_slots = [];
-      n_live = 1;
-      resident = Atomic.make chunk_size;
+      n_live = 0;
+      resident = Atomic.make 0;
       generation = Atomic.make 0;
       lock = Aeq_race.Lock.create "arena.lock";
       base = None;
@@ -261,7 +261,7 @@ let release ls =
 
 let lease_allocator ls =
   (* Fresh allocators start with no chunk; the first alloc grabs one.
-     Offset 0 of chunk 0 is never handed out (null pointer). *)
+     Slot 0 is never handed out, so no pointer is null. *)
   { lease = ls; chunk = -1; cursor = 0; limit = 0 }
 
 let allocator t = lease_allocator (base_lease t)
@@ -284,16 +284,13 @@ let alloc a ?(align = 8) n =
     encode a.chunk start
   end
   else begin
-    let size = Stdlib.max t.chunk_size (n + align + 16) in
+    let size = Stdlib.max t.chunk_size n in
     let idx = lease_chunk ls size in
-    (* Never return offset 0: pointer 0 must stay null even though
-       chunk indices > 0 would disambiguate; being strict is cheap. *)
-    let start = align_up 8 align in
     a.chunk <- idx;
-    a.cursor <- start + n;
+    a.cursor <- n;
     a.limit <- size;
     ignore (Atomic.fetch_and_add ls.ls_used n);
-    encode idx start
+    encode idx 0
   end
 
 (* memory actually held right now — maintained as a running total so
@@ -348,8 +345,9 @@ let check t =
       else if chunk_length t.chunks.(s) > 0 then
         err "free slot %d still holds %d bytes" s (chunk_length t.chunks.(s)))
     t.free_slots;
-  if t.n_live + List.length t.free_slots <> t.n_chunks then
-    err "n_live=%d + free=%d <> n_chunks=%d" t.n_live
+  if chunk_length t.chunks.(0) > 0 then err "null slot 0 holds memory";
+  if t.n_live + List.length t.free_slots + 1 <> t.n_chunks then
+    err "n_live=%d + free=%d + null slot <> n_chunks=%d" t.n_live
       (List.length t.free_slots) t.n_chunks;
   let scratch = Atomic.get t.scratch in
   if scratch < 0 then err "scratch resident negative: %d" scratch;
@@ -408,11 +406,10 @@ let reset t =
       for i = 1 to t.n_chunks - 1 do
         t.chunks.(i) <- no_chunk
       done;
-      zero_fill t.chunks.(0);
       t.n_chunks <- 1;
       t.free_slots <- [];
-      t.n_live <- 1;
-      Atomic.set t.resident (chunk_length t.chunks.(0));
+      t.n_live <- 0;
+      Atomic.set t.resident 0;
       Atomic.set t.scratch 0;
       t.peak_scratch <- 0;
       Hashtbl.reset t.spares;
@@ -428,8 +425,8 @@ let[@inline] off p = p land offset_mask
 (* bounds-checked native-endian access, inlined with int32/int64 unboxed *)
 external get16 : chunk -> int -> int = "%caml_bigstring_get16"
 external set16 : chunk -> int -> int -> unit = "%caml_bigstring_set16"
-external get32 : chunk -> int -> int32 = "%caml_bigstring_get32"
-external set32 : chunk -> int -> int32 -> unit = "%caml_bigstring_set32"
+external chunk_get_i32 : chunk -> int -> int32 = "%caml_bigstring_get32"
+external chunk_set_i32 : chunk -> int -> int32 -> unit = "%caml_bigstring_set32"
 external chunk_get_i64 : chunk -> int -> int64 = "%caml_bigstring_get64"
 external chunk_set_i64 : chunk -> int -> int64 -> unit = "%caml_bigstring_set64"
 
@@ -441,9 +438,9 @@ let get_i16 t p = get16 (buf t p) (off p)
 
 let set_i16 t p v = set16 (buf t p) (off p) (v land 0xffff)
 
-let get_i32 t p = get32 (buf t p) (off p)
+let get_i32 t p = chunk_get_i32 (buf t p) (off p)
 
-let set_i32 t p v = set32 (buf t p) (off p) v
+let set_i32 t p v = chunk_set_i32 (buf t p) (off p) v
 
 let get_i64 t p = chunk_get_i64 (buf t p) (off p)
 

@@ -29,7 +29,9 @@
 type t
 
 type ptr = int
-(** Encoded pointer; [0] is the null pointer (never allocated). *)
+(** Encoded pointer; [0] is the null pointer. Slot 0 of the chunk
+    table never holds memory, so no allocation is null and a null
+    dereference raises like any wild pointer. *)
 
 type lease
 (** A claim on a set of scratch chunks. Allocations through a lease's
@@ -103,7 +105,7 @@ val live_leases : t -> int
 (** Outstanding scratch leases (taken, not yet released). *)
 
 val reset : t -> unit
-(** Drop all chunks except the first, empty the spare pool and
+(** Drop all chunks, empty the spare pool and
     invalidate every outstanding
     lease and allocator (base included). Only call between queries.
     @raise Invalid_argument if scratch leases are still live — a
@@ -155,7 +157,10 @@ val chunk_of : t -> ptr -> chunk * int
 (** [chunk_of t p] is the chunk holding [p] and the byte offset of
     [p] within it. Lets bulk loaders cache the chunk of a column. *)
 
-(** Bounds-checked native-endian int64 at a byte offset of a chunk.
-    Primitives: a call from another module is inlined, int64 unboxed. *)
+(** Bounds-checked native-endian int32 and int64 at a byte offset of a
+    chunk. Primitives: a call from another module is inlined, the
+    integer unboxed. *)
+external chunk_get_i32 : chunk -> int -> int32 = "%caml_bigstring_get32"
+external chunk_set_i32 : chunk -> int -> int32 -> unit = "%caml_bigstring_set32"
 external chunk_get_i64 : chunk -> int -> int64 = "%caml_bigstring_get64"
 external chunk_set_i64 : chunk -> int -> int64 -> unit = "%caml_bigstring_set64"

@@ -1,7 +1,9 @@
 (** Column data types.
 
-    Every cell is physically an 8-byte integer in the arena:
-    - [Int]: i64;
+    Every table cell is physically a 4-byte int32 in the arena, read
+    sign-extended to i64; registers, hash tables and aggregates hold
+    8-byte integers:
+    - [Int]: integer;
     - [Decimal]: fixed-point with two fractional digits (value × 100),
       the HyPer-style representation that makes decimal arithmetic
       overflow-checked integer arithmetic;

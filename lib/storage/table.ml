@@ -5,7 +5,7 @@ type column = { name : string; dtype : Dtype.t; data : A.ptr }
 type t = { name : string; n_rows : int; columns : column array }
 
 let create _arena allocator ~name ~rows ~schema =
-  let stride = 8 * Stdlib.max 1 rows in
+  let stride = 4 * Stdlib.max 1 rows in
   let base = A.alloc allocator (stride * List.length schema) in
   let columns =
     List.mapi (fun i (cname, dtype) -> { name = cname; dtype; data = base + (i * stride) }) schema
@@ -26,15 +26,9 @@ let column_index t cname =
   in
   go 0
 
-let get arena t ~col ~row = A.get_i64 arena (t.columns.(col).data + (8 * row))
+let get arena t ~col ~row =
+  Int64.of_int32 (A.get_i32 arena (t.columns.(col).data + (4 * row)))
+
+type run = A.chunk * int
 
 let column_run arena t col = A.chunk_of arena t.columns.(col).data
-
-let of_columns ~name ~n_rows cols =
-  {
-    name;
-    n_rows;
-    columns =
-      List.map (fun (cname, dtype, data) -> { name = cname; dtype; data }) cols
-      |> Array.of_list;
-  }

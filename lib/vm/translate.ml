@@ -34,6 +34,36 @@ let abort_only (f : Func.t) blk_id =
   && Array.length b.Block.instrs = 0
   && match b.Block.term with Instr.Abort _ -> true | _ -> false
 
+(* VM registers hold integers sign-extended to 64 bits, so a
+   [load i32] whose only use is the next instruction's [sext] to i64 —
+   a 4-byte table cell — is one load defining the sext's value. The
+   pair then takes one register, and the gep+load fusion turns it
+   into one [LoadIdx32]. Returns [f] itself when nothing folds. *)
+let fold_load_sext (f : Func.t) ~use_counts =
+  let fold (blk : Block.t) =
+    let instrs = blk.Block.instrs in
+    let n = Array.length instrs in
+    let out = ref [] and i = ref 0 in
+    while !i < n do
+      (match (instrs.(!i), if !i + 1 < n then Some instrs.(!i + 1) else None) with
+      | ( Instr.Load { ty = Types.I32; dst = l; addr },
+          Some
+            (Instr.Cast
+              { op = Instr.Sext; from_ty = Types.I32; to_ty = Types.I64; dst; v = Instr.Vreg v })
+        )
+        when v = l && use_counts.(l) = 1 ->
+        out := Instr.Load { ty = Types.I32; dst; addr } :: !out;
+        i := !i + 2
+      | this, _ ->
+        out := this :: !out;
+        incr i)
+    done;
+    if List.compare_length_with !out n = 0 then blk
+    else { blk with Block.instrs = Array.of_list (List.rev !out) }
+  in
+  let blocks = Array.map fold f.Func.blocks in
+  if Array.for_all2 ( == ) blocks f.Func.blocks then f else { f with Func.blocks }
+
 let width_of = function
   | Types.I1 | Types.I8 -> 8
   | Types.I16 -> 16
@@ -78,6 +108,8 @@ let translate ?(strategy = Regalloc.Loop_aware) ?(fuse = true) ~symbols (f : Fun
       | Instr.Br _ | Instr.Ret None | Instr.Abort _ -> ())
     f.Func.blocks;
   let const_pool = Array.of_list (List.rev !pool) in
+  let src_instr_count = Func.n_instrs f in
+  let f = if fuse then fold_load_sext f ~use_counts else f in
   (* --- register layout -------------------------------------------- *)
   let param_offsets = Array.init n_params (fun i -> 8 * (Array.length const_pool + i)) in
   let base_offset = 8 * (Array.length const_pool + n_params) in
@@ -478,7 +510,7 @@ let translate ?(strategy = Regalloc.Loop_aware) ?(fuse = true) ~symbols (f : Fun
       param_offsets;
       rt_table = Array.of_list (List.rev !rt_fns);
       messages = Array.of_list (List.rev !msgs);
-      src_instr_count = Func.n_instrs f;
+      src_instr_count;
     }
   in
   (* Under AEQ_VERIFY, certify our own output: structural/type-state

@@ -13,7 +13,11 @@
     - [gep] immediately feeding a load/store becomes [LoadIdx]/
       [StoreIdx];
     - a comparison immediately feeding the block's conditional branch
-      becomes a fused compare-and-jump.
+      becomes a fused compare-and-jump;
+    - a [load i32] immediately feeding a [sext] to i64 (a 4-byte
+      table cell) becomes one sign-extending load: folded before
+      register allocation, so the pair needs one register, and with
+      its [gep] it is one [LoadIdx32].
 
     Fusion requires the intermediate value to have exactly one use.
 

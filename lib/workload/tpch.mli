@@ -12,3 +12,9 @@ val load : ?seed:int64 -> scale_factor:float -> Aeq_storage.Catalog.t -> unit
 (** Create and register all eight tables. *)
 
 val table_names : string list
+
+val set_cell : Aeq_storage.Table.run -> int -> int -> unit
+(** [set_cell run row v] is the loader's cell writer: it stores [v]
+    in the 4-byte cell [row] of a column run.
+    @raise Invalid_argument if [v] is outside int32: a cell never
+    holds a truncated value. *)

@@ -90,6 +90,28 @@ let test_wild_pointer_raises () =
       oob (name "chunk_of") (fun () -> ignore (A.chunk_of arena p)))
     wild_pointers
 
+(* Slot 0 holds no memory: a fresh arena holds none, and a null
+   dereference raises like a wild pointer, before and after a reset. *)
+let test_null_pointer_raises () =
+  let arena = A.create () in
+  Alcotest.(check int) "fresh arena holds no bytes" 0 (A.resident_bytes arena);
+  Alcotest.(check int) "fresh arena holds no chunk" 0 (A.live_chunks arena);
+  let oob name f = Alcotest.check_raises name (Invalid_argument "index out of bounds") f in
+  let deref_null () =
+    oob "get_i8 null" (fun () -> ignore (A.get_i8 arena A.null));
+    oob "set_i16 null" (fun () -> A.set_i16 arena A.null 1);
+    oob "get_i32 null" (fun () -> ignore (A.get_i32 arena A.null));
+    oob "get_i64 null" (fun () -> ignore (A.get_i64 arena A.null));
+    oob "set_i64 null" (fun () -> A.set_i64 arena A.null 1L)
+  in
+  deref_null ();
+  ignore (A.alloc (A.allocator arena) 64);
+  deref_null ();
+  A.reset arena;
+  Alcotest.(check int) "reset arena holds no bytes" 0 (A.resident_bytes arena);
+  deref_null ();
+  Alcotest.(check (list string)) "arena coherent" [] (A.check arena)
+
 (* a function that returns the int64 at its pointer argument *)
 let load_ptr () =
   let b = Builder.create ~name:"load_ptr" ~params:[ Types.Ptr ] in
@@ -404,6 +426,7 @@ let () =
           Alcotest.test_case "stable pointers" `Quick test_pointers_stable_across_growth;
           Alcotest.test_case "bounds checked" `Quick test_bounds_checked;
           Alcotest.test_case "wild pointer raises" `Quick test_wild_pointer_raises;
+          Alcotest.test_case "null pointer raises" `Quick test_null_pointer_raises;
           Alcotest.test_case "wild IR load raises in every tier" `Quick test_wild_ir_load_raises;
           Alcotest.test_case "concurrent allocators" `Quick test_concurrent_allocators;
           Alcotest.test_case "lease release returns chunks" `Quick

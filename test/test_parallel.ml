@@ -204,15 +204,18 @@ let test_admitted_no_nested_barriers () =
       Alcotest.(check (list string)) "pool accounting coherent" []
         (Pool.check (Aeq.Engine.pool engine)))
 
-(* (v) one domain kind: an engine serving direct calls has n-1 workers
-   (each caller is the n-th participant of its own query); the first
-   admitted query starts the n-th, since it has no caller domain *)
+(* (v) one domain kind: an engine starts no worker, so loading waits on
+   no idle domain; the first direct query starts n-1 (each caller is
+   the n-th participant of its own query); the first admitted query
+   starts the n-th, since it has no caller domain *)
 let test_domain_budget () =
   with_engine ~n_threads:2 (fun engine ->
       let workers () = List.length (Pool.supervisors (Aeq.Engine.pool engine)) in
-      Alcotest.(check int) "n-1 workers at create" 1 (workers ());
+      Alcotest.(check int) "no worker at create" 0 (workers ());
       ignore (Aeq.Engine.query engine statements.(2));
-      Alcotest.(check int) "a direct query starts none" 1 (workers ());
+      Alcotest.(check int) "the first direct query starts n-1" 1 (workers ());
+      ignore (Aeq.Engine.query engine statements.(2));
+      Alcotest.(check int) "a second direct query starts none" 1 (workers ());
       for _ = 1 to 2 do
         match Sched.await (Aeq.Engine.submit engine statements.(2)) with
         | Ok _ -> ()

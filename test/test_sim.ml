@@ -325,6 +325,7 @@ let test_memory_budget_structured_failure () =
 let test_forced_stale_allocator () =
   let run_once () =
     let arena = A.create ~chunk_size:1024 () in
+    let chunks0 = A.live_chunks arena in
     let lease = A.lease arena in
     let alloc = A.lease_allocator lease in
     let events = ref [] in
@@ -355,9 +356,9 @@ let test_forced_stale_allocator () =
         ~tasks:[ ("query", query); ("reaper", reaper) ]
         ()
     in
-    (outcome, List.rev !events, A.live_chunks arena, A.check arena)
+    (outcome, List.rev !events, (chunks0, A.live_chunks arena), A.check arena)
   in
-  let o1, ev1, chunks1, errs1 = run_once () in
+  let o1, ev1, (chunks0, chunks1), errs1 = run_once () in
   let o2, ev2, _, _ = run_once () in
   Alcotest.(check bool) "no harness failure" false (Sim.failed o1);
   Alcotest.(check (list string)) "deterministic events" ev1 ev2;
@@ -368,7 +369,7 @@ let test_forced_stale_allocator () =
     true
     (List.mem "stale" ev1);
   (* the raced grab must not have leaked a slot past the release *)
-  Alcotest.(check int) "no slot leaked by the raced grab" 1 chunks1;
+  Alcotest.(check int) "no slot leaked by the raced grab" chunks0 chunks1;
   Alcotest.(check (list string)) "arena coherent" [] errs1
 
 (* ---- randomized sweep (CI artifact producer) ------------------------- *)

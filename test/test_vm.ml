@@ -131,6 +131,42 @@ let test_column_sum_and_loadidx_fusion () =
   in
   Alcotest.(check bool) "LoadIdx64 emitted" true has_loadidx
 
+(* Returns the 4-byte cell at an index, sign-extended: the shape
+   codegen emits for a table column. *)
+let build_cell_load () =
+  let b = Builder.create ~name:"cell" ~params:[ Types.Ptr; Types.I64 ] in
+  let addr =
+    Builder.gep b ~base:(Builder.param b 0) ~index:(Builder.param b 1) ~scale:4 ~offset:0
+  in
+  let cell = Builder.load b Types.I32 addr in
+  Builder.ret b (Builder.cast b Instr.Sext ~from_ty:Types.I32 ~to_ty:Types.I64 cell);
+  let f = Builder.finish b in
+  Layout.normalize f;
+  Verify.run f;
+  f
+
+let test_cell_load_fusion () =
+  let mem = A.create () in
+  let cells = [| 0x7fff_ffffl; Int32.min_int; -1l; 1l; 0l; 123_456l; -98_765l |] in
+  let col = A.alloc (A.allocator mem) (4 * Array.length cells) in
+  Array.iteri (fun i v -> A.set_i32 mem (col + (4 * i)) v) cells;
+  let f = build_cell_load () in
+  Array.iteri
+    (fun i v ->
+      let args = [| Int64.of_int col; Int64.of_int i |] in
+      let ir = Aeq_vm.Ir_interp.run f mem ~symbols:no_symbols ~args in
+      Alcotest.(check int64) "IR sign-extends" (Int64.of_int32 v) ir;
+      Alcotest.(check int64) "fused = IR" ir (run_vm f mem args);
+      Alcotest.(check int64) "unfused = IR" ir (run_vm ~fuse:false f mem args))
+    cells;
+  let prog = Aeq_vm.Translate.translate ~symbols:no_symbols f in
+  let ops =
+    Array.map (fun (i : Aeq_vm.Bytecode.insn) -> Aeq_vm.Opcode.to_string i.op)
+      prog.Aeq_vm.Bytecode.code
+  in
+  Alcotest.(check (list string))
+    "gep; load i32; sext is one LoadIdx32" [ "load_idx_i32"; "ret" ] (Array.to_list ops)
+
 let test_runtime_call () =
   (* A generated function calling back into a "C++" helper. *)
   let b = Builder.create ~name:"callrt" ~params:[ Types.I64 ] in
@@ -405,6 +441,7 @@ let () =
           Alcotest.test_case "checked overflow" `Quick test_checked_add_overflow;
           Alcotest.test_case "sum loop" `Quick test_sum_loop;
           Alcotest.test_case "column sum" `Quick test_column_sum_and_loadidx_fusion;
+          Alcotest.test_case "cell load fused" `Quick test_cell_load_fusion;
           Alcotest.test_case "runtime call" `Quick test_runtime_call;
           Alcotest.test_case "div by zero" `Quick test_division_by_zero_traps;
         ] );

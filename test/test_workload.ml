@@ -140,6 +140,14 @@ let test_golden_digest () =
     "sf 0.01 catalog digest" "b27637c134c935ecc53918767c5d95f7"
     (catalog_digest (make 0.01))
 
+(* Every cell of [c]'s tables. *)
+let cell_count c =
+  List.fold_left
+    (fun acc name ->
+      let t = Aeq_storage.Catalog.table c name in
+      acc + (t.Table.n_rows * Array.length t.Table.columns))
+    0 Aeq_workload.Tpch.table_names
+
 (* Loading writes cells in place: under one minor word per loaded cell
    (boxing an int64 per cell costs about seven). *)
 let test_load_allocation () =
@@ -147,21 +155,16 @@ let test_load_allocation () =
   let w0 = Gc.minor_words () in
   Aeq_workload.Tpch.load ~scale_factor:0.01 c;
   let words = Gc.minor_words () -. w0 in
-  let cells =
-    List.fold_left
-      (fun acc name ->
-        let t = Aeq_storage.Catalog.table c name in
-        acc + (t.Table.n_rows * Array.length t.Table.columns))
-      0 Aeq_workload.Tpch.table_names
-  in
+  let cells = cell_count c in
   let per_cell = words /. float_of_int cells in
   if per_cell >= 1.0 then
     Alcotest.failf "load allocated %.2f minor words per cell (%.0f for %d cells)" per_cell
       words cells
 
-(* Table data lives off the OCaml heap: loading TPC-H grows the arena
-   by megabytes but the live major heap, whose size paces the major
-   GC, only by the catalog's dictionary and table records (0.34 MB at
+(* Table data lives off the OCaml heap, in 4-byte cells: loading TPC-H
+   grows the arena by at least 4 bytes per cell and by less than 8,
+   while the live major heap, whose size paces the major GC, grows
+   only by the catalog's dictionary and table records (0.34 MB at
    sf 0.01; 9.8 MB with heap-resident chunks). Live words after a full
    major cycle are exact; the heap's size also holds garbage not yet
    swept, so it depends on what ran before. *)
@@ -178,10 +181,34 @@ let test_load_off_heap () =
   let heap = live_bytes () - h0 in
   let resident = Aeq_mem.Arena.resident_bytes arena - r0 in
   ignore (Sys.opaque_identity c);
-  if resident < 8 lsl 20 then
-    Alcotest.failf "arena grew only %d bytes; expected at least 8 MiB" resident;
+  let cells = cell_count c in
+  if resident < 4 * cells || resident >= 8 * cells then
+    Alcotest.failf "arena grew %d bytes for %d cells; expected 4 to 8 bytes a cell" resident
+      cells;
   if heap >= 1 lsl 20 then
     Alcotest.failf "live heap grew %d bytes while loading %d arena bytes" heap resident
+
+(* A cell holds any int32 and refuses the first value past each end
+   instead of truncating it. *)
+let test_cell_range () =
+  let arena = Aeq_mem.Arena.create () in
+  let t =
+    Table.create arena (Aeq_mem.Arena.allocator arena) ~name:"t" ~rows:2
+      ~schema:[ ("v", Aeq_storage.Dtype.Int) ]
+  in
+  let run = Table.column_run arena t 0 in
+  Aeq_workload.Tpch.set_cell run 0 0x7fff_ffff;
+  Aeq_workload.Tpch.set_cell run 1 (-0x8000_0000);
+  Alcotest.(check int64) "max int32" 0x7fff_ffffL (Table.get arena t ~col:0 ~row:0);
+  Alcotest.(check int64) "min int32" (-0x8000_0000L) (Table.get arena t ~col:0 ~row:1);
+  List.iter
+    (fun v ->
+      match Aeq_workload.Tpch.set_cell run 0 v with
+      | () -> Alcotest.failf "stored %d in a 4-byte cell" v
+      | exception Invalid_argument _ -> ())
+    [ 1 lsl 31; -(1 lsl 31) - 1 ];
+  Alcotest.(check int64) "refused write left the cell" 0x7fff_ffffL
+    (Table.get arena t ~col:0 ~row:0)
 
 let () =
   Alcotest.run "workload"
@@ -197,5 +224,6 @@ let () =
           Alcotest.test_case "golden digest" `Quick test_golden_digest;
           Alcotest.test_case "load allocation" `Quick test_load_allocation;
           Alcotest.test_case "load off heap" `Quick test_load_off_heap;
+          Alcotest.test_case "cell range" `Quick test_cell_range;
         ] );
     ]
