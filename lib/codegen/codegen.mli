@@ -11,7 +11,10 @@
 
     The generated functions are pure IR: they can be translated to
     bytecode, compiled unoptimized or optimized, and switched between
-    those modes at any morsel boundary. *)
+    those modes at any morsel boundary. Generation is deterministic
+    and keeps no global state: generating a pipeline again yields an
+    identical function, so a prepared statement keeps only bytecode
+    and rebuilds a worker's IR when the optimizing tier asks for it. *)
 
 val pipeline_worker :
   Aeq_plan.Physical.t -> Aeq_plan.Physical.layout -> pipeline:int -> Func.t

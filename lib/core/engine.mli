@@ -103,10 +103,12 @@ val query :
     engine.
 
     Queries are cached by text as prepared statements: the physical
-    plan, the generated worker IR, the translated bytecode, and every
-    machine-code variant promoted during execution all survive, so a
-    repeated query pays neither planning, codegen, translation nor
-    recompilation (its [stats] report ~0 for those phases). On top of
+    plan, the translated bytecode, and every machine-code variant
+    promoted during execution all survive, so a repeated query pays
+    neither planning, codegen, translation nor recompilation (its
+    [stats] report ~0 for those phases). The worker IR is not kept: a
+    pipeline's first Opt promotion rebuilds it from the plan, inside
+    its compile time. On top of
     the compiled-artifact reuse, adaptive re-executions keep the
     paper's Section VI mode memory: each pipeline starts in the mode
     it converged to previously, so frequently-run queries end up fully

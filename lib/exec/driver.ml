@@ -52,6 +52,8 @@ let prepared_executions p = Atomic.get p.pr_executions
 
 let prepared_modes p = Array.to_list (Array.map Handle.mode_of_compiled p.pr_handles)
 
+let prepared_handles p = p.pr_handles
+
 (* dynamically growing morsel size: small at first for dense rate
    samples, larger later to cut scheduling overhead *)
 let morsel_size ~processed ~n_threads =
@@ -81,8 +83,17 @@ let prepare ~cost_model catalog plan ~n_threads =
             Aeq_codegen.Codegen.all_workers plan layout))
   in
   let handles =
-    (* per-worker "translate" spans come from Compiler.translate_bytecode *)
-    Array.of_list (List.map (Handle.compile_worker ~cost_model ~symbols) workers)
+    (* per-worker "translate" spans come from Compiler.translate_bytecode.
+       The handles keep bytecode, not IR: [workers] dies with this
+       frame, and an Opt promotion rebuilds its pipeline's IR from the
+       plan and layout the statement retains anyway *)
+    Array.of_list
+      (List.mapi
+         (fun i func ->
+           Handle.compile_worker ~cost_model ~symbols
+             ~regenerate:(fun () -> Aeq_codegen.Codegen.pipeline_worker plan layout ~pipeline:i)
+             func)
+         workers)
   in
   let bc_seconds =
     Array.fold_left (fun acc c -> acc +. c.Handle.bc_translate_seconds) 0.0 handles

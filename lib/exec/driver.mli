@@ -58,12 +58,16 @@ type result = {
 }
 
 type prepared
-(** A compiled plan: worker IR, translated bytecode, and promoted
-    machine-code variants. Re-executable any number of times,
-    including concurrently with itself — each execution builds its own
-    runtime context over a private arena lease, and the compiled
-    artifacts resolve runtime objects through the domain-current
-    context rather than a baked-in one. *)
+(** A compiled plan: each pipeline's translated bytecode, the variants
+    promoted so far, and a generator that rebuilds the pipeline's
+    worker IR from the retained plan when the optimizing tier needs
+    it. The IR translated at prepare time is not kept: it is larger
+    than the bytecode, and only an Opt promotion reads it.
+    Re-executable any number of times, including concurrently with
+    itself — each execution builds its own runtime context over a
+    private arena lease, and the compiled artifacts resolve runtime
+    objects through the domain-current context rather than a baked-in
+    one. *)
 
 val prepare :
   cost_model:Aeq_backend.Cost_model.t ->
@@ -126,6 +130,9 @@ val prepared_executions : prepared -> int
 val prepared_modes : prepared -> Aeq_backend.Cost_model.mode list
 (** Best cached variant of each pipeline (what the next execution can
     start in for free). *)
+
+val prepared_handles : prepared -> Handle.compiled array
+(** The compiled part of each pipeline's handle, in pipeline order. *)
 
 val execute :
   cost_model:Aeq_backend.Cost_model.t ->

@@ -5,10 +5,10 @@ type variant =
   | V_compiled of CM.mode * Aeq_backend.Closure_compile.t
 
 type compiled = {
-  func : Func.t;
   bytecode : Aeq_vm.Bytecode.t;
   n_instrs : int;
   bc_translate_seconds : float;
+  regenerate : unit -> Func.t;
   unopt : Aeq_backend.Closure_compile.t option Atomic.t;
   opt : Aeq_backend.Closure_compile.t option Atomic.t;
   compile_seconds : float Atomic.t;
@@ -25,15 +25,15 @@ type t = {
   compiling : bool Atomic.t;
 }
 
-let compile_worker ~cost_model ~symbols func =
+let compile_worker ~cost_model ~symbols ~regenerate func =
   let bytecode, bc_seconds =
     Aeq_backend.Compiler.translate_bytecode ~cost_model ~symbols func
   in
   {
-    func;
     bytecode;
     n_instrs = Func.n_instrs func;
     bc_translate_seconds = bc_seconds;
+    regenerate;
     unopt = Atomic.make None;
     opt = Atomic.make None;
     compile_seconds = Atomic.make 0.0;
@@ -50,9 +50,6 @@ let bind c ~cost_model ~symbols ~mem =
     current = Atomic.make (V_bytecode c.bytecode);
     compiling = Atomic.make false;
   }
-
-let create ~cost_model ~symbols ~mem func =
-  bind (compile_worker ~cost_model ~symbols func) ~cost_model ~symbols ~mem
 
 let compiled_part t = t.c
 
@@ -145,8 +142,18 @@ let promote t ~mode:m =
               Aeq_backend.Compiler.compile_unopt_of_bytecode ~cost_model:t.cost_model
                 ~mem:t.mem ~n_instrs:t.c.n_instrs t.c.bytecode
             | _ ->
-              Aeq_backend.Compiler.compile ~cost_model:t.cost_model ~symbols:t.symbols
-                ~mem:t.mem ~mode:m t.c.func
+              (* the optimizing tier is the only reader of the IR, and
+                 the artifact keeps none: rebuild this pipeline's IR
+                 and count the rebuild in the promotion's latency *)
+              let func, regen_seconds =
+                Aeq_util.Clock.time_it (fun () ->
+                    Aeq_obs.Event_log.with_span "codegen" t.c.regenerate)
+              in
+              let c =
+                Aeq_backend.Compiler.compile ~cost_model:t.cost_model ~symbols:t.symbols
+                  ~mem:t.mem ~mode:m func
+              in
+              { c with compile_seconds = c.compile_seconds +. regen_seconds }
           with e ->
             (* a failed compilation is never retried: the mode is dead
                for the lifetime of the compiled artifact (and thus of

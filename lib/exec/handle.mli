@@ -8,11 +8,14 @@
 
     The handle is split in two:
 
-    - {!compiled} is execution-independent: the IR, the translated
-      bytecode program, every machine-code (closure) variant built so
-      far, and the per-mode blacklists. It is what a prepared
-      statement caches — surviving artifacts make re-executions skip
-      codegen, bytecode translation and recompilation entirely.
+    - {!compiled} is execution-independent: the translated bytecode
+      program, a generator that rebuilds the worker's IR, every
+      machine-code (closure) variant built so far, and the per-mode
+      blacklists. It is what a prepared statement caches — surviving
+      artifacts make re-executions skip codegen, bytecode translation
+      and recompilation entirely. The IR itself is not kept: only an
+      optimized compile reads it, and a worker's IR is larger than
+      its bytecode, so the optimizing tier rebuilds it on demand.
     - {!t} binds a [compiled] to one execution: cost model, symbol
       resolver, arena, plus the {e installed} variant and the
       compile-in-flight flag. Bindings are cheap throwaway records
@@ -30,10 +33,12 @@ type variant =
   | V_compiled of Aeq_backend.Cost_model.mode * Aeq_backend.Closure_compile.t
 
 type compiled = {
-  func : Func.t;
   bytecode : Aeq_vm.Bytecode.t;
-  n_instrs : int;
+  n_instrs : int;  (** IR size of the worker *)
   bc_translate_seconds : float;
+  regenerate : unit -> Func.t;
+      (** builds the worker's IR again, identical to the one translated;
+          called by an Opt promotion *)
   unopt : Aeq_backend.Closure_compile.t option Atomic.t;  (** cached Unopt variant *)
   opt : Aeq_backend.Closure_compile.t option Atomic.t;  (** cached Opt variant *)
   compile_seconds : float Atomic.t;  (** compilation latency over the artifact's lifetime *)
@@ -53,10 +58,13 @@ type t = {
 val compile_worker :
   cost_model:Aeq_backend.Cost_model.t ->
   symbols:Aeq_vm.Rt_fn.resolver ->
+  regenerate:(unit -> Func.t) ->
   Func.t ->
   compiled
 (** Translate to bytecode (always available, fast). The result starts
-    with no machine-code variants built. *)
+    with no machine-code variants built and does not hold on to the
+    function; [regenerate] must rebuild an identical one (code
+    generation is deterministic, see {!Aeq_codegen.Codegen}). *)
 
 val bind :
   compiled ->
@@ -65,14 +73,6 @@ val bind :
   mem:Aeq_mem.Arena.t ->
   t
 (** Fresh per-execution binding; starts in the bytecode variant. *)
-
-val create :
-  cost_model:Aeq_backend.Cost_model.t ->
-  symbols:Aeq_vm.Rt_fn.resolver ->
-  mem:Aeq_mem.Arena.t ->
-  Func.t ->
-  t
-(** [compile_worker] + [bind] for single-shot (unprepared) execution. *)
 
 val compiled_part : t -> compiled
 
@@ -110,7 +110,9 @@ val promote : t -> mode:Aeq_backend.Cost_model.mode -> float
     was cached from an earlier execution; otherwise the variant is
     compiled (blocking; run it on the thread that volunteered),
     cached for future executions, and installed. [Bytecode] reinstalls
-    the interpreter (free).
+    the interpreter (free). [Unopt] compiles the cached bytecode;
+    [Opt] first rebuilds the IR with [regenerate], and the latency it
+    returns includes that rebuild.
 
     Compilation is fallible: the failpoints ["compile.unopt"] /
     ["compile.opt"] are hit just before compiling, and any exception

@@ -1,6 +1,14 @@
+(* A φ under construction: incoming edges are consed on, so completing a
+   loop back edge is O(1) instead of copying the edge array. *)
+type pending_phi = {
+  ty : Types.t;
+  dst : int;
+  mutable rev_incoming : (int * Instr.value) list;
+}
+
 type bb = {
   id : int;
-  mutable rev_phis : Instr.phi list;
+  mutable rev_phis : pending_phi list;
   mutable rev_instrs : Instr.t list;
   mutable term : Instr.terminator option;
 }
@@ -105,18 +113,14 @@ let call_void t sym args =
 let phi t ty incoming =
   let dst = define t ty in
   let b = cur t in
-  b.rev_phis <- { Instr.ty; dst; incoming = Array.of_list incoming } :: b.rev_phis;
+  b.rev_phis <- { ty; dst; rev_incoming = List.rev incoming } :: b.rev_phis;
   Instr.Vreg dst
 
 let add_phi_incoming t ~block ~dst ~pred v =
   let dst_id = match dst with Instr.Vreg id -> id | _ -> invalid_arg "add_phi_incoming" in
-  let b = t.bbs.(block) in
-  b.rev_phis <-
-    List.map
-      (fun (p : Instr.phi) ->
-        if p.dst = dst_id then { p with Instr.incoming = Array.append p.incoming [| (pred, v) |] }
-        else p)
-      b.rev_phis
+  List.iter
+    (fun p -> if p.dst = dst_id then p.rev_incoming <- (pred, v) :: p.rev_incoming)
+    t.bbs.(block).rev_phis
 
 let set_term t term =
   let b = cur t in
@@ -170,7 +174,11 @@ let finish t =
           | None -> invalid_arg (Printf.sprintf "Builder.finish: block %d of %s not terminated" i t.func.Func.name)
         in
         Block.make ~id:i
-          ~phis:(List.rev b.rev_phis)
+          ~phis:
+            (List.rev_map
+               (fun p ->
+                 { Instr.ty = p.ty; dst = p.dst; incoming = Array.of_list (List.rev p.rev_incoming) })
+               b.rev_phis)
           ~instrs:(List.rev b.rev_instrs)
           ~term)
   in

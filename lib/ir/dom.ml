@@ -19,54 +19,73 @@ let intersect idoms a b =
   done;
   !a
 
+(* Linear time. The predecessors are one flat array, block [b]'s at
+   [start.(b)] .. [start.(b+1) - 1] in decreasing block id, so no list
+   or option per edge outlives the minor heap. The fold meets a block's
+   predecessors from the nearest upwards: the running intersection only
+   walks down, and each idom-chain link is visited about once per pass.
+   In increasing order every predecessor would re-walk its whole chain,
+   and the shared overflow-trap block (every checked operation branches
+   to it) would make that quadratic in function size. *)
 let compute (f : Func.t) =
   let n = Func.n_blocks f in
-  let preds = Cfg.predecessors f in
+  let start = Array.make (n + 1) 0 in
+  Array.iter
+    (fun b -> List.iter (fun s -> start.(s + 1) <- start.(s + 1) + 1) (Block.successors b))
+    f.Func.blocks;
+  for b = 1 to n do
+    start.(b) <- start.(b) + start.(b - 1)
+  done;
+  let preds = Array.make start.(n) 0 in
+  let fill = Array.sub start 0 n in
+  for b = n - 1 downto 0 do
+    List.iter
+      (fun s ->
+        preds.(fill.(s)) <- b;
+        fill.(s) <- fill.(s) + 1)
+      (Block.successors f.Func.blocks.(b))
+  done;
   let idoms = Array.make n (-1) in
   idoms.(0) <- 0;
   let changed = ref true in
   while !changed do
     changed := false;
     for b = 1 to n - 1 do
-      let new_idom =
-        List.fold_left
-          (fun acc p ->
-            if idoms.(p) < 0 then acc
-            else match acc with None -> Some p | Some a -> Some (intersect idoms p a))
-          None preds.(b)
-      in
-      match new_idom with
-      | None -> ()
-      | Some d ->
-        if idoms.(b) <> d then begin
-          idoms.(b) <- d;
-          changed := true
-        end
+      let d = ref (-1) in
+      for k = start.(b) to start.(b + 1) - 1 do
+        let p = preds.(k) in
+        if idoms.(p) >= 0 then d := if !d < 0 then p else intersect idoms p !d
+      done;
+      if !d >= 0 && idoms.(b) <> !d then begin
+        idoms.(b) <- !d;
+        changed := true
+      end
     done
   done;
   let kids = Array.make n [] in
   for b = n - 1 downto 1 do
     if idoms.(b) >= 0 then kids.(idoms.(b)) <- b :: kids.(idoms.(b))
   done;
-  (* Pre/post-order labeling by iterative DFS over the dominator tree. *)
+  (* Pre/post-order labeling by iterative DFS over the dominator tree;
+     [rest.(b)] holds the children of [b] not yet visited. *)
   let pre = Array.make n 0 and post = Array.make n 0 in
-  let counter = ref 0 in
-  let stack = Stack.create () in
-  Stack.push (0, ref kids.(0)) stack;
-  incr counter;
-  pre.(0) <- !counter;
-  while not (Stack.is_empty stack) do
-    let b, rest = Stack.top stack in
-    match !rest with
+  let rest = Array.copy kids in
+  let stack = Array.make n 0 in
+  let sp = ref 1 and counter = ref 1 in
+  pre.(0) <- 1;
+  while !sp > 0 do
+    let b = stack.(!sp - 1) in
+    match rest.(b) with
     | [] ->
-      ignore (Stack.pop stack);
+      decr sp;
       incr counter;
       post.(b) <- !counter
     | c :: more ->
-      rest := more;
+      rest.(b) <- more;
       incr counter;
       pre.(c) <- !counter;
-      Stack.push (c, ref kids.(c)) stack
+      stack.(!sp) <- c;
+      incr sp
   done;
   { idoms; pre; post; kids }
 

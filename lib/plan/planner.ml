@@ -230,21 +230,21 @@ type agg_acc = { kind : Aeq_rt.Agg.acc_kind; arg : Scalar.t option; dtype : Dtyp
 type agg_state = {
   mutable accs : agg_acc list; (* reversed *)
   mutable n_accs : int;
+  acc_index : (Aeq_rt.Agg.acc_kind * Scalar.t option, int) Hashtbl.t;
+      (* (kind, arg) -> accumulator index: one lookup per aggregate, so
+         a query with hundreds of them plans in linear time *)
   key_scalars : Scalar.t list;
 }
 
 let find_or_add_acc st kind arg dtype =
-  let rec find i = function
-    | [] -> None
-    | a :: rest ->
-      if a.kind = kind && a.arg = arg then Some (st.n_accs - 1 - i) else find (i + 1) rest
-  in
-  match find 0 st.accs with
+  match Hashtbl.find_opt st.acc_index (kind, arg) with
   | Some idx -> idx
   | None ->
+    let idx = st.n_accs in
     st.accs <- { kind; arg; dtype } :: st.accs;
-    st.n_accs <- st.n_accs + 1;
-    st.n_accs - 1
+    st.n_accs <- idx + 1;
+    Hashtbl.add st.acc_index (kind, arg) idx;
+    idx
 
 let key_arity st = List.length st.key_scalars
 
@@ -372,7 +372,9 @@ let plan catalog (q : Ast.query) : Physical.t =
   let aggregating = q.Ast.group_by <> [] || List.exists (fun it -> has_agg it.Ast.expr) q.Ast.select in
   let group_keys = List.map (bind env) q.Ast.group_by in
   if List.length group_keys > 2 then fail "at most two GROUP BY keys are supported";
-  let agg_st = { accs = []; n_accs = 0; key_scalars = group_keys } in
+  let agg_st =
+    { accs = []; n_accs = 0; acc_index = Hashtbl.create 16; key_scalars = group_keys }
+  in
   let projections, proj_names =
     List.mapi
       (fun i (it : Ast.select_item) ->

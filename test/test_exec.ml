@@ -343,6 +343,113 @@ let test_prepared_mode_switches () =
     r_un.Driver.stats.Driver.final_modes;
   Aeq.Engine.close engine
 
+(* ---- a prepared statement keeps bytecode and rebuilds its IR -------- *)
+
+let rebuild_corpus =
+  Aeq_workload.Queries.tpch @ Aeq_workload.Queries.metadata
+  @ List.map (fun n -> (Printf.sprintf "fig15 %d" n, Aeq_workload.Queries.large_query n)) [ 50; 200; 800 ]
+
+(* A program's plain-data parts ([rt_table] holds closures). *)
+let bytecode_shape (bc : Aeq_vm.Bytecode.t) =
+  ( bc.Aeq_vm.Bytecode.code,
+    bc.Aeq_vm.Bytecode.n_reg_bytes,
+    bc.Aeq_vm.Bytecode.const_pool,
+    bc.Aeq_vm.Bytecode.param_offsets,
+    bc.Aeq_vm.Bytecode.messages,
+    bc.Aeq_vm.Bytecode.src_instr_count )
+
+let test_prepared_rebuilds_same_ir () =
+  let engine = Aeq.Engine.create ~n_threads:1 ~cost_model:CM.off () in
+  Aeq.Engine.load_tpch engine ~scale_factor:0.001;
+  let catalog = Aeq.Engine.catalog engine in
+  let symbols =
+    Aeq_rt.Symbols.resolver
+      (Aeq_rt.Context.create ~arena:(Aeq_storage.Catalog.arena catalog)
+         ~dict:(Aeq_storage.Catalog.dict catalog) ~n_threads:1 ())
+  in
+  (* every statement is prepared before any IR is rebuilt, so a
+     generator that depended on state left behind by later code
+     generation would show *)
+  let prepared =
+    List.map
+      (fun (name, sql) ->
+        let plan = Aeq.Engine.plan engine sql in
+        let at_prepare =
+          List.map Pp.func_to_string
+            (Aeq_codegen.Codegen.all_workers plan (Aeq_plan.Physical.layout plan))
+        in
+        (name, at_prepare, Driver.prepare ~cost_model:CM.off catalog plan ~n_threads:1))
+      rebuild_corpus
+  in
+  List.iter
+    (fun (name, at_prepare, p) ->
+      let handles = Driver.prepared_handles p in
+      Alcotest.(check int) (name ^ ": pipelines") (List.length at_prepare) (Array.length handles);
+      List.iteri
+        (fun i text ->
+          let c = handles.(i) in
+          let f = c.Aeq_exec.Handle.regenerate () in
+          let what = Printf.sprintf "%s pipeline %d" name i in
+          Alcotest.(check string) (what ^ ": same IR") text (Pp.func_to_string f);
+          Alcotest.(check int) (what ^ ": same size") c.Aeq_exec.Handle.n_instrs (Func.n_instrs f);
+          let bc, _ = Aeq_backend.Compiler.translate_bytecode ~cost_model:CM.off ~symbols f in
+          Alcotest.(check bool) (what ^ ": translates to the cached bytecode") true
+            (bytecode_shape bc = bytecode_shape c.Aeq_exec.Handle.bytecode))
+        at_prepare)
+    prepared;
+  Aeq.Engine.close engine
+
+let test_prepared_opt_from_rebuilt_ir () =
+  (* a cached statement first runs interpreted; a later execution
+     promotes every pipeline to Opt from IR rebuilt at that moment *)
+  let engine = Aeq.Engine.create ~n_threads:2 ~cost_model:CM.off () in
+  Aeq.Engine.load_tpch engine ~scale_factor:0.002;
+  let catalog = Aeq.Engine.catalog engine in
+  let pool = Aeq.Engine.pool engine in
+  List.iter
+    (fun (name, sql) ->
+      let p =
+        Driver.prepare ~cost_model:CM.off catalog (Aeq.Engine.plan engine sql)
+          ~n_threads:(Aeq_exec.Pool.n_threads pool)
+      in
+      let r_bc = Driver.execute_prepared p ~mode:Driver.Bytecode ~pool in
+      let r_opt = Driver.execute_prepared p ~mode:Driver.Opt ~pool in
+      Alcotest.(check bool) (name ^ ": same bag of rows") true
+        (List.sort compare r_bc.Driver.rows = List.sort compare r_opt.Driver.rows);
+      List.iter
+        (fun m -> Alcotest.(check string) (name ^ ": promoted") "optimized" m)
+        r_opt.Driver.stats.Driver.final_modes;
+      Alcotest.(check int) (name ^ ": no compile failure") 0
+        r_opt.Driver.stats.Driver.compile_failures)
+    (Aeq_workload.Queries.tpch @ Aeq_workload.Queries.metadata
+    @ [ ("fig15 200", Aeq_workload.Queries.large_query 200) ]);
+  Aeq.Engine.close engine
+
+(* What the plan cache holds per giant statement: its plan, bytecode
+   and handles. Holding the worker IR as well read about 3.6 MB. *)
+let test_prepared_giant_retention () =
+  let engine = Aeq.Engine.create ~n_threads:1 ~cost_model:CM.off () in
+  Aeq.Engine.load_tpch engine ~scale_factor:0.001;
+  let catalog = Aeq.Engine.catalog engine in
+  let n = 4 in
+  let live_bytes () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+  in
+  let before = live_bytes () in
+  let cached =
+    List.init n (fun _ ->
+        Driver.prepare ~cost_model:CM.off catalog
+          (Aeq.Engine.plan engine (Aeq_workload.Queries.large_query 800))
+          ~n_threads:1)
+  in
+  let per_statement = float_of_int (live_bytes () - before) /. float_of_int n /. 1048576.0 in
+  ignore (Sys.opaque_identity cached);
+  if per_statement >= 2.5 then
+    Alcotest.failf "each cached 800-aggregate statement holds %.2f MB of live heap (bound 2.5)"
+      per_statement;
+  Aeq.Engine.close engine
+
 let test_trace_render () =
   let tr = Aeq_exec.Trace.create () in
   let t0 = Aeq_exec.Trace.epoch tr in
@@ -388,6 +495,10 @@ let () =
         [
           Alcotest.test_case "artifact reuse" `Quick test_prepared_artifact_reuse;
           Alcotest.test_case "mode switches" `Quick test_prepared_mode_switches;
+          Alcotest.test_case "rebuilt IR is the translated IR" `Quick
+            test_prepared_rebuilds_same_ir;
+          Alcotest.test_case "opt from rebuilt IR agrees" `Quick test_prepared_opt_from_rebuilt_ir;
+          Alcotest.test_case "giant statement retention" `Quick test_prepared_giant_retention;
         ] );
       ("trace", [ Alcotest.test_case "render" `Quick test_trace_render ]);
     ]

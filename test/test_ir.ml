@@ -197,6 +197,93 @@ let test_pp_smoke () =
   Alcotest.(check bool) "mentions phi" true (contains_substring s "phi");
   Alcotest.(check bool) "mentions add" true (contains_substring s "add")
 
+(* The immediate dominators as computed before [Dom.compute] folded
+   predecessors in decreasing block id: the same Cooper-Harvey-Kennedy
+   fixpoint over [Cfg.predecessors]' increasing order. *)
+let reference_idoms (f : Func.t) =
+  let n = Func.n_blocks f in
+  let preds = Cfg.predecessors f in
+  let idoms = Array.make n (-1) in
+  idoms.(0) <- 0;
+  let rec intersect a b =
+    if a = b then a else if a > b then intersect idoms.(a) b else intersect a idoms.(b)
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for b = 1 to n - 1 do
+      let d =
+        List.fold_left
+          (fun acc p ->
+            if idoms.(p) < 0 then acc
+            else match acc with None -> Some p | Some a -> Some (intersect p a))
+          None preds.(b)
+      in
+      match d with
+      | Some d when idoms.(b) <> d ->
+        idoms.(b) <- d;
+        changed := true
+      | _ -> ()
+    done
+  done;
+  idoms
+
+let check_idoms_match name f =
+  let dom = Dom.compute f in
+  Alcotest.(check (array int)) name (reference_idoms f)
+    (Array.init (Func.n_blocks f) (Dom.idom dom))
+
+let test_dom_matches_reference_corpus () =
+  List.iter
+    (fun complexity ->
+      for seed = 0 to 99 do
+        check_idoms_match
+          (Printf.sprintf "rand %d/%d" complexity seed)
+          (Gen_ir.generate ~complexity seed)
+      done)
+    [ 5; 12; 25 ]
+
+(* The Fig. 15 worker: one scan pipeline with [n_aggs] sum aggregates,
+   every checked operation branching to the one shared overflow-trap
+   block. *)
+let fig15_catalog =
+  lazy
+    (let engine = Aeq.Engine.create ~n_threads:1 ~cost_model:Aeq_backend.Cost_model.off () in
+     Aeq.Engine.load_tpch engine ~scale_factor:0.001;
+     engine)
+
+let fig15_worker n_aggs =
+  let engine = Lazy.force fig15_catalog in
+  let plan = Aeq.Engine.plan engine (Aeq_workload.Queries.large_query n_aggs) in
+  Aeq_codegen.Codegen.pipeline_worker plan (Aeq_plan.Physical.layout plan) ~pipeline:0
+
+let test_dom_matches_reference_fig15 () =
+  check_idoms_match "fig15 800 aggregates" (fig15_worker 800)
+
+let best_of_3 f =
+  let best = ref infinity in
+  for _ = 1 to 3 do
+    (* start each run on an empty minor heap and a finished major cycle,
+       so a collection the run did not cause is not timed *)
+    Gc.full_major ();
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (f ()));
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  !best
+
+(* Linear, not quadratic: doubling the worker at most doubles the
+   time, with headroom for noise (the increasing-order fold reads
+   about 4x) *)
+let test_dom_scales_linearly () =
+  let f1 = fig15_worker 1600 and f2 = fig15_worker 3200 in
+  let t1 = best_of_3 (fun () -> Dom.compute f1) in
+  let t2 = best_of_3 (fun () -> Dom.compute f2) in
+  let ratio = t2 /. t1 in
+  if ratio >= 3.0 then
+    Alcotest.failf "Dom.compute: %.2f ms at 3200 aggregates, %.2f ms at 1600 (%.2fx, bound 3x)"
+      (t2 *. 1e3) (t1 *. 1e3) ratio
+
 let test_analysis_counts () =
   let f = build_loop () in
   Alcotest.(check bool) "instrs > 0" true (Analysis.instruction_count f > 0);
@@ -239,7 +326,13 @@ let () =
           Alcotest.test_case "rpo entry first" `Quick test_rpo_entry_first;
           Alcotest.test_case "rpo drops unreachable" `Quick test_rpo_drops_unreachable;
         ] );
-      ("dom", [ Alcotest.test_case "diamond" `Quick test_dominators_diamond ]);
+      ( "dom",
+        [
+          Alcotest.test_case "diamond" `Quick test_dominators_diamond;
+          Alcotest.test_case "old fold's idoms, corpus" `Quick test_dom_matches_reference_corpus;
+          Alcotest.test_case "old fold's idoms, fig15" `Quick test_dom_matches_reference_fig15;
+          Alcotest.test_case "linear in worker size" `Quick test_dom_scales_linearly;
+        ] );
       ( "loops",
         [
           Alcotest.test_case "simple" `Quick test_loops_simple;
