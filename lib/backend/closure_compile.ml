@@ -29,6 +29,14 @@ let[@inline] sf regs off v = unsafe_set64 regs off (Int64.bits_of_float v)
 
 let[@inline] gp regs off = Int64.to_int (unsafe_get64 regs off)
 
+(* The arena's 1- and 2-byte getters return the unsigned byte value;
+   sign-extending it as an int here, not through [Semantics]' int64
+   functions, keeps a narrow column load from boxing (a call into
+   another module is not inlined under -opaque). *)
+let[@inline] sext8 v = (v lxor 0x80) - 0x80
+
+let[@inline] sext16 v = (v lxor 0x8000) - 0x8000
+
 (* Non-control instructions compile to [Bytes.t -> unit] with every
    operand offset and literal captured. *)
 let step_of mem (i : B.insn) : Bytes.t -> unit =
@@ -141,8 +149,8 @@ let step_of mem (i : B.insn) : Bytes.t -> unit =
   | Op.Trunc32 -> fun regs -> s regs a (S.sext32 (g regs b))
   | Op.SiToFp -> fun regs -> sf regs a (Int64.to_float (g regs b))
   | Op.FpToSi -> fun regs -> s regs a (Int64.of_float (gf regs b))
-  | Op.Load8 -> fun regs -> s regs a (S.sext8 (Int64.of_int (A.get_i8 mem (gp regs b))))
-  | Op.Load16 -> fun regs -> s regs a (S.sext16 (Int64.of_int (A.get_i16 mem (gp regs b))))
+  | Op.Load8 -> fun regs -> s regs a (Int64.of_int (sext8 (A.get_i8 mem (gp regs b))))
+  | Op.Load16 -> fun regs -> s regs a (Int64.of_int (sext16 (A.get_i16 mem (gp regs b))))
   | Op.Load32 -> fun regs -> s regs a (Int64.of_int32 (A.get_i32 mem (gp regs b)))
   | Op.Load64 -> fun regs -> s regs a (A.get_i64 mem (gp regs b))
   | Op.Store8 -> fun regs -> A.set_i8 mem (gp regs b) (Int64.to_int (g regs a) land 0xff)
@@ -161,14 +169,14 @@ let step_of mem (i : B.insn) : Bytes.t -> unit =
     let scale = B.unpack_scale i.B.lit and offset = B.unpack_offset i.B.lit in
     fun regs ->
       s regs a
-        (S.sext8
-           (Int64.of_int (A.get_i8 mem (gp regs b + (Int64.to_int (g regs c) * scale) + offset))))
+        (Int64.of_int
+           (sext8 (A.get_i8 mem (gp regs b + (Int64.to_int (g regs c) * scale) + offset))))
   | Op.LoadIdx16 ->
     let scale = B.unpack_scale i.B.lit and offset = B.unpack_offset i.B.lit in
     fun regs ->
       s regs a
-        (S.sext16
-           (Int64.of_int (A.get_i16 mem (gp regs b + (Int64.to_int (g regs c) * scale) + offset))))
+        (Int64.of_int
+           (sext16 (A.get_i16 mem (gp regs b + (Int64.to_int (g regs c) * scale) + offset))))
   | Op.LoadIdx32 ->
     let scale = B.unpack_scale i.B.lit and offset = B.unpack_offset i.B.lit in
     fun regs ->

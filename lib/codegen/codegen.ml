@@ -44,12 +44,16 @@ let base ctx slot =
   | Some v -> v
   | None -> invalid_arg (Printf.sprintf "Codegen: slot %d not preloaded" slot)
 
-(* A base-table cell is a 4-byte int32 (see [Aeq_storage.Table]). *)
-let load_table_cell ctx slot =
-  let base = base ctx slot in
-  let addr = Builder.gep ctx.b ~base ~index:ctx.row ~scale:4 ~offset:0 in
-  let cell = Builder.load ctx.b Types.I32 addr in
-  Builder.cast ctx.b Instr.Sext ~from_ty:Types.I32 ~to_ty:i64 cell
+(* A base-table cell is a 1-, 2- or 4-byte signed integer, the
+   narrowest that holds its column's declared range (see
+   [Aeq_storage.Table]), read sign-extended to i64. *)
+let load_table_cell ctx ~tref ~col =
+  let width = (fst ctx.plan.P.pl_trefs.(tref)).Aeq_storage.Table.columns.(col).width in
+  let ty = match width with 1 -> Types.I8 | 2 -> Types.I16 | _ -> Types.I32 in
+  let base = base ctx (P.slot_of_col ctx.layout ~tref ~col) in
+  let addr = Builder.gep ctx.b ~base ~index:ctx.row ~scale:width ~offset:0 in
+  let cell = Builder.load ctx.b ty addr in
+  Builder.cast ctx.b Instr.Sext ~from_ty:ty ~to_ty:i64 cell
 
 (* An aggregate-result cell is a full i64. *)
 let load_agg_cell ctx slot =
@@ -63,8 +67,7 @@ let gen_col ctx ~tref ~col =
   | Some v -> v
   | None ->
     let v =
-      if tref = ctx.source_tref then
-        load_table_cell ctx (P.slot_of_col ctx.layout ~tref ~col)
+      if tref = ctx.source_tref then load_table_cell ctx ~tref ~col
       else begin
         match List.assoc_opt tref ctx.payloads with
         | Some (ht_idx, entry) ->

@@ -63,6 +63,25 @@ let operands = function
   | Gep { base; index; _ } -> [ base; index ]
   | Call { args; _ } -> Array.to_list args
 
+let iter_operands f = function
+  | Binop { a; b; _ } | OvfFlag { a; b; _ } | Fbinop { a; b; _ } | Icmp { a; b; _ }
+  | Fcmp { a; b; _ } ->
+    f a;
+    f b
+  | Select { cond; a; b; _ } ->
+    f cond;
+    f a;
+    f b
+  | Cast { v; _ } -> f v
+  | Load { addr; _ } -> f addr
+  | Store { addr; v; _ } ->
+    f addr;
+    f v
+  | Gep { base; index; _ } ->
+    f base;
+    f index
+  | Call { args; _ } -> Array.iter f args
+
 let with_operands i ops =
   match (i, ops) with
   | Binop r, [ a; b ] -> Binop { r with a; b }

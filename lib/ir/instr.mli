@@ -66,6 +66,9 @@ val dst_of : t -> int option
 val operands : t -> value list
 (** All value operands read by the instruction. *)
 
+val iter_operands : (value -> unit) -> t -> unit
+(** [f] on each of [operands i], in order, without building the list. *)
+
 val with_operands : t -> value list -> t
 (** Rebuild the instruction with substituted operands, in the order
     [operands] returned them. Used by rewriting passes. *)

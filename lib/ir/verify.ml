@@ -57,11 +57,17 @@ let diagnostics (f : Func.t) : diagnostic list =
     for p = 0 to Array.length f.Func.params - 1 do
       if p < nv then defined.(p) <- true
     done;
-    let define ?instr b id what =
-      if id < 0 || id >= nv then
-        emit Error ~block:b ?instr "value %s out of range (%s)" (value_name id) what
-      else if defined.(id) then
-        emit Error ~block:b ?instr "value %s defined twice (%s)" (value_name id) what
+    (* [instr] is the defining instruction's index, -1 for a φ. The
+       messages of this and the checks below are built only for a
+       value that fails, so well-formed IR formats none. *)
+    let define b ~instr id =
+      if id < 0 || id >= nv || defined.(id) then begin
+        let what = if instr < 0 then "phi " ^ value_name id else "instruction result" in
+        let instr = if instr < 0 then None else Some instr in
+        if id < 0 || id >= nv then
+          emit Error ~block:b ?instr "value %s out of range (%s)" (value_name id) what
+        else emit Error ~block:b ?instr "value %s defined twice (%s)" (value_name id) what
+      end
       else defined.(id) <- true
     in
     Array.iteri
@@ -73,22 +79,21 @@ let diagnostics (f : Func.t) : diagnostic list =
       f.Func.blocks;
     Array.iter
       (fun (b : Block.t) ->
-        Array.iter
-          (fun (p : Instr.phi) ->
-            define b.id p.dst (Printf.sprintf "phi %s" (value_name p.dst)))
-          b.phis;
+        Array.iter (fun (p : Instr.phi) -> define b.id ~instr:(-1) p.dst) b.phis;
         Array.iteri
           (fun i ins ->
-            match Instr.dst_of ins with
-            | Some d -> define ~instr:i b.id d "instruction result"
-            | None -> ())
+            match Instr.dst_of ins with Some d -> define b.id ~instr:i d | None -> ())
           b.instrs)
       f.Func.blocks;
-    let check_value ?instr b what = function
-      | Instr.Vreg id ->
-        if id < 0 || id >= nv || not defined.(id) then
-          emit Error ~block:b ?instr "use of undefined value %s (%s)" (value_name id) what
-      | Instr.Imm _ | Instr.Fimm _ -> ()
+    let undefined = function
+      | Instr.Vreg id -> id < 0 || id >= nv || not defined.(id)
+      | Instr.Imm _ | Instr.Fimm _ -> false
+    in
+    let check_value ?instr b what v =
+      match v with
+      | Instr.Vreg id when undefined v ->
+        emit Error ~block:b ?instr "use of undefined value %s (%s)" (value_name id) what
+      | _ -> ()
     in
     let check_target b t =
       if t < 0 || t >= n then begin
@@ -102,11 +107,15 @@ let diagnostics (f : Func.t) : diagnostic list =
           (fun (p : Instr.phi) ->
             Array.iter
               (fun (_, v) ->
-                check_value b.id (Printf.sprintf "phi %s incoming" (value_name p.dst)) v)
+                if undefined v then
+                  check_value b.id (Printf.sprintf "phi %s incoming" (value_name p.dst)) v)
               p.incoming)
           b.phis;
         Array.iteri
-          (fun i ins -> List.iter (check_value ~instr:i b.id "operand") (Instr.operands ins))
+          (fun i ins ->
+            Instr.iter_operands
+              (fun v -> if undefined v then check_value ~instr:i b.id "operand" v)
+              ins)
           b.instrs;
         match b.term with
         | Instr.Br t -> check_target b.id t
@@ -153,20 +162,22 @@ let diagnostics (f : Func.t) : diagnostic list =
       | (Types.Ptr | Types.I64), (Types.Ptr | Types.I64) -> true
       | _ -> false
     in
+    let mismatch want = function
+      | Instr.Vreg id -> id >= 0 && id < nv && not (compatible want (Func.ty_of f id))
+      | Instr.Imm _ -> Types.is_float want
+      | Instr.Fimm _ -> not (Types.is_float want)
+    in
     let expect ?instr b what want v =
-      match v with
-      | Instr.Vreg id -> (
-        match ty_of id with
-        | Some t when not (compatible want t) ->
+      if mismatch want v then
+        match v with
+        | Instr.Vreg id ->
           emit Error ~block:b ?instr "%s expects %s but %s is %s" what (Types.to_string want)
-            (value_name id) (Types.to_string t)
-        | _ -> ())
-      | Instr.Imm _ ->
-        if Types.is_float want then
+            (value_name id)
+            (Types.to_string (Func.ty_of f id))
+        | Instr.Imm _ ->
           emit Warning ~block:b ?instr "%s expects %s but got an integer immediate" what
             (Types.to_string want)
-      | Instr.Fimm _ ->
-        if not (Types.is_float want) then
+        | Instr.Fimm _ ->
           emit Error ~block:b ?instr "%s expects %s but got a float immediate" what
             (Types.to_string want)
     in
@@ -176,7 +187,8 @@ let diagnostics (f : Func.t) : diagnostic list =
           (fun (p : Instr.phi) ->
             Array.iter
               (fun (_, v) ->
-                expect b.id (Printf.sprintf "phi %s" (value_name p.dst)) p.ty v)
+                if mismatch p.ty v then
+                  expect b.id (Printf.sprintf "phi %s" (value_name p.dst)) p.ty v)
               p.incoming)
           b.phis;
         Array.iteri
@@ -336,17 +348,25 @@ let diagnostics (f : Func.t) : diagnostic list =
           Array.length blk.Block.phis = 0 && Array.length blk.Block.instrs = 0
         | _ -> false
       in
-      let def_site = Array.make (Stdlib.max nv 1) None in
+      (* each value's defining block, -1 for a parameter or an undefined
+         value, and instruction, -1 for a φ *)
+      let def_block = Array.make (Stdlib.max nv 1) (-1) in
+      let def_instr = Array.make (Stdlib.max nv 1) (-1) in
       Array.iter
         (fun (b : Block.t) ->
           Array.iter
             (fun (p : Instr.phi) ->
-              if p.dst >= 0 && p.dst < nv then def_site.(p.dst) <- Some (b.id, -1))
+              if p.dst >= 0 && p.dst < nv then begin
+                def_block.(p.dst) <- b.id;
+                def_instr.(p.dst) <- -1
+              end)
             b.phis;
           Array.iteri
             (fun i ins ->
               match Instr.dst_of ins with
-              | Some d when d >= 0 && d < nv -> def_site.(d) <- Some (b.id, i)
+              | Some d when d >= 0 && d < nv ->
+                def_block.(d) <- b.id;
+                def_instr.(d) <- i
               | _ -> ())
             b.instrs)
         f.Func.blocks;
@@ -355,11 +375,12 @@ let diagnostics (f : Func.t) : diagnostic list =
           match b.Block.term with
           | Instr.CondBr { cond = Instr.Vreg c; if_true; if_false } -> (
             let is_ovf =
-              match def_site.(c) with
-              | Some (db, di) when di >= 0 -> (
-                match (Func.block f db).Block.instrs.(di) with
-                | Instr.OvfFlag _ -> true
-                | _ -> false)
+              c >= 0 && c < nv
+              && def_block.(c) >= 0
+              && def_instr.(c) >= 0
+              &&
+              match (Func.block f def_block.(c)).Block.instrs.(def_instr.(c)) with
+              | Instr.OvfFlag _ -> true
               | _ -> false
             in
             if is_ovf then
@@ -398,9 +419,10 @@ let diagnostics (f : Func.t) : diagnostic list =
         let dom = Dom.compute f in
         (* [du] = does the definition of value [v] reach this use? *)
         let dominates_use ~same_block_ok v ~use_block ~use_instr =
-          match def_site.(v) with
-          | None -> true (* param, or undefined (already reported) *)
-          | Some (db, di) ->
+          if v < 0 || v >= nv || def_block.(v) < 0 then
+            true (* param, or undefined (already reported) *)
+          else
+            let db = def_block.(v) and di = def_instr.(v) in
             if db = use_block then
               if same_block_ok then true
               else di < use_instr (* φ defs have di = -1 and dominate all instrs *)
@@ -411,7 +433,7 @@ let diagnostics (f : Func.t) : diagnostic list =
             if reachable.(b.id) then begin
               Array.iteri
                 (fun i ins ->
-                  List.iter
+                  Instr.iter_operands
                     (fun v ->
                       match v with
                       | Instr.Vreg id
@@ -421,7 +443,7 @@ let diagnostics (f : Func.t) : diagnostic list =
                         emit Error ~block:b.id ~instr:i
                           "use of %s is not dominated by its definition" (value_name id)
                       | _ -> ())
-                    (Instr.operands ins))
+                    ins)
                 b.instrs;
               Analysis.term_uses b ~use:(fun v ->
                   match v with

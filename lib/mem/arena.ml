@@ -423,8 +423,8 @@ let[@inline] buf t p = t.chunks.(p lsr offset_bits)
 let[@inline] off p = p land offset_mask
 
 (* bounds-checked native-endian access, inlined with int32/int64 unboxed *)
-external get16 : chunk -> int -> int = "%caml_bigstring_get16"
-external set16 : chunk -> int -> int -> unit = "%caml_bigstring_set16"
+external chunk_get_u16 : chunk -> int -> int = "%caml_bigstring_get16"
+external chunk_set_u16 : chunk -> int -> int -> unit = "%caml_bigstring_set16"
 external chunk_get_i32 : chunk -> int -> int32 = "%caml_bigstring_get32"
 external chunk_set_i32 : chunk -> int -> int32 -> unit = "%caml_bigstring_set32"
 external chunk_get_i64 : chunk -> int -> int64 = "%caml_bigstring_get64"
@@ -434,9 +434,9 @@ let get_i8 t p = Char.code (Bigarray.Array1.get (buf t p) (off p))
 
 let set_i8 t p v = Bigarray.Array1.set (buf t p) (off p) (Char.unsafe_chr (v land 0xff))
 
-let get_i16 t p = get16 (buf t p) (off p)
+let get_i16 t p = chunk_get_u16 (buf t p) (off p)
 
-let set_i16 t p v = set16 (buf t p) (off p) (v land 0xffff)
+let set_i16 t p v = chunk_set_u16 (buf t p) (off p) (v land 0xffff)
 
 let get_i32 t p = chunk_get_i32 (buf t p) (off p)
 

@@ -157,9 +157,13 @@ val chunk_of : t -> ptr -> chunk * int
 (** [chunk_of t p] is the chunk holding [p] and the byte offset of
     [p] within it. Lets bulk loaders cache the chunk of a column. *)
 
-(** Bounds-checked native-endian int32 and int64 at a byte offset of a
-    chunk. Primitives: a call from another module is inlined, the
-    integer unboxed. *)
+(** Bounds-checked native-endian 16-, 32- and 64-bit integers at a
+    byte offset of a chunk. Primitives: a call from another module is
+    inlined, the integer unboxed. The 16-bit pair is unsigned, like
+    {!get_i16}: the getter returns [0..0xffff], the setter stores the
+    low 16 bits. *)
+external chunk_get_u16 : chunk -> int -> int = "%caml_bigstring_get16"
+external chunk_set_u16 : chunk -> int -> int -> unit = "%caml_bigstring_set16"
 external chunk_get_i32 : chunk -> int -> int32 = "%caml_bigstring_get32"
 external chunk_set_i32 : chunk -> int -> int32 -> unit = "%caml_bigstring_set32"
 external chunk_get_i64 : chunk -> int -> int64 = "%caml_bigstring_get64"

@@ -1,8 +1,9 @@
 (** Column data types.
 
-    Every table cell is physically a 4-byte int32 in the arena, read
-    sign-extended to i64; registers, hash tables and aggregates hold
-    8-byte integers:
+    Every table cell is physically a 1-, 2- or 4-byte signed integer
+    in the arena, the narrowest that holds its column's declared range
+    (see {!Table}), read sign-extended to i64; registers, hash tables
+    and aggregates hold 8-byte integers:
     - [Int]: integer;
     - [Decimal]: fixed-point with two fractional digits (value × 100),
       the HyPer-style representation that makes decimal arithmetic

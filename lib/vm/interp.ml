@@ -13,6 +13,14 @@ let[@inline] sf regs off v = Bytes.set_int64_ne regs off (Int64.bits_of_float v)
 
 let[@inline] gp regs off = Int64.to_int (Bytes.get_int64_ne regs off)
 
+(* The arena's 1- and 2-byte getters return the unsigned byte value;
+   sign-extending it as an int here, not through [Semantics]' int64
+   functions, keeps a narrow column load from boxing (a call into
+   another module is not inlined under -opaque). *)
+let[@inline] sext8 v = (v lxor 0x80) - 0x80
+
+let[@inline] sext16 v = (v lxor 0x8000) - 0x8000
+
 let run (p : Bytecode.t) mem ?regs ~args () =
   let regs = match regs with Some r -> r | None -> scratch p in
   Array.iteri (fun i c -> s regs (8 * i) c) p.Bytecode.const_pool;
@@ -286,10 +294,10 @@ let run (p : Bytecode.t) mem ?regs ~args () =
       s regs i.a (Int64.of_float (gf regs i.b));
       go (ip + 1)
     | Load8 ->
-      s regs i.a (S.sext8 (Int64.of_int (A.get_i8 mem (gp regs i.b))));
+      s regs i.a (Int64.of_int (sext8 (A.get_i8 mem (gp regs i.b))));
       go (ip + 1)
     | Load16 ->
-      s regs i.a (S.sext16 (Int64.of_int (A.get_i16 mem (gp regs i.b))));
+      s regs i.a (Int64.of_int (sext16 (A.get_i16 mem (gp regs i.b))));
       go (ip + 1)
     | Load32 ->
       s regs i.a (Int64.of_int32 (A.get_i32 mem (gp regs i.b)));
@@ -324,14 +332,14 @@ let run (p : Bytecode.t) mem ?regs ~args () =
         gp regs i.b + (Int64.to_int (g regs i.c) * Bytecode.unpack_scale i.lit)
         + Bytecode.unpack_offset i.lit
       in
-      s regs i.a (S.sext8 (Int64.of_int (A.get_i8 mem addr)));
+      s regs i.a (Int64.of_int (sext8 (A.get_i8 mem addr)));
       go (ip + 1)
     | LoadIdx16 ->
       let addr =
         gp regs i.b + (Int64.to_int (g regs i.c) * Bytecode.unpack_scale i.lit)
         + Bytecode.unpack_offset i.lit
       in
-      s regs i.a (S.sext16 (Int64.of_int (A.get_i16 mem addr)));
+      s regs i.a (Int64.of_int (sext16 (A.get_i16 mem addr)));
       go (ip + 1)
     | LoadIdx32 ->
       let addr =

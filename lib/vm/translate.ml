@@ -35,10 +35,11 @@ let abort_only (f : Func.t) blk_id =
   && match b.Block.term with Instr.Abort _ -> true | _ -> false
 
 (* VM registers hold integers sign-extended to 64 bits, so a
-   [load i32] whose only use is the next instruction's [sext] to i64 —
-   a 4-byte table cell — is one load defining the sext's value. The
-   pair then takes one register, and the gep+load fusion turns it
-   into one [LoadIdx32]. Returns [f] itself when nothing folds. *)
+   [load i8], [load i16] or [load i32] whose only use is the next
+   instruction's [sext] to i64 — a table cell — is one load defining
+   the sext's value. The pair then takes one register, and the
+   gep+load fusion turns it into one [LoadIdx8], [LoadIdx16] or
+   [LoadIdx32]. Returns [f] itself when nothing folds. *)
 let fold_load_sext (f : Func.t) ~use_counts =
   let fold (blk : Block.t) =
     let instrs = blk.Block.instrs in
@@ -46,13 +47,12 @@ let fold_load_sext (f : Func.t) ~use_counts =
     let out = ref [] and i = ref 0 in
     while !i < n do
       (match (instrs.(!i), if !i + 1 < n then Some instrs.(!i + 1) else None) with
-      | ( Instr.Load { ty = Types.I32; dst = l; addr },
+      | ( Instr.Load { ty = (Types.I8 | Types.I16 | Types.I32) as ty; dst = l; addr },
           Some
             (Instr.Cast
-              { op = Instr.Sext; from_ty = Types.I32; to_ty = Types.I64; dst; v = Instr.Vreg v })
-        )
-        when v = l && use_counts.(l) = 1 ->
-        out := Instr.Load { ty = Types.I32; dst; addr } :: !out;
+              { op = Instr.Sext; from_ty; to_ty = Types.I64; dst; v = Instr.Vreg v }) )
+        when v = l && Types.equal from_ty ty && use_counts.(l) = 1 ->
+        out := Instr.Load { ty; dst; addr } :: !out;
         i := !i + 2
       | this, _ ->
         out := this :: !out;

@@ -14,10 +14,11 @@
       [StoreIdx];
     - a comparison immediately feeding the block's conditional branch
       becomes a fused compare-and-jump;
-    - a [load i32] immediately feeding a [sext] to i64 (a 4-byte
-      table cell) becomes one sign-extending load: folded before
-      register allocation, so the pair needs one register, and with
-      its [gep] it is one [LoadIdx32].
+    - a [load i8], [load i16] or [load i32] immediately feeding a
+      [sext] to i64 (a 1-, 2- or 4-byte table cell) becomes one
+      sign-extending load: folded before register allocation, so the
+      pair needs one register, and with its [gep] it is one
+      [LoadIdx8], [LoadIdx16] or [LoadIdx32].
 
     Fusion requires the intermediate value to have exactly one use.
 

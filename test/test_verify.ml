@@ -262,6 +262,37 @@ let test_verify_phi_incoming_mismatch () =
   Alcotest.(check bool) "rejected" true (errs <> []);
   check_contains "phi mismatch" "incoming" (Verify.report errs)
 
+(* The φ diagnostics name the φ in their text, built only when a
+   check fails: pin the exact lines for an undefined incoming value, a
+   float incoming into an i64 φ, and an instruction redefining a φ. *)
+let test_verify_phi_messages () =
+  let f, i, acc, _ = build_sum_loop () in
+  let head = Func.block f 1 and body = Func.block f 2 in
+  let undefined = f.Func.n_values + 5 in
+  head.Block.phis <-
+    Array.map
+      (fun (p : Instr.phi) ->
+        let incoming =
+          Array.map
+            (fun (pred, v) ->
+              if p.dst = acc && pred = 2 then (pred, Instr.Vreg undefined)
+              else if p.dst = i && pred = 0 then (pred, Instr.Fimm 1.5)
+              else (pred, v))
+            p.incoming
+        in
+        { p with incoming })
+      head.Block.phis;
+  body.Block.instrs.(0) <- Instr.with_dst body.Block.instrs.(0) i;
+  let report = Verify.report (Verify.diagnostics f) in
+  List.iter
+    (fun line -> check_contains "phi messages" line report)
+    [
+      Printf.sprintf "sum: block 2, instr 0: value %%%d defined twice (instruction result)" i;
+      Printf.sprintf "sum: block 1: use of undefined value %%%d (phi %%%d incoming)" undefined
+        acc;
+      Printf.sprintf "sum: block 1: phi %%%d expects i64 but got a float immediate" i;
+    ]
+
 let test_verify_sibling_phi_hazard () =
   (* Self-loop header d = φ(entry: 0, header: d+1), exit φ x = d: the
      exit edge's copy reads d after the back edge's copy set has
@@ -611,6 +642,7 @@ let () =
           Alcotest.test_case "dominance violation" `Quick test_verify_dominance;
           Alcotest.test_case "phi incoming mismatch" `Quick
             test_verify_phi_incoming_mismatch;
+          Alcotest.test_case "phi messages" `Quick test_verify_phi_messages;
           Alcotest.test_case "sibling phi copy hazard" `Quick
             test_verify_sibling_phi_hazard;
           Alcotest.test_case "accepts generated corpus" `Quick test_verify_accepts_corpus;

@@ -131,41 +131,104 @@ let test_column_sum_and_loadidx_fusion () =
   in
   Alcotest.(check bool) "LoadIdx64 emitted" true has_loadidx
 
-(* Returns the 4-byte cell at an index, sign-extended: the shape
-   codegen emits for a table column. *)
-let build_cell_load () =
+(* Returns the [ty] cell at an index, sign-extended: the shape
+   codegen emits for a table column of that width. *)
+let build_cell_load ty =
   let b = Builder.create ~name:"cell" ~params:[ Types.Ptr; Types.I64 ] in
   let addr =
-    Builder.gep b ~base:(Builder.param b 0) ~index:(Builder.param b 1) ~scale:4 ~offset:0
+    Builder.gep b ~base:(Builder.param b 0) ~index:(Builder.param b 1)
+      ~scale:(Types.size_of ty) ~offset:0
   in
-  let cell = Builder.load b Types.I32 addr in
-  Builder.ret b (Builder.cast b Instr.Sext ~from_ty:Types.I32 ~to_ty:Types.I64 cell);
+  let cell = Builder.load b ty addr in
+  Builder.ret b (Builder.cast b Instr.Sext ~from_ty:ty ~to_ty:Types.I64 cell);
   let f = Builder.finish b in
   Layout.normalize f;
   Verify.run f;
   f
 
+(* At each cell width, gep; load; sext is one sign-extending indexed
+   load, and the IR evaluator, the VM and the closure compiler read
+   the extremes and a few values between alike, fused or not. *)
 let test_cell_load_fusion () =
-  let mem = A.create () in
-  let cells = [| 0x7fff_ffffl; Int32.min_int; -1l; 1l; 0l; 123_456l; -98_765l |] in
-  let col = A.alloc (A.allocator mem) (4 * Array.length cells) in
-  Array.iteri (fun i v -> A.set_i32 mem (col + (4 * i)) v) cells;
-  let f = build_cell_load () in
-  Array.iteri
-    (fun i v ->
-      let args = [| Int64.of_int col; Int64.of_int i |] in
-      let ir = Aeq_vm.Ir_interp.run f mem ~symbols:no_symbols ~args in
-      Alcotest.(check int64) "IR sign-extends" (Int64.of_int32 v) ir;
-      Alcotest.(check int64) "fused = IR" ir (run_vm f mem args);
-      Alcotest.(check int64) "unfused = IR" ir (run_vm ~fuse:false f mem args))
-    cells;
-  let prog = Aeq_vm.Translate.translate ~symbols:no_symbols f in
-  let ops =
-    Array.map (fun (i : Aeq_vm.Bytecode.insn) -> Aeq_vm.Opcode.to_string i.op)
-      prog.Aeq_vm.Bytecode.code
-  in
-  Alcotest.(check (list string))
-    "gep; load i32; sext is one LoadIdx32" [ "load_idx_i32"; "ret" ] (Array.to_list ops)
+  List.iter
+    (fun (ty, op, cells) ->
+      let mem = A.create () in
+      let w = Types.size_of ty in
+      let col = A.alloc (A.allocator mem) (w * Array.length cells) in
+      Array.iteri
+        (fun i v ->
+          let p = col + (w * i) in
+          match w with
+          | 1 -> A.set_i8 mem p v
+          | 2 -> A.set_i16 mem p v
+          | _ -> A.set_i32 mem p (Int32.of_int v))
+        cells;
+      let f = build_cell_load ty in
+      let closures fuse =
+        Aeq_backend.Closure_compile.compile
+          (Aeq_vm.Translate.translate ~fuse ~symbols:no_symbols f)
+          mem
+      in
+      let fused = closures true and unfused = closures false in
+      Array.iteri
+        (fun i v ->
+          let args = [| Int64.of_int col; Int64.of_int i |] in
+          let ir = Aeq_vm.Ir_interp.run f mem ~symbols:no_symbols ~args in
+          Alcotest.(check int64) (op ^ ": IR sign-extends") (Int64.of_int v) ir;
+          Alcotest.(check int64) (op ^ ": fused = IR") ir (run_vm f mem args);
+          Alcotest.(check int64) (op ^ ": unfused = IR") ir (run_vm ~fuse:false f mem args);
+          Alcotest.(check int64) (op ^ ": fused closures = IR") ir
+            (Aeq_backend.Closure_compile.run fused ~args ());
+          Alcotest.(check int64) (op ^ ": unfused closures = IR") ir
+            (Aeq_backend.Closure_compile.run unfused ~args ()))
+        cells;
+      let prog = Aeq_vm.Translate.translate ~symbols:no_symbols f in
+      let ops =
+        Array.map (fun (i : Aeq_vm.Bytecode.insn) -> Aeq_vm.Opcode.to_string i.op)
+          prog.Aeq_vm.Bytecode.code
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "gep; load %s; sext is one %s" (Types.to_string ty) op)
+        [ op; "ret" ] (Array.to_list ops))
+    [
+      (Types.I8, "load_idx_i8", [| 0x7f; -0x80; -1; 1; 0; 100; -57 |]);
+      (Types.I16, "load_idx_i16", [| 0x7fff; -0x8000; -1; 1; 0; 9_182; -12_345 |]);
+      ( Types.I32,
+        "load_idx_i32",
+        [| 0x7fff_ffff; -0x8000_0000; -1; 1; 0; 123_456; -98_765 |] );
+    ]
+
+(* The 22 TPC-H queries' worker IR, bytecode and register files: the
+   cell widths change only which indexed load each column read is, so
+   the totals are the same at sf 0.01, where l_orderkey is 2 bytes, and
+   at sf 0.03, where it is 4. *)
+let test_tpch_bytecode_totals () =
+  List.iter
+    (fun sf ->
+      let catalog = Aeq_storage.Catalog.create () in
+      Aeq_workload.Tpch.load ~scale_factor:sf catalog;
+      let symbols =
+        Aeq_rt.Symbols.resolver
+          (Aeq_rt.Context.create ~arena:(Aeq_storage.Catalog.arena catalog)
+             ~dict:(Aeq_storage.Catalog.dict catalog) ~n_threads:1 ())
+      in
+      let instrs = ref 0 and ops = ref 0 and reg_bytes = ref 0 in
+      List.iter
+        (fun (_, sql) ->
+          let plan = Aeq_plan.Planner.plan_sql catalog sql in
+          List.iter
+            (fun f ->
+              instrs := !instrs + Func.n_instrs f;
+              let prog = Aeq_vm.Translate.translate ~symbols f in
+              ops := !ops + Array.length prog.Aeq_vm.Bytecode.code;
+              reg_bytes := !reg_bytes + prog.Aeq_vm.Bytecode.n_reg_bytes)
+            (Aeq_codegen.Codegen.all_workers plan (Aeq_plan.Physical.layout plan)))
+        Aeq_workload.Queries.tpch;
+      let what = Printf.sprintf "sf %g: " sf in
+      Alcotest.(check int) (what ^ "IR instructions") 3021 !instrs;
+      Alcotest.(check int) (what ^ "bytecode ops") 2134 !ops;
+      Alcotest.(check int) (what ^ "register-file bytes") 10840 !reg_bytes)
+    [ 0.01; 0.03 ]
 
 let test_runtime_call () =
   (* A generated function calling back into a "C++" helper. *)
@@ -442,6 +505,7 @@ let () =
           Alcotest.test_case "sum loop" `Quick test_sum_loop;
           Alcotest.test_case "column sum" `Quick test_column_sum_and_loadidx_fusion;
           Alcotest.test_case "cell load fused" `Quick test_cell_load_fusion;
+          Alcotest.test_case "tpch bytecode totals" `Quick test_tpch_bytecode_totals;
           Alcotest.test_case "runtime call" `Quick test_runtime_call;
           Alcotest.test_case "div by zero" `Quick test_division_by_zero_traps;
         ] );

@@ -161,13 +161,14 @@ let test_load_allocation () =
     Alcotest.failf "load allocated %.2f minor words per cell (%.0f for %d cells)" per_cell
       words cells
 
-(* Table data lives off the OCaml heap, in 4-byte cells: loading TPC-H
-   grows the arena by at least 4 bytes per cell and by less than 8,
-   while the live major heap, whose size paces the major GC, grows
-   only by the catalog's dictionary and table records (0.34 MB at
-   sf 0.01; 9.8 MB with heap-resident chunks). Live words after a full
-   major cycle are exact; the heap's size also holds garbage not yet
-   swept, so it depends on what ran before. *)
+(* Table data lives off the OCaml heap, in cells of 1, 2 or 4 bytes:
+   loading TPC-H at sf 0.01 grows the arena by under 3 bytes a cell
+   (2.58; 4.39 when every cell was 4 bytes), while the live major
+   heap, whose size paces the major GC, grows only by the catalog's
+   dictionary and table records (0.34 MB at sf 0.01; 9.8 MB with
+   heap-resident chunks). Live words after a full major cycle are
+   exact; the heap's size also holds garbage not yet swept, so it
+   depends on what ran before. *)
 let test_load_off_heap () =
   let live_bytes () =
     Gc.full_major ();
@@ -182,33 +183,93 @@ let test_load_off_heap () =
   let resident = Aeq_mem.Arena.resident_bytes arena - r0 in
   ignore (Sys.opaque_identity c);
   let cells = cell_count c in
-  if resident < 4 * cells || resident >= 8 * cells then
-    Alcotest.failf "arena grew %d bytes for %d cells; expected 4 to 8 bytes a cell" resident
-      cells;
+  if resident >= 3 * cells then
+    Alcotest.failf "arena grew %d bytes for %d cells (%.2f a cell); expected under 3 bytes a cell"
+      resident cells
+      (float_of_int resident /. float_of_int cells);
   if heap >= 1 lsl 20 then
     Alcotest.failf "live heap grew %d bytes while loading %d arena bytes" heap resident
 
-(* A cell holds any int32 and refuses the first value past each end
-   instead of truncating it. *)
+(* Every TPC-H column is stored at the narrowest of 1, 2 and 4 bytes
+   whose signed range holds its declared range, and every loaded cell
+   lies in that range. l_orderkey (keys 0..orders-1) is 2 bytes at
+   sf 0.01 and 4 at sf 0.03, so both sides of the 32k boundary load. *)
+let test_column_widths () =
+  let fits w (lo, hi) = lo >= -(1 lsl ((8 * w) - 1)) && hi < 1 lsl ((8 * w) - 1) in
+  List.iter
+    (fun (sf, orderkey_width) ->
+      let c = make sf in
+      let a = Aeq_storage.Catalog.arena c in
+      List.iter
+        (fun name ->
+          let t = Aeq_storage.Catalog.table c name in
+          Array.iteri
+            (fun col (cd : Table.column) ->
+              let what = Printf.sprintf "sf %g %s" sf cd.Table.name in
+              let range = (cd.Table.lo, cd.Table.hi) in
+              let narrowest = List.find (fun w -> fits w range) [ 1; 2; 4 ] in
+              Alcotest.(check int) (what ^ " width") narrowest cd.Table.width;
+              for row = 0 to t.Table.n_rows - 1 do
+                let v = Int64.to_int (Table.get a t ~col ~row) in
+                if v < cd.Table.lo || v > cd.Table.hi then
+                  Alcotest.failf "%s row %d: %d outside %d..%d" what row v cd.Table.lo
+                    cd.Table.hi
+              done)
+            t.Table.columns)
+        Aeq_workload.Tpch.table_names;
+      let li = Aeq_storage.Catalog.table c "lineitem" in
+      Alcotest.(check int)
+        (Printf.sprintf "sf %g l_orderkey width" sf)
+        orderkey_width (Table.column li "l_orderkey").Table.width)
+    [ (0.01, 2); (0.03, 4) ]
+
+(* At each width a column holds the extremes of its declared range,
+   read back sign-extended, and refuses the first value past each end
+   instead of storing it: a range narrower than its width included. *)
 let test_cell_range () =
   let arena = Aeq_mem.Arena.create () in
-  let t =
-    Table.create arena (Aeq_mem.Arena.allocator arena) ~name:"t" ~rows:2
-      ~schema:[ ("v", Aeq_storage.Dtype.Int) ]
+  let ranges =
+    [
+      (1, (-0x80, 0x7f));
+      (2, (-0x8000, 0x7fff));
+      (4, (-0x8000_0000, 0x7fff_ffff));
+      (1, (0, 0));
+      (2, (-1, 0x80));
+      (4, (-40_000, 0x8000));
+    ]
   in
-  let run = Table.column_run arena t 0 in
-  Aeq_workload.Tpch.set_cell run 0 0x7fff_ffff;
-  Aeq_workload.Tpch.set_cell run 1 (-0x8000_0000);
-  Alcotest.(check int64) "max int32" 0x7fff_ffffL (Table.get arena t ~col:0 ~row:0);
-  Alcotest.(check int64) "min int32" (-0x8000_0000L) (Table.get arena t ~col:0 ~row:1);
+  let t =
+    Table.create (Aeq_mem.Arena.allocator arena) ~name:"t" ~rows:2
+      ~schema:(List.mapi (fun i (_, r) -> (Printf.sprintf "c%d" i, Aeq_storage.Dtype.Int, r)) ranges)
+  in
+  List.iteri
+    (fun col (width, (lo, hi)) ->
+      let what = Printf.sprintf "c%d (%d..%d)" col lo hi in
+      Alcotest.(check int) (what ^ " width") width t.Table.columns.(col).Table.width;
+      let run = Table.column_run arena t col in
+      Aeq_workload.Tpch.set_cell run 0 hi;
+      Aeq_workload.Tpch.set_cell run 1 lo;
+      Alcotest.(check int64) (what ^ " max") (Int64.of_int hi) (Table.get arena t ~col ~row:0);
+      Alcotest.(check int64) (what ^ " min") (Int64.of_int lo) (Table.get arena t ~col ~row:1);
+      List.iter
+        (fun v ->
+          match Aeq_workload.Tpch.set_cell run 0 v with
+          | () -> Alcotest.failf "%s: stored %d" what v
+          | exception Invalid_argument _ -> ())
+        [ hi + 1; lo - 1 ];
+      Alcotest.(check int64) (what ^ ": refused write left the cell") (Int64.of_int hi)
+        (Table.get arena t ~col ~row:0))
+    ranges;
+  (* a range no cell holds is refused when the table is made *)
   List.iter
-    (fun v ->
-      match Aeq_workload.Tpch.set_cell run 0 v with
-      | () -> Alcotest.failf "stored %d in a 4-byte cell" v
+    (fun r ->
+      match
+        Table.create (Aeq_mem.Arena.allocator arena) ~name:"u" ~rows:1
+          ~schema:[ ("v", Aeq_storage.Dtype.Int, r) ]
+      with
+      | _ -> Alcotest.failf "made a column of range %d..%d" (fst r) (snd r)
       | exception Invalid_argument _ -> ())
-    [ 1 lsl 31; -(1 lsl 31) - 1 ];
-  Alcotest.(check int64) "refused write left the cell" 0x7fff_ffffL
-    (Table.get arena t ~col:0 ~row:0)
+    [ (0, 1 lsl 31); (-(1 lsl 31) - 1, 0); (1, 0) ]
 
 let () =
   Alcotest.run "workload"
@@ -225,5 +286,6 @@ let () =
           Alcotest.test_case "load allocation" `Quick test_load_allocation;
           Alcotest.test_case "load off heap" `Quick test_load_off_heap;
           Alcotest.test_case "cell range" `Quick test_cell_range;
+          Alcotest.test_case "column widths" `Quick test_column_widths;
         ] );
     ]
