@@ -544,10 +544,14 @@ let prepared () =
     cs.Aeq.Engine.entries cs.Aeq.Engine.hits cs.Aeq.Engine.misses cs.Aeq.Engine.evictions
 
 (* ------------------------------------------------------------------ *)
-(* Concurrent serving: closed-loop clients, with/without admission      *)
+(* Concurrent serving: closed-loop clients, in-process vs worker-served *)
 (* ------------------------------------------------------------------ *)
 let concurrency () =
-  header "CONCURRENCY: closed-loop clients, direct locking vs admission control";
+  header "CONCURRENCY: closed-loop clients, in-process vs worker-served queries";
+  (* every query is a scheduler ticket: [Engine.query] runs its
+     in-process ticket on the client's domain, [Engine.submit] queues
+     one for a pool worker. The JSON key [admission] is true for the
+     worker-served rows. *)
   (* closed loop: each client waits for its answer before sending the
      next query, so the offered rate adapts to the engine — when the
      engine slows down, generation slows down with it, and queueing
@@ -606,7 +610,7 @@ let concurrency () =
       per_query (float_of_int (gc1.Gc.major_collections - gc0.Gc.major_collections)) )
   in
   let rows = ref [] in
-  Printf.printf "%-10s %8s %10s %9s %9s %7s %5s %7s %9s %11s %9s %9s\n" "admission"
+  Printf.printf "%-10s %8s %10s %9s %9s %7s %5s %7s %9s %11s %9s %9s\n" "served by"
     "clients" "thru[q/s]" "p50[ms]" "p99[ms]" "failed" "shed" "reject" "degraded"
     "minorw/q" "minor/q" "major/q";
   List.iter
@@ -623,7 +627,7 @@ let concurrency () =
               rejected degraded minor_words minors majors
             :: !rows;
           Printf.printf "%-10s %8d %10.1f %9.2f %9.2f %7d %5d %7d %9d %11.0f %9.3f %9.4f\n%!"
-            (if admission then "scheduler" else "direct") clients thru (ms p50)
+            (if admission then "worker" else "in-process") clients thru (ms p50)
             (ms p99) failed shed rejected degraded minor_words minors majors)
         [ 1; 4; 8; 16 ])
     [ false; true ];
@@ -801,12 +805,14 @@ let probes () =
 let serving () =
   header "SERVING: open-loop load over the wire (below capacity, then overload)";
   let sf = Stdlib.min base_sf 0.01 in
-  (* a dedicated engine: the server owns its lifecycle *)
-  let e = Aeq.Engine.create ~n_threads () in
+  (* a dedicated engine: the server owns its lifecycle; a small
+     admission queue so the overload run actually sheds *)
+  let e =
+    Aeq.Engine.create ~n_threads
+      ~scheduler_config:{ Aeq_exec.Scheduler.default_config with queue_capacity = 8 }
+      ()
+  in
   Aeq.Engine.load_tpch e ~scale_factor:sf;
-  (* a small admission queue so the overload run actually sheds *)
-  Aeq.Engine.set_scheduler_config e
-    { Aeq_exec.Scheduler.default_config with queue_capacity = 8 };
   let config =
     { Aeq_net.Server.default_config with
       port = 0;

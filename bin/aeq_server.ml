@@ -9,13 +9,14 @@ open Cmdliner
 
 let serve port metrics_port sf threads max_connections queue_capacity
     fetch_size drain_deadline =
-  let engine = Aeq.Engine.create ?n_threads:threads () in
-  Aeq.Engine.load_tpch engine ~scale_factor:sf;
-  Option.iter
-    (fun queue_capacity ->
-      Aeq.Engine.set_scheduler_config engine
+  let scheduler_config =
+    Option.map
+      (fun queue_capacity ->
         { Aeq_exec.Scheduler.default_config with queue_capacity })
-    queue_capacity;
+      queue_capacity
+  in
+  let engine = Aeq.Engine.create ?n_threads:threads ?scheduler_config () in
+  Aeq.Engine.load_tpch engine ~scale_factor:sf;
   let config =
     {
       Aeq_net.Server.default_config with

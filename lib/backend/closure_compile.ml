@@ -151,7 +151,7 @@ let step_of mem (i : B.insn) : Bytes.t -> unit =
   | Op.FpToSi -> fun regs -> s regs a (Int64.of_float (gf regs b))
   | Op.Load8 -> fun regs -> s regs a (Int64.of_int (sext8 (A.get_i8 mem (gp regs b))))
   | Op.Load16 -> fun regs -> s regs a (Int64.of_int (sext16 (A.get_i16 mem (gp regs b))))
-  | Op.Load32 -> fun regs -> s regs a (Int64.of_int32 (A.get_i32 mem (gp regs b)))
+  | Op.Load32 -> fun regs -> s regs a (Int64.of_int (A.get_i32 mem (gp regs b)))
   | Op.Load64 -> fun regs -> s regs a (A.get_i64 mem (gp regs b))
   | Op.Store8 -> fun regs -> A.set_i8 mem (gp regs b) (Int64.to_int (g regs a) land 0xff)
   | Op.Store16 -> fun regs -> A.set_i16 mem (gp regs b) (Int64.to_int (g regs a) land 0xffff)
@@ -181,7 +181,7 @@ let step_of mem (i : B.insn) : Bytes.t -> unit =
     let scale = B.unpack_scale i.B.lit and offset = B.unpack_offset i.B.lit in
     fun regs ->
       s regs a
-        (Int64.of_int32 (A.get_i32 mem (gp regs b + (Int64.to_int (g regs c) * scale) + offset)))
+        (Int64.of_int (A.get_i32 mem (gp regs b + (Int64.to_int (g regs c) * scale) + offset)))
   | Op.LoadIdx64 ->
     let scale = B.unpack_scale i.B.lit and offset = B.unpack_offset i.B.lit in
     fun regs ->
@@ -339,21 +339,47 @@ let fused_pair mem (i1 : B.insn) (i2 : B.insn) : (Bytes.t -> unit) option =
         s regs a2 (if t then g regs c2 else g regs d2)))
   | (Add_i64 | Sub_i64 | Mul_i64 | And64 | Or64 | Xor64), Mov when i2.B.b = i1.B.a -> (
     let dst = i1.B.a and b1 = i1.B.b and c1 = i1.B.c and a2 = i2.B.a in
-    let f =
-      match i1.B.op with
-      | Add_i64 -> Int64.add
-      | Sub_i64 -> Int64.sub
-      | Mul_i64 -> Int64.mul
-      | And64 -> Int64.logand
-      | Or64 -> Int64.logor
-      | Xor64 -> Int64.logxor
-      | _ -> assert false
-    in
-    Some
-      (fun regs ->
-        let v = f (g regs b1) (g regs c1) in
-        s regs dst v;
-        s regs a2 v))
+    (* one closure per operator: an operator passed as a function value
+       would box both operands and the result of every loop-counter
+       increment *)
+    match i1.B.op with
+    | Add_i64 ->
+      Some
+        (fun regs ->
+          let v = Int64.add (g regs b1) (g regs c1) in
+          s regs dst v;
+          s regs a2 v)
+    | Sub_i64 ->
+      Some
+        (fun regs ->
+          let v = Int64.sub (g regs b1) (g regs c1) in
+          s regs dst v;
+          s regs a2 v)
+    | Mul_i64 ->
+      Some
+        (fun regs ->
+          let v = Int64.mul (g regs b1) (g regs c1) in
+          s regs dst v;
+          s regs a2 v)
+    | And64 ->
+      Some
+        (fun regs ->
+          let v = Int64.logand (g regs b1) (g regs c1) in
+          s regs dst v;
+          s regs a2 v)
+    | Or64 ->
+      Some
+        (fun regs ->
+          let v = Int64.logor (g regs b1) (g regs c1) in
+          s regs dst v;
+          s regs a2 v)
+    | Xor64 ->
+      Some
+        (fun regs ->
+          let v = Int64.logxor (g regs b1) (g regs c1) in
+          s regs dst v;
+          s regs a2 v)
+    | _ -> None)
   | _ -> None
 
 let is_call (i : B.insn) =

@@ -9,20 +9,18 @@ type cache_entry = {
 
 type cache_stats = { hits : int; misses : int; evictions : int; entries : int }
 
-let () =
-  Aeq_race.declare "engine.plan_cache" (Aeq_race.Lock "engine.cache.lock");
-  Aeq_race.declare "engine.scheduler_slot" (Aeq_race.Lock "engine.sched.lock");
-  Aeq_race.declare "engine.draining" Aeq_race.Atomic
+let () = Aeq_race.declare "engine.plan_cache" (Aeq_race.Lock "engine.cache.lock")
 
 (* No execution lock: queries run concurrently over per-execution
    contexts and arena leases (the driver owns that isolation). The
    only serialized section is plan-cache lookup/prepare, guarded by
    cache_lock with single-flight de-duplication of concurrent misses
-   on the same text. sched_lock is leaf-only and never held across
-   cache_lock. *)
+   on the same text. Every query is a ticket of [scheduler]: admission,
+   counters, drain and gauges are the scheduler's. *)
 type t = {
   catalog : Aeq_storage.Catalog.t;
   pool : Aeq_exec.Pool.t;
+  scheduler : Aeq_exec.Scheduler.t;
   cost_model : Aeq_backend.Cost_model.t;
   plan_cache : (string, cache_entry) Hashtbl.t;
   cache_lock : Aeq_race.Lock.t;
@@ -30,17 +28,12 @@ type t = {
   cache_loc : Aeq_race.location;
   prep_done : Condition.t; (* signalled when a single-flight prepare finishes *)
   preparing : (string, unit) Hashtbl.t; (* texts with a prepare in flight *)
-  sched_lock : Aeq_race.Lock.t; (* guards lazy scheduler creation/config *)
-  sched_loc : Aeq_race.location;
-  mutable scheduler : Aeq_exec.Scheduler.t option;
-  mutable sched_config : Aeq_exec.Scheduler.config;
   mutable cache_enabled : bool;
   mutable cache_capacity : int;
   mutable cache_tick : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable cache_evictions : int;
-  draining : bool Atomic.t;
 }
 
 let default_cache_capacity = 128
@@ -64,7 +57,7 @@ let health_name = function
    including exporters scraping mid-crash. *)
 let health t =
   if Aeq_exec.Pool.closed t.pool then Stopped
-  else if Atomic.get t.draining then Draining
+  else if Aeq_exec.Scheduler.draining t.scheduler then Draining
   else
     match Aeq_exec.Pool.health_reasons t.pool with
     | [] -> Serving
@@ -113,7 +106,7 @@ let register_gauges t =
     (fun () ->
       match health t with Degraded rs -> List.length rs | _ -> 0)
 
-let create ?n_threads ?cost_model ?chunk_size () =
+let create ?n_threads ?cost_model ?chunk_size ?scheduler_config () =
   let n_threads =
     match n_threads with
     | Some n -> Stdlib.max 1 n
@@ -131,27 +124,27 @@ let create ?n_threads ?cost_model ?chunk_size () =
         ~unopt:cal.Aeq_backend.Calibration.speedup_unopt
         ~opt:cal.Aeq_backend.Calibration.speedup_opt
   in
+  let config = Option.value scheduler_config ~default:Aeq_exec.Scheduler.default_config in
+  let pool =
+    Aeq_exec.Pool.create ~restart_policy:config.Aeq_exec.Scheduler.restart_policy ~n_threads ()
+  in
   let t =
     {
       catalog = Aeq_storage.Catalog.create ?chunk_size ();
-      pool = Aeq_exec.Pool.create ~n_threads ();
+      pool;
+      scheduler = Aeq_exec.Scheduler.create ~config ~pool ();
       cost_model;
       plan_cache = Hashtbl.create 64;
       cache_lock = Aeq_race.Lock.create "engine.cache.lock";
       cache_loc = Aeq_race.locate "engine.plan_cache";
       prep_done = Condition.create ();
       preparing = Hashtbl.create 8;
-      sched_lock = Aeq_race.Lock.create "engine.sched.lock";
-      sched_loc = Aeq_race.locate "engine.scheduler_slot";
-      scheduler = None;
-      sched_config = Aeq_exec.Scheduler.default_config;
       cache_enabled = true;
       cache_capacity = default_cache_capacity;
       cache_tick = 0;
       cache_hits = 0;
       cache_misses = 0;
       cache_evictions = 0;
-      draining = Atomic.make false;
     }
   in
   register_gauges t;
@@ -389,23 +382,11 @@ let with_query_obs mode f =
       raise e
   end
 
-(* [query] minus the drain gate: the pool workers serving the
-   scheduler call this for already-admitted work, which runs to
-   completion while the engine drains. *)
-let run_query ?(mode = Aeq_exec.Driver.Adaptive) ?(collect_trace = false)
-    ?timeout_seconds ?cancel ?memory_budget_bytes ?on_compile_failure t sql =
-  (* using a closed engine is a programming error, not a query failure *)
-  if Aeq_exec.Pool.closed t.pool then invalid_arg "Engine.query: engine is closed";
-  (* the deadline rides in the token, so planning and preparation count
-     against it and the driver's morsel guard enforces it *)
-  let cancel =
-    match timeout_seconds with
-    | None -> cancel
-    | Some allowance ->
-      let c = match cancel with Some c -> c | None -> Aeq_exec.Cancel.create () in
-      Aeq_exec.Cancel.set_deadline c ~at:(Aeq_util.Clock.now () +. allowance) ~allowance;
-      Some c
-  in
+(* One execution of [sql]: a ticket's query, which the scheduler runs
+   once on a pool worker or on the in-process caller. *)
+let execute ?(collect_trace = false) ?memory_budget_bytes ?on_compile_failure t sql :
+    Aeq_exec.Scheduler.exec =
+ fun ~mode ~cancel ->
   with_query_obs mode @@ fun () ->
   Aeq_exec.Query_error.protect @@ fun () ->
   let cache_enabled =
@@ -415,7 +396,7 @@ let run_query ?(mode = Aeq_exec.Driver.Adaptive) ?(collect_trace = false)
   in
   if not cache_enabled then begin
     let p = plan t sql in
-    Aeq_exec.Driver.execute ~cost_model:t.cost_model ~collect_trace ?cancel
+    Aeq_exec.Driver.execute ~cost_model:t.cost_model ~collect_trace ~cancel
       ?memory_budget_bytes ?on_compile_failure t.catalog p ~mode ~pool:t.pool
   end
   else begin
@@ -444,7 +425,7 @@ let run_query ?(mode = Aeq_exec.Driver.Adaptive) ?(collect_trace = false)
           else None)
     in
     let r =
-      Aeq_exec.Driver.execute_prepared ~collect_trace ?initial_modes ?cancel
+      Aeq_exec.Driver.execute_prepared ~collect_trace ?initial_modes ~cancel
         ?memory_budget_bytes ?on_compile_failure entry.ce_prepared ~mode ~pool:t.pool
     in
     if mode = Aeq_exec.Driver.Adaptive then
@@ -456,11 +437,23 @@ let run_query ?(mode = Aeq_exec.Driver.Adaptive) ?(collect_trace = false)
 
 let query ?mode ?collect_trace ?timeout_seconds ?cancel ?memory_budget_bytes
     ?on_compile_failure t sql =
-  (* admission gate: a draining engine takes no new direct work *)
-  if Atomic.get t.draining then
-    Aeq_exec.Query_error.raise_error (Aeq_exec.Query_error.Rejected "draining");
-  run_query ?mode ?collect_trace ?timeout_seconds ?cancel ?memory_budget_bytes
-    ?on_compile_failure t sql
+  (* the deadline rides in the token, set now so that planning and
+     preparation count against it; the driver's morsel guard enforces
+     it *)
+  let cancel =
+    match timeout_seconds with
+    | None -> cancel
+    | Some allowance ->
+      let c = match cancel with Some c -> c | None -> Aeq_exec.Cancel.create () in
+      Aeq_exec.Cancel.set_deadline c ~at:(Aeq_util.Clock.now () +. allowance) ~allowance;
+      Some c
+  in
+  match
+    Aeq_exec.Scheduler.run_inline ?mode ?cancel t.scheduler
+      (execute ?collect_trace ?memory_budget_bytes ?on_compile_failure t sql)
+  with
+  | Ok r -> r
+  | Error e -> Aeq_exec.Query_error.raise_error e
 
 (* Translation validation at the whole-query level: the same statement
    through every execution mode (interpreter-only, both up-front
@@ -513,46 +506,11 @@ let verify_query t sql =
 
 (* ---- concurrent serving --------------------------------------------- *)
 
-let set_scheduler_config t config =
-  with_lock t.sched_lock (fun () ->
-      Aeq_race.write ~site:"engine.set_sched_config" t.sched_loc;
-      match t.scheduler with
-      | Some _ ->
-        invalid_arg "Engine.set_scheduler_config: scheduler already running"
-      | None ->
-        (* the pool's workers were spawned in [create], before any
-           config existed *)
-        Aeq_exec.Pool.set_restart_policy t.pool
-          config.Aeq_exec.Scheduler.restart_policy;
-        t.sched_config <- config)
-
-let scheduler t =
-  with_lock t.sched_lock (fun () ->
-      Aeq_race.write ~site:"engine.scheduler" t.sched_loc;
-      match t.scheduler with
-      | Some s -> s
-      | None ->
-        let s =
-          Aeq_exec.Scheduler.create ~config:t.sched_config ~pool:t.pool
-            ~exec:(fun ~mode ~cancel sql -> run_query ~mode ~cancel t sql)
-            ()
-        in
-        t.scheduler <- Some s;
-        s)
-
 let submit ?mode ?priority ?deadline_seconds ?cancel t sql =
-  Aeq_exec.Scheduler.submit ?mode ?priority ?deadline_seconds ?cancel
-    (scheduler t) sql
+  Aeq_exec.Scheduler.submit ?mode ?priority ?deadline_seconds ?cancel t.scheduler
+    (execute t sql)
 
-let scheduler_stats t =
-  let s =
-    with_lock t.sched_lock (fun () ->
-        Aeq_race.read ~site:"engine.scheduler_stats" t.sched_loc;
-        t.scheduler)
-  in
-  match s with
-  | Some s -> Aeq_exec.Scheduler.stats s
-  | None -> Aeq_exec.Scheduler.zero_stats
+let scheduler_stats t = Aeq_exec.Scheduler.stats t.scheduler
 
 let render_rows t (r : Aeq_exec.Driver.result) =
   List.map
@@ -579,45 +537,24 @@ let reset_stats t =
       t.cache_hits <- 0;
       t.cache_misses <- 0;
       t.cache_evictions <- 0);
-  match
-    with_lock t.sched_lock (fun () ->
-        Aeq_race.read ~site:"engine.reset_stats" t.sched_loc;
-        t.scheduler)
-  with
-  | Some s -> Aeq_exec.Scheduler.reset_stats s
-  | None -> ()
+  Aeq_exec.Scheduler.reset_stats t.scheduler
 
 (* Scheduler first (rejects queued clients, waits for in-flight
-   queries, which the pool's workers serve), then the pool. Both are
-   idempotent, so close is. *)
+   queries, which pool workers and in-process callers serve), then the
+   pool. Both are idempotent, so close is. *)
 let close t =
-  let s =
-    with_lock t.sched_lock (fun () ->
-        Aeq_race.read ~site:"engine.close" t.sched_loc;
-        t.scheduler)
-  in
-  (match s with Some s -> Aeq_exec.Scheduler.shutdown s | None -> ());
+  Aeq_exec.Scheduler.shutdown t.scheduler;
   Aeq_exec.Pool.shutdown t.pool
 
 let closed t = Aeq_exec.Pool.closed t.pool
 
-let draining t = Atomic.get t.draining
+let draining t = Aeq_exec.Scheduler.draining t.scheduler
 
-(* Graceful drain: close admission (both the scheduler's queue and
-   direct [query] callers), let already-admitted work finish, flush,
-   then shut down. The SIGTERM path of the CLI. *)
+(* Graceful drain: close admission to queued and in-process tickets,
+   let already-admitted work finish, flush, then shut down. The SIGTERM
+   path of the CLI. *)
 let drain ?(deadline_seconds = 30.0) ?(flush = fun () -> ()) t =
-  Atomic.set t.draining true;
-  let s =
-    with_lock t.sched_lock (fun () ->
-        Aeq_race.read ~site:"engine.drain" t.sched_loc;
-        t.scheduler)
-  in
-  let clean =
-    match s with
-    | Some s -> Aeq_exec.Scheduler.drain ~deadline_seconds s
-    | None -> true
-  in
+  let clean = Aeq_exec.Scheduler.drain ~deadline_seconds t.scheduler in
   (* exporter flush happens after quiescence so the dump includes the
      final counters, but before close so gauges still read live state *)
   (try flush () with _ -> ());

@@ -25,20 +25,25 @@ val create :
   ?n_threads:int ->
   ?cost_model:Aeq_backend.Cost_model.t ->
   ?chunk_size:int ->
+  ?scheduler_config:Aeq_exec.Scheduler.config ->
   unit ->
   t
 (** [n_threads] defaults to the machine's domain count (max 8);
     [cost_model] defaults to the paper-calibrated model with simulated
     LLVM-magnitude compile latencies (pass
-    [Aeq_backend.Cost_model.off] for real latencies only). The pool's
-    workers are the engine's only domains: none until a query can use
-    them, so loading tables never waits on an idle domain;
-    [n_threads - 1] from the first direct {!query} that runs a
-    parallel pipeline (each caller is the n-th participant of its own
-    query); and one more once the first {!submit} attaches the
-    scheduler, whose admitted queries the workers serve. Each runs
-    under a {!Aeq_exec.Supervisor} crash barrier with self-healing
-    restarts. *)
+    [Aeq_backend.Cost_model.off] for real latencies only).
+    [scheduler_config] (default {!Aeq_exec.Scheduler.default_config})
+    configures the engine's scheduler, created here: every query is
+    one of its tickets. Its [restart_policy] governs the pool's
+    workers.
+
+    The pool's workers are the engine's only domains: none until a
+    query can use them, so loading tables never waits on an idle
+    domain; [n_threads - 1] from the first query that runs a parallel
+    pipeline (each query's runner is the n-th participant of its own
+    jobs); and one more with the first {!submit}, since a queued
+    ticket has no caller domain. Each runs under a
+    {!Aeq_exec.Supervisor} crash barrier with self-healing restarts. *)
 
 val load_tpch : ?seed:int64 -> t -> scale_factor:float -> unit
 
@@ -72,15 +77,25 @@ val query :
 (** Plan + execute, on the calling domain. [mode] defaults to
     [Adaptive].
 
+    The query is an in-process ticket of the engine's scheduler
+    ({!Aeq_exec.Scheduler.run_inline}), run at once by the caller as
+    tid 0 of its jobs: never queued, shed or degraded, with no queue
+    bound, so it keeps its [mode] on a loaded server and runs even
+    when no pool worker is left. It counts in {!scheduler_stats}
+    ([admitted], [completed]/[failed], [in_flight]; not the waits).
+    While the engine drains it raises
+    [Query_error.Error (Rejected "draining")]; {!drain} and {!close}
+    wait for it.
+
     Thread-safe and concurrent: each execution runs over its own
     runtime context and a private arena lease, so any number of
     callers execute simultaneously — including re-executions of the
-    same cached statement. Callers contend only on the plan-cache
-    lookup; compiling a statement not yet cached is single-flighted
-    (concurrent callers of the same new text wait for the one
-    compilation, then all proceed on the cached plan). For serving
-    many clients with admission control, fairness, deadlines and
-    load shedding, use {!submit}.
+    same cached statement. Callers contend only on the scheduler's
+    admission lock and the plan-cache lookup; compiling a statement
+    not yet cached is single-flighted (concurrent callers of the same
+    new text wait for the one compilation, then all proceed on the
+    cached plan). For serving many clients with a bounded queue,
+    fairness, deadlines and load shedding, use {!submit}.
 
     Guardrails (see {!Aeq_exec.Driver.execute_prepared} for the full
     contract): [cancel] stops the query at the next morsel boundary.
@@ -133,12 +148,12 @@ val submit :
   t ->
   string ->
   Aeq_exec.Scheduler.ticket
-(** Enqueue a query on the engine's scheduler (created lazily on first
-    use) and return without waiting; [Scheduler.await (submit t sql)]
-    is the blocking per-client call of a concurrent server loop.
-    Unlike {!query}, which any number of callers may invoke
-    concurrently with no queue bound, fairness or deadline, [submit]
-    goes through admission control: a full queue answers
+(** Enqueue a query on the engine's scheduler as a queued ticket and
+    return without waiting; a pool worker runs it.
+    [Scheduler.await (submit t sql)] is the blocking per-client call of
+    a concurrent server loop. Unlike {!query}'s in-process ticket, a
+    queued one is subject to the queue bound, priorities and load
+    shedding: a full queue answers
     {!Aeq_exec.Query_error.Overloaded}, overload degrades execution to
     bytecode-only, and a [deadline_seconds] overrun answers [Rejected]
     while still queued or [Timeout] at the first morsel boundary once
@@ -149,15 +164,9 @@ val submit :
     contract. *)
 
 val scheduler_stats : t -> Aeq_exec.Scheduler.stats
-(** Serving-health counters (admitted/rejected/shed/expired,
-    completed/failed/degraded, queue depth and waits, crashes).
-    {!Aeq_exec.Scheduler.zero_stats} if no query was ever submitted. *)
-
-val set_scheduler_config : t -> Aeq_exec.Scheduler.config -> unit
-(** Configure admission control before the first {!submit}. The
-    config's [restart_policy] governs the pool's workers, the
-    engine's only domains, from this call on.
-    @raise Invalid_argument once the scheduler exists. *)
+(** Serving-health counters over every query, {!query} and {!submit}
+    alike (admitted/rejected/shed/expired, completed/failed/degraded,
+    queue depth and waits of queued tickets, crashes). *)
 
 val prepare : t -> string -> unit
 (** Plan + compile the statement into the cache without executing it
@@ -226,8 +235,7 @@ val reset_stats : t -> unit
     histograms (gauges keep their value — they describe current state),
     empty the {!Aeq_obs.Event_log} of spans and decisions and zero its
     dropped counter, zero this engine's plan-cache hit/miss/eviction
-    counters, and zero the scheduler's serving counters if a scheduler
-    is running. Cached prepared statements and queued work are untouched —
+    counters, and zero the scheduler's serving counters. Cached prepared statements and queued work are untouched —
     this resets measurement, not behavior. Intended for windowed
     scraping of long-running serves: scrape, reset, serve, scrape. *)
 
@@ -256,19 +264,21 @@ val health_name : health -> string
 
 val drain : ?deadline_seconds:float -> ?flush:(unit -> unit) -> t -> bool
 (** Graceful shutdown: stop admission (a new {!query} raises and a new
-    {!submit}'s ticket answers [Query_error.Rejected "draining"]), wait up to [deadline_seconds]
-    (default 30) for queued and in-flight queries to finish — past the
-    deadline they are rejected/cancelled so no client hangs — then run
-    [flush] (e.g. a final {!dump_metrics}) and {!close}. Returns
-    [true] if quiescence was reached before the deadline. Idempotent
-    in effect; the SIGTERM path of [aeq_cli]. *)
+    {!submit}'s ticket answers [Query_error.Rejected "draining"], also
+    once the drain has closed the engine), wait up to
+    [deadline_seconds] (default 30) for queued and in-flight queries,
+    in-process ones included, to finish — past the deadline they are
+    rejected/cancelled so no client hangs — then run [flush] (e.g. a
+    final {!dump_metrics}) and {!close}. Returns [true] if quiescence
+    was reached before the deadline. Idempotent in effect; the SIGTERM
+    path of [aeq_cli]. *)
 
 val draining : t -> bool
 
 val close : t -> unit
 (** Shut down: the scheduler first (queued queries complete with
-    [Rejected], in-flight ones finish on their workers), then the
-    worker pool.
+    [Rejected], in-flight ones finish on their workers or in-process
+    callers, and the call waits for them), then the worker pool.
     Idempotent; queries on a closed engine raise [Invalid_argument]. *)
 
 val closed : t -> bool

@@ -3,7 +3,7 @@
    open-job list; each worker picks the job with the fewest
    participants, claims the next tid, and runs morsels until the
    job's morsel supply is exhausted. A worker with no job to join
-   serves an admitted query instead, as tid 0 of that query's jobs.
+   serves a queued ticket instead, as tid 0 of that query's jobs.
 
    A job is a [fn : tid:int -> unit] that returns when it cannot get
    more morsels; tids are claimed 0..max_tids-1 and never reused
@@ -41,7 +41,7 @@ type task = { run : unit -> unit; on_crash : domain:string -> exn -> unit }
 type server = { take : unit -> task option; on_stranded : unit -> unit }
 
 (* what a worker holds, and its reclaim repairs: a job (with its tid)
-   or an admitted query *)
+   or a queued ticket *)
 type slot = Idle | Helping of job * int | Serving of task
 
 type t = {
@@ -52,10 +52,11 @@ type t = {
   mutable jobs : job list;
   mutable server : server option; (* the attached scheduler *)
   mutable helpers : bool; (* the n-1 helpers started *)
+  mutable serving : bool; (* the n-th worker started, for queued tickets *)
   mutable stop : bool;
   current : slot array; (* per-worker, written under [lock] *)
   supervisors : Supervisor.t array Atomic.t;
-  policy : Supervisor.policy Atomic.t;
+  policy : Supervisor.policy;
   closed : bool Atomic.t;
   active_jobs : int Atomic.t;
   jobs_loc : Aeq_race.location;
@@ -89,7 +90,7 @@ let run_participant j ~tid =
   | e -> ignore (Atomic.compare_and_set j.error None (Some e))
 
 (* Under t.lock: put the next thing to hold in worker [w]'s slot — a
-   job to help, else an admitted query; [Idle] once the pool stops.
+   job to help, else a queued ticket; [Idle] once the pool stops.
    [take] locks the scheduler: the lock order is [pool.lock] before
    [sched.lock]. The lock is held from the check to the [wait], and
    [wake] takes it, so a ticket admitted in between still wakes us. *)
@@ -162,15 +163,20 @@ let worker_reclaim t w domain exn =
 let supervisors t = Array.to_list (Atomic.get t.supervisors)
 
 (* When the last worker's restart budget is spent, nothing will take
-   a ticket again. *)
+   a ticket again. Until the n-th worker has started, the next queued
+   ticket still starts it. *)
 let worker_gave_up t =
-  let server = Aeq_race.Lock.with_ t.lock (fun () -> t.server) in
+  let server =
+    Aeq_race.Lock.with_ t.lock (fun () ->
+        Aeq_race.read ~site:"pool.gave_up" t.jobs_loc;
+        if t.serving then t.server else None)
+  in
   if List.for_all (fun sv -> Supervisor.state sv = Supervisor.Failed) (supervisors t)
   then Option.iter (fun s -> s.on_stranded ()) server
 
 let spawn_worker t w =
   let domain = Printf.sprintf "pool.worker-%d" w in
-  Supervisor.spawn ~policy:(Atomic.get t.policy) ~name:domain
+  Supervisor.spawn ~policy:t.policy ~name:domain
     ~on_crash:(worker_reclaim t w domain)
     ~on_give_up:(fun _ -> worker_gave_up t)
     (worker_loop t w)
@@ -186,10 +192,11 @@ let create ?(restart_policy = Supervisor.default_policy) ~n_threads () =
       jobs = [];
       server = None;
       helpers = false;
+      serving = false;
       stop = false;
       current = Array.make n_threads Idle;
       supervisors = Atomic.make [||];
-      policy = Atomic.make restart_policy;
+      policy = restart_policy;
       closed = Atomic.make false;
       active_jobs = Atomic.make 0;
       jobs_loc = Aeq_race.locate "pool.jobs";
@@ -208,15 +215,6 @@ let busy t = active_jobs t > 0
 
 let health_reasons t = List.filter_map Supervisor.health_reason (supervisors t)
 
-let set_restart_policy t policy =
-  Atomic.set t.policy policy;
-  List.iter (fun sv -> Supervisor.set_policy sv policy) (supervisors t)
-
-let wake t =
-  Aeq_race.Lock.with_ t.lock (fun () ->
-      Aeq_race.read ~site:"pool.wake" t.jobs_loc;
-      Condition.broadcast t.work)
-
 (* Under t.lock, so [shutdown] joins every worker started: [k] more
    workers, numbered after those already running. *)
 let start_workers t k =
@@ -226,6 +224,17 @@ let start_workers t k =
     Atomic.set t.supervisors (Array.append svs (Array.init k (fun i -> spawn_worker t (n + i))))
   end
 
+let wake t =
+  Aeq_race.Lock.with_ t.lock (fun () ->
+      Aeq_race.write ~site:"pool.wake" t.jobs_loc;
+      (* a queued ticket has no caller domain: the first one starts
+         the n-th worker *)
+      if not t.serving then begin
+        t.serving <- true;
+        start_workers t 1
+      end;
+      Condition.broadcast t.work)
+
 let serve t ~take ~on_stranded =
   let stranded =
     Aeq_race.Lock.with_ t.lock (fun () ->
@@ -233,7 +242,6 @@ let serve t ~take ~on_stranded =
         if Option.is_some t.server then
           invalid_arg "Pool.serve: a scheduler is already attached";
         t.server <- Some { take; on_stranded };
-        start_workers t 1;
         t.stop)
   in
   if stranded then on_stranded ()

@@ -8,8 +8,8 @@
     exhausted. The submitting caller always participates as tid 0, so
     a query progresses even when all workers are busy elsewhere, and a
     1-thread pool runs entirely inline. A worker with no job to join
-    serves an admitted query of the scheduler attached by {!serve},
-    as the caller (tid 0) of that query's jobs.
+    serves a queued ticket of the scheduler attached by {!serve}, as
+    the caller (tid 0) of that query's jobs.
 
     Workers are supervised (see {!Supervisor}): a worker's crash
     hook repairs what it held — the accounting of a job it helped, so
@@ -22,31 +22,40 @@ type t
 
 val create : ?restart_policy:Supervisor.policy -> n_threads:int -> unit -> t
 (** Spawns no worker: the first {!run} that can use helpers starts
-    [n_threads - 1] (a direct caller is the n-th participant of its
-    own jobs), and {!serve} starts one more. An idle worker domain
-    makes every stop-the-world collection wait for it, so a pool that
-    has only loaded tables pays none. [restart_policy] defaults to
-    {!Supervisor.default_policy}. *)
+    [n_threads - 1] (a query's runner is the n-th participant of its
+    own jobs), and the first {!wake} starts one more. An idle worker
+    domain makes every stop-the-world collection wait for it, so a
+    pool that has only loaded tables pays none. [restart_policy]
+    defaults to {!Supervisor.default_policy}. *)
 
-val set_restart_policy : t -> Supervisor.policy -> unit
-(** For every worker, including one {!serve} starts later. *)
-
-(** An admitted query claimed by a worker: [run] serves and answers it
+(** A queued ticket claimed by a worker: [run] serves and answers it
     (raising only a domain crash); [on_crash] answers it if the
     worker named [domain] crashed in [run]. *)
 type task = { run : unit -> unit; on_crash : domain:string -> exn -> unit }
 
 val serve : t -> take:(unit -> task option) -> on_stranded:(unit -> unit) -> unit
-(** Attach a scheduler and start the n-th worker (an admitted query
-    has no caller domain). A worker with no job to join calls [take]
-    under the pool's lock — [take] may lock the scheduler, which must
-    never take the pool's lock under its own. [on_stranded] runs when
-    no worker will take a ticket again: every worker's supervisor
-    gave up, or the pool is shut down.
+(** Attach a scheduler. Starts no worker: the first {!wake} does. A
+    worker with no job to join calls [take] under the pool's lock —
+    [take] may lock the scheduler, which must never take the pool's
+    lock under its own. [on_stranded] runs when no worker will take a
+    ticket again: the pool is shut down, or, once the n-th worker has
+    started, every worker's supervisor gave up.
     @raise Invalid_argument if a scheduler is already attached. *)
 
 val wake : t -> unit
-(** Wake idle workers to [take] again, after a ticket is admitted. *)
+(** Wake idle workers to [take] again, after a ticket is queued. The
+    first call starts the n-th worker, since a queued ticket has no
+    caller domain.
+
+    Until a job that can use helpers starts the other [n_threads - 1],
+    that one worker serves every queued ticket, whatever [n_threads]
+    is: a server whose queries run small pipelines keeps one domain
+    busy. Starting the helpers together with it would spread tickets
+    across [n_threads] workers, but each started domain brings its
+    own minor heap (2 MB at the default size) and stack: on the
+    [wire_meta] benchmark (2-vCPU VM, [n_threads] 2) it raised
+    [peak_rss_mb] from 17.3 to 20.9 MB in 3 of 3 alternating pairs,
+    past that metric's 10% bound. *)
 
 val n_threads : t -> int
 

@@ -43,13 +43,15 @@ let default_config =
 
 type outcome = (Driver.result, QE.t) result
 
+type exec = mode:Driver.mode -> cancel:Cancel.t -> Driver.result
+
 type state = Queued | Running | Done of outcome
 
 (* Lock order, everywhere: [t.lock] before [tk_lock], never the
    reverse. *)
 type ticket = {
   tk_sched : t; (* queued expiry at [poll]/[await] takes its lock *)
-  tk_sql : string;
+  tk_exec : exec;
   tk_mode : Driver.mode;
   tk_priority : priority;
   tk_deadline : float option; (* absolute, against Clock.now *)
@@ -59,16 +61,16 @@ type ticket = {
   tk_cond : Condition.t;
   tk_loc : Aeq_race.location;
   mutable tk_state : state;
-      (* [Queued] exactly while the ticket is live in a queue:
-         a pool worker marks it [Running] when it claims it *)
+      (* [Queued] exactly while the ticket is live in a queue: a
+         pool worker marks it [Running] when it claims it, and an
+         in-process ticket is [Running] from its admission *)
   mutable tk_started : float; (* -1. until dispatched *)
   mutable tk_degraded : bool;
 }
 
 and t = {
   cfg : config;
-  pool : Pool.t; (* its workers serve the tickets *)
-  exec : mode:Driver.mode -> cancel:Cancel.t -> string -> Driver.result;
+  pool : Pool.t; (* its workers serve the queued tickets *)
   lock : Aeq_race.Lock.t;
   queues_loc : Aeq_race.location;
   counters_loc : Aeq_race.location;
@@ -77,9 +79,11 @@ and t = {
   mutable queued : int; (* live (state Queued) tickets across queues *)
   mutable refusing : string option;
       (* why submissions are refused: shut down, or no worker left *)
+  mutable shut : bool; (* in-process callers are refused too *)
   mutable draining : bool; (* admission closed; in-flight may finish *)
   mutable running : ticket list;
-      (* the in-flight set: tickets pool workers are serving *)
+      (* the in-flight set: tickets pool workers or their in-process
+         callers are serving *)
   (* counters *)
   mutable n_admitted : int;
   mutable n_rejected : int;
@@ -115,25 +119,6 @@ type stats = {
   domain_crashes : int;
   domain_restarts : int;
 }
-
-let zero_stats =
-  {
-    admitted = 0;
-    rejected = 0;
-    shed = 0;
-    expired = 0;
-    in_flight = 0;
-    completed = 0;
-    failed = 0;
-    degraded = 0;
-    queue_depth = 0;
-    max_queue_depth = 0;
-    avg_wait_seconds = 0.0;
-    max_wait_seconds = 0.0;
-    crashed_tickets = 0;
-    domain_crashes = 0;
-    domain_restarts = 0;
-  }
 
 let with_lock m f = Aeq_race.Lock.with_ m f
 
@@ -295,26 +280,27 @@ let finish ?(crashed = false) t tk outcome =
     Aeq_util.Waiter.wake t.quiet_waiter
   end
 
-(* Run the claimed ticket's query once, outside t.lock; the outcome of
-   that single execution is its answer, and its deadline travels in
-   [tk_cancel]. The ticket is in [t.running] and in its worker's pool
-   slot: if the worker dies first, its reclaim hook ([on_crash] below)
-   answers it with [Worker_crashed]. *)
+(* Run the ticket's query once, outside t.lock; the outcome of that
+   single execution is its answer, and its deadline travels in
+   [tk_cancel]. A domain crash stays lethal and escapes. *)
+let execute tk mode =
+  match Cancel.check tk.tk_cancel with
+  | Some e -> Error e (* cancelled before it started *)
+  | None -> (
+    match tk.tk_exec ~mode ~cancel:tk.tk_cancel with
+    | r -> Ok r
+    | exception e when Aeq_util.Probe.is_crash e -> raise e
+    | exception e -> Error (QE.of_exn e))
+
+(* A pool worker serves a claimed ticket. The ticket is in [t.running]
+   and in the worker's pool slot: if the worker dies first, its reclaim
+   hook ([on_crash] below) answers it with [Worker_crashed]. *)
 let serve t tk eff_mode () =
   (* the ticket is already reclaimable: a crash from here on is the
      supervisor's to answer. The dispatch site sits exactly in that
      window so the [Crash] action exercises the reclaim path. *)
   Aeq_util.Probe.hit "sched.dispatch";
-  finish t tk
-    (match Cancel.check tk.tk_cancel with
-    | Some e -> Error e (* cancelled while queued *)
-    | None -> (
-      match t.exec ~mode:eff_mode ~cancel:tk.tk_cancel tk.tk_sql with
-      | r -> Ok r
-      | exception e when Aeq_util.Probe.is_crash e ->
-        (* a domain kill stays lethal: the worker's reclaim answers *)
-        raise e
-      | exception e -> Error (QE.of_exn e)))
+  finish t tk (execute tk eff_mode)
 
 (* A pool worker's [take], under the pool's lock (so it must not
    touch the pool): the next live ticket in priority order, claimed. *)
@@ -366,31 +352,43 @@ let refuse t reason =
 let shed_victim t pri =
   pop_live t (match pri with High -> [ 2; 1 ] | Normal -> [ 2 ] | Low -> [])
 
-let submit ?(mode = Driver.Adaptive) ?(priority = Normal) ?deadline_seconds ?cancel t
-    sql =
+let make_ticket t ~mode ~priority ~deadline ?cancel exec =
   let now = Clock.now () in
-  let tk_deadline = Option.map (fun s -> now +. s) deadline_seconds in
   let tk_cancel = match cancel with Some c -> c | None -> Cancel.create () in
-  (match (tk_deadline, deadline_seconds) with
-  | Some at, Some allowance -> Cancel.set_deadline tk_cancel ~at ~allowance
-  | _ -> ());
-  let tk =
-    {
-      tk_sched = t;
-      tk_sql = sql;
-      tk_mode = mode;
-      tk_priority = priority;
-      tk_deadline;
-      tk_submitted = now;
-      tk_cancel;
-      tk_lock = Aeq_race.Lock.create "sched.ticket.lock";
-      tk_cond = Condition.create ();
-      tk_loc = Aeq_race.locate "sched.ticket";
-      tk_state = Queued;
-      tk_started = -1.0;
-      tk_degraded = false;
-    }
+  let tk_deadline =
+    Option.map
+      (fun allowance ->
+        let at = now +. allowance in
+        Cancel.set_deadline tk_cancel ~at ~allowance;
+        at)
+      deadline
   in
+  {
+    tk_sched = t;
+    tk_exec = exec;
+    tk_mode = mode;
+    tk_priority = priority;
+    tk_deadline;
+    tk_submitted = now;
+    tk_cancel;
+    tk_lock = Aeq_race.Lock.create "sched.ticket.lock";
+    tk_cond = Condition.create ();
+    tk_loc = Aeq_race.locate "sched.ticket";
+    tk_state = Queued;
+    tk_started = -1.0;
+    tk_degraded = false;
+  }
+
+(* under t.lock: drain closes admission first; in-flight queries run
+   to completion *)
+let reject_draining t tk =
+  t.n_rejected <- t.n_rejected + 1;
+  obs_bump "rejected" ~help:"Queries refused at submission or shutdown.";
+  complete tk (Error (QE.Rejected "draining"))
+
+let submit ?(mode = Driver.Adaptive) ?(priority = Normal) ?deadline_seconds ?cancel t
+    exec =
+  let tk = make_ticket t ~mode ~priority ~deadline:deadline_seconds ?cancel exec in
   let admitted =
     with_lock t.lock (fun () ->
       Aeq_race.write ~site:"sched.submit" t.queues_loc;
@@ -400,11 +398,7 @@ let submit ?(mode = Driver.Adaptive) ?(priority = Normal) ?deadline_seconds ?can
         complete tk (Error (QE.Rejected reason));
         false
       | None when t.draining ->
-        (* drain closes admission first: new work is refused while
-           in-flight queries run to completion *)
-        t.n_rejected <- t.n_rejected + 1;
-        obs_bump "rejected" ~help:"Queries refused at submission or shutdown.";
-        complete tk (Error (QE.Rejected "draining"));
+        reject_draining t tk;
         false
       | None ->
         (* overdue tickets leave first, so they never cost a newcomer
@@ -414,7 +408,7 @@ let submit ?(mode = Driver.Adaptive) ?(priority = Normal) ?deadline_seconds ?can
           Queue.push tk t.queues.(queue_index priority);
           t.queued <- t.queued + 1;
           t.n_admitted <- t.n_admitted + 1;
-          obs_bump "admitted" ~help:"Queries accepted into the admission queue.";
+          obs_bump "admitted" ~help:"Queries admitted, queued or in-process.";
           if t.queued > t.max_depth then t.max_depth <- t.queued;
           true
         in
@@ -445,19 +439,52 @@ let submit ?(mode = Driver.Adaptive) ?(priority = Normal) ?deadline_seconds ?can
   if admitted then Pool.wake t.pool;
   tk
 
+(* The in-process admission class: the ticket is never queued, shed,
+   degraded or expired, and no queue bound applies to it, so it needs
+   no pool worker. Its caller runs it at once as tid 0 of its jobs. *)
+let run_inline ?(mode = Driver.Adaptive) ?cancel t exec =
+  let tk = make_ticket t ~mode ~priority:Normal ~deadline:None ?cancel exec in
+  let tk = { tk with tk_state = Running; tk_started = tk.tk_submitted } in
+  let admitted =
+    with_lock t.lock (fun () ->
+        Aeq_race.read ~site:"sched.run_inline" t.queues_loc;
+        Aeq_race.write ~site:"sched.run_inline" t.counters_loc;
+        Aeq_race.write ~site:"sched.run_inline" t.running_loc;
+        if t.draining then begin
+          reject_draining t tk;
+          false
+        end
+        else if t.shut then invalid_arg "Scheduler.run_inline: scheduler is shut down"
+        else begin
+          t.n_admitted <- t.n_admitted + 1;
+          obs_bump "admitted" ~help:"Queries admitted, queued or in-process.";
+          t.running <- tk :: t.running;
+          true
+        end)
+  in
+  if admitted then begin
+    match execute tk mode with
+    | outcome -> finish t tk outcome
+    | exception e ->
+      (* a crash of the caller's own domain: answer the ticket so drain
+         does not wait for it, then let the crash unwind the caller *)
+      finish t tk (Error (QE.of_exn e));
+      raise e
+  end;
+  await tk
+
 (* ---- lifecycle ------------------------------------------------------- *)
 
 let validate cfg =
   if cfg.queue_capacity < 1 then
     invalid_arg "Scheduler: queue_capacity must be >= 1"
 
-let create ?(config = default_config) ~pool ~exec () =
+let create ?(config = default_config) ~pool () =
   validate config;
   let t =
     {
       cfg = config;
       pool;
-      exec;
       lock = Aeq_race.Lock.create "sched.lock";
       queues_loc = Aeq_race.locate "sched.queues";
       counters_loc = Aeq_race.locate "sched.counters";
@@ -465,6 +492,7 @@ let create ?(config = default_config) ~pool ~exec () =
       queues = Array.init 3 (fun _ -> Queue.create ());
       queued = 0;
       refusing = None;
+      shut = false;
       draining = false;
       running = [];
       n_admitted = 0;
@@ -482,7 +510,6 @@ let create ?(config = default_config) ~pool ~exec () =
       quiet_waiter = Aeq_util.Waiter.create ();
     }
   in
-  Pool.set_restart_policy pool config.restart_policy;
   Pool.serve pool ~take:(take t) ~on_stranded:(fun () ->
       with_lock t.lock (fun () ->
           refuse t "no pool worker left to serve"));
@@ -494,7 +521,7 @@ let create ?(config = default_config) ~pool ~exec () =
           Aeq_race.read ~site:"sched.gauge" t.queues_loc;
           t.queued));
   Obs.Metrics.gauge_fn "aeq_scheduler_in_flight"
-    ~help:"Queries currently being served by pool workers." (fun () ->
+    ~help:"Queries running right now, in-process or on pool workers." (fun () ->
       with_lock t.lock (fun () ->
           Aeq_race.read ~site:"sched.gauge" t.running_loc;
           List.length t.running));
@@ -592,10 +619,13 @@ let reset_stats t =
       t.max_wait <- 0.0)
 
 (* Refuse new work and answer the queued, then wait for the in-flight
-   queries: the pool's workers serve them, so the pool must outlive
-   this call. Idempotent. *)
+   queries: the pool's workers and in-process callers serve them, so
+   the pool must outlive this call. Idempotent. *)
 let shutdown t =
-  with_lock t.lock (fun () -> refuse t "scheduler is shut down");
+  with_lock t.lock (fun () ->
+      Aeq_race.write ~site:"sched.shutdown" t.queues_loc;
+      t.shut <- true;
+      refuse t "scheduler is shut down");
   ignore
     (wait_until t (fun () ->
          Aeq_race.read ~site:"sched.shutdown" t.running_loc;

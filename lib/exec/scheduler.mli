@@ -1,13 +1,14 @@
 (** Concurrent query serving: admission control, overload shedding
     and deadlines in front of the driver.
 
+    Every query enters the engine here as a ticket of one of two
+    admission classes: {b queued} ({!submit}), which a pool worker
+    with no morsel job to join takes and runs, up to one per worker;
+    and {b in-process} ({!run_inline}), which its caller runs at once.
     The execution core underneath (driver + multi-tenant worker pool +
-    per-query arena leases) runs queries concurrently, and the pool's
-    workers serve the admitted ones: a worker with no morsel job to
-    join takes the next ticket and runs its query, so up to one
-    admitted query per worker is in flight and the scheduler spawns no
-    domain. What a server needs on top — and what this module
-    provides — is a defined behavior when clients outnumber capacity:
+    per-query arena leases) runs queries concurrently. What a server
+    needs on top — and what the queued class provides — is a defined
+    behavior when clients outnumber capacity:
 
     - a {b bounded admission queue} with three priority classes and
       per-query deadlines. A full queue answers immediately with
@@ -50,37 +51,33 @@ type config = {
       (** restart budget and backoff for the pool workers, which run
           under {!Supervisor} barriers: a crash completes the
           victim's in-flight ticket with [Worker_crashed] and
-          restarts the worker. {!create} applies it to the pool *)
+          restarts the worker. The pool is created with it
+          ({!Pool.create}; [Engine.create] does) *)
 }
 
 val default_config : config
 
 type outcome = (Driver.result, Query_error.t) result
 
+type exec = mode:Driver.mode -> cancel:Cancel.t -> Driver.result
+(** A ticket's query, run once to completion in [mode] (bytecode when
+    degraded) under [cancel], on any domain, so thread-safe. Whatever
+    it raises becomes the ticket's [Error (Query_error.of_exn e)] —
+    except a domain crash ({!Aeq_util.Probe.is_crash}), which escapes:
+    on a pool worker, its supervisor answers the ticket with
+    [Worker_crashed] and restarts the worker. *)
+
 type ticket
 (** A submitted query. Await it, cancel it, or inspect it. *)
 
 type t
 
-val create :
-  ?config:config ->
-  pool:Pool.t ->
-  exec:(mode:Driver.mode -> cancel:Cancel.t -> string -> Driver.result) ->
-  unit ->
-  t
-(** Start a scheduler served by [pool]'s workers ({!Pool.serve}, which
-    starts the pool's n-th worker; the scheduler spawns no domain).
-    [exec] runs one query to completion and is called from pool
-    workers — up to one call per worker concurrently, so it must be
-    thread-safe (the engine's [query] is); its pipeline jobs go to
-    [pool]. Whatever it raises becomes the ticket's
-    [Error (Query_error.of_exn e)] — except a domain crash
-    ({!Aeq_util.Probe.is_crash}), the one exception that escapes: it
-    unwinds out of the worker, whose supervisor answers the ticket
-    with [Worker_crashed] and restarts the worker. Once no worker is
-    left to take a ticket (every worker's supervisor has given up, or
-    the pool is shut down), queued tickets are rejected and new ones
-    refused.
+val create : ?config:config -> pool:Pool.t -> unit -> t
+(** Attach a scheduler to [pool] ({!Pool.serve}). It spawns no
+    domain: the first queued ticket starts the pool's n-th worker.
+    Once no worker is left to take a ticket (every worker's supervisor
+    has given up, or the pool is shut down), queued tickets are
+    rejected and new ones refused; in-process tickets still run.
     @raise Invalid_argument if [pool] already serves a scheduler. *)
 
 val submit :
@@ -89,7 +86,7 @@ val submit :
   ?deadline_seconds:float ->
   ?cancel:Cancel.t ->
   t ->
-  string ->
+  exec ->
   ticket
 (** Enqueue a query. Returns immediately and never raises.
 
@@ -120,6 +117,16 @@ val submit :
     - [Error (Rejected _)] once it is shut down, or once no worker is
       left to serve. *)
 
+val run_inline : ?mode:Driver.mode -> ?cancel:Cancel.t -> t -> exec -> outcome
+(** Admit an in-process ticket and run it on the calling domain, as
+    tid 0 of its jobs. It is never queued, shed, degraded or expired,
+    has no queue bound and needs no pool worker. It counts in
+    [admitted], [completed]/[failed] and [in_flight], not in the wait
+    statistics; {!drain} and {!shutdown} wait for it. While draining,
+    the answer is [Error (Rejected "draining")], counted [rejected]. A
+    crash of the caller answers the ticket, then propagates.
+    @raise Invalid_argument once {!shutdown} (unless draining). *)
+
 val await : ticket -> outcome
 (** Block until the query completes (any domain may await). *)
 
@@ -142,17 +149,20 @@ val was_degraded : ticket -> bool
 (** The scheduler forced this query to bytecode-only (overload). *)
 
 type stats = {
-  admitted : int;  (** accepted into the queue *)
+  admitted : int;  (** accepted: queued, or in-process *)
   rejected : int;  (** refused at submission ([Overloaded]) or at shutdown *)
   shed : int;  (** evicted from the queue to admit higher priority *)
   expired : int;  (** deadline passed while still queued *)
-  in_flight : int;  (** gauge: queries being served right now *)
+  in_flight : int;
+      (** gauge: queries running right now, on pool workers or on
+          their in-process callers *)
   completed : int;  (** finished with rows *)
   failed : int;  (** finished with a structured error *)
   degraded : int;  (** executions forced to bytecode-only *)
   queue_depth : int;  (** gauge: queries queued right now *)
   max_queue_depth : int;  (** high-water mark of [queue_depth] *)
-  avg_wait_seconds : float;  (** mean queue wait of dispatched queries *)
+  avg_wait_seconds : float;
+      (** mean queue wait of dispatched queued queries *)
   max_wait_seconds : float;
   crashed_tickets : int;
       (** in-flight tickets completed as [Worker_crashed] by
@@ -165,10 +175,6 @@ type stats = {
           [domain_crashes]) — the restart budget made observable *)
 }
 
-val zero_stats : stats
-(** All counters zero — what an engine reports before its scheduler
-    exists. *)
-
 val stats : t -> stats
 
 val reset_stats : t -> unit
@@ -178,9 +184,10 @@ val reset_stats : t -> unit
     [Engine.reset_stats] for windowed scraping. *)
 
 val drain : ?deadline_seconds:float -> t -> bool
-(** Graceful drain: stop admission (later {!submit}s answer
-    [Rejected "draining"]) and wait up to [deadline_seconds] (default
-    30) for the queue and the in-flight set to empty. Past the
+(** Graceful drain: stop admission (later {!submit}s and
+    {!run_inline}s answer [Rejected "draining"]) and wait up to
+    [deadline_seconds] (default 30) for the queue and the in-flight
+    set, in-process tickets included, to empty. Past the
     deadline, still-queued clients complete [Rejected] and in-flight
     queries are cancelled, so no [await] is left hanging. Returns
     [true] if quiescence was reached cleanly, [false] if the deadline
@@ -191,6 +198,7 @@ val draining : t -> bool
 
 val shutdown : t -> unit
 (** Stop serving: every still-queued query completes with [Rejected],
-    and the call returns once the in-flight queries have finished (so
-    shut the pool down after it, not before). Idempotent. Later
-    {!submit}s answer [Rejected]. *)
+    and the call returns once the in-flight queries, in-process ones
+    included, have finished (so shut the pool down after it, not
+    before). Idempotent. Later {!submit}s answer [Rejected]; a later
+    {!run_inline} raises [Invalid_argument]. *)

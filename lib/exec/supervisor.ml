@@ -73,7 +73,7 @@ let obs_count name ~help ~domain =
 
 type t = {
   sv_name : string;
-  mutable sv_policy : policy;
+  sv_policy : policy;
   sv_body : unit -> unit;
   sv_on_crash : exn -> unit;
   sv_on_give_up : exn -> unit;
@@ -116,12 +116,6 @@ let create ?(policy = default_policy) ~name ?(on_crash = fun _ -> ())
   }
 
 let locked t f = Aeq_race.Lock.with_ t.sv_lock f
-
-let set_policy t policy =
-  validate_policy policy;
-  locked t (fun () ->
-      Aeq_race.write ~site:"supervisor.set_policy" t.sv_loc;
-      t.sv_policy <- policy)
 
 let state t =
   locked t (fun () ->

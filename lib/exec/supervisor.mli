@@ -84,13 +84,6 @@ val create :
     reclaim must not kill the supervisor.
     @raise Invalid_argument on a malformed [policy]. *)
 
-val set_policy : t -> policy -> unit
-(** Replace the restart budget and backoff; the next crash is judged
-    by the new policy (the crash history in the window is kept). Lets
-    an owner put domains it spawned early under a policy configured
-    later.
-    @raise Invalid_argument on a malformed [policy]. *)
-
 val start : t -> unit
 (** Spawn the supervised domain.
     @raise Invalid_argument if already started. *)

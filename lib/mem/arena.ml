@@ -438,7 +438,7 @@ let get_i16 t p = chunk_get_u16 (buf t p) (off p)
 
 let set_i16 t p v = chunk_set_u16 (buf t p) (off p) (v land 0xffff)
 
-let get_i32 t p = chunk_get_i32 (buf t p) (off p)
+let get_i32 t p = Int32.to_int (chunk_get_i32 (buf t p) (off p))
 
 let set_i32 t p v = chunk_set_i32 (buf t p) (off p) v
 

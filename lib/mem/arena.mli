@@ -140,7 +140,9 @@ val get_i16 : t -> ptr -> int
 
 val set_i16 : t -> ptr -> int -> unit
 
-val get_i32 : t -> ptr -> int32
+val get_i32 : t -> ptr -> int
+(** The 32-bit word at [p], sign-extended: an [int] crosses modules
+    unboxed where an [int32] would be boxed on every load. *)
 
 val set_i32 : t -> ptr -> int32 -> unit
 

@@ -46,7 +46,7 @@ let get arena t ~col ~row =
   match c.width with
   | 1 -> Int64.of_int ((A.get_i8 arena p lxor 0x80) - 0x80)
   | 2 -> Int64.of_int ((A.get_i16 arena p lxor 0x8000) - 0x8000)
-  | _ -> Int64.of_int32 (A.get_i32 arena p)
+  | _ -> Int64.of_int (A.get_i32 arena p)
 
 type run = { chunk : A.chunk; offset : int; width : int; lo : int; hi : int }
 

@@ -300,7 +300,7 @@ let run (p : Bytecode.t) mem ?regs ~args () =
       s regs i.a (Int64.of_int (sext16 (A.get_i16 mem (gp regs i.b))));
       go (ip + 1)
     | Load32 ->
-      s regs i.a (Int64.of_int32 (A.get_i32 mem (gp regs i.b)));
+      s regs i.a (Int64.of_int (A.get_i32 mem (gp regs i.b)));
       go (ip + 1)
     | Load64 ->
       s regs i.a (A.get_i64 mem (gp regs i.b));
@@ -346,7 +346,7 @@ let run (p : Bytecode.t) mem ?regs ~args () =
         gp regs i.b + (Int64.to_int (g regs i.c) * Bytecode.unpack_scale i.lit)
         + Bytecode.unpack_offset i.lit
       in
-      s regs i.a (Int64.of_int32 (A.get_i32 mem addr));
+      s regs i.a (Int64.of_int (A.get_i32 mem addr));
       go (ip + 1)
     | LoadIdx64 ->
       let addr =

@@ -124,7 +124,7 @@ let run (f : Func.t) mem ~symbols ~args =
       match ty with
       | Types.I1 | Types.I8 -> set dst (S.sext8 (Int64.of_int (A.get_i8 mem p)))
       | Types.I16 -> set dst (S.sext16 (Int64.of_int (A.get_i16 mem p)))
-      | Types.I32 -> set dst (Int64.of_int32 (A.get_i32 mem p))
+      | Types.I32 -> set dst (Int64.of_int (A.get_i32 mem p))
       | Types.I64 | Types.Ptr | Types.F64 -> set dst (A.get_i64 mem p))
     | Instr.Store { ty; addr; v } -> (
       let p = Int64.to_int (value addr) in

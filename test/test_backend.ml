@@ -145,6 +145,72 @@ let test_calibration_sane () =
   sane "speedup_unopt" ~floor:1.01 cal.C.speedup_unopt;
   sane "speedup_opt" ~floor:1.02 cal.C.speedup_opt
 
+(* sum of sext(load i32 col[i]) over [0, n): the gep/load/sext triple
+   translates to one LoadIdx32 *)
+let load32_kernel () =
+  let b = Builder.create ~name:"load32" ~params:[ Types.Ptr; Types.I64 ] in
+  let head = Builder.new_block b in
+  let body = Builder.new_block b in
+  let exit = Builder.new_block b in
+  Builder.br b head;
+  Builder.switch_to b head;
+  let i = Builder.phi b Types.I64 [ (0, Instr.Imm 0L) ] in
+  let acc = Builder.phi b Types.I64 [ (0, Instr.Imm 0L) ] in
+  let c = Builder.icmp b Instr.Slt Types.I64 i (Builder.param b 1) in
+  Builder.condbr b c ~if_true:body ~if_false:exit;
+  Builder.switch_to b body;
+  let addr = Builder.gep b ~base:(Builder.param b 0) ~index:i ~scale:4 ~offset:0 in
+  let v = Builder.load b Types.I32 addr in
+  let w = Builder.cast b Instr.Sext ~from_ty:Types.I32 ~to_ty:Types.I64 v in
+  let acc' = Builder.binop b Instr.Add Types.I64 acc w in
+  let i' = Builder.binop b Instr.Add Types.I64 i (Instr.Imm 1L) in
+  Builder.br b head;
+  Builder.add_phi_incoming b ~block:head ~dst:i ~pred:body i';
+  Builder.add_phi_incoming b ~block:head ~dst:acc ~pred:body acc';
+  Builder.switch_to b exit;
+  Builder.ret b acc;
+  let f = Builder.finish b in
+  Layout.normalize f;
+  f
+
+(* A 4-byte load reaches the register file as an unboxed int: the
+   LoadIdx32 kernel allocates nothing per row in the interpreter or in
+   the closure tier (a boxed int32 costs about 3 words per load). *)
+let test_load32_allocation_free () =
+  let rows = 20_000 in
+  let mem = A.create ~chunk_size:(4 * rows) () in
+  let col = A.alloc (A.allocator mem) (4 * rows) in
+  for i = 0 to rows - 1 do
+    A.set_i32 mem (col + (4 * i)) (Int32.of_int (i - 15_000))
+  done;
+  let expected = Int64.of_int (((rows - 1) * rows / 2) - (15_000 * rows)) in
+  let f = load32_kernel () in
+  let prog = Aeq_vm.Translate.translate ~symbols:no_symbols f in
+  Alcotest.(check bool) "the kernel loads through LoadIdx32" true
+    (Array.exists
+       (fun i -> i.Aeq_vm.Bytecode.op = Aeq_vm.Opcode.LoadIdx32)
+       prog.Aeq_vm.Bytecode.code);
+  let args = [| Int64.of_int col; Int64.of_int rows |] in
+  let words_per_row name run =
+    Alcotest.(check int64) (name ^ ": sum of the sign-extended cells") expected (run ());
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (run ()));
+    let words = (Gc.minor_words () -. w0) /. float_of_int rows in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.3f minor words per row (< 0.05)" name words)
+      true (words < 0.05)
+  in
+  let regs = Aeq_vm.Interp.scratch prog in
+  words_per_row "bytecode" (fun () -> Aeq_vm.Interp.run prog mem ~regs ~args ());
+  let c =
+    Aeq_backend.Compiler.compile_unopt_of_bytecode ~cost_model:CM.off ~mem
+      ~n_instrs:(Func.n_instrs f) prog
+  in
+  let exec = c.Aeq_backend.Compiler.exec in
+  let regs = Aeq_backend.Closure_compile.scratch exec in
+  words_per_row "unopt closures" (fun () ->
+      Aeq_backend.Closure_compile.run exec ~regs ~args ())
+
 let () =
   Alcotest.run "backend"
     [
@@ -152,6 +218,8 @@ let () =
         [
           Alcotest.test_case "unopt runs" `Quick test_unopt_runs_simple;
           Alcotest.test_case "opt shrinks IR" `Quick test_opt_shrinks_ir;
+          Alcotest.test_case "4-byte loads allocate nothing" `Quick
+            test_load32_allocation_free;
         ] );
       ( "cost model",
         [

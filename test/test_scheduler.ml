@@ -98,9 +98,9 @@ let harness_exec h ~mode:_ ~cancel sql =
 
 (* a 1-thread pool: its one worker serves every ticket, so serving is
    serialized *)
-let with_sched ?(config = Sched.default_config) h f =
+let with_sched ?(config = Sched.default_config) f =
   let pool = Aeq_exec.Pool.create ~n_threads:1 () in
-  let s = Sched.create ~config ~pool ~exec:(harness_exec h) () in
+  let s = Sched.create ~config ~pool () in
   Fun.protect
     ~finally:(fun () ->
       Sched.shutdown s;
@@ -187,12 +187,12 @@ let test_prob_failpoints_parse () =
 
 let test_submit_await () =
   let h = make_harness () in
-  with_sched h (fun s pool ->
-      let tk = Sched.submit s "ok:basic" in
+  with_sched (fun s pool ->
+      let tk = Sched.submit s (harness_exec h "ok:basic") in
       check_ok "basic outcome" (Sched.await tk);
       Alcotest.(check bool) "waited >= 0" true (Sched.wait_seconds tk >= 0.0);
       Alcotest.(check bool) "not degraded" false (Sched.was_degraded tk);
-      check_ok "submit + await" (Sched.await (Sched.submit s "ok:run"));
+      check_ok "submit + await" (Sched.await (Sched.submit s (harness_exec h "ok:run")));
       let st = Sched.stats s in
       Alcotest.(check int) "admitted" 2 st.Sched.admitted;
       Alcotest.(check int) "completed" 2 st.Sched.completed;
@@ -202,11 +202,11 @@ let test_submit_await () =
 
 let test_priority_order () =
   let h = make_harness () in
-  with_sched h (fun s _ ->
-      let blocker = Sched.submit s "sleep:0.2" in
+  with_sched (fun s _ ->
+      let blocker = Sched.submit s (harness_exec h "sleep:0.2") in
       Unix.sleepf 0.05 (* the blocker is now running, the queue is free *);
-      let low = Sched.submit ~priority:Sched.Low s "ok:low" in
-      let high = Sched.submit ~priority:Sched.High s "ok:high" in
+      let low = Sched.submit ~priority:Sched.Low s (harness_exec h "ok:low") in
+      let high = Sched.submit ~priority:Sched.High s (harness_exec h "ok:high") in
       check_ok "high" (Sched.await high);
       check_ok "low" (Sched.await low);
       check_ok "blocker" (Sched.await blocker);
@@ -217,14 +217,14 @@ let test_priority_order () =
 let test_overload_reject_and_shed () =
   let h = make_harness () in
   let config = { Sched.default_config with Sched.queue_capacity = 2 } in
-  with_sched ~config h (fun s _ ->
-      let blocker = Sched.submit s "sleep:0.3" in
+  with_sched ~config (fun s _ ->
+      let blocker = Sched.submit s (harness_exec h "sleep:0.3") in
       Unix.sleepf 0.05;
-      let n1 = Sched.submit s "ok:n1" in
-      let n2 = Sched.submit s "ok:n2" in
+      let n1 = Sched.submit s (harness_exec h "ok:n1") in
+      let n2 = Sched.submit s (harness_exec h "ok:n2") in
       (* full queue + equal priority: fail fast, in bounded time *)
       let t0 = Clock.now () in
-      (match Sched.poll (Sched.submit s "ok:n3") with
+      (match Sched.poll (Sched.submit s (harness_exec h "ok:n3")) with
       | Some (Error (QE.Overloaded { queue_depth; capacity })) ->
         Alcotest.(check int) "capacity echoed" 2 capacity;
         Alcotest.(check int) "depth echoed" 2 queue_depth
@@ -233,17 +233,17 @@ let test_overload_reject_and_shed () =
       | None -> Alcotest.fail "the refusal must answer as soon as submit returns");
       Alcotest.(check bool) "rejection is immediate" true (Clock.now () -. t0 < 0.1);
       (* a higher-priority submission sheds the oldest Normal instead *)
-      let hi = Sched.submit ~priority:Sched.High s "ok:hi" in
+      let hi = Sched.submit ~priority:Sched.High s (harness_exec h "ok:hi") in
       check_rejected "n1 was shed" (Sched.await n1);
       check_ok "hi served" (Sched.await hi);
       check_ok "n2 served" (Sched.await n2);
       check_ok "blocker served" (Sched.await blocker);
       (* Low never sheds anything *)
-      let b2 = Sched.submit s "sleep:0.3" in
+      let b2 = Sched.submit s (harness_exec h "sleep:0.3") in
       Unix.sleepf 0.05;
-      let q1 = Sched.submit s "ok:q1" in
-      let q2 = Sched.submit s "ok:q2" in
-      (match Sched.poll (Sched.submit ~priority:Sched.Low s "ok:lo") with
+      let q1 = Sched.submit s (harness_exec h "ok:q1") in
+      let q2 = Sched.submit s (harness_exec h "ok:q2") in
+      (match Sched.poll (Sched.submit ~priority:Sched.Low s (harness_exec h "ok:lo")) with
       | Some (Error (QE.Overloaded _)) -> ()
       | _ -> Alcotest.fail "low must not shed normal: expected an immediate Overloaded");
       check_ok "q1" (Sched.await q1);
@@ -257,11 +257,11 @@ let test_overload_reject_and_shed () =
 let test_overload_degrades_to_bytecode () =
   let h = make_harness () in
   let config = { Sched.default_config with Sched.shed_queue_depth = 0 } in
-  with_sched ~config h (fun s _ ->
-      let blocker = Sched.submit s "sleep:0.2" in
+  with_sched ~config (fun s _ ->
+      let blocker = Sched.submit s (harness_exec h "sleep:0.2") in
       Unix.sleepf 0.05;
-      let a1 = Sched.submit s "ok:a1" in
-      let a2 = Sched.submit s "ok:a2" in
+      let a1 = Sched.submit s (harness_exec h "ok:a1") in
+      let a2 = Sched.submit s (harness_exec h "ok:a2") in
       check_ok "a1" (Sched.await a1);
       check_ok "a2" (Sched.await a2);
       check_ok "blocker" (Sched.await blocker);
@@ -283,13 +283,13 @@ let executions h sql =
    pool worker each come back after exactly one execution *)
 let test_single_execution () =
   let h = make_harness () in
-  with_sched h (fun s _ ->
-      (match Sched.await (Sched.submit s "transient:1:a") with
+  with_sched (fun s _ ->
+      (match Sched.await (Sched.submit s (harness_exec h "transient:1:a")) with
       | Error (QE.Trap _) -> ()
       | Ok _ -> Alcotest.fail "the trap must be the answer, not a rerun's rows"
       | Error e -> Alcotest.failf "expected Trap, got %s" (QE.to_string e));
       Alcotest.(check int) "trap: one execution" 1 (executions h "transient:1:a");
-      (match Sched.await (Sched.submit s "crashed:b") with
+      (match Sched.await (Sched.submit s (harness_exec h "crashed:b")) with
       | Error (QE.Worker_crashed _) -> ()
       | Ok _ -> Alcotest.fail "the crash must be the answer"
       | Error e -> Alcotest.failf "expected Worker_crashed, got %s" (QE.to_string e));
@@ -302,9 +302,9 @@ let test_single_execution () =
    its first guard check past it, with no grace period *)
 let test_deadline_cancel () =
   let h = make_harness () in
-  with_sched h (fun s _ ->
+  with_sched (fun s _ ->
       let t0 = Clock.now () in
-      let tk = Sched.submit ~deadline_seconds:0.05 s "sleep:5" in
+      let tk = Sched.submit ~deadline_seconds:0.05 s (harness_exec h "sleep:5") in
       (match Sched.await tk with
       | Error (QE.Timeout allowance) ->
         Alcotest.(check (float 1e-9)) "allowance echoed" 0.05 allowance
@@ -316,10 +316,10 @@ let test_deadline_cancel () =
 
 let test_deadline_expires_in_queue () =
   let h = make_harness () in
-  with_sched h (fun s _ ->
-      let blocker = Sched.submit s "sleep:0.3" in
+  with_sched (fun s _ ->
+      let blocker = Sched.submit s (harness_exec h "sleep:0.3") in
       Unix.sleepf 0.05;
-      let tk = Sched.submit ~deadline_seconds:0.05 s "ok:late" in
+      let tk = Sched.submit ~deadline_seconds:0.05 s (harness_exec h "ok:late") in
       check_rejected "expired in queue" (Sched.await tk);
       check_ok "blocker unaffected" (Sched.await blocker);
       Alcotest.(check int) "expired counted" 1 (Sched.stats s).Sched.expired;
@@ -332,11 +332,11 @@ let test_deadline_expires_in_queue () =
 let test_expiry_without_timer () =
   let h = make_harness () in
   let config = { Sched.default_config with Sched.queue_capacity = 1 } in
-  with_sched ~config h (fun s _ ->
-      let blocker = Sched.submit s "sleep:0.5" in
+  with_sched ~config (fun s _ ->
+      let blocker = Sched.submit s (harness_exec h "sleep:0.5") in
       Unix.sleepf 0.05 (* the blocker is now running, the queue is free *);
       let t0 = Clock.now () in
-      let polled = Sched.submit ~deadline_seconds:0.05 s "ok:polled" in
+      let polled = Sched.submit ~deadline_seconds:0.05 s (harness_exec h "ok:polled") in
       let rec poll_loop () =
         match Sched.poll polled with
         | Some outcome -> outcome
@@ -347,9 +347,9 @@ let test_expiry_without_timer () =
       in
       check_rejected "expired while polled" (poll_loop ());
       Alcotest.(check bool) "answered within 0.2 s" true (Clock.now () -. t0 < 0.2);
-      let overdue = Sched.submit ~deadline_seconds:0.02 s "ok:overdue" in
+      let overdue = Sched.submit ~deadline_seconds:0.02 s (harness_exec h "ok:overdue") in
       Unix.sleepf 0.05;
-      let next = Sched.submit s "ok:next" in
+      let next = Sched.submit s (harness_exec h "ok:next") in
       (match Sched.poll next with
       | Some (Error (QE.Overloaded _)) ->
         Alcotest.fail "an overdue queued ticket made submit answer Overloaded"
@@ -363,10 +363,10 @@ let test_expiry_without_timer () =
 
 let test_client_cancel_queued () =
   let h = make_harness () in
-  with_sched h (fun s _ ->
-      let blocker = Sched.submit s "sleep:0.2" in
+  with_sched (fun s _ ->
+      let blocker = Sched.submit s (harness_exec h "sleep:0.2") in
       Unix.sleepf 0.05;
-      let tk = Sched.submit s "sleep:0.2" in
+      let tk = Sched.submit s (harness_exec h "sleep:0.2") in
       Sched.cancel tk;
       (match Sched.await tk with
       | Error QE.Cancelled -> ()
@@ -379,25 +379,25 @@ let test_client_cancel_queued () =
 let test_shutdown_drains () =
   let h = make_harness () in
   let pool = Aeq_exec.Pool.create ~n_threads:1 () in
-  let s = Sched.create ~pool ~exec:(harness_exec h) () in
-  let blocker = Sched.submit s "sleep:0.15" in
+  let s = Sched.create ~pool () in
+  let blocker = Sched.submit s (harness_exec h "sleep:0.15") in
   Unix.sleepf 0.05;
-  let q1 = Sched.submit s "ok:s1" in
-  let q2 = Sched.submit s "ok:s2" in
+  let q1 = Sched.submit s (harness_exec h "ok:s1") in
+  let q2 = Sched.submit s (harness_exec h "ok:s2") in
   Sched.shutdown s;
   Sched.shutdown s (* idempotent *);
   check_ok "in-flight query finished" (Sched.await blocker);
   check_rejected "queued q1 drained" (Sched.await q1);
   check_rejected "queued q2 drained" (Sched.await q2);
-  (match Sched.poll (Sched.submit s "ok:late") with
+  (match Sched.poll (Sched.submit s (harness_exec h "ok:late")) with
   | Some (Error (QE.Rejected _)) -> ()
   | _ -> Alcotest.fail "submit after shutdown must answer Rejected at once");
   Aeq_exec.Pool.shutdown pool
 
 (* ---- engine integration ---------------------------------------------- *)
 
-let with_engine ?(n_threads = 2) ?(cost_model = CM.off) ?(sf = 0.005) f =
-  let engine = Aeq.Engine.create ~n_threads ~cost_model () in
+let with_engine ?(n_threads = 2) ?(cost_model = CM.off) ?(sf = 0.005) ?scheduler_config f =
+  let engine = Aeq.Engine.create ~n_threads ~cost_model ?scheduler_config () in
   Aeq.Engine.load_tpch engine ~scale_factor:sf;
   Fun.protect ~finally:(fun () -> Aeq.Engine.close engine) (fun () -> f engine)
 
@@ -435,7 +435,6 @@ let test_engine_concurrent_cache () =
 
 let test_engine_scheduler_deadline () =
   with_engine (fun engine ->
-      Aeq.Engine.set_scheduler_config engine Sched.default_config;
       with_clean_failpoints (fun () ->
           FP.activate "driver.morsel" (FP.Delay 0.005);
           match
@@ -454,18 +453,46 @@ let test_engine_scheduler_deadline () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "clean query after timeout: %s" (QE.to_string e))
 
+(* With the admission queue past [shed_queue_depth], queued tickets
+   are degraded to bytecode, but an in-process query is never: it keeps
+   its requested mode, so [verify_query] still compares every mode on a
+   loaded server. *)
+let test_engine_inline_keeps_mode () =
+  with_engine ~n_threads:1
+    ~scheduler_config:{ Sched.default_config with Sched.shed_queue_depth = 0 }
+    (fun engine ->
+      let sql = "select sum(l_quantity) as s from lineitem" in
+      with_clean_failpoints (fun () ->
+          (* slow morsels keep the one pool worker busy with the blocker
+             while the others queue behind it *)
+          FP.activate "driver.morsel" (FP.Delay 0.002);
+          let blocker = Aeq.Engine.submit engine sql in
+          let queued = List.init 2 (fun _ -> Aeq.Engine.submit engine ~mode:Driver.Opt sql) in
+          let r = Aeq.Engine.query engine ~mode:Driver.Opt sql in
+          Alcotest.(check bool) "the in-process query ran every pipeline optimized" true
+            (r.Driver.stats.Driver.final_modes <> []
+            && List.for_all (( = ) "optimized") r.Driver.stats.Driver.final_modes);
+          (match Aeq.Engine.verify_query engine sql with
+          | Ok () -> ()
+          | Error report -> Alcotest.failf "verify_query under load: %s" report);
+          List.iter
+            (fun tk ->
+              match Sched.await tk with
+              | Ok _ -> ()
+              | Error e -> Alcotest.failf "queued ticket: %s" (QE.to_string e))
+            (blocker :: queued);
+          Alcotest.(check bool) "the queue was past its shed depth" true
+            (Sched.was_degraded (List.hd queued))))
+
 (* the acceptance scenario: concurrent clients, probabilistic faults on
    the compile and morsel paths; no hangs, no leaks, every response is
    correct rows or a structured error; and with the compile path hard
    down, fresh statements still answer correctly from bytecode *)
 let test_chaos_soak () =
-  with_engine ~cost_model:eager_model (fun engine ->
-      Aeq.Engine.set_scheduler_config engine
-        {
-          Sched.default_config with
-          Sched.queue_capacity = 32;
-          shed_queue_depth = 24;
-        };
+  with_engine ~cost_model:eager_model
+    ~scheduler_config:
+      { Sched.default_config with Sched.queue_capacity = 32; shed_queue_depth = 24 }
+    (fun engine ->
       let stmts = Array.of_list soak_statements in
       let reference = Array.map (fun sql -> (Aeq.Engine.query engine sql).Driver.rows) stmts in
       let arena = Aeq_storage.Catalog.arena (Aeq.Engine.catalog engine) in
@@ -476,6 +503,9 @@ let test_chaos_soak () =
           FP.activate "compile.opt" (FP.Prob_fail 0.3);
           FP.activate "driver.morsel" (FP.Prob_fail 0.005);
           let wrong = Atomic.make 0 and errs = Atomic.make 0 in
+          (* the reference queries above are in-process tickets of the
+             same scheduler: count only this window's *)
+          let before = Aeq.Engine.scheduler_stats engine in
           let client c () =
             for i = 0 to 11 do
               let k = (c + i) mod Array.length stmts in
@@ -494,10 +524,12 @@ let test_chaos_soak () =
             chunks_baseline
             (Aeq_mem.Arena.live_chunks arena);
           let st = Aeq.Engine.scheduler_stats engine in
-          Alcotest.(check int) "all submissions accounted for"
-            (8 * 12)
-            (st.Sched.completed + st.Sched.failed + st.Sched.rejected
-            + st.Sched.shed + st.Sched.expired));
+          let answered (s : Sched.stats) =
+            s.Sched.completed + s.Sched.failed + s.Sched.rejected + s.Sched.shed
+            + s.Sched.expired
+          in
+          Alcotest.(check int) "all submissions accounted for" (8 * 12)
+            (answered st - answered before));
       (* compile path hard down: each fresh statement (fresh text = a
          new handle, nothing blacklisted yet) fails its compile,
          blacklists the mode and keeps answering from bytecode *)
@@ -561,6 +593,8 @@ let () =
         [
           Alcotest.test_case "concurrent plan cache" `Quick test_engine_concurrent_cache;
           Alcotest.test_case "scheduler deadline" `Quick test_engine_scheduler_deadline;
+          Alcotest.test_case "in-process query keeps its mode under overload" `Quick
+            test_engine_inline_keeps_mode;
           Alcotest.test_case "chaos soak" `Slow test_chaos_soak;
         ] );
     ]

@@ -226,8 +226,8 @@ let sup_config = { Sched.default_config with restart_policy = fast_policy }
 (* a 1-thread pool: the scheduler starts its one worker, which serves
    every ticket *)
 let with_sched ?(config = sup_config) f =
-  let pool = Pool.create ~n_threads:1 () in
-  let s = Sched.create ~config ~pool ~exec:harness_exec () in
+  let pool = Pool.create ~restart_policy:config.Sched.restart_policy ~n_threads:1 () in
+  let s = Sched.create ~config ~pool () in
   Fun.protect
     ~finally:(fun () ->
       Sched.shutdown s;
@@ -240,14 +240,14 @@ let test_worker_crash_completes_ticket () =
   with_clean_failpoints (fun () ->
       with_sched (fun s _ ->
           FP.activate ~persistent:false "sched.dispatch" FP.Crash;
-          (match Sched.await (Sched.submit s "ok") with
+          (match Sched.await (Sched.submit s (harness_exec "ok")) with
           | Error (QE.Worker_crashed { domain; _ }) ->
             Alcotest.(check string) "crash names the worker" "pool.worker-0" domain
           | Error e ->
             Alcotest.failf "expected Worker_crashed, got %s" (QE.to_string e)
           | Ok _ -> Alcotest.fail "expected Worker_crashed, got rows");
           (* the worker restarted: the next query is served *)
-          (match Sched.await (Sched.submit s "ok") with
+          (match Sched.await (Sched.submit s (harness_exec "ok")) with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "post-restart query failed: %s" (QE.to_string e));
           let st = Sched.stats s in
@@ -267,11 +267,11 @@ let test_worker_crash_then_healthy_serving () =
   with_clean_failpoints (fun () ->
       with_sched (fun s _ ->
           FP.activate ~persistent:false ~on_hit:2 "sched.dispatch" FP.Crash;
-          (match Sched.await (Sched.submit s "ok") with
+          (match Sched.await (Sched.submit s (harness_exec "ok")) with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "first query failed: %s" (QE.to_string e));
           (* second dispatch crashes; every later one is clean *)
-          let outcomes = List.init 5 (fun _ -> Sched.await (Sched.submit s "ok")) in
+          let outcomes = List.init 5 (fun _ -> Sched.await (Sched.submit s (harness_exec "ok"))) in
           let crashed, ok =
             List.partition (function Error (QE.Worker_crashed _) -> true | _ -> false)
               outcomes
@@ -320,20 +320,23 @@ let test_pool_worker_crash () =
           Pool.run p (fun ~tid:_ -> Atomic.incr hits);
           Alcotest.(check bool) "pool serves after restart" true (Atomic.get hits >= 1)))
 
-(* The scheduler config's restart policy reaches the pool workers the
-   engine spawned before any config existed: with a zero budget, one
-   worker crash is final (the default policy would restart it). *)
+(* The engine's scheduler config's restart policy reaches the pool's
+   workers: with a zero budget, one worker crash is final (the default
+   policy would restart it). *)
 let test_engine_policy_reaches_pool () =
   with_clean_failpoints (fun () ->
-      let engine = Aeq.Engine.create ~n_threads:2 ~cost_model:CM.off () in
-      Fun.protect
-        ~finally:(fun () -> Aeq.Engine.close engine)
-        (fun () ->
-          Aeq.Engine.set_scheduler_config engine
+      let engine =
+        Aeq.Engine.create ~n_threads:2 ~cost_model:CM.off
+          ~scheduler_config:
             {
               Sched.default_config with
               restart_policy = { fast_policy with Sup.max_restarts = 0 };
-            };
+            }
+          ()
+      in
+      Fun.protect
+        ~finally:(fun () -> Aeq.Engine.close engine)
+        (fun () ->
           let p = Aeq.Engine.pool engine in
           ignore (crash_a_worker p);
           eventually "worker out of budget" (fun () ->
@@ -357,13 +360,13 @@ let test_health_degraded_and_back () =
       with_sched ~config (fun s pool ->
           Alcotest.(check (list string)) "healthy at start" [] (Pool.health_reasons pool);
           FP.activate ~persistent:false "sched.dispatch" FP.Crash;
-          (match Sched.await (Sched.submit s "ok") with
+          (match Sched.await (Sched.submit s (harness_exec "ok")) with
           | Error (QE.Worker_crashed _) -> ()
           | _ -> Alcotest.fail "expected the serving worker to crash");
           eventually "degraded during backoff" (fun () -> Pool.health_reasons pool <> []);
           eventually "serving again after restart" (fun () ->
               Pool.health_reasons pool = []);
-          match Sched.await (Sched.submit s "ok") with
+          match Sched.await (Sched.submit s (harness_exec "ok")) with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "post-recovery query failed: %s" (QE.to_string e)))
 
@@ -372,12 +375,12 @@ let test_health_degraded_and_back () =
 let test_scheduler_drain () =
   with_clean_failpoints (fun () ->
       with_sched (fun s _ ->
-          let tk = Sched.submit s "sleep:0.1" in
+          let tk = Sched.submit s (harness_exec "sleep:0.1") in
           let drain_clean = ref false in
           let d = Domain.spawn (fun () -> drain_clean := Sched.drain ~deadline_seconds:10.0 s) in
           eventually "drain closes admission" (fun () -> Sched.draining s);
           (* new work is rejected while draining *)
-          (match Sched.await (Sched.submit s "ok") with
+          (match Sched.await (Sched.submit s (harness_exec "ok")) with
           | Error (QE.Rejected reason) ->
             Alcotest.(check string) "rejected as draining" "draining" reason
           | Error e -> Alcotest.failf "expected Rejected, got %s" (QE.to_string e)
@@ -415,6 +418,40 @@ let test_engine_drain () =
       | _ -> Alcotest.fail "drained engine must reject queries"
       | exception QE.Error (QE.Rejected _) -> ())
 
+(* An in-process query is an admitted ticket: a drain from another
+   domain waits for it, instead of closing the pool under it. *)
+let test_engine_drain_waits_for_query () =
+  with_clean_failpoints (fun () ->
+      let engine = Aeq.Engine.create ~n_threads:2 ~cost_model:CM.off () in
+      Aeq.Engine.load_tpch engine ~scale_factor:0.005;
+      let sql = Aeq_workload.Queries.tpch_q 3 in
+      let sorted (r : Driver.result) = List.sort Stdlib.compare r.Driver.rows in
+      let expected = sorted (Aeq.Engine.query engine sql) in
+      FP.activate "driver.morsel" (FP.Delay 0.01);
+      let query =
+        Domain.spawn (fun () ->
+            let r =
+              match Aeq.Engine.query engine sql with
+              | r -> Ok (sorted r)
+              | exception QE.Error e -> Error (QE.to_string e)
+            in
+            (r, Unix.gettimeofday ()))
+      in
+      eventually "the query is in flight" (fun () ->
+          (Aeq.Engine.scheduler_stats engine).Sched.in_flight = 1);
+      let clean = Aeq.Engine.drain ~deadline_seconds:30.0 engine in
+      let drained_at = Unix.gettimeofday () in
+      let rows, answered_at = Domain.join query in
+      (match rows with
+      | Ok rows -> Alcotest.(check bool) "the query answered with its rows" true (rows = expected)
+      | Error e -> Alcotest.failf "in-process query lost to the drain: %s" e);
+      Alcotest.(check bool) "drain clean" true clean;
+      Alcotest.(check bool) "drain returned after the query answered" true
+        (drained_at >= answered_at);
+      match Aeq.Engine.query engine sql with
+      | _ -> Alcotest.fail "drained engine must reject queries"
+      | exception QE.Error (QE.Rejected "draining") -> ())
+
 (* ---- seeded crash-injection sweep ------------------------------------ *)
 
 (* Every builtin site, workers serving and helping, random hit
@@ -428,18 +465,21 @@ let crash_sweep_seeds () =
 
 let test_crash_sweep () =
   with_clean_failpoints (fun () ->
-      let engine = Aeq.Engine.create ~n_threads:2 ~cost_model:CM.off () in
+      let engine =
+        Aeq.Engine.create ~n_threads:2 ~cost_model:CM.off
+          ~scheduler_config:
+            {
+              Sched.default_config with
+              queue_capacity = 64;
+              restart_policy =
+                (* generous budget: the sweep injects one crash per seed
+                   and must never exhaust a supervisor *)
+                { Sup.max_restarts = 10_000; window_seconds = 10.0;
+                  backoff_base = 0.0005; backoff_max = 0.005 };
+            }
+          ()
+      in
       Aeq.Engine.load_tpch engine ~scale_factor:0.002;
-      Aeq.Engine.set_scheduler_config engine
-        {
-          Sched.default_config with
-          queue_capacity = 64;
-          restart_policy =
-            (* generous budget: the sweep injects one crash per seed
-               and must never exhaust a supervisor *)
-            { Sup.max_restarts = 10_000; window_seconds = 10.0;
-              backoff_base = 0.0005; backoff_max = 0.005 };
-        };
       let arena = Aeq_storage.Catalog.arena (Aeq.Engine.catalog engine) in
       let sites = FP.valid_sites () in
       (* warm up, then snapshot the lease baseline *)
@@ -538,6 +578,8 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "drain closes admission" `Quick test_engine_drain;
+          Alcotest.test_case "drain waits for an in-process query" `Quick
+            test_engine_drain_waits_for_query;
           Alcotest.test_case "crash sweep" `Slow test_crash_sweep;
         ] );
     ]
