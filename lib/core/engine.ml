@@ -106,7 +106,7 @@ let register_gauges t =
     (fun () ->
       match health t with Degraded rs -> List.length rs | _ -> 0)
 
-let create ?n_threads ?cost_model ?chunk_size ?scheduler_config () =
+let create ?n_threads ?cost_model ?scheduler_config () =
   let n_threads =
     match n_threads with
     | Some n -> Stdlib.max 1 n
@@ -130,7 +130,7 @@ let create ?n_threads ?cost_model ?chunk_size ?scheduler_config () =
   in
   let t =
     {
-      catalog = Aeq_storage.Catalog.create ?chunk_size ();
+      catalog = Aeq_storage.Catalog.create ();
       pool;
       scheduler = Aeq_exec.Scheduler.create ~config ~pool ();
       cost_model;

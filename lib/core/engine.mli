@@ -24,7 +24,6 @@ type t
 val create :
   ?n_threads:int ->
   ?cost_model:Aeq_backend.Cost_model.t ->
-  ?chunk_size:int ->
   ?scheduler_config:Aeq_exec.Scheduler.config ->
   unit ->
   t

@@ -98,8 +98,8 @@ and t = {
   mutable n_waits : int;
   mutable max_wait : float;
   quiet_waiter : Aeq_util.Waiter.t;
-      (* poked whenever in-flight work finishes; [drain] and
-         [shutdown] sleep on it *)
+      (* poked when in-flight work finishes while draining or shut;
+         [drain] and [shutdown] sleep on it *)
 }
 
 type stats = {
@@ -251,12 +251,16 @@ let claim t tk =
 
 (* Answer the in-flight [tk] with [outcome] and count it, unless it
    was answered already (its worker's finish and reclaim cannot both
-   count it). *)
+   count it). [quiet_waiter] is poked only while a [drain] or
+   [shutdown] may sleep on it: both set their flag under t.lock before
+   they wait, and [wait_until] re-polls every 10 ms anyway, so the
+   common finish makes no pipe write. *)
 let finish ?(crashed = false) t tk outcome =
-  let owned =
+  let owned, waited =
     with_lock t.lock (fun () ->
         Aeq_race.write ~site:"sched.finish" t.counters_loc;
         Aeq_race.write ~site:"sched.finish" t.running_loc;
+        Aeq_race.read ~site:"sched.finish" t.queues_loc;
         let owned = List.memq tk t.running in
         if owned then begin
           t.running <- List.filter (fun tk' -> tk' != tk) t.running;
@@ -273,11 +277,11 @@ let finish ?(crashed = false) t tk outcome =
             t.n_failed <- t.n_failed + 1;
             obs_bump "failed" ~help:"Queries finished with a structured error."
         end;
-        owned)
+        (owned, t.draining || t.shut))
   in
   if owned then begin
     complete tk outcome;
-    Aeq_util.Waiter.wake t.quiet_waiter
+    if waited then Aeq_util.Waiter.wake t.quiet_waiter
   end
 
 (* Run the ticket's query once, outside t.lock; the outcome of that
@@ -533,8 +537,9 @@ let draining t =
       t.draining)
 
 (* Sleep until [cond] holds under t.lock ([true]) or [deadline]
-   passes ([false]). Workers poke [quiet_waiter] as queries finish, so
-   this wakes on progress instead of burning a fixed-period poll. *)
+   passes ([false]). The caller sets [draining] or [shut] first, so
+   [finish] pokes [quiet_waiter] as queries finish and this wakes on
+   progress; the 10 ms re-poll bounds any missed wake. *)
 let wait_until ?(deadline = infinity) t cond =
   let rec poll () =
     if with_lock t.lock cond then true

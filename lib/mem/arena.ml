@@ -107,7 +107,7 @@ let make_lease ~scratch t =
 
 (* Slot 0 stays empty: pointer 0 is null, so a null dereference
    raises like any wild pointer. *)
-let create ?(chunk_size = 1 lsl 20) () =
+let create ?(chunk_size = 1 lsl 16) () =
   let t =
     {
       chunk_size;

@@ -5,8 +5,8 @@ type t = {
   tables : (string, Table.t) Hashtbl.t;
 }
 
-let create ?chunk_size () =
-  let arena = Aeq_mem.Arena.create ?chunk_size () in
+let create () =
+  let arena = Aeq_mem.Arena.create () in
   {
     arena;
     dict = Aeq_rt.Dict.create ();

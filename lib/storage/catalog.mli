@@ -2,7 +2,7 @@
 
 type t
 
-val create : ?chunk_size:int -> unit -> t
+val create : unit -> t
 
 val arena : t -> Aeq_mem.Arena.t
 

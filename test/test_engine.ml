@@ -255,6 +255,27 @@ let test_large_query_runs () =
   Alcotest.(check int) "one row" 1 (List.length r.Driver.rows);
   Alcotest.(check int) "30 aggregates" 30 (List.length r.Driver.names)
 
+(* Arena chunks are sized to what a short query touches: on a fresh
+   engine at sf 0.01 a catalog query leaves at most 128 KiB of spare
+   scratch (1 MiB with 1 MiB chunks), and the loaded tables' partly
+   filled last chunk pads the resident bytes little (2.04 MB resident;
+   2.73 MB with 1 MiB chunks). *)
+let test_small_query_scratch () =
+  let e = Aeq.Engine.create ~n_threads:2 ~cost_model:Aeq_backend.Cost_model.off () in
+  Fun.protect ~finally:(fun () -> Aeq.Engine.close e) @@ fun () ->
+  Aeq.Engine.load_tpch e ~scale_factor:0.01;
+  let arena = Aeq_storage.Catalog.arena (Aeq.Engine.catalog e) in
+  let resident = Aeq_mem.Arena.resident_bytes arena in
+  if resident >= 2_400_000 then
+    Alcotest.failf "%d bytes resident after load_tpch at sf 0.01, bound 2.4 MB" resident;
+  List.iter
+    (fun (name, sql) ->
+      ignore (Aeq.Engine.query e sql);
+      let spare = Aeq_mem.Arena.spare_bytes arena in
+      if spare > 128 * 1024 then
+        Alcotest.failf "%s: %d bytes of spare scratch, bound 128 KiB" name spare)
+    Aeq_workload.Queries.metadata
+
 let () =
   Alcotest.run "engine"
     [
@@ -290,4 +311,5 @@ let () =
           Alcotest.test_case "front-end errors are structured" `Quick
             test_front_end_errors_structured;
         ] );
+      ("arena", [ Alcotest.test_case "small queries, small chunks" `Quick test_small_query_scratch ]);
     ]

@@ -284,6 +284,30 @@ let test_dom_scales_linearly () =
     Alcotest.failf "Dom.compute: %.2f ms at 3200 aggregates, %.2f ms at 1600 (%.2fx, bound 3x)"
       (t2 *. 1e3) (t1 *. 1e3) ratio
 
+(* The block order [Layout.normalize] lays out, pinned: the printed
+   workers of the 800-aggregate query and of every TPC-H pipeline, as
+   generated and after the optimizing passes (which re-lay-out each
+   round), digest to a recorded value. A change to code generation or
+   to the passes that alters the IR records the new digest; a change
+   to how the layout is computed must leave it as it is. *)
+let test_layout_order_pinned () =
+  let engine = Lazy.force fig15_catalog in
+  let buf = Buffer.create (1 lsl 20) in
+  let add f = Buffer.add_string buf (Pp.func_to_string f) in
+  add (fig15_worker 800);
+  List.iter
+    (fun (_, sql) ->
+      let plan = Aeq.Engine.plan engine sql in
+      List.iter
+        (fun f ->
+          add f;
+          Aeq_passes.Pass_manager.optimize f;
+          add f)
+        (Aeq_codegen.Codegen.all_workers plan (Aeq_plan.Physical.layout plan)))
+    Aeq_workload.Queries.tpch;
+  Alcotest.(check string) "block-order digest" "e1962780a9810d9a398ac640e25b8a04"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let test_analysis_counts () =
   let f = build_loop () in
   Alcotest.(check bool) "instrs > 0" true (Analysis.instruction_count f > 0);
@@ -333,6 +357,7 @@ let () =
           Alcotest.test_case "old fold's idoms, fig15" `Quick test_dom_matches_reference_fig15;
           Alcotest.test_case "linear in worker size" `Quick test_dom_scales_linearly;
         ] );
+      ("layout", [ Alcotest.test_case "block order pinned" `Quick test_layout_order_pinned ]);
       ( "loops",
         [
           Alcotest.test_case "simple" `Quick test_loops_simple;

@@ -25,13 +25,13 @@ module A = Aeq_mem.Arena
 
 let sf = 0.002
 
-let fresh_engine ?chunk_size () =
-  let engine = Aeq.Engine.create ~n_threads:1 ~cost_model:CM.off ?chunk_size () in
+let fresh_engine () =
+  let engine = Aeq.Engine.create ~n_threads:1 ~cost_model:CM.off () in
   Aeq.Engine.load_tpch engine ~scale_factor:sf;
   engine
 
-let with_engine ?chunk_size f =
-  let engine = fresh_engine ?chunk_size () in
+let with_engine f =
+  let engine = fresh_engine () in
   Fun.protect ~finally:(fun () -> Aeq.Engine.close engine) (fun () -> f engine)
 
 let arena_of engine = Aeq_storage.Catalog.arena (Aeq.Engine.catalog engine)
@@ -287,7 +287,7 @@ let test_no_false_positives () =
 (* ---- (c) memory-budget exhaustion under simulation ------------------ *)
 
 let test_memory_budget_structured_failure () =
-  with_engine ~chunk_size:(64 * 1024) (fun engine ->
+  with_engine (fun engine ->
       (* warm the plan so the simulated run measures execution only *)
       ignore (Aeq.Engine.query engine ~mode:Driver.Bytecode sql_group);
       let arena = arena_of engine in
