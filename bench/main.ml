@@ -558,7 +558,7 @@ let concurrency () =
      delay a fixed arrival process would build up is never measured
      (coordinated omission). The JSON rows record the loop discipline
      and offered == achieved explicitly; the open-loop complement over
-     the wire is the [serving] scenario. *)
+     the wire is aeq_load driving aeq_server. *)
   (* small data: serving behavior, not scan throughput, is under test *)
   let sf = Stdlib.min base_sf 0.01 in
   let e = engine_at sf in
@@ -799,123 +799,9 @@ let probes () =
     (1e9 *. t_instr /. float_of_int n);
   Aeq.Engine.close e
 
-(* ------------------------------------------------------------------ *)
-(* Serving: open-loop load over the wire protocol                      *)
-(* ------------------------------------------------------------------ *)
-let serving () =
-  header "SERVING: open-loop load over the wire (below capacity, then overload)";
-  let sf = Stdlib.min base_sf 0.01 in
-  (* a dedicated engine: the server owns its lifecycle; a small
-     admission queue so the overload run actually sheds *)
-  let e =
-    Aeq.Engine.create ~n_threads
-      ~scheduler_config:{ Aeq_exec.Scheduler.default_config with queue_capacity = 8 }
-      ()
-  in
-  Aeq.Engine.load_tpch e ~scale_factor:sf;
-  let config =
-    { Aeq_net.Server.default_config with
-      port = 0;
-      metrics_port = None;
-      max_connections = 16 }
-  in
-  let server = Aeq_net.Server.start ~config e in
-  let port = Aeq_net.Server.port server in
-  let stmt = snd (List.hd Aeq_workload.Queries.metadata) in
-  (* calibrate capacity with a short closed loop over one connection *)
-  let cap1 =
-    match Aeq_net.Client.connect ~port () with
-    | Error err ->
-      failwith ("serving: calibration connect: " ^ Aeq_net.Client.error_to_string err)
-    | Ok c ->
-      let t0 = Clock.now () in
-      let n = ref 0 in
-      while Clock.now () -. t0 < 0.5 do
-        match Aeq_net.Client.execute c stmt with
-        | Ok _ -> incr n
-        | Error err ->
-          failwith ("serving: calibration query: " ^ Aeq_net.Client.error_to_string err)
-      done;
-      Aeq_net.Client.close c;
-      float_of_int !n /. (Clock.now () -. t0)
-  in
-  Printf.printf "calibration: %.0f qps closed-loop on one connection\n%!" cap1;
-  let run ~regime ~rate ~connections ~duration =
-    let s =
-      Aeq_net.Loadgen.run
-        { Aeq_net.Loadgen.default_config with
-          port;
-          rate;
-          duration_seconds = duration;
-          connections;
-          statements = [ stmt ];
-          seed = 7L }
-    in
-    Printf.printf
-      "%-9s offered %7.1f qps -> achieved %7.1f qps  (%d/%d ok, %d shed at \
-       connect)\n          p50 %.2f ms  p95 %.2f ms  p99 %.2f ms\n%!"
-      regime s.Aeq_net.Loadgen.offered_rate s.achieved_rate s.completed
-      s.offered s.connect_errors (ms s.p50_seconds) (ms s.p95_seconds)
-      (ms s.p99_seconds);
-    if s.failed <> [] then begin
-      Printf.printf "          errors:";
-      List.iter (fun (l, c) -> Printf.printf " %s=%d" l c) s.failed;
-      print_newline ()
-    end;
-    s
-  in
-  let below =
-    run ~regime:"below" ~rate:(Float.max 20.0 (0.4 *. cap1)) ~connections:8
-      ~duration:4.0
-  in
-  let above =
-    run ~regime:"overload" ~rate:(8.0 *. Float.max 25.0 cap1) ~connections:24
-      ~duration:2.0
-  in
-  let module J = Aeq_obs.Json in
-  let run_json regime s =
-    Aeq_net.Loadgen.summary_to_json ~extra:[ ("regime", J.Str regime) ] s
-  in
-  let out = open_out "BENCH_serving.json" in
-  output_string out
-    (J.to_string
-       (J.Obj
-          [
-            ("scenario", J.Str "serving");
-            ("sf", J.Num sf);
-            ("threads", J.Num (Float.of_int n_threads));
-            ("calibrated_capacity_qps", J.Num cap1);
-            ( "connections_shed_at_edge",
-              J.Num (Float.of_int (Aeq_net.Server.connections_shed server)) );
-            ("runs", J.Arr [ run_json "below" below; run_json "overload" above ]);
-          ])
-    ^ "\n");
-  close_out out;
-  Printf.printf "wrote BENCH_serving.json\n%!";
-  Aeq_net.Server.stop server;
-  Aeq.Engine.close e;
-  (* the serving contract, enforced here so CI fails loudly:
-     below the shed threshold the server keeps up with the offered
-     rate; over it, every lost query is a structured shed, not a
-     silent drop *)
-  if 100 * below.completed < 95 * below.offered then
-    failwith
-      (Printf.sprintf "serving: below-capacity run completed %d/%d (< 95%%)"
-         below.completed below.offered);
-  let structured_sheds =
-    above.connect_errors
-    + List.fold_left
-        (fun acc (l, c) ->
-          if l = "overloaded" || l = "rejected" || l = "timeout" then acc + c
-          else acc)
-        0 above.failed
-  in
-  if above.completed < above.attempted && structured_sheds = 0 then
-    failwith "serving: overload run lost queries without structured shedding"
-
 let all =
   [ "fig1"; "fig2"; "fig6"; "fig13"; "fig14"; "fig15"; "table1"; "table2"; "regalloc";
-    "ablation"; "prepared"; "micro"; "concurrency"; "serving"; "obs"; "probes" ]
+    "ablation"; "prepared"; "micro"; "concurrency"; "obs"; "probes" ]
 
 let run_one = function
   | "fig1" -> fig1 ()
@@ -931,7 +817,6 @@ let run_one = function
   | "prepared" -> prepared ()
   | "micro" -> micro ()
   | "concurrency" -> concurrency ()
-  | "serving" -> serving ()
   | "obs" -> obs ()
   | "probes" -> probes ()
   | other -> Printf.printf "unknown experiment %s (available: %s)\n" other (String.concat " " all)

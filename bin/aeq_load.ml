@@ -6,8 +6,9 @@
 
    Latency is measured from each arrival's *scheduled* instant
    (seeded Poisson process), so queueing delay behind a saturated
-   server is reported, not silently absorbed — the coordinated-
-   omission-free complement to aeq_cli's closed-loop --clients. *)
+   server is reported, not silently absorbed (no coordinated
+   omission). With aeq_server it is the one way to load the serving
+   stack from outside a test. *)
 
 open Cmdliner
 

@@ -1,5 +1,6 @@
 (* The wire server binary: load a TPC-H database, bind the wire and
-   metrics listeners, serve until SIGTERM/SIGINT drains it.
+   metrics listeners, serve until SIGTERM/SIGINT drains it, then report
+   whether the drain completed cleanly or was forced at its deadline.
 
      dune exec bin/aeq_server.exe -- --sf 0.01 --port 7878 \
        --metrics-port 9187
@@ -9,23 +10,23 @@ open Cmdliner
 
 let serve port metrics_port sf threads max_connections queue_capacity
     fetch_size drain_deadline =
+  (* keep the default's 48/64 degradation depth: [Scheduler.claim]
+     degrades a ticket only while more than [shed_queue_depth] others
+     stay queued, so the default 48 never fires under a queue of 49 or
+     less *)
   let scheduler_config =
     Option.map
       (fun queue_capacity ->
-        { Aeq_exec.Scheduler.default_config with queue_capacity })
+        {
+          Aeq_exec.Scheduler.default_config with
+          queue_capacity;
+          shed_queue_depth = 3 * queue_capacity / 4;
+        })
       queue_capacity
   in
   let engine = Aeq.Engine.create ?n_threads:threads ?scheduler_config () in
   Aeq.Engine.load_tpch engine ~scale_factor:sf;
-  let config =
-    {
-      Aeq_net.Server.default_config with
-      port;
-      metrics_port;
-      max_connections;
-      fetch_size;
-    }
-  in
+  let config = { Aeq_net.Server.port; metrics_port; max_connections; fetch_size } in
   let server = Aeq_net.Server.start ~config engine in
   Aeq_net.Server.install_signal_handlers ~deadline_seconds:drain_deadline
     server;
@@ -36,7 +37,9 @@ let serve port metrics_port sf threads max_connections queue_capacity
     | Some p -> Printf.sprintf ", metrics on 127.0.0.1:%d" p
     | None -> "")
     sf (Aeq.Engine.n_threads engine) max_connections;
-  Aeq_net.Server.wait server;
+  let clean = Aeq_net.Server.wait server in
+  Printf.printf "drain %s\n"
+    (if clean then "completed cleanly" else "forced at deadline");
   print_endline "aeq_server: stopped"
 
 let port =
@@ -69,7 +72,9 @@ let queue_capacity =
   Arg.(
     value
     & opt (some int) None
-    & info [ "queue-capacity" ] ~docv:"N" ~doc:"Admission queue bound.")
+    & info [ "queue-capacity" ] ~docv:"N"
+        ~doc:"Admission queue bound; a query dispatched while more than 3N/4 \
+              others wait runs bytecode-only.")
 
 let fetch_size =
   Arg.(value & opt int 256 & info [ "fetch-size" ] ~docv:"ROWS" ~doc:"Rows per result page.")

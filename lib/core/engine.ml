@@ -551,12 +551,9 @@ let closed t = Aeq_exec.Pool.closed t.pool
 let draining t = Aeq_exec.Scheduler.draining t.scheduler
 
 (* Graceful drain: close admission to queued and in-process tickets,
-   let already-admitted work finish, flush, then shut down. The SIGTERM
-   path of the CLI. *)
-let drain ?(deadline_seconds = 30.0) ?(flush = fun () -> ()) t =
+   let already-admitted work finish, then shut down. The SIGTERM path
+   of the wire server. *)
+let drain ?(deadline_seconds = 30.0) t =
   let clean = Aeq_exec.Scheduler.drain ~deadline_seconds t.scheduler in
-  (* exporter flush happens after quiescence so the dump includes the
-     final counters, but before close so gauges still read live state *)
-  (try flush () with _ -> ());
   close t;
   clean

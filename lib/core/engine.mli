@@ -261,16 +261,15 @@ val health_name : health -> string
 (** ["serving"] / ["degraded"] / ["draining"] / ["stopped"] — the
     [aeq_engine_health] gauge exports the same states as 0–3. *)
 
-val drain : ?deadline_seconds:float -> ?flush:(unit -> unit) -> t -> bool
+val drain : ?deadline_seconds:float -> t -> bool
 (** Graceful shutdown: stop admission (a new {!query} raises and a new
     {!submit}'s ticket answers [Query_error.Rejected "draining"], also
     once the drain has closed the engine), wait up to
     [deadline_seconds] (default 30) for queued and in-flight queries,
     in-process ones included, to finish — past the deadline they are
-    rejected/cancelled so no client hangs — then run [flush] (e.g. a
-    final {!dump_metrics}) and {!close}. Returns [true] if quiescence
-    was reached before the deadline. Idempotent in effect; the SIGTERM
-    path of [aeq_cli]. *)
+    rejected/cancelled so no client hangs — then {!close}. Returns
+    [true] if quiescence was reached before the deadline. Idempotent in
+    effect; the SIGTERM path of [aeq_server] ([Aeq_net.Server.drain]). *)
 
 val draining : t -> bool
 

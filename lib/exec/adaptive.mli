@@ -91,6 +91,3 @@ val maybe_decide : t -> decision
 
 val finish_compile : t -> unit
 (** Reinstates evaluation and resets the rate samples. *)
-
-val min_delay_seconds : float
-(** First-evaluation delay (1 ms). *)

@@ -51,8 +51,6 @@ let bind c ~cost_model ~symbols ~mem =
     compiling = Atomic.make false;
   }
 
-let compiled_part t = t.c
-
 (* The best variant the artifact has cached: what a fresh execution of
    the prepared statement can promote to for free. (The installed
    variant is per-binding now — concurrent executions of one cached
@@ -70,8 +68,6 @@ let mode t =
 let compiling t = t.compiling
 
 let n_instrs t = t.c.n_instrs
-
-let total_compile_seconds c = Atomic.get c.compile_seconds
 
 let install t v = Atomic.set t.current v
 

@@ -74,8 +74,6 @@ val bind :
   t
 (** Fresh per-execution binding; starts in the bytecode variant. *)
 
-val compiled_part : t -> compiled
-
 val mode : t -> Aeq_backend.Cost_model.mode
 (** The variant installed in this binding. *)
 
@@ -86,8 +84,6 @@ val mode_of_compiled : compiled -> Aeq_backend.Cost_model.mode
 val compiling : t -> bool Atomic.t
 
 val n_instrs : t -> int
-
-val total_compile_seconds : compiled -> float
 
 val install : t -> variant -> unit
 
@@ -100,9 +96,6 @@ val blacklisted : t -> Aeq_backend.Cost_model.mode -> bool
     previous one of the same prepared statement); it must not be
     retried. [Bytecode] is never blacklisted — the interpreter is the
     always-available escape hatch. *)
-
-val blacklist : t -> Aeq_backend.Cost_model.mode -> unit
-(** Mark a mode as permanently unavailable (no-op for [Bytecode]). *)
 
 val promote : t -> mode:Aeq_backend.Cost_model.mode -> float
 (** Install the given mode's variant and return the compile latency

@@ -62,8 +62,6 @@ let log : crash Obs.Ring.t = Obs.Ring.create ~start:(fun c -> c.cr_at) ()
 
 let crash_log () = List.rev (Obs.Ring.snapshot log)
 
-let crash_log_dropped () = Obs.Ring.dropped log
-
 let clear_crash_log () = Obs.Ring.clear log
 
 let obs_count name ~help ~domain =

@@ -139,8 +139,4 @@ val health_reason : t -> string option
 val crash_log : unit -> crash list
 (** Retained crashes, newest first (by [cr_at]). *)
 
-val crash_log_dropped : unit -> int
-(** Crashes dropped because the log was full since the last
-    {!clear_crash_log}. *)
-
 val clear_crash_log : unit -> unit

@@ -13,12 +13,9 @@
     All timestamps are rebased to the earliest event so the document
     starts at t=0. *)
 
-val chrome_events : ?trace:Trace.t -> unit -> Aeq_obs.Chrome_trace.event list
-(** The merged event list (spans and decisions are read from the
-    global event log). *)
-
 val chrome_json : ?trace:Trace.t -> unit -> string
-(** {!chrome_events} rendered as a complete JSON document. *)
+(** The merged events (spans and decisions are read from the global
+    event log) rendered as a complete JSON document. *)
 
 val write_file : ?trace:Trace.t -> string -> unit
 (** [write_file path] — {!chrome_json} to [path]. *)

@@ -2,15 +2,6 @@ let instruction_count = Func.n_instrs
 
 let block_count = Func.n_blocks
 
-let value_count (f : Func.t) = f.Func.n_values
-
-let call_count (f : Func.t) =
-  let n = ref 0 in
-  Func.iter_instrs f (fun _ i -> match i with Instr.Call _ -> incr n | _ -> ());
-  !n
-
-let module_instruction_count fs = List.fold_left (fun acc f -> acc + instruction_count f) 0 fs
-
 (* ---- liveness -------------------------------------------------------- *)
 
 (* SSA liveness in the copy model the translator and the register

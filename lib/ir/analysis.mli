@@ -16,12 +16,6 @@ val instruction_count : Func.t -> int
 
 val block_count : Func.t -> int
 
-val value_count : Func.t -> int
-
-val call_count : Func.t -> int
-
-val module_instruction_count : Func.t list -> int
-
 type liveness = {
   live_in : Dataflow.Bitset.t array;
   live_out : Dataflow.Bitset.t array;

@@ -13,10 +13,3 @@ let successors b =
 
 let make ~id ~phis ~instrs ~term =
   { id; phis = Array.of_list phis; instrs = Array.of_list instrs; term }
-
-let defined_values b =
-  let phi_defs = Array.to_list (Array.map (fun (p : Instr.phi) -> p.dst) b.phis) in
-  let instr_defs =
-    Array.to_list b.instrs |> List.filter_map (fun i -> Instr.dst_of i)
-  in
-  phi_defs @ instr_defs

@@ -14,6 +14,3 @@ val successors : t -> int list
 
 val make :
   id:int -> phis:Instr.phi list -> instrs:Instr.t list -> term:Instr.terminator -> t
-
-val defined_values : t -> int list
-(** Value ids defined in the block (φs first, then instructions). *)

@@ -71,8 +71,6 @@ val ret : t -> Instr.value -> unit
 
 val ret_void : t -> unit
 
-val abort_ : t -> string -> unit
-
 val terminated : t -> bool
 (** Whether the current block already has a terminator. *)
 

@@ -7,10 +7,6 @@
 val predecessors : Func.t -> int list array
 (** [predecessors f].(b) are the ids of blocks branching to [b]. *)
 
-val reverse_postorder : Func.t -> int array
-(** Block ids in reverse postorder starting at the entry. Unreachable
-    blocks are absent. *)
-
 val reorder_rpo : Func.t -> unit
 (** Renumber blocks so that array order = reverse postorder (entry is
     block 0), rewriting branch targets and φ incoming edges, and

@@ -94,8 +94,4 @@ let idom t b = t.idoms.(b)
 let is_ancestor t ~ancestor b =
   t.pre.(ancestor) <= t.pre.(b) && t.post.(b) <= t.post.(ancestor)
 
-let preorder t b = t.pre.(b)
-
-let postorder_label t b = t.post.(b)
-
 let children t b = t.kids.(b)

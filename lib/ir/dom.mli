@@ -20,9 +20,5 @@ val is_ancestor : t -> ancestor:int -> int -> bool
 (** [is_ancestor t ~ancestor b]: does [ancestor] dominate [b]
     (reflexively)? O(1) via interval containment. *)
 
-val preorder : t -> int -> int
-
-val postorder_label : t -> int -> int
-
 val children : t -> int -> int list
 (** Dominator-tree children. *)

@@ -28,11 +28,6 @@ let ty_of t id =
   if id < 0 || id >= t.n_values then invalid_arg "Func.ty_of: unknown value";
   t.value_ty.(id)
 
-let value_of_ty_exn t = function
-  | Instr.Vreg id -> ty_of t id
-  | Instr.Imm _ -> Types.I64
-  | Instr.Fimm _ -> Types.F64
-
 let block t id = t.blocks.(id)
 
 let n_blocks t = Array.length t.blocks

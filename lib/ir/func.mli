@@ -22,10 +22,6 @@ val fresh_value : t -> Types.t -> int
 
 val ty_of : t -> int -> Types.t
 
-val value_of_ty_exn : t -> Instr.value -> Types.t
-(** Type of any operand: registered type for [Vreg], [I64] for [Imm]
-    and [F64] for [Fimm]. *)
-
 val block : t -> int -> Block.t
 
 val n_blocks : t -> int

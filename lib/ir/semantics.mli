@@ -14,9 +14,6 @@ val sext16 : int64 -> int64
 
 val sext32 : int64 -> int64
 
-val canon : width:int -> int64 -> int64
-(** Sign-extend the low [width] bits (8/16/32); identity for 64. *)
-
 val add : width:int -> int64 -> int64 -> int64
 
 val sub : width:int -> int64 -> int64 -> int64

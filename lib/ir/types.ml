@@ -6,8 +6,6 @@ let size_of = function
   | I32 -> 4
   | I64 | F64 | Ptr -> 8
 
-let slot_size _ = 8
-
 let is_integer = function
   | I1 | I8 | I16 | I32 | I64 | Ptr -> true
   | F64 -> false

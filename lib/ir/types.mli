@@ -17,11 +17,6 @@ val size_of : t -> int
 (** Byte width when stored in memory or a register slot. [I1] occupies
     one byte. *)
 
-val slot_size : t -> int
-(** Byte width of the register-file slot for a value of this type.
-    All slots are 8 bytes — the paper's VM stores every value in a
-    fixed-position register; keeping slots uniform keeps offsets
-    aligned. *)
 
 val is_integer : t -> bool
 

@@ -196,6 +196,9 @@ let run cfg =
   if cfg.connections <= 0 then
     invalid_arg "Loadgen.run: connections must be positive";
   if cfg.statements = [] then invalid_arg "Loadgen.run: no statements";
+  (* a server that closes a session mid-write (a drain, a crash) must
+     surface as a transport error on that worker, not kill the process *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let schedule =
     build_schedule ~rate:cfg.rate ~duration:cfg.duration_seconds ~seed:cfg.seed
   in

@@ -1,11 +1,10 @@
 (** The open-loop load generator.
 
-    [aeq_cli --clients] is a {e closed loop}: each worker submits,
-    waits for the result, submits again — so when the engine slows
-    down, the offered load politely slows down with it, and measured
-    latency hides the backlog a real arrival process would build
-    (coordinated omission). This module drives the wire server the
-    way external clients do: arrivals follow a seeded Poisson process
+    A {e closed loop} (each client submits, waits for the result,
+    submits again, as bench [concurrency] does in process) slows its
+    offered load down with the engine, so measured latency hides the
+    backlog a real arrival process would build (coordinated omission).
+    This module drives the wire server the way external clients do: arrivals follow a seeded Poisson process
     at a fixed offered rate, each arrival is served by the next free
     connection {e when its time comes, whether or not earlier queries
     have finished}, and latency is measured from the {e scheduled}
@@ -62,7 +61,9 @@ type summary = {
 }
 
 val run : config -> summary
-(** Blocks for the whole run. @raise Invalid_argument on a non-positive
+(** Blocks for the whole run. Ignores SIGPIPE for the process, so a
+    session the server closes ends its worker with a [transport] error.
+    @raise Invalid_argument on a non-positive
     rate, duration or connection count, or an empty statement list. *)
 
 val summary_to_json : ?extra:(string * Aeq_obs.Json.t) list -> summary -> Aeq_obs.Json.t

@@ -15,9 +15,6 @@ type config = {
   metrics_port : int option;
   max_connections : int;
   fetch_size : int;
-  max_frame_bytes : int;
-  server_name : string;
-  mode : Aeq_exec.Driver.mode;
 }
 
 let default_config =
@@ -26,10 +23,13 @@ let default_config =
     metrics_port = None;
     max_connections = 64;
     fetch_size = 256;
-    max_frame_bytes = P.default_max_frame_bytes;
-    server_name = "aeq";
-    mode = Aeq_exec.Driver.Adaptive;
   }
+
+(* advertised in [Hello_ok] *)
+let server_name = "aeq"
+
+(* execution mode of every submitted query *)
+let mode = Aeq_exec.Driver.Adaptive
 
 (* lifecycle values (the "net.server.lifecycle" atomic) *)
 let lc_serving = 0
@@ -64,6 +64,9 @@ type t = {
   mutable sv_shed : int;
   mutable sv_accept : Thread.t option;
   sv_lifecycle : int Atomic.t;
+  sv_drain_clean : bool Atomic.t;
+      (* false once a drain was forced at its deadline; set before the
+         lifecycle reaches stopped *)
 }
 
 let bump ?help name =
@@ -147,7 +150,7 @@ type inflight_note = Quiet | Gone | Violation of string | Close_after
 
 (* Await the ticket while watching the socket: an out-of-band [Cancel]
    frame must take effect while the query it cancels is running. *)
-let await_multiplexed tk ~fd ~max_bytes ~cancel =
+let await_multiplexed tk ~fd ~cancel =
   let note = ref Quiet in
   let flag n = if !note = Quiet then note := n in
   let rec loop () =
@@ -165,7 +168,7 @@ let await_multiplexed tk ~fd ~max_bytes ~cancel =
           false
       in
       if readable then begin
-        match P.read_frame ~max_bytes fd with
+        match P.read_frame fd with
         | Ok payload -> (
           match P.decode_request payload with
           | Ok P.Cancel -> Aeq_exec.Cancel.cancel cancel
@@ -209,7 +212,6 @@ let build_result t pending r =
 
 let serve_session t ss ~priority ~deadline_seconds =
   let fd = ss.ss_fd in
-  let max_bytes = t.sv_config.max_frame_bytes in
   let stmts : (int, string) Hashtbl.t = Hashtbl.create 8 in
   let next_stmt = ref 1 in
   let pending = ref [] in
@@ -221,14 +223,14 @@ let serve_session t ss ~priority ~deadline_seconds =
   let run_query sql =
     let cancel = Aeq_exec.Cancel.create () in
     let tk =
-      Engine.submit ~mode:t.sv_config.mode ~priority ?deadline_seconds ~cancel
+      Engine.submit ~mode ~priority ?deadline_seconds ~cancel
         t.sv_engine sql
     in
     set_busy ss true;
     let outcome, note =
       Fun.protect
         ~finally:(fun () -> set_busy ss false)
-        (fun () -> await_multiplexed tk ~fd ~max_bytes ~cancel)
+        (fun () -> await_multiplexed tk ~fd ~cancel)
     in
     if note = Gone then `Stop
     else begin
@@ -254,7 +256,7 @@ let serve_session t ss ~priority ~deadline_seconds =
   let rec loop () =
     if Atomic.get t.sv_lifecycle <> lc_serving then ()
     else
-      match P.read_frame ~max_bytes fd with
+      match P.read_frame fd with
       | Error `Eof -> ()
       | Error (`Too_large n) ->
         violation (Printf.sprintf "frame of %d bytes exceeds limit" n)
@@ -295,7 +297,7 @@ let serve_session t ss ~priority ~deadline_seconds =
   loop ()
 
 let handshake t ss =
-  match P.read_frame ~max_bytes:t.sv_config.max_frame_bytes ss.ss_fd with
+  match P.read_frame ss.ss_fd with
   | Error `Eof -> None
   | Error (`Too_large n) ->
     send_ignore ss.ss_fd
@@ -310,7 +312,7 @@ let handshake t ss =
          send ss.ss_fd
            (P.Hello_ok
               {
-                server = t.sv_config.server_name;
+                server = server_name;
                 version = P.version;
                 fetch_size = t.sv_config.fetch_size;
               })
@@ -523,6 +525,7 @@ let start ?(config = default_config) engine =
       sv_shed = 0;
       sv_accept = None;
       sv_lifecycle = Atomic.make lc_serving;
+      sv_drain_clean = Atomic.make true;
     }
   in
   Aeq_obs.Metrics.gauge_fn ~help:"Active wire sessions"
@@ -579,13 +582,13 @@ let wait t =
       w ()
     end
   in
-  w ()
+  w ();
+  Atomic.get t.sv_drain_clean
 
 let drain ?(deadline_seconds = 30.) t =
   if not (Atomic.compare_and_set t.sv_lifecycle lc_serving lc_draining) then begin
     (* someone else is already draining (or stopped): wait it out *)
-    wait t;
-    true
+    wait t
   end
   else begin
     let t0 = Aeq_util.Clock.now () in
@@ -607,6 +610,7 @@ let drain ?(deadline_seconds = 30.) t =
     in
     settle ();
     join_sessions t;
+    Atomic.set t.sv_drain_clean ok;
     Atomic.set t.sv_lifecycle lc_stopped;
     ok
   end

@@ -39,14 +39,13 @@ type config = {
       (** connection limit; excess connections are shed with one
           structured [Overloaded] error frame *)
   fetch_size : int;  (** rows per [Result]/[Rows] page *)
-  max_frame_bytes : int;  (** per-frame size bound (both directions) *)
-  server_name : string;  (** advertised in [Hello_ok] *)
-  mode : Aeq_exec.Driver.mode;  (** execution mode for submitted queries *)
 }
+(** Every server advertises itself as ["aeq"] in [Hello_ok], runs its
+    queries in [Adaptive] mode and bounds frames (both directions) at
+    {!Protocol.default_max_frame_bytes}. *)
 
 val default_config : config
-(** Port 7878, no HTTP listener, 64 connections, 256-row pages,
-    {!Protocol.default_max_frame_bytes}, [Adaptive]. *)
+(** Port 7878, no HTTP listener, 64 connections, 256-row pages. *)
 
 type t
 
@@ -87,6 +86,7 @@ val install_signal_handlers : ?deadline_seconds:float -> t -> unit
     handlers must not take locks). A second signal force-exits the
     process. *)
 
-val wait : t -> unit
+val wait : t -> bool
 (** Block until the server is stopped (by {!drain}, {!stop} or a
-    signal) — the main thread of [aeq_server]. *)
+    signal) — the main thread of [aeq_server]. Returns what the drain
+    returned ([false]: forced at its deadline); [true] after {!stop}. *)

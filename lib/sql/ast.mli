@@ -60,5 +60,3 @@ val expr_to_string : expr -> string
 (** Debug printer. *)
 
 val binop_name : binop -> string
-
-val agg_name : agg_fn -> string

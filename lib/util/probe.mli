@@ -152,12 +152,10 @@ val set_from_string : string -> unit
     ["compile.opt=fail,driver.morsel=delay:0.01@2,arena.alloc=p:0.05"].
     Entries are [site=fail], [site=crash], [site=delay:SECONDS] or
     [site=p:PROBABILITY], optionally suffixed [@N] to make the site
-    one-shot on its Nth hit.
+    one-shot on its Nth hit. The [AEQ_FAILPOINTS] environment variable
+    takes the same syntax and is parsed once at module initialisation
+    (a malformed value warns on stderr instead of raising).
     @raise Invalid_argument on a malformed spec. *)
-
-val env_var : string
-(** ["AEQ_FAILPOINTS"] — parsed once at module initialisation
-    (malformed values warn on stderr instead of raising). *)
 
 (** {1 Simulator hookup} *)
 

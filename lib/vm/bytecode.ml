@@ -19,8 +19,6 @@ type t = {
   src_instr_count : int;
 }
 
-let nop_lit = 0L
-
 let pack_scale_offset ~scale ~offset =
   Int64.logor
     (Int64.logand (Int64.of_int scale) 0xFFFFFFFFL)

@@ -29,8 +29,6 @@ type t = {
   src_instr_count : int;  (** IR size this was translated from *)
 }
 
-val nop_lit : int64
-
 val pack_scale_offset : scale:int -> offset:int -> int64
 (** GEP literals: scale in the low 32 bits, byte offset in the high
     32, both as signed values with |x| < 2^31. *)

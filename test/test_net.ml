@@ -577,9 +577,10 @@ let test_drain_over_the_wire () =
   (* the server reaches Stopped within the deadline and the engine is
      closed behind it *)
   let t0 = Unix.gettimeofday () in
-  Server.wait server;
+  let clean = Server.wait server in
   Alcotest.(check bool) "drain finished inside the deadline" true
     (Unix.gettimeofday () -. t0 < 15.0);
+  Alcotest.(check bool) "drain completed cleanly" true clean;
   Alcotest.(check bool) "engine closed by the drain" true (Aeq.Engine.closed e);
   (* new connections are refused outright *)
   (match Client.connect ~port () with

@@ -403,12 +403,8 @@ let test_engine_drain () =
       (match Sched.await (Aeq.Engine.submit engine sql) with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "warmup failed: %s" (QE.to_string e));
-      let flushed = ref false in
-      let clean =
-        Aeq.Engine.drain ~deadline_seconds:10.0 ~flush:(fun () -> flushed := true) engine
-      in
+      let clean = Aeq.Engine.drain ~deadline_seconds:10.0 engine in
       Alcotest.(check bool) "drain clean" true clean;
-      Alcotest.(check bool) "flush ran" true !flushed;
       Alcotest.(check bool) "engine closed" true (Aeq.Engine.closed engine);
       Alcotest.(check string)
         "stopped" "stopped"
