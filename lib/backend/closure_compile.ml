@@ -163,7 +163,7 @@ let step_of mem (i : B.insn) : Bytes.t -> unit =
       s regs a
         (Int64.add (g regs b) (Int64.of_int ((Int64.to_int (g regs c) * scale) + offset)))
   | Op.GepConst ->
-    let lit = i.B.lit in
+    let lit = Int64.of_int i.B.lit in
     fun regs -> s regs a (Int64.add (g regs b) lit)
   | Op.LoadIdx8 ->
     let scale = B.unpack_scale i.B.lit and offset = B.unpack_offset i.B.lit in
@@ -218,7 +218,7 @@ let step_of mem (i : B.insn) : Bytes.t -> unit =
 (* Calls resolve their runtime target variant once at compile time. *)
 let call_step (prog : B.t) (i : B.insn) : Bytes.t -> unit =
   let a = i.B.a and b = i.B.b and c = i.B.c and d = i.B.d and e = i.B.e in
-  let fn = prog.B.rt_table.(Int64.to_int i.B.lit) in
+  let fn = prog.B.rt_table.(i.B.lit) in
   match (i.B.op, fn) with
   | Op.CallV0, Rt_fn.F0 f -> fun _ -> ignore (f ())
   | Op.CallV1, Rt_fn.F1 f -> fun regs -> ignore (f (g regs a))
@@ -397,8 +397,8 @@ let is_control (i : B.insn) =
   | _ -> false
 
 let compile (prog : B.t) mem =
-  let code = prog.B.code in
-  let n = Array.length code in
+  let n = Array.length prog.B.code in
+  let code = Array.init n (B.get prog) in
   let result_off = prog.B.n_reg_bytes in
   let total_reg_bytes = result_off + 8 in
   (* chunk leaders: entry, branch targets, fall-through points *)

@@ -36,6 +36,37 @@ let report ds = String.concat "\n" (List.map diagnostic_to_string ds)
 
 let value_name = Printf.sprintf "%%%d"
 
+(* The value an instruction defines and its type, read from the
+   instruction: [Instr.dst_of] and [Instr.result_ty] would allocate an
+   option for every instruction the verifier looks at. *)
+let has_result = function Instr.Store _ | Instr.Call { dst = None; _ } -> false | _ -> true
+
+let result_dst = function
+  | Instr.Binop { dst; _ }
+  | Instr.OvfFlag { dst; _ }
+  | Instr.Fbinop { dst; _ }
+  | Instr.Icmp { dst; _ }
+  | Instr.Fcmp { dst; _ }
+  | Instr.Select { dst; _ }
+  | Instr.Cast { dst; _ }
+  | Instr.Load { dst; _ }
+  | Instr.Gep { dst; _ }
+  | Instr.Call { dst = Some (dst, _); _ } ->
+    dst
+  | Instr.Store _ | Instr.Call { dst = None; _ } -> invalid_arg "Verify.result_dst"
+
+let result_type = function
+  | Instr.Binop { ty; _ }
+  | Instr.Select { ty; _ }
+  | Instr.Load { ty; _ }
+  | Instr.Call { dst = Some (_, ty); _ } ->
+    ty
+  | Instr.OvfFlag _ | Instr.Icmp _ | Instr.Fcmp _ -> Types.I1
+  | Instr.Fbinop _ -> Types.F64
+  | Instr.Cast { to_ty; _ } -> to_ty
+  | Instr.Gep _ -> Types.Ptr
+  | Instr.Store _ | Instr.Call { dst = None; _ } -> invalid_arg "Verify.result_type"
+
 let diagnostics (f : Func.t) : diagnostic list =
   let diags = ref [] in
   let emit ?block ?instr severity fmt =
@@ -80,10 +111,10 @@ let diagnostics (f : Func.t) : diagnostic list =
     Array.iter
       (fun (b : Block.t) ->
         Array.iter (fun (p : Instr.phi) -> define b.id ~instr:(-1) p.dst) b.phis;
-        Array.iteri
-          (fun i ins ->
-            match Instr.dst_of ins with Some d -> define b.id ~instr:i d | None -> ())
-          b.instrs)
+        let instrs = b.instrs in
+        for i = 0 to Array.length instrs - 1 do
+          if has_result instrs.(i) then define b.id ~instr:i (result_dst instrs.(i))
+        done)
       f.Func.blocks;
     let undefined = function
       | Instr.Vreg id -> id < 0 || id >= nv || not defined.(id)
@@ -94,6 +125,13 @@ let diagnostics (f : Func.t) : diagnostic list =
       | Instr.Vreg id when undefined v ->
         emit Error ~block:b ?instr "use of undefined value %s (%s)" (value_name id) what
       | _ -> ()
+    in
+    (* The per-operand checks are one closure each, reading the block
+       and instruction they check from [at_block] and [at_instr], not
+       a closure allocated per instruction. *)
+    let at_block = ref 0 and at_instr = ref 0 in
+    let check_operand v =
+      if undefined v then check_value ~instr:!at_instr !at_block "operand" v
     in
     let check_target b t =
       if t < 0 || t >= n then begin
@@ -111,12 +149,12 @@ let diagnostics (f : Func.t) : diagnostic list =
                   check_value b.id (Printf.sprintf "phi %s incoming" (value_name p.dst)) v)
               p.incoming)
           b.phis;
-        Array.iteri
-          (fun i ins ->
-            Instr.iter_operands
-              (fun v -> if undefined v then check_value ~instr:i b.id "operand" v)
-              ins)
-          b.instrs;
+        at_block := b.id;
+        let instrs = b.instrs in
+        for i = 0 to Array.length instrs - 1 do
+          at_instr := i;
+          Instr.iter_operands check_operand instrs.(i)
+        done;
         match b.term with
         | Instr.Br t -> check_target b.id t
         | Instr.CondBr { cond; if_true; if_false } ->
@@ -127,28 +165,28 @@ let diagnostics (f : Func.t) : diagnostic list =
         | Instr.Ret None | Instr.Abort _ -> ())
       f.Func.blocks;
     (* ---- result-type agreement --------------------------------------- *)
-    let ty_of id = if id >= 0 && id < nv then Some (Func.ty_of f id) else None in
+    let in_range id = id >= 0 && id < nv in
     Array.iter
       (fun (b : Block.t) ->
         Array.iter
           (fun (p : Instr.phi) ->
-            match ty_of p.dst with
-            | Some t when not (Types.equal t p.ty) ->
+            if in_range p.dst && not (Types.equal (Func.ty_of f p.dst) p.ty) then
               emit Error ~block:b.id "phi %s declared %s but typed %s" (value_name p.dst)
-                (Types.to_string t) (Types.to_string p.ty)
-            | _ -> ())
+                (Types.to_string (Func.ty_of f p.dst))
+                (Types.to_string p.ty))
           b.phis;
-        Array.iteri
-          (fun i ins ->
-            match (Instr.dst_of ins, Instr.result_ty ins) with
-            | Some d, Some ty -> (
-              match ty_of d with
-              | Some t when not (Types.equal t ty) ->
-                emit Error ~block:b.id ~instr:i "value %s declared %s but instruction yields %s"
-                  (value_name d) (Types.to_string t) (Types.to_string ty)
-              | _ -> ())
-            | _ -> ())
-          b.instrs)
+        let instrs = b.instrs in
+        for i = 0 to Array.length instrs - 1 do
+          let ins = instrs.(i) in
+          if has_result ins then begin
+            let d = result_dst ins and ty = result_type ins in
+            if in_range d && not (Types.equal (Func.ty_of f d) ty) then
+              emit Error ~block:b.id ~instr:i "value %s declared %s but instruction yields %s"
+                (value_name d)
+                (Types.to_string (Func.ty_of f d))
+                (Types.to_string ty)
+          end
+        done)
       f.Func.blocks;
     (* ---- operand-type agreement -------------------------------------- *)
     (* Ptr and I64 interchange freely: both are canonical 8-byte
@@ -167,8 +205,10 @@ let diagnostics (f : Func.t) : diagnostic list =
       | Instr.Imm _ -> Types.is_float want
       | Instr.Fimm _ -> not (Types.is_float want)
     in
-    let expect ?instr b what want v =
+    (* [instr] is the instruction's index, -1 for a φ or a terminator *)
+    let expect b instr what want v =
       if mismatch want v then
+        let instr = if instr < 0 then None else Some instr in
         match v with
         | Instr.Vreg id ->
           emit Error ~block:b ?instr "%s expects %s but %s is %s" what (Types.to_string want)
@@ -188,54 +228,52 @@ let diagnostics (f : Func.t) : diagnostic list =
             Array.iter
               (fun (_, v) ->
                 if mismatch p.ty v then
-                  expect b.id (Printf.sprintf "phi %s" (value_name p.dst)) p.ty v)
+                  expect b.id (-1) (Printf.sprintf "phi %s" (value_name p.dst)) p.ty v)
               p.incoming)
           b.phis;
-        Array.iteri
-          (fun i ins ->
-            let expect = expect ~instr:i b.id in
-            match ins with
-            | Instr.Binop { op = _; ty; a; b = v; _ } | Instr.OvfFlag { ty; a; b = v; _ } ->
-              expect "arithmetic operand" ty a;
-              expect "arithmetic operand" ty v
-            | Instr.Fbinop { a; b = v; _ } ->
-              expect "float operand" Types.F64 a;
-              expect "float operand" Types.F64 v
-            | Instr.Icmp { ty; a; b = v; _ } ->
-              expect "comparison operand" ty a;
-              expect "comparison operand" ty v
-            | Instr.Fcmp { a; b = v; _ } ->
-              expect "float comparison operand" Types.F64 a;
-              expect "float comparison operand" Types.F64 v
-            | Instr.Select { ty; cond; a; b = v; _ } ->
-              expect "select condition" Types.I1 cond;
-              expect "select operand" ty a;
-              expect "select operand" ty v
-            | Instr.Cast { from_ty; v; _ } -> expect "cast operand" from_ty v
-            | Instr.Load { addr; _ } -> expect "load address" Types.Ptr addr
-            | Instr.Store { ty; addr; v } ->
-              expect "store address" Types.Ptr addr;
-              expect "stored value" ty v
-            | Instr.Gep { base; index; _ } -> (
-              expect "gep base" Types.Ptr base;
-              match index with
-              | Instr.Vreg id -> (
-                match ty_of id with
-                | Some t when Types.is_float t ->
-                  emit Error ~block:b.id ~instr:i "gep index %s has float type %s"
-                    (value_name id) (Types.to_string t)
-                | _ -> ())
-              | Instr.Fimm _ ->
-                emit Error ~block:b.id ~instr:i "gep index is a float immediate"
-              | Instr.Imm _ -> ())
-            | Instr.Call { args; arg_tys; _ } ->
-              if Array.length args <> Array.length arg_tys then
-                emit Error ~block:b.id ~instr:i "call has %d args but %d arg types"
-                  (Array.length args) (Array.length arg_tys)
-              else Array.iteri (fun k a -> expect "call argument" arg_tys.(k) a) args)
-          b.instrs;
+        let instrs = b.instrs in
+        for i = 0 to Array.length instrs - 1 do
+          match instrs.(i) with
+          | Instr.Binop { op = _; ty; a; b = v; _ } | Instr.OvfFlag { ty; a; b = v; _ } ->
+            expect b.id i "arithmetic operand" ty a;
+            expect b.id i "arithmetic operand" ty v
+          | Instr.Fbinop { a; b = v; _ } ->
+            expect b.id i "float operand" Types.F64 a;
+            expect b.id i "float operand" Types.F64 v
+          | Instr.Icmp { ty; a; b = v; _ } ->
+            expect b.id i "comparison operand" ty a;
+            expect b.id i "comparison operand" ty v
+          | Instr.Fcmp { a; b = v; _ } ->
+            expect b.id i "float comparison operand" Types.F64 a;
+            expect b.id i "float comparison operand" Types.F64 v
+          | Instr.Select { ty; cond; a; b = v; _ } ->
+            expect b.id i "select condition" Types.I1 cond;
+            expect b.id i "select operand" ty a;
+            expect b.id i "select operand" ty v
+          | Instr.Cast { from_ty; v; _ } -> expect b.id i "cast operand" from_ty v
+          | Instr.Load { addr; _ } -> expect b.id i "load address" Types.Ptr addr
+          | Instr.Store { ty; addr; v } ->
+            expect b.id i "store address" Types.Ptr addr;
+            expect b.id i "stored value" ty v
+          | Instr.Gep { base; index; _ } -> (
+            expect b.id i "gep base" Types.Ptr base;
+            match index with
+            | Instr.Vreg id when in_range id && Types.is_float (Func.ty_of f id) ->
+              emit Error ~block:b.id ~instr:i "gep index %s has float type %s" (value_name id)
+                (Types.to_string (Func.ty_of f id))
+            | Instr.Fimm _ -> emit Error ~block:b.id ~instr:i "gep index is a float immediate"
+            | Instr.Vreg _ | Instr.Imm _ -> ())
+          | Instr.Call { args; arg_tys; _ } ->
+            if Array.length args <> Array.length arg_tys then
+              emit Error ~block:b.id ~instr:i "call has %d args but %d arg types"
+                (Array.length args) (Array.length arg_tys)
+            else
+              for k = 0 to Array.length args - 1 do
+                expect b.id i "call argument" arg_tys.(k) args.(k)
+              done
+        done;
         match b.term with
-        | Instr.CondBr { cond; _ } -> expect b.id "branch condition" Types.I1 cond
+        | Instr.CondBr { cond; _ } -> expect b.id (-1) "branch condition" Types.I1 cond
         | _ -> ())
       f.Func.blocks;
     if not !structure_ok then List.rev !diags
@@ -244,42 +282,61 @@ let diagnostics (f : Func.t) : diagnostic list =
       let preds = Cfg.predecessors f in
       Array.iter
         (fun (b : Block.t) ->
-          Array.iter
-            (fun (p : Instr.phi) ->
-              let incoming_preds =
-                Array.to_list p.incoming |> List.map fst |> List.sort compare
-              in
-              let actual = List.sort compare preds.(b.id) in
-              if incoming_preds <> actual then
-                emit Error ~block:b.id "phi %s: incoming %s but predecessors %s"
-                  (value_name p.dst)
-                  (String.concat "," (List.map string_of_int incoming_preds))
-                  (String.concat "," (List.map string_of_int actual)))
-            b.phis)
+          if Array.length b.phis > 0 then begin
+            let actual = List.sort compare preds.(b.id) in
+            Array.iter
+              (fun (p : Instr.phi) ->
+                let incoming_preds =
+                  Array.to_list p.incoming |> List.map fst |> List.sort compare
+                in
+                if incoming_preds <> actual then
+                  emit Error ~block:b.id "phi %s: incoming %s but predecessors %s"
+                    (value_name p.dst)
+                    (String.concat "," (List.map string_of_int incoming_preds))
+                    (String.concat "," (List.map string_of_int actual)))
+              b.phis
+          end)
         f.Func.blocks;
       (* φ-to-φ reads within one block: the translator lowers φs to
          *sequential* copies at the end of each predecessor, so a φ
          whose incoming value is another φ of the same block would
          observe the copied (new) value instead of the parallel-copy
          (old) one — reject it as a translator-precondition break. *)
+      (* [phi_owner] maps the dst of each φ of the blocks being
+         checked to its block, and every other value to -1 *)
+      let phi_owner = Array.make (Stdlib.max nv 1) (-1) in
+      let own s owner =
+        let phis = (Func.block f s).phis in
+        for k = 0 to Array.length phis - 1 do
+          let d = phis.(k).Instr.dst in
+          if in_range d then phi_owner.(d) <- owner
+        done
+      in
+      (* whether [id] is the dst of a φ of block [s]; an out-of-range
+         [id] (already reported) is looked up in [s]'s φs *)
+      let phi_of s id =
+        if in_range id then phi_owner.(id) = s
+        else Array.exists (fun (p : Instr.phi) -> p.Instr.dst = id) (Func.block f s).phis
+      in
       Array.iter
         (fun (b : Block.t) ->
-          let phi_dsts = Array.map (fun (p : Instr.phi) -> p.Instr.dst) b.phis in
-          Array.iter
-            (fun (p : Instr.phi) ->
-              Array.iter
-                (fun (pred, v) ->
-                  match v with
-                  | Instr.Vreg id
-                    when id <> p.dst && Array.exists (Int.equal id) phi_dsts ->
-                    emit Error ~block:b.id
-                      "phi %s reads %s (a phi of the same block) on the edge from \
-                       block %d: sequential φ copies cannot preserve parallel-copy \
-                       semantics"
-                      (value_name p.dst) (value_name id) pred
-                  | _ -> ())
-                p.incoming)
-            b.phis)
+          let phis = b.phis in
+          if Array.length phis > 0 then begin
+            own b.id b.id;
+            for k = 0 to Array.length phis - 1 do
+              let p = phis.(k) in
+              for j = 0 to Array.length p.incoming - 1 do
+                match p.incoming.(j) with
+                | pred, Instr.Vreg id when id <> p.dst && phi_of b.id id ->
+                  emit Error ~block:b.id
+                    "phi %s reads %s (a phi of the same block) on the edge from block \
+                     %d: sequential φ copies cannot preserve parallel-copy semantics"
+                    (value_name p.dst) (value_name id) pred
+                | _ -> ()
+              done
+            done;
+            own b.id (-1)
+          end)
         f.Func.blocks;
       (* Cross-successor φ copy hazard: the translator emits the copy
          sets of *all* successors at the end of a block before the
@@ -288,43 +345,44 @@ let diagnostics (f : Func.t) : diagnostic list =
          already overwritten it by the time the b→s copy reads it
          (e.g. a loop-exit φ reading a loop-header φ from the header's
          exit edge). *)
+      (* [phi_owner] holds a conditional branch's two successors' φs
+         while the branch is checked, the false successor's written
+         last *)
+      let owner_of id ~if_true ~if_false =
+        if in_range id then phi_owner.(id)
+        else if phi_of if_false id then if_false
+        else if phi_of if_true id then if_true
+        else -1
+      in
+      let check_edge src s ~if_true ~if_false =
+        let phis = (Func.block f s).phis in
+        for k = 0 to Array.length phis - 1 do
+          let p = phis.(k) in
+          for j = 0 to Array.length p.incoming - 1 do
+            match p.incoming.(j) with
+            | pred, Instr.Vreg id when pred = src && id <> p.dst ->
+              let owner = owner_of id ~if_true ~if_false in
+              if owner >= 0 && owner <> s then
+                emit Error ~block:src
+                  "phi %s of block %d reads %s on the edge from block %d, but %s is a \
+                   phi of sibling successor %d: its copy set clobbers the value \
+                   before this edge's copies read it"
+                  (value_name p.dst) s (value_name id) src (value_name id) owner
+            | _ -> ()
+          done
+        done
+      in
       Array.iter
         (fun (b : Block.t) ->
-          let succs = Block.successors b in
-          match succs with
-          | [] | [ _ ] -> ()
-          | _ ->
-            (* successor φ dst -> owning block *)
-            let dst_owner = Hashtbl.create 8 in
-            List.iter
-              (fun s ->
-                Array.iter
-                  (fun (p : Instr.phi) ->
-                    Hashtbl.replace dst_owner p.Instr.dst s)
-                  (Func.block f s).phis)
-              succs;
-            List.iter
-              (fun s ->
-                Array.iter
-                  (fun (p : Instr.phi) ->
-                    Array.iter
-                      (fun (pred, v) ->
-                        match v with
-                        | Instr.Vreg id when pred = b.id && id <> p.dst -> (
-                          match Hashtbl.find_opt dst_owner id with
-                          | Some owner when owner <> s ->
-                            emit Error ~block:b.id
-                              "phi %s of block %d reads %s on the edge from block \
-                               %d, but %s is a phi of sibling successor %d: its \
-                               copy set clobbers the value before this edge's \
-                               copies read it"
-                              (value_name p.dst) s (value_name id) b.id
-                              (value_name id) owner
-                          | _ -> ())
-                        | _ -> ())
-                      p.incoming)
-                  (Func.block f s).phis)
-              succs)
+          match b.term with
+          | Instr.CondBr { if_true; if_false; _ } ->
+            own if_true if_true;
+            own if_false if_false;
+            check_edge b.id if_true ~if_true ~if_false;
+            check_edge b.id if_false ~if_true ~if_false;
+            own if_true (-1);
+            own if_false (-1)
+          | Instr.Br _ | Instr.Ret _ | Instr.Abort _ -> ())
         f.Func.blocks;
       (* reachability *)
       let reachable = Array.make n false in
@@ -361,14 +419,16 @@ let diagnostics (f : Func.t) : diagnostic list =
                 def_instr.(p.dst) <- -1
               end)
             b.phis;
-          Array.iteri
-            (fun i ins ->
-              match Instr.dst_of ins with
-              | Some d when d >= 0 && d < nv ->
+          let instrs = b.instrs in
+          for i = 0 to Array.length instrs - 1 do
+            if has_result instrs.(i) then begin
+              let d = result_dst instrs.(i) in
+              if in_range d then begin
                 def_block.(d) <- b.id;
                 def_instr.(d) <- i
-              | _ -> ())
-            b.instrs)
+              end
+            end
+          done)
         f.Func.blocks;
       Array.iter
         (fun (b : Block.t) ->
@@ -428,33 +488,36 @@ let diagnostics (f : Func.t) : diagnostic list =
               else di < use_instr (* φ defs have di = -1 and dominate all instrs *)
             else reachable.(db) && Dom.is_ancestor dom ~ancestor:db use_block
         in
+        let check_use v =
+          match v with
+          | Instr.Vreg id
+            when not
+                   (dominates_use ~same_block_ok:false id ~use_block:!at_block
+                      ~use_instr:!at_instr) ->
+            emit Error ~block:!at_block ~instr:!at_instr
+              "use of %s is not dominated by its definition" (value_name id)
+          | _ -> ()
+        in
+        let check_term_use v =
+          match v with
+          | Instr.Vreg id
+            when not
+                   (dominates_use ~same_block_ok:true id ~use_block:!at_block
+                      ~use_instr:max_int) ->
+            emit Error ~block:!at_block
+              "terminator use of %s is not dominated by its definition" (value_name id)
+          | _ -> ()
+        in
         Array.iter
           (fun (b : Block.t) ->
             if reachable.(b.id) then begin
-              Array.iteri
-                (fun i ins ->
-                  Instr.iter_operands
-                    (fun v ->
-                      match v with
-                      | Instr.Vreg id
-                        when not
-                               (dominates_use ~same_block_ok:false id ~use_block:b.id
-                                  ~use_instr:i) ->
-                        emit Error ~block:b.id ~instr:i
-                          "use of %s is not dominated by its definition" (value_name id)
-                      | _ -> ())
-                    ins)
-                b.instrs;
-              Analysis.term_uses b ~use:(fun v ->
-                  match v with
-                  | Instr.Vreg id
-                    when not
-                           (dominates_use ~same_block_ok:true id ~use_block:b.id
-                              ~use_instr:max_int) ->
-                    emit Error ~block:b.id
-                      "terminator use of %s is not dominated by its definition"
-                      (value_name id)
-                  | _ -> ());
+              at_block := b.id;
+              let instrs = b.instrs in
+              for i = 0 to Array.length instrs - 1 do
+                at_instr := i;
+                Instr.iter_operands check_use instrs.(i)
+              done;
+              Analysis.term_uses b ~use:check_term_use;
               (* a φ incoming value must dominate the *end of the edge's
                  source block* — that is where the copy executes *)
               Array.iter

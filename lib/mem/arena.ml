@@ -446,4 +446,11 @@ let get_i64 t p = chunk_get_i64 (buf t p) (off p)
 
 let set_i64 t p v = chunk_set_i64 (buf t p) (off p) v
 
+let get_i64_to t p dst dst_off = Bytes.set_int64_ne dst dst_off (chunk_get_i64 (buf t p) (off p))
+
+let set_i64_from t p src src_off = chunk_set_i64 (buf t p) (off p) (Bytes.get_int64_ne src src_off)
+
+let set_i32_from t p src src_off =
+  chunk_set_i32 (buf t p) (off p) (Int64.to_int32 (Bytes.get_int64_ne src src_off))
+
 let chunk_of t p = (buf t p, off p)

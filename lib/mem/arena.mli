@@ -162,6 +162,20 @@ val get_i64 : t -> ptr -> int64
 
 val set_i64 : t -> ptr -> int64 -> unit
 
+(** The 64-bit moves between an arena and a byte buffer (a VM register
+    file): [get_i64_to t p dst off] copies the word at [p] to [dst] at
+    byte [off], [set_i64_from t p src off] the word at [src]'s [off] to
+    [p], and [set_i32_from] its low 32 bits. The value never crosses a
+    module boundary, so it is never boxed, where {!get_i64} boxes the
+    [int64] it returns and {!set_i64} and {!set_i32} the one they are
+    passed. *)
+
+val get_i64_to : t -> ptr -> Bytes.t -> int -> unit
+
+val set_i64_from : t -> ptr -> Bytes.t -> int -> unit
+
+val set_i32_from : t -> ptr -> Bytes.t -> int -> unit
+
 type chunk = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** A chunk's memory: a bigstring, outside the OCaml heap, so loaded
     tables and pooled scratch do not count towards the heap size that

@@ -5,7 +5,8 @@
    The structural pass and the abstract interpreter work on the
    [Bytecode.t] alone and certify what the interpreter and the closure
    backend assume: jump targets in bounds (instruction boundaries are
-   free in this encoding — code is an insn array, not a byte stream),
+   free in this encoding — code is an array of fixed-length
+   instructions, not a byte stream), opcodes valid,
    register offsets aligned and inside the register file, constants
    never overwritten, runtime-call arities matching the function table,
    and — per pc, as a forward dataflow over slot type-states — no read
@@ -161,11 +162,19 @@ let check_program (p : Bytecode.t) : diagnostic list =
   let n_code = Array.length p.Bytecode.code in
   let n_slots = p.Bytecode.n_reg_bytes / 8 in
   let n_consts = Array.length p.Bytecode.const_pool in
-  if n_code = 0 then begin
-    emit "program has no instructions";
-    List.rev !diags
-  end
+  let n_ext = Array.length p.Bytecode.ext and n_lits = Array.length p.Bytecode.lits in
+  if n_code = 0 then emit "program has no instructions";
+  if n_ext <> n_code || n_lits <> n_code then
+    emit "instruction arrays disagree: %d code, %d ext and %d literal words" n_code n_ext
+      n_lits;
+  Array.iteri
+    (fun pc w ->
+      let op = w land ((1 lsl Bytecode.op_bits) - 1) in
+      if op >= Opcode.count then emit ~pc "opcode %d out of range" op)
+    p.Bytecode.code;
+  if !diags <> [] then List.rev !diags
   else begin
+    let code = Array.init n_code (Bytecode.get p) in
     if p.Bytecode.n_reg_bytes mod 8 <> 0 then
       emit "register file size %d is not a multiple of 8" p.Bytecode.n_reg_bytes;
     if n_slots < n_consts + Array.length p.Bytecode.param_offsets then
@@ -209,7 +218,7 @@ let check_program (p : Bytecode.t) : diagnostic list =
         | _ -> ());
         match call_arity i.op with
         | Some arity -> (
-          let idx = Int64.to_int i.lit in
+          let idx = i.lit in
           if idx < 0 || idx >= Array.length p.Bytecode.rt_table then
             emit ~pc "runtime-call index %d out of bounds (table has %d entries)" idx
               (Array.length p.Bytecode.rt_table)
@@ -219,7 +228,7 @@ let check_program (p : Bytecode.t) : diagnostic list =
               emit ~pc "%s expects a %d-ary runtime function but table entry %d is %d-ary"
                 (Opcode.to_string i.op) arity idx actual)
         | None -> ())
-      p.Bytecode.code;
+      code;
     (* abstract interpretation of slot type-states — only meaningful if
        the structure held up *)
     if !diags = [] then begin
@@ -255,7 +264,7 @@ let check_program (p : Bytecode.t) : diagnostic list =
       while not (Queue.is_empty queue) do
         let pc = Queue.take queue in
         let st = states.(pc) in
-        let i = p.Bytecode.code.(pc) in
+        let i = code.(pc) in
         let sh = shape_of i ~state_of:(fun off -> st.(off / 8)) in
         let out = Array.copy st in
         (match sh.write with Some (off, v) -> out.(off / 8) <- v | None -> ());
@@ -281,7 +290,7 @@ let check_program (p : Bytecode.t) : diagnostic list =
             List.iter (read "float" tint) sh.freads;
             List.iter (read "any" (-1)) sh.areads
           end)
-        p.Bytecode.code
+        code
     end;
     List.rev !diags
   end

@@ -2,10 +2,11 @@
 
     Three layers, from cheapest to deepest:
 
-    - {!check_program}: structural checks over the whole code array
-      (jump targets in bounds — instruction boundaries are free in
-      this encoding since code is an insn array —, register offsets
-      aligned and inside the register file, no write to a
+    - {!check_program}: structural checks over the whole program
+      (the three instruction arrays of one length, every opcode valid,
+      jump targets in bounds — instruction boundaries are free in this
+      encoding, whose instructions are fixed-length slots —, register
+      offsets aligned and inside the register file, no write to a
       constant-pool slot, abort-message and runtime-call indices
       valid, call arity matching the function table, no fall-through
       past the end), then a forward abstract interpretation of per-pc

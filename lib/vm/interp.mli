@@ -1,5 +1,8 @@
 (** The bytecode interpreter — a single dispatch loop over the
-    fixed-length instruction array (paper Fig. 8).
+    fixed-length instructions (paper Fig. 8), decoding from the packed
+    words of {!Bytecode.t} only the fields each opcode uses. Opcodes
+    and jump targets are not checked as it runs: the program comes
+    from [Translate], or passes [Bc_verify.check_program].
 
     The register file is a byte buffer; callers running many morsels
     reuse one scratch buffer per worker thread to mimic the paper's

@@ -287,3 +287,9 @@ let to_string = function
 let count = 1 + (Obj.magic CallR4 : int)
 
 let all : t list = List.init count (fun i : t -> Obj.magic i)
+
+let to_int (o : t) : int = Obj.magic o
+
+let of_int i : t =
+  if i < 0 || i >= count then invalid_arg (Printf.sprintf "Opcode.of_int %d" i)
+  else Obj.magic i

@@ -1,30 +1,34 @@
-exception Unsupported of string
+exception Unsupported = Bytecode.Unsupported
 
 let unsupported fmt = Format.kasprintf (fun s -> raise (Unsupported s)) fmt
 
-(* Growable instruction buffer. *)
+(* Growable instruction buffer: the three arrays of [Bytecode.t],
+   encoded as each instruction is emitted. *)
 module Buf = struct
-  type t = { mutable arr : Bytecode.insn array; mutable len : int }
+  type t = {
+    mutable code : int array;
+    mutable ext : int array;
+    mutable lits : int array;
+    mutable len : int;
+  }
 
-  let nop : Bytecode.insn =
-    { op = Opcode.RetVoid; a = 0; b = 0; c = 0; d = 0; e = 0; lit = 0L }
+  let create () =
+    { code = Array.make 64 0; ext = Array.make 64 0; lits = Array.make 64 0; len = 0 }
 
-  let create () = { arr = Array.make 64 nop; len = 0 }
+  let grow a = Array.append a (Array.make (Array.length a) 0)
 
-  let push t i =
-    if t.len >= Array.length t.arr then begin
-      let bigger = Array.make (2 * Array.length t.arr) nop in
-      Array.blit t.arr 0 bigger 0 t.len;
-      t.arr <- bigger
+  let push t op a b c d e lit =
+    let w = Bytecode.encode_code op ~a ~b and x = Bytecode.encode_ext ~c ~d ~e in
+    if t.len >= Array.length t.code then begin
+      t.code <- grow t.code;
+      t.ext <- grow t.ext;
+      t.lits <- grow t.lits
     end;
-    t.arr.(t.len) <- i;
+    t.code.(t.len) <- w;
+    t.ext.(t.len) <- x;
+    t.lits.(t.len) <- lit;
     t.len <- t.len + 1
-
-  let contents t = Array.sub t.arr 0 t.len
 end
-
-let insn ?(a = 0) ?(b = 0) ?(c = 0) ?(d = 0) ?(e = 0) ?(lit = 0L) op : Bytecode.insn =
-  { op; a; b; c; d; e; lit }
 
 (* An abort-only block (no φs, no instructions) is a fusion-eligible
    overflow trap target. *)
@@ -163,7 +167,9 @@ let translate ?(strategy = Regalloc.Loop_aware) ?(fuse = true) ~symbols (f : Fun
   let jump_to ?(field = `A) target =
     fixups := (buf.Buf.len, field, target) :: !fixups
   in
-  let emit = Buf.push buf in
+  let emit op a b c d e lit = Buf.push buf op a b c d e lit in
+  let emit2 op a b = emit op a b 0 0 0 0 in
+  let emit3 op a b c = emit op a b c 0 0 0 in
   let emit_phi_copies src_block target =
     let tb = Func.block f target in
     Array.iter
@@ -172,7 +178,7 @@ let translate ?(strategy = Regalloc.Loop_aware) ?(fuse = true) ~symbols (f : Fun
         | None -> unsupported "phi in block %d lacks incoming from %d" target src_block
         | Some (_, v) ->
           let dst = reg_of (Instr.Vreg p.dst) and src = reg_of v in
-          if dst <> src then emit (insn Opcode.Mov ~a:dst ~b:src))
+          if dst <> src then emit2 Opcode.Mov dst src)
       tb.Block.phis
   in
   let binop_op (op : Instr.binop) ty : Opcode.t =
@@ -270,7 +276,7 @@ let translate ?(strategy = Regalloc.Loop_aware) ?(fuse = true) ~symbols (f : Fun
   let emit_instr (i : Instr.t) =
     match i with
     | Instr.Binop { op; ty; dst; a; b } ->
-      emit (insn (binop_op op ty) ~a:(reg_of (Vreg dst)) ~b:(reg_of a) ~c:(reg_of b))
+      emit3 (binop_op op ty) (reg_of (Vreg dst)) (reg_of a) (reg_of b)
     | Instr.OvfFlag { op; ty; dst; a; b } ->
       let o : Opcode.t =
         match (op, width_of ty) with
@@ -282,14 +288,14 @@ let translate ?(strategy = Regalloc.Loop_aware) ?(fuse = true) ~symbols (f : Fun
         | Instr.OMul, 64 -> OvfMul_i64
         | _ -> unsupported "overflow check width"
       in
-      emit (insn o ~a:(reg_of (Vreg dst)) ~b:(reg_of a) ~c:(reg_of b))
+      emit3 o (reg_of (Vreg dst)) (reg_of a) (reg_of b)
     | Instr.Fbinop { op; dst; a; b } ->
       let o : Opcode.t =
         match op with Instr.FAdd -> FAdd | FSub -> FSub | FMul -> FMul | FDiv -> FDiv
       in
-      emit (insn o ~a:(reg_of (Vreg dst)) ~b:(reg_of a) ~c:(reg_of b))
+      emit3 o (reg_of (Vreg dst)) (reg_of a) (reg_of b)
     | Instr.Icmp { op; ty; dst; a; b } ->
-      emit (insn (icmp_op op ty) ~a:(reg_of (Vreg dst)) ~b:(reg_of a) ~c:(reg_of b))
+      emit3 (icmp_op op ty) (reg_of (Vreg dst)) (reg_of a) (reg_of b)
     | Instr.Fcmp { op; dst; a; b } ->
       let o : Opcode.t =
         match op with
@@ -300,76 +306,67 @@ let translate ?(strategy = Regalloc.Loop_aware) ?(fuse = true) ~symbols (f : Fun
         | FGt -> FCmpGt
         | FGe -> FCmpGe
       in
-      emit (insn o ~a:(reg_of (Vreg dst)) ~b:(reg_of a) ~c:(reg_of b))
+      emit3 o (reg_of (Vreg dst)) (reg_of a) (reg_of b)
     | Instr.Select { dst; cond; a; b; _ } ->
-      emit
-        (insn Opcode.SelectOp ~a:(reg_of (Vreg dst)) ~b:(reg_of cond) ~c:(reg_of a)
-           ~d:(reg_of b))
+      emit Opcode.SelectOp (reg_of (Vreg dst)) (reg_of cond) (reg_of a) (reg_of b) 0 0
     | Instr.Cast { op; from_ty; to_ty; dst; v } -> (
       let d = reg_of (Vreg dst) and s = reg_of v in
       match op with
-      | Instr.Bitcast -> emit (insn Opcode.Mov ~a:d ~b:s)
-      | Instr.SiToFp -> emit (insn Opcode.SiToFp ~a:d ~b:s)
-      | Instr.FpToSi -> emit (insn Opcode.FpToSi ~a:d ~b:s)
+      | Instr.Bitcast -> emit2 Opcode.Mov d s
+      | Instr.SiToFp -> emit2 Opcode.SiToFp d s
+      | Instr.FpToSi -> emit2 Opcode.FpToSi d s
       | Instr.Zext -> (
         match from_ty with
-        | Types.I1 | Types.I64 | Types.Ptr -> emit (insn Opcode.Mov ~a:d ~b:s)
-        | Types.I8 -> emit (insn Opcode.Zext8 ~a:d ~b:s)
-        | Types.I16 -> emit (insn Opcode.Zext16 ~a:d ~b:s)
-        | Types.I32 -> emit (insn Opcode.Zext32 ~a:d ~b:s)
+        | Types.I1 | Types.I64 | Types.Ptr -> emit2 Opcode.Mov d s
+        | Types.I8 -> emit2 Opcode.Zext8 d s
+        | Types.I16 -> emit2 Opcode.Zext16 d s
+        | Types.I32 -> emit2 Opcode.Zext32 d s
         | Types.F64 -> unsupported "zext from float")
       | Instr.Sext -> (
         match from_ty with
         | Types.I1 ->
           (* sext i1 = 0 - v on canonical 0/1 *)
-          emit (insn Opcode.Sub_i64 ~a:d ~b:0 ~c:s)
-        | _ -> emit (insn Opcode.Mov ~a:d ~b:s))
+          emit3 Opcode.Sub_i64 d 0 s
+        | _ -> emit2 Opcode.Mov d s)
       | Instr.Trunc -> (
         match to_ty with
-        | Types.I1 -> emit (insn Opcode.Trunc1 ~a:d ~b:s)
-        | Types.I8 -> emit (insn Opcode.Trunc8 ~a:d ~b:s)
-        | Types.I16 -> emit (insn Opcode.Trunc16 ~a:d ~b:s)
-        | Types.I32 -> emit (insn Opcode.Trunc32 ~a:d ~b:s)
-        | Types.I64 | Types.Ptr -> emit (insn Opcode.Mov ~a:d ~b:s)
+        | Types.I1 -> emit2 Opcode.Trunc1 d s
+        | Types.I8 -> emit2 Opcode.Trunc8 d s
+        | Types.I16 -> emit2 Opcode.Trunc16 d s
+        | Types.I32 -> emit2 Opcode.Trunc32 d s
+        | Types.I64 | Types.Ptr -> emit2 Opcode.Mov d s
         | Types.F64 -> unsupported "trunc to float"))
     | Instr.Load { ty; dst; addr } ->
-      emit (insn (load_op ty) ~a:(reg_of (Vreg dst)) ~b:(reg_of addr))
-    | Instr.Store { ty; addr; v } -> emit (insn (store_op ty) ~a:(reg_of v) ~b:(reg_of addr))
+      emit2 (load_op ty) (reg_of (Vreg dst)) (reg_of addr)
+    | Instr.Store { ty; addr; v } -> emit2 (store_op ty) (reg_of v) (reg_of addr)
     | Instr.Gep { dst; base; index; scale; offset } -> (
       match index with
       | Instr.Imm n ->
-        emit
-          (insn Opcode.GepConst ~a:(reg_of (Vreg dst)) ~b:(reg_of base)
-             ~lit:(Int64.of_int ((Int64.to_int n * scale) + offset)))
+        emit Opcode.GepConst (reg_of (Vreg dst)) (reg_of base) 0 0 0
+          ((Int64.to_int n * scale) + offset)
       | _ ->
-        emit
-          (insn Opcode.Gep ~a:(reg_of (Vreg dst)) ~b:(reg_of base) ~c:(reg_of index)
-             ~lit:(Bytecode.pack_scale_offset ~scale ~offset)))
+        emit Opcode.Gep (reg_of (Vreg dst)) (reg_of base) (reg_of index) 0 0
+          (Bytecode.pack_scale_offset ~scale ~offset))
     | Instr.Call { dst; sym; args; _ } -> (
-      let idx = Int64.of_int (resolve sym) in
+      let idx = resolve sym in
       let arg i = reg_of args.(i) in
       match (dst, Array.length args) with
-      | None, 0 -> emit (insn Opcode.CallV0 ~lit:idx)
-      | None, 1 -> emit (insn Opcode.CallV1 ~a:(arg 0) ~lit:idx)
-      | None, 2 -> emit (insn Opcode.CallV2 ~a:(arg 0) ~b:(arg 1) ~lit:idx)
-      | None, 3 -> emit (insn Opcode.CallV3 ~a:(arg 0) ~b:(arg 1) ~c:(arg 2) ~lit:idx)
+      | None, 0 -> emit Opcode.CallV0 0 0 0 0 0 idx
+      | None, 1 -> emit Opcode.CallV1 (arg 0) 0 0 0 0 idx
+      | None, 2 -> emit Opcode.CallV2 (arg 0) (arg 1) 0 0 0 idx
+      | None, 3 -> emit Opcode.CallV3 (arg 0) (arg 1) (arg 2) 0 0 idx
       | None, 4 ->
-        emit (insn Opcode.CallV4 ~a:(arg 0) ~b:(arg 1) ~c:(arg 2) ~d:(arg 3) ~lit:idx)
+        emit Opcode.CallV4 (arg 0) (arg 1) (arg 2) (arg 3) 0 idx
       | None, 5 ->
-        emit
-          (insn Opcode.CallV5 ~a:(arg 0) ~b:(arg 1) ~c:(arg 2) ~d:(arg 3) ~e:(arg 4)
-             ~lit:idx)
-      | Some (d, _), 0 -> emit (insn Opcode.CallR0 ~a:(reg_of (Vreg d)) ~lit:idx)
-      | Some (d, _), 1 -> emit (insn Opcode.CallR1 ~a:(reg_of (Vreg d)) ~b:(arg 0) ~lit:idx)
+        emit Opcode.CallV5 (arg 0) (arg 1) (arg 2) (arg 3) (arg 4) idx
+      | Some (d, _), 0 -> emit Opcode.CallR0 (reg_of (Vreg d)) 0 0 0 0 idx
+      | Some (d, _), 1 -> emit Opcode.CallR1 (reg_of (Vreg d)) (arg 0) 0 0 0 idx
       | Some (d, _), 2 ->
-        emit (insn Opcode.CallR2 ~a:(reg_of (Vreg d)) ~b:(arg 0) ~c:(arg 1) ~lit:idx)
+        emit Opcode.CallR2 (reg_of (Vreg d)) (arg 0) (arg 1) 0 0 idx
       | Some (d, _), 3 ->
-        emit
-          (insn Opcode.CallR3 ~a:(reg_of (Vreg d)) ~b:(arg 0) ~c:(arg 1) ~d:(arg 2) ~lit:idx)
+        emit Opcode.CallR3 (reg_of (Vreg d)) (arg 0) (arg 1) (arg 2) 0 idx
       | Some (d, _), 4 ->
-        emit
-          (insn Opcode.CallR4 ~a:(reg_of (Vreg d)) ~b:(arg 0) ~c:(arg 1) ~d:(arg 2)
-             ~e:(arg 3) ~lit:idx)
+        emit Opcode.CallR4 (reg_of (Vreg d)) (arg 0) (arg 1) (arg 2) (arg 3) idx
       | _ -> unsupported "call arity for %s" sym)
   in
   let emit_terminator src (term : Instr.terminator) =
@@ -377,16 +374,16 @@ let translate ?(strategy = Regalloc.Loop_aware) ?(fuse = true) ~symbols (f : Fun
     | Instr.Br t ->
       emit_phi_copies src t;
       jump_to t;
-      emit (insn Opcode.Jmp)
+      emit2 Opcode.Jmp 0 0
     | Instr.CondBr { cond; if_true; if_false } ->
       emit_phi_copies src if_true;
       emit_phi_copies src if_false;
       jump_to ~field:`B if_true;
       jump_to ~field:`C if_false;
-      emit (insn Opcode.CondJmp ~a:(reg_of cond))
-    | Instr.Ret (Some v) -> emit (insn Opcode.RetVal ~a:(reg_of v))
-    | Instr.Ret None -> emit (insn Opcode.RetVoid)
-    | Instr.Abort m -> emit (insn Opcode.AbortOp ~a:(message m))
+      emit2 Opcode.CondJmp (reg_of cond) 0
+    | Instr.Ret (Some v) -> emit2 Opcode.RetVal (reg_of v) 0
+    | Instr.Ret None -> emit2 Opcode.RetVoid 0 0
+    | Instr.Abort m -> emit2 Opcode.AbortOp (message m) 0
   in
   Array.iter
     (fun (blk : Block.t) ->
@@ -406,15 +403,13 @@ let translate ?(strategy = Regalloc.Loop_aware) ?(fuse = true) ~symbols (f : Fun
             | Instr.Gep { dst; base; index; scale; offset } when !i + 1 < n -> (
               match instrs.(!i + 1) with
               | Instr.Load { ty; dst = ldst; addr = Instr.Vreg a } when a = dst && use_counts.(dst) = 1 ->
-                emit
-                  (insn (loadidx_op ty) ~a:(reg_of (Vreg ldst)) ~b:(reg_of base)
-                     ~c:(reg_of index) ~lit:(Bytecode.pack_scale_offset ~scale ~offset));
+                emit (loadidx_op ty) (reg_of (Vreg ldst)) (reg_of base) (reg_of index) 0 0
+                  (Bytecode.pack_scale_offset ~scale ~offset);
                 i := !i + 2;
                 true
               | Instr.Store { ty; addr = Instr.Vreg a; v } when a = dst && use_counts.(dst) = 1 ->
-                emit
-                  (insn (storeidx_op ty) ~a:(reg_of v) ~b:(reg_of base) ~c:(reg_of index)
-                     ~lit:(Bytecode.pack_scale_offset ~scale ~offset));
+                emit (storeidx_op ty) (reg_of v) (reg_of base) (reg_of index) 0 0
+                  (Bytecode.pack_scale_offset ~scale ~offset);
                 i := !i + 2;
                 true
               | _ -> false)
@@ -442,10 +437,10 @@ let translate ?(strategy = Regalloc.Loop_aware) ?(fuse = true) ~symbols (f : Fun
                   | Instr.Mul, 64 -> MulChk_i64
                   | _ -> assert false
                 in
-                emit (insn o ~a:(reg_of (Vreg dst)) ~b:(reg_of a) ~c:(reg_of b));
+                emit3 o (reg_of (Vreg dst)) (reg_of a) (reg_of b);
                 emit_phi_copies bid if_false;
                 jump_to if_false;
-                emit (insn Opcode.Jmp);
+                emit2 Opcode.Jmp 0 0;
                 term_done := true;
                 i := !i + 2;
                 true
@@ -472,7 +467,7 @@ let translate ?(strategy = Regalloc.Loop_aware) ?(fuse = true) ~symbols (f : Fun
                   emit_phi_copies bid if_false;
                   jump_to ~field:`C if_true;
                   jump_to ~field:`D if_false;
-                  emit (insn o ~a:(reg_of a) ~b:(reg_of b));
+                  emit2 o (reg_of a) (reg_of b);
                   term_done := true;
                   incr i;
                   true
@@ -488,23 +483,13 @@ let translate ?(strategy = Regalloc.Loop_aware) ?(fuse = true) ~symbols (f : Fun
       if not !term_done then emit_terminator bid blk.Block.term)
     f.Func.blocks;
   (* --- fixups ------------------------------------------------------- *)
-  let code = Buf.contents buf in
-  List.iter
-    (fun (idx, field, target) ->
-      let t = block_start.(target) in
-      assert (t >= 0);
-      let i = code.(idx) in
-      code.(idx) <-
-        (match field with
-        | `A -> { i with Bytecode.a = t }
-        | `B -> { i with Bytecode.b = t }
-        | `C -> { i with Bytecode.c = t }
-        | `D -> { i with Bytecode.d = t }))
-    !fixups;
+  let n = buf.Buf.len in
   let prog =
     {
       Bytecode.name = f.Func.name;
-      code;
+      code = Array.sub buf.Buf.code 0 n;
+      ext = Array.sub buf.Buf.ext 0 n;
+      lits = Array.sub buf.Buf.lits 0 n;
       n_reg_bytes = alloc.Regalloc.n_reg_bytes;
       const_pool;
       param_offsets;
@@ -513,6 +498,18 @@ let translate ?(strategy = Regalloc.Loop_aware) ?(fuse = true) ~symbols (f : Fun
       src_instr_count;
     }
   in
+  List.iter
+    (fun (idx, field, target) ->
+      let t = block_start.(target) in
+      assert (t >= 0);
+      let i = Bytecode.get prog idx in
+      Bytecode.set prog idx
+        (match field with
+        | `A -> { i with a = t }
+        | `B -> { i with b = t }
+        | `C -> { i with c = t }
+        | `D -> { i with d = t }))
+    !fixups;
   (* Under AEQ_VERIFY, certify our own output: structural/type-state
      checks on the emitted program plus the liveness cross-check on
      the allocation we actually used. *)

@@ -24,9 +24,13 @@
 
     @raise Unsupported for constructs the VM has no opcode for
     (checked arithmetic on widths other than 32/64, calls whose arity
-    exceeds the call opcodes, unresolved symbols). *)
+    exceeds the call opcodes, unresolved symbols), and for a field the
+    packed encoding cannot hold: a register offset or branch target
+    wider than its field, or a GEP scale or offset wider than its
+    literal ({!Bytecode}). *)
 
 exception Unsupported of string
+(** The same exception as [Bytecode.Unsupported]. *)
 
 val translate :
   ?strategy:Regalloc.strategy ->

@@ -145,71 +145,138 @@ let test_calibration_sane () =
   sane "speedup_unopt" ~floor:1.01 cal.C.speedup_unopt;
   sane "speedup_opt" ~floor:1.02 cal.C.speedup_opt
 
-(* sum of sext(load i32 col[i]) over [0, n): the gep/load/sext triple
-   translates to one LoadIdx32 *)
-let load32_kernel () =
-  let b = Builder.create ~name:"load32" ~params:[ Types.Ptr; Types.I64 ] in
+(* [sum over i in [0, n) of body b col i], where [col] is the first
+   parameter and [n] the second *)
+let column_kernel name body =
+  let b = Builder.create ~name ~params:[ Types.Ptr; Types.I64 ] in
   let head = Builder.new_block b in
-  let body = Builder.new_block b in
+  let loop = Builder.new_block b in
   let exit = Builder.new_block b in
   Builder.br b head;
   Builder.switch_to b head;
   let i = Builder.phi b Types.I64 [ (0, Instr.Imm 0L) ] in
   let acc = Builder.phi b Types.I64 [ (0, Instr.Imm 0L) ] in
   let c = Builder.icmp b Instr.Slt Types.I64 i (Builder.param b 1) in
-  Builder.condbr b c ~if_true:body ~if_false:exit;
-  Builder.switch_to b body;
-  let addr = Builder.gep b ~base:(Builder.param b 0) ~index:i ~scale:4 ~offset:0 in
-  let v = Builder.load b Types.I32 addr in
-  let w = Builder.cast b Instr.Sext ~from_ty:Types.I32 ~to_ty:Types.I64 v in
+  Builder.condbr b c ~if_true:loop ~if_false:exit;
+  Builder.switch_to b loop;
+  let w = body b (Builder.param b 0) i in
   let acc' = Builder.binop b Instr.Add Types.I64 acc w in
   let i' = Builder.binop b Instr.Add Types.I64 i (Instr.Imm 1L) in
   Builder.br b head;
-  Builder.add_phi_incoming b ~block:head ~dst:i ~pred:body i';
-  Builder.add_phi_incoming b ~block:head ~dst:acc ~pred:body acc';
+  Builder.add_phi_incoming b ~block:head ~dst:i ~pred:loop i';
+  Builder.add_phi_incoming b ~block:head ~dst:acc ~pred:loop acc';
   Builder.switch_to b exit;
   Builder.ret b acc;
   let f = Builder.finish b in
   Layout.normalize f;
   f
 
+let bytes_of = function
+  | Types.I8 -> 1
+  | Types.I16 -> 2
+  | Types.I32 -> 4
+  | _ -> 8
+
+(* sext(load ty col[i]): gep, load and sext translate to one LoadIdx *)
+let load_kernel ty =
+  column_kernel "load" (fun b col i ->
+      let addr = Builder.gep b ~base:col ~index:i ~scale:(bytes_of ty) ~offset:0 in
+      let v = Builder.load b ty addr in
+      if Types.equal ty Types.I64 then v
+      else Builder.cast b Instr.Sext ~from_ty:ty ~to_ty:Types.I64 v)
+
+(* col[i] <- col[i], then i: each gep and its load or store
+   translate to one LoadIdx and one StoreIdx *)
+let store_kernel ty =
+  column_kernel "store" (fun b col i ->
+      let scale = bytes_of ty in
+      let v = Builder.load b ty (Builder.gep b ~base:col ~index:i ~scale ~offset:0) in
+      let addr = Builder.gep b ~base:col ~index:i ~scale ~offset:0 in
+      Builder.store b ty ~addr v;
+      i)
+
+(* the address itself, summed: a Gep (register index) or a GepConst
+   (constant index) that no load or store absorbs *)
+let gep_kernel index =
+  column_kernel "gep" (fun b col i ->
+      Builder.gep b ~base:col ~index:(index i) ~scale:8 ~offset:16)
+
+let rows = 20_000
+
+(* minor words per row of [run], which must return [expected] *)
+let check_words_per_row name ~expected run =
+  Alcotest.(check int64) (name ^ ": result") expected (run ());
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (run ()));
+  let words = (Gc.minor_words () -. w0) /. float_of_int rows in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.3f minor words per row (< 0.05)" name words)
+    true (words < 0.05)
+
+let has_op (prog : Aeq_vm.Bytecode.t) op =
+  let n = Array.length prog.code in
+  let rec go pc = pc < n && ((Aeq_vm.Bytecode.get prog pc).op = op || go (pc + 1)) in
+  go 0
+
 (* A 4-byte load reaches the register file as an unboxed int: the
    LoadIdx32 kernel allocates nothing per row in the interpreter or in
    the closure tier (a boxed int32 costs about 3 words per load). *)
 let test_load32_allocation_free () =
-  let rows = 20_000 in
   let mem = A.create ~chunk_size:(4 * rows) () in
   let col = A.alloc (A.allocator mem) (4 * rows) in
   for i = 0 to rows - 1 do
     A.set_i32 mem (col + (4 * i)) (Int32.of_int (i - 15_000))
   done;
   let expected = Int64.of_int (((rows - 1) * rows / 2) - (15_000 * rows)) in
-  let f = load32_kernel () in
+  let f = load_kernel Types.I32 in
   let prog = Aeq_vm.Translate.translate ~symbols:no_symbols f in
   Alcotest.(check bool) "the kernel loads through LoadIdx32" true
-    (Array.exists
-       (fun i -> i.Aeq_vm.Bytecode.op = Aeq_vm.Opcode.LoadIdx32)
-       prog.Aeq_vm.Bytecode.code);
+    (has_op prog Aeq_vm.Opcode.LoadIdx32);
   let args = [| Int64.of_int col; Int64.of_int rows |] in
-  let words_per_row name run =
-    Alcotest.(check int64) (name ^ ": sum of the sign-extended cells") expected (run ());
-    let w0 = Gc.minor_words () in
-    ignore (Sys.opaque_identity (run ()));
-    let words = (Gc.minor_words () -. w0) /. float_of_int rows in
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: %.3f minor words per row (< 0.05)" name words)
-      true (words < 0.05)
-  in
   let regs = Aeq_vm.Interp.scratch prog in
-  words_per_row "bytecode" (fun () -> Aeq_vm.Interp.run prog mem ~regs ~args ());
+  check_words_per_row "bytecode" ~expected (fun () ->
+      Aeq_vm.Interp.run prog mem ~regs ~args ());
   let c =
     Aeq_backend.Compiler.compile_unopt_of_bytecode ~cost_model:CM.off ~mem
       ~n_instrs:(Func.n_instrs f) prog
   in
   let exec = c.Aeq_backend.Compiler.exec in
   let regs = Aeq_backend.Closure_compile.scratch exec in
-  words_per_row "unopt closures" (fun () ->
+  check_words_per_row "unopt closures" ~expected (fun () ->
       Aeq_backend.Closure_compile.run exec ~regs ~args ())
+
+(* The interpreter's other indexed loads, its indexed stores and its
+   address arithmetic allocate nothing per row either: each field is
+   decoded from the packed words as an int, and 8-byte cells and
+   4- and 8-byte stores move between the arena and the register file
+   without a boxed int32 or int64. *)
+let test_indexed_ops_allocation_free () =
+  let mem = A.create ~chunk_size:(8 * rows) () in
+  let col = A.alloc (A.allocator mem) (8 * rows) in
+  let args = [| Int64.of_int col; Int64.of_int rows |] in
+  List.iter
+    (fun (op, f) ->
+      let name = Aeq_vm.Opcode.to_string op in
+      for i = 0 to rows - 1 do
+        A.set_i64 mem (col + (8 * i)) (Int64.of_int ((i * 7919) - 40_000))
+      done;
+      let expected = Aeq_vm.Ir_interp.run f mem ~symbols:no_symbols ~args in
+      let prog = Aeq_vm.Translate.translate ~symbols:no_symbols f in
+      Alcotest.(check bool) (name ^ ": emitted") true (has_op prog op);
+      let regs = Aeq_vm.Interp.scratch prog in
+      check_words_per_row name ~expected (fun () ->
+          Aeq_vm.Interp.run prog mem ~regs ~args ()))
+    [
+      (Aeq_vm.Opcode.LoadIdx8, load_kernel Types.I8);
+      (Aeq_vm.Opcode.LoadIdx16, load_kernel Types.I16);
+      (Aeq_vm.Opcode.LoadIdx64, load_kernel Types.I64);
+      (Aeq_vm.Opcode.StoreIdx8, store_kernel Types.I8);
+      (Aeq_vm.Opcode.StoreIdx16, store_kernel Types.I16);
+      (Aeq_vm.Opcode.StoreIdx32, store_kernel Types.I32);
+      (Aeq_vm.Opcode.StoreIdx64, store_kernel Types.I64);
+      (Aeq_vm.Opcode.Gep, gep_kernel Fun.id);
+      (Aeq_vm.Opcode.GepConst, gep_kernel (fun _ -> Instr.Imm 3L));
+    ]
 
 let () =
   Alcotest.run "backend"
@@ -220,6 +287,8 @@ let () =
           Alcotest.test_case "opt shrinks IR" `Quick test_opt_shrinks_ir;
           Alcotest.test_case "4-byte loads allocate nothing" `Quick
             test_load32_allocation_free;
+          Alcotest.test_case "indexed memory ops allocate nothing" `Quick
+            test_indexed_ops_allocation_free;
         ] );
       ( "cost model",
         [

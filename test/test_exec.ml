@@ -351,7 +351,7 @@ let rebuild_corpus =
 
 (* A program's plain-data parts ([rt_table] holds closures). *)
 let bytecode_shape (bc : Aeq_vm.Bytecode.t) =
-  ( bc.Aeq_vm.Bytecode.code,
+  ( (bc.Aeq_vm.Bytecode.code, bc.Aeq_vm.Bytecode.ext, bc.Aeq_vm.Bytecode.lits),
     bc.Aeq_vm.Bytecode.n_reg_bytes,
     bc.Aeq_vm.Bytecode.const_pool,
     bc.Aeq_vm.Bytecode.param_offsets,
@@ -426,7 +426,9 @@ let test_prepared_opt_from_rebuilt_ir () =
   Aeq.Engine.close engine
 
 (* What the plan cache holds per giant statement: its plan, bytecode
-   and handles. Holding the worker IR as well read about 3.6 MB. *)
+   and handles, 0.88 MB. Holding the worker IR as well read about
+   3.6 MB, and bytecode as an array of boxed instruction records
+   1.69 MB. *)
 let test_prepared_giant_retention () =
   let engine = Aeq.Engine.create ~n_threads:1 ~cost_model:CM.off () in
   Aeq.Engine.load_tpch engine ~scale_factor:0.001;
@@ -445,9 +447,34 @@ let test_prepared_giant_retention () =
   in
   let per_statement = float_of_int (live_bytes () - before) /. float_of_int n /. 1048576.0 in
   ignore (Sys.opaque_identity cached);
-  if per_statement >= 2.5 then
-    Alcotest.failf "each cached 800-aggregate statement holds %.2f MB of live heap (bound 2.5)"
+  if per_statement >= 1.25 then
+    Alcotest.failf "each cached 800-aggregate statement holds %.2f MB of live heap (bound 1.25)"
       per_statement;
+  Aeq.Engine.close engine
+
+(* A cached statement keeps its bytecode as three unboxed int arrays:
+   one word per instruction in each, plus the three array headers and
+   the tuple measured here. *)
+let test_prepared_bytecode_words () =
+  let engine = Aeq.Engine.create ~n_threads:1 ~cost_model:CM.off () in
+  Aeq.Engine.load_tpch engine ~scale_factor:0.001;
+  let p =
+    Driver.prepare ~cost_model:CM.off (Aeq.Engine.catalog engine)
+      (Aeq.Engine.plan engine (Aeq_workload.Queries.large_query 800))
+      ~n_threads:1
+  in
+  Array.iter
+    (fun (c : Aeq_exec.Handle.compiled) ->
+      let bc = c.Aeq_exec.Handle.bytecode in
+      let n = Array.length bc.Aeq_vm.Bytecode.code in
+      let words =
+        Obj.reachable_words
+          (Obj.repr (bc.Aeq_vm.Bytecode.code, bc.Aeq_vm.Bytecode.ext, bc.Aeq_vm.Bytecode.lits))
+      in
+      if words > (3 * n) + 8 then
+        Alcotest.failf "%s: %d instructions take %d words (bound 3n + 8 = %d)"
+          bc.Aeq_vm.Bytecode.name n words ((3 * n) + 8))
+    (Driver.prepared_handles p);
   Aeq.Engine.close engine
 
 let test_trace_render () =
@@ -499,6 +526,8 @@ let () =
             test_prepared_rebuilds_same_ir;
           Alcotest.test_case "opt from rebuilt IR agrees" `Quick test_prepared_opt_from_rebuilt_ir;
           Alcotest.test_case "giant statement retention" `Quick test_prepared_giant_retention;
+          Alcotest.test_case "giant statement bytecode words" `Quick
+            test_prepared_bytecode_words;
         ] );
       ("trace", [ Alcotest.test_case "render" `Quick test_trace_render ]);
     ]

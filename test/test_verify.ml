@@ -371,10 +371,21 @@ let test_bc_accepts_edge_cases () =
 
 (* --- bytecode verifier: rejections ----------------------------------- *)
 
+(* A copy of [prog] whose instruction [idx] is [f] of the original,
+   re-encoded. *)
 let mutate_code prog idx f =
-  let code = Array.copy prog.BC.code in
-  code.(idx) <- f code.(idx);
-  { prog with BC.code }
+  let copy =
+    {
+      prog with
+      BC.code = Array.copy prog.BC.code;
+      ext = Array.copy prog.BC.ext;
+      lits = Array.copy prog.BC.lits;
+    }
+  in
+  BC.set copy idx (f (BC.get prog idx));
+  copy
+
+let insns prog = Array.init (Array.length prog.BC.code) (BC.get prog)
 
 let break_first_jump prog =
   let found = ref None in
@@ -389,7 +400,7 @@ let break_first_jump prog =
         | Aeq_vm.Opcode.JmpSle | Aeq_vm.Opcode.JmpSgt | Aeq_vm.Opcode.JmpSge ->
           found := Some (i, fun ins -> { ins with BC.c = 9999 })
         | _ -> ())
-    prog.BC.code;
+    (insns prog);
   match !found with
   | Some (i, f) -> mutate_code prog i f
   | None -> Alcotest.fail "no jump instruction to mutate"
@@ -409,11 +420,14 @@ let test_reject_out_of_bounds_jump () =
 let test_reject_read_before_write () =
   (* Slots 0/8 hold the constant pool; 16/24 are dynamic and never
      written before the add reads them. *)
-  let insn op a b c = { BC.op; a; b; c; d = 0; e = 0; lit = 0L } in
+  let insn op a b c = { BC.op; a; b; c; d = 0; e = 0; lit = 0 } in
+  let code = [| insn Aeq_vm.Opcode.Add_i64 16 16 24; insn Aeq_vm.Opcode.RetVal 16 0 0 |] in
   let bad =
     {
       BC.name = "rbw";
-      code = [| insn Aeq_vm.Opcode.Add_i64 16 16 24; insn Aeq_vm.Opcode.RetVal 16 0 0 |];
+      code = Array.make 2 0;
+      ext = Array.make 2 0;
+      lits = Array.make 2 0;
       n_reg_bytes = 32;
       const_pool = [| 0L; 1L |];
       param_offsets = [||];
@@ -422,6 +436,7 @@ let test_reject_read_before_write () =
       src_instr_count = 2;
     }
   in
+  Array.iteri (BC.set bad) code;
   let ds = BV.check_program bad in
   Alcotest.(check bool) "rejected" true (ds <> []);
   check_contains "message" "before any write" (BV.report bad.BC.name ds)
@@ -449,12 +464,26 @@ let test_reject_bad_register_offsets () =
   check_contains "oob write" "out of bounds" (BV.report "sum" (BV.check_program oob));
   (* a write onto a constant-pool slot *)
   let const_w = mutate_code prog 0 (fun ins -> { ins with BC.a = 0 }) in
-  let insn0 = prog.BC.code.(0) in
+  let insn0 = BC.get prog 0 in
   (* only meaningful if insn 0 writes a register; the translator's
      first insn of this function is a φ-seeding Mov *)
   Alcotest.(check bool) "first insn is a mov" true (insn0.BC.op = Aeq_vm.Opcode.Mov);
   check_contains "const write" "constant-pool"
     (BV.report "sum" (BV.check_program const_w))
+
+(* The three instruction arrays come from outside the verifier: one
+   shorter than the others, or a code word whose opcode field names no
+   opcode, is reported before anything decodes them. *)
+let test_reject_malformed_encoding () =
+  let f, _, _, _ = build_sum_loop () in
+  let prog = translate f in
+  let short = { prog with BC.ext = Array.sub prog.BC.ext 0 1 } in
+  check_contains "short ext" "instruction arrays disagree"
+    (BV.report "sum" (BV.check_program short));
+  let code = Array.copy prog.BC.code in
+  code.(0) <- code.(0) lor 0xff;
+  check_contains "bad opcode" "pc 0: opcode 255 out of range"
+    (BV.report "sum" (BV.check_program { prog with BC.code }))
 
 (* --- pass-manager pinpointing ---------------------------------------- *)
 
@@ -537,9 +566,7 @@ let test_workload_corpus () =
           | ds ->
             Alcotest.failf "%s worker %s: bytecode verifier rejected:\n%s" qname
               f.Func.name (BV.report prog.BC.name ds));
-          Array.iter
-            (fun (i : BC.insn) -> Hashtbl.replace opcodes i.BC.op ())
-            prog.BC.code;
+          Array.iter (fun (i : BC.insn) -> Hashtbl.replace opcodes i.BC.op ()) (insns prog);
           (* the disassembly must cover every instruction *)
           let text = Aeq_vm.Disasm.program prog in
           let lines =
@@ -660,6 +687,8 @@ let () =
             test_reject_clobbered_live_register;
           Alcotest.test_case "rejects bad register offsets" `Quick
             test_reject_bad_register_offsets;
+          Alcotest.test_case "rejects malformed encoding" `Quick
+            test_reject_malformed_encoding;
         ] );
       ( "passes",
         [

@@ -6,6 +6,9 @@ module A = Aeq_mem.Arena
 
 let no_symbols : Aeq_vm.Rt_fn.resolver = fun _ -> None
 
+let ops (prog : Aeq_vm.Bytecode.t) =
+  Array.init (Array.length prog.code) (fun pc -> (Aeq_vm.Bytecode.get prog pc).op)
+
 let run_vm ?strategy ?fuse f mem args =
   let prog = Aeq_vm.Translate.translate ?strategy ?fuse ~symbols:no_symbols f in
   Aeq_vm.Interp.run prog mem ~args ()
@@ -87,9 +90,7 @@ let test_checked_add_overflow () =
 let test_checked_fusion_applied () =
   let prog = Aeq_vm.Translate.translate ~symbols:no_symbols (build_add_checked ()) in
   let has_chk =
-    Array.exists
-      (fun (i : Aeq_vm.Bytecode.insn) -> i.op = Aeq_vm.Opcode.AddChk_i64)
-      prog.Aeq_vm.Bytecode.code
+    Array.exists (( = ) Aeq_vm.Opcode.AddChk_i64) (ops prog)
   in
   Alcotest.(check bool) "AddChk_i64 emitted" true has_chk
 
@@ -102,9 +103,7 @@ let test_sum_loop () =
 let test_cmp_branch_fusion_applied () =
   let prog = Aeq_vm.Translate.translate ~symbols:no_symbols (build_sum_loop ()) in
   let has_fused =
-    Array.exists
-      (fun (i : Aeq_vm.Bytecode.insn) -> i.op = Aeq_vm.Opcode.JmpSlt)
-      prog.Aeq_vm.Bytecode.code
+    Array.exists (( = ) Aeq_vm.Opcode.JmpSlt) (ops prog)
   in
   Alcotest.(check bool) "JmpSlt emitted" true has_fused
 
@@ -125,9 +124,7 @@ let test_column_sum_and_loadidx_fusion () =
     (run_vm f mem [| Int64.of_int col; Int64.of_int n |]);
   let prog = Aeq_vm.Translate.translate ~symbols:no_symbols f in
   let has_loadidx =
-    Array.exists
-      (fun (i : Aeq_vm.Bytecode.insn) -> i.op = Aeq_vm.Opcode.LoadIdx64)
-      prog.Aeq_vm.Bytecode.code
+    Array.exists (( = ) Aeq_vm.Opcode.LoadIdx64) (ops prog)
   in
   Alcotest.(check bool) "LoadIdx64 emitted" true has_loadidx
 
@@ -184,8 +181,7 @@ let test_cell_load_fusion () =
         cells;
       let prog = Aeq_vm.Translate.translate ~symbols:no_symbols f in
       let ops =
-        Array.map (fun (i : Aeq_vm.Bytecode.insn) -> Aeq_vm.Opcode.to_string i.op)
-          prog.Aeq_vm.Bytecode.code
+Array.map Aeq_vm.Opcode.to_string (ops prog)
       in
       Alcotest.(check (list string))
         (Printf.sprintf "gep; load %s; sext is one %s" (Types.to_string ty) op)
@@ -454,6 +450,139 @@ let prop_exhaustive_i8 =
       done;
       !ok)
 
+(* --- packed encoding --------------------------------------------------- *)
+
+module BC = Aeq_vm.Bytecode
+
+let one_slot () =
+  {
+    BC.name = "slot";
+    code = [| 0 |];
+    ext = [| 0 |];
+    lits = [| 0 |];
+    n_reg_bytes = 16;
+    const_pool = [| 0L; 1L |];
+    param_offsets = [||];
+    rt_table = [||];
+    messages = [||];
+    src_instr_count = 0;
+  }
+
+(* a field value: the bounds of its range, or anything within it *)
+let field_gen bits =
+  let max = (1 lsl bits) - 1 in
+  QCheck.Gen.(oneof [ return 0; return max; int_range 0 max ])
+
+let insn_gen =
+  QCheck.Gen.(
+    let* op = int_range 0 (Aeq_vm.Opcode.count - 1) in
+    let* a = field_gen BC.ab_bits and* b = field_gen BC.ab_bits in
+    let* c = field_gen BC.cde_bits and* d = field_gen BC.cde_bits in
+    let* e = field_gen BC.cde_bits in
+    let* lit = oneof [ return min_int; return max_int; return 0; int ] in
+    return { BC.op = Aeq_vm.Opcode.of_int op; a; b; c; d; e; lit })
+
+let prop_encoding_roundtrip =
+  QCheck.Test.make ~name:"encode then get returns every field" ~count:2000
+    (QCheck.make ~print:Aeq_vm.Disasm.insn insn_gen) (fun i ->
+      let p = one_slot () in
+      BC.set p 0 i;
+      BC.get p 0 = i)
+
+(* GEP literals: scale and offset come back unchanged, and the packed
+   int is the number the int64 packing gave, so disassembly is too *)
+let prop_gep_literal_roundtrip =
+  QCheck.Test.make ~name:"gep literal packs and unpacks" ~count:2000
+    QCheck.(
+      pair
+        (oneof [ oneofl [ -0x8000_0000; 0x7fff_ffff; 0 ]; int_range (-0x8000_0000) 0x7fff_ffff ])
+        (oneof [ oneofl [ -0x4000_0000; 0x3fff_ffff; 0 ]; int_range (-0x4000_0000) 0x3fff_ffff ]))
+    (fun (scale, offset) ->
+      let lit = BC.pack_scale_offset ~scale ~offset in
+      BC.unpack_scale lit = scale
+      && BC.unpack_offset lit = offset
+      && Int64.of_int lit
+         = Int64.logor
+             (Int64.logand (Int64.of_int scale) 0xFFFFFFFFL)
+             (Int64.shift_left (Int64.of_int offset) 32))
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+let raises_unsupported what ~naming f =
+  match f () with
+  | _ -> Alcotest.failf "%s: encoded" what
+  | exception Aeq_vm.Translate.Unsupported msg ->
+    if not (contains msg naming) then
+      Alcotest.failf "%s: message %S does not name %S" what msg naming
+
+let test_field_widths_checked () =
+  let p = one_slot () in
+  let ok = { BC.op = Aeq_vm.Opcode.Mov; a = 16; b = 8; c = 0; d = 0; e = 0; lit = 0 } in
+  BC.set p 0 ok;
+  let add = { ok with BC.op = Aeq_vm.Opcode.Add_i64 } in
+  let jmp = { ok with BC.op = Aeq_vm.Opcode.JmpSlt } in
+  raises_unsupported "register offset past 27 bits in a" ~naming:"field a" (fun () ->
+      BC.set p 0 { add with a = 1 lsl BC.ab_bits });
+  raises_unsupported "register offset past 21 bits in c" ~naming:"field c" (fun () ->
+      BC.set p 0 { add with c = 1 lsl BC.cde_bits });
+  raises_unsupported "negative register offset" ~naming:"field b" (fun () ->
+      BC.set p 0 { add with b = -8 });
+  raises_unsupported "branch target past 21 bits in d" ~naming:"field d" (fun () ->
+      BC.set p 0 { jmp with d = 1 lsl BC.cde_bits });
+  raises_unsupported "e" ~naming:"field e" (fun () ->
+      BC.encode_ext ~c:0 ~d:0 ~e:(1 lsl BC.cde_bits));
+  raises_unsupported "encode_code" ~naming:"field b" (fun () ->
+      BC.encode_code Aeq_vm.Opcode.Jmp ~a:0 ~b:max_int);
+  Alcotest.(check bool) "a failed set leaves the slot as it was" true (BC.get p 0 = ok);
+  raises_unsupported "gep offset past 31 bits" ~naming:"offset" (fun () ->
+      BC.pack_scale_offset ~scale:8 ~offset:(1 lsl 30));
+  raises_unsupported "gep scale past 32 bits" ~naming:"scale" (fun () ->
+      BC.pack_scale_offset ~scale:(1 lsl 31) ~offset:0);
+  (* through the translator: an IR gep whose offset the literal cannot hold *)
+  let b = Builder.create ~name:"far" ~params:[ Types.Ptr; Types.I64 ] in
+  let addr =
+    Builder.gep b ~base:(Builder.param b 0) ~index:(Builder.param b 1) ~scale:8
+      ~offset:(1 lsl 40)
+  in
+  Builder.ret b (Builder.load b Types.I64 addr);
+  let f = Builder.finish b in
+  Layout.normalize f;
+  raises_unsupported "translate" ~naming:"offset" (fun () ->
+      Aeq_vm.Translate.translate ~symbols:no_symbols f)
+
+(* The disassembly of every worker of the 22 TPC-H queries and of the
+   50-, 200- and 800-aggregate Fig. 15 statements, at sf 0.001, pinned
+   by digest: a change to how instructions are stored must leave every
+   decoded opcode, field and literal as it was. A change to code
+   generation, translation or fusion records the new digest. *)
+let test_disasm_pinned () =
+  let catalog = Aeq_storage.Catalog.create () in
+  Aeq_workload.Tpch.load ~scale_factor:0.001 catalog;
+  let symbols =
+    Aeq_rt.Symbols.resolver
+      (Aeq_rt.Context.create ~arena:(Aeq_storage.Catalog.arena catalog)
+         ~dict:(Aeq_storage.Catalog.dict catalog) ~n_threads:1 ())
+  in
+  let buf = Buffer.create (1 lsl 20) in
+  let n_workers = ref 0 in
+  List.iter
+    (fun sql ->
+      let plan = Aeq_plan.Planner.plan_sql catalog sql in
+      List.iter
+        (fun f ->
+          incr n_workers;
+          Buffer.add_string buf
+            (Aeq_vm.Disasm.program (Aeq_vm.Translate.translate ~symbols f)))
+        (Aeq_codegen.Codegen.all_workers plan (Aeq_plan.Physical.layout plan)))
+    (List.map snd Aeq_workload.Queries.tpch
+    @ List.map Aeq_workload.Queries.large_query [ 50; 200; 800 ]);
+  Alcotest.(check int) "workers" 95 !n_workers;
+  Alcotest.(check string) "disassembly digest" "1bb7e9f80945f23aa6486156c91c868c"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* --- differential properties ---------------------------------------- *)
 
 let run_ir f mem args = Aeq_vm.Ir_interp.run f mem ~symbols:no_symbols ~args
@@ -514,6 +643,13 @@ let () =
           Alcotest.test_case "overflow-check fused" `Quick test_checked_fusion_applied;
           Alcotest.test_case "cmp+br fused" `Quick test_cmp_branch_fusion_applied;
           Alcotest.test_case "disasm" `Quick test_disasm_smoke;
+        ] );
+      ( "encoding",
+        [
+          QCheck_alcotest.to_alcotest prop_encoding_roundtrip;
+          QCheck_alcotest.to_alcotest prop_gep_literal_roundtrip;
+          Alcotest.test_case "field widths checked" `Quick test_field_widths_checked;
+          Alcotest.test_case "disassembly pinned" `Quick test_disasm_pinned;
         ] );
       ( "regalloc",
         [
