@@ -29,13 +29,15 @@ let[@inline] sf regs off v = unsafe_set64 regs off (Int64.bits_of_float v)
 
 let[@inline] gp regs off = Int64.to_int (unsafe_get64 regs off)
 
-(* The arena's 1- and 2-byte getters return the unsigned byte value;
-   sign-extending it as an int here, not through [Semantics]' int64
-   functions, keeps a narrow column load from boxing (a call into
-   another module is not inlined under -opaque). *)
+(* Sign-extending the low 8, 16 or 32 bits as an int here, not
+   through [Semantics]' int64 functions, keeps a narrow column load
+   or a truncation from boxing (a call into another module is not
+   inlined under -opaque). [v] holds the unsigned low bits. *)
 let[@inline] sext8 v = (v lxor 0x80) - 0x80
 
 let[@inline] sext16 v = (v lxor 0x8000) - 0x8000
+
+let[@inline] sext32 v = (v lxor 0x8000_0000) - 0x8000_0000
 
 (* Non-control instructions compile to [Bytes.t -> unit] with every
    operand offset and literal captured. *)
@@ -144,19 +146,19 @@ let step_of mem (i : B.insn) : Bytes.t -> unit =
   | Op.Zext16 -> fun regs -> s regs a (Int64.logand (g regs b) 0xFFFFL)
   | Op.Zext32 -> fun regs -> s regs a (Int64.logand (g regs b) 0xFFFFFFFFL)
   | Op.Trunc1 -> fun regs -> s regs a (Int64.logand (g regs b) 1L)
-  | Op.Trunc8 -> fun regs -> s regs a (S.sext8 (g regs b))
-  | Op.Trunc16 -> fun regs -> s regs a (S.sext16 (g regs b))
-  | Op.Trunc32 -> fun regs -> s regs a (S.sext32 (g regs b))
+  | Op.Trunc8 -> fun regs -> s regs a (Int64.of_int (sext8 (gp regs b land 0xff)))
+  | Op.Trunc16 -> fun regs -> s regs a (Int64.of_int (sext16 (gp regs b land 0xffff)))
+  | Op.Trunc32 -> fun regs -> s regs a (Int64.of_int (sext32 (gp regs b land 0xffff_ffff)))
   | Op.SiToFp -> fun regs -> sf regs a (Int64.to_float (g regs b))
   | Op.FpToSi -> fun regs -> s regs a (Int64.of_float (gf regs b))
   | Op.Load8 -> fun regs -> s regs a (Int64.of_int (sext8 (A.get_i8 mem (gp regs b))))
   | Op.Load16 -> fun regs -> s regs a (Int64.of_int (sext16 (A.get_i16 mem (gp regs b))))
   | Op.Load32 -> fun regs -> s regs a (Int64.of_int (A.get_i32 mem (gp regs b)))
-  | Op.Load64 -> fun regs -> s regs a (A.get_i64 mem (gp regs b))
+  | Op.Load64 -> fun regs -> A.get_i64_to mem (gp regs b) regs a
   | Op.Store8 -> fun regs -> A.set_i8 mem (gp regs b) (Int64.to_int (g regs a) land 0xff)
   | Op.Store16 -> fun regs -> A.set_i16 mem (gp regs b) (Int64.to_int (g regs a) land 0xffff)
-  | Op.Store32 -> fun regs -> A.set_i32 mem (gp regs b) (Int64.to_int32 (g regs a))
-  | Op.Store64 -> fun regs -> A.set_i64 mem (gp regs b) (g regs a)
+  | Op.Store32 -> fun regs -> A.set_i32_from mem (gp regs b) regs a
+  | Op.Store64 -> fun regs -> A.set_i64_from mem (gp regs b) regs a
   | Op.Gep ->
     let scale = B.unpack_scale i.B.lit and offset = B.unpack_offset i.B.lit in
     fun regs ->
@@ -184,8 +186,7 @@ let step_of mem (i : B.insn) : Bytes.t -> unit =
         (Int64.of_int (A.get_i32 mem (gp regs b + (Int64.to_int (g regs c) * scale) + offset)))
   | Op.LoadIdx64 ->
     let scale = B.unpack_scale i.B.lit and offset = B.unpack_offset i.B.lit in
-    fun regs ->
-      s regs a (A.get_i64 mem (gp regs b + (Int64.to_int (g regs c) * scale) + offset))
+    fun regs -> A.get_i64_to mem (gp regs b + (Int64.to_int (g regs c) * scale) + offset) regs a
   | Op.StoreIdx8 ->
     let scale = B.unpack_scale i.B.lit and offset = B.unpack_offset i.B.lit in
     fun regs ->
@@ -200,14 +201,10 @@ let step_of mem (i : B.insn) : Bytes.t -> unit =
         (Int64.to_int (g regs a) land 0xffff)
   | Op.StoreIdx32 ->
     let scale = B.unpack_scale i.B.lit and offset = B.unpack_offset i.B.lit in
-    fun regs ->
-      A.set_i32 mem
-        (gp regs b + (Int64.to_int (g regs c) * scale) + offset)
-        (Int64.to_int32 (g regs a))
+    fun regs -> A.set_i32_from mem (gp regs b + (Int64.to_int (g regs c) * scale) + offset) regs a
   | Op.StoreIdx64 ->
     let scale = B.unpack_scale i.B.lit and offset = B.unpack_offset i.B.lit in
-    fun regs ->
-      A.set_i64 mem (gp regs b + (Int64.to_int (g regs c) * scale) + offset) (g regs a)
+    fun regs -> A.set_i64_from mem (gp regs b + (Int64.to_int (g regs c) * scale) + offset) regs a
   | Op.CallV0 | Op.CallV1 | Op.CallV2 | Op.CallV3 | Op.CallV4 | Op.CallV5 | Op.CallR0
   | Op.CallR1 | Op.CallR2 | Op.CallR3 | Op.CallR4 | Op.Jmp | Op.CondJmp | Op.JmpEq
   | Op.JmpNe | Op.JmpSlt | Op.JmpSle | Op.JmpSgt | Op.JmpSge | Op.RetVal | Op.RetVoid
@@ -250,48 +247,93 @@ let fused_pair mem (i1 : B.insn) (i2 : B.insn) : (Bytes.t -> unit) option =
       (fun regs ->
         s regs a1 (g regs b1);
         s regs a2 (g regs b2))
-  | LoadIdx64, consumer -> (
+  | LoadIdx64, consumer when i2.B.b = i1.B.a || i2.B.c = i1.B.a -> (
     let dst = i1.B.a and base = i1.B.b and idx = i1.B.c in
     let scale = B.unpack_scale i1.B.lit and offset = B.unpack_offset i1.B.lit in
-    let load regs = A.get_i64 mem (gp regs base + (Int64.to_int (g regs idx) * scale) + offset) in
-    let a2 = i2.B.a and b2 = i2.B.b and c2 = i2.B.c in
-    let bin f =
-      if b2 = dst && c2 = dst then
-        Some
-          (fun regs ->
-            let v = load regs in
-            s regs dst v;
-            s regs a2 (f v v))
-      else if b2 = dst then
-        Some
-          (fun regs ->
-            let v = load regs in
-            s regs dst v;
-            s regs a2 (f v (g regs c2)))
-      else if c2 = dst then
-        Some
-          (fun regs ->
-            let v = load regs in
-            s regs dst v;
-            s regs a2 (f (g regs b2) v))
-      else None
+    (* the loaded word goes straight to its register slot, and the
+       consumer reads its operands back from the register file: an
+       int64 returned by the load would be boxed *)
+    let load regs =
+      A.get_i64_to mem (gp regs base + (Int64.to_int (g regs idx) * scale) + offset) regs dst
     in
+    let a2 = i2.B.a and b2 = i2.B.b and c2 = i2.B.c in
+    (* one closure per operator, as below *)
     match consumer with
-    | Add_i64 -> bin Int64.add
-    | Sub_i64 -> bin Int64.sub
-    | Mul_i64 -> bin Int64.mul
-    | And64 -> bin Int64.logand
-    | Or64 -> bin Int64.logor
-    | Xor64 -> bin Int64.logxor
-    | AddChk_i64 -> bin (fun a b -> S.add_chk ~width:64 a b)
-    | SubChk_i64 -> bin (fun a b -> S.sub_chk ~width:64 a b)
-    | MulChk_i64 -> bin (fun a b -> S.mul_chk ~width:64 a b)
-    | CmpEq -> bin (fun a b -> S.bool_i64 (Int64.equal a b))
-    | CmpNe -> bin (fun a b -> S.bool_i64 (not (Int64.equal a b)))
-    | CmpSlt -> bin (fun a b -> S.bool_i64 (Int64.compare a b < 0))
-    | CmpSle -> bin (fun a b -> S.bool_i64 (Int64.compare a b <= 0))
-    | CmpSgt -> bin (fun a b -> S.bool_i64 (Int64.compare a b > 0))
-    | CmpSge -> bin (fun a b -> S.bool_i64 (Int64.compare a b >= 0))
+    | Add_i64 ->
+      Some
+        (fun regs ->
+          load regs;
+          s regs a2 (Int64.add (g regs b2) (g regs c2)))
+    | Sub_i64 ->
+      Some
+        (fun regs ->
+          load regs;
+          s regs a2 (Int64.sub (g regs b2) (g regs c2)))
+    | Mul_i64 ->
+      Some
+        (fun regs ->
+          load regs;
+          s regs a2 (Int64.mul (g regs b2) (g regs c2)))
+    | And64 ->
+      Some
+        (fun regs ->
+          load regs;
+          s regs a2 (Int64.logand (g regs b2) (g regs c2)))
+    | Or64 ->
+      Some
+        (fun regs ->
+          load regs;
+          s regs a2 (Int64.logor (g regs b2) (g regs c2)))
+    | Xor64 ->
+      Some
+        (fun regs ->
+          load regs;
+          s regs a2 (Int64.logxor (g regs b2) (g regs c2)))
+    | AddChk_i64 ->
+      Some
+        (fun regs ->
+          load regs;
+          s regs a2 (S.add_chk ~width:64 (g regs b2) (g regs c2)))
+    | SubChk_i64 ->
+      Some
+        (fun regs ->
+          load regs;
+          s regs a2 (S.sub_chk ~width:64 (g regs b2) (g regs c2)))
+    | MulChk_i64 ->
+      Some
+        (fun regs ->
+          load regs;
+          s regs a2 (S.mul_chk ~width:64 (g regs b2) (g regs c2)))
+    | CmpEq ->
+      Some
+        (fun regs ->
+          load regs;
+          s regs a2 (S.bool_i64 (Int64.equal (g regs b2) (g regs c2))))
+    | CmpNe ->
+      Some
+        (fun regs ->
+          load regs;
+          s regs a2 (S.bool_i64 (not (Int64.equal (g regs b2) (g regs c2)))))
+    | CmpSlt ->
+      Some
+        (fun regs ->
+          load regs;
+          s regs a2 (S.bool_i64 (Int64.compare (g regs b2) (g regs c2) < 0)))
+    | CmpSle ->
+      Some
+        (fun regs ->
+          load regs;
+          s regs a2 (S.bool_i64 (Int64.compare (g regs b2) (g regs c2) <= 0)))
+    | CmpSgt ->
+      Some
+        (fun regs ->
+          load regs;
+          s regs a2 (S.bool_i64 (Int64.compare (g regs b2) (g regs c2) > 0)))
+    | CmpSge ->
+      Some
+        (fun regs ->
+          load regs;
+          s regs a2 (S.bool_i64 (Int64.compare (g regs b2) (g regs c2) >= 0)))
     | _ -> None)
   | And64, (AddChk_i64 | SubChk_i64 | MulChk_i64 | Add_i64 | Mul_i64) -> (
     let dst = i1.B.a and b1 = i1.B.b and c1 = i1.B.c in

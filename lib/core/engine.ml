@@ -5,9 +5,16 @@ type cache_entry = {
   mutable ce_modes : Aeq_backend.Cost_model.mode list;
       (* pipeline modes at the end of the last adaptive execution *)
   mutable ce_last_used : int; (* LRU tick *)
+  mutable ce_admitted : bool; (* in the LRU; false only for the probation entry *)
 }
 
-type cache_stats = { hits : int; misses : int; evictions : int; entries : int }
+type cache_stats = {
+  hits : int;
+  misses : int;
+  evictions : int;
+  unreused : int;
+  entries : int;
+}
 
 let () = Aeq_race.declare "engine.plan_cache" (Aeq_race.Lock "engine.cache.lock")
 
@@ -16,7 +23,17 @@ let () = Aeq_race.declare "engine.plan_cache" (Aeq_race.Lock "engine.cache.lock"
    only serialized section is plan-cache lookup/prepare, guarded by
    cache_lock with single-flight de-duplication of concurrent misses
    on the same text. Every query is a ticket of [scheduler]: admission,
-   counters, drain and gauges are the scheduler's. *)
+   counters, drain and gauges are the scheduler's.
+
+   The plan cache admits only statements that repeat. A text seen for
+   the first time is cached in the single probation slot (its entry is
+   in [plan_cache] with [ce_admitted = false]); the next miss on a
+   never-seen text drops it before preparing and remembers only its
+   hash in [doorkeeper], a FIFO bounded by the capacity. A hit on the
+   probation entry, a miss whose hash the doorkeeper holds, and an
+   explicit [prepare] admit into the LRU, which holds at most
+   [cache_capacity] statements. One-shot generated SQL therefore keeps
+   at most one prepared statement resident. *)
 type t = {
   catalog : Aeq_storage.Catalog.t;
   pool : Aeq_exec.Pool.t;
@@ -28,12 +45,15 @@ type t = {
   cache_loc : Aeq_race.location;
   prep_done : Condition.t; (* signalled when a single-flight prepare finishes *)
   preparing : (string, unit) Hashtbl.t; (* texts with a prepare in flight *)
+  mutable probation : string option; (* the cached text not yet admitted *)
+  doorkeeper : int Queue.t; (* hashes of texts dropped from probation, oldest first *)
   mutable cache_enabled : bool;
   mutable cache_capacity : int;
   mutable cache_tick : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable cache_evictions : int;
+  mutable cache_unreused : int;
 }
 
 let default_cache_capacity = 128
@@ -139,12 +159,15 @@ let create ?n_threads ?cost_model ?scheduler_config () =
       cache_loc = Aeq_race.locate "engine.plan_cache";
       prep_done = Condition.create ();
       preparing = Hashtbl.create 8;
+      probation = None;
+      doorkeeper = Queue.create ();
       cache_enabled = true;
       cache_capacity = default_cache_capacity;
       cache_tick = 0;
       cache_hits = 0;
       cache_misses = 0;
       cache_evictions = 0;
+      cache_unreused = 0;
     }
   in
   register_gauges t;
@@ -171,13 +194,18 @@ let set_plan_cache t enabled =
       Aeq_race.write ~site:"engine.set_plan_cache" t.cache_loc;
       t.cache_enabled <- enabled)
 
+(* under cache_lock: the statements in the LRU, i.e. every cached one
+   but the probation entry *)
+let admitted t = Hashtbl.length t.plan_cache - if t.probation = None then 0 else 1
+
 (* under cache_lock *)
 let evict_down_to t capacity =
-  while Hashtbl.length t.plan_cache > capacity do
+  while admitted t > capacity do
     let victim = ref None in
     Hashtbl.iter
       (fun sql e ->
         match !victim with
+        | _ when not e.ce_admitted -> ()
         | Some (_, best) when best <= e.ce_last_used -> ()
         | _ -> victim := Some (sql, e.ce_last_used))
       t.plan_cache;
@@ -192,11 +220,46 @@ let evict_down_to t capacity =
     | None -> ()
   done
 
+(* under cache_lock *)
+let trim_doorkeeper t =
+  while Queue.length t.doorkeeper > t.cache_capacity do
+    ignore (Queue.pop t.doorkeeper)
+  done
+
+(* under cache_lock: was [sql] dropped from probation lately? A hash
+   collision only admits a statement one sighting early. *)
+let seen_before t sql =
+  let h = Hashtbl.hash sql in
+  Queue.fold (fun seen h' -> seen || h' = h) false t.doorkeeper
+
+(* under cache_lock: the probation statement leaves unreused, and only
+   its hash stays behind *)
+let drop_probation t =
+  match t.probation with
+  | None -> ()
+  | Some sql ->
+    Hashtbl.remove t.plan_cache sql;
+    t.probation <- None;
+    Queue.push (Hashtbl.hash sql) t.doorkeeper;
+    trim_doorkeeper t;
+    t.cache_unreused <- t.cache_unreused + 1;
+    if Obs.Control.enabled () then
+      Obs.Metrics.inc
+        (Obs.Metrics.counter "aeq_plan_cache_unreused_total"
+           ~help:"Prepared statements dropped from the plan cache without ever being reused.")
+
+(* under cache_lock: [e], cached as [sql], joins the LRU *)
+let admit t sql e =
+  e.ce_admitted <- true;
+  if t.probation = Some sql then t.probation <- None;
+  evict_down_to t t.cache_capacity
+
 let set_plan_cache_capacity t n =
   with_lock t.cache_lock (fun () ->
       Aeq_race.write ~site:"engine.set_capacity" t.cache_loc;
       t.cache_capacity <- Stdlib.max 1 n;
-      evict_down_to t t.cache_capacity)
+      evict_down_to t t.cache_capacity;
+      trim_doorkeeper t)
 
 let cache_stats t =
   with_lock t.cache_lock (fun () ->
@@ -205,34 +268,51 @@ let cache_stats t =
         hits = t.cache_hits;
         misses = t.cache_misses;
         evictions = t.cache_evictions;
+        unreused = t.cache_unreused;
         entries = Hashtbl.length t.plan_cache;
       })
 
 (* Plan-cache coherence, for the simulator's quiescent-step checkers:
-   the cache respects its capacity, every LRU stamp is within the tick
-   range, no text is simultaneously cached and in-flight preparing,
-   and no counter has gone negative. Takes cache_lock, so call it only
-   while no task is suspended inside a cache critical section (the
-   yield points guarantee this under simulation). *)
+   the LRU respects its capacity, the probation text is cached or the
+   slot empty (and the only unadmitted entry), the doorkeeper holds at
+   most the capacity, every LRU stamp is within the tick range, no
+   text, on probation or admitted, is simultaneously cached and
+   in-flight preparing, and no counter has gone negative. Takes
+   cache_lock, so call it only while no task is suspended inside a
+   cache critical section (the yield points guarantee this under
+   simulation). *)
 let check t =
   with_lock t.cache_lock (fun () ->
       Aeq_race.read ~site:"engine.check" t.cache_loc;
       let problems = ref [] in
       let add fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
-      let n = Hashtbl.length t.plan_cache in
+      let n = admitted t in
       if t.cache_enabled && n > t.cache_capacity then
-        add "plan cache holds %d entries over capacity %d" n t.cache_capacity;
+        add "plan cache holds %d admitted entries over capacity %d" n t.cache_capacity;
+      (match t.probation with
+      | Some sql when not (Hashtbl.mem t.plan_cache sql) ->
+        add "probation text %S is not cached" sql
+      | _ -> ());
+      if Queue.length t.doorkeeper > t.cache_capacity then
+        add "doorkeeper holds %d hashes over capacity %d" (Queue.length t.doorkeeper)
+          t.cache_capacity;
       Hashtbl.iter
         (fun sql e ->
+          if e.ce_admitted = (t.probation = Some sql) then
+            add "cache entry %S: admitted %b disagrees with the probation slot" sql
+              e.ce_admitted;
           if e.ce_last_used < 0 || e.ce_last_used > t.cache_tick then
             add "cache entry %S: LRU stamp %d outside [0, %d]" sql
               e.ce_last_used t.cache_tick;
           if Hashtbl.mem t.preparing sql then
             add "text %S is both cached and in-flight preparing" sql)
         t.plan_cache;
-      if t.cache_hits < 0 || t.cache_misses < 0 || t.cache_evictions < 0 then
-        add "negative cache counter (hits %d, misses %d, evictions %d)"
-          t.cache_hits t.cache_misses t.cache_evictions;
+      if
+        t.cache_hits < 0 || t.cache_misses < 0 || t.cache_evictions < 0
+        || t.cache_unreused < 0
+      then
+        add "negative cache counter (hits %d, misses %d, evictions %d, unreused %d)"
+          t.cache_hits t.cache_misses t.cache_evictions t.cache_unreused;
       List.rev !problems)
 
 (* under cache_lock *)
@@ -253,8 +333,13 @@ let note_hit t e =
    expensive part and touch only thread-safe state (catalog reads,
    dictionary encode under its own lock). Concurrent misses on the
    same text single-flight: the first caller prepares, the rest wait
-   on [prep_done] and then take the cache hit. *)
-let prepare_entry t sql =
+   on [prep_done] and then take the cache hit, which admits the
+   entry. [admit_now] (an explicit prepare) admits on install; a
+   plain query admits only a text the doorkeeper remembers, and
+   otherwise installs it on probation after dropping the previous
+   probation entry, before preparing, so that two one-shot statements
+   are never both resident on its account. *)
+let prepare_entry ?(admit_now = false) t sql =
   let rec lookup () =
     (* yield OUTSIDE the lock: the simulator must never suspend a task
        that holds cache_lock, or every peer deadlocks behind it *)
@@ -264,6 +349,7 @@ let prepare_entry t sql =
     match Hashtbl.find_opt t.plan_cache sql with
     | Some e ->
       note_hit t e;
+      if not e.ce_admitted then admit t sql e;
       Aeq_race.Lock.unlock t.cache_lock;
       e
     | None ->
@@ -291,6 +377,8 @@ let prepare_entry t sql =
           Obs.Metrics.inc
             (Obs.Metrics.counter "aeq_plan_cache_misses_total"
                ~help:"Plan-cache lookups that had to prepare from scratch.");
+        let admit_on_install = admit_now || seen_before t sql in
+        if not admit_on_install then drop_probation t;
         Hashtbl.replace t.preparing sql ();
         Aeq_race.Lock.unlock t.cache_lock;
         let finish () =
@@ -308,7 +396,9 @@ let prepare_entry t sql =
             ~n_threads:(n_threads t)
         with
         | prepared ->
-          let e = { ce_prepared = prepared; ce_modes = []; ce_last_used = 0 } in
+          let e =
+            { ce_prepared = prepared; ce_modes = []; ce_last_used = 0; ce_admitted = false }
+          in
           (* publication edge for the race detector: the entry (and the
              compiled artifacts hanging off it) were built outside
              cache_lock; waiters that pick it up after [prep_done] read
@@ -317,8 +407,16 @@ let prepare_entry t sql =
           with_lock t.cache_lock (fun () ->
               Aeq_race.write ~site:"engine.prep_install" t.cache_loc;
               touch t e;
-              Hashtbl.replace t.plan_cache sql e;
-              evict_down_to t t.cache_capacity);
+              if admit_on_install then begin
+                Hashtbl.replace t.plan_cache sql e;
+                admit t sql e
+              end
+              else begin
+                (* a concurrent first sighting may have filled the slot *)
+                drop_probation t;
+                Hashtbl.replace t.plan_cache sql e;
+                t.probation <- Some sql
+              end);
           finish ();
           e
         | exception exn ->
@@ -331,7 +429,8 @@ let prepare_entry t sql =
   in
   lookup ()
 
-let prepare t sql = Aeq_exec.Query_error.protect (fun () -> ignore (prepare_entry t sql))
+let prepare t sql =
+  Aeq_exec.Query_error.protect (fun () -> ignore (prepare_entry ~admit_now:true t sql))
 
 let prepared t sql =
   with_lock t.cache_lock (fun () ->
@@ -536,7 +635,8 @@ let reset_stats t =
       Aeq_race.write ~site:"engine.reset_stats" t.cache_loc;
       t.cache_hits <- 0;
       t.cache_misses <- 0;
-      t.cache_evictions <- 0);
+      t.cache_evictions <- 0;
+      t.cache_unreused <- 0);
   Aeq_exec.Scheduler.reset_stats t.scheduler
 
 (* Scheduler first (rejects queued clients, waits for in-flight

@@ -120,7 +120,10 @@ val query :
     plan, the translated bytecode, and every machine-code variant
     promoted during execution all survive, so a repeated query pays
     neither planning, codegen, translation nor recompilation (its
-    [stats] report ~0 for those phases). The worker IR is not kept: a
+    [stats] report ~0 for those phases). Only statements that repeat
+    stay cached (see {!set_plan_cache_capacity}): a back-to-back
+    repeat is always a hit, and a one-shot generated statement holds
+    no cache memory once the next new text arrives. The worker IR is not kept: a
     pipeline's first Opt promotion rebuilds it from the plan, inside
     its compile time. On top of
     the compiled-artifact reuse, adaptive re-executions keep the
@@ -169,41 +172,67 @@ val scheduler_stats : t -> Aeq_exec.Scheduler.stats
 
 val prepare : t -> string -> unit
 (** Plan + compile the statement into the cache without executing it
-    (a no-op if already cached). A later {!query} of the same text is
-    a cache hit and starts executing immediately. Failures raise
+    (no compilation if already cached), and admit it to the LRU at
+    once: an explicit prepare declares that the text will repeat. A
+    later {!query} of the same text is a cache hit and starts
+    executing immediately. Failures raise
     {!Aeq_exec.Query_error.Error}, as for {!query}. *)
 
 val prepared : t -> string -> bool
-(** Is this statement text currently resident in the plan cache? The
-    wire server's [Prepare] handler reports this to clients
-    (a session-level prepared handle stays valid across an LRU
-    eviction — re-executing simply re-prepares — but the flag tells
-    clients whether the compile cost was already paid). *)
+(** Is this statement text currently resident in the plan cache,
+    admitted or on probation? The wire server's [Prepare] handler
+    reports this to clients (a session-level prepared handle stays
+    valid across an LRU eviction — re-executing simply re-prepares —
+    but the flag tells clients whether the compile cost was already
+    paid). *)
 
 val set_plan_cache : t -> bool -> unit
 (** Disable/enable the plan cache ([true] by default). *)
 
 val set_plan_cache_capacity : t -> int -> unit
-(** Bound the number of cached prepared statements (default 128,
-    minimum 1). When full, the least-recently-used statement is
-    evicted. *)
+(** Bound the number of admitted prepared statements (default 128,
+    minimum 1). When full, the least-recently-used admitted statement
+    is evicted.
+
+    The cache admits only statements that repeat. A {!query} of a text
+    seen for the first time is prepared, executed and kept in a single
+    probation slot, outside the LRU. The next miss on a never-seen
+    text drops that statement before it starts preparing and keeps
+    only the dropped text's hash, in a first-in first-out doorkeeper
+    of at most [capacity] hashes. A statement is admitted to the LRU
+    by a hit on the probation entry (a repeat before the next new
+    text, or a concurrent caller that waited for its compilation), by
+    a miss whose hash the doorkeeper still holds (a repeat after a
+    gap: it is prepared a second time), or by {!prepare}. So at most
+    [capacity + 1] statements are resident, and a stream of one-shot
+    texts keeps at most one of them. *)
 
 val cached_executions : t -> string -> int
 (** How often the given query text has executed through the cache. *)
 
-type cache_stats = { hits : int; misses : int; evictions : int; entries : int }
+type cache_stats = {
+  hits : int;
+  misses : int;
+  evictions : int;  (** admitted statements evicted from the LRU *)
+  unreused : int;  (** statements dropped from probation, never reused *)
+  entries : int;  (** resident statements, the probation one included *)
+}
 
 val cache_stats : t -> cache_stats
-(** Plan-cache counters since engine creation. A [query] or [prepare]
-    that finds the statement cached counts one hit; one that compiles
-    it counts one miss. *)
+(** Plan-cache counters since engine creation (or the last
+    {!reset_stats}). A [query] or [prepare] that finds the statement
+    cached, on probation or admitted, counts one hit; one that
+    compiles it counts one miss. [unreused] is exported as
+    [aeq_plan_cache_unreused_total]: on a one-shot workload it grows
+    with the misses, on a repeating one it stays near zero. *)
 
 val check : t -> string list
-(** Plan-cache coherence: capacity respected, LRU stamps within the
-    tick range, no text both cached and in-flight preparing, counters
-    non-negative. Returns one message per violation (empty = coherent).
-    Used as a quiescent-step invariant checker by the deterministic
-    simulator ([Aeq_sim]). *)
+(** Plan-cache coherence: the LRU within its capacity, the probation
+    text cached or the slot empty, the doorkeeper within the
+    capacity, LRU stamps within the tick range, no text both cached
+    and in-flight preparing, counters non-negative. Returns one
+    message per violation (empty = coherent). Used as a quiescent-step
+    invariant checker by the deterministic simulator ([Aeq_sim]). *)
 
 val render_rows : t -> Aeq_exec.Driver.result -> string list
 (** Result rows as tab-separated strings (dictionary decoded). *)
@@ -233,8 +262,8 @@ val reset_stats : t -> unit
 (** Start a fresh observation window: zero all registry counters and
     histograms (gauges keep their value — they describe current state),
     empty the {!Aeq_obs.Event_log} of spans and decisions and zero its
-    dropped counter, zero this engine's plan-cache hit/miss/eviction
-    counters, and zero the scheduler's serving counters. Cached prepared statements and queued work are untouched —
+    dropped counter, zero this engine's plan-cache hit, miss,
+    eviction and unreused counters, and zero the scheduler's serving counters. Cached prepared statements and queued work are untouched —
     this resets measurement, not behavior. Intended for windowed
     scraping of long-running serves: scrape, reset, serve, scrape. *)
 

@@ -13,13 +13,15 @@ let[@inline] sf regs off v = Bytes.set_int64_ne regs off (Int64.bits_of_float v)
 
 let[@inline] gp regs off = Int64.to_int (Bytes.get_int64_ne regs off)
 
-(* The arena's 1- and 2-byte getters return the unsigned byte value;
-   sign-extending it as an int here, not through [Semantics]' int64
-   functions, keeps a narrow column load from boxing (a call into
-   another module is not inlined under -opaque). *)
+(* Sign-extending the low 8, 16 or 32 bits as an int here, not
+   through [Semantics]' int64 functions, keeps a narrow column load
+   or a truncation from boxing (a call into another module is not
+   inlined under -opaque). [v] holds the unsigned low bits. *)
 let[@inline] sext8 v = (v lxor 0x80) - 0x80
 
 let[@inline] sext16 v = (v lxor 0x8000) - 0x8000
+
+let[@inline] sext32 v = (v lxor 0x8000_0000) - 0x8000_0000
 
 (* Field decoding, written out here rather than called in [Bytecode]
    so that each arm's shifts and masks are inlined (a call into
@@ -305,13 +307,13 @@ let run (p : Bytecode.t) mem ?regs ~args () =
       s regs (fa w) (Int64.logand (g regs (fb w)) 1L);
       go (ip + 1)
     | Trunc8 ->
-      s regs (fa w) (S.sext8 (g regs (fb w)));
+      s regs (fa w) (Int64.of_int (sext8 (gp regs (fb w) land 0xff)));
       go (ip + 1)
     | Trunc16 ->
-      s regs (fa w) (S.sext16 (g regs (fb w)));
+      s regs (fa w) (Int64.of_int (sext16 (gp regs (fb w) land 0xffff)));
       go (ip + 1)
     | Trunc32 ->
-      s regs (fa w) (S.sext32 (g regs (fb w)));
+      s regs (fa w) (Int64.of_int (sext32 (gp regs (fb w) land 0xffff_ffff)));
       go (ip + 1)
     | SiToFp ->
       sf regs (fa w) (Int64.to_float (g regs (fb w)));

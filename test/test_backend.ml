@@ -195,6 +195,25 @@ let store_kernel ty =
       Builder.store b ty ~addr v;
       i)
 
+(* col[i] <- trunc col[i], summed sign-extended back: the truncated
+   low bytes are the ones already stored, so a run changes nothing *)
+let trunc_store_kernel ty =
+  column_kernel "trunc" (fun b col i ->
+      let v = Builder.load b Types.I64 (Builder.gep b ~base:col ~index:i ~scale:8 ~offset:0) in
+      let t = Builder.cast b Instr.Trunc ~from_ty:Types.I64 ~to_ty:ty v in
+      Builder.store b ty ~addr:(Builder.gep b ~base:col ~index:i ~scale:8 ~offset:0) t;
+      Builder.cast b Instr.Sext ~from_ty:ty ~to_ty:Types.I64 t)
+
+(* col[i] <- col[i] through one address: a gep with two users stays a
+   Gep, and its load and store the plain Load and Store *)
+let same_address_kernel ty =
+  column_kernel "same address" (fun b col i ->
+      let addr = Builder.gep b ~base:col ~index:i ~scale:(bytes_of ty) ~offset:0 in
+      let v = Builder.load b ty addr in
+      Builder.store b ty ~addr v;
+      if Types.equal ty Types.I64 then v
+      else Builder.cast b Instr.Sext ~from_ty:ty ~to_ty:Types.I64 v)
+
 (* the address itself, summed: a Gep (register index) or a GepConst
    (constant index) that no load or store absorbs *)
 let gep_kernel index =
@@ -245,11 +264,13 @@ let test_load32_allocation_free () =
   check_words_per_row "unopt closures" ~expected (fun () ->
       Aeq_backend.Closure_compile.run exec ~regs ~args ())
 
-(* The interpreter's other indexed loads, its indexed stores and its
-   address arithmetic allocate nothing per row either: each field is
-   decoded from the packed words as an int, and 8-byte cells and
-   4- and 8-byte stores move between the arena and the register file
-   without a boxed int32 or int64. *)
+(* The other indexed loads, the indexed and plain stores, 8-byte
+   loads, truncations and address arithmetic allocate nothing per row
+   either, in the interpreter or in the closure tier: the interpreter
+   decodes each field from the packed words as an int, 8-byte cells
+   and 4- and 8-byte stores move between the arena and the register
+   file without a boxed int32 or int64, and a truncation sign-extends
+   as an int. *)
 let test_indexed_ops_allocation_free () =
   let mem = A.create ~chunk_size:(8 * rows) () in
   let col = A.alloc (A.allocator mem) (8 * rows) in
@@ -264,8 +285,16 @@ let test_indexed_ops_allocation_free () =
       let prog = Aeq_vm.Translate.translate ~symbols:no_symbols f in
       Alcotest.(check bool) (name ^ ": emitted") true (has_op prog op);
       let regs = Aeq_vm.Interp.scratch prog in
-      check_words_per_row name ~expected (fun () ->
-          Aeq_vm.Interp.run prog mem ~regs ~args ()))
+      check_words_per_row (name ^ " bytecode") ~expected (fun () ->
+          Aeq_vm.Interp.run prog mem ~regs ~args ());
+      let c =
+        Aeq_backend.Compiler.compile_unopt_of_bytecode ~cost_model:CM.off ~mem
+          ~n_instrs:(Func.n_instrs f) prog
+      in
+      let exec = c.Aeq_backend.Compiler.exec in
+      let regs = Aeq_backend.Closure_compile.scratch exec in
+      check_words_per_row (name ^ " unopt closures") ~expected (fun () ->
+          Aeq_backend.Closure_compile.run exec ~regs ~args ()))
     [
       (Aeq_vm.Opcode.LoadIdx8, load_kernel Types.I8);
       (Aeq_vm.Opcode.LoadIdx16, load_kernel Types.I16);
@@ -274,6 +303,12 @@ let test_indexed_ops_allocation_free () =
       (Aeq_vm.Opcode.StoreIdx16, store_kernel Types.I16);
       (Aeq_vm.Opcode.StoreIdx32, store_kernel Types.I32);
       (Aeq_vm.Opcode.StoreIdx64, store_kernel Types.I64);
+      (Aeq_vm.Opcode.Load64, same_address_kernel Types.I64);
+      (Aeq_vm.Opcode.Store32, same_address_kernel Types.I32);
+      (Aeq_vm.Opcode.Store64, same_address_kernel Types.I64);
+      (Aeq_vm.Opcode.Trunc8, trunc_store_kernel Types.I8);
+      (Aeq_vm.Opcode.Trunc16, trunc_store_kernel Types.I16);
+      (Aeq_vm.Opcode.Trunc32, trunc_store_kernel Types.I32);
       (Aeq_vm.Opcode.Gep, gep_kernel Fun.id);
       (Aeq_vm.Opcode.GepConst, gep_kernel (fun _ -> Instr.Imm 3L));
     ]

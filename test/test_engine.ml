@@ -171,11 +171,13 @@ let test_query_cache_hit_skips_compilation () =
   Alcotest.(check int) "one hit" 1 st.Aeq.Engine.hits;
   Aeq.Engine.close e
 
+(* The LRU bounds the admitted statements and evicts among them:
+   explicitly prepared statements and statements run twice. *)
 let test_cache_lru_and_prepare () =
   let e = Aeq.Engine.create ~n_threads:2 ~cost_model:Aeq_backend.Cost_model.off () in
   Aeq.Engine.load_tpch e ~scale_factor:0.002;
   Aeq.Engine.set_plan_cache_capacity e 2;
-  let nation = "select count(*) from nation" in
+  let nation = "select count(*) from nation" and region = "select count(*) from region" in
   Aeq.Engine.prepare e nation;
   let st = Aeq.Engine.cache_stats e in
   Alcotest.(check int) "prepare misses once" 1 st.Aeq.Engine.misses;
@@ -183,17 +185,135 @@ let test_cache_lru_and_prepare () =
   Aeq.Engine.prepare e nation;
   let st = Aeq.Engine.cache_stats e in
   Alcotest.(check int) "second prepare hits" 1 st.Aeq.Engine.hits;
-  ignore (Aeq.Engine.query e "select count(*) from region");
-  ignore (Aeq.Engine.query e "select count(*) from part");
-  (* capacity 2: the least-recently-used statement (nation) is gone *)
+  (* region is admitted by its repeat, part by its prepare *)
+  ignore (Aeq.Engine.query e region);
+  ignore (Aeq.Engine.query e region);
+  Aeq.Engine.prepare e "select count(*) from part";
+  (* capacity 2: the least-recently-used admitted statement (nation)
+     is gone *)
   let st = Aeq.Engine.cache_stats e in
   Alcotest.(check int) "bounded to capacity" 2 st.Aeq.Engine.entries;
   Alcotest.(check int) "one eviction" 1 st.Aeq.Engine.evictions;
   Alcotest.(check int) "evicted statement forgotten" 0 (Aeq.Engine.cached_executions e nation);
+  Alcotest.(check bool) "evicted statement not prepared" false (Aeq.Engine.prepared e nation);
   ignore (Aeq.Engine.query e nation);
   let st = Aeq.Engine.cache_stats e in
   Alcotest.(check int) "evicted statement re-prepared" 4 st.Aeq.Engine.misses;
+  (* its repeat admits it again, and the LRU evicts region *)
+  ignore (Aeq.Engine.query e nation);
+  let st = Aeq.Engine.cache_stats e in
+  Alcotest.(check int) "still bounded" 2 st.Aeq.Engine.entries;
+  Alcotest.(check int) "second eviction" 2 st.Aeq.Engine.evictions;
+  Alcotest.(check bool) "region evicted" false (Aeq.Engine.prepared e region);
+  Alcotest.(check (list string)) "coherent" [] (Aeq.Engine.check e);
   Aeq.Engine.close e
+
+(* the admission rule, on a small engine: [fresh i] is a text no other
+   case runs *)
+let with_cache_engine ~capacity f =
+  let e = Aeq.Engine.create ~n_threads:2 ~cost_model:Aeq_backend.Cost_model.off () in
+  Fun.protect ~finally:(fun () -> Aeq.Engine.close e) @@ fun () ->
+  Aeq.Engine.load_tpch e ~scale_factor:0.002;
+  Aeq.Engine.set_plan_cache_capacity e capacity;
+  f e;
+  Alcotest.(check (list string)) "coherent" [] (Aeq.Engine.check e)
+
+let fresh tag i = Printf.sprintf "select count(*) from nation where n_nationkey < %d -- %s" i tag
+
+let stats = Aeq.Engine.cache_stats
+
+let test_one_shot_texts () =
+  with_cache_engine ~capacity:4 @@ fun e ->
+  Aeq_obs.Control.with_enabled true @@ fun () ->
+  Aeq.Engine.reset_stats e;
+  for i = 1 to 20 do
+    ignore (Aeq.Engine.query e (fresh "one-shot" i))
+  done;
+  let st = stats e in
+  Alcotest.(check int) "every text prepared" 20 st.Aeq.Engine.misses;
+  Alcotest.(check bool) "at most one resident" true (st.Aeq.Engine.entries <= 1);
+  Alcotest.(check int) "the others dropped unreused" 19 st.Aeq.Engine.unreused;
+  Alcotest.(check int) "no LRU eviction" 0 st.Aeq.Engine.evictions;
+  let exported =
+    List.find_map
+      (fun (m : Aeq_obs.Metrics.sample) ->
+        match (m.Aeq_obs.Metrics.s_name, m.Aeq_obs.Metrics.s_value) with
+        | "aeq_plan_cache_unreused_total", Aeq_obs.Metrics.Counter v -> Some v
+        | _ -> None)
+      (Aeq.Engine.metrics ())
+  in
+  Alcotest.(check (option int)) "exported" (Some 19) exported;
+  Aeq.Engine.reset_stats e;
+  Alcotest.(check int) "reset zeroes unreused" 0 (stats e).Aeq.Engine.unreused
+
+let test_repeat_admits () =
+  with_cache_engine ~capacity:4 @@ fun e ->
+  let run sql = ignore (Aeq.Engine.query e sql) in
+  (* back to back: the second run hits the probation entry *)
+  let x = fresh "repeat" 0 in
+  run x;
+  run x;
+  Alcotest.(check int) "back-to-back repeat hits" 1 (stats e).Aeq.Engine.hits;
+  (* after a gap: A, B, A re-prepares A once and admits it *)
+  let a = fresh "repeat" 1 in
+  run a;
+  run (fresh "repeat" 2);
+  run a;
+  let st = stats e in
+  Alcotest.(check int) "A re-prepared once" 4 st.Aeq.Engine.misses;
+  run (fresh "repeat" 3);
+  Alcotest.(check bool) "A admitted: a fresh text leaves it cached" true
+    (Aeq.Engine.prepared e a);
+  run a;
+  let st' = stats e in
+  Alcotest.(check int) "third A hits" (st.Aeq.Engine.hits + 1) st'.Aeq.Engine.hits;
+  Alcotest.(check int) "and prepares nothing" (st.Aeq.Engine.misses + 1) st'.Aeq.Engine.misses
+
+let test_prepare_survives_fresh_traffic () =
+  with_cache_engine ~capacity:4 @@ fun e ->
+  let p = fresh "prepared" 0 in
+  Aeq.Engine.prepare e p;
+  for i = 1 to 20 do
+    ignore (Aeq.Engine.query e (fresh "traffic" i))
+  done;
+  Alcotest.(check bool) "prepared statement resident" true (Aeq.Engine.prepared e p);
+  let misses = (stats e).Aeq.Engine.misses in
+  ignore (Aeq.Engine.query e p);
+  Alcotest.(check int) "its query prepares nothing" misses (stats e).Aeq.Engine.misses
+
+(* capacity 2: the doorkeeper holds the hashes of the last two texts
+   dropped from probation *)
+let test_doorkeeper_forgets_oldest () =
+  with_cache_engine ~capacity:2 @@ fun e ->
+  let run sql = ignore (Aeq.Engine.query e sql) in
+  let kept = fresh "kept" 0 in
+  run kept;
+  run (fresh "kept" 1);
+  run (fresh "kept" 2);
+  (* dropped two texts ago: still remembered, so admitted *)
+  run kept;
+  run (fresh "kept" 3);
+  Alcotest.(check bool) "remembered text admitted" true (Aeq.Engine.prepared e kept);
+  let lost = fresh "lost" 0 in
+  run lost;
+  run (fresh "lost" 1);
+  run (fresh "lost" 2);
+  run (fresh "lost" 3);
+  (* dropped three texts ago: forgotten, so back on probation *)
+  run lost;
+  run (fresh "lost" 4);
+  Alcotest.(check bool) "forgotten text dropped again" false (Aeq.Engine.prepared e lost)
+
+let test_concurrent_first_sightings () =
+  with_cache_engine ~capacity:4 @@ fun e ->
+  let sql = fresh "concurrent" 0 in
+  let domains = List.init 4 (fun _ -> Domain.spawn (fun () -> Aeq.Engine.query e sql)) in
+  let rows = List.map (fun d -> (Domain.join d).Driver.rows) domains in
+  Alcotest.(check bool) "same rows" true (List.for_all (( = ) (List.hd rows)) rows);
+  Alcotest.(check bool) "prepared at most twice" true ((stats e).Aeq.Engine.misses <= 2);
+  ignore (Aeq.Engine.query e (fresh "concurrent" 1));
+  ignore (Aeq.Engine.query e (fresh "concurrent" 2));
+  Alcotest.(check bool) "admitted" true (Aeq.Engine.prepared e sql)
 
 let test_explain () =
   let e = Lazy.force engine in
@@ -303,6 +423,14 @@ let () =
           Alcotest.test_case "cache hit skips compilation" `Quick
             test_query_cache_hit_skips_compilation;
           Alcotest.test_case "lru bound and prepare" `Quick test_cache_lru_and_prepare;
+          Alcotest.test_case "one-shot texts keep one resident" `Quick test_one_shot_texts;
+          Alcotest.test_case "a repeat admits" `Quick test_repeat_admits;
+          Alcotest.test_case "prepare survives fresh traffic" `Quick
+            test_prepare_survives_fresh_traffic;
+          Alcotest.test_case "doorkeeper forgets the oldest" `Quick
+            test_doorkeeper_forgets_oldest;
+          Alcotest.test_case "concurrent first sightings" `Quick
+            test_concurrent_first_sightings;
         ] );
       ( "planner",
         [

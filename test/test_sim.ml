@@ -90,6 +90,12 @@ let run_pair ~seed ?schedule () =
               ("count", query_task engine sql_count log "count");
               ("sum", query_task engine sql_sum log "sum");
               ("group", query_task engine sql_group log "group");
+              (* a second sighting of the count text: depending on the
+                 interleaving it hits the probation entry, waits on the
+                 in-flight prepare, or misses after the others dropped
+                 it, and each way admits it — with [Engine.check]
+                 watching the probation slot and doorkeeper throughout *)
+              ("recount", query_task engine sql_count log "recount");
             ]
           ()
       in
