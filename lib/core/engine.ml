@@ -118,6 +118,9 @@ let register_gauges t =
   Obs.Metrics.gauge_fn "aeq_arena_scratch_resident_bytes"
     ~help:"Bytes resident in query-scratch chunks (query leases, not loaded tables)."
     (fun () -> Aeq_mem.Arena.scratch_resident_bytes (arena ()));
+  Obs.Metrics.gauge_fn "aeq_arena_scratch_peak_bytes"
+    ~help:"Highest query-scratch residency seen: the largest set of concurrent query leases."
+    (fun () -> Aeq_mem.Arena.peak_scratch_bytes (arena ()));
   Obs.Metrics.gauge_fn "aeq_engine_health"
     ~help:"Engine health state: 0 serving, 1 degraded, 2 draining, 3 stopped."
     (fun () -> health_code (health t));

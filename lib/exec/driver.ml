@@ -232,8 +232,8 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?cancel ?memory_bud
       (fun spec ->
         ignore
           (Aeq_rt.Context.register_ht ctx
-             (Aeq_rt.Hash_table.create arena ~allocator:setup_alloc
-                ~expected_entries:spec.P.ht_expected ~payload_bytes:spec.P.ht_payload_bytes)))
+             (Aeq_rt.Hash_table.create arena ~n_threads
+                ~payload_bytes:spec.P.ht_payload_bytes)))
       plan.P.pl_hts;
     (match plan.P.pl_agg with
     | Some cfg ->
@@ -317,6 +317,15 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?cancel ?memory_bud
     List.iteri
       (fun pi (p : P.pipeline) ->
         raise_if_failed ();
+        (* a join table is linked at the barrier after its build
+           pipeline; a probe of one not yet linked is a planning bug *)
+        List.iter
+          (fun (pr : P.probe) ->
+            if not (Aeq_rt.Hash_table.linked ctx.Aeq_rt.Context.hts.(pr.P.pr_ht)) then
+              invalid_arg
+                (Printf.sprintf "Driver: pipeline %d probes join table %d before its build" pi
+                   pr.P.pr_ht))
+          p.P.p_probes;
         let handle = handles.(pi) in
         let total =
           match p.P.p_source with
@@ -438,40 +447,48 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?cancel ?memory_bud
                     else Pool.run ~max_tids:n_threads pool job))
         in
         atomic_add_float exec_seconds dt;
-        raise_if_failed ())
+        raise_if_failed ();
+        (* build barrier: every worker's chain is complete; link them
+           into a directory sized to the entries the table holds *)
+        match p.P.p_sink with
+        | P.S_build { ht; _ } ->
+          Aeq_rt.Hash_table.link ctx.Aeq_rt.Context.hts.(ht) ~allocator:setup_alloc
+        | P.S_agg _ | P.S_out _ -> ())
       plan.P.pl_pipelines;
     let handle_list = Array.to_list handles in
     let final_modes = List.map (fun h -> CM.mode_name (Handle.mode h)) handle_list in
     (* --- collect, sort, limit ----------------------------------------- *)
+    (* rows stay in the arena while they are sorted and limited: only
+       the ones returned are copied out *)
     let n_cols = List.length plan.P.pl_out.P.out_names in
-    let raw = Aeq_rt.Output.rows out in
-    let rows =
-      Array.to_list raw
-      |> List.map (fun ptr -> Array.init n_cols (fun k -> A.get_i64 arena (ptr + (8 * k))))
-    in
+    let word ptr k = A.chunk_get_i64 (A.chunk arena ptr) (A.chunk_offset ptr + (8 * k)) in
+    let ptrs = Aeq_rt.Output.rows out in
     let dtypes = plan.P.pl_out.P.out_dtypes in
     let dict = Aeq_storage.Catalog.dict catalog in
     let dtype_arr = Array.of_list dtypes in
-    let compare_rows (a : int64 array) (b : int64 array) =
+    let compare_rows a b =
       let rec go = function
         | [] -> 0
         | (idx, desc) :: rest ->
           let c =
             match dtype_arr.(idx) with
             | Dtype.Str ->
-              String.compare (Aeq_rt.Dict.decode dict a.(idx)) (Aeq_rt.Dict.decode dict b.(idx))
-            | _ -> Int64.compare a.(idx) b.(idx)
+              String.compare
+                (Aeq_rt.Dict.decode dict (word a idx))
+                (Aeq_rt.Dict.decode dict (word b idx))
+            | _ -> Int64.compare (word a idx) (word b idx)
           in
           if c <> 0 then if desc then -c else c else go rest
       in
       go plan.P.pl_order_by
     in
-    let rows = if plan.P.pl_order_by = [] then rows else List.stable_sort compare_rows rows in
-    let rows =
+    if plan.P.pl_order_by <> [] then Array.stable_sort compare_rows ptrs;
+    let n_rows =
       match plan.P.pl_limit with
-      | Some n -> List.filteri (fun i _ -> i < n) rows
-      | None -> rows
+      | Some n -> Stdlib.max 0 (Stdlib.min n (Array.length ptrs))
+      | None -> Array.length ptrs
     in
+    let rows = List.init n_rows (fun i -> Array.init n_cols (word ptrs.(i))) in
     Atomic.incr p.pr_executions;
     (* the up-front preparation cost belongs to the cold run's total *)
     let total_seconds =
@@ -489,7 +506,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?cancel ?memory_bud
           compile_seconds = Atomic.get compile_seconds;
           exec_seconds = Atomic.get exec_seconds;
           total_seconds;
-          rows_out = List.length rows;
+          rows_out = n_rows;
           final_modes;
           prepared_reuse = not first_execution;
           compile_failures = Atomic.get compile_failures;

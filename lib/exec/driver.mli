@@ -119,7 +119,11 @@ val execute_prepared :
 
     The execution runs at [min (Pool.n_threads pool) n_threads]
     workers, where [n_threads] is the width the statement was
-    prepared with.
+    prepared with. Join tables are linked at the barrier after their
+    build pipeline; a pipeline that probes a table not yet linked is
+    refused: the query fails with a [Trap] naming the pipeline.
+    Result rows stay in the lease while they are sorted and limited;
+    only the returned rows are copied out.
 
     @raise Query_error.Error on trap / timeout / cancellation /
     budget breach / non-degraded compile failure. *)

@@ -44,7 +44,9 @@ type t = {
   scratch : int Atomic.t;
       (* bytes resident in scratch chunks only (excludes the base
          lease's loaded tables) *)
-  mutable peak_scratch : int; (* highest [scratch] seen; guarded by lock *)
+  peak_scratch : int Atomic.t;
+      (* highest [scratch] seen; written under lock, read lock-free by
+         the scratch-peak gauge *)
   spares : (int, chunk list) Hashtbl.t;
       (* released scratch chunks by exact size; guarded by lock *)
   spare : int Atomic.t; (* bytes in [spares]; read lock-free by the gauge *)
@@ -121,7 +123,7 @@ let create ?(chunk_size = 1 lsl 16) () =
       base = None;
       live_leases = 0;
       scratch = Atomic.make 0;
-      peak_scratch = 0;
+      peak_scratch = Atomic.make 0;
       spares = Hashtbl.create 16;
       spare = Atomic.make 0;
       table_loc = Aeq_race.locate "arena.chunk_table";
@@ -162,7 +164,7 @@ let take_spare t size =
   | Some [] | None -> None
 
 (* the pool's bound, for a released chunk of [size] bytes *)
-let pool_admits t size = Atomic.get t.spare + size <= t.peak_scratch
+let pool_admits t size = Atomic.get t.spare + size <= Atomic.get t.peak_scratch
 
 (* Take a slot for [lease] and install a chunk of at least [size]
    bytes; returns the slot index. Slots are recycled indices, and the
@@ -206,7 +208,7 @@ let lease_chunk ls size =
         t.n_live <- t.n_live + 1;
         if ls.ls_scratch then begin
           let s = Atomic.fetch_and_add t.scratch size + size in
-          if s > t.peak_scratch then t.peak_scratch <- s
+          if s > Atomic.get t.peak_scratch then Atomic.set t.peak_scratch s
         end;
         ls.ls_slots <- slot :: ls.ls_slots;
         slot)
@@ -283,12 +285,18 @@ let alloc a ?(align = 8) n =
     ignore (Atomic.fetch_and_add ls.ls_used n);
     encode a.chunk start
   end
+  else if n > t.chunk_size then begin
+    (* a dedicated chunk of exactly [n] bytes; the current chunk keeps
+       serving the allocations that fit in what is left of it *)
+    let idx = lease_chunk ls n in
+    ignore (Atomic.fetch_and_add ls.ls_used n);
+    encode idx 0
+  end
   else begin
-    let size = Stdlib.max t.chunk_size n in
-    let idx = lease_chunk ls size in
+    let idx = lease_chunk ls t.chunk_size in
     a.chunk <- idx;
     a.cursor <- n;
-    a.limit <- size;
+    a.limit <- t.chunk_size;
     ignore (Atomic.fetch_and_add ls.ls_used n);
     encode idx 0
   end
@@ -306,6 +314,8 @@ let live_chunks t =
 let scratch_resident_bytes t = Atomic.get t.scratch
 
 let spare_bytes t = Atomic.get t.spare
+
+let peak_scratch_bytes t = Atomic.get t.peak_scratch
 
 let live_leases t =
   Aeq_race.Lock.with_ t.lock (fun () ->
@@ -367,8 +377,8 @@ let check t =
   let spare = List.fold_left (fun n b -> n + chunk_length b) 0 pooled in
   if spare <> Atomic.get t.spare then
     err "spare=%d but the pool holds %d bytes" (Atomic.get t.spare) spare;
-  if spare > t.peak_scratch then
-    err "pool holds %d bytes, over the scratch peak %d" spare t.peak_scratch;
+  let peak = Atomic.get t.peak_scratch in
+  if spare > peak then err "pool holds %d bytes, over the scratch peak %d" spare peak;
   (* a chunk both leased and pooled, or pooled twice, would be handed
      to two leases at once *)
   let rec shared = function
@@ -411,7 +421,7 @@ let reset t =
       t.n_live <- 0;
       Atomic.set t.resident 0;
       Atomic.set t.scratch 0;
-      t.peak_scratch <- 0;
+      Atomic.set t.peak_scratch 0;
       Hashtbl.reset t.spares;
       Atomic.set t.spare 0;
       t.base <- Some (make_lease ~scratch:false t))
@@ -454,3 +464,7 @@ let set_i32_from t p src src_off =
   chunk_set_i32 (buf t p) (off p) (Int64.to_int32 (Bytes.get_int64_ne src src_off))
 
 let chunk_of t p = (buf t p, off p)
+
+let chunk t p = buf t p
+
+let chunk_offset p = off p

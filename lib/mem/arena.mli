@@ -50,7 +50,8 @@ val null : ptr
 val create : ?chunk_size:int -> unit -> t
 (** Fresh arena. [chunk_size] (default 64 KiB) is the granularity at
     which allocators take memory; larger allocations get dedicated
-    chunks of exactly their size.
+    chunks of exactly their size, and the allocator keeps filling its
+    current chunk with the smaller ones.
 
     Every allocator takes and zero-fills a whole chunk on its first
     allocation, so the default is sized to what a short query touches:
@@ -108,6 +109,12 @@ val spare_bytes : t -> int
     {!resident_bytes}, {!scratch_resident_bytes} and {!live_chunks}.
     The pool never holds more than the highest scratch residency seen
     since creation or {!reset}. One atomic load. *)
+
+val peak_scratch_bytes : t -> int
+(** The highest {!scratch_resident_bytes} seen since creation or
+    {!reset} (gauge [aeq_arena_scratch_peak_bytes]): the scratch
+    high-water of the queries run so far, and the spare pool's bound.
+    One atomic load. *)
 
 val live_chunks : t -> int
 (** Number of slots currently holding memory. Equal before/after a
@@ -184,6 +191,15 @@ type chunk = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Arra
 val chunk_of : t -> ptr -> chunk * int
 (** [chunk_of t p] is the chunk holding [p] and the byte offset of
     [p] within it. Lets bulk loaders cache the chunk of a column. *)
+
+val chunk : t -> ptr -> chunk
+(** The chunk holding [p], checked like the typed accessors. With
+    {!chunk_offset} and the primitives below, a word of another
+    module's arena structure is read or written without boxing:
+    [chunk_get_i64 (chunk t p) (chunk_offset p)]. *)
+
+val chunk_offset : ptr -> int
+(** The byte offset of [p] within its chunk. *)
 
 (** Bounds-checked native-endian 16-, 32- and 64-bit integers at a
     byte offset of a chunk. Primitives: a call from another module is

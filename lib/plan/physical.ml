@@ -3,7 +3,6 @@ type ht_spec = {
   ht_key : Scalar.t;
   ht_payload : (int * int) list;
   ht_payload_bytes : int;
-  ht_expected : int;
 }
 
 type probe = {

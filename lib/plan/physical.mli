@@ -13,7 +13,6 @@ type ht_spec = {
   ht_key : Scalar.t;  (** over the build table's columns *)
   ht_payload : (int * int) list;  (** (column index, payload byte offset) *)
   ht_payload_bytes : int;
-  ht_expected : int;  (** sizing hint: build-source row count *)
 }
 
 type probe = {

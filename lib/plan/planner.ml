@@ -569,7 +569,6 @@ let plan catalog (q : Ast.query) : Physical.t =
             Scalar.Col { tref = tb; col = cb; dtype = tbl.Table.columns.(cb).Table.dtype };
           ht_payload = payload;
           ht_payload_bytes = 8 * List.length payload;
-          ht_expected = tbl.Table.n_rows;
         })
       probe_order
   in

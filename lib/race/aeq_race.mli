@@ -57,8 +57,9 @@ val discipline_to_string : discipline -> string
 
 type location
 (** A per-instance handle for a declared location name. Two engines (or
-    two hash-table stripes) each get their own [location] so unrelated
-    instances can never alias into a false race. *)
+    two workers' chains of one join table) each get their own
+    [location] so unrelated instances can never alias into a false
+    race. *)
 
 val locate : string -> location
 (** Create an instance handle for a declared name. Raises

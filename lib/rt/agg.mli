@@ -9,9 +9,10 @@
 
     Everything lives in the execution's arena lease: each thread's
     table is a chained hash table whose entries
-    ([next][k1][k2][accumulators...]) and bucket directory come from
-    that thread's allocator, so a group costs no OCaml heap and the
-    whole table is reclaimed with the lease. *)
+    ([next][k1][k2][accumulators...], the [k2] word only for two keys)
+    and bucket directory come from that thread's allocator, so a group
+    costs no OCaml heap and the whole table is reclaimed with the
+    lease. *)
 
 type acc_kind = Sum | Count | Min | Max
 (** AVG is compiled as Sum + Count with a final division in the
@@ -27,7 +28,9 @@ val get_group :
   t -> tid:int -> allocator:Aeq_mem.Arena.allocator -> k1:int64 -> k2:int64 -> Aeq_mem.Arena.ptr
 (** Accumulator row for the group, created (with per-kind initial
     values) on first touch. Accumulator [i] is at byte offset [8*i].
-    [allocator] is thread [tid]'s; the table grows from it. *)
+    [allocator] is thread [tid]'s; the table grows from it. [k2] is
+    ignored unless [key_arity] is 2. Finding an existing group
+    allocates nothing beyond the boxed arguments. *)
 
 val merge : t -> unit
 (** Fold every thread's groups into thread 0 (per-kind combination).

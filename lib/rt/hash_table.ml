@@ -1,73 +1,106 @@
 module A = Aeq_mem.Arena
 
-(* bucket heads are written under their stripe lock during the build
-   phase; probe-phase reads are lock-free, ordered after every insert
-   by the pool barrier between pipelines (so only inserts are
-   instrumented — a location per stripe, since stripes guard disjoint
-   bucket subsets) *)
-let () = Aeq_race.declare "rt.ht.buckets" (Aeq_race.Lock "rt.ht.stripe")
+(* Build phase: each worker appends to its own chain, so an insert
+   takes no lock; one location per worker, written only by the domain
+   running that tid. [link] reads every chain single-threaded, ordered
+   after the inserts by the pool barrier that ends the build pipeline,
+   and probes read the directory it writes after that same barrier
+   (uninstrumented). *)
+let () = Aeq_race.declare "rt.ht.chain" Aeq_race.Single_writer
+
+(* one worker's chain, in insertion order, linked through the entries'
+   [next] words *)
+type chain = { mutable first : A.ptr; mutable last : A.ptr; mutable n : int }
 
 type t = {
   arena : A.t;
-  buckets : A.ptr; (* [mask + 1] i64 bucket heads, in the lease *)
-  mask : int;
-  locks : Aeq_race.Lock.t array;
-  locs : Aeq_race.location array; (* one per stripe *)
+  chains : chain array; (* per thread *)
+  locs : Aeq_race.location array; (* per thread *)
   payload_bytes : int;
-  count : int Atomic.t;
+  mutable dir : A.ptr; (* [mask + 1] i64 bucket heads; null until [link] *)
+  mutable mask : int;
 }
 
 let payload_offset = 16
 
-let n_stripes = 64
-
 let next_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
-  go 16
+  go 1
 
-let create arena ~allocator ~expected_entries ~payload_bytes =
-  let n = next_pow2 (Stdlib.max 16 (2 * expected_entries)) in
+let create arena ~n_threads ~payload_bytes =
+  let n_threads = Stdlib.max 1 n_threads in
   {
     arena;
-    (* [alloc] hands out zeroed bytes: every head starts null *)
-    buckets = A.alloc allocator (8 * n);
-    mask = n - 1;
-    locks = Array.init n_stripes (fun _ -> Aeq_race.Lock.create "rt.ht.stripe");
-    locs = Array.init n_stripes (fun _ -> Aeq_race.locate "rt.ht.buckets");
+    chains = Array.init n_threads (fun _ -> { first = A.null; last = A.null; n = 0 });
+    locs = Array.init n_threads (fun _ -> Aeq_race.locate "rt.ht.chain");
     payload_bytes;
-    count = Atomic.make 0;
+    dir = A.null;
+    mask = 0;
   }
 
+(* entry words through the chunk primitives: no [int64] is boxed *)
+let[@inline] get t p = A.chunk_get_i64 (A.chunk t.arena p) (A.chunk_offset p)
+
+let[@inline] set t p v = A.chunk_set_i64 (A.chunk t.arena p) (A.chunk_offset p) v
+
+let[@inline] next t e = Int64.to_int (get t e)
+
 (* splitmix-style finalizer *)
-let hash key =
+let[@inline] hash key =
   let h = Int64.mul (Int64.logxor key (Int64.shift_right_logical key 33)) 0xFF51AFD7ED558CCDL in
   let h = Int64.mul (Int64.logxor h (Int64.shift_right_logical h 33)) 0xC4CEB9FE1A85EC53L in
   Int64.to_int (Int64.logxor h (Int64.shift_right_logical h 33)) land max_int
 
-let insert t ~allocator ~key =
+let insert t ~tid ~allocator ~key =
+  (* [alloc] hands out zeroed bytes: the new entry's [next] is null *)
   let entry = A.alloc allocator (payload_offset + t.payload_bytes) in
-  A.set_i64 t.arena (entry + 8) key;
-  let b = hash key land t.mask in
-  let s = b land (n_stripes - 1) in
-  let head = t.buckets + (8 * b) in
-  let stripe = t.locks.(s) in
-  Aeq_race.Lock.lock stripe;
-  Aeq_race.write ~site:"ht.insert" t.locs.(s);
-  A.set_i64 t.arena entry (A.get_i64 t.arena head);
-  A.set_i64 t.arena head (Int64.of_int entry);
-  Aeq_race.Lock.unlock stripe;
-  Atomic.incr t.count;
+  set t (entry + 8) key;
+  let c = t.chains.(tid) in
+  Aeq_race.write ~site:"ht.insert" t.locs.(tid);
+  if c.last = A.null then c.first <- entry else set t c.last (Int64.of_int entry);
+  c.last <- entry;
+  c.n <- c.n + 1;
   entry + payload_offset
 
-let rec walk t key e =
-  if e = A.null then A.null
-  else if Int64.equal (A.get_i64 t.arena (e + 8)) key then e
-  else walk t key (Int64.to_int (A.get_i64 t.arena e))
+let size t = Array.fold_left (fun acc c -> acc + c.n) 0 t.chains
+
+let linked t = t.dir <> A.null
+
+(* Each chain is walked oldest first and every entry pushed on its
+   bucket's head, so a bucket lists one worker's entries newest first,
+   as if each insert had pushed on its bucket's head itself. *)
+let link t ~allocator =
+  if linked t then invalid_arg "Hash_table.link: already linked";
+  let n = next_pow2 (Stdlib.max 16 (size t)) in
+  t.dir <- A.alloc allocator (8 * n);
+  t.mask <- n - 1;
+  Array.iteri
+    (fun tid c ->
+      Aeq_race.read ~site:"ht.link" t.locs.(tid);
+      let e = ref c.first in
+      while !e <> A.null do
+        let entry = !e in
+        e := next t entry;
+        let head = t.dir + (8 * (hash (get t (entry + 8)) land t.mask)) in
+        set t entry (get t head);
+        set t head (Int64.of_int entry)
+      done)
+    t.chains
+
+let n_buckets t = if linked t then t.mask + 1 else 0
 
 let lookup t ~key =
-  walk t key (Int64.to_int (A.get_i64 t.arena (t.buckets + (8 * (hash key land t.mask)))))
+  (* an unlinked table has no directory: the null read raises *)
+  let e = ref (next t (t.dir + (8 * (hash key land t.mask)))) in
+  while !e <> A.null && get t (!e + 8) <> key do
+    e := next t !e
+  done;
+  !e
 
 let next_match t ~entry =
-  walk t (A.get_i64 t.arena (entry + 8)) (Int64.to_int (A.get_i64 t.arena entry))
-
-let size t = Atomic.get t.count
+  let key = get t (entry + 8) in
+  let e = ref (next t entry) in
+  while !e <> A.null && get t (!e + 8) <> key do
+    e := next t !e
+  done;
+  !e

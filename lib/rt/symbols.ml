@@ -30,8 +30,9 @@ let resolver (ctx : Context.t) : Aeq_vm.Rt_fn.resolver =
            (fun ht tid key ->
              let c = cur () in
              let t = c.Context.hts.(Int64.to_int ht) in
-             let allocator = c.Context.allocators.(Int64.to_int tid) in
-             Int64.of_int (Hash_table.insert t ~allocator ~key)))
+             let tid = Int64.to_int tid in
+             let allocator = c.Context.allocators.(tid) in
+             Int64.of_int (Hash_table.insert t ~tid ~allocator ~key)))
     | "ht_lookup" ->
       Some
         (Aeq_vm.Rt_fn.F2

@@ -396,6 +396,43 @@ let test_small_query_scratch () =
         Alcotest.failf "%s: %d bytes of spare scratch, bound 128 KiB" name spare)
     Aeq_workload.Queries.metadata
 
+(* The scratch-peak gauge reads the arena's scratch high-water, which
+   covers the lease of the largest query run so far (Q18: its join
+   table, groups and output rows). A run under a 1-byte budget stops
+   at its first morsel and reports its lease's usage then. *)
+let test_scratch_peak_gauge () =
+  let e = Aeq.Engine.create ~n_threads:2 ~cost_model:Aeq_backend.Cost_model.off () in
+  Fun.protect ~finally:(fun () -> Aeq.Engine.close e) @@ fun () ->
+  Aeq.Engine.load_tpch e ~scale_factor:0.01;
+  let arena = Aeq_storage.Catalog.arena (Aeq.Engine.catalog e) in
+  let gauge () =
+    match
+      List.find_opt
+        (fun (s : Aeq_obs.Metrics.sample) -> s.s_name = "aeq_arena_scratch_peak_bytes")
+        (Aeq_obs.Metrics.snapshot ())
+    with
+    | Some { s_value = Aeq_obs.Metrics.Gauge v; _ } -> v
+    | _ -> Alcotest.fail "no aeq_arena_scratch_peak_bytes gauge"
+  in
+  Alcotest.(check int) "no query yet" 0 (gauge ());
+  let q18 = Aeq_workload.Queries.tpch_q 18 in
+  ignore (Aeq.Engine.query e q18);
+  let peak = gauge () in
+  Alcotest.(check int) "the gauge reads peak_scratch_bytes"
+    (Aeq_mem.Arena.peak_scratch_bytes arena)
+    peak;
+  Alcotest.(check int) "no scratch left" 0 (Aeq_mem.Arena.scratch_resident_bytes arena);
+  match Aeq.Engine.query e ~memory_budget_bytes:1 q18 with
+  | _ -> Alcotest.fail "a 1-byte budget must trip"
+  | exception
+      Aeq_exec.Query_error.Error (Aeq_exec.Query_error.Memory_budget_exceeded { used_bytes; _ })
+    ->
+    Alcotest.(check bool)
+      (Printf.sprintf "peak %d >= the lease's %d bytes" peak used_bytes)
+      true
+      (used_bytes > 0 && peak >= used_bytes);
+    Alcotest.(check int) "a smaller query leaves it" peak (gauge ())
+
 let () =
   Alcotest.run "engine"
     [
@@ -439,5 +476,9 @@ let () =
           Alcotest.test_case "front-end errors are structured" `Quick
             test_front_end_errors_structured;
         ] );
-      ("arena", [ Alcotest.test_case "small queries, small chunks" `Quick test_small_query_scratch ]);
+      ( "arena",
+        [
+          Alcotest.test_case "small queries, small chunks" `Quick test_small_query_scratch;
+          Alcotest.test_case "scratch peak gauge" `Quick test_scratch_peak_gauge;
+        ] );
     ]

@@ -477,6 +477,93 @@ let test_prepared_bytecode_words () =
     (Driver.prepared_handles p);
   Aeq.Engine.close engine
 
+(* ---- sort and limit over arena rows -------------------------------- *)
+
+(* The result rows as one digest, through the printed form. *)
+let rows_digest catalog (dtypes : Aeq_storage.Dtype.t list) rows =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n"
+          (List.map
+             (fun row -> String.concat "|" (Driver.row_to_strings catalog dtypes row))
+             rows)))
+
+(* Q13's shape at sf 0.03: ORDER BY ... LIMIT 50 over 4,497 grouped
+   rows, which the driver sorts and limits as arena row pointers. Every
+   mode returns the rows Volcano does, in its order; the digests are
+   the answers of the engine that boxed every row before sorting. The
+   second statement has ties on its only sort key: with one worker the
+   rows come out in scan order, as Volcano's stable sort leaves them. *)
+let test_order_by_limit_over_arena_rows () =
+  let q13 =
+    {|select c_custkey, count(*) as c_count
+       from customer
+       join orders on o_custkey = c_custkey
+       where o_orderpriority <> '1-URGENT'
+       group by c_custkey
+       order by c_count desc, c_custkey
+       limit 50|}
+  in
+  let ties = {|select c_nationkey, c_custkey from customer order by c_nationkey limit 50|} in
+  List.iter
+    (fun (n_threads, sql, digest) ->
+      let engine = Aeq.Engine.create ~n_threads ~cost_model:CM.off () in
+      Aeq.Engine.load_tpch engine ~scale_factor:0.03;
+      let catalog = Aeq.Engine.catalog engine in
+      let plan = Aeq.Engine.plan engine sql in
+      let volcano = Aeq_baseline.Volcano.execute catalog plan in
+      Alcotest.(check int) "Volcano returns 50 rows" 50 (List.length volcano);
+      List.iter
+        (fun mode ->
+          let what = Printf.sprintf "%d thread(s), %s" n_threads (Driver.mode_name mode) in
+          let r = Aeq.Engine.query engine ~mode sql in
+          Alcotest.(check int) (what ^ ": rows_out") 50 r.Driver.stats.Driver.rows_out;
+          Alcotest.(check bool) (what ^ ": Volcano's rows in Volcano's order") true
+            (r.Driver.rows = volcano);
+          Alcotest.(check string) (what ^ ": the pinned rows") digest
+            (rows_digest catalog r.Driver.dtypes r.Driver.rows))
+        [ Driver.Bytecode; Driver.Unopt; Driver.Opt; Driver.Adaptive ];
+      Aeq.Engine.close engine)
+    [
+      (4, q13, "baa08c2f3a4beb9c62dc2050a735889b");
+      (1, q13, "baa08c2f3a4beb9c62dc2050a735889b");
+      (1, ties, "23e877ab3b2168e56341a081f3efe115");
+    ]
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* A join table is linked at the barrier after its build pipeline: a
+   plan whose probe pipeline runs first is refused before it runs, in
+   every mode, and its lease goes back. *)
+let test_probe_before_build_refused () =
+  let engine = Aeq.Engine.create ~n_threads:2 ~cost_model:CM.off () in
+  Aeq.Engine.load_tpch engine ~scale_factor:0.002;
+  let catalog = Aeq.Engine.catalog engine in
+  let arena = Aeq_storage.Catalog.arena catalog in
+  let plan = Aeq.Engine.plan engine (Aeq_workload.Queries.tpch_q 4) in
+  let module P = Aeq_plan.Physical in
+  let builds, rest =
+    List.partition
+      (fun (p : P.pipeline) -> match p.P.p_sink with P.S_build _ -> true | _ -> false)
+      plan.P.pl_pipelines
+  in
+  Alcotest.(check int) "Q4 builds one join table" 1 (List.length builds);
+  let bad = { plan with P.pl_pipelines = rest @ builds } in
+  List.iter
+    (fun mode ->
+      let pool = Aeq.Engine.pool engine in
+      match Driver.execute ~cost_model:CM.off catalog bad ~mode ~pool with
+      | _ -> Alcotest.fail "a probe before its build must be refused"
+      | exception Aeq_exec.Query_error.Error (Aeq_exec.Query_error.Trap m) ->
+        Alcotest.(check bool) ("names the probe: " ^ m) true
+          (contains m "probes join table 0 before its build"))
+    [ Driver.Bytecode; Driver.Adaptive ];
+  Alcotest.(check int) "no lease left" 0 (Aeq_mem.Arena.live_leases arena);
+  Aeq.Engine.close engine
+
 let test_trace_render () =
   let tr = Aeq_exec.Trace.create () in
   let t0 = Aeq_exec.Trace.epoch tr in
@@ -528,6 +615,12 @@ let () =
           Alcotest.test_case "giant statement retention" `Quick test_prepared_giant_retention;
           Alcotest.test_case "giant statement bytecode words" `Quick
             test_prepared_bytecode_words;
+        ] );
+      ( "result",
+        [
+          Alcotest.test_case "order by limit over arena rows" `Quick
+            test_order_by_limit_over_arena_rows;
+          Alcotest.test_case "probe before build refused" `Quick test_probe_before_build_refused;
         ] );
       ("trace", [ Alcotest.test_case "render" `Quick test_trace_render ]);
     ]

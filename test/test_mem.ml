@@ -44,6 +44,25 @@ let test_large_allocation_dedicated_chunk () =
     Alcotest.(check int64) "big roundtrip" (Int64.of_int i) (A.get_i64 arena (big + (8 * i)))
   done
 
+(* A dedicated chunk does not replace the allocator's current one: the
+   small allocations around a large one share a chunk, so a lease that
+   mixes join directories with small entries abandons no partly used
+   chunk. *)
+let test_large_allocation_keeps_current_chunk () =
+  let arena = A.create ~chunk_size:1024 () in
+  let lease = A.lease arena in
+  let alloc = A.lease_allocator lease in
+  let before = A.alloc alloc 100 in
+  let big = A.alloc alloc 4096 in
+  let after = A.alloc alloc 100 in
+  let chunk_index p = p lsr 32 in
+  Alcotest.(check bool) "the large allocation has its own chunk" true
+    (chunk_index big <> chunk_index before);
+  Alcotest.(check int) "the next small one shares the first chunk" (chunk_index before)
+    (chunk_index after);
+  Alcotest.(check int) "two chunks: 1 KiB and 4 KiB" (1024 + 4096) (A.scratch_resident_bytes arena);
+  A.release lease
+
 let test_pointers_stable_across_growth () =
   let arena = A.create ~chunk_size:256 () in
   let alloc = A.allocator arena in
@@ -341,6 +360,7 @@ let test_pool_within_scratch_peak () =
   let peak = ref 0 in
   let within what =
     peak := max !peak (A.scratch_resident_bytes arena);
+    Alcotest.(check int) (what ^ ": peak_scratch_bytes") !peak (A.peak_scratch_bytes arena);
     Alcotest.(check bool)
       (Printf.sprintf "%s: spare %d <= scratch peak %d" what (A.spare_bytes arena)
          !peak)
@@ -372,6 +392,29 @@ let test_reset_empties_pool () =
   A.reset arena;
   Alcotest.(check int) "pool empty" 0 (A.spare_bytes arena);
   check_coherent arena
+
+(* The scratch high-water covers every byte a lease handed out, across
+   its allocators, and outlives the lease; a smaller lease later leaves
+   it alone and [reset] clears it. *)
+let test_peak_scratch_reads_lease_usage () =
+  let arena = A.create ~chunk_size:1024 () in
+  Alcotest.(check int) "fresh arena" 0 (A.peak_scratch_bytes arena);
+  ignore (A.alloc (A.allocator arena) 5000);
+  Alcotest.(check int) "loaded tables are not scratch" 0 (A.peak_scratch_bytes arena);
+  let lease = A.lease arena in
+  let a = A.lease_allocator lease and b = A.lease_allocator lease in
+  List.iter (fun n -> ignore (A.alloc a n)) [ 100; 900; 4000 ];
+  List.iter (fun n -> ignore (A.alloc b n)) [ 700; 700 ];
+  let used = A.lease_used lease and peak = A.peak_scratch_bytes arena in
+  Alcotest.(check bool) (Printf.sprintf "peak %d >= lease usage %d" peak used) true (peak >= used);
+  Alcotest.(check int) "peak = scratch resident" (A.scratch_resident_bytes arena) peak;
+  A.release lease;
+  Alcotest.(check int) "kept after release" peak (A.peak_scratch_bytes arena);
+  let small, _ = lease_one arena 10 in
+  A.release small;
+  Alcotest.(check int) "a smaller lease keeps it" peak (A.peak_scratch_bytes arena);
+  A.reset arena;
+  Alcotest.(check int) "reset clears it" 0 (A.peak_scratch_bytes arena)
 
 let test_pool_coherent_across_domains () =
   let arena = A.create ~chunk_size:1024 () in
@@ -423,6 +466,8 @@ let () =
           Alcotest.test_case "zeroed+aligned" `Quick test_zeroed_and_aligned;
           Alcotest.test_case "null" `Quick test_null_never_allocated;
           Alcotest.test_case "large alloc" `Quick test_large_allocation_dedicated_chunk;
+          Alcotest.test_case "large alloc keeps the current chunk" `Quick
+            test_large_allocation_keeps_current_chunk;
           Alcotest.test_case "stable pointers" `Quick test_pointers_stable_across_growth;
           Alcotest.test_case "bounds checked" `Quick test_bounds_checked;
           Alcotest.test_case "wild pointer raises" `Quick test_wild_pointer_raises;
@@ -442,6 +487,8 @@ let () =
             test_large_chunk_reused_at_exact_size;
           Alcotest.test_case "pool within scratch peak" `Quick test_pool_within_scratch_peak;
           Alcotest.test_case "reset empties pool" `Quick test_reset_empties_pool;
+          Alcotest.test_case "peak scratch reads lease usage" `Quick
+            test_peak_scratch_reads_lease_usage;
           Alcotest.test_case "pool coherent across domains" `Quick
             test_pool_coherent_across_domains;
           QCheck_alcotest.to_alcotest prop_roundtrip_random;

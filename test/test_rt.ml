@@ -3,52 +3,128 @@
 
 module A = Aeq_mem.Arena
 module HT = Aeq_rt.Hash_table
+module Agg = Aeq_rt.Agg
 
 let test_ht_basic () =
   let arena = A.create () in
   let alloc = A.allocator arena in
-  let ht = HT.create arena ~allocator:alloc ~expected_entries:100 ~payload_bytes:8 in
+  let ht = HT.create arena ~n_threads:1 ~payload_bytes:8 in
   for i = 0 to 99 do
-    let p = HT.insert ht ~allocator:alloc ~key:(Int64.of_int (i mod 10)) in
+    let p = HT.insert ht ~tid:0 ~allocator:alloc ~key:(Int64.of_int (i mod 10)) in
     A.set_i64 arena p (Int64.of_int i)
   done;
   Alcotest.(check int) "size" 100 (HT.size ht);
-  (* key 3 has 10 matches *)
-  let count = ref 0 in
+  HT.link ht ~allocator:alloc;
+  (* key 3 has 10 matches, newest first *)
+  let seen = ref [] in
   let e = ref (HT.lookup ht ~key:3L) in
   while !e <> A.null do
     let v = A.get_i64 arena (!e + HT.payload_offset) in
     Alcotest.(check int) "payload key residue" 3 (Int64.to_int v mod 10);
-    incr count;
+    seen := Int64.to_int v :: !seen;
     e := HT.next_match ht ~entry:!e
   done;
-  Alcotest.(check int) "10 matches" 10 !count;
+  Alcotest.(check (list int)) "10 matches, newest first"
+    (List.init 10 (fun i -> 3 + (10 * i)))
+    !seen;
   Alcotest.(check int) "missing key" A.null (HT.lookup ht ~key:77L)
 
 let test_ht_concurrent_build () =
   let arena = A.create () in
-  let ht =
-    HT.create arena ~allocator:(A.allocator arena) ~expected_entries:4000 ~payload_bytes:8
-  in
   let n_domains = 4 and per = 1000 in
+  let ht = HT.create arena ~n_threads:n_domains ~payload_bytes:8 in
+  (* the instrumented spawn and join are the build's barrier: under
+     AEQ_RACE they order every chain's inserts before [link] *)
   let domains =
     List.init n_domains (fun d ->
-        Domain.spawn (fun () ->
+        Aeq_race.spawn (fun () ->
             let alloc = A.allocator arena in
             for i = 0 to per - 1 do
               let key = Int64.of_int ((d * per) + i) in
-              let p = HT.insert ht ~allocator:alloc ~key in
+              let p = HT.insert ht ~tid:d ~allocator:alloc ~key in
               A.set_i64 arena p key
             done))
   in
-  List.iter Domain.join domains;
+  List.iter Aeq_race.join domains;
   Alcotest.(check int) "all inserted" (n_domains * per) (HT.size ht);
+  Alcotest.(check bool) "not linked before the barrier" false (HT.linked ht);
+  HT.link ht ~allocator:(A.allocator arena);
+  Alcotest.(check int) "directory sized to the entries" 4096 (HT.n_buckets ht);
   for k = 0 to (n_domains * per) - 1 do
     let e = HT.lookup ht ~key:(Int64.of_int k) in
     if e = A.null then Alcotest.failf "key %d missing" k;
     let v = A.get_i64 arena (e + HT.payload_offset) in
-    Alcotest.(check int64) "payload" (Int64.of_int k) v
+    Alcotest.(check int64) "payload" (Int64.of_int k) v;
+    Alcotest.(check int) "one match" A.null (HT.next_match ht ~entry:e)
   done
+
+(* A build that keeps [count] of a 1,500-row table (a filtered build
+   side) gets a directory of next_pow2 (max 16 count) buckets, not one
+   sized to the table it scanned. *)
+let test_ht_filtered_directory () =
+  let arena = A.create () in
+  let alloc = A.allocator arena in
+  List.iter
+    (fun (count, buckets) ->
+      let ht = HT.create arena ~n_threads:2 ~payload_bytes:8 in
+      for i = 0 to 1499 do
+        if i mod 1500 < count then
+          ignore (HT.insert ht ~tid:(i mod 2) ~allocator:alloc ~key:(Int64.of_int i))
+      done;
+      Alcotest.(check int) "no directory before link" 0 (HT.n_buckets ht);
+      HT.link ht ~allocator:alloc;
+      Alcotest.(check int) (Printf.sprintf "%d entries" count) buckets (HT.n_buckets ht);
+      for i = 0 to count - 1 do
+        if HT.lookup ht ~key:(Int64.of_int i) = A.null then Alcotest.failf "key %d missing" i
+      done)
+    [ (0, 16); (1, 16); (16, 16); (17, 32); (38, 64); (1024, 1024); (1025, 2048) ];
+  let ht = HT.create arena ~n_threads:1 ~payload_bytes:8 in
+  Alcotest.check_raises "probing before link raises"
+    (Invalid_argument "index out of bounds")
+    (fun () -> ignore (HT.lookup ht ~key:1L));
+  HT.link ht ~allocator:alloc;
+  Alcotest.check_raises "a second link raises"
+    (Invalid_argument "Hash_table.link: already linked")
+    (fun () -> HT.link ht ~allocator:alloc)
+
+(* minor words allocated by [n] calls of [f] *)
+let words_of n f =
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  Gc.minor_words () -. w0
+
+(* Entry access goes through the arena's chunk primitives: probing a
+   join table and finding an existing group allocate nothing apart
+   from the boxed int64 arguments, which are made before measuring. *)
+let test_entry_access_allocates_nothing () =
+  let arena = A.create () in
+  let alloc = A.allocator arena in
+  let keys = Array.init 512 (fun i -> Int64.of_int (i mod 128)) in
+  let ht = HT.create arena ~n_threads:1 ~payload_bytes:8 in
+  Array.iter (fun key -> ignore (HT.insert ht ~tid:0 ~allocator:alloc ~key)) keys;
+  HT.link ht ~allocator:alloc;
+  let entries = Array.map (fun key -> HT.lookup ht ~key) keys in
+  Alcotest.(check (float 0.)) "lookup" 0.
+    (words_of 512 (fun i -> ignore (Sys.opaque_identity (HT.lookup ht ~key:keys.(i)))));
+  Alcotest.(check (float 0.)) "next_match" 0.
+    (words_of 512 (fun i -> ignore (Sys.opaque_identity (HT.next_match ht ~entry:entries.(i)))));
+  List.iter
+    (fun key_arity ->
+      let agg = Agg.create arena ~n_threads:1 ~key_arity ~accs:[ Agg.Sum; Agg.Min ] in
+      let k2 = Array.map (fun k -> if key_arity = 2 then Int64.rem k 7L else 0L) keys in
+      Array.iteri
+        (fun i k1 -> ignore (Agg.get_group agg ~tid:0 ~allocator:alloc ~k1 ~k2:k2.(i)))
+        keys;
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "get_group on an existing group, %d key(s)" key_arity)
+        0.
+        (words_of 512 (fun i ->
+             ignore
+               (Sys.opaque_identity
+                  (Agg.get_group agg ~tid:0 ~allocator:alloc ~k1:keys.(i) ~k2:k2.(i))))))
+    [ 1; 2 ]
 
 let test_agg_merge () =
   let arena = A.create () in
@@ -80,8 +156,6 @@ let test_agg_merge () =
   done;
   Alcotest.(check int64) "count sums to 300" 300L !total
 
-module Agg = Aeq_rt.Agg
-
 (* A join table and a grouped aggregate built in one lease, released,
    then built again in a second lease: the second lease reuses the
    first one's chunks and must see none of its entries or groups. *)
@@ -89,15 +163,16 @@ let test_second_lease_sees_nothing () =
   let arena = A.create ~chunk_size:4096 () in
   let build lease keys =
     let alloc = A.lease_allocator lease in
-    let ht = HT.create arena ~allocator:alloc ~expected_entries:256 ~payload_bytes:8 in
+    let ht = HT.create arena ~n_threads:1 ~payload_bytes:8 in
     let agg = Agg.create arena ~n_threads:1 ~key_arity:1 ~accs:[ Agg.Sum; Agg.Count ] in
     List.iter
       (fun k ->
-        A.set_i64 arena (HT.insert ht ~allocator:alloc ~key:k) k;
+        A.set_i64 arena (HT.insert ht ~tid:0 ~allocator:alloc ~key:k) k;
         let row = Agg.get_group agg ~tid:0 ~allocator:alloc ~k1:k ~k2:0L in
         A.set_i64 arena row (Int64.add (A.get_i64 arena row) k);
         A.set_i64 arena (row + 8) (Int64.succ (A.get_i64 arena (row + 8))))
       keys;
+    HT.link ht ~allocator:alloc;
     (ht, agg, alloc)
   in
   let keys = List.init 500 (fun i -> Int64.of_int (i + 1)) in
@@ -181,6 +256,35 @@ let test_output () =
   Alcotest.(check bool) "all values present" true
     (seen = List.init 10 (fun i -> Int64.of_int i))
 
+(* thread 0's rows in insertion order, then thread 1's: the order the
+   driver sorts stably and limits, so unsorted results and sort ties
+   come out as before *)
+let test_output_order () =
+  let arena = A.create ~chunk_size:4096 () in
+  let allocs = [| A.allocator arena; A.allocator arena |] in
+  let out = Aeq_rt.Output.create arena ~n_threads:2 ~row_bytes:8 in
+  (* enough rows to span several chunks per thread *)
+  for i = 0 to 1999 do
+    let tid = if i mod 3 = 0 then 1 else 0 in
+    A.set_i64 arena (Aeq_rt.Output.row out ~tid ~allocator:allocs.(tid)) (Int64.of_int i)
+  done;
+  let got = Array.to_list (Array.map (A.get_i64 arena) (Aeq_rt.Output.rows out)) in
+  let of_tid t = List.filter (fun i -> (i mod 3 = 0) = (t = 1)) (List.init 2000 Fun.id) in
+  Alcotest.(check (list int64)) "thread 0, then thread 1, each in insertion order"
+    (List.map Int64.of_int (of_tid 0 @ of_tid 1))
+    got
+
+let test_output_row_allocates_nothing () =
+  let arena = A.create () in
+  let alloc = A.allocator arena in
+  let out = Aeq_rt.Output.create arena ~n_threads:2 ~row_bytes:16 in
+  (* the first row takes the allocator's chunk; 1,000 more fit in it *)
+  ignore (Aeq_rt.Output.row out ~tid:1 ~allocator:alloc);
+  Alcotest.(check (float 0.)) "minor words for 1,000 rows" 0.
+    (words_of 1000 (fun i ->
+         ignore (Sys.opaque_identity (Aeq_rt.Output.row out ~tid:(i land 1) ~allocator:alloc))));
+  Alcotest.(check int) "count" 1001 (Aeq_rt.Output.count out)
+
 let test_year_of () =
   (* 1970-01-01 = 0, 1998-09-02, 1992-01-01 *)
   Alcotest.(check int64) "1970" 1970L (Aeq_rt.Symbols.year_of_days 0L);
@@ -194,6 +298,9 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_ht_basic;
           Alcotest.test_case "concurrent build" `Quick test_ht_concurrent_build;
+          Alcotest.test_case "filtered build directory" `Quick test_ht_filtered_directory;
+          Alcotest.test_case "entry access allocates nothing" `Quick
+            test_entry_access_allocates_nothing;
         ] );
       ( "agg",
         [
@@ -203,6 +310,11 @@ let () =
       ( "lease reuse",
         [ Alcotest.test_case "second lease sees nothing" `Quick test_second_lease_sees_nothing ] );
       ("dict", [ Alcotest.test_case "encode/decode/match" `Quick test_dict ]);
-      ("output", [ Alcotest.test_case "rows" `Quick test_output ]);
+      ( "output",
+        [
+          Alcotest.test_case "rows" `Quick test_output;
+          Alcotest.test_case "rows in thread then insertion order" `Quick test_output_order;
+          Alcotest.test_case "row allocates nothing" `Quick test_output_row_allocates_nothing;
+        ] );
       ("dates", [ Alcotest.test_case "year_of" `Quick test_year_of ]);
     ]
