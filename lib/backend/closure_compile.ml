@@ -13,8 +13,9 @@ type t = {
 
 (* Compiled code accesses its register file without bounds checks —
    the analogue of machine code addressing its stack frame directly.
-   Offsets are produced by the register allocator and validated by the
-   sized scratch buffer, never by user input. *)
+   Offsets are produced by the register allocator, checked against the
+   program's register file by [Bytecode.check_registers] when it is
+   built, and [run] checks the buffer's size. *)
 external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
 external unsafe_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
@@ -612,6 +613,10 @@ let scratch t = Bytes.make (Stdlib.max 16 t.total_reg_bytes) '\000'
 
 let run t ?regs ~args () =
   let regs = match regs with Some r -> r | None -> scratch t in
+  if Bytes.length regs < t.total_reg_bytes then
+    invalid_arg
+      (Printf.sprintf "Closure_compile.run: a %d-byte register file for %s, which needs %d"
+         (Bytes.length regs) t.prog.B.name t.total_reg_bytes);
   Array.iteri (fun i c -> s regs (8 * i) c) t.prog.B.const_pool;
   Array.iteri
     (fun i off -> s regs off (if i < Array.length args then args.(i) else 0L))

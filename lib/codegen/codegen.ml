@@ -73,15 +73,17 @@ let gen_col ctx ~tref ~col =
         | Some (ht_idx, entry) ->
           let spec = ctx.plan.P.pl_hts.(ht_idx) in
           let off =
-            match List.assoc_opt col spec.P.ht_payload with
-            | Some o -> o
-            | None ->
+            match (List.assoc_opt col spec.P.ht_payload, spec.P.ht_key) with
+            | Some o, _ -> Aeq_rt.Hash_table.payload_offset + o
+            (* the build key is the entry's key word, not a payload copy *)
+            | None, Sc.Col { col = key_col; _ } when key_col = col ->
+              Aeq_rt.Hash_table.key_offset
+            | None, _ ->
               invalid_arg
                 (Printf.sprintf "Codegen: t%d.c%d not in ht%d payload" tref col ht_idx)
           in
           let addr =
-            Builder.gep ctx.b ~base:entry ~index:(Instr.Imm 0L) ~scale:0
-              ~offset:(Aeq_rt.Hash_table.payload_offset + off)
+            Builder.gep ctx.b ~base:entry ~index:(Instr.Imm 0L) ~scale:0 ~offset:off
           in
           Builder.load ctx.b i64 addr
         | None ->

@@ -77,24 +77,28 @@ let prepare ~cost_model catalog plan ~n_threads =
   in
   let symbols = Aeq_rt.Symbols.resolver fallback_ctx in
   let layout = P.layout plan in
-  let workers, codegen_seconds =
-    Aeq_util.Clock.time_it (fun () ->
-        Aeq_obs.Event_log.with_span "codegen" (fun () ->
-            Aeq_codegen.Codegen.all_workers plan layout))
-  in
+  (* One pipeline at a time: a worker's IR is generated, translated to
+     bytecode and dropped before the next one is generated, so
+     preparing holds one worker's IR, not the whole statement's.
+     Per-worker "translate" spans come from
+     Compiler.translate_bytecode. The handles keep bytecode, not IR:
+     an Opt promotion rebuilds its pipeline's IR from the plan and
+     layout the statement retains anyway. *)
+  let codegen_seconds = ref 0.0 in
   let handles =
-    (* per-worker "translate" spans come from Compiler.translate_bytecode.
-       The handles keep bytecode, not IR: [workers] dies with this
-       frame, and an Opt promotion rebuilds its pipeline's IR from the
-       plan and layout the statement retains anyway *)
     Array.of_list
       (List.mapi
-         (fun i func ->
-           Handle.compile_worker ~cost_model ~symbols
-             ~regenerate:(fun () -> Aeq_codegen.Codegen.pipeline_worker plan layout ~pipeline:i)
-             func)
-         workers)
+         (fun i _ ->
+           let regenerate () = Aeq_codegen.Codegen.pipeline_worker plan layout ~pipeline:i in
+           let func, dt =
+             Aeq_util.Clock.time_it (fun () ->
+                 Aeq_obs.Event_log.with_span ~pipeline:i "codegen" regenerate)
+           in
+           codegen_seconds := !codegen_seconds +. dt;
+           Handle.compile_worker ~cost_model ~symbols ~regenerate func)
+         plan.P.pl_pipelines)
   in
+  let codegen_seconds = !codegen_seconds in
   let bc_seconds =
     Array.fold_left (fun acc c -> acc +. c.Handle.bc_translate_seconds) 0.0 handles
   in
@@ -331,10 +335,12 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?cancel ?memory_bud
           match p.P.p_source with
           | P.Src_scan { tref } -> (fst plan.P.pl_trefs.(tref)).Table.n_rows
           | P.Src_agg_scan { agg } ->
-            (* pipeline barrier: merge thread-local groups and expose
-               them as a scannable table *)
+            (* pipeline barrier: merge thread-local groups, on the
+               pool's participants, and expose them as a scannable
+               table *)
             let a = ctx.Aeq_rt.Context.aggs.(agg) in
-            Aeq_rt.Agg.merge a;
+            Aeq_rt.Agg.merge a ~run:(fun f ->
+                if n_threads = 1 then f ~tid:0 else Pool.run ~max_tids:n_threads pool f);
             let n, cols = Aeq_rt.Agg.materialize a ~allocator:setup_alloc in
             Array.iteri
               (fun k col ->

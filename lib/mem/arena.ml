@@ -109,7 +109,9 @@ let make_lease ~scratch t =
 
 (* Slot 0 stays empty: pointer 0 is null, so a null dereference
    raises like any wild pointer. *)
-let create ?(chunk_size = 1 lsl 16) () =
+let default_chunk_size = 1 lsl 16
+
+let create ?(chunk_size = default_chunk_size) () =
   let t =
     {
       chunk_size;
@@ -285,7 +287,7 @@ let alloc a ?(align = 8) n =
     ignore (Atomic.fetch_and_add ls.ls_used n);
     encode a.chunk start
   end
-  else if n > t.chunk_size then begin
+  else if n >= t.chunk_size then begin
     (* a dedicated chunk of exactly [n] bytes; the current chunk keeps
        serving the allocations that fit in what is left of it *)
     let idx = lease_chunk ls n in

@@ -47,11 +47,15 @@ exception Stale_allocator
 
 val null : ptr
 
+val default_chunk_size : int
+(** 64 KiB: the chunk size of an arena created without [chunk_size],
+    and the bound runtime structures size their per-thread pieces to. *)
+
 val create : ?chunk_size:int -> unit -> t
-(** Fresh arena. [chunk_size] (default 64 KiB) is the granularity at
-    which allocators take memory; larger allocations get dedicated
-    chunks of exactly their size, and the allocator keeps filling its
-    current chunk with the smaller ones.
+(** Fresh arena. [chunk_size] (default {!default_chunk_size}) is the
+    granularity at which allocators take memory; allocations of a
+    chunk or more get dedicated chunks of exactly their size, and the
+    allocator keeps filling its current chunk with the smaller ones.
 
     Every allocator takes and zero-fills a whole chunk on its first
     allocation, so the default is sized to what a short query touches:

@@ -556,13 +556,15 @@ let plan catalog (q : Ast.query) : Physical.t =
   List.iter
     (fun (_tb, _cb, ta, ca) -> note_col ta ca)
     probe_order;
-  (* 7. hash-table specs; ids follow probe order *)
+  (* 7. hash-table specs; ids follow probe order. Every entry stores
+     its key, so a later read of the key column loads that word and
+     the payload carries only the other columns. *)
   let ht_specs =
     List.mapi
       (fun _i (tb, cb, _ta, _ca) ->
         let tbl = fst trefs.(tb) in
         let cols = match Hashtbl.find_opt needed tb with Some l -> List.rev !l | None -> [] in
-        let payload = List.mapi (fun k c -> (c, 8 * k)) cols in
+        let payload = List.mapi (fun k c -> (c, 8 * k)) (List.filter (( <> ) cb) cols) in
         {
           Physical.ht_build_tref = tb;
           ht_key =

@@ -1,16 +1,24 @@
-(** Grouped aggregation tables.
+(** Grouped aggregation tables, aggregated in two phases.
 
     Each worker thread owns a private group table ("thread-local
     aggregation"), so generated code updates accumulators with plain
-    loads and stores — no atomics in the per-tuple path. After the
-    pipeline barrier the driver merges the thread tables and
-    materialises the groups into arena columns, which the next
-    pipeline scans like a table.
+    loads and stores — no atomics in the per-tuple path. A thread's
+    table is bounded: its chained directory doubles from 64 buckets up
+    to one arena chunk ({!Aeq_mem.Arena.default_chunk_size}, 8,192
+    buckets) and each bucket's chain holds at most 4 entries. A new
+    group whose chain is full first moves that chain onto the thread's
+    overflow list, so one group can end up with several entries per
+    thread.
 
-    Everything lives in the execution's arena lease: each thread's
-    table is a chained hash table whose entries
+    After the pipeline barrier, {!merge} deals every entry into hash
+    partitions and combines duplicates one partition at a time in a
+    directory sized to the largest partition (one per merging
+    participant), and {!materialize} writes the distinct groups into
+    arena columns, which the next pipeline scans like a table.
+
+    Everything lives in the execution's arena lease: entries
     ([next][k1][k2][accumulators...], the [k2] word only for two keys)
-    and bucket directory come from that thread's allocator, so a group
+    and directories come from the threads' allocators, so a group
     costs no OCaml heap and the whole table is reclaimed with the
     lease. *)
 
@@ -29,17 +37,24 @@ val get_group :
 (** Accumulator row for the group, created (with per-kind initial
     values) on first touch. Accumulator [i] is at byte offset [8*i].
     [allocator] is thread [tid]'s; the table grows from it. [k2] is
-    ignored unless [key_arity] is 2. Finding an existing group
-    allocates nothing beyond the boxed arguments. *)
+    ignored unless [key_arity] is 2. Finding a group that is in the
+    thread's directory allocates nothing beyond the boxed arguments;
+    the row of a group whose entry overflowed is a new entry. *)
 
-val merge : t -> unit
-(** Fold every thread's groups into thread 0 (per-kind combination).
-    Call after the pipeline barrier, single-threaded. *)
+val merge : ?run:((tid:int -> unit) -> unit) -> t -> unit
+(** Combine every thread's entries into distinct groups (per-kind
+    combination). Call once, after the pipeline barrier, from one
+    thread. With [run], the work is spread over its participants when
+    the entries make more than one partition: [run f] must call [f]
+    on one or more participants with distinct tids below [n_threads]
+    and return when every call has returned, as [Pool.run] does.
+    Without it, everything runs in the caller. *)
 
 val materialize : t -> allocator:Aeq_mem.Arena.allocator -> int * Aeq_mem.Arena.ptr array
 (** After [merge]: [(n_groups, columns)] where columns are
     [key1; key2; acc0; acc1; ...] (keys only up to [key_arity]),
-    each a dense arena column of [n_groups] i64 values. *)
+    each a dense arena column of [n_groups] i64 values, in partition
+    order. *)
 
 val n_groups : t -> int
-(** Total groups in thread 0 (valid after [merge]). *)
+(** Distinct groups (valid after [merge]). *)

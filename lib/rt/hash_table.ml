@@ -21,6 +21,8 @@ type t = {
   mutable mask : int;
 }
 
+let key_offset = 8
+
 let payload_offset = 16
 
 let next_pow2 n =
@@ -54,7 +56,7 @@ let[@inline] hash key =
 let insert t ~tid ~allocator ~key =
   (* [alloc] hands out zeroed bytes: the new entry's [next] is null *)
   let entry = A.alloc allocator (payload_offset + t.payload_bytes) in
-  set t (entry + 8) key;
+  set t (entry + key_offset) key;
   let c = t.chains.(tid) in
   Aeq_race.write ~site:"ht.insert" t.locs.(tid);
   if c.last = A.null then c.first <- entry else set t c.last (Int64.of_int entry);
@@ -81,7 +83,7 @@ let link t ~allocator =
       while !e <> A.null do
         let entry = !e in
         e := next t entry;
-        let head = t.dir + (8 * (hash (get t (entry + 8)) land t.mask)) in
+        let head = t.dir + (8 * (hash (get t (entry + key_offset)) land t.mask)) in
         set t entry (get t head);
         set t head (Int64.of_int entry)
       done)
@@ -92,15 +94,15 @@ let n_buckets t = if linked t then t.mask + 1 else 0
 let lookup t ~key =
   (* an unlinked table has no directory: the null read raises *)
   let e = ref (next t (t.dir + (8 * (hash key land t.mask)))) in
-  while !e <> A.null && get t (!e + 8) <> key do
+  while !e <> A.null && get t (!e + key_offset) <> key do
     e := next t !e
   done;
   !e
 
 let next_match t ~entry =
-  let key = get t (entry + 8) in
+  let key = get t (entry + key_offset) in
   let e = ref (next t entry) in
-  while !e <> A.null && get t (!e + 8) <> key do
+  while !e <> A.null && get t (!e + key_offset) <> key do
     e := next t !e
   done;
   !e

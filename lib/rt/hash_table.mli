@@ -17,6 +17,10 @@ val create : Aeq_mem.Arena.t -> n_threads:int -> payload_bytes:int -> t
 (** An empty table with one chain per worker thread and no directory
     yet. Takes no arena memory. *)
 
+val key_offset : int
+(** Byte offset of the key within an entry (8). Generated code reads a
+    build-key column there, not from the payload. *)
+
 val payload_offset : int
 (** Byte offset of the payload within an entry (16). *)
 

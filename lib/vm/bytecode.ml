@@ -81,3 +81,48 @@ let pack_scale_offset ~scale ~offset =
 let unpack_scale lit = (lit lsl 31) asr 31
 
 let unpack_offset lit = lit asr 32
+
+(* The fields of [op] that name registers, as a mask over [a] (bit 0)
+   to [e] (bit 4): the fields [Interp] and [Closure_compile] read and
+   write in the register file. The others are jump targets, an abort
+   message index or unused. *)
+let register_fields (op : Opcode.t) =
+  match op with
+  | Jmp | RetVoid | AbortOp | CallV0 -> 0
+  | CondJmp | RetVal | CallV1 | CallR0 -> 0b1
+  | Mov | Zext8 | Zext16 | Zext32 | Trunc1 | Trunc8 | Trunc16 | Trunc32 | SiToFp | FpToSi
+  | Load8 | Load16 | Load32 | Load64 | Store8 | Store16 | Store32 | Store64 | GepConst | JmpEq
+  | JmpNe | JmpSlt | JmpSle | JmpSgt | JmpSge | CallV2 | CallR1 ->
+    0b11
+  | SelectOp | CallV4 | CallR3 -> 0b1111
+  | CallV5 | CallR4 -> 0b11111
+  | _ -> 0b111
+
+let check_registers t =
+  let n = t.n_reg_bytes in
+  let refuse fmt = Printf.ksprintf (fun m -> invalid_arg ("Bytecode " ^ t.name ^ ": " ^ m)) fmt in
+  let ok off = off >= 0 && off land 7 = 0 && off + 8 <= n in
+  let n_code = Array.length t.code in
+  if Array.length t.ext <> n_code || Array.length t.lits <> n_code then
+    refuse "instruction arrays of different lengths";
+  if 8 * Array.length t.const_pool > n then
+    refuse "%d constants do not fit a %d-byte register file" (Array.length t.const_pool) n;
+  Array.iteri
+    (fun k off -> if not (ok off) then refuse "parameter %d at register offset %d" k off)
+    t.param_offsets;
+  let check pc op field v =
+    if not (ok v) then
+      refuse "pc %d: %s register %s = %d is not an aligned slot of a %d-byte file" pc
+        (Opcode.to_string op) field v n
+  in
+  for pc = 0 to n_code - 1 do
+    let w = t.code.(pc) and x = t.ext.(pc) in
+    if w land op_mask >= Opcode.count then refuse "pc %d: opcode %d out of range" pc (w land op_mask);
+    let op = Opcode.of_int (w land op_mask) in
+    let mask = register_fields op in
+    if mask land 0b1 <> 0 then check pc op "a" ((w lsr op_bits) land ab_mask);
+    if mask land 0b10 <> 0 then check pc op "b" ((w lsr (op_bits + ab_bits)) land ab_mask);
+    if mask land 0b100 <> 0 then check pc op "c" (x land cde_mask);
+    if mask land 0b1000 <> 0 then check pc op "d" ((x lsr cde_bits) land cde_mask);
+    if mask land 0b10000 <> 0 then check pc op "e" ((x lsr (2 * cde_bits)) land cde_mask)
+  done

@@ -81,6 +81,18 @@ val set : t -> int -> insn -> unit
     encoding raises.
     @raise Unsupported if a field of [i] does not fit. *)
 
+val check_registers : t -> unit
+(** The build-time check of a program's register operands. Every
+    register field of every instruction (the fields the interpreter
+    reads and writes as registers, not jump targets or message
+    indices), every parameter offset and the constant pool must be
+    aligned 8-byte slots inside [\[0, n_reg_bytes - 8\]], and the
+    three instruction arrays must have one length and valid opcodes.
+    [Translate] runs it on every program it builds, whatever
+    [AEQ_VERIFY] says; the interpreter and the closure tier then read
+    and write registers without a bounds check.
+    @raise Invalid_argument naming the first offending operand. *)
+
 val pack_scale_offset : scale:int -> offset:int -> int
 (** GEP literals: scale in the low 32 bits and byte offset above them,
     both signed, with -2{^31} <= scale < 2{^31} and -2{^30} <= offset <

@@ -3,15 +3,23 @@ module S = Semantics
 
 let scratch (p : Bytecode.t) = Bytes.make (Stdlib.max 16 p.Bytecode.n_reg_bytes) '\000'
 
-let[@inline] g regs off = Bytes.get_int64_ne regs off
+(* Register accesses are unchecked: [Bytecode.check_registers] put
+   every register operand of the program inside [n_reg_bytes] when the
+   program was built, and [run] checks once that [regs] holds that
+   many bytes. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
-let[@inline] s regs off v = Bytes.set_int64_ne regs off v
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let[@inline] gf regs off = Int64.float_of_bits (Bytes.get_int64_ne regs off)
+let[@inline] g regs off = get64u regs off
 
-let[@inline] sf regs off v = Bytes.set_int64_ne regs off (Int64.bits_of_float v)
+let[@inline] s regs off v = set64u regs off v
 
-let[@inline] gp regs off = Int64.to_int (Bytes.get_int64_ne regs off)
+let[@inline] gf regs off = Int64.float_of_bits (get64u regs off)
+
+let[@inline] sf regs off v = set64u regs off (Int64.bits_of_float v)
+
+let[@inline] gp regs off = Int64.to_int (get64u regs off)
 
 (* Sign-extending the low 8, 16 or 32 bits as an int here, not
    through [Semantics]' int64 functions, keeps a narrow column load
@@ -48,9 +56,13 @@ let[@inline] offset lit = lit asr 32
 
 let run (p : Bytecode.t) mem ?regs ~args () =
   let regs = match regs with Some r -> r | None -> scratch p in
-  Array.iteri (fun i c -> s regs (8 * i) c) p.Bytecode.const_pool;
+  if Bytes.length regs < p.Bytecode.n_reg_bytes then
+    invalid_arg
+      (Printf.sprintf "Interp.run: a %d-byte register file for %s, which needs %d"
+         (Bytes.length regs) p.Bytecode.name p.Bytecode.n_reg_bytes);
+  Array.iteri (fun i c -> Bytes.set_int64_ne regs (8 * i) c) p.Bytecode.const_pool;
   Array.iteri
-    (fun i off -> s regs off (if i < Array.length args then args.(i) else 0L))
+    (fun i off -> Bytes.set_int64_ne regs off (if i < Array.length args then args.(i) else 0L))
     p.Bytecode.param_offsets;
   let code = p.Bytecode.code and ext = p.Bytecode.ext and lits = p.Bytecode.lits in
   if Array.length ext <> Array.length code || Array.length lits <> Array.length code then

@@ -12,8 +12,11 @@ val run :
   Bytecode.t -> Aeq_mem.Arena.t -> ?regs:Bytes.t -> args:int64 array -> unit -> int64
 (** Execute the program; returns the [ret] value ([0L] for void
     functions). [regs], if given, must be at least [n_reg_bytes]
-    long.
+    long. Register operands are not checked as it runs: the program
+    must have passed {!Bytecode.check_registers}, as every program
+    [Translate] builds has.
 
+    @raise Invalid_argument if [regs] is shorter than [n_reg_bytes].
     @raise Trap.Error on overflow / division by zero / abort. *)
 
 val scratch : Bytecode.t -> Bytes.t

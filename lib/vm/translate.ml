@@ -510,6 +510,8 @@ let translate ?(strategy = Regalloc.Loop_aware) ?(fuse = true) ~symbols (f : Fun
         | `C -> { i with c = t }
         | `D -> { i with d = t }))
     !fixups;
+  (* always on: the interpreter reads registers unchecked *)
+  Bytecode.check_registers prog;
   (* Under AEQ_VERIFY, certify our own output: structural/type-state
      checks on the emitted program plus the liveness cross-check on
      the allocation we actually used. *)

@@ -396,6 +396,22 @@ let test_small_query_scratch () =
         Alcotest.failf "%s: %d bytes of spare scratch, bound 128 KiB" name spare)
     Aeq_workload.Queries.metadata
 
+(* Q18 sets the suite's scratch high-water. At sf 0.03 on a fresh
+   2-thread engine it read 5,055 KiB with per-thread aggregation
+   directories that doubled without bound and join entries that
+   repeated o_orderkey, and 3,327 KiB with the bounded two-phase
+   aggregation and the key read from the entry's key word; the pin
+   leaves room for the morsels' spread over the threads. *)
+let test_q18_scratch_high_water () =
+  let e = Aeq.Engine.create ~n_threads:2 ~cost_model:Aeq_backend.Cost_model.off () in
+  Fun.protect ~finally:(fun () -> Aeq.Engine.close e) @@ fun () ->
+  Aeq.Engine.load_tpch e ~scale_factor:0.03;
+  let arena = Aeq_storage.Catalog.arena (Aeq.Engine.catalog e) in
+  ignore (Aeq.Engine.query e (Aeq_workload.Queries.tpch_q 18));
+  let peak = Aeq_mem.Arena.peak_scratch_bytes arena in
+  if peak > 3_600 * 1024 then
+    Alcotest.failf "Q18's scratch high-water is %d KiB, bound 3,600 KiB" (peak / 1024)
+
 (* The scratch-peak gauge reads the arena's scratch high-water, which
    covers the lease of the largest query run so far (Q18: its join
    table, groups and output rows). A run under a 1-byte budget stops
@@ -480,5 +496,6 @@ let () =
         [
           Alcotest.test_case "small queries, small chunks" `Quick test_small_query_scratch;
           Alcotest.test_case "scratch peak gauge" `Quick test_scratch_peak_gauge;
+          Alcotest.test_case "q18 scratch high-water" `Quick test_q18_scratch_high_water;
         ] );
     ]

@@ -305,7 +305,7 @@ let test_layout_order_pinned () =
           add f)
         (Aeq_codegen.Codegen.all_workers plan (Aeq_plan.Physical.layout plan)))
     Aeq_workload.Queries.tpch;
-  Alcotest.(check string) "block-order digest" "e1962780a9810d9a398ac640e25b8a04"
+  Alcotest.(check string) "block-order digest" "f065d08212e76de75c678444d09da8ac"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let test_analysis_counts () =

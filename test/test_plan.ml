@@ -92,6 +92,44 @@ let test_payload_contains_downstream_columns () =
   let name_col = Aeq_storage.Table.column_index nat_tbl "n_name" in
   Alcotest.(check bool) "n_name in payload" true (List.mem_assoc name_col nat_ht.P.ht_payload)
 
+(* Q18 joins orders on o_orderkey and groups by it: every join entry
+   already stores the key, so the payload carries nothing and the
+   driver pipeline loads its aggregate key from the entry's key word,
+   at offset 8. *)
+let test_build_key_read_from_entry () =
+  let p = plan (Aeq_workload.Queries.tpch_q 18) in
+  let ht = p.P.pl_hts.(0) in
+  Alcotest.(check string) "ht0 builds orders" "orders" (table_of_tref p ht.P.ht_build_tref);
+  Alcotest.(check int) "ht0 has no payload" 0 ht.P.ht_payload_bytes;
+  Alcotest.(check int) "the key word is at offset 8" 8 Aeq_rt.Hash_table.key_offset;
+  let f = Aeq_codegen.Codegen.pipeline_worker p (P.layout p) ~pipeline:1 in
+  let instrs =
+    Array.to_list f.Func.blocks |> List.concat_map (fun b -> Array.to_list b.Block.instrs)
+  in
+  let key_geps =
+    List.filter_map
+      (function
+        | Instr.Gep { dst; scale = 0; offset; _ } when offset = Aeq_rt.Hash_table.key_offset ->
+          Some dst
+        | _ -> None)
+      instrs
+  in
+  let key_loads =
+    List.filter_map
+      (function
+        | Instr.Load { dst; addr = Instr.Vreg a; _ } when List.mem a key_geps -> Some dst
+        | _ -> None)
+      instrs
+  in
+  match
+    List.filter_map
+      (function Instr.Call { sym = "agg_get"; args; _ } -> Some args.(2) | _ -> None)
+      instrs
+  with
+  | [ Instr.Vreg k1 ] ->
+    Alcotest.(check bool) "agg_get's key is the loaded key word" true (List.mem k1 key_loads)
+  | _ -> Alcotest.fail "expected one agg_get with a register key"
+
 let test_avg_becomes_sum_count () =
   let p = plan "select avg(l_quantity) from lineitem" in
   match p.P.pl_agg with
@@ -167,6 +205,7 @@ let () =
           Alcotest.test_case "filter placement" `Quick test_local_filters_go_to_build_pipeline;
           Alcotest.test_case "q5 snowflake" `Quick test_q5_snowflake_shape;
           Alcotest.test_case "payload columns" `Quick test_payload_contains_downstream_columns;
+          Alcotest.test_case "build key read from the entry" `Quick test_build_key_read_from_entry;
         ] );
       ( "aggregates",
         [

@@ -229,6 +229,160 @@ let test_agg_threads_match_one () =
   let idle0 = agg_bag ~n_threads:3 ~tid_of:(fun i -> 1 + (i mod 2)) in
   Alcotest.(check (list (list int64))) "idle thread 0: same bag" one idle0
 
+(* ---- two-phase aggregation ------------------------------------------ *)
+
+(* A run of the merge's work on [n] participants, as a pool job runs
+   it: tid 0 in the caller, the others on their own domains. *)
+let on_domains n f =
+  let helpers = List.init (n - 1) (fun i -> Domain.spawn (fun () -> f ~tid:(i + 1))) in
+  f ~tid:0;
+  List.iter Domain.join helpers
+
+let all_kinds = [ Agg.Sum; Agg.Count; Agg.Min; Agg.Max ]
+
+type agg_case = {
+  n_threads : int;
+  key_arity : int;
+  n_groups : int;
+  rows_per_group : int;
+  uniform : bool; (* uniformly random keys, else scan order *)
+  parallel : bool; (* merge on [n_threads] domains *)
+  seed : int;
+}
+
+let show_case c =
+  Printf.sprintf
+    "threads %d, keys %d, groups %d, rows/group %d, %s keys, %s merge, seed %d" c.n_threads
+    c.key_arity c.n_groups c.rows_per_group
+    (if c.uniform then "uniform" else "scan-ordered")
+    (if c.parallel then "parallel" else "sequential")
+    c.seed
+
+(* Past 8,192 buckets x 4 entries a thread must overflow, and past
+   1,024 entries the merge is partitioned. *)
+let agg_case_gen =
+  QCheck.Gen.(
+    let* n_threads = int_range 1 3 and* key_arity = int_range 1 2 in
+    let* big = bool in
+    let* n_groups = if big then int_range 33_000 40_000 else int_range 1 300 in
+    let* rows_per_group = int_range 1 3 and* uniform = bool and* parallel = bool in
+    let* seed = int_bound 1_000_000 in
+    return { n_threads; key_arity; n_groups; rows_per_group; uniform; parallel; seed })
+
+(* [merge] + [materialize] against a [Hashtbl] fold of the same rows,
+   fed in random morsels to random threads *)
+let prop_agg_matches_fold =
+  QCheck.Test.make ~name:"merge + materialize = Hashtbl fold" ~count:24
+    (QCheck.make ~print:show_case agg_case_gen) (fun c ->
+      let st = Random.State.make [| c.seed |] in
+      let arena = A.create () in
+      let lease = A.lease arena in
+      let allocs = Array.init c.n_threads (fun _ -> A.lease_allocator lease) in
+      let agg = Agg.create arena ~n_threads:c.n_threads ~key_arity:c.key_arity ~accs:all_kinds in
+      let reference = Hashtbl.create 1024 in
+      let n_rows = c.n_groups * c.rows_per_group in
+      let row_at i =
+        let g = if c.uniform then Random.State.int st c.n_groups else i / c.rows_per_group in
+        let k1, k2 = if c.key_arity = 2 then (g / 7, g mod 7) else (g, 0) in
+        (Int64.of_int k1, Int64.of_int k2, Int64.of_int (Random.State.int st 2001 - 1000))
+      in
+      let i = ref 0 in
+      while !i < n_rows do
+        let tid = Random.State.int st c.n_threads in
+        let stop = Stdlib.min n_rows (!i + 1 + Random.State.int st 4096) in
+        while !i < stop do
+          let k1, k2, v = row_at !i in
+          let row = Agg.get_group agg ~tid ~allocator:allocs.(tid) ~k1 ~k2 in
+          let upd o f = A.set_i64 arena (row + o) (f (A.get_i64 arena (row + o))) in
+          upd 0 (Int64.add v);
+          upd 8 Int64.succ;
+          upd 16 (fun m -> if Int64.compare v m < 0 then v else m);
+          upd 24 (fun m -> if Int64.compare v m > 0 then v else m);
+          let s, n, lo, hi =
+            Option.value (Hashtbl.find_opt reference (k1, k2))
+              ~default:(0L, 0L, Int64.max_int, Int64.min_int)
+          in
+          Hashtbl.replace reference (k1, k2)
+            (Int64.add s v, Int64.succ n, Int64.min lo v, Int64.max hi v);
+          incr i
+        done
+      done;
+      if c.parallel then Agg.merge agg ~run:(on_domains c.n_threads) else Agg.merge agg;
+      let n, cols = Agg.materialize agg ~allocator:allocs.(0) in
+      let got =
+        List.init n (fun r -> Array.to_list (Array.map (fun col -> A.get_i64 arena (col + (8 * r))) cols))
+        |> List.sort compare
+      in
+      let want =
+        Hashtbl.fold
+          (fun (k1, k2) (s, n, lo, hi) acc ->
+            ((if c.key_arity = 2 then [ k1; k2 ] else [ k1 ]) @ [ s; n; lo; hi ]) :: acc)
+          reference []
+        |> List.sort compare
+      in
+      A.release lease;
+      n = Agg.n_groups agg && got = want)
+
+(* A thread's directory doubles up to one arena chunk and no further,
+   however many groups it holds; the merge's directory is no larger.
+   Each new group's [lease_used] delta is its entry plus, when the
+   directory grew, the new directory. *)
+let test_agg_directory_bounded () =
+  let arena = A.create () in
+  let lease = A.lease arena in
+  let alloc = A.lease_allocator lease in
+  let agg = Agg.create arena ~n_threads:1 ~key_arity:1 ~accs:[ Agg.Sum ] in
+  let entry_bytes = 24 and dir_bytes = ref 0 and largest = ref 0 in
+  for k = 0 to 99_999 do
+    let before = A.lease_used lease in
+    ignore (Agg.get_group agg ~tid:0 ~allocator:alloc ~k1:(Int64.of_int k) ~k2:0L);
+    let dir = A.lease_used lease - before - entry_bytes in
+    dir_bytes := !dir_bytes + dir;
+    largest := Stdlib.max !largest dir
+  done;
+  Alcotest.(check int) "largest directory: one 64 KiB chunk" A.default_chunk_size !largest;
+  Alcotest.(check bool) "every directory together under two chunks" true
+    (!dir_bytes < 2 * A.default_chunk_size);
+  let before = A.lease_used lease in
+  Agg.merge agg;
+  Alcotest.(check bool) "the merge's directory within a chunk" true
+    (A.lease_used lease - before <= A.default_chunk_size);
+  Alcotest.(check int) "every group" 100_000 (Agg.n_groups agg);
+  A.release lease
+
+(* Finding a group still in the thread's directory allocates nothing,
+   also once the table has overflowed: the 512 newest of 40,000
+   groups, looked up until none has to be made again. *)
+let test_agg_find_after_overflow_allocates_nothing () =
+  let arena = A.create () in
+  let lease = A.lease arena in
+  let alloc = A.lease_allocator lease in
+  List.iter
+    (fun key_arity ->
+      let agg = Agg.create arena ~n_threads:1 ~key_arity ~accs:all_kinds in
+      let key g = if key_arity = 2 then (Int64.of_int (g / 5), Int64.of_int (g mod 5)) else (Int64.of_int g, 0L) in
+      for g = 0 to 39_999 do
+        let k1, k2 = key g in
+        ignore (Agg.get_group agg ~tid:0 ~allocator:alloc ~k1 ~k2)
+      done;
+      let keys = Array.init 512 (fun i -> key (39_488 + i)) in
+      let k1s = Array.map fst keys and k2s = Array.map snd keys in
+      let pass () =
+        let before = A.lease_used lease in
+        Array.iteri (fun i k1 -> ignore (Agg.get_group agg ~tid:0 ~allocator:alloc ~k1 ~k2:k2s.(i))) k1s;
+        A.lease_used lease - before
+      in
+      let rec settle n = if n > 0 && pass () > 0 then settle (n - 1) in
+      settle 8;
+      Alcotest.(check int) "all 512 found" 0 (pass ());
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "get_group after overflow, %d key(s)" key_arity)
+        0.
+        (words_of 512 (fun i ->
+             ignore (Sys.opaque_identity (Agg.get_group agg ~tid:0 ~allocator:alloc ~k1:k1s.(i) ~k2:k2s.(i))))))
+    [ 1; 2 ];
+  A.release lease
+
 let test_dict () =
   let d = Aeq_rt.Dict.create () in
   let a = Aeq_rt.Dict.encode d "hello" in
@@ -306,6 +460,10 @@ let () =
         [
           Alcotest.test_case "merge/materialize" `Quick test_agg_merge;
           Alcotest.test_case "threads match one" `Quick test_agg_threads_match_one;
+          Alcotest.test_case "directory bounded" `Quick test_agg_directory_bounded;
+          Alcotest.test_case "find after overflow allocates nothing" `Quick
+            test_agg_find_after_overflow_allocates_nothing;
+          QCheck_alcotest.to_alcotest prop_agg_matches_fold;
         ] );
       ( "lease reuse",
         [ Alcotest.test_case "second lease sees nothing" `Quick test_second_lease_sees_nothing ] );

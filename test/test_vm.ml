@@ -221,9 +221,9 @@ let test_tpch_bytecode_totals () =
             (Aeq_codegen.Codegen.all_workers plan (Aeq_plan.Physical.layout plan)))
         Aeq_workload.Queries.tpch;
       let what = Printf.sprintf "sf %g: " sf in
-      Alcotest.(check int) (what ^ "IR instructions") 3021 !instrs;
-      Alcotest.(check int) (what ^ "bytecode ops") 2134 !ops;
-      Alcotest.(check int) (what ^ "register-file bytes") 10840 !reg_bytes)
+      Alcotest.(check int) (what ^ "IR instructions") 3013 !instrs;
+      Alcotest.(check int) (what ^ "bytecode ops") 2130 !ops;
+      Alcotest.(check int) (what ^ "register-file bytes") 10808 !reg_bytes)
     [ 0.01; 0.03 ]
 
 let test_runtime_call () =
@@ -580,8 +580,96 @@ let test_disasm_pinned () =
     (List.map snd Aeq_workload.Queries.tpch
     @ List.map Aeq_workload.Queries.large_query [ 50; 200; 800 ]);
   Alcotest.(check int) "workers" 95 !n_workers;
-  Alcotest.(check string) "disassembly digest" "1bb7e9f80945f23aa6486156c91c868c"
+  Alcotest.(check string) "disassembly digest" "94a8da861ddf0457ebb36490b7ad6cc2"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* Register operands are checked once, when a program is built: an
+   offset outside the register file, or not on an 8-byte slot, is
+   refused by [check_registers], which [Translate] runs on every
+   program; fields that are jump targets or message indices are not
+   register offsets. *)
+let test_register_offsets_checked_at_build () =
+  let insn op a b c = { BC.op; a; b; c; d = 0; e = 0; lit = 0 } in
+  let program code =
+    let p =
+      {
+        BC.name = "hand";
+        code = Array.make (Array.length code) 0;
+        ext = Array.make (Array.length code) 0;
+        lits = Array.make (Array.length code) 0;
+        n_reg_bytes = 24;
+        const_pool = [| 0L; 1L |];
+        param_offsets = [||];
+        rt_table = [||];
+        messages = [| "abort" |];
+        src_instr_count = 0;
+      }
+    in
+    Array.iteri (BC.set p) code;
+    p
+  in
+  let refused what code =
+    match BC.check_registers (program code) with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  let ret = insn Aeq_vm.Opcode.RetVal 16 0 0 in
+  BC.check_registers (program [| insn Aeq_vm.Opcode.Mov 16 8 0; ret |]);
+  refused "write past the file" [| insn Aeq_vm.Opcode.Mov 24 8 0; ret |];
+  refused "unaligned read" [| insn Aeq_vm.Opcode.Mov 16 12 0; ret |];
+  refused "third operand past the file" [| insn Aeq_vm.Opcode.Add_i64 16 8 4096; ret |];
+  refused "returned register past the file" [| insn Aeq_vm.Opcode.RetVal 24 0 0 |];
+  (* a jump target and an abort message index are not registers *)
+  BC.check_registers
+    (program [| insn Aeq_vm.Opcode.CondJmp 16 3 2; ret; insn Aeq_vm.Opcode.AbortOp 0 0 0; ret |]);
+  (* the mask agrees with what the verifier reads as registers, for
+     every opcode and field *)
+  List.iter
+    (fun op ->
+      List.iteri
+        (fun k field ->
+          let fields = Array.make 5 16 in
+          fields.(k) <- 4096;
+          let i =
+            {
+              BC.op;
+              a = fields.(0);
+              b = fields.(1);
+              c = fields.(2);
+              d = fields.(3);
+              e = fields.(4);
+              lit = 0;
+            }
+          in
+          let p = program [| i; insn Aeq_vm.Opcode.RetVoid 0 0 0 |] in
+          let checked = match BC.check_registers p with () -> false | exception Invalid_argument _ -> true in
+          let verified =
+            contains
+              (Aeq_vm.Bc_verify.report "hand" (Aeq_vm.Bc_verify.check_program p))
+              (Printf.sprintf "register offset 4096")
+          in
+          if checked <> verified then
+            Alcotest.failf "%s field %s: check_registers %b, Bc_verify %b"
+              (Aeq_vm.Opcode.to_string op) field checked verified)
+        [ "a"; "b"; "c"; "d"; "e" ])
+    Aeq_vm.Opcode.all
+
+(* [Interp.run] reads registers unchecked, so it refuses a register
+   file shorter than the program's before it runs anything. *)
+let test_short_register_file_refused () =
+  let b = Builder.create ~name:"short" ~params:[ Types.I64 ] in
+  Builder.ret b (Builder.binop b Instr.Add Types.I64 (Builder.param b 0) (Instr.Imm 1L));
+  let f = Builder.finish b in
+  Layout.normalize f;
+  let prog = Aeq_vm.Translate.translate ~symbols:no_symbols f in
+  let mem = A.create () in
+  Alcotest.(check int64) "a full file runs" 42L
+    (Aeq_vm.Interp.run prog mem ~regs:(Aeq_vm.Interp.scratch prog) ~args:[| 41L |] ());
+  match
+    Aeq_vm.Interp.run prog mem ~regs:(Bytes.make (prog.BC.n_reg_bytes - 8) '\000') ~args:[| 41L |] ()
+  with
+  | _ -> Alcotest.fail "a short register file ran"
+  | exception Invalid_argument _ -> ()
 
 (* --- differential properties ---------------------------------------- *)
 
@@ -650,6 +738,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_gep_literal_roundtrip;
           Alcotest.test_case "field widths checked" `Quick test_field_widths_checked;
           Alcotest.test_case "disassembly pinned" `Quick test_disasm_pinned;
+          Alcotest.test_case "register offsets checked at build" `Quick
+            test_register_offsets_checked_at_build;
+          Alcotest.test_case "short register file refused" `Quick
+            test_short_register_file_refused;
         ] );
       ( "regalloc",
         [
