@@ -1,5 +1,4 @@
 module A = Aeq_mem.Arena
-module S = Semantics
 module B = Aeq_vm.Bytecode
 module Op = Aeq_vm.Opcode
 module Rt_fn = Aeq_vm.Rt_fn
@@ -40,107 +39,188 @@ let[@inline] sext16 v = (v lxor 0x8000) - 0x8000
 
 let[@inline] sext32 v = (v lxor 0x8000_0000) - 0x8000_0000
 
+(* [Interp]'s integer primitives, copied rather than shared: a call
+   into another module is not inlined under -opaque and would box its
+   [int64] operands and result on every row. Each computes what its
+   [Semantics] counterpart computes, traps included. [sh] is
+   [64 - width]. *)
+let[@inline] wrap sh v = Int64.shift_right (Int64.shift_left v sh) sh
+
+let[@inline] zext sh v = Int64.shift_right_logical (Int64.shift_left v sh) sh
+
+let[@inline] bool_i64 b = if b then 1L else 0L
+
+let[@inline] add sh a b = wrap sh (Int64.add a b)
+
+let[@inline] sub sh a b = wrap sh (Int64.sub a b)
+
+let[@inline] mul sh a b = wrap sh (Int64.mul a b)
+
+let[@inline] div sh a b =
+  if Int64.equal b 0L then Trap.division_by_zero ();
+  wrap sh (Int64.div a b)
+
+let[@inline] rem sh a b =
+  if Int64.equal b 0L then Trap.division_by_zero ();
+  wrap sh (Int64.rem a b)
+
+let[@inline] shl sh a b = wrap sh (Int64.shift_left a (Int64.to_int b land 63))
+
+let[@inline] lshr sh a b = wrap sh (Int64.shift_right_logical (zext sh a) (Int64.to_int b land 63))
+
+(* unsigned order at a width is signed order on the zero-extended
+   values with the sign bit flipped *)
+let[@inline] ukey sh v = Int64.logxor (zext sh v) Int64.min_int
+
+let[@inline] fits32 v = Int64.equal (wrap 32 v) v
+
+let[@inline] add_ovf32 a b = not (fits32 (Int64.add a b))
+
+let[@inline] sub_ovf32 a b = not (fits32 (Int64.sub a b))
+
+let[@inline] mul_ovf32 a b = not (fits32 (Int64.mul a b))
+
+(* the sum's sign differs from both operands' *)
+let[@inline] add_ovf64 a b =
+  let r = Int64.add a b in
+  Int64.logand (Int64.logxor a r) (Int64.logxor b r) < 0L
+
+(* the operands' signs differ, and the difference's from [a]'s *)
+let[@inline] sub_ovf64 a b =
+  let r = Int64.sub a b in
+  Int64.logand (Int64.logxor a b) (Int64.logxor a r) < 0L
+
+let[@inline] mul_ovf64 a b =
+  (not (Int64.equal a 0L))
+  && ((not (Int64.equal (Int64.div (Int64.mul a b) a) b))
+     || (Int64.equal a (-1L) && Int64.equal b Int64.min_int)
+     || (Int64.equal b (-1L) && Int64.equal a Int64.min_int))
+
+let[@inline] add_chk32 a b =
+  if add_ovf32 a b then Trap.overflow ();
+  Int64.add a b
+
+let[@inline] add_chk64 a b =
+  if add_ovf64 a b then Trap.overflow ();
+  Int64.add a b
+
+let[@inline] sub_chk32 a b =
+  if sub_ovf32 a b then Trap.overflow ();
+  Int64.sub a b
+
+let[@inline] sub_chk64 a b =
+  if sub_ovf64 a b then Trap.overflow ();
+  Int64.sub a b
+
+let[@inline] mul_chk32 a b =
+  if mul_ovf32 a b then Trap.overflow ();
+  Int64.mul a b
+
+let[@inline] mul_chk64 a b =
+  if mul_ovf64 a b then Trap.overflow ();
+  Int64.mul a b
+
 (* Non-control instructions compile to [Bytes.t -> unit] with every
    operand offset and literal captured. *)
 let step_of mem (i : B.insn) : Bytes.t -> unit =
   let a = i.B.a and b = i.B.b and c = i.B.c and d = i.B.d and e = i.B.e in
   match i.B.op with
   | Op.Mov -> fun regs -> s regs a (g regs b)
-  | Op.Add_i8 -> fun regs -> s regs a (S.add ~width:8 (g regs b) (g regs c))
-  | Op.Add_i16 -> fun regs -> s regs a (S.add ~width:16 (g regs b) (g regs c))
-  | Op.Add_i32 -> fun regs -> s regs a (S.add ~width:32 (g regs b) (g regs c))
+  | Op.Add_i8 -> fun regs -> s regs a (add 56 (g regs b) (g regs c))
+  | Op.Add_i16 -> fun regs -> s regs a (add 48 (g regs b) (g regs c))
+  | Op.Add_i32 -> fun regs -> s regs a (add 32 (g regs b) (g regs c))
   | Op.Add_i64 -> fun regs -> s regs a (Int64.add (g regs b) (g regs c))
-  | Op.Sub_i8 -> fun regs -> s regs a (S.sub ~width:8 (g regs b) (g regs c))
-  | Op.Sub_i16 -> fun regs -> s regs a (S.sub ~width:16 (g regs b) (g regs c))
-  | Op.Sub_i32 -> fun regs -> s regs a (S.sub ~width:32 (g regs b) (g regs c))
+  | Op.Sub_i8 -> fun regs -> s regs a (sub 56 (g regs b) (g regs c))
+  | Op.Sub_i16 -> fun regs -> s regs a (sub 48 (g regs b) (g regs c))
+  | Op.Sub_i32 -> fun regs -> s regs a (sub 32 (g regs b) (g regs c))
   | Op.Sub_i64 -> fun regs -> s regs a (Int64.sub (g regs b) (g regs c))
-  | Op.Mul_i8 -> fun regs -> s regs a (S.mul ~width:8 (g regs b) (g regs c))
-  | Op.Mul_i16 -> fun regs -> s regs a (S.mul ~width:16 (g regs b) (g regs c))
-  | Op.Mul_i32 -> fun regs -> s regs a (S.mul ~width:32 (g regs b) (g regs c))
+  | Op.Mul_i8 -> fun regs -> s regs a (mul 56 (g regs b) (g regs c))
+  | Op.Mul_i16 -> fun regs -> s regs a (mul 48 (g regs b) (g regs c))
+  | Op.Mul_i32 -> fun regs -> s regs a (mul 32 (g regs b) (g regs c))
   | Op.Mul_i64 -> fun regs -> s regs a (Int64.mul (g regs b) (g regs c))
-  | Op.Div_i8 -> fun regs -> s regs a (S.div ~width:8 (g regs b) (g regs c))
-  | Op.Div_i16 -> fun regs -> s regs a (S.div ~width:16 (g regs b) (g regs c))
-  | Op.Div_i32 -> fun regs -> s regs a (S.div ~width:32 (g regs b) (g regs c))
-  | Op.Div_i64 -> fun regs -> s regs a (S.div ~width:64 (g regs b) (g regs c))
-  | Op.Rem_i8 -> fun regs -> s regs a (S.rem ~width:8 (g regs b) (g regs c))
-  | Op.Rem_i16 -> fun regs -> s regs a (S.rem ~width:16 (g regs b) (g regs c))
-  | Op.Rem_i32 -> fun regs -> s regs a (S.rem ~width:32 (g regs b) (g regs c))
-  | Op.Rem_i64 -> fun regs -> s regs a (S.rem ~width:64 (g regs b) (g regs c))
+  | Op.Div_i8 -> fun regs -> s regs a (div 56 (g regs b) (g regs c))
+  | Op.Div_i16 -> fun regs -> s regs a (div 48 (g regs b) (g regs c))
+  | Op.Div_i32 -> fun regs -> s regs a (div 32 (g regs b) (g regs c))
+  | Op.Div_i64 -> fun regs -> s regs a (div 0 (g regs b) (g regs c))
+  | Op.Rem_i8 -> fun regs -> s regs a (rem 56 (g regs b) (g regs c))
+  | Op.Rem_i16 -> fun regs -> s regs a (rem 48 (g regs b) (g regs c))
+  | Op.Rem_i32 -> fun regs -> s regs a (rem 32 (g regs b) (g regs c))
+  | Op.Rem_i64 -> fun regs -> s regs a (rem 0 (g regs b) (g regs c))
   | Op.And64 -> fun regs -> s regs a (Int64.logand (g regs b) (g regs c))
   | Op.Or64 -> fun regs -> s regs a (Int64.logor (g regs b) (g regs c))
   | Op.Xor64 -> fun regs -> s regs a (Int64.logxor (g regs b) (g regs c))
-  | Op.Shl_i8 -> fun regs -> s regs a (S.shl ~width:8 (g regs b) (g regs c))
-  | Op.Shl_i16 -> fun regs -> s regs a (S.shl ~width:16 (g regs b) (g regs c))
-  | Op.Shl_i32 -> fun regs -> s regs a (S.shl ~width:32 (g regs b) (g regs c))
-  | Op.Shl_i64 -> fun regs -> s regs a (S.shl ~width:64 (g regs b) (g regs c))
-  | Op.LShr_i8 -> fun regs -> s regs a (S.lshr ~width:8 (g regs b) (g regs c))
-  | Op.LShr_i16 -> fun regs -> s regs a (S.lshr ~width:16 (g regs b) (g regs c))
-  | Op.LShr_i32 -> fun regs -> s regs a (S.lshr ~width:32 (g regs b) (g regs c))
-  | Op.LShr_i64 -> fun regs -> s regs a (S.lshr ~width:64 (g regs b) (g regs c))
+  | Op.Shl_i8 -> fun regs -> s regs a (shl 56 (g regs b) (g regs c))
+  | Op.Shl_i16 -> fun regs -> s regs a (shl 48 (g regs b) (g regs c))
+  | Op.Shl_i32 -> fun regs -> s regs a (shl 32 (g regs b) (g regs c))
+  | Op.Shl_i64 -> fun regs -> s regs a (shl 0 (g regs b) (g regs c))
+  | Op.LShr_i8 -> fun regs -> s regs a (lshr 56 (g regs b) (g regs c))
+  | Op.LShr_i16 -> fun regs -> s regs a (lshr 48 (g regs b) (g regs c))
+  | Op.LShr_i32 -> fun regs -> s regs a (lshr 32 (g regs b) (g regs c))
+  | Op.LShr_i64 -> fun regs -> s regs a (lshr 0 (g regs b) (g regs c))
   | Op.AShr64 ->
     fun regs -> s regs a (Int64.shift_right (g regs b) (Int64.to_int (g regs c) land 63))
-  | Op.AddChk_i32 -> fun regs -> s regs a (S.add_chk ~width:32 (g regs b) (g regs c))
-  | Op.AddChk_i64 -> fun regs -> s regs a (S.add_chk ~width:64 (g regs b) (g regs c))
-  | Op.SubChk_i32 -> fun regs -> s regs a (S.sub_chk ~width:32 (g regs b) (g regs c))
-  | Op.SubChk_i64 -> fun regs -> s regs a (S.sub_chk ~width:64 (g regs b) (g regs c))
-  | Op.MulChk_i32 -> fun regs -> s regs a (S.mul_chk ~width:32 (g regs b) (g regs c))
-  | Op.MulChk_i64 -> fun regs -> s regs a (S.mul_chk ~width:64 (g regs b) (g regs c))
+  | Op.AddChk_i32 -> fun regs -> s regs a (add_chk32 (g regs b) (g regs c))
+  | Op.AddChk_i64 -> fun regs -> s regs a (add_chk64 (g regs b) (g regs c))
+  | Op.SubChk_i32 -> fun regs -> s regs a (sub_chk32 (g regs b) (g regs c))
+  | Op.SubChk_i64 -> fun regs -> s regs a (sub_chk64 (g regs b) (g regs c))
+  | Op.MulChk_i32 -> fun regs -> s regs a (mul_chk32 (g regs b) (g regs c))
+  | Op.MulChk_i64 -> fun regs -> s regs a (mul_chk64 (g regs b) (g regs c))
   | Op.OvfAdd_i32 ->
-    fun regs -> s regs a (S.bool_i64 (S.add_ovf ~width:32 (g regs b) (g regs c)))
+    fun regs -> s regs a (bool_i64 (add_ovf32 (g regs b) (g regs c)))
   | Op.OvfAdd_i64 ->
-    fun regs -> s regs a (S.bool_i64 (S.add_ovf ~width:64 (g regs b) (g regs c)))
+    fun regs -> s regs a (bool_i64 (add_ovf64 (g regs b) (g regs c)))
   | Op.OvfSub_i32 ->
-    fun regs -> s regs a (S.bool_i64 (S.sub_ovf ~width:32 (g regs b) (g regs c)))
+    fun regs -> s regs a (bool_i64 (sub_ovf32 (g regs b) (g regs c)))
   | Op.OvfSub_i64 ->
-    fun regs -> s regs a (S.bool_i64 (S.sub_ovf ~width:64 (g regs b) (g regs c)))
+    fun regs -> s regs a (bool_i64 (sub_ovf64 (g regs b) (g regs c)))
   | Op.OvfMul_i32 ->
-    fun regs -> s regs a (S.bool_i64 (S.mul_ovf ~width:32 (g regs b) (g regs c)))
+    fun regs -> s regs a (bool_i64 (mul_ovf32 (g regs b) (g regs c)))
   | Op.OvfMul_i64 ->
-    fun regs -> s regs a (S.bool_i64 (S.mul_ovf ~width:64 (g regs b) (g regs c)))
+    fun regs -> s regs a (bool_i64 (mul_ovf64 (g regs b) (g regs c)))
   | Op.FAdd -> fun regs -> sf regs a (gf regs b +. gf regs c)
   | Op.FSub -> fun regs -> sf regs a (gf regs b -. gf regs c)
   | Op.FMul -> fun regs -> sf regs a (gf regs b *. gf regs c)
   | Op.FDiv -> fun regs -> sf regs a (gf regs b /. gf regs c)
-  | Op.CmpEq -> fun regs -> s regs a (S.bool_i64 (Int64.equal (g regs b) (g regs c)))
-  | Op.CmpNe -> fun regs -> s regs a (S.bool_i64 (not (Int64.equal (g regs b) (g regs c))))
-  | Op.CmpSlt -> fun regs -> s regs a (S.bool_i64 (Int64.compare (g regs b) (g regs c) < 0))
-  | Op.CmpSle -> fun regs -> s regs a (S.bool_i64 (Int64.compare (g regs b) (g regs c) <= 0))
-  | Op.CmpSgt -> fun regs -> s regs a (S.bool_i64 (Int64.compare (g regs b) (g regs c) > 0))
-  | Op.CmpSge -> fun regs -> s regs a (S.bool_i64 (Int64.compare (g regs b) (g regs c) >= 0))
-  | Op.CmpUlt_i8 -> fun regs -> s regs a (S.bool_i64 (S.ucmp ~width:8 (g regs b) (g regs c) < 0))
+  | Op.CmpEq -> fun regs -> s regs a (bool_i64 (Int64.equal (g regs b) (g regs c)))
+  | Op.CmpNe -> fun regs -> s regs a (bool_i64 (not (Int64.equal (g regs b) (g regs c))))
+  | Op.CmpSlt -> fun regs -> s regs a (bool_i64 (Int64.compare (g regs b) (g regs c) < 0))
+  | Op.CmpSle -> fun regs -> s regs a (bool_i64 (Int64.compare (g regs b) (g regs c) <= 0))
+  | Op.CmpSgt -> fun regs -> s regs a (bool_i64 (Int64.compare (g regs b) (g regs c) > 0))
+  | Op.CmpSge -> fun regs -> s regs a (bool_i64 (Int64.compare (g regs b) (g regs c) >= 0))
+  | Op.CmpUlt_i8 -> fun regs -> s regs a (bool_i64 (ukey 56 (g regs b) < ukey 56 (g regs c)))
   | Op.CmpUlt_i16 ->
-    fun regs -> s regs a (S.bool_i64 (S.ucmp ~width:16 (g regs b) (g regs c) < 0))
+    fun regs -> s regs a (bool_i64 (ukey 48 (g regs b) < ukey 48 (g regs c)))
   | Op.CmpUlt_i32 ->
-    fun regs -> s regs a (S.bool_i64 (S.ucmp ~width:32 (g regs b) (g regs c) < 0))
+    fun regs -> s regs a (bool_i64 (ukey 32 (g regs b) < ukey 32 (g regs c)))
   | Op.CmpUlt_i64 ->
-    fun regs -> s regs a (S.bool_i64 (S.ucmp ~width:64 (g regs b) (g regs c) < 0))
-  | Op.CmpUle_i8 -> fun regs -> s regs a (S.bool_i64 (S.ucmp ~width:8 (g regs b) (g regs c) <= 0))
+    fun regs -> s regs a (bool_i64 (ukey 0 (g regs b) < ukey 0 (g regs c)))
+  | Op.CmpUle_i8 -> fun regs -> s regs a (bool_i64 (ukey 56 (g regs b) <= ukey 56 (g regs c)))
   | Op.CmpUle_i16 ->
-    fun regs -> s regs a (S.bool_i64 (S.ucmp ~width:16 (g regs b) (g regs c) <= 0))
+    fun regs -> s regs a (bool_i64 (ukey 48 (g regs b) <= ukey 48 (g regs c)))
   | Op.CmpUle_i32 ->
-    fun regs -> s regs a (S.bool_i64 (S.ucmp ~width:32 (g regs b) (g regs c) <= 0))
+    fun regs -> s regs a (bool_i64 (ukey 32 (g regs b) <= ukey 32 (g regs c)))
   | Op.CmpUle_i64 ->
-    fun regs -> s regs a (S.bool_i64 (S.ucmp ~width:64 (g regs b) (g regs c) <= 0))
-  | Op.CmpUgt_i8 -> fun regs -> s regs a (S.bool_i64 (S.ucmp ~width:8 (g regs b) (g regs c) > 0))
+    fun regs -> s regs a (bool_i64 (ukey 0 (g regs b) <= ukey 0 (g regs c)))
+  | Op.CmpUgt_i8 -> fun regs -> s regs a (bool_i64 (ukey 56 (g regs b) > ukey 56 (g regs c)))
   | Op.CmpUgt_i16 ->
-    fun regs -> s regs a (S.bool_i64 (S.ucmp ~width:16 (g regs b) (g regs c) > 0))
+    fun regs -> s regs a (bool_i64 (ukey 48 (g regs b) > ukey 48 (g regs c)))
   | Op.CmpUgt_i32 ->
-    fun regs -> s regs a (S.bool_i64 (S.ucmp ~width:32 (g regs b) (g regs c) > 0))
+    fun regs -> s regs a (bool_i64 (ukey 32 (g regs b) > ukey 32 (g regs c)))
   | Op.CmpUgt_i64 ->
-    fun regs -> s regs a (S.bool_i64 (S.ucmp ~width:64 (g regs b) (g regs c) > 0))
-  | Op.CmpUge_i8 -> fun regs -> s regs a (S.bool_i64 (S.ucmp ~width:8 (g regs b) (g regs c) >= 0))
+    fun regs -> s regs a (bool_i64 (ukey 0 (g regs b) > ukey 0 (g regs c)))
+  | Op.CmpUge_i8 -> fun regs -> s regs a (bool_i64 (ukey 56 (g regs b) >= ukey 56 (g regs c)))
   | Op.CmpUge_i16 ->
-    fun regs -> s regs a (S.bool_i64 (S.ucmp ~width:16 (g regs b) (g regs c) >= 0))
+    fun regs -> s regs a (bool_i64 (ukey 48 (g regs b) >= ukey 48 (g regs c)))
   | Op.CmpUge_i32 ->
-    fun regs -> s regs a (S.bool_i64 (S.ucmp ~width:32 (g regs b) (g regs c) >= 0))
+    fun regs -> s regs a (bool_i64 (ukey 32 (g regs b) >= ukey 32 (g regs c)))
   | Op.CmpUge_i64 ->
-    fun regs -> s regs a (S.bool_i64 (S.ucmp ~width:64 (g regs b) (g regs c) >= 0))
-  | Op.FCmpEq -> fun regs -> s regs a (S.bool_i64 (gf regs b = gf regs c))
-  | Op.FCmpNe -> fun regs -> s regs a (S.bool_i64 (gf regs b <> gf regs c))
-  | Op.FCmpLt -> fun regs -> s regs a (S.bool_i64 (gf regs b < gf regs c))
-  | Op.FCmpLe -> fun regs -> s regs a (S.bool_i64 (gf regs b <= gf regs c))
-  | Op.FCmpGt -> fun regs -> s regs a (S.bool_i64 (gf regs b > gf regs c))
-  | Op.FCmpGe -> fun regs -> s regs a (S.bool_i64 (gf regs b >= gf regs c))
+    fun regs -> s regs a (bool_i64 (ukey 0 (g regs b) >= ukey 0 (g regs c)))
+  | Op.FCmpEq -> fun regs -> s regs a (bool_i64 (gf regs b = gf regs c))
+  | Op.FCmpNe -> fun regs -> s regs a (bool_i64 (gf regs b <> gf regs c))
+  | Op.FCmpLt -> fun regs -> s regs a (bool_i64 (gf regs b < gf regs c))
+  | Op.FCmpLe -> fun regs -> s regs a (bool_i64 (gf regs b <= gf regs c))
+  | Op.FCmpGt -> fun regs -> s regs a (bool_i64 (gf regs b > gf regs c))
+  | Op.FCmpGe -> fun regs -> s regs a (bool_i64 (gf regs b >= gf regs c))
   | Op.SelectOp ->
     fun regs -> s regs a (if Int64.equal (g regs b) 0L then g regs d else g regs c)
   | Op.Zext8 -> fun regs -> s regs a (Int64.logand (g regs b) 0xFFL)
@@ -213,25 +293,24 @@ let step_of mem (i : B.insn) : Bytes.t -> unit =
     ignore (d, e);
     invalid_arg "Closure_compile.step_of: control or call instruction"
 
-(* Calls resolve their runtime target variant once at compile time. *)
+(* Calls resolve their runtime target variant once at compile time
+   and hand the helper the register file and the instruction's operand
+   offsets ([Rt_fn]'s convention): nothing is boxed. *)
 let call_step (prog : B.t) (i : B.insn) : Bytes.t -> unit =
   let a = i.B.a and b = i.B.b and c = i.B.c and d = i.B.d and e = i.B.e in
   let fn = prog.B.rt_table.(i.B.lit) in
   match (i.B.op, fn) with
-  | Op.CallV0, Rt_fn.F0 f -> fun _ -> ignore (f ())
-  | Op.CallV1, Rt_fn.F1 f -> fun regs -> ignore (f (g regs a))
-  | Op.CallV2, Rt_fn.F2 f -> fun regs -> ignore (f (g regs a) (g regs b))
-  | Op.CallV3, Rt_fn.F3 f -> fun regs -> ignore (f (g regs a) (g regs b) (g regs c))
-  | Op.CallV4, Rt_fn.F4 f ->
-    fun regs -> ignore (f (g regs a) (g regs b) (g regs c) (g regs d))
-  | Op.CallV5, Rt_fn.F5 f ->
-    fun regs -> ignore (f (g regs a) (g regs b) (g regs c) (g regs d) (g regs e))
-  | Op.CallR0, Rt_fn.F0 f -> fun regs -> s regs a (f ())
-  | Op.CallR1, Rt_fn.F1 f -> fun regs -> s regs a (f (g regs b))
-  | Op.CallR2, Rt_fn.F2 f -> fun regs -> s regs a (f (g regs b) (g regs c))
-  | Op.CallR3, Rt_fn.F3 f -> fun regs -> s regs a (f (g regs b) (g regs c) (g regs d))
-  | Op.CallR4, Rt_fn.F4 f ->
-    fun regs -> s regs a (f (g regs b) (g regs c) (g regs d) (g regs e))
+  | Op.CallV0, Rt_fn.F0 f -> fun regs -> ignore (f regs)
+  | Op.CallV1, Rt_fn.F1 f -> fun regs -> ignore (f regs a)
+  | Op.CallV2, Rt_fn.F2 f -> fun regs -> ignore (f regs a b)
+  | Op.CallV3, Rt_fn.F3 f -> fun regs -> ignore (f regs a b c)
+  | Op.CallV4, Rt_fn.F4 f -> fun regs -> ignore (f regs a b c d)
+  | Op.CallV5, Rt_fn.F5 f -> fun regs -> ignore (f regs a b c d e)
+  | Op.CallR0, Rt_fn.F0 f -> fun regs -> s regs a (Int64.of_int (f regs))
+  | Op.CallR1, Rt_fn.F1 f -> fun regs -> s regs a (Int64.of_int (f regs b))
+  | Op.CallR2, Rt_fn.F2 f -> fun regs -> s regs a (Int64.of_int (f regs b c))
+  | Op.CallR3, Rt_fn.F3 f -> fun regs -> s regs a (Int64.of_int (f regs b c d))
+  | Op.CallR4, Rt_fn.F4 f -> fun regs -> s regs a (Int64.of_int (f regs b c d e))
   | _ -> invalid_arg "Closure_compile.call_step: arity mismatch"
 
 (* Superinstruction fusion: the closure backend's analogue of machine
@@ -294,92 +373,100 @@ let fused_pair mem (i1 : B.insn) (i2 : B.insn) : (Bytes.t -> unit) option =
       Some
         (fun regs ->
           load regs;
-          s regs a2 (S.add_chk ~width:64 (g regs b2) (g regs c2)))
+          s regs a2 (add_chk64 (g regs b2) (g regs c2)))
     | SubChk_i64 ->
       Some
         (fun regs ->
           load regs;
-          s regs a2 (S.sub_chk ~width:64 (g regs b2) (g regs c2)))
+          s regs a2 (sub_chk64 (g regs b2) (g regs c2)))
     | MulChk_i64 ->
       Some
         (fun regs ->
           load regs;
-          s regs a2 (S.mul_chk ~width:64 (g regs b2) (g regs c2)))
+          s regs a2 (mul_chk64 (g regs b2) (g regs c2)))
     | CmpEq ->
       Some
         (fun regs ->
           load regs;
-          s regs a2 (S.bool_i64 (Int64.equal (g regs b2) (g regs c2))))
+          s regs a2 (bool_i64 (Int64.equal (g regs b2) (g regs c2))))
     | CmpNe ->
       Some
         (fun regs ->
           load regs;
-          s regs a2 (S.bool_i64 (not (Int64.equal (g regs b2) (g regs c2)))))
+          s regs a2 (bool_i64 (not (Int64.equal (g regs b2) (g regs c2)))))
     | CmpSlt ->
       Some
         (fun regs ->
           load regs;
-          s regs a2 (S.bool_i64 (Int64.compare (g regs b2) (g regs c2) < 0)))
+          s regs a2 (bool_i64 (Int64.compare (g regs b2) (g regs c2) < 0)))
     | CmpSle ->
       Some
         (fun regs ->
           load regs;
-          s regs a2 (S.bool_i64 (Int64.compare (g regs b2) (g regs c2) <= 0)))
+          s regs a2 (bool_i64 (Int64.compare (g regs b2) (g regs c2) <= 0)))
     | CmpSgt ->
       Some
         (fun regs ->
           load regs;
-          s regs a2 (S.bool_i64 (Int64.compare (g regs b2) (g regs c2) > 0)))
+          s regs a2 (bool_i64 (Int64.compare (g regs b2) (g regs c2) > 0)))
     | CmpSge ->
       Some
         (fun regs ->
           load regs;
-          s regs a2 (S.bool_i64 (Int64.compare (g regs b2) (g regs c2) >= 0)))
+          s regs a2 (bool_i64 (Int64.compare (g regs b2) (g regs c2) >= 0)))
     | _ -> None)
-  | And64, (AddChk_i64 | SubChk_i64 | MulChk_i64 | Add_i64 | Mul_i64) -> (
+  | And64, (AddChk_i64 | SubChk_i64 | MulChk_i64 | Add_i64 | Mul_i64)
+    when (i2.B.b = i1.B.a) <> (i2.B.c = i1.B.a) -> (
     let dst = i1.B.a and b1 = i1.B.b and c1 = i1.B.c in
     let a2 = i2.B.a and b2 = i2.B.b and c2 = i2.B.c in
-    let f =
-      match i2.B.op with
-      | AddChk_i64 -> fun a b -> S.add_chk ~width:64 a b
-      | SubChk_i64 -> fun a b -> S.sub_chk ~width:64 a b
-      | MulChk_i64 -> fun a b -> S.mul_chk ~width:64 a b
-      | Add_i64 -> Int64.add
-      | Mul_i64 -> Int64.mul
-      | _ -> assert false
-    in
-    if b2 = dst && c2 <> dst then
+    (* the mask goes to its register slot and the consumer reads its
+       operands back, one closure per operator, as for the loads above *)
+    let mask regs = s regs dst (Int64.logand (g regs b1) (g regs c1)) in
+    match i2.B.op with
+    | AddChk_i64 ->
       Some
         (fun regs ->
-          let v = Int64.logand (g regs b1) (g regs c1) in
-          s regs dst v;
-          s regs a2 (f v (g regs c2)))
-    else if c2 = dst && b2 <> dst then
+          mask regs;
+          s regs a2 (add_chk64 (g regs b2) (g regs c2)))
+    | SubChk_i64 ->
       Some
         (fun regs ->
-          let v = Int64.logand (g regs b1) (g regs c1) in
-          s regs dst v;
-          s regs a2 (f (g regs b2) v))
-    else None)
+          mask regs;
+          s regs a2 (sub_chk64 (g regs b2) (g regs c2)))
+    | MulChk_i64 ->
+      Some
+        (fun regs ->
+          mask regs;
+          s regs a2 (mul_chk64 (g regs b2) (g regs c2)))
+    | Add_i64 ->
+      Some
+        (fun regs ->
+          mask regs;
+          s regs a2 (Int64.add (g regs b2) (g regs c2)))
+    | Mul_i64 ->
+      Some
+        (fun regs ->
+          mask regs;
+          s regs a2 (Int64.mul (g regs b2) (g regs c2)))
+    | _ -> None)
   | (CmpEq | CmpNe | CmpSlt | CmpSle | CmpSgt | CmpSge), SelectOp
     when i2.B.b = i1.B.a && i2.B.c <> i1.B.a && i2.B.d <> i1.B.a -> (
     let b1 = i1.B.b and c1 = i1.B.c and dst = i1.B.a in
     let a2 = i2.B.a and c2 = i2.B.c and d2 = i2.B.d in
-    let test =
-      match i1.B.op with
-      | CmpEq -> fun x y -> Int64.equal x y
-      | CmpNe -> fun x y -> not (Int64.equal x y)
-      | CmpSlt -> fun x y -> Int64.compare x y < 0
-      | CmpSle -> fun x y -> Int64.compare x y <= 0
-      | CmpSgt -> fun x y -> Int64.compare x y > 0
-      | CmpSge -> fun x y -> Int64.compare x y >= 0
-      | _ -> assert false
+    (* the test's outcome passes as a bool, which is never boxed; one
+       closure per comparison *)
+    let select regs t =
+      s regs dst (bool_i64 t);
+      s regs a2 (if t then g regs c2 else g regs d2)
     in
-    Some
-      (fun regs ->
-        let t = test (g regs b1) (g regs c1) in
-        s regs dst (S.bool_i64 t);
-        s regs a2 (if t then g regs c2 else g regs d2)))
+    match i1.B.op with
+    | CmpEq -> Some (fun regs -> select regs (Int64.equal (g regs b1) (g regs c1)))
+    | CmpNe -> Some (fun regs -> select regs (not (Int64.equal (g regs b1) (g regs c1))))
+    | CmpSlt -> Some (fun regs -> select regs (Int64.compare (g regs b1) (g regs c1) < 0))
+    | CmpSle -> Some (fun regs -> select regs (Int64.compare (g regs b1) (g regs c1) <= 0))
+    | CmpSgt -> Some (fun regs -> select regs (Int64.compare (g regs b1) (g regs c1) > 0))
+    | CmpSge -> Some (fun regs -> select regs (Int64.compare (g regs b1) (g regs c1) >= 0))
+    | _ -> None)
   | (Add_i64 | Sub_i64 | Mul_i64 | And64 | Or64 | Xor64), Mov when i2.B.b = i1.B.a -> (
     let dst = i1.B.a and b1 = i1.B.b and c1 = i1.B.c and a2 = i2.B.a in
     (* one closure per operator: an operator passed as a function value
@@ -611,19 +698,36 @@ let n_reg_bytes t = t.total_reg_bytes
 
 let scratch t = Bytes.make (Stdlib.max 16 t.total_reg_bytes) '\000'
 
-let run t ?regs ~args () =
-  let regs = match regs with Some r -> r | None -> scratch t in
+let param_offsets t = t.prog.B.param_offsets
+
+let check_size t regs =
   if Bytes.length regs < t.total_reg_bytes then
     invalid_arg
       (Printf.sprintf "Closure_compile.run: a %d-byte register file for %s, which needs %d"
-         (Bytes.length regs) t.prog.B.name t.total_reg_bytes);
-  Array.iteri (fun i c -> s regs (8 * i) c) t.prog.B.const_pool;
-  Array.iteri
-    (fun i off -> s regs off (if i < Array.length args then args.(i) else 0L))
-    t.prog.B.param_offsets;
+         (Bytes.length regs) t.prog.B.name t.total_reg_bytes)
+
+(* the constant pool goes in, the chunks run; nothing is allocated *)
+let enter t regs =
+  let pool = t.prog.B.const_pool in
+  for i = 0 to Array.length pool - 1 do
+    s regs (8 * i) (Array.unsafe_get pool i)
+  done;
   let chunks = t.chunks in
   let pc = ref 0 in
   while !pc >= 0 do
     pc := (Array.unsafe_get chunks !pc) regs
+  done
+
+let exec t regs =
+  check_size t regs;
+  enter t regs
+
+let run t ?regs ~args () =
+  let regs = match regs with Some r -> r | None -> scratch t in
+  check_size t regs;
+  let params = t.prog.B.param_offsets in
+  for i = 0 to Array.length params - 1 do
+    s regs params.(i) (if i < Array.length args then args.(i) else 0L)
   done;
+  enter t regs;
   g regs t.result_off

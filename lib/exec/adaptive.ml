@@ -27,6 +27,36 @@ let create ?(pipeline = 0) ~model ~handle ~progress ~n_threads () =
 let no_eval =
   { ev_stay_seconds = infinity; ev_candidates = []; ev_decision = Do_nothing }
 
+(* Seconds to finish [n] remaining rows by compiling to [mode]: one
+   thread compiles for the modelled time while the others keep
+   processing at [rate], then the rest runs at [mode]'s speed. [rate]
+   was measured in [current_mode]; the model's speedups are vs
+   bytecode, so it is scaled by the *relative* gain, otherwise an
+   already-upgraded pipeline credits the candidate with the full
+   vs-bytecode speedup (e.g. Unopt->Opt looked 5x instead of 5/3.6 =
+   1.39x) and upgrades far too eagerly. Inlined, so that the
+   per-morsel decision keeps its floats unboxed. *)
+let[@inline] option_seconds ~model ~current_mode ~n_instrs ~n ~rate ~w mode =
+  let c = CM.compile_time model mode n_instrs in
+  let r = rate *. (CM.speedup model mode /. CM.speedup model current_mode) in
+  let leftover = n -. ((w -. 1.0) *. rate *. c) in
+  let leftover = if leftover >= 0.0 then leftover else 0.0 in
+  c +. (leftover /. r /. w)
+
+(* Fig. 7's choice over the projected totals: staying costs [t0],
+   compiling to Unopt [t1] and to Opt [t2]. A blacklisted candidate (a
+   mode whose compilation failed) is priced at infinity rather than
+   special-cased: infinity never beats the status quo, so the
+   controller never retries a dead mode. *)
+let[@inline] choose current_mode ~t0 ~t1 ~t2 =
+  match current_mode with
+  | CM.Opt -> Do_nothing
+  | CM.Unopt -> if t2 < t0 then Compile CM.Opt else Do_nothing
+  | CM.Bytecode ->
+    if t1 <= t2 && t1 < t0 then Compile CM.Unopt
+    else if t2 < t1 && t2 < t0 then Compile CM.Opt
+    else Do_nothing
+
 let evaluate ?(allow_unopt = true) ?(allow_opt = true) ~model ~current_mode ~n_instrs
     ~remaining ~rate ~n_threads () =
   if rate <= 0.0 || remaining <= 0 then no_eval
@@ -34,56 +64,58 @@ let evaluate ?(allow_unopt = true) ?(allow_opt = true) ~model ~current_mode ~n_i
     let n = float_of_int remaining in
     let w = float_of_int n_threads in
     let t0 = n /. rate /. w in
-    let option mode =
-      let c = CM.compile_time model mode n_instrs in
-      (* [rate] was measured in [current_mode]; the model's speedups
-         are vs bytecode. Scale by the *relative* gain, otherwise an
-         already-upgraded pipeline credits the candidate with the full
-         vs-bytecode speedup (e.g. Unopt->Opt looked 5x instead of
-         5/3.6 = 1.39x) and upgrades far too eagerly. *)
-      let r = rate *. (CM.speedup model mode /. CM.speedup model current_mode) in
-      (* one thread compiles; the others keep processing during c *)
-      let leftover = Stdlib.max (n -. ((w -. 1.0) *. rate *. c)) 0.0 in
-      c +. (leftover /. r /. w)
-    in
-    (* blacklisted candidates (a mode whose compilation failed) are
-       priced out rather than special-cased: infinity never beats the
-       status quo, so the controller never retries a dead mode *)
     let candidate mode ~allowed =
       {
         cand_mode = mode;
-        cand_seconds = (if allowed then option mode else Float.infinity);
+        cand_seconds =
+          (if allowed then option_seconds ~model ~current_mode ~n_instrs ~n ~rate ~w mode
+           else Float.infinity);
         cand_blacklisted = not allowed;
       }
     in
-    match current_mode with
-    | CM.Opt -> { ev_stay_seconds = t0; ev_candidates = []; ev_decision = Do_nothing }
-    | CM.Unopt ->
-      let c2 = candidate CM.Opt ~allowed:allow_opt in
-      {
-        ev_stay_seconds = t0;
-        ev_candidates = [ c2 ];
-        ev_decision = (if c2.cand_seconds < t0 then Compile CM.Opt else Do_nothing);
-      }
-    | CM.Bytecode ->
-      let c1 = candidate CM.Unopt ~allowed:allow_unopt
-      and c2 = candidate CM.Opt ~allowed:allow_opt in
-      let t1 = c1.cand_seconds and t2 = c2.cand_seconds in
-      {
-        ev_stay_seconds = t0;
-        ev_candidates = [ c1; c2 ];
-        ev_decision =
-          (if t1 <= t2 && t1 < t0 then Compile CM.Unopt
-           else if t2 < t1 && t2 < t0 then Compile CM.Opt
-           else Do_nothing);
-      }
+    let candidates =
+      match current_mode with
+      | CM.Opt -> []
+      | CM.Unopt -> [ candidate CM.Opt ~allowed:allow_opt ]
+      | CM.Bytecode ->
+        [ candidate CM.Unopt ~allowed:allow_unopt; candidate CM.Opt ~allowed:allow_opt ]
+    in
+    let seconds m =
+      match List.find_opt (fun c -> c.cand_mode = m) candidates with
+      | Some c -> c.cand_seconds
+      | None -> Float.infinity
+    in
+    {
+      ev_stay_seconds = t0;
+      ev_candidates = candidates;
+      ev_decision = choose current_mode ~t0 ~t1:(seconds CM.Unopt) ~t2:(seconds CM.Opt);
+    }
   end
 
-let extrapolate ?allow_unopt ?allow_opt ~model ~current_mode ~n_instrs ~remaining ~rate
-    ~n_threads () =
-  (evaluate ?allow_unopt ?allow_opt ~model ~current_mode ~n_instrs ~remaining ~rate
-     ~n_threads ())
-    .ev_decision
+(* [evaluate]'s decision without its working: no record, list or
+   closure, and its floats stay unboxed, so the controller's check
+   after every morsel allocates next to nothing. *)
+let decide ~allow_unopt ~allow_opt ~model ~current_mode ~n_instrs ~remaining ~rate ~n_threads =
+  if rate <= 0.0 || remaining <= 0 || current_mode = CM.Opt then Do_nothing
+  else begin
+    let n = float_of_int remaining in
+    let w = float_of_int n_threads in
+    let t0 = n /. rate /. w in
+    let t1 =
+      if allow_unopt && current_mode = CM.Bytecode then
+        option_seconds ~model ~current_mode ~n_instrs ~n ~rate ~w CM.Unopt
+      else Float.infinity
+    in
+    let t2 =
+      if allow_opt then option_seconds ~model ~current_mode ~n_instrs ~n ~rate ~w CM.Opt
+      else Float.infinity
+    in
+    choose current_mode ~t0 ~t1 ~t2
+  end
+
+let extrapolate ?(allow_unopt = true) ?(allow_opt = true) ~model ~current_mode ~n_instrs
+    ~remaining ~rate ~n_threads () =
+  decide ~allow_unopt ~allow_opt ~model ~current_mode ~n_instrs ~remaining ~rate ~n_threads
 
 (* Fig. 7 in the flight recorder: what the controller saw, what it
    projected for each option, and what it chose. *)
@@ -129,17 +161,23 @@ let maybe_decide t =
   else begin
     let current_mode = Handle.mode t.handle in
     let rate = Progress.avg_rate t.progress in
-    let ev =
-      evaluate ~model:t.model
-        ~allow_unopt:(not (Handle.blacklisted t.handle CM.Unopt))
-        ~allow_opt:(not (Handle.blacklisted t.handle CM.Opt))
-        ~current_mode
-        ~n_instrs:(Handle.n_instrs t.handle)
-        ~remaining:(Progress.remaining t.progress)
-        ~rate ~n_threads:t.n_threads ()
+    let allow_unopt = not (Handle.blacklisted t.handle CM.Unopt)
+    and allow_opt = not (Handle.blacklisted t.handle CM.Opt) in
+    let n_instrs = Handle.n_instrs t.handle and remaining = Progress.remaining t.progress in
+    let decision =
+      if Aeq_obs.Control.enabled () && rate > 0.0 then begin
+        let ev =
+          evaluate ~model:t.model ~allow_unopt ~allow_opt ~current_mode ~n_instrs ~remaining
+            ~rate ~n_threads:t.n_threads ()
+        in
+        log_eval t ~current_mode ~rate ev;
+        ev.ev_decision
+      end
+      else
+        decide ~allow_unopt ~allow_opt ~model:t.model ~current_mode ~n_instrs ~remaining ~rate
+          ~n_threads:t.n_threads
     in
-    if Aeq_obs.Control.enabled () && rate > 0.0 then log_eval t ~current_mode ~rate ev;
-    match ev.ev_decision with
+    match decision with
     | Do_nothing ->
       Atomic.set t.evaluating false;
       Do_nothing

@@ -54,6 +54,11 @@ let prepared_modes p = Array.to_list (Array.map Handle.mode_of_compiled p.pr_han
 
 let prepared_handles p = p.pr_handles
 
+(* Each domain's scratch register file, kept across jobs: a job only
+   grows it when a pipeline needs more. The jobs a domain runs run one
+   after another, and a program writes every register it reads. *)
+let regs_key = Domain.DLS.new_key (fun () -> ref (Bytes.make 256 '\000'))
+
 (* dynamically growing morsel size: small at first for dense rate
    samples, larger later to cut scheduling overhead *)
 let morsel_size ~processed ~n_threads =
@@ -358,13 +363,8 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?cancel ?memory_bud
           | Bytecode | Unopt | Opt -> None
         in
         let next = Atomic.make 0 in
-        let job ~tid =
-          (* compiled code resolves runtime objects through the
-             domain-current context; install ours for the duration *)
-          Aeq_rt.Context.set_current ctx;
-          Aeq_util.Probe.yield "driver.ctx_install";
-          Fun.protect ~finally:Aeq_rt.Context.clear_current @@ fun () ->
-          let regs = ref (Bytes.make 256 '\000') in
+        let morsels ~tid =
+          let regs = Domain.DLS.get regs_key in
           let continue_ = ref true in
           while !continue_ do
             if check_guards () then continue_ := false
@@ -377,12 +377,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?cancel ?memory_bud
                 let t0 = Aeq_util.Clock.now () in
                 match
                   Aeq_util.Probe.hit "driver.morsel";
-                  Handle.run_morsel handle ~regs
-                    ~args:
-                      [|
-                        Int64.of_int state; Int64.of_int b; Int64.of_int e;
-                        Int64.of_int tid;
-                      |]
+                  Handle.run_morsel handle ~regs ~state ~first:b ~last:e ~tid
                 with
                 | exception exn when Aeq_util.Probe.is_crash exn ->
                   (* a domain crash is not a query error: let it tear
@@ -441,6 +436,20 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?cancel ?memory_bud
             end
           done
         in
+        (* [morsels] is built once per pipeline: a participant joining
+           allocates no closure for [Fun.protect] *)
+        let job ~tid =
+          (* compiled code resolves runtime objects through the
+             domain-current context; install ours for the duration *)
+          Aeq_rt.Context.set_current ctx;
+          Aeq_util.Probe.yield "driver.ctx_install";
+          match morsels ~tid with
+          | () -> Aeq_rt.Context.clear_current ()
+          | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            Aeq_rt.Context.clear_current ();
+            Printexc.raise_with_backtrace e bt
+        in
         let (), dt =
           Aeq_util.Clock.time_it (fun () ->
               if total > 0 then
@@ -472,22 +481,28 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?cancel ?memory_bud
     let dtypes = plan.P.pl_out.P.out_dtypes in
     let dict = Aeq_storage.Catalog.dict catalog in
     let dtype_arr = Array.of_list dtypes in
-    let compare_rows a b =
-      let rec go = function
-        | [] -> 0
-        | (idx, desc) :: rest ->
-          let c =
-            match dtype_arr.(idx) with
-            | Dtype.Str ->
-              String.compare
-                (Aeq_rt.Dict.decode dict (word a idx))
-                (Aeq_rt.Dict.decode dict (word b idx))
-            | _ -> Int64.compare (word a idx) (word b idx)
-          in
-          if c <> 0 then if desc then -c else c else go rest
-      in
-      go plan.P.pl_order_by
+    (* closed over nothing that changes per comparison, so comparing
+       integer keys allocates nothing *)
+    let rec compare_by a b = function
+      | [] -> 0
+      | (idx, desc) :: rest ->
+        let c =
+          match dtype_arr.(idx) with
+          | Dtype.Str ->
+            String.compare
+              (Aeq_rt.Dict.decode dict (word a idx))
+              (Aeq_rt.Dict.decode dict (word b idx))
+          | _ ->
+            (* both words read in place: an int64 returned by [word]
+               would be boxed *)
+            let o = 8 * idx in
+            Int64.compare
+              (A.chunk_get_i64 (A.chunk arena a) (A.chunk_offset a + o))
+              (A.chunk_get_i64 (A.chunk arena b) (A.chunk_offset b + o))
+        in
+        if c <> 0 then if desc then -c else c else compare_by a b rest
     in
+    let compare_rows a b = compare_by a b plan.P.pl_order_by in
     if plan.P.pl_order_by <> [] then Array.stable_sort compare_rows ptrs;
     let n_rows =
       match plan.P.pl_limit with

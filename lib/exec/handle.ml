@@ -74,14 +74,26 @@ let install t v = Atomic.set t.current v
 let ensure_regs regs n =
   if Bytes.length !regs < n then regs := Bytes.make (Stdlib.max n (2 * Bytes.length !regs)) '\000'
 
-let run_morsel t ~regs ~args =
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+(* The worker's four parameters go straight into their register slots
+   as ints: an argument array would box each of them. *)
+let set_params regs (offsets : int array) ~state ~first ~last ~tid =
+  set64 regs offsets.(0) (Int64.of_int state);
+  set64 regs offsets.(1) (Int64.of_int first);
+  set64 regs offsets.(2) (Int64.of_int last);
+  set64 regs offsets.(3) (Int64.of_int tid)
+
+let run_morsel t ~regs ~state ~first ~last ~tid =
   match Atomic.get t.current with
   | V_bytecode bc ->
     ensure_regs regs bc.Aeq_vm.Bytecode.n_reg_bytes;
-    ignore (Aeq_vm.Interp.run bc t.mem ~regs:!regs ~args ())
+    set_params !regs bc.Aeq_vm.Bytecode.param_offsets ~state ~first ~last ~tid;
+    Aeq_vm.Interp.exec bc t.mem !regs
   | V_compiled (_, c) ->
     ensure_regs regs (Aeq_backend.Closure_compile.n_reg_bytes c);
-    ignore (Aeq_backend.Closure_compile.run c ~regs:!regs ~args ())
+    set_params !regs (Aeq_backend.Closure_compile.param_offsets c) ~state ~first ~last ~tid;
+    Aeq_backend.Closure_compile.exec c !regs
 
 let rec atomic_add_float a d =
   let cur = Atomic.get a in

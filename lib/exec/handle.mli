@@ -87,9 +87,14 @@ val n_instrs : t -> int
 
 val install : t -> variant -> unit
 
-val run_morsel : t -> regs:Bytes.t ref -> args:int64 array -> unit
-(** Execute one morsel with the current variant, growing the caller's
-    scratch register file if the variant needs more space. *)
+val run_morsel :
+  t -> regs:Bytes.t ref -> state:int -> first:int -> last:int -> tid:int -> unit
+(** Execute one morsel, rows [\[first, last)], with the current
+    variant, growing the caller's scratch register file if the variant
+    needs more space. The worker's parameters are written into their
+    register slots as ints and the variant runs through
+    [Interp.exec] or [Closure_compile.exec]: a morsel allocates
+    nothing. *)
 
 val blacklisted : t -> Aeq_backend.Cost_model.mode -> bool
 (** The mode's compilation failed earlier (this execution or a

@@ -32,7 +32,8 @@ type job = {
   mutable next_tid : int;
   mutable active : int;
   mutable closed_job : bool; (* caller finished; no new joiners *)
-  error : exn option Atomic.t;
+  error : (exn * Printexc.raw_backtrace) option Atomic.t;
+      (* the first participant's exception, with its backtrace *)
   j_loc : Aeq_race.location;
 }
 
@@ -87,7 +88,12 @@ let run_participant j ~tid =
        participant's domain so the supervision layer is what handles
        it (helper: reclaim + restart; tid 0: the caller's own) *)
     raise e
-  | e -> ignore (Atomic.compare_and_set j.error None (Some e))
+  | e ->
+    (* kept with the participant's own backtrace, which the caller
+       re-raises with: a trap in a helper names the helper's frames,
+       not the caller's re-raise *)
+    let bt = Printexc.get_raw_backtrace () in
+    ignore (Atomic.compare_and_set j.error None (Some (e, bt)))
 
 (* Under t.lock: put the next thing to hold in worker [w]'s slot — a
    job to help, else a queued ticket; [Idle] once the pool stops.
@@ -153,7 +159,10 @@ let worker_reclaim t w domain exn =
         Aeq_race.read ~site:"pool.reclaim" t.current_loc;
         let held = t.current.(w) in
         (match held with
-        | Helping (j, _) -> ignore (Atomic.compare_and_set j.error None (Some crash))
+        | Helping (j, _) ->
+          (* the crash unwound the helper's stack already: no frames
+             to keep *)
+          ignore (Atomic.compare_and_set j.error None (Some (crash, Printexc.get_callstack 0)))
         | Serving _ | Idle -> ());
         leave t w held;
         held)
@@ -297,7 +306,9 @@ let run ?max_tids t fn =
     ignore (Atomic.fetch_and_add t.active_jobs (-1))
   in
   Fun.protect ~finally:close_out (fun () -> run_participant j ~tid:0);
-  match Atomic.get j.error with Some e -> raise e | None -> ()
+  match Atomic.get j.error with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ()
 
 (* Accounting coherence probe for the simulator's invariant checker:
    every open job's tid/participant counters must stay inside their

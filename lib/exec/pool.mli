@@ -66,7 +66,10 @@ val run : ?max_tids:int -> t -> (tid:int -> unit) -> unit
     [n_threads - 1] helper workers. [fn] must return when it cannot
     obtain more work — a morsel loop over a shared atomic cursor. Returns when the caller's run
     and every joined worker's run have finished. Exceptions raised by
-    participants are re-raised in the caller (first one wins).
+    participants are re-raised in the caller (first one wins), with
+    the backtrace recorded where the participant raised it (when
+    backtraces are recorded), so a helper's trap names the helper's
+    frames.
 
     Workers may join at any point while the caller is still running;
     after the caller's [fn] returns no new workers join, but the call

@@ -155,23 +155,42 @@ let lease_stale l = Atomic.get l.ls_stale
 
 (* Spare-pool helpers; the caller holds [t.lock]. *)
 
+(* The spare that serves a request of [size] bytes: one of exactly
+   that size, else the smallest larger one. Exact sizes alone let the
+   pool fill up with one query's dedicated chunks while the next query
+   allocates fresh chunks, which the full pool then drops at release:
+   garbage that stays resident until a major collection frees it, and
+   execution that allocates nothing on the OCaml heap leaves major
+   collections far apart. *)
 let take_spare t size =
-  match Hashtbl.find_opt t.spares size with
-  | Some (b :: rest) ->
-    (match rest with
-    | [] -> Hashtbl.remove t.spares size
-    | _ -> Hashtbl.replace t.spares size rest);
-    ignore (Atomic.fetch_and_add t.spare (-size));
-    Some b
-  | Some [] | None -> None
+  let fit =
+    if Hashtbl.mem t.spares size then Some size
+    else
+      Hashtbl.fold
+        (fun sz _ best ->
+          if sz > size && match best with Some b -> sz < b | None -> true then Some sz else best)
+        t.spares None
+  in
+  match fit with
+  | None -> None
+  | Some sz -> (
+    match Hashtbl.find t.spares sz with
+    | b :: rest ->
+      (match rest with
+      | [] -> Hashtbl.remove t.spares sz
+      | _ -> Hashtbl.replace t.spares sz rest);
+      ignore (Atomic.fetch_and_add t.spare (-sz));
+      Some b
+    | [] -> None)
 
 (* the pool's bound, for a released chunk of [size] bytes *)
 let pool_admits t size = Atomic.get t.spare + size <= Atomic.get t.peak_scratch
 
 (* Take a slot for [lease] and install a chunk of at least [size]
-   bytes; returns the slot index. Slots are recycled indices, and the
-   memory is either a fresh zeroed chunk or a spare of exactly
-   [size] bytes zero-filled here, under the lock, before the slot is
+   bytes; returns the slot index and the chunk's length. Slots are
+   recycled indices, and the memory is either a fresh zeroed chunk or
+   a spare of at least [size] bytes zero-filled here, under the lock,
+   before the slot is
    handed out — so a recycled chunk carries no bytes from the query
    that released it. A pointer into a chunk can only reach another
    thread through a synchronising structure (the pool or a locked hash
@@ -181,7 +200,7 @@ let lease_chunk ls size =
      OOM would strike *)
   Aeq_util.Probe.hit "arena.alloc";
   let t = ls.ls_arena in
-  let slot =
+  let ((_, len) as slot) =
     Aeq_race.Lock.with_ t.lock (fun () ->
         (* staleness re-checked under the SAME lock that [release]
            stales under: a grab that raced a concurrent release used
@@ -205,17 +224,24 @@ let lease_chunk ls size =
             t.n_chunks <- n + 1;
             n
         in
-        t.chunks.(slot) <-
-          (match take_spare t size with Some c -> zero_fill c; c | None -> new_chunk size);
+        let c =
+          match take_spare t size with
+          | Some c ->
+            zero_fill c;
+            c
+          | None -> new_chunk size
+        in
+        t.chunks.(slot) <- c;
         t.n_live <- t.n_live + 1;
+        let len = chunk_length c in
         if ls.ls_scratch then begin
-          let s = Atomic.fetch_and_add t.scratch size + size in
+          let s = Atomic.fetch_and_add t.scratch len + len in
           if s > Atomic.get t.peak_scratch then Atomic.set t.peak_scratch s
         end;
         ls.ls_slots <- slot :: ls.ls_slots;
-        slot)
+        (slot, len))
   in
-  ignore (Atomic.fetch_and_add t.resident size);
+  ignore (Atomic.fetch_and_add t.resident len);
   slot
 
 (* Return every owned slot to the free list and every scratch chunk
@@ -290,15 +316,16 @@ let alloc a ?(align = 8) n =
   else if n >= t.chunk_size then begin
     (* a dedicated chunk of exactly [n] bytes; the current chunk keeps
        serving the allocations that fit in what is left of it *)
-    let idx = lease_chunk ls n in
+    let idx, _ = lease_chunk ls n in
     ignore (Atomic.fetch_and_add ls.ls_used n);
     encode idx 0
   end
   else begin
-    let idx = lease_chunk ls t.chunk_size in
+    let idx, len = lease_chunk ls t.chunk_size in
     a.chunk <- idx;
     a.cursor <- n;
-    a.limit <- t.chunk_size;
+    (* a larger spare serves whole *)
+    a.limit <- len;
     ignore (Atomic.fetch_and_add ls.ls_used n);
     encode idx 0
   end

@@ -108,8 +108,10 @@ val resident_bytes : t -> int
 
 val spare_bytes : t -> int
 (** Bytes held in the spare pool: released scratch chunks kept, by
-    exact size, for the next grab of that size, which zero-fills one
-    before any lease sees it. Not leased, so excluded from
+    size, for the next grab of that size or, when none of its size is
+    left, of a smaller size (the smallest larger spare serves, and an
+    allocator uses it whole); the grab zero-fills it before any lease
+    sees it. Not leased, so excluded from
     {!resident_bytes}, {!scratch_resident_bytes} and {!live_chunks}.
     The pool never holds more than the highest scratch residency seen
     since creation or {!reset}. One atomic load. *)

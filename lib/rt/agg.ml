@@ -12,7 +12,9 @@ type acc_kind = Sum | Count | Min | Max
    full first moves that chain, every entry older than it, onto
    [overflow], linked through the entries' own [next] words. A group
    seen again after its entry overflowed starts a second entry; the
-   merge combines the two. *)
+   merge combines the two. A directory the table outgrows becomes the
+   thread's next entries: new entries are carved from it before the
+   allocator is asked, so the lease holds no dead directory. *)
 type table = {
   mutable dir : A.ptr; (* null until the first group *)
   mutable dir_chunk : A.chunk; (* [dir]'s chunk and offset: a head is one read *)
@@ -21,6 +23,8 @@ type table = {
   mutable linked : int; (* entries in [dir]'s chains *)
   mutable overflow : A.ptr; (* entries moved out of full chains *)
   mutable entries : int; (* [linked] and those on [overflow] *)
+  mutable spare : A.ptr; (* the unused rest of the last outgrown directory *)
+  mutable spare_end : A.ptr;
   mutable alloc : A.allocator option;
       (* the allocator the directory came from; [merge] takes its
          directories from it *)
@@ -75,6 +79,8 @@ let create arena ~n_threads ~key_arity ~accs =
             linked = 0;
             overflow = A.null;
             entries = 0;
+            spare = A.null;
+            spare_end = A.null;
             alloc = None;
           });
     groups = [||];
@@ -93,6 +99,9 @@ let[@inline] get_ptr c o = Int64.to_int (A.chunk_get_i64 c o)
 
 let[@inline] set_ptr c o p = A.chunk_set_i64 c o (Int64.of_int p)
 
+(* keys are read where the caller keeps them, so they are never boxed *)
+external key_at : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+
 (* the join table's splitmix64 finalizer over the mixed keys, written
    out here so that it inlines: a call across modules would box its
    argument. A directory indexes with the low bits, [merge]'s
@@ -105,8 +114,8 @@ let[@inline] hash k1 k2 =
 
 let two_keys t = t.key_arity >= 2
 
-(* an entry without a [k2] word was made for [k2 = 0], which is what
-   every caller passes for fewer than two keys *)
+(* an entry without a [k2] word hashes as [k2 = 0], as [get_group]
+   does for fewer than two keys *)
 let[@inline] entry_hash t c o =
   if two_keys t then hash (get c (o + 8)) (get c (o + 16)) else hash (get c (o + 8)) 0L
 
@@ -136,10 +145,27 @@ let grow t tbl ~allocator =
   tbl.alloc <- Some allocator;
   for b = 0 to old_mask do
     relink_chain t (get_ptr old_chunk (old_off + (8 * b))) ~dir:tbl.dir ~mask:tbl.mask
-  done
+  done;
+  (* the old directory, larger than what is left of the one before
+     it, is where the next entries go *)
+  if old <> A.null then begin
+    tbl.spare <- old;
+    tbl.spare_end <- old + (8 * (old_mask + 1))
+  end
+
+(* A new entry's bytes: from the outgrown directory while it has room
+   (every word of an entry is written before it is read), else from
+   the thread's allocator. *)
+let new_entry t tbl ~allocator =
+  let e = tbl.spare in
+  if e + t.entry_bytes <= tbl.spare_end then begin
+    tbl.spare <- e + t.entry_bytes;
+    e
+  end
+  else A.alloc allocator t.entry_bytes
 
 (* A miss: [last] is the tail of the [len]-entry chain [h] hashes to. *)
-let add_group t tbl ~allocator ~k1 ~k2 h ~last ~len =
+let add_group t tbl ~allocator keys ~k1 ~k2 h ~last ~len =
   if tbl.linked > tbl.mask && tbl.mask < max_buckets - 1 then grow t tbl ~allocator
   else if len >= chain_bound then begin
     let head = tbl.dir_off + (8 * (h land tbl.mask)) in
@@ -148,10 +174,10 @@ let add_group t tbl ~allocator ~k1 ~k2 h ~last ~len =
     set tbl.dir_chunk head 0L;
     tbl.linked <- tbl.linked - len
   end;
-  let e = A.alloc allocator t.entry_bytes in
+  let e = new_entry t tbl ~allocator in
   let c = A.chunk t.arena e and o = A.chunk_offset e in
-  set c (o + 8) k1;
-  if two_keys t then set c (o + 16) k2;
+  set c (o + 8) (key_at keys k1);
+  if two_keys t then set c (o + 16) (key_at keys k2);
   for i = 0 to Array.length t.accs - 1 do
     set c (o + t.row_offset + (8 * i)) (init_value t.accs.(i))
   done;
@@ -162,10 +188,11 @@ let add_group t tbl ~allocator ~k1 ~k2 h ~last ~len =
   tbl.entries <- tbl.entries + 1;
   e + t.row_offset
 
-let get_group t ~tid ~allocator ~k1 ~k2 =
+let get_group t ~tid ~allocator keys ~k1:k1_off ~k2:k2_off =
   let tbl = t.tables.(tid) in
   let two = two_keys t in
-  let h = if two then hash k1 k2 else hash k1 0L in
+  let k1 = key_at keys k1_off and k2 = if two then key_at keys k2_off else 0L in
+  let h = hash k1 k2 in
   if tbl.dir = A.null then grow t tbl ~allocator;
   let e = ref (get_ptr tbl.dir_chunk (tbl.dir_off + (8 * (h land tbl.mask)))) in
   let found = ref A.null and last = ref A.null and len = ref 0 in
@@ -182,7 +209,7 @@ let get_group t ~tid ~allocator ~k1 ~k2 =
     end
   done;
   if !found <> A.null then !found + t.row_offset
-  else add_group t tbl ~allocator ~k1 ~k2 h ~last:!last ~len:!len
+  else add_group t tbl ~allocator keys ~k1:k1_off ~k2:k2_off h ~last:!last ~len:!len
 
 (* Phase 2, at the barrier. *)
 
@@ -276,7 +303,9 @@ let merge ?run t =
       set_dir t tbl A.null ~mask:(-1);
       tbl.linked <- 0;
       tbl.overflow <- A.null;
-      tbl.entries <- 0);
+      tbl.entries <- 0;
+      tbl.spare <- A.null;
+      tbl.spare_end <- A.null);
   (* combine: one directory per participant, sized to the largest
      partition and left empty after each *)
   let largest = ref 0 in

@@ -33,13 +33,22 @@ val create :
 (** [key_arity] is 0, 1 or 2 (0 = global aggregate: a single group). *)
 
 val get_group :
-  t -> tid:int -> allocator:Aeq_mem.Arena.allocator -> k1:int64 -> k2:int64 -> Aeq_mem.Arena.ptr
-(** Accumulator row for the group, created (with per-kind initial
-    values) on first touch. Accumulator [i] is at byte offset [8*i].
+  t ->
+  tid:int ->
+  allocator:Aeq_mem.Arena.allocator ->
+  Bytes.t ->
+  k1:int ->
+  k2:int ->
+  Aeq_mem.Arena.ptr
+(** [get_group t ~tid ~allocator keys ~k1 ~k2]: the accumulator row
+    for the group whose keys are the 8 bytes of [keys] at offsets [k1]
+    and [k2], created (with per-kind initial values) on first touch.
+    Generated code passes its register file and the keys' registers,
+    so no key is boxed. Accumulator [i] is at byte offset [8*i].
     [allocator] is thread [tid]'s; the table grows from it. [k2] is
-    ignored unless [key_arity] is 2. Finding a group that is in the
-    thread's directory allocates nothing beyond the boxed arguments;
-    the row of a group whose entry overflowed is a new entry. *)
+    not read unless [key_arity] is 2. Finding a group that is in the
+    thread's directory allocates nothing; the row of a group whose
+    entry overflowed is a new entry. *)
 
 val merge : ?run:((tid:int -> unit) -> unit) -> t -> unit
 (** Combine every thread's entries into distinct groups (per-kind

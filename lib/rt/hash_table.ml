@@ -47,16 +47,19 @@ let[@inline] set t p v = A.chunk_set_i64 (A.chunk t.arena p) (A.chunk_offset p) 
 
 let[@inline] next t e = Int64.to_int (get t e)
 
+(* a key is read where the caller keeps it, so it is never boxed *)
+external key_at : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+
 (* splitmix-style finalizer *)
 let[@inline] hash key =
   let h = Int64.mul (Int64.logxor key (Int64.shift_right_logical key 33)) 0xFF51AFD7ED558CCDL in
   let h = Int64.mul (Int64.logxor h (Int64.shift_right_logical h 33)) 0xC4CEB9FE1A85EC53L in
   Int64.to_int (Int64.logxor h (Int64.shift_right_logical h 33)) land max_int
 
-let insert t ~tid ~allocator ~key =
+let insert t ~tid ~allocator keys off =
   (* [alloc] hands out zeroed bytes: the new entry's [next] is null *)
   let entry = A.alloc allocator (payload_offset + t.payload_bytes) in
-  set t (entry + key_offset) key;
+  set t (entry + key_offset) (key_at keys off);
   let c = t.chains.(tid) in
   Aeq_race.write ~site:"ht.insert" t.locs.(tid);
   if c.last = A.null then c.first <- entry else set t c.last (Int64.of_int entry);
@@ -91,7 +94,8 @@ let link t ~allocator =
 
 let n_buckets t = if linked t then t.mask + 1 else 0
 
-let lookup t ~key =
+let lookup t keys off =
+  let key = key_at keys off in
   (* an unlinked table has no directory: the null read raises *)
   let e = ref (next t (t.dir + (8 * (hash key land t.mask)))) in
   while !e <> A.null && get t (!e + key_offset) <> key do

@@ -25,9 +25,12 @@ val payload_offset : int
 (** Byte offset of the payload within an entry (16). *)
 
 val insert :
-  t -> tid:int -> allocator:Aeq_mem.Arena.allocator -> key:int64 -> Aeq_mem.Arena.ptr
-(** Append an entry for [key] to thread [tid]'s chain and return a
-    pointer to its payload region (zeroed). The caller fills the
+  t -> tid:int -> allocator:Aeq_mem.Arena.allocator -> Bytes.t -> int -> Aeq_mem.Arena.ptr
+(** [insert t ~tid ~allocator keys off] appends an entry for the key
+    held in the 8 bytes of [keys] at [off] to thread [tid]'s chain and
+    returns a pointer to its payload region (zeroed). Generated code
+    passes its register file and the key's register, so the key is
+    never boxed. The caller fills the
     payload with stores. Only the domain running [tid] may insert with
     it; nothing reads the entry until {!link}. *)
 
@@ -41,11 +44,11 @@ val link : t -> allocator:Aeq_mem.Arena.allocator -> unit
 val linked : t -> bool
 (** Whether {!link} has run: the table may be probed. *)
 
-val lookup : t -> key:int64 -> Aeq_mem.Arena.ptr
-(** First entry whose key equals [key], or [Arena.null]. The result
-    points at the entry; payload at [+ payload_offset]. Entries with
-    the same key come newest first within a thread's. Allocates
-    nothing beyond its boxed argument.
+val lookup : t -> Bytes.t -> int -> Aeq_mem.Arena.ptr
+(** [lookup t keys off]: the first entry whose key equals the 8 bytes
+    of [keys] at [off], or [Arena.null]. The result points at the
+    entry; payload at [+ payload_offset]. Entries with the same key
+    come newest first within a thread's. Allocates nothing.
     @raise Invalid_argument before {!link}. *)
 
 val next_match : t -> entry:Aeq_mem.Arena.ptr -> Aeq_mem.Arena.ptr

@@ -3,7 +3,10 @@
     dispatch through the same closures, so helper behaviour is
     identical by construction.
 
-    Exposed helpers (all [int64] calling convention):
+    Every helper takes its operands in the caller's register file and
+    returns an int ({!Aeq_vm.Rt_fn}'s convention), and hands a key to
+    {!Hash_table} or {!Agg} as that register file and the key's
+    offset: a call boxes nothing. The helpers, by operand:
     - [ht_insert  (ht, tid, key) -> payload_ptr]
     - [ht_lookup  (ht, key) -> entry_ptr | 0]
     - [ht_next    (ht, entry) -> entry_ptr | 0]

@@ -144,18 +144,21 @@ let run (f : Func.t) mem ~symbols ~args =
         | Some fn -> fn
         | None -> invalid_arg ("Ir_interp: unresolved symbol " ^ sym)
       in
-      let a i = value call_args.(i) in
+      (* the helper reads operand [i] at byte [8 * i] of a scratch
+         register file *)
+      let regs = Bytes.create (8 * Array.length call_args) in
+      Array.iteri (fun i v -> Bytes.set_int64_ne regs (8 * i) (value v)) call_args;
       let r =
         match (fn, Array.length call_args) with
-        | Rt_fn.F0 f, 0 -> f ()
-        | Rt_fn.F1 f, 1 -> f (a 0)
-        | Rt_fn.F2 f, 2 -> f (a 0) (a 1)
-        | Rt_fn.F3 f, 3 -> f (a 0) (a 1) (a 2)
-        | Rt_fn.F4 f, 4 -> f (a 0) (a 1) (a 2) (a 3)
-        | Rt_fn.F5 f, 5 -> f (a 0) (a 1) (a 2) (a 3) (a 4)
+        | Rt_fn.F0 f, 0 -> f regs
+        | Rt_fn.F1 f, 1 -> f regs 0
+        | Rt_fn.F2 f, 2 -> f regs 0 8
+        | Rt_fn.F3 f, 3 -> f regs 0 8 16
+        | Rt_fn.F4 f, 4 -> f regs 0 8 16 24
+        | Rt_fn.F5 f, 5 -> f regs 0 8 16 24 32
         | _ -> invalid_arg ("Ir_interp: arity mismatch calling " ^ sym)
       in
-      match dst with Some (d, _) -> set d r | None -> ())
+      match dst with Some (d, _) -> set d (Int64.of_int r) | None -> ())
   in
   let rec exec_block prev cur =
     let blk = Func.block f cur in

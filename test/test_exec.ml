@@ -51,6 +51,38 @@ let test_pool_propagates_exceptions () =
   Alcotest.(check int) "usable after error" 3 (Atomic.get count);
   Aeq_exec.Pool.shutdown pool
 
+(* a raise the backtrace can name: not inlined into the job, and the
+   raise itself rather than a tail call to [failwith] *)
+let[@inline never] helper_side_raise () = raise (Failure "helper-boom")
+
+(* A helper's exception reaches the caller with the helper's own
+   backtrace, not one that starts at the caller's re-raise. *)
+let test_pool_helper_backtrace () =
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  let pool = Aeq_exec.Pool.create ~n_threads:2 () in
+  let gate = barrier 2 in
+  (match
+     Aeq_exec.Pool.run pool (fun ~tid ->
+         (* the flag is per domain *)
+         Printexc.record_backtrace true;
+         gate ();
+         if tid = 1 then helper_side_raise ())
+   with
+  | () -> Alcotest.fail "expected exception"
+  | exception Failure m ->
+    let bt = Printexc.get_backtrace () in
+    Alcotest.(check string) "message" "helper-boom" m;
+    let names s sub =
+      let n = String.length sub in
+      let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+      go 0
+    in
+    if not (names bt "helper_side_raise") then
+      Alcotest.failf "the backtrace does not name the helper-side raise:\n%s" bt);
+  Printexc.record_backtrace recording;
+  Aeq_exec.Pool.shutdown pool
+
 let test_pool_main_thread_exception () =
   (* thread 0 is the caller: its exception must propagate like any
      worker's, and the pool must survive *)
@@ -477,6 +509,79 @@ let test_prepared_bytecode_words () =
     (Driver.prepared_handles p);
   Aeq.Engine.close engine
 
+(* ---- whole queries allocate per morsel, not per row ---------------- *)
+
+let scanned_rows (plan : Aeq_plan.Physical.t) =
+  List.fold_left
+    (fun acc (p : Aeq_plan.Physical.pipeline) ->
+      match p.Aeq_plan.Physical.p_source with
+      | Aeq_plan.Physical.Src_scan { tref } ->
+        acc + (fst plan.Aeq_plan.Physical.pl_trefs.(tref)).Aeq_storage.Table.n_rows
+      | Aeq_plan.Physical.Src_agg_scan _ -> acc)
+    0 plan.Aeq_plan.Physical.pl_pipelines
+
+(* What a query may allocate besides its rows: a fixed part (context,
+   bindings, the result and its sort), and a part per pipeline and per
+   morsel (the job, the morsel's timing). Minor words. *)
+let per_query_words = 4096.
+
+let per_pipeline_words = 256.
+
+let per_morsel_words = 32.
+
+(* The 22 TPC-H queries at sf 0.01 on one thread, each tier: a tier
+   allocates at most 0.1 minor words per scanned row over the suite,
+   and each query no more than that per row plus its bookkeeping. At
+   1 word per row a pool helper would still fill half its minor heap
+   between two collections of the main domain's. *)
+let test_tpch_words_per_row () =
+  let engine = Aeq.Engine.create ~n_threads:1 ~cost_model:CM.off () in
+  Aeq.Engine.load_tpch engine ~scale_factor:0.01;
+  let catalog = Aeq.Engine.catalog engine in
+  let pool = Aeq.Engine.pool engine in
+  List.iter
+    (fun (tier, mode) ->
+      let words = ref 0. and rows = ref 0 in
+      List.iter
+        (fun (name, sql) ->
+          let plan = Aeq.Engine.plan engine sql in
+          let p = Driver.prepare ~cost_model:CM.off catalog plan ~n_threads:1 in
+          (* the first run compiles and counts the morsels *)
+          let r = Driver.execute_prepared ~collect_trace:true p ~mode ~pool in
+          let morsels =
+            match r.Driver.trace with
+            | Some tr ->
+              List.length
+                (List.filter
+                   (fun (e : Aeq_exec.Trace.event) ->
+                     match e.Aeq_exec.Trace.kind with Aeq_exec.Trace.Ev_morsel _ -> true | _ -> false)
+                   (Aeq_exec.Trace.events tr))
+            | None -> 0
+          in
+          let w0 = Gc.minor_words () in
+          ignore (Sys.opaque_identity (Driver.execute_prepared p ~mode ~pool));
+          let w = Gc.minor_words () -. w0 in
+          let n = scanned_rows plan in
+          let pipelines = List.length plan.Aeq_plan.Physical.pl_pipelines in
+          let bound =
+            (0.1 *. float_of_int n) +. per_query_words
+            +. (per_pipeline_words *. float_of_int pipelines)
+            +. (per_morsel_words *. float_of_int morsels)
+          in
+          if w > bound then
+            Alcotest.failf
+              "%s in %s: %.0f minor words for %d rows, %d pipelines and %d morsels (bound %.0f)"
+              name tier w n pipelines morsels bound;
+          words := !words +. w;
+          rows := !rows + n)
+        Aeq_workload.Queries.tpch;
+      let per_row = !words /. float_of_int !rows in
+      if per_row > 0.1 then
+        Alcotest.failf "%s: %.3f minor words per scanned row over the suite (bound 0.1)" tier
+          per_row)
+    [ ("bytecode", Driver.Bytecode); ("unopt", Driver.Unopt); ("opt", Driver.Opt) ];
+  Aeq.Engine.close engine
+
 (* ---- sort and limit over arena rows -------------------------------- *)
 
 (* The result rows as one digest, through the printed form. *)
@@ -583,6 +688,7 @@ let () =
           Alcotest.test_case "all tids" `Quick test_pool_runs_all_tids;
           Alcotest.test_case "exceptions" `Quick test_pool_propagates_exceptions;
           Alcotest.test_case "main-thread exception" `Quick test_pool_main_thread_exception;
+          Alcotest.test_case "helper backtrace" `Quick test_pool_helper_backtrace;
           Alcotest.test_case "single thread" `Quick test_pool_single_thread_inline;
           Alcotest.test_case "concurrent jobs" `Quick test_pool_concurrent_jobs;
         ] );
@@ -616,6 +722,8 @@ let () =
           Alcotest.test_case "giant statement bytecode words" `Quick
             test_prepared_bytecode_words;
         ] );
+      ( "allocation",
+        [ Alcotest.test_case "tpch words per scanned row" `Quick test_tpch_words_per_row ] );
       ( "result",
         [
           Alcotest.test_case "order by limit over arena rows" `Quick

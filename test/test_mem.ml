@@ -347,11 +347,31 @@ let test_large_chunk_reused_at_exact_size () =
   let lease, big = lease_one arena dir_bytes in
   Alcotest.(check bool) "dedicated chunk" true (Bigarray.Array1.dim big > 1024);
   A.release lease;
-  let lease, other = lease_one arena (dir_bytes / 2) in
-  Alcotest.(check bool) "another size is not served from it" false (other == big);
+  let lease, other = lease_one arena (2 * dir_bytes) in
+  Alcotest.(check bool) "a larger size is not served from it" false (other == big);
   A.release lease;
   let lease, again = lease_one arena dir_bytes in
   Alcotest.(check bool) "same size reuses it" true (again == big);
+  A.release lease;
+  check_coherent arena
+
+(* With no spare of the size asked for, the smallest larger spare
+   serves, whole: a query whose chunks differ in size from the last
+   one's takes what the pool holds instead of allocating chunks that
+   the full pool would drop at release. *)
+let test_smaller_request_takes_larger_spare () =
+  let arena = A.create ~chunk_size:1024 () in
+  let lease, big = lease_one arena 4096 and lease', _ = lease_one arena 8192 in
+  A.release lease;
+  A.release lease';
+  let lease = A.lease arena in
+  let a = A.lease_allocator lease in
+  let p = A.alloc a 900 in
+  Alcotest.(check bool) "an allocator's next chunk is the smaller spare, 4 KiB" true
+    (fst (A.chunk_of arena p) == big);
+  let q = A.alloc a 3000 in
+  Alcotest.(check bool) "and serves all of it" true (fst (A.chunk_of arena q) == big);
+  Alcotest.(check int) "scratch counts the whole chunk" 4096 (A.scratch_resident_bytes arena);
   A.release lease;
   check_coherent arena
 
@@ -483,6 +503,8 @@ let () =
           Alcotest.test_case "reset with live lease raises" `Quick
             test_reset_with_live_lease_raises;
           Alcotest.test_case "recycled chunk reads zero" `Quick test_recycled_chunk_reads_zero;
+          Alcotest.test_case "smaller request takes a larger spare" `Quick
+            test_smaller_request_takes_larger_spare;
           Alcotest.test_case "large chunk reused at exact size" `Quick
             test_large_chunk_reused_at_exact_size;
           Alcotest.test_case "pool within scratch peak" `Quick test_pool_within_scratch_peak;

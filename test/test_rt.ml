@@ -5,19 +5,33 @@ module A = Aeq_mem.Arena
 module HT = Aeq_rt.Hash_table
 module Agg = Aeq_rt.Agg
 
+(* The runtime reads keys where generated code keeps them, in its
+   register file; these give each call a fresh buffer holding its keys. *)
+let key_bytes keys =
+  let b = Bytes.create (8 * List.length keys) in
+  List.iteri (fun i k -> Bytes.set_int64_ne b (8 * i) k) keys;
+  b
+
+let ht_insert ht ~tid ~allocator ~key = HT.insert ht ~tid ~allocator (key_bytes [ key ]) 0
+
+let ht_lookup ht ~key = HT.lookup ht (key_bytes [ key ]) 0
+
+let get_group agg ~tid ~allocator ~k1 ~k2 =
+  Agg.get_group agg ~tid ~allocator (key_bytes [ k1; k2 ]) ~k1:0 ~k2:8
+
 let test_ht_basic () =
   let arena = A.create () in
   let alloc = A.allocator arena in
   let ht = HT.create arena ~n_threads:1 ~payload_bytes:8 in
   for i = 0 to 99 do
-    let p = HT.insert ht ~tid:0 ~allocator:alloc ~key:(Int64.of_int (i mod 10)) in
+    let p = ht_insert ht ~tid:0 ~allocator:alloc ~key:(Int64.of_int (i mod 10)) in
     A.set_i64 arena p (Int64.of_int i)
   done;
   Alcotest.(check int) "size" 100 (HT.size ht);
   HT.link ht ~allocator:alloc;
   (* key 3 has 10 matches, newest first *)
   let seen = ref [] in
-  let e = ref (HT.lookup ht ~key:3L) in
+  let e = ref (ht_lookup ht ~key:3L) in
   while !e <> A.null do
     let v = A.get_i64 arena (!e + HT.payload_offset) in
     Alcotest.(check int) "payload key residue" 3 (Int64.to_int v mod 10);
@@ -27,7 +41,7 @@ let test_ht_basic () =
   Alcotest.(check (list int)) "10 matches, newest first"
     (List.init 10 (fun i -> 3 + (10 * i)))
     !seen;
-  Alcotest.(check int) "missing key" A.null (HT.lookup ht ~key:77L)
+  Alcotest.(check int) "missing key" A.null (ht_lookup ht ~key:77L)
 
 let test_ht_concurrent_build () =
   let arena = A.create () in
@@ -41,7 +55,7 @@ let test_ht_concurrent_build () =
             let alloc = A.allocator arena in
             for i = 0 to per - 1 do
               let key = Int64.of_int ((d * per) + i) in
-              let p = HT.insert ht ~tid:d ~allocator:alloc ~key in
+              let p = ht_insert ht ~tid:d ~allocator:alloc ~key in
               A.set_i64 arena p key
             done))
   in
@@ -51,7 +65,7 @@ let test_ht_concurrent_build () =
   HT.link ht ~allocator:(A.allocator arena);
   Alcotest.(check int) "directory sized to the entries" 4096 (HT.n_buckets ht);
   for k = 0 to (n_domains * per) - 1 do
-    let e = HT.lookup ht ~key:(Int64.of_int k) in
+    let e = ht_lookup ht ~key:(Int64.of_int k) in
     if e = A.null then Alcotest.failf "key %d missing" k;
     let v = A.get_i64 arena (e + HT.payload_offset) in
     Alcotest.(check int64) "payload" (Int64.of_int k) v;
@@ -69,19 +83,19 @@ let test_ht_filtered_directory () =
       let ht = HT.create arena ~n_threads:2 ~payload_bytes:8 in
       for i = 0 to 1499 do
         if i mod 1500 < count then
-          ignore (HT.insert ht ~tid:(i mod 2) ~allocator:alloc ~key:(Int64.of_int i))
+          ignore (ht_insert ht ~tid:(i mod 2) ~allocator:alloc ~key:(Int64.of_int i))
       done;
       Alcotest.(check int) "no directory before link" 0 (HT.n_buckets ht);
       HT.link ht ~allocator:alloc;
       Alcotest.(check int) (Printf.sprintf "%d entries" count) buckets (HT.n_buckets ht);
       for i = 0 to count - 1 do
-        if HT.lookup ht ~key:(Int64.of_int i) = A.null then Alcotest.failf "key %d missing" i
+        if ht_lookup ht ~key:(Int64.of_int i) = A.null then Alcotest.failf "key %d missing" i
       done)
     [ (0, 16); (1, 16); (16, 16); (17, 32); (38, 64); (1024, 1024); (1025, 2048) ];
   let ht = HT.create arena ~n_threads:1 ~payload_bytes:8 in
   Alcotest.check_raises "probing before link raises"
     (Invalid_argument "index out of bounds")
-    (fun () -> ignore (HT.lookup ht ~key:1L));
+    (fun () -> ignore (ht_lookup ht ~key:1L));
   HT.link ht ~allocator:alloc;
   Alcotest.check_raises "a second link raises"
     (Invalid_argument "Hash_table.link: already linked")
@@ -95,35 +109,39 @@ let words_of n f =
   done;
   Gc.minor_words () -. w0
 
-(* Entry access goes through the arena's chunk primitives: probing a
-   join table and finding an existing group allocate nothing apart
-   from the boxed int64 arguments, which are made before measuring. *)
+(* Entry access goes through the arena's chunk primitives and keys
+   are read from the caller's buffer: probing a join table and finding
+   an existing group allocate nothing. *)
 let test_entry_access_allocates_nothing () =
   let arena = A.create () in
   let alloc = A.allocator arena in
-  let keys = Array.init 512 (fun i -> Int64.of_int (i mod 128)) in
+  let keys = List.init 512 (fun i -> Int64.of_int (i mod 128)) in
+  (* key [i] at byte [8 * i]; a second key at [8 * (512 + i)] *)
+  let buf = key_bytes (keys @ List.map (fun k -> Int64.rem k 7L) keys) in
+  let k2 i = 8 * (512 + i) in
   let ht = HT.create arena ~n_threads:1 ~payload_bytes:8 in
-  Array.iter (fun key -> ignore (HT.insert ht ~tid:0 ~allocator:alloc ~key)) keys;
+  for i = 0 to 511 do
+    ignore (HT.insert ht ~tid:0 ~allocator:alloc buf (8 * i))
+  done;
   HT.link ht ~allocator:alloc;
-  let entries = Array.map (fun key -> HT.lookup ht ~key) keys in
+  let entries = Array.init 512 (fun i -> HT.lookup ht buf (8 * i)) in
   Alcotest.(check (float 0.)) "lookup" 0.
-    (words_of 512 (fun i -> ignore (Sys.opaque_identity (HT.lookup ht ~key:keys.(i)))));
+    (words_of 512 (fun i -> ignore (Sys.opaque_identity (HT.lookup ht buf (8 * i)))));
   Alcotest.(check (float 0.)) "next_match" 0.
     (words_of 512 (fun i -> ignore (Sys.opaque_identity (HT.next_match ht ~entry:entries.(i)))));
   List.iter
     (fun key_arity ->
       let agg = Agg.create arena ~n_threads:1 ~key_arity ~accs:[ Agg.Sum; Agg.Min ] in
-      let k2 = Array.map (fun k -> if key_arity = 2 then Int64.rem k 7L else 0L) keys in
-      Array.iteri
-        (fun i k1 -> ignore (Agg.get_group agg ~tid:0 ~allocator:alloc ~k1 ~k2:k2.(i)))
-        keys;
+      for i = 0 to 511 do
+        ignore (Agg.get_group agg ~tid:0 ~allocator:alloc buf ~k1:(8 * i) ~k2:(k2 i))
+      done;
       Alcotest.(check (float 0.))
         (Printf.sprintf "get_group on an existing group, %d key(s)" key_arity)
         0.
         (words_of 512 (fun i ->
              ignore
                (Sys.opaque_identity
-                  (Agg.get_group agg ~tid:0 ~allocator:alloc ~k1:keys.(i) ~k2:k2.(i))))))
+                  (Agg.get_group agg ~tid:0 ~allocator:alloc buf ~k1:(8 * i) ~k2:(k2 i))))))
     [ 1; 2 ]
 
 let test_agg_merge () =
@@ -137,7 +155,7 @@ let test_agg_merge () =
   for tid = 0 to 2 do
     for i = 0 to 99 do
       let key = Int64.of_int (i mod 5) in
-      let row = Aeq_rt.Agg.get_group agg ~tid ~allocator:alloc ~k1:key ~k2:0L in
+      let row = get_group agg ~tid ~allocator:alloc ~k1:key ~k2:0L in
       let v = Int64.of_int ((tid * 100) + i) in
       A.set_i64 arena row (Int64.add (A.get_i64 arena row) v);
       A.set_i64 arena (row + 8) (Int64.add (A.get_i64 arena (row + 8)) 1L);
@@ -167,8 +185,8 @@ let test_second_lease_sees_nothing () =
     let agg = Agg.create arena ~n_threads:1 ~key_arity:1 ~accs:[ Agg.Sum; Agg.Count ] in
     List.iter
       (fun k ->
-        A.set_i64 arena (HT.insert ht ~tid:0 ~allocator:alloc ~key:k) k;
-        let row = Agg.get_group agg ~tid:0 ~allocator:alloc ~k1:k ~k2:0L in
+        A.set_i64 arena (ht_insert ht ~tid:0 ~allocator:alloc ~key:k) k;
+        let row = get_group agg ~tid:0 ~allocator:alloc ~k1:k ~k2:0L in
         A.set_i64 arena row (Int64.add (A.get_i64 arena row) k);
         A.set_i64 arena (row + 8) (Int64.succ (A.get_i64 arena (row + 8))))
       keys;
@@ -183,9 +201,9 @@ let test_second_lease_sees_nothing () =
   let second = A.lease arena in
   let ht, agg, alloc = build second [] in
   List.iter
-    (fun k -> Alcotest.(check int) "no stale join entry" A.null (HT.lookup ht ~key:k))
+    (fun k -> Alcotest.(check int) "no stale join entry" A.null (ht_lookup ht ~key:k))
     keys;
-  let row = Agg.get_group agg ~tid:0 ~allocator:alloc ~k1:7L ~k2:0L in
+  let row = get_group agg ~tid:0 ~allocator:alloc ~k1:7L ~k2:0L in
   Alcotest.(check int64) "a new group starts at its initial sum" 0L (A.get_i64 arena row);
   Alcotest.(check int64) "and count" 0L (A.get_i64 arena (row + 8));
   Agg.merge agg;
@@ -205,7 +223,7 @@ let agg_bag ~n_threads ~tid_of =
     let tid = tid_of i in
     let k1 = Int64.of_int (i mod 37) and k2 = Int64.of_int (i mod 11) in
     let v = Int64.of_int (((i * 7919) mod 1000) - 500) in
-    let row = Agg.get_group agg ~tid ~allocator:allocs.(tid) ~k1 ~k2 in
+    let row = get_group agg ~tid ~allocator:allocs.(tid) ~k1 ~k2 in
     let upd o f = A.set_i64 arena (row + o) (f (A.get_i64 arena (row + o))) in
     upd 0 (Int64.add v);
     upd 8 Int64.succ;
@@ -292,7 +310,7 @@ let prop_agg_matches_fold =
         let stop = Stdlib.min n_rows (!i + 1 + Random.State.int st 4096) in
         while !i < stop do
           let k1, k2, v = row_at !i in
-          let row = Agg.get_group agg ~tid ~allocator:allocs.(tid) ~k1 ~k2 in
+          let row = get_group agg ~tid ~allocator:allocs.(tid) ~k1 ~k2 in
           let upd o f = A.set_i64 arena (row + o) (f (A.get_i64 arena (row + o))) in
           upd 0 (Int64.add v);
           upd 8 Int64.succ;
@@ -332,22 +350,31 @@ let test_agg_directory_bounded () =
   let lease = A.lease arena in
   let alloc = A.lease_allocator lease in
   let agg = Agg.create arena ~n_threads:1 ~key_arity:1 ~accs:[ Agg.Sum ] in
-  let entry_bytes = 24 and dir_bytes = ref 0 and largest = ref 0 in
-  for k = 0 to 99_999 do
+  let entry_bytes = 24 and n = 100_000 and largest = ref 0 in
+  let used0 = A.lease_used lease in
+  for k = 0 to n - 1 do
     let before = A.lease_used lease in
-    ignore (Agg.get_group agg ~tid:0 ~allocator:alloc ~k1:(Int64.of_int k) ~k2:0L);
-    let dir = A.lease_used lease - before - entry_bytes in
-    dir_bytes := !dir_bytes + dir;
-    largest := Stdlib.max !largest dir
+    ignore (get_group agg ~tid:0 ~allocator:alloc ~k1:(Int64.of_int k) ~k2:0L);
+    largest := Stdlib.max !largest (A.lease_used lease - before)
   done;
-  Alcotest.(check int) "largest directory: one 64 KiB chunk" A.default_chunk_size !largest;
-  Alcotest.(check bool) "every directory together under two chunks" true
-    (!dir_bytes < 2 * A.default_chunk_size);
+  (* a call that doubles the directory takes the new directory and at
+     most its entry from the lease *)
+  Alcotest.(check bool) "largest directory: one 64 KiB chunk" true
+    (!largest >= A.default_chunk_size && !largest <= A.default_chunk_size + entry_bytes);
+  (* An outgrown directory becomes the thread's next entries: the lease
+     holds the entries and the live directory, and of the seven
+     outgrown ones (64 to 4,096 buckets, 63.5 KiB) no more than the
+     tail of each that is too short for an entry. *)
+  let used = A.lease_used lease - used0 in
+  let bound = (n * entry_bytes) + A.default_chunk_size + (7 * entry_bytes) in
+  if used > bound then
+    Alcotest.failf "%d groups hold %d lease bytes, over entries plus one directory (%d)" n used
+      bound;
   let before = A.lease_used lease in
   Agg.merge agg;
   Alcotest.(check bool) "the merge's directory within a chunk" true
     (A.lease_used lease - before <= A.default_chunk_size);
-  Alcotest.(check int) "every group" 100_000 (Agg.n_groups agg);
+  Alcotest.(check int) "every group" n (Agg.n_groups agg);
   A.release lease
 
 (* Finding a group still in the thread's directory allocates nothing,
@@ -363,23 +390,26 @@ let test_agg_find_after_overflow_allocates_nothing () =
       let key g = if key_arity = 2 then (Int64.of_int (g / 5), Int64.of_int (g mod 5)) else (Int64.of_int g, 0L) in
       for g = 0 to 39_999 do
         let k1, k2 = key g in
-        ignore (Agg.get_group agg ~tid:0 ~allocator:alloc ~k1 ~k2)
+        ignore (get_group agg ~tid:0 ~allocator:alloc ~k1 ~k2)
       done;
       let keys = Array.init 512 (fun i -> key (39_488 + i)) in
       let k1s = Array.map fst keys and k2s = Array.map snd keys in
       let pass () =
         let before = A.lease_used lease in
-        Array.iteri (fun i k1 -> ignore (Agg.get_group agg ~tid:0 ~allocator:alloc ~k1 ~k2:k2s.(i))) k1s;
+        Array.iteri (fun i k1 -> ignore (get_group agg ~tid:0 ~allocator:alloc ~k1 ~k2:k2s.(i))) k1s;
         A.lease_used lease - before
       in
       let rec settle n = if n > 0 && pass () > 0 then settle (n - 1) in
       settle 8;
       Alcotest.(check int) "all 512 found" 0 (pass ());
+      let buf = key_bytes (Array.to_list k1s @ Array.to_list k2s) in
       Alcotest.(check (float 0.))
         (Printf.sprintf "get_group after overflow, %d key(s)" key_arity)
         0.
         (words_of 512 (fun i ->
-             ignore (Sys.opaque_identity (Agg.get_group agg ~tid:0 ~allocator:alloc ~k1:k1s.(i) ~k2:k2s.(i))))))
+             ignore
+               (Sys.opaque_identity
+                  (Agg.get_group agg ~tid:0 ~allocator:alloc buf ~k1:(8 * i) ~k2:(8 * (512 + i)))))))
     [ 1; 2 ];
   A.release lease
 

@@ -240,13 +240,13 @@ let test_runtime_call () =
   Verify.run f;
   let observed = ref 0L in
   let symbols = function
-    | "triple" -> Some (Aeq_vm.Rt_fn.F1 (fun x -> Int64.mul 3L x))
+    | "triple" -> Some (Aeq_vm.Rt_fn.F1 (fun regs x -> 3 * Int64.to_int (Aeq_vm.Rt_fn.get regs x)))
     | "observe" ->
       Some
         (Aeq_vm.Rt_fn.F1
-           (fun x ->
-             observed := x;
-             0L))
+           (fun regs x ->
+             observed := Aeq_vm.Rt_fn.get regs x;
+             0))
     | _ -> None
   in
   let mem = A.create () in
