@@ -374,6 +374,22 @@ let ovf_kernel op ty =
          let x = narrow b ty (cell b col i) and y = narrow b ty i in
          zext1 b (Builder.icmp b Instr.Eq ty x y)))
 
+(* col[i] and i + 1 as floats, combined, and back *)
+let float_kernel op =
+  column_kernel "float" (fun b col i ->
+      let fp v = Builder.cast b Instr.SiToFp ~from_ty:Types.I64 ~to_ty:Types.F64 v in
+      let x = fp (cell b col i) and y = fp (Builder.binop b Instr.Add Types.I64 i (Instr.Imm 1L)) in
+      Builder.cast b Instr.FpToSi ~from_ty:Types.F64 ~to_ty:Types.I64 (Builder.fbinop b op x y))
+
+let fcmp_kernel op =
+  column_kernel "fcmp" (fun b col i ->
+      let fp v = Builder.cast b Instr.SiToFp ~from_ty:Types.I64 ~to_ty:Types.F64 v in
+      zext1 b (Builder.fcmp b op (fp (cell b col i)) (fp i)))
+
+let zext_kernel ty =
+  column_kernel "zext" (fun b col i ->
+      Builder.cast b Instr.Zext ~from_ty:ty ~to_ty:Types.I64 (narrow b ty (cell b col i)))
+
 (* fused pairs of the closure tier: a mask feeding checked arithmetic,
    a compare feeding a select *)
 let mask_checked_kernel =
@@ -449,12 +465,14 @@ let test_arith_call_ops_allocation_free () =
     A.set_i64 mem (col + (8 * i)) (Int64.of_int ((i * 7919) - 40_000))
   done;
   let args = [| Int64.of_int col; Int64.of_int rows |] in
-  let op name = List.find (fun o -> Op.to_string o = name) Op.all in
+  let op_named name = List.find (fun o -> Op.to_string o = name) Op.all in
   let widths = [ (Types.I8, 8); (Types.I16, 16); (Types.I32, 32); (Types.I64, 64) ] in
   let narrow_widths = List.filter (fun (_, w) -> w < 64) widths in
   let wide = List.filter (fun (_, w) -> w >= 32) widths in
   (* [kernel ty] at each width, expected to emit [name_iW] *)
-  let at ws name kernel = List.map (fun (ty, w) -> (op (Printf.sprintf "%s_i%d" name w), kernel ty)) ws in
+  let at ws name kernel =
+    List.map (fun (ty, w) -> (op_named (Printf.sprintf "%s_i%d" name w), kernel ty)) ws
+  in
   let kernels =
     List.concat
       [
@@ -475,9 +493,26 @@ let test_arith_call_ops_allocation_free () =
         at widths "cmp_ule" (icmp_kernel Instr.Ule);
         at widths "cmp_ugt" (icmp_kernel Instr.Ugt);
         at widths "cmp_uge" (icmp_kernel Instr.Uge);
+        List.map
+          (fun (name, op) -> (op_named name, icmp_kernel op Types.I64))
+          [ ("cmp_eq", Instr.Eq); ("cmp_ne", Instr.Ne); ("cmp_slt", Instr.Slt);
+            ("cmp_sle", Instr.Sle); ("cmp_sgt", Instr.Sgt); ("cmp_sge", Instr.Sge) ];
+        List.map
+          (fun (name, op) -> (op_named name, binop_kernel op Types.I64 index))
+          [ ("add_i64", Instr.Add); ("sub_i64", Instr.Sub); ("mul_i64", Instr.Mul);
+            ("and", Instr.And); ("or", Instr.Or); ("xor", Instr.Xor) ];
+        [ (op_named "ashr", binop_kernel Instr.AShr Types.I64 (imm 3L)) ];
+        List.map
+          (fun (name, op) -> (op_named name, float_kernel op))
+          [ ("fadd", Instr.FAdd); ("fsub", Instr.FSub); ("fmul", Instr.FMul); ("fdiv", Instr.FDiv) ];
+        List.map
+          (fun (name, op) -> (op_named name, fcmp_kernel op))
+          [ ("fcmp_eq", Instr.FEq); ("fcmp_ne", Instr.FNe); ("fcmp_lt", Instr.FLt);
+            ("fcmp_le", Instr.FLe); ("fcmp_gt", Instr.FGt); ("fcmp_ge", Instr.FGe) ];
+        at narrow_widths "zext" zext_kernel;
         [ (Op.And64, mask_checked_kernel); (Op.SelectOp, cmp_select_kernel) ];
-        List.init 5 (fun n -> (op (Printf.sprintf "call_r%d" n), call_kernel n));
-        List.init 6 (fun n -> (op (Printf.sprintf "call_v%d" n), call_void_kernel n));
+        List.init 5 (fun n -> (op_named (Printf.sprintf "call_r%d" n), call_kernel n));
+        List.init 6 (fun n -> (op_named (Printf.sprintf "call_v%d" n), call_void_kernel n));
       ]
   in
   List.iter
