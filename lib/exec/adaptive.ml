@@ -57,6 +57,28 @@ let[@inline] choose current_mode ~t0 ~t1 ~t2 =
     else if t2 < t1 && t2 < t0 then Compile CM.Opt
     else Do_nothing
 
+(* The controller's decision, the one path every caller takes: no
+   record, list or closure, and its floats stay unboxed, so the check
+   after every morsel allocates next to nothing. [evaluate] adds the
+   working that the event log shows. *)
+let decide ~allow_unopt ~allow_opt ~model ~current_mode ~n_instrs ~remaining ~rate ~n_threads =
+  if rate <= 0.0 || remaining <= 0 || current_mode = CM.Opt then Do_nothing
+  else begin
+    let n = float_of_int remaining in
+    let w = float_of_int n_threads in
+    let t0 = n /. rate /. w in
+    let t1 =
+      if allow_unopt && current_mode = CM.Bytecode then
+        option_seconds ~model ~current_mode ~n_instrs ~n ~rate ~w CM.Unopt
+      else Float.infinity
+    in
+    let t2 =
+      if allow_opt then option_seconds ~model ~current_mode ~n_instrs ~n ~rate ~w CM.Opt
+      else Float.infinity
+    in
+    choose current_mode ~t0 ~t1 ~t2
+  end
+
 let evaluate ?(allow_unopt = true) ?(allow_opt = true) ~model ~current_mode ~n_instrs
     ~remaining ~rate ~n_threads () =
   if rate <= 0.0 || remaining <= 0 then no_eval
@@ -80,37 +102,13 @@ let evaluate ?(allow_unopt = true) ?(allow_opt = true) ~model ~current_mode ~n_i
       | CM.Bytecode ->
         [ candidate CM.Unopt ~allowed:allow_unopt; candidate CM.Opt ~allowed:allow_opt ]
     in
-    let seconds m =
-      match List.find_opt (fun c -> c.cand_mode = m) candidates with
-      | Some c -> c.cand_seconds
-      | None -> Float.infinity
-    in
     {
       ev_stay_seconds = t0;
       ev_candidates = candidates;
-      ev_decision = choose current_mode ~t0 ~t1:(seconds CM.Unopt) ~t2:(seconds CM.Opt);
+      ev_decision =
+        decide ~allow_unopt ~allow_opt ~model ~current_mode ~n_instrs ~remaining ~rate
+          ~n_threads;
     }
-  end
-
-(* [evaluate]'s decision without its working: no record, list or
-   closure, and its floats stay unboxed, so the controller's check
-   after every morsel allocates next to nothing. *)
-let decide ~allow_unopt ~allow_opt ~model ~current_mode ~n_instrs ~remaining ~rate ~n_threads =
-  if rate <= 0.0 || remaining <= 0 || current_mode = CM.Opt then Do_nothing
-  else begin
-    let n = float_of_int remaining in
-    let w = float_of_int n_threads in
-    let t0 = n /. rate /. w in
-    let t1 =
-      if allow_unopt && current_mode = CM.Bytecode then
-        option_seconds ~model ~current_mode ~n_instrs ~n ~rate ~w CM.Unopt
-      else Float.infinity
-    in
-    let t2 =
-      if allow_opt then option_seconds ~model ~current_mode ~n_instrs ~n ~rate ~w CM.Opt
-      else Float.infinity
-    in
-    choose current_mode ~t0 ~t1 ~t2
   end
 
 let extrapolate ?(allow_unopt = true) ?(allow_opt = true) ~model ~current_mode ~n_instrs
@@ -165,18 +163,13 @@ let maybe_decide t =
     and allow_opt = not (Handle.blacklisted t.handle CM.Opt) in
     let n_instrs = Handle.n_instrs t.handle and remaining = Progress.remaining t.progress in
     let decision =
-      if Aeq_obs.Control.enabled () && rate > 0.0 then begin
-        let ev =
-          evaluate ~model:t.model ~allow_unopt ~allow_opt ~current_mode ~n_instrs ~remaining
-            ~rate ~n_threads:t.n_threads ()
-        in
-        log_eval t ~current_mode ~rate ev;
-        ev.ev_decision
-      end
-      else
-        decide ~allow_unopt ~allow_opt ~model:t.model ~current_mode ~n_instrs ~remaining ~rate
-          ~n_threads:t.n_threads
+      decide ~allow_unopt ~allow_opt ~model:t.model ~current_mode ~n_instrs ~remaining ~rate
+        ~n_threads:t.n_threads
     in
+    if Aeq_obs.Control.enabled () && rate > 0.0 then
+      log_eval t ~current_mode ~rate
+        (evaluate ~model:t.model ~allow_unopt ~allow_opt ~current_mode ~n_instrs ~remaining
+           ~rate ~n_threads:t.n_threads ());
     match decision with
     | Do_nothing ->
       Atomic.set t.evaluating false;

@@ -20,10 +20,10 @@ let () =
    serialize-then-truncate reclamation that forced single-writer
    execution.
 
-   A released scratch chunk goes to [spares], a pool keyed by exact
-   size: the next grab of that size zero-fills and reuses it instead of
-   allocating, so a query's scratch never turns into garbage for the
-   major GC. Spares are not leased memory — [resident], [scratch] and
+   A released scratch chunk goes to [spares], a pool keyed by size:
+   the next grab of that size, or of a smaller one ([take_spare]),
+   zero-fills and reuses it instead of allocating, so a query's
+   scratch never turns into garbage for the major GC. Spares are not leased memory — [resident], [scratch] and
    [n_live] count leased chunks only. The pool never holds more than
    the highest scratch residency seen ([peak_scratch]). *)
 type chunk = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -48,7 +48,7 @@ type t = {
       (* highest [scratch] seen; written under lock, read lock-free by
          the scratch-peak gauge *)
   spares : (int, chunk list) Hashtbl.t;
-      (* released scratch chunks by exact size; guarded by lock *)
+      (* released scratch chunks by size; guarded by lock *)
   spare : int Atomic.t; (* bytes in [spares]; read lock-free by the gauge *)
   table_loc : Aeq_race.location;
   leases_loc : Aeq_race.location;
@@ -156,19 +156,28 @@ let lease_stale l = Atomic.get l.ls_stale
 (* Spare-pool helpers; the caller holds [t.lock]. *)
 
 (* The spare that serves a request of [size] bytes: one of exactly
-   that size, else the smallest larger one. Exact sizes alone let the
-   pool fill up with one query's dedicated chunks while the next query
-   allocates fresh chunks, which the full pool then drops at release:
-   garbage that stays resident until a major collection frees it, and
-   execution that allocates nothing on the OCaml heap leaves major
-   collections far apart. *)
-let take_spare t size =
+   that size, else the smallest larger one that fits. A grab that uses
+   its chunk [whole] (an allocator's next chunk) fits in any larger
+   spare. A dedicated chunk uses only [size] bytes of it while scratch,
+   and with it the pool's bound, counts all of it, so it fits only in a
+   spare less than twice its size: the part left idle is smaller than
+   the part used. Exact sizes alone let the pool fill up with one
+   query's dedicated chunks while the next query allocates fresh
+   chunks, which the full pool then drops at release: garbage that
+   stays resident until a major collection frees it, and execution
+   that allocates nothing on the OCaml heap leaves major collections
+   far apart. *)
+let take_spare t ~whole size =
   let fit =
     if Hashtbl.mem t.spares size then Some size
     else
       Hashtbl.fold
         (fun sz _ best ->
-          if sz > size && match best with Some b -> sz < b | None -> true then Some sz else best)
+          if sz > size
+             && (whole || sz < 2 * size)
+             && match best with Some b -> sz < b | None -> true
+          then Some sz
+          else best)
         t.spares None
   in
   match fit with
@@ -187,15 +196,15 @@ let take_spare t size =
 let pool_admits t size = Atomic.get t.spare + size <= Atomic.get t.peak_scratch
 
 (* Take a slot for [lease] and install a chunk of at least [size]
-   bytes; returns the slot index and the chunk's length. Slots are
-   recycled indices, and the memory is either a fresh zeroed chunk or
-   a spare of at least [size] bytes zero-filled here, under the lock,
-   before the slot is
-   handed out — so a recycled chunk carries no bytes from the query
-   that released it. A pointer into a chunk can only reach another
-   thread through a synchronising structure (the pool or a locked hash
-   table), which orders the slot write before any access. *)
-let lease_chunk ls size =
+   bytes (see [take_spare] for [whole]); returns the slot index and the
+   chunk's length. Slots are recycled indices, and the memory is
+   either a fresh zeroed chunk or a spare zero-filled here, under the
+   lock, before the slot is handed out — so a recycled chunk carries
+   no bytes from the query that released it. A pointer into a chunk
+   can only reach another thread through a synchronising structure
+   (the pool or a locked hash table), which orders the slot write
+   before any access. *)
+let lease_chunk ls ~whole size =
   (* simulated allocation failure: growing the arena is where a real
      OOM would strike *)
   Aeq_util.Probe.hit "arena.alloc";
@@ -225,7 +234,7 @@ let lease_chunk ls size =
             n
         in
         let c =
-          match take_spare t size with
+          match take_spare t ~whole size with
           | Some c ->
             zero_fill c;
             c
@@ -314,14 +323,15 @@ let alloc a ?(align = 8) n =
     encode a.chunk start
   end
   else if n >= t.chunk_size then begin
-    (* a dedicated chunk of exactly [n] bytes; the current chunk keeps
-       serving the allocations that fit in what is left of it *)
-    let idx, _ = lease_chunk ls n in
+    (* a dedicated chunk of [n] bytes (or a spare less than twice
+       that); the current chunk keeps serving the allocations that fit
+       in what is left of it *)
+    let idx, _ = lease_chunk ls ~whole:false n in
     ignore (Atomic.fetch_and_add ls.ls_used n);
     encode idx 0
   end
   else begin
-    let idx, len = lease_chunk ls t.chunk_size in
+    let idx, len = lease_chunk ls ~whole:true t.chunk_size in
     a.chunk <- idx;
     a.cursor <- n;
     (* a larger spare serves whole *)

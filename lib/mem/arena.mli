@@ -54,8 +54,9 @@ val default_chunk_size : int
 val create : ?chunk_size:int -> unit -> t
 (** Fresh arena. [chunk_size] (default {!default_chunk_size}) is the
     granularity at which allocators take memory; allocations of a
-    chunk or more get dedicated chunks of exactly their size, and the
-    allocator keeps filling its current chunk with the smaller ones.
+    chunk or more get dedicated chunks of their size (or a pooled
+    spare less than twice it, see {!spare_bytes}), and the allocator
+    keeps filling its current chunk with the smaller ones.
 
     Every allocator takes and zero-fills a whole chunk on its first
     allocation, so the default is sized to what a short query touches:
@@ -108,10 +109,12 @@ val resident_bytes : t -> int
 
 val spare_bytes : t -> int
 (** Bytes held in the spare pool: released scratch chunks kept, by
-    size, for the next grab of that size or, when none of its size is
-    left, of a smaller size (the smallest larger spare serves, and an
-    allocator uses it whole); the grab zero-fills it before any lease
-    sees it. Not leased, so excluded from
+    size, for the next grab of that size. A grab that finds none of
+    its size takes the smallest larger spare: an allocator's next
+    chunk takes any and uses it whole, a dedicated chunk (a request of
+    at least a chunk) only one less than twice its size, so that it
+    leaves idle less than it uses. The grab zero-fills the spare
+    before any lease sees it. Not leased, so excluded from
     {!resident_bytes}, {!scratch_resident_bytes} and {!live_chunks}.
     The pool never holds more than the highest scratch residency seen
     since creation or {!reset}. One atomic load. *)

@@ -347,18 +347,20 @@ let test_large_chunk_reused_at_exact_size () =
   let lease, big = lease_one arena dir_bytes in
   Alcotest.(check bool) "dedicated chunk" true (Bigarray.Array1.dim big > 1024);
   A.release lease;
-  let lease, other = lease_one arena (2 * dir_bytes) in
-  Alcotest.(check bool) "a larger size is not served from it" false (other == big);
+  let lease, other = lease_one arena (dir_bytes / 2) in
+  Alcotest.(check bool) "another size is not served from it" false (other == big);
   A.release lease;
   let lease, again = lease_one arena dir_bytes in
   Alcotest.(check bool) "same size reuses it" true (again == big);
   A.release lease;
   check_coherent arena
 
-(* With no spare of the size asked for, the smallest larger spare
-   serves, whole: a query whose chunks differ in size from the last
-   one's takes what the pool holds instead of allocating chunks that
-   the full pool would drop at release. *)
+(* A grab with no spare of its size takes the smallest larger spare: a
+   query whose chunks differ in size from the last one's takes what
+   the pool holds instead of allocating chunks that the full pool
+   would drop at release. An allocator's next chunk takes any larger
+   spare and uses it whole; a dedicated chunk takes one only if less
+   than twice its size. *)
 let test_smaller_request_takes_larger_spare () =
   let arena = A.create ~chunk_size:1024 () in
   let lease, big = lease_one arena 4096 and lease', _ = lease_one arena 8192 in
@@ -372,6 +374,15 @@ let test_smaller_request_takes_larger_spare () =
   let q = A.alloc a 3000 in
   Alcotest.(check bool) "and serves all of it" true (fst (A.chunk_of arena q) == big);
   Alcotest.(check int) "scratch counts the whole chunk" 4096 (A.scratch_resident_bytes arena);
+  A.release lease;
+  let lease, other = lease_one arena 2048 in
+  Alcotest.(check bool) "a dedicated chunk half its size is not served from it" false
+    (other == big);
+  A.release lease;
+  let lease, again = lease_one arena 3000 in
+  Alcotest.(check bool) "one more than half its size is" true (again == big);
+  Alcotest.(check int) "and scratch counts the whole chunk" 4096
+    (A.scratch_resident_bytes arena);
   A.release lease;
   check_coherent arena
 
