@@ -82,11 +82,15 @@ let fig2 () =
   Printf.printf "%-14s %14s %14s\n" "mode" "compile[ms]" "exec[ms]";
   List.iter
     (fun mode ->
-      let r, _ = time_best ~n:2 (fun () -> Aeq.Engine.query e ~mode sql) in
-      let st = r.Driver.stats in
+      let run () = (Aeq.Engine.query e ~mode sql).Driver.stats in
+      (* a plan-cache hit compiles nothing: compile comes from a run
+         with the cache off, exec is the best of two cached runs *)
+      Aeq.Engine.set_plan_cache e false;
+      let cold = Fun.protect ~finally:(fun () -> Aeq.Engine.set_plan_cache e true) run in
+      let exec = Float.min (run ()).Driver.exec_seconds (run ()).Driver.exec_seconds in
       Printf.printf "%-14s %14.2f %14.2f\n" (Driver.mode_name mode)
-        (ms (st.Driver.bc_seconds +. st.Driver.compile_seconds))
-        (ms st.Driver.exec_seconds))
+        (ms (cold.Driver.bc_seconds +. cold.Driver.compile_seconds))
+        (ms exec))
     [ Driver.Bytecode; Driver.Unopt; Driver.Opt; Driver.Adaptive ];
   (* the LLVM-IR-interpreter point: direct IR interpretation is the
      slow no-translation baseline *)
@@ -574,6 +578,9 @@ let concurrency () =
     let latencies = Array.make (clients * iters) 0.0 in
     let failures = Atomic.make 0 in
     let before = Aeq.Engine.scheduler_stats e in
+    (* [minor_words] only advances at a minor collection: force one
+       before each read, outside the timed region *)
+    Gc.minor ();
     let gc0 = Gc.quick_stat () in
     let t0 = Clock.now () in
     let client c () =
@@ -594,6 +601,7 @@ let concurrency () =
     let wall = Clock.now () -. t0 in
     (* joined domains' counts are folded into the totals, so the
        deltas cover every client *)
+    Gc.minor ();
     let gc1 = Gc.quick_stat () in
     let after = Aeq.Engine.scheduler_stats e in
     let lat = Array.to_list latencies in
@@ -607,7 +615,8 @@ let concurrency () =
       after.S.rejected - before.S.rejected,
       after.S.degraded - before.S.degraded,
       per_query (gc1.Gc.minor_words -. gc0.Gc.minor_words),
-      per_query (float_of_int (gc1.Gc.minor_collections - gc0.Gc.minor_collections)),
+      (* less the one [Gc.minor] above forced *)
+      per_query (float_of_int (gc1.Gc.minor_collections - gc0.Gc.minor_collections - 1)),
       per_query (float_of_int (gc1.Gc.major_collections - gc0.Gc.major_collections)) )
   in
   let rows = ref [] in

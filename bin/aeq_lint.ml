@@ -15,9 +15,9 @@
 
    Scoping: lib/race and lib/sim implement (respectively: are exempt
    from) the locking discipline, so the raw-mutex and yield-in-lock
-   rules skip them; the sleep rule applies to the supervised execution
-   layers (lib/exec, lib/mem) where an uninterruptible sleep can stall
-   shutdown or crash reclaim.
+   rules skip them; the sleep rule applies to the execution layers
+   (lib/exec, lib/mem) where an uninterruptible sleep can stall
+   shutdown.
 
    Exit 0 clean, 1 on findings, 2 on usage/IO errors. *)
 

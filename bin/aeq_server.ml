@@ -17,11 +17,7 @@ let serve port metrics_port sf threads max_connections queue_capacity
   let scheduler_config =
     Option.map
       (fun queue_capacity ->
-        {
-          Aeq_exec.Scheduler.default_config with
-          queue_capacity;
-          shed_queue_depth = 3 * queue_capacity / 4;
-        })
+        { Aeq_exec.Scheduler.queue_capacity; shed_queue_depth = 3 * queue_capacity / 4 })
       queue_capacity
   in
   let engine = Aeq.Engine.create ?n_threads:threads ?scheduler_config () in

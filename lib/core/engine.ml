@@ -70,11 +70,10 @@ let health_name = function
   | Draining -> "draining"
   | Stopped -> "stopped"
 
-(* Aggregated from the pool's worker supervisors — the engine's only
-   domains: any worker currently crashed-and-backing-off or failed
-   (restart budget exhausted) makes the engine [Degraded] with one
-   reason per such worker. Reads only — safe from any domain,
-   including exporters scraping mid-crash. *)
+(* Read from the pool's workers — the engine's only domains: any
+   worker that crashed within the pool's crash window makes the engine
+   [Degraded] with one reason per such worker. Reads only — safe from
+   any domain, including exporters scraping mid-crash. *)
 let health t =
   if Aeq_exec.Pool.closed t.pool then Stopped
   else if Aeq_exec.Scheduler.draining t.scheduler then Draining
@@ -125,7 +124,7 @@ let register_gauges t =
     ~help:"Engine health state: 0 serving, 1 degraded, 2 draining, 3 stopped."
     (fun () -> health_code (health t));
   Obs.Metrics.gauge_fn "aeq_engine_unhealthy_domains"
-    ~help:"Supervised domains currently crashed (backing off) or failed."
+    ~help:"Pool workers that crashed within the last second."
     (fun () ->
       match health t with Degraded rs -> List.length rs | _ -> 0)
 
@@ -148,9 +147,7 @@ let create ?n_threads ?cost_model ?scheduler_config () =
         ~opt:cal.Aeq_backend.Calibration.speedup_opt
   in
   let config = Option.value scheduler_config ~default:Aeq_exec.Scheduler.default_config in
-  let pool =
-    Aeq_exec.Pool.create ~restart_policy:config.Aeq_exec.Scheduler.restart_policy ~n_threads ()
-  in
+  let pool = Aeq_exec.Pool.create ~n_threads () in
   let t =
     {
       catalog = Aeq_storage.Catalog.create ();

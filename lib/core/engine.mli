@@ -33,16 +33,15 @@ val create :
     [Aeq_backend.Cost_model.off] for real latencies only).
     [scheduler_config] (default {!Aeq_exec.Scheduler.default_config})
     configures the engine's scheduler, created here: every query is
-    one of its tickets. Its [restart_policy] governs the pool's
-    workers.
+    one of its tickets.
 
     The pool's workers are the engine's only domains: none until a
     query can use them, so loading tables never waits on an idle
     domain; [n_threads - 1] from the first query that runs a parallel
     pipeline (each query's runner is the n-th participant of its own
     jobs); and one more with the first {!submit}, since a queued
-    ticket has no caller domain. Each runs under a
-    {!Aeq_exec.Supervisor} crash barrier with self-healing restarts. *)
+    ticket has no caller domain. Each catches its own crashes and
+    goes on serving (see {!Aeq_exec.Pool}). *)
 
 val load_tpch : ?seed:int64 -> t -> scale_factor:float -> unit
 
@@ -79,8 +78,8 @@ val query :
     The query is an in-process ticket of the engine's scheduler
     ({!Aeq_exec.Scheduler.run_inline}), run at once by the caller as
     tid 0 of its jobs: never queued, shed or degraded, with no queue
-    bound, so it keeps its [mode] on a loaded server and runs even
-    when no pool worker is left. It counts in {!scheduler_stats}
+    bound, so it keeps its [mode] on a loaded server and needs no
+    pool worker. It counts in {!scheduler_stats}
     ([admitted], [completed]/[failed], [in_flight]; not the waits).
     While the engine drains it raises
     [Query_error.Error (Rejected "draining")]; {!drain} and {!close}
@@ -112,8 +111,8 @@ val query :
     arena and the worker pool all stay healthy, so the next query —
     including a cache-hit re-execution of the failing text — runs
     normally. The only exceptions that escape unclassified are a
-    domain crash ({!Aeq_util.Probe.is_crash}), which is the
-    supervisor's to answer, and [Invalid_argument] on a closed
+    domain crash ({!Aeq_util.Probe.is_crash}), which a pool worker's
+    crash handler answers, and [Invalid_argument] on a closed
     engine.
 
     Queries are cached by text as prepared statements: the physical
@@ -269,18 +268,18 @@ val reset_stats : t -> unit
 
 (** {1 Health, drain & self-healing}
 
-    Pool workers run under {!Aeq_exec.Supervisor} barriers: a
-    worker crash (an unstructured exception escaping the worker loop)
-    is contained, its orphaned state reclaimed — the affected client
-    gets a structured [Query_error.Worker_crashed] instead of a hung
-    [await] — and the worker restarts under a backoff budget. The
-    engine aggregates the pool's supervisors into one health state. *)
+    Each pool worker catches its own crashes (an unstructured
+    exception escaping one job or ticket): the crash is contained, its
+    orphaned state reclaimed — the affected client gets a structured
+    [Query_error.Worker_crashed] instead of a hung [await] — and the
+    worker takes its next task at once. The engine reads
+    [Degraded] for one second after any worker's crash. *)
 
 type health =
-  | Serving  (** all serving domains healthy *)
+  | Serving  (** no pool worker crashed within the last second *)
   | Degraded of string list
-      (** one reason per domain currently crashed-and-backing-off or
-          failed (restart budget exhausted) *)
+      (** one reason per pool worker that crashed within the last
+          second, naming it and its crash count *)
   | Draining  (** {!drain} in progress: admission closed *)
   | Stopped  (** {!close} (or a finished {!drain}) *)
 

@@ -381,7 +381,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?cancel ?memory_bud
                 with
                 | exception exn when Aeq_util.Probe.is_crash exn ->
                   (* a domain crash is not a query error: let it tear
-                     through to the participant's supervision barrier
+                     through to the pool worker's crash handler
                      (Pool.run_participant re-raises it too) *)
                   raise exn
                 | exception exn ->

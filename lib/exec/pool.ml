@@ -13,13 +13,19 @@
    helper's morsel loop waits in none, so no worker ever waits on
    another query's barrier.
 
-   Workers run under supervision (see [Supervisor]): a crash — an
-   [Injected_crash] or a real bug — would otherwise leave a job's
-   [active] count high (hanging its caller's barrier) or an admitted
-   query unanswered. The worker's one reclaim hook repairs whichever
-   it held, and the supervisor restarts the worker. *)
+   A worker catches its own crashes, one loop iteration at a time: a
+   crash — an [Injected_crash] or a real bug — would otherwise leave a
+   job's [active] count high (hanging its caller's barrier) or an
+   admitted query unanswered. The handler repairs whichever the worker
+   held, and the worker takes its next task. A crash consumes the job
+   or ticket it hit, so the loop only turns again when there is work:
+   it needs no backoff and no restart budget. *)
 
 module QE = Query_error
+module Obs = Aeq_obs
+
+(* How long a worker's crash keeps [health_reasons] non-empty. *)
+let crash_window = 1.0
 
 let () =
   Aeq_race.declare "pool.jobs" (Aeq_race.Lock "pool.lock");
@@ -39,8 +45,6 @@ type job = {
 
 type task = { run : unit -> unit; on_crash : domain:string -> exn -> unit }
 
-type server = { take : unit -> task option; on_stranded : unit -> unit }
-
 (* what a worker holds, and its reclaim repairs: a job (with its tid)
    or a queued ticket *)
 type slot = Idle | Helping of job * int | Serving of task
@@ -51,13 +55,14 @@ type t = {
   work : Condition.t; (* job posted / ticket admitted / stop *)
   quiet : Condition.t; (* a participant left some job *)
   mutable jobs : job list;
-  mutable server : server option; (* the attached scheduler *)
+  mutable take : (unit -> task option) option; (* the attached scheduler's *)
   mutable helpers : bool; (* the n-1 helpers started *)
   mutable serving : bool; (* the n-th worker started, for queued tickets *)
   mutable stop : bool;
   current : slot array; (* per-worker, written under [lock] *)
-  supervisors : Supervisor.t array Atomic.t;
-  policy : Supervisor.policy;
+  mutable domains : unit Domain.t list; (* started workers, newest first *)
+  crashes : int Atomic.t array; (* per worker *)
+  crashed_at : float Atomic.t array; (* per worker: [Clock.now] of its last crash *)
   closed : bool Atomic.t;
   active_jobs : int Atomic.t;
   jobs_loc : Aeq_race.location;
@@ -84,9 +89,9 @@ let run_participant j ~tid =
     j.fn ~tid
   with
   | e when Aeq_util.Probe.is_crash e ->
-    (* not folded into the job error: a crash must stay lethal to the
-       participant's domain so the supervision layer is what handles
-       it (helper: reclaim + restart; tid 0: the caller's own) *)
+    (* not folded into the job error: a crash unwinds the participant
+       to its worker's crash handler (helper), or to the caller's own
+       (tid 0) *)
     raise e
   | e ->
     (* kept with the participant's own backtrace, which the caller
@@ -113,7 +118,7 @@ let rec claim t w =
         j.active <- j.active + 1;
         Helping (j, j.next_tid - 1)
       | None -> (
-        match Option.bind t.server (fun s -> s.take ()) with
+        match Option.bind t.take (fun take -> take ()) with
         | Some task -> Serving task
         | None -> Idle)
   in
@@ -136,61 +141,59 @@ let leave t w held =
     Condition.broadcast t.quiet
   | Serving _ | Idle -> ()
 
-let worker_loop t w () =
-  let running = ref true in
-  while !running do
-    let held = Aeq_race.Lock.with_ t.lock (fun () -> claim t w) in
-    (match held with
-    | Idle -> running := false
-    | Helping (j, tid) -> run_participant j ~tid
-    | Serving task -> task.run ());
-    Aeq_race.Lock.with_ t.lock (fun () -> leave t w held)
-  done
+let worker_name w = Printf.sprintf "pool.worker-%d" w
 
-(* Supervisor reclaim for worker [w], in the crashed domain after the
-   unwind: leave what the worker held. A helper's crash becomes its
-   job's error, so the caller raises [Worker_crashed] instead of
-   silently losing the claimed morsels; a served query is answered by
-   the scheduler, outside [pool.lock]. *)
-let worker_reclaim t w domain exn =
+(* Worker [w]'s crash handler, after the unwind: count the crash, then
+   leave what the worker held. A helper's crash becomes its job's
+   error, with the crash's backtrace, so the caller raises
+   [Worker_crashed] instead of silently losing the claimed morsels; a
+   served query is answered by the scheduler, outside [pool.lock]. *)
+let reclaim t w exn bt =
+  let domain = worker_name w in
+  Aeq_util.Probe.yield "pool.crash";
+  Atomic.incr t.crashes.(w);
+  Atomic.set t.crashed_at.(w) (Aeq_util.Clock.now ());
+  (* counted whatever the observability switch: crashes are rare, and
+     a scrape should see every one *)
+  Obs.Metrics.inc
+    (Obs.Metrics.counter "aeq_pool_worker_crashes_total"
+       ~help:"Crashes a pool worker caught in its own loop."
+       ~labels:[ ("worker", domain) ]);
   let crash = QE.Error (QE.Worker_crashed { domain; detail = Printexc.to_string exn }) in
   let held =
     Aeq_race.Lock.with_ t.lock (fun () ->
         Aeq_race.read ~site:"pool.reclaim" t.current_loc;
         let held = t.current.(w) in
         (match held with
-        | Helping (j, _) ->
-          (* the crash unwound the helper's stack already: no frames
-             to keep *)
-          ignore (Atomic.compare_and_set j.error None (Some (crash, Printexc.get_callstack 0)))
+        | Helping (j, _) -> ignore (Atomic.compare_and_set j.error None (Some (crash, bt)))
         | Serving _ | Idle -> ());
         leave t w held;
         held)
   in
-  match held with Serving task -> task.on_crash ~domain exn | Helping _ | Idle -> ()
+  match held with
+  | Serving task -> (
+    (* the answer must not kill the worker *)
+    try task.on_crash ~domain exn with _ -> ())
+  | Helping _ | Idle -> ()
 
-let supervisors t = Array.to_list (Atomic.get t.supervisors)
+(* One iteration per job or ticket; a crash anywhere in it is caught
+   here and the loop goes on. *)
+let worker_loop t w () =
+  let running = ref true in
+  while !running do
+    try
+      let held = Aeq_race.Lock.with_ t.lock (fun () -> claim t w) in
+      (match held with
+      | Idle -> running := false
+      | Helping (j, tid) -> run_participant j ~tid
+      | Serving task -> task.run ());
+      Aeq_race.Lock.with_ t.lock (fun () -> leave t w held)
+    with exn ->
+      let bt = Printexc.get_raw_backtrace () in
+      reclaim t w exn bt
+  done
 
-(* When the last worker's restart budget is spent, nothing will take
-   a ticket again. Until the n-th worker has started, the next queued
-   ticket still starts it. *)
-let worker_gave_up t =
-  let server =
-    Aeq_race.Lock.with_ t.lock (fun () ->
-        Aeq_race.read ~site:"pool.gave_up" t.jobs_loc;
-        if t.serving then t.server else None)
-  in
-  if List.for_all (fun sv -> Supervisor.state sv = Supervisor.Failed) (supervisors t)
-  then Option.iter (fun s -> s.on_stranded ()) server
-
-let spawn_worker t w =
-  let domain = Printf.sprintf "pool.worker-%d" w in
-  Supervisor.spawn ~policy:t.policy ~name:domain
-    ~on_crash:(worker_reclaim t w domain)
-    ~on_give_up:(fun _ -> worker_gave_up t)
-    (worker_loop t w)
-
-let create ?(restart_policy = Supervisor.default_policy) ~n_threads () =
+let create ~n_threads () =
   let n_threads = Stdlib.max 1 n_threads in
   let t =
     {
@@ -199,13 +202,14 @@ let create ?(restart_policy = Supervisor.default_policy) ~n_threads () =
       work = Condition.create ();
       quiet = Condition.create ();
       jobs = [];
-      server = None;
+      take = None;
       helpers = false;
       serving = false;
       stop = false;
       current = Array.make n_threads Idle;
-      supervisors = Atomic.make [||];
-      policy = restart_policy;
+      domains = [];
+      crashes = Array.init n_threads (fun _ -> Atomic.make 0);
+      crashed_at = Array.init n_threads (fun _ -> Atomic.make neg_infinity);
       closed = Atomic.make false;
       active_jobs = Atomic.make 0;
       jobs_loc = Aeq_race.locate "pool.jobs";
@@ -222,16 +226,31 @@ let active_jobs t = Atomic.get t.active_jobs
 
 let busy t = active_jobs t > 0
 
-let health_reasons t = List.filter_map Supervisor.health_reason (supervisors t)
+let workers t =
+  Aeq_race.Lock.with_ t.lock (fun () ->
+      Aeq_race.read ~site:"pool.workers" t.jobs_loc;
+      List.length t.domains)
+
+let crashes t = Array.fold_left (fun n c -> n + Atomic.get c) 0 t.crashes
+
+let health_reasons t =
+  let now = Aeq_util.Clock.now () in
+  List.init t.n_threads Fun.id
+  |> List.filter_map (fun w ->
+         if now -. Atomic.get t.crashed_at.(w) < crash_window then
+           Some
+             (Printf.sprintf "%s crashed within the last %gs (%d crashes)" (worker_name w)
+                crash_window (Atomic.get t.crashes.(w)))
+         else None)
 
 (* Under t.lock, so [shutdown] joins every worker started: [k] more
    workers, numbered after those already running. *)
 let start_workers t k =
-  if not t.stop then begin
-    let svs = Atomic.get t.supervisors in
-    let n = Array.length svs in
-    Atomic.set t.supervisors (Array.append svs (Array.init k (fun i -> spawn_worker t (n + i))))
-  end
+  if not t.stop then
+    for _ = 1 to k do
+      let w = List.length t.domains in
+      t.domains <- Aeq_race.spawn (worker_loop t w) :: t.domains
+    done
 
 let wake t =
   Aeq_race.Lock.with_ t.lock (fun () ->
@@ -244,16 +263,11 @@ let wake t =
       end;
       Condition.broadcast t.work)
 
-let serve t ~take ~on_stranded =
-  let stranded =
-    Aeq_race.Lock.with_ t.lock (fun () ->
-        Aeq_race.write ~site:"pool.serve" t.jobs_loc;
-        if Option.is_some t.server then
-          invalid_arg "Pool.serve: a scheduler is already attached";
-        t.server <- Some { take; on_stranded };
-        t.stop)
-  in
-  if stranded then on_stranded ()
+let serve t ~take =
+  Aeq_race.Lock.with_ t.lock (fun () ->
+      Aeq_race.write ~site:"pool.serve" t.jobs_loc;
+      if Option.is_some t.take then invalid_arg "Pool.serve: a scheduler is already attached";
+      t.take <- Some take)
 
 let run ?max_tids t fn =
   (* a submission to dead workers would never gain helpers *)
@@ -337,15 +351,12 @@ let check t =
 
 let shutdown t =
   if Atomic.compare_and_set t.closed false true then begin
-    let server =
+    let domains =
       Aeq_race.Lock.with_ t.lock (fun () ->
           Aeq_race.write ~site:"pool.shutdown" t.jobs_loc;
           t.stop <- true;
           Condition.broadcast t.work;
-          t.server)
+          t.domains)
     in
-    List.iter Supervisor.stop (supervisors t);
-    List.iter Supervisor.join (supervisors t);
-    (* no worker will take a ticket again *)
-    Option.iter (fun s -> s.on_stranded ()) server
+    List.iter Aeq_race.join domains
   end

@@ -11,35 +11,36 @@
     serves a queued ticket of the scheduler attached by {!serve}, as
     the caller (tid 0) of that query's jobs.
 
-    Workers are supervised (see {!Supervisor}): a worker's crash
-    hook repairs what it held — the accounting of a job it helped, so
-    the caller's barrier still drains and raises
-    {!Query_error.Worker_crashed}, or the query it served, which
-    {!task.on_crash} answers — and the worker restarts under a
-    backoff budget. *)
+    A worker catches its own crashes (an unstructured exception
+    escaping one job or ticket: a bug, or an injected
+    {!Aeq_util.Probe.Injected_crash}). Its handler repairs what the
+    worker held — the accounting of a job it helped, so the caller's
+    barrier still drains and raises {!Query_error.Worker_crashed}, or
+    the query it served, which {!task.on_crash} answers — and the
+    worker takes its next task at once, on the same domain. There is no
+    restart, backoff or budget: a crash consumes the job or ticket it
+    hit, so only new work makes the loop turn again. *)
 
 type t
 
-val create : ?restart_policy:Supervisor.policy -> n_threads:int -> unit -> t
+val create : n_threads:int -> unit -> t
 (** Spawns no worker: the first {!run} that can use helpers starts
     [n_threads - 1] (a query's runner is the n-th participant of its
     own jobs), and the first {!wake} starts one more. An idle worker
     domain makes every stop-the-world collection wait for it, so a
-    pool that has only loaded tables pays none. [restart_policy]
-    defaults to {!Supervisor.default_policy}. *)
+    pool that has only loaded tables pays none. *)
 
 (** A queued ticket claimed by a worker: [run] serves and answers it
     (raising only a domain crash); [on_crash] answers it if the
     worker named [domain] crashed in [run]. *)
 type task = { run : unit -> unit; on_crash : domain:string -> exn -> unit }
 
-val serve : t -> take:(unit -> task option) -> on_stranded:(unit -> unit) -> unit
+val serve : t -> take:(unit -> task option) -> unit
 (** Attach a scheduler. Starts no worker: the first {!wake} does. A
     worker with no job to join calls [take] under the pool's lock —
     [take] may lock the scheduler, which must never take the pool's
-    lock under its own. [on_stranded] runs when no worker will take a
-    ticket again: the pool is shut down, or, once the n-th worker has
-    started, every worker's supervisor gave up.
+    lock under its own. Once the pool is shut down no worker takes a
+    ticket again, so shut the scheduler down first.
     @raise Invalid_argument if a scheduler is already attached. *)
 
 val wake : t -> unit
@@ -75,9 +76,9 @@ val run : ?max_tids:int -> t -> (tid:int -> unit) -> unit
     after the caller's [fn] returns no new workers join, but the call
     blocks until those already in flight drain.
 
-    If a worker serving this job crashes, the supervisor's reclaim
-    records [Query_error.Error (Worker_crashed _)] as the job error —
-    re-raised here, and the query fails with it. A crash in the caller's own participation (tid
+    If a worker helping this job crashes, its crash handler records
+    [Query_error.Error (Worker_crashed _)] as the job error, with the
+    crash's backtrace — re-raised here, and the query fails with it. A crash in the caller's own participation (tid
     0) still runs the close-out — the job leaves the open list and the
     barrier drains — and then propagates to the caller.
     @raise Invalid_argument if the pool has been {!shutdown}. *)
@@ -97,13 +98,19 @@ val check : t -> string list
     coherent. Run by the deterministic simulator's invariant checker
     at yield points. Takes the pool lock. *)
 
-val health_reasons : t -> string list
-(** One reason per supervised worker currently crashed-and-backing-off
-    or failed. Empty = all workers healthy. *)
+val workers : t -> int
+(** Worker domains started so far (at most [n_threads]). *)
 
-val supervisors : t -> Supervisor.t list
-(** Worker supervisors, for tests and introspection. *)
+val crashes : t -> int
+(** Crashes the workers caught, summed over workers (monotone). Each
+    crash also counts in the [aeq_pool_worker_crashes_total{worker}]
+    metric, whether or not observability is on. *)
+
+val health_reasons : t -> string list
+(** One reason per worker that crashed within the last second, naming
+    the worker and its crash count. Empty = no recent crash. The
+    window is a constant: a worker is back in service as soon as its
+    handler returns, so the reason only reports that it crashed. *)
 
 val shutdown : t -> unit
-(** Stop and join the worker domains (and their supervisors).
-    Idempotent. *)
+(** Stop and join the worker domains. Idempotent. *)

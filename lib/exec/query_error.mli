@@ -10,8 +10,8 @@
     maps any exception to a {!t}, and {!protect} is the boundary every
     layer wraps around work that may fail. The one exception class
     that is never classified is a domain crash
-    ({!Aeq_util.Probe.is_crash}): it passes every boundary so that a
-    supervisor, not a conversion layer, answers it. *)
+    ({!Aeq_util.Probe.is_crash}): it passes every boundary so that the
+    pool worker's crash handler, not a conversion layer, answers it. *)
 
 type t =
   | Trap of string
@@ -40,9 +40,9 @@ type t =
           shut down *)
   | Worker_crashed of { domain : string; detail : string }
       (** the pool worker serving this query, or helping with one of
-          its pipelines, died on an unstructured exception; the
-          supervisor reclaimed the query's state and restarted the
-          worker.
+          its pipelines, crashed on an unstructured exception; the
+          worker's crash handler reclaimed the query's state, and the
+          worker went on to its next task.
           [domain] names the casualty, [detail] carries the printed
           exception. The query is not re-run: the client gets this
           error as its answer. *)

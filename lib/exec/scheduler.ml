@@ -28,18 +28,9 @@ let priority_name = function Low -> "low" | Normal -> "normal" | High -> "high"
 (* dispatch order: highest class first, FIFO within a class *)
 let queue_index = function High -> 0 | Normal -> 1 | Low -> 2
 
-type config = {
-  queue_capacity : int;
-  shed_queue_depth : int;
-  restart_policy : Supervisor.policy;
-}
+type config = { queue_capacity : int; shed_queue_depth : int }
 
-let default_config =
-  {
-    queue_capacity = 64;
-    shed_queue_depth = 48;
-    restart_policy = Supervisor.default_policy;
-  }
+let default_config = { queue_capacity = 64; shed_queue_depth = 48 }
 
 type outcome = (Driver.result, QE.t) result
 
@@ -77,9 +68,7 @@ and t = {
   running_loc : Aeq_race.location;
   queues : ticket Queue.t array; (* [High; Normal; Low] *)
   mutable queued : int; (* live (state Queued) tickets across queues *)
-  mutable refusing : string option;
-      (* why submissions are refused: shut down, or no worker left *)
-  mutable shut : bool; (* in-process callers are refused too *)
+  mutable shut : bool; (* every submission is refused *)
   mutable draining : bool; (* admission closed; in-flight may finish *)
   mutable running : ticket list;
       (* the in-flight set: tickets pool workers or their in-process
@@ -117,7 +106,6 @@ type stats = {
   max_wait_seconds : float;
   crashed_tickets : int;
   domain_crashes : int;
-  domain_restarts : int;
 }
 
 let with_lock m f = Aeq_race.Lock.with_ m f
@@ -267,7 +255,7 @@ let finish ?(crashed = false) t tk outcome =
           if crashed then begin
             t.n_crashed_tickets <- t.n_crashed_tickets + 1;
             obs_bump "crashed_tickets"
-              ~help:"In-flight tickets completed as Worker_crashed by supervisor reclaim."
+              ~help:"In-flight tickets completed as Worker_crashed after their worker crashed."
           end;
           match outcome with
           | Ok _ ->
@@ -297,12 +285,13 @@ let execute tk mode =
     | exception e -> Error (QE.of_exn e))
 
 (* A pool worker serves a claimed ticket. The ticket is in [t.running]
-   and in the worker's pool slot: if the worker dies first, its reclaim
-   hook ([on_crash] below) answers it with [Worker_crashed]. *)
+   and in the worker's pool slot: if the worker crashes first, its
+   crash handler calls [on_crash] below, which answers it with
+   [Worker_crashed]. *)
 let serve t tk eff_mode () =
   (* the ticket is already reclaimable: a crash from here on is the
-     supervisor's to answer. The dispatch site sits exactly in that
-     window so the [Crash] action exercises the reclaim path. *)
+     worker's crash handler's to answer. The dispatch site sits exactly
+     in that window so the [Crash] action exercises the reclaim path. *)
   Aeq_util.Probe.hit "sched.dispatch";
   finish t tk (execute tk eff_mode)
 
@@ -311,7 +300,7 @@ let serve t tk eff_mode () =
 let take t () =
   with_lock t.lock (fun () ->
       Aeq_race.write ~site:"sched.pop" t.queues_loc;
-      if t.refusing <> None || t.queued = 0 then None
+      if t.shut || t.queued = 0 then None
       else begin
         expire_queued t;
         pop_live t [ 0; 1; 2 ]
@@ -341,13 +330,6 @@ let reject_queued t reason =
       Queue.clear q)
     t.queues;
   t.queued <- 0
-
-(* Under t.lock: refuse submissions from now on, and answer the
-   queued ones. *)
-let refuse t reason =
-  Aeq_race.write ~site:"sched.refuse" t.queues_loc;
-  if t.refusing = None then t.refusing <- Some reason;
-  reject_queued t reason
 
 (* ---- admission ------------------------------------------------------- *)
 
@@ -397,14 +379,15 @@ let submit ?(mode = Driver.Adaptive) ?(priority = Normal) ?deadline_seconds ?can
     with_lock t.lock (fun () ->
       Aeq_race.write ~site:"sched.submit" t.queues_loc;
       Aeq_race.write ~site:"sched.submit" t.counters_loc;
-      match t.refusing with
-      | Some reason ->
-        complete tk (Error (QE.Rejected reason));
+      if t.shut then begin
+        complete tk (Error (QE.Rejected "scheduler is shut down"));
         false
-      | None when t.draining ->
+      end
+      else if t.draining then begin
         reject_draining t tk;
         false
-      | None ->
+      end
+      else begin
         (* overdue tickets leave first, so they never cost a newcomer
            its room *)
         expire_queued t;
@@ -437,7 +420,8 @@ let submit ?(mode = Driver.Adaptive) ?(priority = Normal) ?deadline_seconds ?can
               (Error
                  (QE.Overloaded
                     { queue_depth = t.queued; capacity = t.cfg.queue_capacity }));
-            false)
+            false
+      end)
   in
   (* outside t.lock: the pool's lock comes first in the lock order *)
   if admitted then Pool.wake t.pool;
@@ -495,7 +479,6 @@ let create ?(config = default_config) ~pool () =
       running_loc = Aeq_race.locate "sched.running";
       queues = Array.init 3 (fun _ -> Queue.create ());
       queued = 0;
-      refusing = None;
       shut = false;
       draining = false;
       running = [];
@@ -514,9 +497,7 @@ let create ?(config = default_config) ~pool () =
       quiet_waiter = Aeq_util.Waiter.create ();
     }
   in
-  Pool.serve pool ~take:(take t) ~on_stranded:(fun () ->
-      with_lock t.lock (fun () ->
-          refuse t "no pool worker left to serve"));
+  Pool.serve pool ~take:(take t);
   (* gauges registered unconditionally; rendering is what the
      observability switch gates *)
   Obs.Metrics.gauge_fn "aeq_scheduler_queue_depth"
@@ -580,9 +561,7 @@ let drain ?(deadline_seconds = 30.0) t =
   clean
 
 let stats t =
-  let sum_workers count =
-    List.fold_left (fun acc sv -> acc + count sv) 0 (Pool.supervisors t.pool)
-  in
+  let domain_crashes = Pool.crashes t.pool in
   with_lock t.lock (fun () ->
       Aeq_race.read ~site:"sched.stats" t.counters_loc;
       Aeq_race.read ~site:"sched.stats" t.queues_loc;
@@ -601,10 +580,7 @@ let stats t =
       avg_wait_seconds = (if t.n_waits = 0 then 0.0 else t.total_wait /. float_of_int t.n_waits);
       max_wait_seconds = t.max_wait;
       crashed_tickets = t.n_crashed_tickets;
-      (* the pool's supervisor counters are monotone — the restart
-         budget made observable *)
-      domain_crashes = sum_workers Supervisor.crashes;
-      domain_restarts = sum_workers Supervisor.restarts;
+      domain_crashes;
       })
 
 let reset_stats t =
@@ -630,7 +606,7 @@ let shutdown t =
   with_lock t.lock (fun () ->
       Aeq_race.write ~site:"sched.shutdown" t.queues_loc;
       t.shut <- true;
-      refuse t "scheduler is shut down");
+      reject_queued t "scheduler is shut down");
   ignore
     (wait_until t (fun () ->
          Aeq_race.read ~site:"sched.shutdown" t.running_loc;

@@ -47,12 +47,6 @@ type config = {
   shed_queue_depth : int;
       (** queue depth beyond which dispatched queries are forced to
           bytecode-only *)
-  restart_policy : Supervisor.policy;
-      (** restart budget and backoff for the pool workers, which run
-          under {!Supervisor} barriers: a crash completes the
-          victim's in-flight ticket with [Worker_crashed] and
-          restarts the worker. The pool is created with it
-          ({!Pool.create}; [Engine.create] does) *)
 }
 
 val default_config : config
@@ -64,8 +58,8 @@ type exec = mode:Driver.mode -> cancel:Cancel.t -> Driver.result
     degraded) under [cancel], on any domain, so thread-safe. Whatever
     it raises becomes the ticket's [Error (Query_error.of_exn e)] —
     except a domain crash ({!Aeq_util.Probe.is_crash}), which escapes:
-    on a pool worker, its supervisor answers the ticket with
-    [Worker_crashed] and restarts the worker. *)
+    on a pool worker, the worker's crash handler answers the ticket
+    with [Worker_crashed], and the worker takes its next task. *)
 
 type ticket
 (** A submitted query. Await it, cancel it, or inspect it. *)
@@ -75,9 +69,8 @@ type t
 val create : ?config:config -> pool:Pool.t -> unit -> t
 (** Attach a scheduler to [pool] ({!Pool.serve}). It spawns no
     domain: the first queued ticket starts the pool's n-th worker.
-    Once no worker is left to take a ticket (every worker's supervisor
-    has given up, or the pool is shut down), queued tickets are
-    rejected and new ones refused; in-process tickets still run.
+    The pool must outlive the scheduler: {!shutdown} it before
+    {!Pool.shutdown}, or queued tickets find no worker.
     @raise Invalid_argument if [pool] already serves a scheduler. *)
 
 val submit :
@@ -114,8 +107,8 @@ val submit :
       admission contract; counted as [rejected];
     - [Error (Rejected "draining")] while the scheduler drains;
       counted as [rejected];
-    - [Error (Rejected _)] once it is shut down, or once no worker is
-      left to serve. *)
+    - [Error (Rejected "scheduler is shut down")] once it is shut
+      down. *)
 
 val run_inline : ?mode:Driver.mode -> ?cancel:Cancel.t -> t -> exec -> outcome
 (** Admit an in-process ticket and run it on the calling domain, as
@@ -165,14 +158,11 @@ type stats = {
       (** mean queue wait of dispatched queued queries *)
   max_wait_seconds : float;
   crashed_tickets : int;
-      (** in-flight tickets completed as [Worker_crashed] by
-          supervisor reclaim after the worker serving them died *)
+      (** in-flight tickets completed as [Worker_crashed] by the
+          crash handler of the worker serving them *)
   domain_crashes : int;
-      (** crashes caught by the pool's worker supervisors (monotone
-          over the pool's lifetime; not zeroed by {!reset_stats}) *)
-  domain_restarts : int;
-      (** supervised restarts performed (monotone, like
-          [domain_crashes]) — the restart budget made observable *)
+      (** crashes the pool's workers caught ({!Pool.crashes}; monotone
+          over the pool's lifetime, not zeroed by {!reset_stats}) *)
 }
 
 val stats : t -> stats

@@ -129,7 +129,7 @@ let lint_source ?(rules = all_rules) ~filename source =
              || ends_with ~suffix:[ "Unix"; "sleep" ] path ->
       if active "sleep-in-exec" then
         add loc "sleep-in-exec"
-          "uninterruptible sleep on a supervised path: block on \
+          "uninterruptible sleep in engine code: block on \
            Aeq_util.Waiter so shutdown can cut the wait short"
     | _ -> ());
     (* non-literal arguments to probes/declare are caught at the

@@ -17,9 +17,9 @@
       critical section. Under simulation a probe suspends the task,
       and an armed [Delay] sleeps; either, while holding a lock,
       stalls every peer behind it.
-    - ["sleep-in-exec"]: no [Unix.sleepf]/[Unix.sleep] — supervised
-      paths must block on [Aeq_util.Waiter] so shutdown and crash
-      reclaim can interrupt the wait.
+    - ["sleep-in-exec"]: no [Unix.sleepf]/[Unix.sleep] — engine code
+      must block on [Aeq_util.Waiter] so shutdown can interrupt the
+      wait.
     - ["failpoint-literal"]: every [Probe.hit] and [Probe.yield] call
       site must pass a string literal, so the site catalog cross-check
       (CLI level) can see it.

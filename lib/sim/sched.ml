@@ -24,7 +24,7 @@
 
    Time is virtual: [run] installs a clock source that only the
    scheduler advances (a fixed tick per decision), so timeouts and
-   restart backoffs are part of the schedule, not of wall time. *)
+   deadlines are part of the schedule, not of wall time. *)
 
 type state = Fresh | Waiting | Granted | Done
 

@@ -5,7 +5,7 @@
     the token changes hands only at the engine's probe sites
     ([Aeq_util.Probe.hit] and [Aeq_util.Probe.yield] — lease
     acquire/release, morsel boundaries, context install, pool job
-    pick, plan-cache lookup, compiles, restart backoffs; see the
+    pick, plan-cache lookup, compiles, pool crash handling; see the
     site table in [probe.mli]). The scheduler
     picks the next task with a seeded PRNG, so an interleaving is a
     pure function of the seed — and of the forced decision list when
@@ -16,7 +16,7 @@
       domains; the submitting task executes pipeline jobs inline);
     - blocking waits on the simulated path spin through yields when
       {!Aeq_util.Probe.simulating} (already true of the engine's
-      single-flight wait and supervisor restart backoff);
+      single-flight wait);
     - probes never sit inside critical sections;
     - use a non-simulating cost model ([Cost_model.off] or
       [simulate = false]): a model that emulates compile latency by
@@ -24,8 +24,8 @@
       only at scheduling decisions (plus a tiny epsilon per read).
 
     Time is virtual while a simulation runs: [Clock.now] reads a
-    scheduler-advanced counter (10 µs per decision), so deadlines and
-    restart backoffs are replayable schedule events. *)
+    scheduler-advanced counter (10 µs per decision), so timeouts and
+    deadlines are replayable schedule events. *)
 
 type outcome = {
   seed : int64;

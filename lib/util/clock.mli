@@ -8,8 +8,8 @@ val now : unit -> float
 
 val set_source : (unit -> float) -> unit
 (** Substitute the time source. The deterministic simulator installs
-    a virtual clock here so timeouts, deadlines and restart
-    backoffs advance with the simulated schedule instead of real time. *)
+    a virtual clock here so timeouts and deadlines advance with the
+    simulated schedule instead of real time. *)
 
 val reset_source : unit -> unit
 (** Restore the real wall clock. *)

@@ -68,9 +68,7 @@ let yield_sites =
     "driver.ctx_install";
     "engine.cache";
     "engine.singleflight.wait";
-    "supervisor.backoff";
-    "supervisor.crash";
-    "supervisor.restart";
+    "pool.crash";
   ]
 
 let extra_sites : (string, unit) Hashtbl.t = Hashtbl.create 4
@@ -224,8 +222,8 @@ let with_handler f body =
    "site=delay:0.01@2", "site=p:0.25", joined by ',' or ';'. "@N"
    makes the site one-shot on its Nth hit; without it the site fires
    on every hit. "p:F" fails each hit with probability F (chaos mode);
-   "crash" raises the non-Query_error [Injected_crash], killing the
-   hosting domain unless a supervisor contains it. *)
+   "crash" raises the non-Query_error [Injected_crash], which unwinds
+   to a pool worker's crash handler (or kills any other domain). *)
 let set_from_string spec =
   let bad part = invalid_arg ("Probe: cannot parse \"" ^ part ^ "\"") in
   String.split_on_char ',' (String.map (fun c -> if c = ';' then ',' else c) spec)

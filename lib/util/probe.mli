@@ -39,9 +39,8 @@
     driver.ctx_install        yield  after a worker installs its context
     engine.cache              yield  before the plan-cache lookup lock
     engine.singleflight.wait  yield  each poll of the single-flight wait
-    supervisor.backoff        yield  each poll of the restart backoff
-    supervisor.crash          yield  when a supervisor catches a crash
-    supervisor.restart        yield  before a supervised body restarts
+    pool.crash                yield  when a pool worker catches its own
+                                     crash, before it reclaims
     v}
 
     Placement rule: a probe never sits inside a critical section. The
@@ -62,9 +61,9 @@ exception Injected_crash of string
 (** Raised by a triggered [Crash] site. Unlike {!Injected}, this is
     {e not} part of the structured-error contract: every layer that
     folds exceptions into [Query_error] lets it pass, so it unwinds
-    all the way out of the hosting domain — simulating a bug that
-    kills a pool worker. Only a supervisor
-    barrier ([Aeq_exec.Supervisor]) contains it. *)
+    all the way out of the job or ticket — simulating a bug in a pool
+    worker. Only the worker's own loop ([Aeq_exec.Pool]) catches it;
+    on any other domain it is lethal. *)
 
 val is_crash : exn -> bool
 (** Is this {!Injected_crash}, possibly wrapped in (nested)
@@ -103,9 +102,9 @@ type action =
           compile degradation and structured-error paths
           non-deterministically but reproducibly (see {!set_seed}) *)
   | Crash
-      (** raise {!Injected_crash} — kill the hosting domain (spec
-          syntax [site=crash]); exercises the supervision layer's
-          crash containment, reclaim and restart paths *)
+      (** raise {!Injected_crash} — a bug that unwinds out of the job
+          or ticket (spec syntax [site=crash]); exercises the pool
+          worker's crash handler and its reclaim *)
 
 val activate : ?on_hit:int -> ?persistent:bool -> string -> action -> unit
 (** Arm a fault site. With [persistent] (the default) the site

@@ -1,8 +1,7 @@
 (** An interruptible timed wait (self-pipe + [select]).
 
     The stdlib [Condition] cannot wait with a timeout, so a timed
-    sleep (a supervisor's restart backoff, a scheduler drain waiting
-    for in-flight work) would
+    sleep (a scheduler drain waiting for in-flight work) would
     either oversleep a shutdown or busy-poll. A [Waiter.t] gives the
     third option: sleep up to the timeout, but return immediately
     when another domain calls {!wake}. One waiter per sleeper; [wake] may be called from anywhere, any number of

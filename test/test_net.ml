@@ -1,7 +1,7 @@
 (* Tests for the network serving front-end (lib/net): protocol codec
    round-trips, hostile-input totality (malformed / truncated /
    oversized frames can never crash a domain — structured error or
-   clean close, and the supervisor crash log stays empty), the
+   clean close, and no pool worker crashes), the
    end-to-end wire path against a live engine (results match a direct
    query), prepared statements and paging over the wire, the
    connection limit (structured Overloaded at the edge), out-of-band
@@ -13,7 +13,6 @@ module P = Aeq_net.Protocol
 module Server = Aeq_net.Server
 module Client = Aeq_net.Client
 module FP = Aeq_util.Probe
-module Sup = Aeq_exec.Supervisor
 module QE = Aeq_exec.Query_error
 module Sched = Aeq_exec.Scheduler
 
@@ -457,7 +456,6 @@ let read_response_payload fd =
   | Error _ -> None
 
 let test_malformed_over_socket () =
-  Sup.clear_crash_log ();
   let e = small_engine () in
   Fun.protect ~finally:(fun () -> Aeq.Engine.close e) @@ fun () ->
   with_server e @@ fun server ->
@@ -508,7 +506,7 @@ let test_malformed_over_socket () =
   Alcotest.(check int) "one row" 1 (List.length r.Client.rows);
   Client.close c;
   Alcotest.(check int) "no domain crashed during the fuzz" 0
-    (List.length (Sup.crash_log ()))
+    (Aeq.Engine.scheduler_stats e).Sched.domain_crashes
 
 (* ---- out-of-band cancel -------------------------------------------------- *)
 

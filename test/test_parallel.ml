@@ -210,7 +210,7 @@ let test_admitted_no_nested_barriers () =
    starts the n-th, since it has no caller domain *)
 let test_domain_budget () =
   with_engine ~n_threads:2 (fun engine ->
-      let workers () = List.length (Pool.supervisors (Aeq.Engine.pool engine)) in
+      let workers () = Pool.workers (Aeq.Engine.pool engine) in
       Alcotest.(check int) "no worker at create" 0 (workers ());
       ignore (Aeq.Engine.query engine statements.(2));
       Alcotest.(check int) "the first direct query starts n-1" 1 (workers ());

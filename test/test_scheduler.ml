@@ -198,7 +198,7 @@ let test_submit_await () =
       Alcotest.(check int) "completed" 2 st.Sched.completed;
       Alcotest.(check int) "failed" 0 st.Sched.failed;
       Alcotest.(check int) "the scheduler started the pool's one worker" 1
-        (List.length (Aeq_exec.Pool.supervisors pool)))
+        (Aeq_exec.Pool.workers pool))
 
 let test_priority_order () =
   let h = make_harness () in
@@ -491,7 +491,7 @@ let test_engine_inline_keeps_mode () =
 let test_chaos_soak () =
   with_engine ~cost_model:eager_model
     ~scheduler_config:
-      { Sched.default_config with Sched.queue_capacity = 32; shed_queue_depth = 24 }
+      { Sched.queue_capacity = 32; shed_queue_depth = 24 }
     (fun engine ->
       let stmts = Array.of_list soak_statements in
       let reference = Array.map (fun sql -> (Aeq.Engine.query engine sql).Driver.rows) stmts in
