@@ -366,7 +366,7 @@ let micro () =
   for i = 0 to n - 1 do
     Aeq_mem.Arena.set_i64 mem (col + (8 * i)) (Int64.of_int (i land 255))
   done;
-  (* reuse the calibration kernel via the public API *)
+  (* a filtered aggregation kernel, built here through the public API *)
   let f =
     let b = Builder.create ~name:"bench_kernel" ~params:[ Types.Ptr; Types.I64 ] in
     let head = Builder.new_block b in

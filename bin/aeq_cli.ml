@@ -19,6 +19,27 @@ let mode_conv =
   in
   Arg.conv (parse, fun fmt m -> Format.pp_print_string fmt (Aeq_exec.Driver.mode_name m))
 
+(* One line per Fig. 7 evaluation: what the controller saw, and each
+   candidate's projection with the speedup it was priced at. *)
+let print_decisions () =
+  let module Log = Aeq_obs.Event_log in
+  List.iter
+    (fun (e : Log.event) ->
+      match e.kind with
+      | Log.Span _ -> ()
+      | Log.Decision d ->
+        let action = match d.d_action with Log.Stay -> "stay" | Log.Promote m -> "promote " ^ m in
+        Printf.printf "-- decision p%d %s at %.0f rows/s, %d left: %s (stay %.3f ms%s)\n"
+          e.pipeline d.d_mode d.d_rate d.d_remaining action (d.d_stay_seconds *. 1e3)
+          (String.concat ""
+             (List.map
+                (fun (c : Log.candidate) ->
+                  Printf.sprintf ", %s x%.3f %s" c.c_mode c.c_speedup
+                    (if c.c_blacklisted then "blacklisted"
+                     else Printf.sprintf "%.3f ms" (c.c_total_seconds *. 1e3)))
+                d.d_candidates)))
+    (Log.snapshot ())
+
 let print_result engine ~threads ~trace_out result =
   print_endline (String.concat "\t" result.Aeq_exec.Driver.names);
   List.iter print_endline (Aeq.Engine.render_rows engine result);
@@ -35,7 +56,10 @@ let print_result engine ~threads ~trace_out result =
     (String.concat ", " st.Aeq_exec.Driver.final_modes);
   (match result.Aeq_exec.Driver.trace with
   | Some tr ->
-    if trace_out = None then print_string (Aeq_exec.Trace.render tr ~n_threads:threads)
+    if trace_out = None then begin
+      print_string (Aeq_exec.Trace.render tr ~n_threads:threads);
+      print_decisions ()
+    end
   | None -> ());
   match trace_out with
   | Some path ->
@@ -49,7 +73,7 @@ let run sf threads mode explain trace verify tpch_n timeout mem_budget
   (* exporters need the spans/decisions/metrics recorded, so the flags
      imply observability; turn it on before the engine registers its
      instruments *)
-  if obs || trace_out <> None || metrics_out <> None then
+  if obs || trace || trace_out <> None || metrics_out <> None then
     Aeq_obs.Control.set_enabled true;
   (* a Chrome trace needs the per-morsel event stream too *)
   let trace = trace || trace_out <> None in
@@ -107,7 +131,14 @@ let cmd =
       & info [ "mode"; "m" ] ~doc:"Execution mode: bytecode|unopt|opt|adaptive.")
   in
   let explain = Arg.(value & flag & info [ "explain" ] ~doc:"Print the plan, do not run.") in
-  let trace = Arg.(value & flag & info [ "trace" ] ~doc:"Render the execution trace.") in
+  let trace =
+    Arg.(
+      value & flag
+      & info [ "trace" ]
+          ~doc:
+            "Render the execution trace and list the adaptive decisions, each \
+             candidate with the speedup it was priced at. Implies $(b,--obs).")
+  in
   let verify =
     Arg.(
       value & flag
@@ -148,7 +179,7 @@ let cmd =
           ~doc:
             "Enable the observability subsystem (metrics, the event log of \
              lifecycle spans and adaptive decisions) as if \\$(b,AEQ_OBS=1). Implied by \
-             $(b,--trace-out) and $(b,--metrics-out).")
+             $(b,--trace), $(b,--trace-out) and $(b,--metrics-out).")
   in
   let trace_out =
     Arg.(

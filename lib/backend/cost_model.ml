@@ -15,7 +15,11 @@ type t = {
    unoptimized, 42 ms optimized at roughly 1,000 IR instructions;
    Fig. 15 shows optimized compilation passing 4 s near 10,000
    instructions in a single function, which fixes the quadratic
-   term; unoptimized stays near-linear up to 160,000 instructions. *)
+   term; unoptimized stays near-linear up to 160,000 instructions.
+   The speed-up seeds are this build's, not the paper's 3.6x/5.0x:
+   the steady state of a filtered, checked aggregation kernel, tiers
+   interleaved, best of 7 rounds in 3 processes, read unopt 1.23-1.28
+   and opt 1.37-1.42 over bytecode. *)
 let default =
   {
     simulate = true;
@@ -26,8 +30,8 @@ let default =
     opt_base = 0.0015;
     opt_per_instr = 3.6e-5;
     opt_quad = 3.8e-8;
-    speedup_unopt = 3.6;
-    speedup_opt = 5.0;
+    speedup_unopt = 1.25;
+    speedup_opt = 1.40;
   }
 
 let off = { default with simulate = false }
@@ -47,8 +51,3 @@ let compile_time t mode n =
   | Bytecode -> t.bc_base +. (t.bc_per_instr *. n)
   | Unopt -> t.unopt_base +. (t.unopt_per_instr *. n)
   | Opt -> t.opt_base +. (t.opt_per_instr *. n) +. (t.opt_quad *. n *. n)
-
-let speedup t = function
-  | Bytecode -> 1.0
-  | Unopt -> t.speedup_unopt
-  | Opt -> t.speedup_opt

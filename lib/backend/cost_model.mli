@@ -30,20 +30,22 @@ type t = {
   opt_base : float;
   opt_per_instr : float;
   opt_quad : float;  (** seconds per (instruction count)² *)
-  speedup_unopt : float;  (** expected throughput vs bytecode *)
+  speedup_unopt : float;  (** throughput vs bytecode: a seed ({!Calibration}) *)
   speedup_opt : float;
 }
 
 val default : t
-(** Paper-calibrated shape, simulation on. *)
+(** Paper-shaped compile latencies, simulation on. The speed-up seeds
+    are this build's closure tiers' measured steady state over its
+    interpreter: 1.25 (unoptimized) and 1.40 (optimized). *)
 
 val off : t
 (** Same estimates for the controller, but no simulated delay:
     compile times are the real closure-compilation times. *)
 
 val with_speedups : t -> unopt:float -> opt:float -> t
-(** Override the expected speedups (e.g. with measured values from
-    {!Calibration}). *)
+(** Override the speed-up seeds, where an engine's learned estimate
+    starts. *)
 
 type mode = Bytecode | Unopt | Opt
 
@@ -54,6 +56,3 @@ val mode_name : mode -> string
 val compile_time : t -> mode -> int -> float
 (** [compile_time t mode n_instrs] — the modelled latency in seconds
     for one function of the given size. *)
-
-val speedup : t -> mode -> float
-(** Expected throughput multiplier vs bytecode interpretation. *)

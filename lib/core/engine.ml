@@ -39,6 +39,7 @@ type t = {
   pool : Aeq_exec.Pool.t;
   scheduler : Aeq_exec.Scheduler.t;
   cost_model : Aeq_backend.Cost_model.t;
+  estimate : Aeq_backend.Calibration.estimate;
   plan_cache : (string, cache_entry) Hashtbl.t;
   cache_lock : Aeq_race.Lock.t;
       (* guards plan_cache, its counters, ce_* fields, preparing *)
@@ -134,18 +135,7 @@ let create ?n_threads ?cost_model ?scheduler_config () =
     | Some n -> Stdlib.max 1 n
     | None -> Stdlib.min 8 (Domain.recommended_domain_count ())
   in
-  let cost_model =
-    match cost_model with
-    | Some m -> m
-    | None ->
-      (* paper-shaped compile latencies, but the controller's speedup
-         expectations come from measurement so adaptive decisions
-         reflect this build's real interpreter/compiled gap *)
-      let cal = Aeq_backend.Calibration.measure () in
-      Aeq_backend.Cost_model.with_speedups Aeq_backend.Cost_model.default
-        ~unopt:cal.Aeq_backend.Calibration.speedup_unopt
-        ~opt:cal.Aeq_backend.Calibration.speedup_opt
-  in
+  let cost_model = Option.value cost_model ~default:Aeq_backend.Cost_model.default in
   let config = Option.value scheduler_config ~default:Aeq_exec.Scheduler.default_config in
   let pool = Aeq_exec.Pool.create ~n_threads () in
   let t =
@@ -154,6 +144,7 @@ let create ?n_threads ?cost_model ?scheduler_config () =
       pool;
       scheduler = Aeq_exec.Scheduler.create ~config ~pool ();
       cost_model;
+      estimate = Aeq_backend.Calibration.estimate cost_model;
       plan_cache = Hashtbl.create 64;
       cache_lock = Aeq_race.Lock.create "engine.cache.lock";
       cache_loc = Aeq_race.locate "engine.plan_cache";
@@ -182,6 +173,8 @@ let pool t = t.pool
 let n_threads t = Aeq_exec.Pool.n_threads t.pool
 
 let cost_model t = t.cost_model
+
+let speedups t = Aeq_backend.Calibration.current t.estimate
 
 let plan t sql =
   let ast = Obs.Event_log.with_span "parse" (fun () -> Aeq_sql.Parser.parse sql) in
@@ -392,8 +385,8 @@ let prepare_entry ?(admit_now = false) t sql =
              exception branch below: [finish] wakes the waiters and the
              preparing claim never leaks *)
           Aeq_util.Probe.hit "compile.singleflight";
-          Aeq_exec.Driver.prepare ~cost_model:t.cost_model t.catalog (plan t sql)
-            ~n_threads:(n_threads t)
+          Aeq_exec.Driver.prepare ~estimate:t.estimate ~cost_model:t.cost_model t.catalog
+            (plan t sql) ~n_threads:(n_threads t)
         with
         | prepared ->
           let e =
@@ -495,7 +488,7 @@ let execute ?(collect_trace = false) ?memory_budget_bytes ?on_compile_failure t 
   in
   if not cache_enabled then begin
     let p = plan t sql in
-    Aeq_exec.Driver.execute ~cost_model:t.cost_model ~collect_trace ~cancel
+    Aeq_exec.Driver.execute ~estimate:t.estimate ~cost_model:t.cost_model ~collect_trace ~cancel
       ?memory_budget_bytes ?on_compile_failure t.catalog p ~mode ~pool:t.pool
   end
   else begin

@@ -28,9 +28,9 @@ val create :
   unit ->
   t
 (** [n_threads] defaults to the machine's domain count (max 8);
-    [cost_model] defaults to the paper-calibrated model with simulated
-    LLVM-magnitude compile latencies (pass
-    [Aeq_backend.Cost_model.off] for real latencies only).
+    [cost_model] defaults to {!Aeq_backend.Cost_model.default} (pass
+    [Aeq_backend.Cost_model.off] for real latencies only); its speedups
+    only seed the estimate the engine learns ({!speedups}).
     [scheduler_config] (default {!Aeq_exec.Scheduler.default_config})
     configures the engine's scheduler, created here: every query is
     one of its tickets.
@@ -52,6 +52,9 @@ val pool : t -> Aeq_exec.Pool.t
 val n_threads : t -> int
 
 val cost_model : t -> Aeq_backend.Cost_model.t
+
+val speedups : t -> Aeq_backend.Calibration.t
+(** What this engine's controller prices tiers with now. *)
 
 val plan : t -> string -> Aeq_plan.Physical.t
 (** Parse and plan [sql]. Raises the front end's own exceptions

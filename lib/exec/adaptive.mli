@@ -11,10 +11,12 @@
     where [n] is the remaining tuple count, [w] the worker count, [r0]
     the measured rate, [r1/r2 = r0 × speedup(candidate) /
     speedup(current)] (the measured rate is in the *current* mode's
-    units, so candidate speedups — which the cost model states
-    relative to bytecode — must be rescaled to relative gains before
-    applying them), and [c1/c2] the modelled compile latencies for
-    the function's instruction count. The
+    units, so candidate speedups — stated relative to bytecode — must
+    be rescaled to relative gains before applying them), and [c1/c2]
+    the modelled compile latencies for the function's instruction
+    count, 0 for a variant an earlier execution cached. The speedups are the engine's learned
+    {!Aeq_backend.Calibration.estimate}, which every switch this
+    controller makes feeds with one sample. The
     [(w-1)·r0·c] term accounts for tuples the other threads process
     while one thread compiles. Evaluation is guarded so only one
     thread runs it ("the extrapolation is only performed by a single
@@ -24,6 +26,7 @@ type decision = Do_nothing | Compile of Aeq_backend.Cost_model.mode
 
 type candidate = {
   cand_mode : Aeq_backend.Cost_model.mode;
+  cand_speedup : float;  (** the speedup vs bytecode it was priced with *)
   cand_seconds : float;
       (** extrapolated total remaining-pipeline seconds if this mode
           were compiled now; [infinity] when blacklisted *)
@@ -43,20 +46,23 @@ type t
 val create :
   ?pipeline:int ->
   model:Aeq_backend.Cost_model.t ->
+  estimate:Aeq_backend.Calibration.estimate ->
   handle:Handle.t ->
   progress:Progress.t ->
   n_threads:int ->
   unit ->
   t
 (** [pipeline] (default 0) tags this controller's decisions in the
-    observability event log ({!Aeq_obs.Event_log}). *)
+    observability event log ({!Aeq_obs.Event_log}). [model] prices
+    the compiles, [estimate] the speedups. *)
 
 val evaluate :
   ?allow_unopt:bool ->
   ?allow_opt:bool ->
-  model:Aeq_backend.Cost_model.t ->
+  speedups:Aeq_backend.Calibration.t ->
+  compile_unopt:float ->
+  compile_opt:float ->
   current_mode:Aeq_backend.Cost_model.mode ->
-  n_instrs:int ->
   remaining:int ->
   rate:float ->
   n_threads:int ->
@@ -64,22 +70,8 @@ val evaluate :
   eval
 (** The pure extrapolation with its full working shown: the
     stay-the-course projection and every candidate's projected total,
-    alongside the decision. This is what the event log records as a
-    decision. *)
-
-val extrapolate :
-  ?allow_unopt:bool ->
-  ?allow_opt:bool ->
-  model:Aeq_backend.Cost_model.t ->
-  current_mode:Aeq_backend.Cost_model.mode ->
-  n_instrs:int ->
-  remaining:int ->
-  rate:float ->
-  n_threads:int ->
-  unit ->
-  decision
-(** Pure decision function (unit-testable). [allow_unopt] /
-    [allow_opt] (default [true]) exclude blacklisted candidates — a
+    alongside the decision: what the event log records. [allow_unopt]
+    / [allow_opt] (default [true]) exclude blacklisted candidates — a
     mode whose compilation failed is priced at infinity and therefore
     never chosen again. *)
 
@@ -90,4 +82,5 @@ val maybe_decide : t -> decision
     {!Handle.promote} and {!finish_compile}. *)
 
 val finish_compile : t -> unit
-(** Reinstates evaluation and resets the rate samples. *)
+(** Reinstates evaluation. After a promotion the next decision's
+    rate, over the one before, is one sample for the estimate. *)

@@ -38,6 +38,7 @@ type prepared = {
   pr_plan : P.t;
   pr_layout : P.layout;
   pr_cost_model : CM.t;
+  pr_estimate : Aeq_backend.Calibration.estimate;
   pr_n_threads : int;
   pr_symbols : Aeq_vm.Rt_fn.resolver;
   pr_handles : Handle.compiled array;
@@ -71,7 +72,7 @@ let rec atomic_add_float a d =
   let cur = Atomic.get a in
   if not (Atomic.compare_and_set a cur (cur +. d)) then atomic_add_float a d
 
-let prepare ~cost_model catalog plan ~n_threads =
+let prepare ?estimate ~cost_model catalog plan ~n_threads =
   let arena = Aeq_storage.Catalog.arena catalog in
   let n_threads = Stdlib.max 1 n_threads in
   (* The fallback context for the resolver: per-execution contexts are
@@ -116,6 +117,8 @@ let prepare ~cost_model catalog plan ~n_threads =
     pr_plan = plan;
     pr_layout = layout;
     pr_cost_model = cost_model;
+    pr_estimate =
+      (match estimate with Some e -> e | None -> Aeq_backend.Calibration.estimate cost_model);
     pr_n_threads = n_threads;
     pr_symbols = symbols;
     pr_handles = handles;
@@ -131,7 +134,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?cancel ?memory_bud
     ?(on_compile_failure = `Degrade) p ~mode ~pool =
   let t_start = Aeq_util.Clock.now () in
   let catalog = p.pr_catalog and plan = p.pr_plan and layout = p.pr_layout in
-  let cost_model = p.pr_cost_model in
+  let cost_model = p.pr_cost_model and estimate = p.pr_estimate in
   let n_threads = Stdlib.min (Pool.n_threads pool) p.pr_n_threads in
   let arena = Aeq_storage.Catalog.arena catalog in
   (* Everything this execution allocates — hash tables, aggregation
@@ -217,6 +220,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?cancel ?memory_bud
            ~help:"Wall time per morsel across all worker domains")
   in
   let mode_index = function CM.Bytecode -> 0 | CM.Unopt -> 1 | CM.Opt -> 2 in
+  let seconds ns = float_of_int ns *. 1e-9 in
   let body () =
     (* per-execution context: fresh registries (ids issued in planning
        order) and per-worker allocators drawing from this execution's
@@ -359,13 +363,17 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?cancel ?memory_bud
         let controller =
           match mode with
           | Adaptive ->
-            Some (Adaptive.create ~pipeline:pi ~model:cost_model ~handle ~progress ~n_threads ())
+            Some
+              (Adaptive.create ~pipeline:pi ~model:cost_model ~estimate ~handle
+                 ~progress ~n_threads ())
           | Bytecode | Unopt | Opt -> None
         in
         let next = Atomic.make 0 in
         let morsels ~tid =
           let regs = Domain.DLS.get regs_key in
           let continue_ = ref true in
+          (* one stamp per boundary: a morsel starts where the last ended *)
+          let last = ref (Aeq_util.Clock.now_ns ()) in
           while !continue_ do
             if check_guards () then continue_ := false
             else begin
@@ -374,7 +382,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?cancel ?memory_bud
               if b >= total then continue_ := false
               else begin
                 let e = Stdlib.min (b + size) total in
-                let t0 = Aeq_util.Clock.now () in
+                let t0 = !last and epoch = Progress.epoch progress in
                 match
                   Aeq_util.Probe.hit "driver.morsel";
                   Handle.run_morsel handle ~regs ~state ~first:b ~last:e ~tid
@@ -390,18 +398,19 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?cancel ?memory_bud
                   fail (Query_error.of_exn exn);
                   continue_ := false
                 | () -> (
-                  let t1 = Aeq_util.Clock.now () in
-                  Progress.note_morsel progress ~tid ~rows:(e - b) ~seconds:(t1 -. t0);
+                  let t1 = Aeq_util.Clock.now_ns () in
+                  last := t1;
+                  Progress.note_morsel progress ~tid ~epoch ~rows:(e - b) ~ns:(t1 - t0);
                   if obs_on then begin
                     Aeq_obs.Metrics.inc
                       morsel_counter.(mode_index (Handle.mode handle));
                     match morsel_hist with
-                    | Some h -> Aeq_obs.Metrics.observe h (t1 -. t0)
+                    | Some h -> Aeq_obs.Metrics.observe h (seconds (t1 - t0))
                     | None -> ()
                   end;
                   (match trace with
                   | Some tr ->
-                    Trace.record tr ~pipeline:pi ~tid ~t0 ~t1
+                    Trace.record tr ~pipeline:pi ~tid ~t0:(seconds t0) ~t1:(seconds t1)
                       (Trace.Ev_morsel (Handle.mode handle))
                   | None -> ());
                   match controller with
@@ -409,21 +418,23 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?cancel ?memory_bud
                     match Adaptive.maybe_decide ctl with
                     | Adaptive.Do_nothing -> ()
                     | Adaptive.Compile m -> (
-                      let c0 = Aeq_util.Clock.now () in
+                      let c0 = !last in
                       (* finish_compile must run even if promotion raises:
                          otherwise the handle stays marked compiling forever
                          and all future upgrades are disabled *)
-                      match
+                      let promoted =
                         Fun.protect
                           ~finally:(fun () -> Adaptive.finish_compile ctl)
                           (fun () -> try_promote handle m)
-                      with
+                      in
+                      (* the compile is no part of the next morsel *)
+                      last := Aeq_util.Clock.now_ns ();
+                      match promoted with
                       | Ok dt ->
-                        let c1 = Aeq_util.Clock.now () in
                         (match trace with
                         | Some tr ->
-                          Trace.record tr ~pipeline:pi ~tid ~t0:c0 ~t1:c1
-                            (Trace.Ev_compile m)
+                          Trace.record tr ~pipeline:pi ~tid ~t0:(seconds c0)
+                            ~t1:(seconds !last) (Trace.Ev_compile m)
                         | None -> ());
                         atomic_add_float compile_seconds dt
                       | Error _ ->
@@ -550,9 +561,9 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?cancel ?memory_bud
       try A.release lease with Aeq_util.Probe.Injected _ -> ())
     (fun () -> Query_error.protect guarded)
 
-let execute ~cost_model ?collect_trace ?initial_modes ?cancel ?memory_budget_bytes
+let execute ?estimate ~cost_model ?collect_trace ?initial_modes ?cancel ?memory_budget_bytes
     ?on_compile_failure catalog plan ~mode ~pool =
-  let p = prepare ~cost_model catalog plan ~n_threads:(Pool.n_threads pool) in
+  let p = prepare ?estimate ~cost_model catalog plan ~n_threads:(Pool.n_threads pool) in
   execute_prepared ?collect_trace ?initial_modes ?cancel ?memory_budget_bytes
     ?on_compile_failure p ~mode ~pool
 

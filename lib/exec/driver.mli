@@ -70,6 +70,7 @@ type prepared
     one. *)
 
 val prepare :
+  ?estimate:Aeq_backend.Calibration.estimate ->
   cost_model:Aeq_backend.Cost_model.t ->
   Aeq_storage.Catalog.t ->
   Aeq_plan.Physical.t ->
@@ -77,9 +78,10 @@ val prepare :
   prepared
 (** Generate and bytecode-translate every pipeline worker.
     [n_threads] is the widest pool the statement may later execute
-    on. [cost_model] prices every compilation and drives the adaptive
-    controller; pass the engine's calibrated model
-    ([Engine.cost_model]) or [Cost_model.off]. *)
+    on. [cost_model] prices every compilation (pass
+    [Engine.cost_model] or [Cost_model.off]). The adaptive controller
+    prices tiers with, and feeds, [estimate]: the engine's own, or
+    else a fresh one at [cost_model]'s seeds. *)
 
 val execute_prepared :
   ?collect_trace:bool ->
@@ -139,6 +141,7 @@ val prepared_handles : prepared -> Handle.compiled array
 (** The compiled part of each pipeline's handle, in pipeline order. *)
 
 val execute :
+  ?estimate:Aeq_backend.Calibration.estimate ->
   cost_model:Aeq_backend.Cost_model.t ->
   ?collect_trace:bool ->
   ?initial_modes:Aeq_backend.Cost_model.mode list ->

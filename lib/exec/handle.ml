@@ -99,18 +99,18 @@ let rec atomic_add_float a d =
   let cur = Atomic.get a in
   if not (Atomic.compare_and_set a cur (cur +. d)) then atomic_add_float a d
 
-let blacklist_flag c = function
-  | CM.Unopt -> Some c.unopt_blacklisted
-  | CM.Opt -> Some c.opt_blacklisted
-  | CM.Bytecode -> None
-
-let blacklisted_compiled c mode =
-  match blacklist_flag c mode with Some f -> Atomic.get f | None -> false
+(* no option around the flag: a decision reads two after every morsel *)
+let blacklisted_compiled c = function
+  | CM.Unopt -> Atomic.get c.unopt_blacklisted
+  | CM.Opt -> Atomic.get c.opt_blacklisted
+  | CM.Bytecode -> false
 
 let blacklisted t mode = blacklisted_compiled t.c mode
 
-let blacklist t mode =
-  match blacklist_flag t.c mode with Some f -> Atomic.set f true | None -> ()
+let blacklist t = function
+  | CM.Unopt -> Atomic.set t.c.unopt_blacklisted true
+  | CM.Opt -> Atomic.set t.c.opt_blacklisted true
+  | CM.Bytecode -> ()
 
 let promote t ~mode:m =
   if m = mode t then 0.0

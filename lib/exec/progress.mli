@@ -9,18 +9,21 @@ type t
 
 val create : total_rows:int -> n_threads:int -> t
 
-val start_time : t -> float
+val epoch : t -> int
+(** Tier switches so far. A morsel reads it before it starts. *)
 
-val note_morsel : t -> tid:int -> rows:int -> seconds:float -> unit
+val note_morsel : t -> tid:int -> epoch:int -> rows:int -> ns:int -> unit
+(** A morsel of [rows] rows took [ns] nanoseconds on [tid]. Its rate
+    is a sample only if no switch happened since it read [epoch]. *)
 
 val processed : t -> int
 
 val remaining : t -> int
 
-val avg_rate : t -> float
-(** Mean of the per-thread rates observed so far (tuples/second);
-    0 if nothing was measured yet. *)
+val avg_rate : t -> int
+(** Mean of the per-thread rates since the last switch (tuples per
+    second); 0 if there is none yet. *)
 
-val reset_rates : t -> unit
-(** Called after a mode switch so the extrapolation uses post-switch
-    rates only (paper Section III-C). *)
+val switch : t -> unit
+(** A tier switch: the extrapolation starts over on post-switch rates
+    only (paper Section III-C). *)

@@ -72,11 +72,14 @@ let chrome_events ?trace () =
           ("action", Json.Str action);
           ("reason", Json.Str d.d_reason);
         ]
-        @ List.map
+        @ List.concat_map
             (fun (c : Log.candidate) ->
-              ( "candidate_" ^ c.c_mode ^ "_seconds",
-                if c.c_blacklisted then Json.Str "blacklisted"
-                else finite_or_string c.c_total_seconds ))
+              [
+                ( "candidate_" ^ c.c_mode ^ "_seconds",
+                  if c.c_blacklisted then Json.Str "blacklisted"
+                  else finite_or_string c.c_total_seconds );
+                ("candidate_" ^ c.c_mode ^ "_speedup", Json.Num c.c_speedup);
+              ])
             d.d_candidates
       in
       CT.instant

@@ -1,6 +1,11 @@
 type action = Stay | Promote of string
 
-type candidate = { c_mode : string; c_total_seconds : float; c_blacklisted : bool }
+type candidate = {
+  c_mode : string;
+  c_speedup : float;
+  c_total_seconds : float;
+  c_blacklisted : bool;
+}
 
 type decision = {
   d_mode : string;

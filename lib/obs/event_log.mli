@@ -21,6 +21,7 @@ type action = Stay | Promote of string  (** target mode name *)
 
 type candidate = {
   c_mode : string;  (** "unoptimized" | "optimized" *)
+  c_speedup : float;  (** the speedup vs bytecode it was priced with *)
   c_total_seconds : float;
       (** extrapolated total remaining-pipeline seconds if this mode
           were compiled now (compile latency included); [infinity] for

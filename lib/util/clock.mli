@@ -6,6 +6,10 @@ val now : unit -> float
     measurement. Reads the installed {!set_source} source (the real
     wall clock by default). *)
 
+val now_ns : unit -> int
+(** {!now} in integer nanoseconds, from the same source. Allocates
+    nothing on the real clock. *)
+
 val set_source : (unit -> float) -> unit
 (** Substitute the time source. The deterministic simulator installs
     a virtual clock here so timeouts and deadlines advance with the
@@ -17,9 +21,6 @@ val reset_source : unit -> unit
 val time_it : (unit -> 'a) -> 'a * float
 (** [time_it f] runs [f] and returns its result together with the
     elapsed wall time in seconds. *)
-
-val ms : float -> float
-(** Convert seconds to milliseconds. *)
 
 val busy_wait : float -> unit
 (** [busy_wait s] spins for [s] seconds. Used by the compile-latency

@@ -146,18 +146,159 @@ let test_pool_concurrent_jobs () =
 let test_progress_rates () =
   let p = Aeq_exec.Progress.create ~total_rows:1000 ~n_threads:2 in
   Alcotest.(check int) "remaining" 1000 (Aeq_exec.Progress.remaining p);
-  Aeq_exec.Progress.note_morsel p ~tid:0 ~rows:100 ~seconds:0.01;
-  Aeq_exec.Progress.note_morsel p ~tid:1 ~rows:300 ~seconds:0.01;
+  Aeq_exec.Progress.note_morsel p ~tid:0 ~epoch:0 ~rows:100 ~ns:10_000_000;
+  Aeq_exec.Progress.note_morsel p ~tid:1 ~epoch:0 ~rows:300 ~ns:10_000_000;
   Alcotest.(check int) "processed" 400 (Aeq_exec.Progress.processed p);
   Alcotest.(check int) "remaining" 600 (Aeq_exec.Progress.remaining p);
   (* rates: 10k/s and 30k/s -> avg 20k/s *)
-  Alcotest.(check (float 1.0)) "avg rate" 20000.0 (Aeq_exec.Progress.avg_rate p);
-  Aeq_exec.Progress.reset_rates p;
-  Alcotest.(check (float 0.0)) "rates reset" 0.0 (Aeq_exec.Progress.avg_rate p)
+  Alcotest.(check int) "avg rate" 20000 (Aeq_exec.Progress.avg_rate p);
+  Aeq_exec.Progress.switch p;
+  Alcotest.(check int) "rates reset" 0 (Aeq_exec.Progress.avg_rate p)
+
+(* ---- the speedup estimate ------------------------------------------- *)
+
+module Cal = Aeq_backend.Calibration
+module Pr = Aeq_exec.Progress
+
+let speedups = Alcotest.testable (fun f (s : Cal.t) ->
+    Format.fprintf f "{unopt %g; opt %g}" s.Cal.speedup_unopt s.Cal.speedup_opt) ( = )
+
+(* A fresh engine prices with its model's seeds, whatever another
+   estimate in the process learned. *)
+let test_estimate_seeds () =
+  let other = Cal.estimate CM.off in
+  Cal.observe other ~from:CM.Bytecode ~to_:CM.Unopt ~ratio:3.0;
+  Cal.observe other ~from:CM.Bytecode ~to_:CM.Opt ~ratio:3.0;
+  let e = Aeq.Engine.create ~n_threads:1 ~cost_model:CM.off () in
+  Alcotest.check speedups "seeds" { Cal.speedup_unopt = 1.25; speedup_opt = 1.40 }
+    (Aeq.Engine.speedups e);
+  Aeq.Engine.close e
+
+(* A controller over one real pipeline, past its 1 ms warm-up, with
+   the rates left for the caller to note. *)
+let with_controller ~model ~estimate ~total_rows f =
+  let e = Aeq.Engine.create ~n_threads:1 ~cost_model:CM.off () in
+  Fun.protect
+    ~finally:(fun () -> Aeq.Engine.close e)
+    (fun () ->
+      Aeq.Engine.load_tpch e ~scale_factor:0.001;
+      let catalog = Aeq.Engine.catalog e in
+      let p =
+        Driver.prepare ~cost_model:model catalog
+          (Aeq.Engine.plan e "select count(*) from lineitem")
+          ~n_threads:1
+      in
+      let handle =
+        Aeq_exec.Handle.bind (Driver.prepared_handles p).(0) ~cost_model:model
+          ~symbols:(fun _ -> None)
+          ~mem:(Aeq_storage.Catalog.arena catalog)
+      in
+      let progress = Pr.create ~total_rows ~n_threads:2 in
+      let ctl = Aeq_exec.Adaptive.create ~model ~estimate ~handle ~progress ~n_threads:2 () in
+      Unix.sleepf 0.002;
+      f ~handle ~progress ctl)
+
+(* One switch gives one sample: the first rate after it over the rate
+   before it. A morsel that began before the switch ran in the old
+   tier: its rows count, its rate is no sample. *)
+let test_estimate_pair () =
+  (* unopt compiles for free and opt never pays off *)
+  let model = { CM.off with unopt_base = 0.0; unopt_per_instr = 0.0; opt_base = 1e9 } in
+  let estimate = Cal.estimate model in
+  with_controller ~model ~estimate ~total_rows:1_000_000 (fun ~handle ~progress ctl ->
+      let decide () = ignore (Aeq_exec.Adaptive.maybe_decide ctl) in
+      Pr.note_morsel progress ~tid:0 ~epoch:0 ~rows:100 ~ns:10_000_000;
+      Pr.note_morsel progress ~tid:1 ~epoch:0 ~rows:100 ~ns:10_000_000;
+      let in_flight = Pr.epoch progress in
+      (match Aeq_exec.Adaptive.maybe_decide ctl with
+      | Aeq_exec.Adaptive.Compile CM.Unopt -> ()
+      | _ -> Alcotest.fail "a free unopt compile is taken");
+      ignore (Aeq_exec.Handle.promote handle ~mode:CM.Unopt);
+      Aeq_exec.Adaptive.finish_compile ctl;
+      Pr.note_morsel progress ~tid:1 ~epoch:in_flight ~rows:300 ~ns:10_000_000;
+      decide ();
+      Alcotest.check speedups "an in-flight morsel is no sample" (Cal.current (Cal.estimate model))
+        (Cal.current estimate);
+      Alcotest.(check int) "its rows still count" 500 (Pr.processed progress);
+      (* 10k rows/s in bytecode, then 15k in unopt *)
+      Pr.note_morsel progress ~tid:0 ~epoch:(Pr.epoch progress) ~rows:150 ~ns:10_000_000;
+      decide ();
+      Alcotest.(check (float 1e-12))
+        "unopt a quarter of the way to 1.5" 1.3125 (Cal.current estimate).Cal.speedup_unopt;
+      Pr.note_morsel progress ~tid:1 ~epoch:(Pr.epoch progress) ~rows:300 ~ns:10_000_000;
+      decide ();
+      Alcotest.(check (float 1e-12))
+        "one sample per switch" 1.3125 (Cal.current estimate).Cal.speedup_unopt;
+      Alcotest.(check (float 0.0)) "opt untouched" 1.40 (Cal.current estimate).Cal.speedup_opt);
+  (* an Unopt->Opt ratio is a speedup over unopt: 1.2 x 1.3125 *)
+  Cal.observe estimate ~from:CM.Unopt ~to_:CM.Opt ~ratio:1.2;
+  Alcotest.(check (float 1e-12))
+    "opt a quarter of the way to 1.575" (1.40 +. (0.25 *. (1.575 -. 1.40)))
+    (Cal.current estimate).Cal.speedup_opt
+
+(* A variant an earlier execution cached switches in for free: the
+   controller takes it where compiling it would never pay. *)
+let test_cached_variant_is_free () =
+  let model = { CM.off with unopt_base = 1e9; opt_base = 1e9 } in
+  with_controller ~model ~estimate:(Cal.estimate model) ~total_rows:1_000_000
+    (fun ~handle ~progress ctl ->
+      Pr.note_morsel progress ~tid:0 ~epoch:0 ~rows:100 ~ns:10_000_000;
+      (match Aeq_exec.Adaptive.maybe_decide ctl with
+      | Aeq_exec.Adaptive.Do_nothing -> ()
+      | Aeq_exec.Adaptive.Compile _ -> Alcotest.fail "a compile that takes 1e9 s is not taken");
+      ignore (Aeq_exec.Handle.promote handle ~mode:CM.Unopt);
+      let next =
+        Aeq_exec.Handle.bind handle.Aeq_exec.Handle.c ~cost_model:model
+          ~symbols:(fun _ -> None)
+          ~mem:handle.Aeq_exec.Handle.mem
+      in
+      let ctl =
+        Aeq_exec.Adaptive.create ~model ~estimate:(Cal.estimate model) ~handle:next ~progress
+          ~n_threads:2 ()
+      in
+      Unix.sleepf 0.002;
+      match Aeq_exec.Adaptive.maybe_decide ctl with
+      | Aeq_exec.Adaptive.Compile CM.Unopt -> ()
+      | _ -> Alcotest.fail "the cached unopt variant is taken")
+
+(* A tier that ran slower than the one it replaced is priced at its
+   floor, never below. *)
+let test_estimate_floors () =
+  let e = Cal.estimate CM.default in
+  for _ = 1 to 200 do
+    Cal.observe e ~from:CM.Bytecode ~to_:CM.Unopt ~ratio:0.5;
+    Cal.observe e ~from:CM.Bytecode ~to_:CM.Opt ~ratio:0.5
+  done;
+  let s = Cal.current e in
+  Alcotest.(check (float 1e-9)) "unopt floor" 1.01 s.Cal.speedup_unopt;
+  Alcotest.(check (float 1e-9)) "opt floor" 1.02 s.Cal.speedup_opt
+
+(* Real switches feed the engine's estimate: seeded far above what the
+   closure tiers run at, it comes down. *)
+let test_estimate_learns_from_switches () =
+  let cost_model = CM.with_speedups CM.off ~unopt:50.0 ~opt:100.0 in
+  let e = Aeq.Engine.create ~n_threads:2 ~cost_model () in
+  Aeq.Engine.load_tpch e ~scale_factor:0.01;
+  ignore (Aeq.Engine.query e ~mode:Driver.Adaptive "select sum(l_quantity) from lineitem");
+  let s = Aeq.Engine.speedups e in
+  Alcotest.(check bool)
+    (Printf.sprintf "estimate {%g; %g} moved down from {50; 100}" s.Cal.speedup_unopt
+       s.Cal.speedup_opt)
+    true
+    (s.Cal.speedup_unopt < 50.0 || s.Cal.speedup_opt < 100.0);
+  Aeq.Engine.close e
 
 (* ---- the Fig. 7 decision model -------------------------------------- *)
 
-let extrapolate = Aeq_exec.Adaptive.extrapolate ~model:CM.default ~n_instrs:1000
+(* priced with the paper's speedups, so the worked numbers below hold
+   whatever the engine's seeds are *)
+let extrapolate ~current_mode ~remaining ~rate ~n_threads () =
+  (Aeq_exec.Adaptive.evaluate
+     ~speedups:{ Aeq_backend.Calibration.speedup_unopt = 3.6; speedup_opt = 5.0 }
+     ~compile_unopt:(CM.compile_time CM.default CM.Unopt 1000)
+     ~compile_opt:(CM.compile_time CM.default CM.Opt 1000)
+     ~current_mode ~remaining ~rate ~n_threads ())
+    .Aeq_exec.Adaptive.ev_decision
 
 let test_decide_nothing_when_tiny () =
   (* 1000 remaining tuples at 1M/s: 1 ms of work left; compiling costs
@@ -582,6 +723,28 @@ let test_tpch_words_per_row () =
     [ ("bytecode", Driver.Bytecode); ("unopt", Driver.Unopt); ("opt", Driver.Opt) ];
   Aeq.Engine.close engine
 
+(* The controller's check after every morsel reads the clock, the rate,
+   the blacklists, the estimate and the modelled compile times, and
+   allocates nothing doing so. *)
+let test_decision_allocates_nothing () =
+  Aeq_obs.Control.with_enabled false (fun () ->
+      with_controller ~model:CM.default ~estimate:(Cal.estimate CM.default) ~total_rows:1_000
+        (fun ~handle:_ ~progress ctl ->
+          Pr.note_morsel progress ~tid:0 ~epoch:0 ~rows:500 ~ns:500_000;
+          let decide () =
+            match Aeq_exec.Adaptive.maybe_decide ctl with
+            | Aeq_exec.Adaptive.Do_nothing -> ()
+            | Aeq_exec.Adaptive.Compile _ -> Alcotest.fail "500 rows left must not compile"
+          in
+          decide ();
+          let w0 = Gc.minor_words () in
+          for _ = 1 to 1_000 do
+            decide ()
+          done;
+          Alcotest.(check (float 0.0))
+            "minor words over 1,000 decisions" 0.0
+            (Gc.minor_words () -. w0)))
+
 (* ---- sort and limit over arena rows -------------------------------- *)
 
 (* The result rows as one digest, through the printed form. *)
@@ -693,6 +856,14 @@ let () =
           Alcotest.test_case "concurrent jobs" `Quick test_pool_concurrent_jobs;
         ] );
       ("progress", [ Alcotest.test_case "rates" `Quick test_progress_rates ]);
+      ( "speedup estimate",
+        [
+          Alcotest.test_case "fresh engine at the seeds" `Quick test_estimate_seeds;
+          Alcotest.test_case "one pair per switch" `Quick test_estimate_pair;
+          Alcotest.test_case "floors" `Quick test_estimate_floors;
+          Alcotest.test_case "a cached variant is free" `Quick test_cached_variant_is_free;
+          Alcotest.test_case "switches feed the engine" `Quick test_estimate_learns_from_switches;
+        ] );
       ( "fig7 model",
         [
           Alcotest.test_case "tiny -> nothing" `Quick test_decide_nothing_when_tiny;
@@ -723,7 +894,10 @@ let () =
             test_prepared_bytecode_words;
         ] );
       ( "allocation",
-        [ Alcotest.test_case "tpch words per scanned row" `Quick test_tpch_words_per_row ] );
+        [
+          Alcotest.test_case "tpch words per scanned row" `Quick test_tpch_words_per_row;
+          Alcotest.test_case "a decision allocates nothing" `Quick test_decision_allocates_nothing;
+        ] );
       ( "result",
         [
           Alcotest.test_case "order by limit over arena rows" `Quick

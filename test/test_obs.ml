@@ -216,10 +216,13 @@ let test_spans_record_on_raise () =
    must pick the cheapest projection. *)
 let test_evaluate_shows_its_working () =
   let model = CM.default in
+  let speedups = { Aeq_backend.Calibration.speedup_unopt = 2.0; speedup_opt = 3.0 } in
   let remaining = 10_000_000 and rate = 1e6 and w = 4 and n_instrs = 1000 in
   let ev =
-    Aeq_exec.Adaptive.evaluate ~model ~current_mode:CM.Bytecode ~n_instrs ~remaining
-      ~rate ~n_threads:w ()
+    Aeq_exec.Adaptive.evaluate ~speedups
+      ~compile_unopt:(CM.compile_time model CM.Unopt n_instrs)
+      ~compile_opt:(CM.compile_time model CM.Opt n_instrs)
+      ~current_mode:CM.Bytecode ~remaining ~rate ~n_threads:w ()
   in
   let fw = float_of_int w in
   Alcotest.(check (float 1e-9))
@@ -235,11 +238,19 @@ let test_evaluate_shows_its_working () =
     let compile = CM.compile_time model mode n_instrs in
     let during = (fw -. 1.0) *. rate *. compile in
     let leftover = Stdlib.max (float_of_int remaining -. during) 0.0 in
-    let cand_rate = rate *. CM.speedup model mode /. CM.speedup model CM.Bytecode in
+    let cand_speedup =
+      match mode with
+      | CM.Opt -> speedups.Aeq_backend.Calibration.speedup_opt
+      | _ -> speedups.Aeq_backend.Calibration.speedup_unopt
+    in
+    let cand_rate = rate *. cand_speedup in
     let expected = compile +. (leftover /. cand_rate /. fw) in
     Alcotest.(check (float 1e-9))
       (CM.mode_name mode ^ " projection")
       expected c.Aeq_exec.Adaptive.cand_seconds;
+    Alcotest.(check (float 0.0))
+      (CM.mode_name mode ^ " priced with the given speedup")
+      cand_speedup c.Aeq_exec.Adaptive.cand_speedup;
     Alcotest.(check bool)
       (CM.mode_name mode ^ " not blacklisted")
       false c.Aeq_exec.Adaptive.cand_blacklisted;
@@ -348,6 +359,15 @@ let test_chrome_trace_roundtrip () =
                && List.exists
                     (fun x -> lane x = lane d && pipeline x = pipeline d)
                     executes)
+             events);
+        (* the first decision prices each candidate at the seeds *)
+        Alcotest.(check bool)
+          "a decision shows the speedup it priced with" true
+          (List.exists
+             (fun d ->
+               cat d = Some "adaptive"
+               && Option.bind (J.member "args" d) (num "candidate_optimized_speedup")
+                  = Some 100.0)
              events);
         (* timestamps are rebased: all non-negative *)
         List.iter

@@ -119,6 +119,61 @@ let test_seed_replayability () =
     "different seed, different schedule" true
     (o1.Sim.schedule <> o3.Sim.schedule)
 
+(* ---- decisions replay across engines --------------------------------- *)
+
+(* Free compiles: the first decision with a rate promotes. Idle tasks
+   share the schedule with the query, so virtual time passes between
+   its morsels and the controller's 1 ms warm-up ends mid-pipeline. *)
+let eager =
+  { CM.off with unopt_base = 0.0; unopt_per_instr = 0.0; opt_base = 0.0; opt_per_instr = 0.0;
+    opt_quad = 0.0 }
+
+let adaptive_decisions ~seed =
+  let engine = Aeq.Engine.create ~n_threads:1 ~cost_model:eager () in
+  Aeq.Engine.load_tpch engine ~scale_factor:sf;
+  Fun.protect
+    ~finally:(fun () -> Aeq.Engine.close engine)
+    (fun () ->
+      Aeq_obs.Event_log.clear ();
+      let idle name = (name, fun () -> for _ = 1 to 100 do Aeq_util.Probe.yield "test.idle" done) in
+      let o =
+        Sim.run ~checkers:(checkers engine) ~seed
+          ~tasks:
+            (( "adaptive",
+               fun () -> ignore (Aeq.Engine.query engine ~mode:Driver.Adaptive sql_sum) )
+            :: List.init 7 (fun i -> idle (Printf.sprintf "idle%d" i)))
+          ()
+      in
+      Alcotest.(check bool) "sound run" false (Sim.failed o);
+      let decisions =
+        List.filter_map
+          (fun (e : Aeq_obs.Event_log.event) ->
+            match e.kind with
+            | Aeq_obs.Event_log.Decision d -> Some (e.pipeline, d)
+            | Aeq_obs.Event_log.Span _ -> None)
+          (Aeq_obs.Event_log.snapshot ())
+      in
+      Aeq_obs.Event_log.clear ();
+      (decisions, Aeq.Engine.speedups engine))
+
+(* Each engine prices tiers with its own estimate: a second engine in
+   the same process replays the first one's decisions, prices
+   included, although the first one's switches moved its estimate. *)
+let test_engines_replay_decisions () =
+  Aeq_obs.Control.with_enabled true (fun () ->
+      let d1, learned = adaptive_decisions ~seed:0xADA97L in
+      let d2, _ = adaptive_decisions ~seed:0xADA97L in
+      Alcotest.(check bool)
+        "a promotion was logged" true
+        (List.exists
+           (fun (_, d) -> match d.Aeq_obs.Event_log.d_action with Promote _ -> true | Stay -> false)
+           d1);
+      Alcotest.(check bool)
+        "the first engine's estimate moved" true
+        (learned <> Aeq_backend.Calibration.(current (estimate eager)));
+      Alcotest.(check int) "as many decisions" (List.length d1) (List.length d2);
+      Alcotest.(check bool) "identical decisions" true (d1 = d2))
+
 (* ---- (b) finding the historical shared-context race ------------------ *)
 
 (* One run of the two-query workload with the pre-per-query-context
@@ -420,6 +475,8 @@ let () =
         [
           Alcotest.test_case "seed replayability" `Quick test_seed_replayability;
           Alcotest.test_case "no false positives" `Quick test_no_false_positives;
+          Alcotest.test_case "engines replay adaptive decisions" `Quick
+            test_engines_replay_decisions;
         ] );
       ( "race-finding",
         [
