@@ -856,7 +856,7 @@ let () =
           Alcotest.test_case "concurrent jobs" `Quick test_pool_concurrent_jobs;
         ] );
       ("progress", [ Alcotest.test_case "rates" `Quick test_progress_rates ]);
-      ( "speedup estimate",
+      ( "speedups",
         [
           Alcotest.test_case "fresh engine at the seeds" `Quick test_estimate_seeds;
           Alcotest.test_case "one pair per switch" `Quick test_estimate_pair;
